@@ -63,7 +63,7 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="worker processes (REVCOVER_THREADS sets the default)")
     p.add_argument("--budget", type=int, default=20_000_000,
-                   help="per-relation box budget")
+                   help="box budget per check (exit and entry each)")
     p.add_argument("--fixed-grid", action="store_true",
                    help="uniform grid only, no adaptive bisection")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")

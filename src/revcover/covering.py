@@ -12,15 +12,25 @@ A relation N =(map^k)=> M is certified by three ingredients:
     maps strictly inside the target's open stable cube.
 
 Failing cells are bisected along their widest coordinate up to a depth cap,
-within a per-subtree box budget. Only the convex homotopy between the chart
-map and its linearization is certified, so a failed run is "inconclusive",
-never a disproof; "refuted-cell" means a cell's whole enclosure provably
-violates the checked condition, so this certification strategy can never
-succeed for the given h-sets.
+within a box budget. Only the convex homotopy between the chart map and its
+linearization is certified, so a failed run is "inconclusive", never a
+disproof; "refuted-cell" means a cell's whole enclosure provably violates
+the checked condition, so this certification strategy can never succeed for
+the given h-sets.
 
-The per-relation box budget is apportioned evenly over the initial grid
-cells and each cell's refinement subtree is processed in a fixed order, so
-verdicts and statistics are identical for every thread count.
+The budget applies per check (exit and entry each), and is apportioned
+evenly over the check's initial grid cells (its roots); each root's
+allowance counts the root itself. Refinement runs on one level-synchronous
+frontier that holds the cells of all failing roots with a root-index
+column: all of a root's cells at one depth are evaluated, in level order and
+up to the root's remaining allowance, before any of its deeper cells. A
+root is retired by a refuted cell, else by running out of allowance, else
+by a failing cell at the depth cap, each decided within a level. Each
+root's outcome and counts thus depend only on its own subtree and the
+config, so verdicts and statistics are independent of the thread count and
+of `batch_size`, which only sizes the kernel calls. Large frontiers are
+split (see `_Refinement`), which keeps memory bounded, and are sharded by
+root over worker processes once they outgrow one batch.
 """
 
 from __future__ import annotations
@@ -62,10 +72,15 @@ class VerifyConfig:
     resolution: initial subdivisions per free chart coordinate of each facet.
     max_depth: bisection depth cap for failing cells.
     threads: worker processes for cell verification (verdict-invariant).
-    budget: per-relation box budget, apportioned over initial cells.
+    budget: box budget per check (exit and entry each, so a relation may
+        spend up to twice it), apportioned evenly over the check's initial
+        cells. The initial grid is always evaluated in full, so only a
+        budget below the number of initial cells is exceeded.
     fixed_grid: disable bisection; the initial uniform grid must decide.
     mean_value: evaluate cells in centered form (point image plus interval
         Jacobian times radius) instead of plain stepwise composition.
+    batch_size: cells per kernel call (verdict- and statistics-invariant);
+        a call never spans more than one frontier part (_PART_CELLS).
     """
 
     resolution: int = 2
@@ -74,7 +89,7 @@ class VerifyConfig:
     budget: int = 20_000_000
     fixed_grid: bool = False
     mean_value: bool = False
-    batch_size: int = 8192
+    batch_size: int = 2048
 
     def __post_init__(self):
         if self.max_depth < 0 or self.budget <= 0 or self.resolution < 1:
@@ -277,7 +292,9 @@ class _CellEngine:
         return passed, refuted & ~passed
 
 
-def _bisect_cells(lo, hi, depth):
+def _bisect_cells(lo, hi):
+    """Halves each cell along its widest coordinate: all left halves, then
+    all right halves."""
     w = hi - lo
     ax = np.argmax(w, axis=1)
     r = np.arange(len(lo))
@@ -286,11 +303,7 @@ def _bisect_cells(lo, hi, depth):
     left_hi[r, ax] = mid
     right_lo = lo.copy()
     right_lo[r, ax] = mid
-    return (
-        np.concatenate([lo, right_lo]),
-        np.concatenate([left_hi, hi]),
-        np.concatenate([depth + 1, depth + 1]),
-    )
+    return np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
 
 
 def _cell_record(root, depth, lo, hi, which):
@@ -303,91 +316,143 @@ def _cell_record(root, depth, lo, hi, which):
     }
 
 
-def _refine_root(engine, root_id, lo0, hi0, allowance, max_depth, batch_size, which):
-    """Drive one failing initial cell's subtree to completion (fixed order)."""
-    boxes = 0
-    maxd = 0
-    status = "ok"
-    worst = None
-    if max_depth < 1:
-        return boxes, 0, "exhausted", _cell_record(root_id, 0, lo0, hi0, which)
-    lo, hi, depth = _bisect_cells(lo0[None, :], hi0[None, :], np.zeros(1, dtype=np.int32))
-    frontier = [(lo, hi, depth)]
-    while frontier:
-        lo, hi, depth = frontier.pop()
-        if len(lo) > batch_size:
-            frontier.append((lo[batch_size:], hi[batch_size:], depth[batch_size:]))
-            lo, hi, depth = lo[:batch_size], hi[:batch_size], depth[:batch_size]
-        if boxes + len(lo) > allowance:
-            take = allowance - boxes
-            status = "exhausted"
-            worst = _cell_record(root_id, depth[take] if take < len(lo) else depth[-1],
-                                 lo[min(take, len(lo) - 1)], hi[min(take, len(lo) - 1)], which)
-            lo, hi, depth = lo[:take], hi[:take], depth[:take]
-            frontier = []
-            if len(lo) == 0:
-                break
-        boxes += len(lo)
-        maxd = max(maxd, int(depth.max()))
-        passed, refuted = engine.classify(lo, hi)
-        if refuted.any():
-            i = int(np.argmax(refuted))
-            return boxes, maxd, "refuted", _cell_record(root_id, depth[i], lo[i], hi[i], which)
-        if status == "exhausted":
-            continue
-        failing = ~passed
-        if not failing.any():
-            continue
-        flo, fhi, fdepth = lo[failing], hi[failing], depth[failing]
-        capped = fdepth >= max_depth
-        if capped.any():
-            i = int(np.argmax(capped))
-            return boxes, maxd, "exhausted", _cell_record(
-                root_id, fdepth[i], flo[i], fhi[i], which
-            )
-        frontier.append(_bisect_cells(flo, fhi, fdepth))
-    return boxes, maxd, status, worst
+_ACTIVE, _REFUTED, _EXHAUSTED = 0, 1, 2
+
+# A part holding more cells than this is split before it is evaluated. The
+# split decides the statistics of a failing root whose level outgrows it, so
+# it is a constant and not cfg.batch_size: statistics then do not depend on
+# the batch size, and memory stays bounded for every batch size.
+_PART_CELLS = 2048
 
 
-def _worker_refine(payload: dict) -> dict:
-    """Top-level worker: processes complete refinement subtrees for a set of
-    failing initial cells. Pure function of its payload."""
-    mapsys = map_from_spec(payload["mapspec"])
-    engine = _CellEngine(
-        mapsys,
-        payload["k"],
-        payload["src_matrix"],
-        payload["src_center"],
-        payload["inv_lo"],
-        payload["inv_hi"],
-        payload["tgt_center"],
-        payload["dfc0_lo"],
-        payload["dfc0_hi"],
-        payload["u"],
-        payload["which"],
-        payload["mean_value"],
-    )
-    out = {"boxes": 0, "max_depth": 0, "refuted": [], "exhausted": [], "worst": {}}
-    for root_id, lo0, hi0 in payload["roots"]:
-        boxes, maxd, status, worst = _refine_root(
-            engine,
-            root_id,
-            lo0,
-            hi0,
-            payload["allowance"],
-            payload["max_depth"],
-            payload["batch_size"],
-            payload["which"],
-        )
-        out["boxes"] += boxes
-        out["max_depth"] = max(out["max_depth"], maxd)
-        if status == "refuted":
-            out["refuted"].append(root_id)
-            out["worst"][root_id] = worst
-        elif status == "exhausted":
-            out["exhausted"].append(root_id)
-            out["worst"][root_id] = worst
-    return out
+class _Refinement:
+    """Level-synchronous refinement of one check's initial cells (roots).
+
+    A part is a set of cells of one depth, grouped by root and, within a
+    root, in level order; `root` is its root-index column. Each step
+    evaluates a whole level of a part and retires the roots it decides. A
+    part larger than _PART_CELLS is split in two, by roots while it holds
+    several and by cells once it holds one, and the first half is finished
+    before the second is started. A root's outcome and counts therefore
+    depend only on its own subtree and the config, whichever roots share
+    its parts, whatever the batch size and however the roots are sharded
+    over worker processes.
+    """
+
+    def __init__(self, engine, n_roots, allowance, max_depth, batch_size):
+        self.engine = engine
+        self.allowance = allowance
+        self.max_depth = max_depth
+        self.batch_size = batch_size
+        self.boxes = np.zeros(n_roots, dtype=np.int64)
+        self.depth = np.zeros(n_roots, dtype=np.int64)
+        self.status = np.zeros(n_roots, dtype=np.int8)
+        self.worst: dict[int, dict] = {}
+
+    def run(self, lo, hi, root, depth, workers=1):
+        """Refine a part to completion. With workers > 1, a part of several
+        roots that outgrows one batch is sharded by root over a process pool."""
+        parts = [(lo, hi, root, depth)]
+        pool = None
+        try:
+            while parts:
+                lo, hi, root, depth = parts.pop()
+                live = self.status[root] == _ACTIVE
+                if not live.all():
+                    lo, hi, root = lo[live], hi[live], root[live]
+                n = len(root)
+                if n == 0:
+                    continue
+                several = root[0] != root[-1]
+                if workers > 1 and several and n > min(self.batch_size, _PART_CELLS):
+                    pool = pool or ProcessPoolExecutor(max_workers=workers)
+                    self._shard(pool, workers, lo, hi, root, depth)
+                elif n > _PART_CELLS:
+                    ids = np.unique(root)
+                    cut = np.searchsorted(root, ids[len(ids) // 2]) if several else n // 2
+                    parts.append((lo[cut:].copy(), hi[cut:].copy(), root[cut:].copy(), depth))
+                    parts.append((lo[:cut].copy(), hi[:cut].copy(), root[:cut].copy(), depth))
+                else:
+                    nxt = self._level(lo, hi, root, depth)
+                    if nxt is not None:
+                        parts.append((*nxt, depth + 1))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
+    def _level(self, lo, hi, root, depth):
+        """Evaluates one level of a part: each root's cells in level order up
+        to its remaining allowance. Retires a root on a refuted cell, else on
+        running out of allowance, else on a failing cell at the depth cap.
+        Returns the next level of the roots still active, or None."""
+        ids, start, count = np.unique(root, return_index=True, return_counts=True)
+        room = self.allowance - self.boxes[ids]
+        rank = np.arange(len(root)) - np.repeat(start, count)
+        take = rank < np.repeat(room, count)
+        elo, ehi, eroot = lo[take], hi[take], root[take]
+        passed = np.empty(len(eroot), dtype=bool)
+        refuted = np.empty(len(eroot), dtype=bool)
+        for s in range(0, len(eroot), self.batch_size):
+            sl = slice(s, s + self.batch_size)
+            passed[sl], refuted[sl] = self.engine.classify(elo[sl], ehi[sl])
+        evaluated = np.minimum(count, room)
+        self.boxes[ids] += evaluated
+        reached = ids[evaluated > 0]
+        self.depth[reached] = np.maximum(self.depth[reached], depth)
+
+        self._retire(_REFUTED, np.flatnonzero(refuted), elo, ehi, eroot, depth)
+        over = (count > room) & (self.status[ids] == _ACTIVE)
+        # the record is the first cell the allowance left unevaluated
+        self._retire(_EXHAUSTED, (start + room)[over], lo, hi, root, depth)
+        failing = np.flatnonzero(~passed & (self.status[eroot] == _ACTIVE))
+        if depth >= self.max_depth:
+            self._retire(_EXHAUSTED, failing, elo, ehi, eroot, depth)
+            return None
+        if failing.size == 0:
+            return None
+        clo, chi = _bisect_cells(elo[failing], ehi[failing])
+        croot = np.concatenate([eroot[failing], eroot[failing]])
+        order = np.argsort(croot, kind="stable")
+        return clo[order], chi[order], croot[order]
+
+    def _retire(self, status, idx, lo, hi, root, depth):
+        """Retires the roots of the cells idx (ascending), recording each
+        root's first such cell."""
+        rids, first = np.unique(root[idx], return_index=True)
+        self.status[rids] = status
+        for rid, i in zip(rids, idx[first]):
+            self.worst[int(rid)] = _cell_record(rid, depth, lo[i], hi[i], self.engine.which)
+
+    def _shard(self, pool, workers, lo, hi, root, depth):
+        ids = np.unique(root)
+        mapspec = self.engine.mapsys.spec
+        engine = {**vars(self.engine), "mapsys": None}
+        settings = (len(self.boxes), self.allowance, self.max_depth, self.batch_size)
+        payloads = []
+        for shard in (ids[i::workers] for i in range(min(workers, len(ids)))):
+            mine = np.isin(root, shard)
+            payloads.append({
+                "mapspec": mapspec, "engine": engine, "settings": settings,
+                "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],
+                "part": (lo[mine], hi[mine], root[mine], depth),
+            })
+        for shard, boxes, maxd, status, worst in pool.map(_worker_refine, payloads):
+            self.boxes[shard] = boxes
+            self.depth[shard] = maxd
+            self.status[shard] = status
+            self.worst.update(worst)
+
+
+def _worker_refine(payload: dict) -> tuple:
+    """Pool worker: finishes the refinement of one shard of roots. Pure
+    function of its payload."""
+    engine = _CellEngine(**{**payload["engine"], "mapsys": map_from_spec(payload["mapspec"])})
+    ref = _Refinement(engine, *payload["settings"])
+    shard = payload["roots"]
+    ref.boxes[shard] = payload["boxes"]
+    ref.depth[shard] = payload["depth"]
+    ref.run(*payload["part"])
+    return shard, ref.boxes[shard], ref.depth[shard], ref.status[shard], ref.worst
 
 
 def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
@@ -396,84 +461,31 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
     axes = range(N.u) if which == "exit" else range(N.dim)
     lo0, hi0, _tags = _facet_cells_arrays(N.dim, axes, cfg.resolution)
     n_roots = len(lo0)
-    allowance = max(1, cfg.budget // n_roots)
     engine = _CellEngine(
         mapsys, k, np.asarray(N.matrix), np.asarray(N.center),
         M.inv_matrix.lo, M.inv_matrix.hi, np.asarray(M.center),
         degree.chart_derivative.lo, degree.chart_derivative.hi,
         N.u, which, cfg.mean_value,
     )
-    stats = CheckStats()
-    worst_cells: dict[int, dict] = {}
-    refuted_roots: list[int] = []
-    exhausted_roots: list[int] = []
+    ref = _Refinement(engine, n_roots, max(1, cfg.budget // n_roots),
+                      0 if cfg.fixed_grid else cfg.max_depth, cfg.batch_size)
+    workers = max(1, cfg.threads) if mapsys.spec is not None else 1
+    # the initial grid is level 0: one cell per root
+    ref.run(lo0, hi0, np.arange(n_roots), 0, workers)
 
-    # stage 1: every initial cell exactly once, in large batches
-    failing_roots = []
-    for start in range(0, n_roots, cfg.batch_size):
-        sl = slice(start, min(start + cfg.batch_size, n_roots))
-        passed, refuted = engine.classify(lo0[sl], hi0[sl])
-        stats.boxes += sl.stop - sl.start
-        for i in np.nonzero(refuted)[0]:
-            rid = start + int(i)
-            refuted_roots.append(rid)
-            worst_cells[rid] = _cell_record(rid, 0, lo0[rid], hi0[rid], which)
-        for i in np.nonzero(~passed & ~refuted)[0]:
-            failing_roots.append(start + int(i))
-
-    # stage 2: refine failing subtrees (unless the grid is fixed)
-    if failing_roots and not cfg.fixed_grid:
-        payload_base = {
-            "mapspec": mapsys.spec,
-            "k": k,
-            "src_matrix": np.asarray(N.matrix),
-            "src_center": np.asarray(N.center),
-            "inv_lo": M.inv_matrix.lo,
-            "inv_hi": M.inv_matrix.hi,
-            "tgt_center": np.asarray(M.center),
-            "dfc0_lo": degree.chart_derivative.lo,
-            "dfc0_hi": degree.chart_derivative.hi,
-            "u": N.u,
-            "which": which,
-            "mean_value": cfg.mean_value,
-            "allowance": allowance - 1,  # the root itself was already counted
-            "max_depth": cfg.max_depth,
-            "batch_size": cfg.batch_size,
-        }
-        roots = [(rid, lo0[rid], hi0[rid]) for rid in failing_roots]
-        nworkers = max(1, cfg.threads)
-        if nworkers > 1 and mapsys.spec is None:
-            nworkers = 1  # map not reconstructible in a worker process
-        if nworkers == 1 or len(roots) == 1:
-            results = [_worker_refine({**payload_base, "roots": roots})]
-        else:
-            chunks = [roots[i::nworkers] for i in range(nworkers)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-                results = list(ex.map(_worker_refine, [{**payload_base, "roots": c} for c in chunks]))
-        for r in results:
-            stats.boxes += r["boxes"]
-            stats.max_depth = max(stats.max_depth, r["max_depth"])
-            refuted_roots.extend(r["refuted"])
-            exhausted_roots.extend(r["exhausted"])
-            worst_cells.update(r["worst"])
-    elif failing_roots:
-        exhausted_roots.extend(failing_roots)
-        for rid in failing_roots:
-            worst_cells[rid] = _cell_record(rid, 0, lo0[rid], hi0[rid], which)
-
-    stats.refuted_cells = len(refuted_roots)
-    stats.exhausted_subtrees = len(exhausted_roots)
-    stats.wall_time = time.perf_counter() - t0
-    if refuted_roots:
-        verdict = REFUTED
-        worst = worst_cells[min(refuted_roots)]
-    elif exhausted_roots:
-        verdict = INCONCLUSIVE
-        worst = worst_cells[min(exhausted_roots)]
-    else:
-        verdict = VERIFIED
-        worst = None
+    stats = CheckStats(
+        boxes=int(ref.boxes.sum()),
+        max_depth=int(ref.depth.max()),
+        refuted_cells=int(np.count_nonzero(ref.status == _REFUTED)),
+        exhausted_subtrees=int(np.count_nonzero(ref.status == _EXHAUSTED)),
+        wall_time=time.perf_counter() - t0,
+    )
+    verdict, worst = VERIFIED, None
+    for status, name in ((_REFUTED, REFUTED), (_EXHAUSTED, INCONCLUSIVE)):
+        decided = np.flatnonzero(ref.status == status)
+        if decided.size:
+            verdict, worst = name, ref.worst[int(decided[0])]
+            break
     return CheckResult(verdict, stats, worst)
 
 

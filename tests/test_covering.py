@@ -1,8 +1,11 @@
 """Covering verification: degrees, boundary checks, toy oracles, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from revcover import covering
 from revcover.covering import (
     INCONCLUSIVE,
     REFUTED,
@@ -220,7 +223,7 @@ def test_passing_cell_children_pass(data):
     hi = np.array([[1.0, 0.0, 0.0, 0.0]])
     passed, _ = engine.classify(lo, hi)
     if passed[0]:
-        clo, chi, cd = _bisect_cells(lo, hi, np.zeros(1, dtype=np.int32))
+        clo, chi = _bisect_cells(lo, hi)
         cpassed, _ = engine.classify(clo, chi)
         assert cpassed.all()
 
@@ -256,6 +259,67 @@ def test_thread_count_invariance(data):
     assert a.boxes == b.boxes
     assert a.max_depth == b.max_depth
     assert a.w == b.w
+
+
+def _check_stats(cert):
+    return {which: {k: v for k, v in chk.items() if k != "wall_time_s"}
+            for which, chk in cert.checks.items()}
+
+
+@pytest.mark.parametrize("case", ["identity-inconclusive", "H2H3-refuted"])
+def test_failure_stats_independent_of_threads_and_batch(data, case):
+    """A failing check reports the same verdict, counts and worst cell for
+    every thread count and batch size. The identity toy's subtrees outgrow a
+    frontier part and a batch, so the part split and the process pool both
+    run."""
+    if case == "identity-inconclusive":
+        N = toy_hset(2, 1)
+        args = (N, linear_map_system(np.eye(2)), 1, N)
+        base, expected = VerifyConfig(budget=100_000), INCONCLUSIVE
+    else:
+        args = (data.hset("H2"), data.mapsys, 2, data.hset("H3"))
+        base, expected = VerifyConfig(mean_value=True, budget=5_000), REFUTED
+    runs = []
+    for threads in (1, 2):
+        for batch in (64, 8192):
+            cert = verify_cover(*args, replace(base, threads=threads, batch_size=batch))
+            runs.append((cert.status, cert.boxes, cert.max_depth, _check_stats(cert)))
+    assert runs[0][0] == expected
+    assert all(r == runs[0] for r in runs[1:])
+
+
+def test_budget_is_per_check(data):
+    """The budget bounds each check (exit and entry each), not the relation,
+    and a check it starves is inconclusive, never verified."""
+    F = data.mapsys
+    args = (data.hset("H1"), F, 4, data.hset("H2"))
+    full = verify_cover(*args, MV)
+    assert full.verified
+    over_budget = False
+    for budget in (100, 300, 600, 1_000):
+        cert = verify_cover(*args, VerifyConfig(mean_value=True, budget=budget))
+        for which in ("exit", "entry"):
+            chk = cert.checks[which]
+            assert chk["boxes"] <= budget
+            if chk["boxes"] < full.checks[which]["boxes"]:
+                assert chk["verdict"] == INCONCLUSIVE
+            else:
+                assert chk == {**full.checks[which], "wall_time_s": chk["wall_time_s"]}
+        over_budget |= cert.boxes > budget
+        if cert.status != VERIFIED:
+            assert cert.status == INCONCLUSIVE
+    assert over_budget  # a relation may spend up to twice the budget
+
+
+def test_small_frontier_stays_in_process(data, monkeypatch):
+    """threads > 1 starts no worker pool for a frontier within one batch."""
+    def no_pool(*a, **k):
+        raise AssertionError("pool started for a small frontier")
+
+    monkeypatch.setattr(covering, "ProcessPoolExecutor", no_pool)
+    cert = verify_cover(data.hset("H2"), data.mapsys, 1, data.hset("H3"),
+                        VerifyConfig(mean_value=True, threads=2))
+    assert cert.verified
 
 
 def test_certificate_serialization_round_trip(data):
