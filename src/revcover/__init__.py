@@ -7,31 +7,21 @@ four-dimensional reversible map.
 """
 
 from .interval import (
-    DegenerateBoxError,
     DomainError,
     IBox,
     IMatrix,
     IndeterminateSignError,
     Interval,
     SingularMatrixError,
-    box_bisect,
-    box_hull,
-    compute_region,
     det_sign,
     imat_inverse,
     imat_mul,
     imat_vec,
-    iv_arith,
 )
 from .hset import (
-    EmptyExitSetError,
-    FacetTag,
     HSet,
     LinearReversor,
-    WallCell,
-    boundary_grid,
     coordinate_reflection,
-    exit_grid,
     load_hset,
     save_hset,
     st_symmetric_check,
@@ -43,10 +33,6 @@ from .dynamics import (
     MapSystem,
     MissingInverseError,
     OrbitSegment,
-    F_derivative,
-    F_eval,
-    F_inverse,
-    f_eval,
     fixed_point_equations_residual,
     iterate,
     linear_map_system,

@@ -215,52 +215,6 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
     )
 
 
-def proof_data_to_dict(pd: ProofData) -> dict:
-    """Full dump of the built instance, round-trippable to identical doubles."""
-    return {
-        "schema": "revcover-proofdata/1",
-        "map": pd.mapsys.name,
-        "P1": [repr(float(x)) for x in pd.P1],
-        "P2": [repr(float(x)) for x in pd.P2],
-        "vectors": {k: [repr(float(x)) for x in v] for k, v in pd.vectors.items()},
-        "Q1": [repr(float(x)) for x in pd.Q1],
-        "Q2": [repr(float(x)) for x in pd.Q2],
-        "Q3": [repr(float(x)) for x in pd.Q3],
-        "hsets": {
-            name: {
-                "center": [repr(float(x)) for x in h.center],
-                "matrix": [[repr(float(x)) for x in row] for row in h.matrix],
-                "u": h.u,
-                "s": h.s,
-            }
-            for name, h in pd.hsets.items()
-        },
-        "q1_interpretation": pd.q1_interpretation,
-    }
-
-
-def proof_data_from_dict(d: dict) -> ProofData:
-    mapsys = reversible_quadratic_map()
-    hsets = {
-        name: HSet(name, _vec(h["center"]),
-                   np.array([[float(x) for x in row] for row in h["matrix"]]),
-                   int(h["u"]), int(h["s"]))
-        for name, h in d["hsets"].items()
-    }
-    return ProofData(
-        mapsys=mapsys,
-        reversor=mapsys.reversor,
-        P1=_vec(d["P1"]),
-        P2=_vec(d["P2"]),
-        vectors={k: _vec(v) for k, v in d["vectors"].items()},
-        Q1=_vec(d["Q1"]),
-        Q2=_vec(d["Q2"]),
-        Q3=_vec(d["Q3"]),
-        hsets=hsets,
-        q1_interpretation=d["q1_interpretation"],
-    )
-
-
 @dataclass
 class Edge:
     source: str
@@ -324,9 +278,6 @@ class CoveringGraph:
     def usable_edges(self, src: str, dst: str) -> list[Edge]:
         return [e for e in self.edges if e.source == src and e.target == dst
                 and e.status == VERIFIED]
-
-    def has_edge(self, src: str, dst: str) -> bool:
-        return bool(self.usable_edges(src, dst))
 
 
 def symmetric_closure(graph: CoveringGraph, S: LinearReversor) -> CoveringGraph:
@@ -542,22 +493,6 @@ _CHAIN = [("N1", "N1", 1), ("N2", "N2", 1),
           ("N1", "H1", 1), ("H1", "H2", 4), ("H2", "H3", 1), ("H3", "N2", 1)]
 
 
-def verify_lemma_symcover(data: ProofData, cfg: VerifyConfig) -> list[CoveringCertificate]:
-    """The two self-coverings N1 => N1 (degree +1) and N2 => N2 (degree -1)."""
-    return [
-        verify_cover(data.hset("N1"), data.mapsys, 1, data.hset("N1"), cfg),
-        verify_cover(data.hset("N2"), data.mapsys, 1, data.hset("N2"), cfg),
-    ]
-
-
-def verify_lemma_covchain(data: ProofData, cfg: VerifyConfig) -> list[CoveringCertificate]:
-    """The connecting chain N1 => H1 =(4)=> H2 => H3 => N2."""
-    out = []
-    for src, dst, k in _CHAIN[2:]:
-        out.append(verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), cfg))
-    return out
-
-
 @dataclass
 class ProofReport:
     """Campaign output: certificates, structural checks and conclusions."""
@@ -566,6 +501,11 @@ class ProofReport:
 
     @property
     def exit_code(self) -> int:
+        """0: every relation verified with its expected degree and every
+        structural check (symmetry, disjoint supports, fixed-space disks)
+        passed. 1: a relation has a refuted cell, or every relation verified
+        but a degree differs from the expected one or a structural check
+        failed. 2: no relation is refuted but one is inconclusive."""
         statuses = [r["status"] for r in self.report["relations"]]
         checks_ok = (
             all(self.report["st_symmetric"].values())
@@ -641,8 +581,8 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> tuple[ProofReport, Cov
 
     symmetric_closure(graph, S)
 
-    # independent cross-check of one symmetry-derived backcovering via the
-    # closed-form inverse map
+    # independent cross-check of one symmetry-derived backcovering, certified
+    # head-on as a direct covering under the inverse map S o F o S
     sH2 = sym_image(S, data.hset("H2"))
     sH3 = sym_image(S, data.hset("H3"))
     cross = verify_backcover(sH3, data.mapsys, 1, sH2, vcfg)

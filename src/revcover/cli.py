@@ -2,7 +2,10 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error.
+3 input error. For prove-paper, 1 also means that every relation verified
+but a certified degree differs from the expected one or a structural check
+(symmetry, disjoint supports, fixed-space disks) failed; see
+ProofReport.exit_code.
 """
 
 from __future__ import annotations

@@ -459,7 +459,7 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
                which: str, degree: DegreeData) -> CheckResult:
     t0 = time.perf_counter()
     axes = range(N.u) if which == "exit" else range(N.dim)
-    lo0, hi0, _tags = _facet_cells_arrays(N.dim, axes, cfg.resolution)
+    lo0, hi0 = _facet_cells_arrays(N.dim, axes, cfg.resolution)
     n_roots = len(lo0)
     engine = _CellEngine(
         mapsys, k, np.asarray(N.matrix), np.asarray(N.center),

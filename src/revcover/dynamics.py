@@ -6,11 +6,9 @@ The shipped instance is the 4-d map
     f(w1, w2) = (w1(1-w1) + 4 - w2,  w2(1-w2) + 4 + w1),
 
 with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
-S o F o S o F = Id. The inverse is closed form: with (X, Y) = F(x, y) one has
-x + y = Y - X, hence x = Y - g(Y-X) and y = g(Y-X) - X.
-
-All evaluators come in three flavors: float point, rigorous IBox, and a
-vectorized batch form over (B, n) lo/hi arrays used by the covering sweeps.
+S o F o S o F = Id. Since S is an involution this already gives the inverse,
+F^{-1} = S o F o S, so F is written once (float point, vectorized batch over
+(B, n) lo/hi arrays, and batch Jacobian) and its inverse is derived from it.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
 from .interval import (
+    DomainError,
     IBox,
     IMatrix,
     affine_batch,
@@ -37,7 +36,7 @@ class MissingInverseError(Exception):
 
 @dataclass
 class MapSystem:
-    """Evaluatable map with derivative and optional closed-form inverse.
+    """Evaluatable map with derivative and optional inverse.
 
     `spec` is a small picklable description used to rebuild the map inside
     worker processes; maps constructed from ad-hoc closures leave it None and
@@ -67,13 +66,41 @@ class MapSystem:
         return self.inverse
 
 
-# --- the planar quadratic generator f ---
+def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
+    """The inverse S o F o S of a map F with reversing symmetry S, registered
+    under `name`, and linked with F as each other's inverse.
 
-def f_eval(b: IBox) -> IBox:
-    """Rigorous enclosure of f on a 2-d box."""
-    lo, hi = _f_batch(b.lo[None, :], b.hi[None, :])
-    return IBox(lo[0], hi[0])
+    S is applied as exact sign flips, so it must be a signed diagonal:
+    negating a coordinate negates and swaps its bounds, and Jacobian entry
+    (i, j) is negated, with its bounds swapped, where s_i s_j = -1. Any other
+    linear S would round on intervals, so it raises DomainError.
+    """
+    S = fwd.reversor
+    s = np.diag(S.matrix)
+    if not np.array_equal(S.matrix, np.diag(s)):
+        raise DomainError(f"reversor of {fwd.name!r} is not a signed diagonal")
+    neg = s < 0
+    neg_jac = neg[:, None] != neg[None, :]
 
+    def flip(mask, lo, hi):
+        return np.where(mask, -hi, lo), np.where(mask, -lo, hi)
+
+    def eval_point(z):
+        return s * fwd.eval_point(s * np.asarray(z, dtype=float))
+
+    def eval_batch(lo, hi):
+        return flip(neg, *fwd.eval_batch(*flip(neg, lo, hi)))
+
+    def jac_batch(lo, hi):
+        return flip(neg_jac, *fwd.jac_batch(*flip(neg, lo, hi)))
+
+    inv = MapSystem(name, fwd.dim, eval_point, eval_batch, jac_batch,
+                    inverse=fwd, reversor=S, spec=(name,))
+    fwd.inverse = inv
+    return inv
+
+
+# --- the planar quadratic generator f and the 4-d reversible map F ---
 
 def f_point(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
@@ -94,18 +121,10 @@ def _f_batch(lo, hi):
     return np.stack([f1l, f2l], axis=1), np.stack([f1h, f2h], axis=1)
 
 
-# --- the 4-d reversible map F and its closed-form inverse ---
-
 def F_point(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     g = 0.5 * f_point(z[:2] + z[2:])
     return np.concatenate([-z[2:] + g, z[:2] + g])
-
-
-def F_inverse_point(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    g = 0.5 * f_point(z[2:] - z[:2])
-    return np.concatenate([z[2:] - g, g - z[:2]])
 
 
 def _F_batch(lo, hi):
@@ -119,29 +138,13 @@ def _F_batch(lo, hi):
     return out_lo, out_hi
 
 
-def _F_inverse_batch(lo, hi):
-    w_lo, w_hi = isub(lo[:, 2:], hi[:, 2:], lo[:, :2], hi[:, :2])
-    fl, fh = _f_batch(w_lo, w_hi)
-    gl, gh = 0.5 * fl, 0.5 * fh
-    out_lo = np.empty_like(lo)
-    out_hi = np.empty_like(hi)
-    out_lo[:, :2], out_hi[:, :2] = isub(lo[:, 2:], hi[:, 2:], gl, gh)
-    out_lo[:, 2:], out_hi[:, 2:] = isub(gl, gh, lo[:, :2], hi[:, :2])
-    return out_lo, out_hi
-
-
-def _dg_entries(w_lo, w_hi):
-    # Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]], evaluated on interval w
-    a11l, a11h = isub(0.5, 0.5, w_lo[:, 0], w_hi[:, 0])
-    a22l, a22h = isub(0.5, 0.5, w_lo[:, 1], w_hi[:, 1])
-    return a11l, a11h, a22l, a22h
-
-
 def _F_jac_batch(lo, hi):
-    """DF = [[Dg, Dg - I], [I + Dg, Dg]] with Dg at w = x + y."""
+    """DF = [[Dg, Dg - I], [I + Dg, Dg]] with Dg at w = x + y, where
+    Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]]."""
     nb = lo.shape[0]
     w_lo, w_hi = iadd(lo[:, :2], hi[:, :2], lo[:, 2:], hi[:, 2:])
-    a11l, a11h, a22l, a22h = _dg_entries(w_lo, w_hi)
+    a11l, a11h = isub(0.5, 0.5, w_lo[:, 0], w_hi[:, 0])
+    a22l, a22h = isub(0.5, 0.5, w_lo[:, 1], w_hi[:, 1])
     jl = np.empty((nb, 4, 4))
     jh = np.empty((nb, 4, 4))
     half = 0.5
@@ -156,26 +159,6 @@ def _F_jac_batch(lo, hi):
     return jl, jh
 
 
-def _F_inverse_jac_batch(lo, hi):
-    """D(F^{-1}) = [[Dg, I - Dg], [-(I + Dg), Dg]] with Dg at w = Y - X."""
-    nb = lo.shape[0]
-    w_lo, w_hi = isub(lo[:, 2:], hi[:, 2:], lo[:, :2], hi[:, :2])
-    a11l, a11h, a22l, a22h = _dg_entries(w_lo, w_hi)
-    jl = np.empty((nb, 4, 4))
-    jh = np.empty((nb, 4, 4))
-    half = 0.5
-    # 1 - a and -1 - a, outward rounded
-    i11l, i11h = isub(1.0, 1.0, a11l, a11h)
-    i22l, i22h = isub(1.0, 1.0, a22l, a22h)
-    n11l, n11h = isub(-1.0, -1.0, a11l, a11h)
-    n22l, n22h = isub(-1.0, -1.0, a22l, a22h)
-    jl[:, 0], jh[:, 0] = _rows((a11l, -half, i11l, half), (a11h, -half, i11h, half), nb)
-    jl[:, 1], jh[:, 1] = _rows((half, a22l, -half, i22l), (half, a22h, -half, i22h), nb)
-    jl[:, 2], jh[:, 2] = _rows((n11l, half, a11l, -half), (n11h, half, a11h, -half), nb)
-    jl[:, 3], jh[:, 3] = _rows((-half, n22l, half, a22l), (-half, n22h, half, a22h), nb)
-    return jl, jh
-
-
 def _rows(los, his, nb):
     lo = np.empty((nb, len(los)))
     hi = np.empty((nb, len(his)))
@@ -186,41 +169,19 @@ def _rows(los, his, nb):
 
 
 def reversible_quadratic_map() -> MapSystem:
-    """The shipped 4-d reversible instance, registered as "F-quadratic-4d"."""
-    reversor = coordinate_reflection(4, (0, 1))
+    """The shipped 4-d reversible instance, registered as "F-quadratic-4d";
+    its inverse S o F o S is registered as "F-quadratic-4d-inverse"."""
     fwd = MapSystem(
         name="F-quadratic-4d",
         dim=4,
         eval_point=F_point,
         eval_batch=_F_batch,
         jac_batch=_F_jac_batch,
-        reversor=reversor,
+        reversor=coordinate_reflection(4, (0, 1)),
         spec=("F-quadratic-4d",),
     )
-    inv = MapSystem(
-        name="F-quadratic-4d-inverse",
-        dim=4,
-        eval_point=F_inverse_point,
-        eval_batch=_F_inverse_batch,
-        jac_batch=_F_inverse_jac_batch,
-        reversor=reversor,
-        spec=("F-quadratic-4d-inverse",),
-    )
-    fwd.inverse = inv
-    inv.inverse = fwd
+    _reversor_inverse(fwd, "F-quadratic-4d-inverse")
     return fwd
-
-
-def F_eval(b: IBox) -> IBox:
-    return reversible_quadratic_map().eval_box(b)
-
-
-def F_inverse(b: IBox) -> IBox:
-    return reversible_quadratic_map().require_inverse().eval_box(b)
-
-
-def F_derivative(b: IBox) -> IMatrix:
-    return reversible_quadratic_map().jac_box(b)
 
 
 def _linear_only(A: np.ndarray, name: str, reversor, spec) -> MapSystem:
@@ -262,12 +223,12 @@ def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None)
 _REGISTRY = {
     "F": reversible_quadratic_map,
     "F-quadratic-4d": reversible_quadratic_map,
+    "F-inverse": lambda: reversible_quadratic_map().inverse,
+    "F-quadratic-4d-inverse": lambda: reversible_quadratic_map().inverse,
 }
 
 
 def map_by_name(name: str) -> MapSystem:
-    if name in ("F-quadratic-4d-inverse", "F-inverse"):
-        return reversible_quadratic_map().require_inverse()
     try:
         return _REGISTRY[name]()
     except KeyError:
@@ -275,12 +236,11 @@ def map_by_name(name: str) -> MapSystem:
 
 
 def map_from_spec(spec: tuple) -> MapSystem:
-    """Rebuild a MapSystem from its picklable spec (worker-process side)."""
-    if spec[0] in ("F-quadratic-4d", "F-quadratic-4d-inverse", "F", "F-inverse"):
-        return map_by_name(spec[0])
+    """Rebuild a MapSystem from its picklable spec (worker-process side):
+    a registered name, or a linear map's matrices."""
     if spec[0] == "linear":
         return linear_map_system(spec[1], spec[2])
-    raise KeyError(f"cannot rebuild map from spec {spec!r}")
+    return map_by_name(spec[0])
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from .interval import (
     imat_vec,
     isub,
 )
-
-
-class EmptyExitSetError(Exception):
-    """The exit set is empty (no unstable directions), so no exit grid exists."""
 
 
 @dataclass(frozen=True)
@@ -65,29 +60,6 @@ def coordinate_reflection(n: int, negated: tuple[int, ...]) -> LinearReversor:
     d = np.ones(n)
     d[list(negated)] = -1.0
     return LinearReversor(np.diag(d))
-
-
-@dataclass(frozen=True)
-class FacetTag:
-    """One facet of the chart cube: coordinate `axis` pinned at `sign`."""
-
-    axis: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class WallCell:
-    """A grid cell on a wall of the chart cube, split into (u, s) parts."""
-
-    unstable_part: IBox
-    stable_part: IBox
-    tag: FacetTag
-
-    def chart_box(self) -> IBox:
-        return IBox(
-            np.concatenate([self.unstable_part.lo, self.stable_part.lo]),
-            np.concatenate([self.unstable_part.hi, self.stable_part.hi]),
-        )
 
 
 class HSet:
@@ -129,10 +101,6 @@ class HSet:
         """c(v) = M^{-1}(v - x), rigorous."""
         d = IBox(*isub(v.lo, v.hi, self.center, self.center))
         return imat_vec(self.inv_matrix, d)
-
-    def chart_point(self, v) -> np.ndarray:
-        """Float chart of a point, for diagnostics only."""
-        return np.linalg.solve(self.matrix, np.asarray(v, dtype=float) - self.center)
 
     def chart_inverse(self, w: IBox) -> IBox:
         """c^{-1}(w) = M w + x, rigorous."""
@@ -195,15 +163,18 @@ def st_symmetric_check(S: LinearReversor, N: HSet) -> bool:
 
 
 def _facet_cells_arrays(n: int, axes, resolution: int):
-    """Initial grid cells for the listed pinned axes, as (lo, hi, tags) arrays.
+    """Initial grid cells on the facets {coord_axis = -1} and {coord_axis = +1}
+    of the chart cube [-1, 1]^n for each listed axis, as (lo, hi) arrays of
+    shape (cells, n), facet by facet.
 
-    Each facet {coord_axis = sign} is split into resolution parts along every
-    free coordinate; closed cells share facets, so the union covers the wall.
+    Each facet is split into resolution parts along every free coordinate;
+    closed cells share facets, so the union covers the wall. The exit wall
+    takes the unstable axes, the whole boundary all n axes.
     """
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     t = np.linspace(-1.0, 1.0, resolution + 1)
-    los, his, tags = [], [], []
+    los, his = [], []
     nfree = n - 1
     ncells = resolution**nfree
     for axis in axes:
@@ -219,27 +190,7 @@ def _facet_cells_arrays(n: int, axes, resolution: int):
                 hi[:, c] = t[idx[j] + 1]
             los.append(lo)
             his.append(hi)
-            tags.extend([FacetTag(axis, int(sign))] * ncells)
-    return np.concatenate(los), np.concatenate(his), tags
-
-
-def exit_grid(N: HSet, resolution: int) -> Iterator[WallCell]:
-    """Cells covering the exit wall: boundary of the unstable cube times the
-    full stable cube. Requires at least one unstable direction."""
-    if N.u == 0:
-        raise EmptyExitSetError("h-set has no unstable directions; exit set is empty")
-    lo, hi, tags = _facet_cells_arrays(N.dim, range(N.u), resolution)
-    u = N.u
-    for i in range(len(lo)):
-        yield WallCell(IBox(lo[i, :u], hi[i, :u]), IBox(lo[i, u:], hi[i, u:]), tags[i])
-
-
-def boundary_grid(N: HSet, resolution: int) -> Iterator[WallCell]:
-    """Cells covering the full boundary of the chart cube (all 2n facets)."""
-    lo, hi, tags = _facet_cells_arrays(N.dim, range(N.dim), resolution)
-    u = N.u
-    for i in range(len(lo)):
-        yield WallCell(IBox(lo[i, :u], hi[i, :u]), IBox(lo[i, u:], hi[i, u:]), tags[i])
+    return np.concatenate(los), np.concatenate(his)
 
 
 def supports_disjoint(N: HSet, M: HSet) -> bool:

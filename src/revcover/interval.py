@@ -4,15 +4,14 @@ Every operation returns an enclosure of the exact real-arithmetic result set.
 Outward rounding is realized by next-representable widening: a result computed
 in round-to-nearest differs from the exact value by at most half an ulp, so
 stepping each endpoint one float outward always yields a rigorous bound. The
-kernel functions (iadd, isub, imul, idiv, iscale) accept floats or numpy
-arrays and are the single source of truth for both the scalar Interval class
-and the vectorized batch pipelines.
+kernel functions (iadd, isub, imul, idiv) accept floats or numpy arrays and
+are the single source of truth for both the scalar Interval class and the
+vectorized batch pipelines.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,6 @@ _PINF = float("inf")
 
 class DomainError(Exception):
     """Operand outside an operation's domain (e.g. division by an interval containing 0)."""
-
-
-class DegenerateBoxError(Exception):
-    """Bisection requested on a box with no coordinate of positive width."""
 
 
 class SingularMatrixError(Exception):
@@ -81,29 +76,6 @@ def idiv(alo, ahi, blo, bhi):
     return lo, hi
 
 
-def iscale(alo, ahi, c: float):
-    """Multiply by a point scalar."""
-    if c >= 0.0:
-        return _down(c * alo), _up(c * ahi)
-    return _down(c * ahi), _up(c * alo)
-
-
-def ineg(alo, ahi):
-    # negation is exact in binary floating point
-    return -ahi, -alo
-
-
-@contextmanager
-def compute_region():
-    """Guard for entering an interval computation region on a worker thread.
-
-    The widening-based rounding used here needs no per-thread setup, so this
-    is a documented no-op. Callers that swap in a rounding-mode based backend
-    must establish the mode inside this guard.
-    """
-    yield
-
-
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] with double endpoints; lo <= hi, never NaN.
@@ -138,15 +110,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def _coerce(self, other) -> "Interval":
         if isinstance(other, Interval):
@@ -235,19 +198,6 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-def iv_arith(a: Interval, b: Interval, op: str) -> Interval:
-    """Dispatch one of {add, sub, mul, div} on two intervals."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown op {op!r}")
-
-
 class IBox:
     """Axis-aligned interval box in R^n, stored as lo/hi float arrays."""
 
@@ -274,10 +224,6 @@ class IBox:
         return IBox(x, x)
 
     @staticmethod
-    def from_intervals(ivs) -> "IBox":
-        return IBox([iv.lo for iv in ivs], [iv.hi for iv in ivs])
-
-    @staticmethod
     def cube(center, radius: float) -> "IBox":
         c = np.asarray(center, dtype=float)
         return IBox(c - radius, c + radius)
@@ -285,13 +231,6 @@ class IBox:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(Interval(float(l), float(h)) for l, h in zip(self.lo, self.hi))
-
-    def __getitem__(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
 
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
@@ -325,30 +264,6 @@ class IBox:
         return f"IBox({parts})"
 
 
-def box_hull(a: IBox, b: IBox) -> IBox:
-    """Smallest box containing a and b, per coordinate."""
-    if a.dim != b.dim:
-        raise DomainError("dimension mismatch in box_hull")
-    return IBox(np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi))
-
-
-def box_bisect(b: IBox) -> tuple[IBox, IBox]:
-    """Split at the midpoint of the widest coordinate.
-
-    The two halves share the splitting hyperplane, so their union covers b.
-    """
-    w = b.widths()
-    if np.all(w <= 0.0):
-        raise DegenerateBoxError("cannot bisect a point box")
-    ax = int(np.argmax(w))
-    m = 0.5 * (b.lo[ax] + b.hi[ax])
-    left_hi = b.hi.copy()
-    left_hi[ax] = m
-    right_lo = b.lo.copy()
-    right_lo[ax] = m
-    return IBox(b.lo, left_hi), IBox(right_lo, b.hi)
-
-
 class IMatrix:
     """Matrix of intervals, stored as lo/hi float arrays of shape (n, m)."""
 
@@ -380,11 +295,6 @@ class IMatrix:
 
     def entry(self, i: int, j: int) -> Interval:
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
-    @property
-    def entries(self) -> list:
-        n, m = self.shape
-        return [[self.entry(i, j) for j in range(m)] for i in range(n)]
 
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
@@ -440,14 +350,6 @@ def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
         acc_lo = _down(acc_lo + plo)
         acc_hi = _up(acc_hi + phi)
     return IMatrix(acc_lo, acc_hi)
-
-
-def box_add(a: IBox, b: IBox) -> IBox:
-    return IBox(*iadd(a.lo, a.hi, b.lo, b.hi))
-
-
-def box_sub(a: IBox, b: IBox) -> IBox:
-    return IBox(*isub(a.lo, a.hi, b.lo, b.hi))
 
 
 # --- vectorized kernels over cell batches (arrays of shape (B, n)) ---

@@ -1,7 +1,6 @@
-"""Instance data, lemma drivers, symmetric closure, words and certificates."""
+"""Instance data, lemma relations, symmetric closure, words and certificates."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -21,12 +20,8 @@ from revcover.campaign import (
     enumerate_words,
     fix_disk_check,
     graph_from_report,
-    proof_data_from_dict,
-    proof_data_to_dict,
     run_campaign,
     symmetric_closure,
-    verify_lemma_covchain,
-    verify_lemma_symcover,
 )
 from revcover.covering import VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, st_symmetric_check, sym_image
@@ -68,30 +63,25 @@ def test_q1_disambiguation_failure_raises():
     assert "residuals" in str(exc.value)
 
 
-def test_proof_data_round_trip(data):
-    d = proof_data_to_dict(data)
-    back = proof_data_from_dict(json.loads(json.dumps(d)))
-    assert np.array_equal(back.Q1, data.Q1)
-    assert np.array_equal(back.Q2, data.Q2)
-    for name in data.hsets:
-        assert back.hset(name) == data.hset(name)
-    for key in data.vectors:
-        assert np.array_equal(back.vectors[key], data.vectors[key])
+# --- lemma relations, as certified by the campaign ---
+
+def _relations(campaign, pairs):
+    report, _ = campaign
+    by_pair = {(r["source"], r["target"]): r for r in report.report["relations"]}
+    return [by_pair[p] for p in pairs]
 
 
-# --- lemma drivers ---
-
-def test_lemma_self_coverings(data):
-    certs = verify_lemma_symcover(data, MV)
-    assert [c.status for c in certs] == [VERIFIED, VERIFIED]
-    assert [c.w for c in certs] == [1, -1]
+def test_lemma_self_coverings(campaign):
+    certs = _relations(campaign, [("N1", "N1"), ("N2", "N2")])
+    assert [c["status"] for c in certs] == [VERIFIED, VERIFIED]
+    assert [c["w"] for c in certs] == [1, -1]
 
 
-def test_lemma_connecting_chain(data):
-    certs = verify_lemma_covchain(data, MV)
-    assert all(c.status == VERIFIED for c in certs)
-    assert [c.w for c in certs] == [1, -1, -1, -1]
-    assert [c.iters for c in certs] == [1, 4, 1, 1]
+def test_lemma_connecting_chain(campaign):
+    certs = _relations(campaign, [("N1", "H1"), ("H1", "H2"), ("H2", "H3"), ("H3", "N2")])
+    assert all(c["status"] == VERIFIED for c in certs)
+    assert [c["w"] for c in certs] == [1, -1, -1, -1]
+    assert [c["iters"] for c in certs] == [1, 4, 1, 1]
 
 
 def test_self_covering_robust_to_small_shrink(data):
@@ -198,7 +188,7 @@ def test_automaton_exhaustive_up_to_8():
 
 def test_derived_backcover_verifies_directly(campaign, data):
     """The symmetry-derived edge N2 => S^T*H3 is also certified head-on via
-    the closed-form inverse, with matching degree."""
+    the inverse map S o F o S, with matching degree."""
     from revcover.covering import verify_backcover
 
     _, graph = campaign
@@ -256,6 +246,17 @@ def test_report_content_and_exit_code(campaign):
     assert r["reference_cost"]["boxes"] == 220_000_000
     assert r["q1_interpretation"]["choice"] == "same-frame-u2"
     assert len(r["conclusions"]) == 2
+
+
+def test_exit_code_1_when_all_verified_but_a_check_fails(campaign):
+    """Every relation verified, but a degree or a structural check failed:
+    the exit code is 1, as for a refuted cell."""
+    report, _ = campaign
+    for key, value in (("degrees_match", False), ("disjoint", {"N1,N2": False})):
+        r = copy.deepcopy(report.report)
+        r[key] = value
+        assert all(rel["status"] == VERIFIED for rel in r["relations"])
+        assert ProofReport(r).exit_code == 1
 
 
 def _strip_volatile(d):

@@ -19,7 +19,7 @@ from revcover.covering import (
     verify_cover,
 )
 from revcover.dynamics import linear_map_system, reversible_quadratic_map
-from revcover.hset import HSet
+from revcover.hset import HSet, sym_image
 from revcover.interval import DomainError
 
 from conftest import float_sweep
@@ -248,22 +248,34 @@ def test_fixed_grid_mode(data):
     assert coarse.status in (VERIFIED, INCONCLUSIVE)
 
 
-def test_thread_count_invariance(data):
-    F = data.mapsys
-    certs = []
-    for threads in (1, 2):
-        cfg = VerifyConfig(mean_value=True, threads=threads)
-        certs.append(verify_cover(data.hset("H2"), F, 1, data.hset("H3"), cfg))
-    a, b = certs
-    assert a.status == b.status == VERIFIED
-    assert a.boxes == b.boxes
-    assert a.max_depth == b.max_depth
-    assert a.w == b.w
-
-
 def _check_stats(cert):
     return {which: {k: v for k, v in chk.items() if k != "wall_time_s"}
             for which, chk in cert.checks.items()}
+
+
+def test_thread_count_invariance(data, monkeypatch):
+    """Threads 1 and 2 certify the campaign's backcover cross-check alike.
+    The batches are small enough that parts of several roots are sharded
+    over the pool, whose workers rebuild the inverse map from its spec."""
+    pools = []
+    real_pool = covering.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "ProcessPoolExecutor", counting_pool)
+    S = data.reversor
+    args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
+    certs = []
+    for threads in (1, 2):
+        cfg = VerifyConfig(mean_value=True, threads=threads, batch_size=16)
+        certs.append(verify_backcover(*args, cfg))
+        assert bool(pools) == (threads > 1)
+    a, b = certs
+    assert a.status == b.status == VERIFIED
+    assert (a.w, a.boxes, a.max_depth) == (b.w, b.boxes, b.max_depth)
+    assert _check_stats(a) == _check_stats(b)
 
 
 @pytest.mark.parametrize("case", ["identity-inconclusive", "H2H3-refuted"])

@@ -1,14 +1,15 @@
 """Map evaluation, derivative, inverse, iterates and reversibility identities."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from revcover.dynamics import (
-    F_derivative,
-    F_eval,
-    F_inverse,
     MissingInverseError,
-    f_eval,
+    _f_batch,
+    _reversor_inverse,
     f_point,
     fixed_point_equations_residual,
     iterate,
@@ -19,26 +20,32 @@ from revcover.dynamics import (
     reversibility_residual,
     reversible_quadratic_map,
 )
-from revcover.interval import IBox
+from revcover.hset import LinearReversor
+from revcover.interval import DomainError, IBox
+
+
+def _f_box(b: IBox) -> IBox:
+    lo, hi = _f_batch(b.lo[None, :], b.hi[None, :])
+    return IBox(lo[0], hi[0])
 
 
 def test_f_values():
     assert np.array_equal(f_point([0.0, 0.0]), [4.0, 4.0])
     assert np.array_equal(f_point([1.0, 1.0]), [3.0, 5.0])
-    b = f_eval(IBox.point([1.0, 1.0]))
-    assert b.contains_point([3.0, 5.0])
+    assert _f_box(IBox.point([1.0, 1.0])).contains_point([3.0, 5.0])
 
 
 def test_f_interval_contains_samples(rng):
     box = IBox([0.0, 0.0], [1.0, 1.0])
-    img = f_eval(box)
+    img = _f_box(box)
     for p in box.sample(rng, 100):
         assert img.contains_point(f_point(p))
 
 
 def test_F_at_origin():
-    assert np.array_equal(reversible_quadratic_map().eval_point(np.zeros(4)), [2.0, 2.0, 2.0, 2.0])
-    assert F_eval(IBox.point(np.zeros(4))).contains_point([2, 2, 2, 2])
+    F = reversible_quadratic_map()
+    assert np.array_equal(F.eval_point(np.zeros(4)), [2.0, 2.0, 2.0, 2.0])
+    assert F.eval_box(IBox.point(np.zeros(4))).contains_point([2, 2, 2, 2])
 
 
 def test_fixed_points_nearly_fixed(data):
@@ -65,7 +72,7 @@ def test_inverse_consistency_on_small_boxes(rng):
 
 def test_derivative_at_origin():
     # Df(0) = [[1,-1],[1,1]]; DF(0) assembles from its half
-    J = F_derivative(IBox.point(np.zeros(4)))
+    J = reversible_quadratic_map().jac_box(IBox.point(np.zeros(4)))
     expected = np.array(
         [
             [0.5, -0.5, -0.5, -0.5],
@@ -197,9 +204,90 @@ def test_linear_map_system(rng):
 def test_map_registry():
     F = map_by_name("F")
     assert F.name == "F-quadratic-4d"
-    assert map_by_name("F-inverse").name.endswith("inverse")
+    assert F.inverse.inverse is F
+    for name in ("F-inverse", "F-quadratic-4d-inverse"):
+        inv = map_by_name(name)
+        assert inv.name == inv.spec[0] == "F-quadratic-4d-inverse"
+        assert map_from_spec(inv.spec).name == inv.name
     with pytest.raises(KeyError):
         map_by_name("unknown-map")
+    with pytest.raises(KeyError):
+        map_from_spec(("unknown-map",))
     bare = linear_map_system(np.eye(2))
     with pytest.raises(MissingInverseError):
         bare.require_inverse()
+
+
+def test_reversor_inverse_needs_signed_diagonal():
+    """Only a signed-diagonal reversor acts exactly on intervals."""
+    swap = LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(DomainError):
+        _reversor_inverse(linear_map_system(np.eye(2), reversor=swap), "swap-inverse")
+
+
+# --- exact reference formulas, independent of revcover.dynamics ---
+
+HALF = Fraction(1, 2)
+
+
+def _g(w1, w2):
+    return (w1 * (1 - w1) + 4 - w2) * HALF, (w2 * (1 - w2) + 4 + w1) * HALF
+
+
+def _exact_F(x1, x2, y1, y2):
+    g1, g2 = _g(x1 + y1, x2 + y2)
+    return [-y1 + g1, -y2 + g2, x1 + g1, x2 + g2]
+
+
+def _exact_F_inverse(X1, X2, Y1, Y2):
+    # closed form: x + y = Y - X, so x = Y - g(Y - X) and y = g(Y - X) - X
+    g1, g2 = _g(Y1 - X1, Y2 - X2)
+    return [Y1 - g1, Y2 - g2, g1 - X1, g2 - X2]
+
+
+def _exact_jacobian(z, inverse):
+    """DF = [[Dg, Dg - I], [Dg + I, Dg]] at w = x + y; differentiating the
+    closed form gives D(F^-1) = [[Dg, I - Dg], [-(Dg + I), Dg]] at w = Y - X,
+    where Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]]."""
+    x, y = z[:2], z[2:]
+    w = [y[i] - x[i] for i in range(2)] if inverse else [x[i] + y[i] for i in range(2)]
+    sign = -1 if inverse else 1
+    Dg = [[HALF - w[0], -HALF], [HALF, HALF - w[1]]]
+    eye = [[1, 0], [0, 1]]
+    top = [Dg[i] + [sign * (Dg[i][j] - eye[i][j]) for j in range(2)] for i in range(2)]
+    bottom = [[sign * (Dg[i][j] + eye[i][j]) for j in range(2)] + Dg[i] for i in range(2)]
+    return top + bottom
+
+
+def _encloses(lo, hi, exact):
+    return all(Fraction(l) <= v <= Fraction(h)
+               for l, h, v in zip(lo.ravel().tolist(), hi.ravel().tolist(), exact))
+
+
+def test_map_kernels_exact_oracle(rng):
+    """eval_batch and jac_batch of F and F^-1 enclose the exact values at the
+    corners and at interior points of random cells, with zero-width cells and
+    widths down to 1e-12, and eval_point is within rounding of them. The F^-1
+    reference is the closed-form inverse, not the reversor conjugate the map
+    system uses."""
+    F = reversible_quadratic_map()
+    nb = 60
+    lo = rng.uniform(-3, 3, size=(nb, 4))
+    width = 10.0 ** rng.uniform(-12, 0, size=(nb, 4))
+    width[rng.uniform(size=(nb, 4)) < 0.2] = 0.0
+    width[:5] = 0.0
+    hi = lo + width
+    corners = np.array(list(itertools.product((False, True), repeat=4)))
+    for m, exact, inverse in ((F, _exact_F, False), (F.inverse, _exact_F_inverse, True)):
+        elo, ehi = m.eval_batch(lo, hi)
+        jlo, jhi = m.jac_batch(lo, hi)
+        for i in range(nb):
+            inner = np.clip(lo[i] + rng.uniform(size=(4, 4)) * width[i], lo[i], hi[i])
+            for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
+                z = [Fraction(x) for x in p.tolist()]
+                value = exact(*z)
+                assert _encloses(elo[i], ehi[i], value)
+                assert np.allclose(m.eval_point(p), [float(v) for v in value],
+                                   rtol=1e-14, atol=1e-13)
+                J = _exact_jacobian(z, inverse)
+                assert _encloses(jlo[i], jhi[i], [v for row in J for v in row])

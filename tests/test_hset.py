@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from revcover.hset import (
-    EmptyExitSetError,
     HSet,
     LinearReversor,
-    boundary_grid,
+    _facet_cells_arrays,
     coordinate_reflection,
-    exit_grid,
     hset_from_dict,
     load_hset,
     save_hset,
@@ -139,71 +137,67 @@ def test_reversor_validation():
     assert S.fixes([0.0, 3.0]) and not S.fixes([1.0, 3.0])
 
 
+# --- wall grids: the initial cells of the exit (u pinned axes) and entry
+# (all n axes) checks ---
+
+def wall_points(rng, m, pinned, n=4):
+    """m random chart points, each on a facet of one of the first `pinned` axes."""
+    x = rng.uniform(-1, 1, size=(m, n))
+    x[np.arange(m), rng.integers(0, pinned, size=m)] = rng.choice([-1.0, 1.0], size=m)
+    return x
+
+
+def covered(lo, hi, pts):
+    """Whether each point lies in some closed cell."""
+    inside = (lo[None] <= pts[:, None]) & (pts[:, None] <= hi[None])
+    return inside.all(axis=2).any(axis=1)
+
+
+def facets(lo, hi):
+    """The (axis, sign) facets the cells lie on: coordinates pinned at +-1."""
+    cell, axis = np.nonzero((lo == hi) & (np.abs(lo) == 1.0))
+    return set(zip(axis.tolist(), lo[cell, axis].astype(int).tolist()))
+
+
 def test_exit_grid_1d_point_cells():
-    N = HSet("L", np.zeros(1), np.eye(1), 1, 0)
-    cells = list(exit_grid(N, 1))
-    assert len(cells) == 2
-    pts = sorted(float(c.unstable_part.lo[0]) for c in cells)
-    assert pts == [-1.0, 1.0]
-    assert all(c.unstable_part.widths()[0] == 0.0 for c in cells)
-    assert all(c.stable_part.dim == 0 for c in cells)
+    lo, hi = _facet_cells_arrays(1, range(1), 1)
+    assert lo.shape == hi.shape == (2, 1)
+    assert sorted(lo[:, 0].tolist()) == [-1.0, 1.0]
+    assert np.array_equal(lo, hi)
 
 
-def test_exit_grid_requires_unstable():
-    N = HSet("C", np.zeros(2), np.eye(2), 0, 2)
-    with pytest.raises(EmptyExitSetError):
-        next(exit_grid(N, 1))
-
-
-def test_exit_grid_coverage(data, rng):
-    N = unit_hset()
-    cells = list(exit_grid(N, 3))
-    assert len(cells) == 2 * 2 * 3**3
-    boxes = [c.chart_box() for c in cells]
-    for _ in range(10_000):
-        p = rng.uniform(-1, 1, size=2)
-        p[rng.integers(0, 2)] = rng.choice([-1.0, 1.0])
-        q = rng.uniform(-1, 1, size=2)
-        x = np.concatenate([p, q])
-        assert any(b.contains_point(x) for b in boxes)
+def test_exit_grid_coverage(rng):
+    lo, hi = _facet_cells_arrays(4, range(2), 3)
+    assert len(lo) == 2 * 2 * 3**3
+    # every cell lies on the exit wall and in the chart cube
+    assert np.all(((lo == hi) & (np.abs(lo) == 1.0))[:, :2].any(axis=1))
+    assert np.all(lo >= -1.0) and np.all(hi <= 1.0) and np.all(lo <= hi)
+    assert covered(lo, hi, wall_points(rng, 10_000, 2)).all()
 
 
 def test_exit_grid_refinement_keeps_coverage(rng):
-    N = unit_hset()
-    coarse = [c.chart_box() for c in exit_grid(N, 1)]
-    fine = [c.chart_box() for c in exit_grid(N, 4)]
-    for _ in range(2000):
-        p = rng.uniform(-1, 1, size=2)
-        p[rng.integers(0, 2)] = rng.choice([-1.0, 1.0])
-        x = np.concatenate([p, rng.uniform(-1, 1, size=2)])
-        assert any(b.contains_point(x) for b in coarse)
-        assert any(b.contains_point(x) for b in fine)
+    pts = wall_points(rng, 2000, 2)
+    for resolution in (1, 4):
+        lo, hi = _facet_cells_arrays(4, range(2), resolution)
+        assert covered(lo, hi, pts).all()
 
 
 def test_boundary_grid_square():
-    N = HSet("sq", np.zeros(2), np.eye(2), 1, 1)
-    cells = list(boundary_grid(N, 1))
-    assert len(cells) == 4
-    tags = {(c.tag.axis, c.tag.sign) for c in cells}
-    assert tags == {(0, -1), (0, 1), (1, -1), (1, 1)}
+    lo, hi = _facet_cells_arrays(2, range(2), 1)
+    assert len(lo) == 4
+    assert facets(lo, hi) == {(0, -1), (0, 1), (1, -1), (1, 1)}
 
 
 def test_boundary_grid_coverage_4d(rng):
-    N = unit_hset()
-    cells = list(boundary_grid(N, 2))
-    assert len({(c.tag.axis, c.tag.sign) for c in cells}) == 8
-    boxes = [c.chart_box() for c in cells]
-    for _ in range(10_000):
-        x = rng.uniform(-1, 1, size=4)
-        x[rng.integers(0, 4)] = rng.choice([-1.0, 1.0])
-        assert any(b.contains_point(x) for b in boxes)
+    lo, hi = _facet_cells_arrays(4, range(4), 2)
+    assert len(facets(lo, hi)) == 8
+    assert covered(lo, hi, wall_points(rng, 10_000, 4)).all()
 
 
 def test_boundary_contains_exit_facets():
-    N = unit_hset()
-    exit_tags = {(c.tag.axis, c.tag.sign) for c in exit_grid(N, 2)}
-    bnd_tags = {(c.tag.axis, c.tag.sign) for c in boundary_grid(N, 2)}
-    assert exit_tags <= bnd_tags
+    exit_cells = np.hstack(_facet_cells_arrays(4, range(2), 2))
+    bnd_cells = np.hstack(_facet_cells_arrays(4, range(4), 2))
+    assert {tuple(c) for c in exit_cells.tolist()} <= {tuple(c) for c in bnd_cells.tolist()}
 
 
 def test_supports_disjoint_examples(data):

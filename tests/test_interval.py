@@ -6,28 +6,28 @@ result to lie inside the interval result. A single violation is a bug.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revcover.covering import _bisect_cells
 from revcover.interval import (
-    DegenerateBoxError,
     DomainError,
     IBox,
     IMatrix,
     IndeterminateSignError,
     Interval,
-    box_bisect,
-    box_hull,
     det_sign,
     imat_inverse,
     imat_mul,
     imat_vec,
-    iv_arith,
 )
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+# the Interval operators; each also applies to the float members
+ring_ops = st.sampled_from([operator.add, operator.sub, operator.mul])
 
 
 def make_iv(a, b):
@@ -50,7 +50,7 @@ def test_div_by_zero_interval():
     with pytest.raises(DomainError):
         Interval(1, 2) / Interval(-1, 1)
     with pytest.raises(DomainError):
-        iv_arith(Interval(1, 1), Interval(0, 0), "div")
+        Interval(1, 1) / Interval(0, 0)
 
 
 def test_exact_neutral_elements():
@@ -69,37 +69,34 @@ def sample_members(rng, lo, hi, m):
 def test_randomized_containment_all_ops(rng):
     """>= 1e5 sampled containment checks over add/sub/mul/div, 0 violations."""
     checks = 0
-    for op, fn in (("add", np.add), ("sub", np.subtract),
-                   ("mul", np.multiply), ("div", np.divide)):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         for _ in range(125):
             bounds = rng.uniform(-1e3, 1e3, size=4)
             a = make_iv(bounds[0], bounds[1])
             b = make_iv(bounds[2], bounds[3])
-            if op == "div" and b.lo <= 0.0 <= b.hi:
+            if op is operator.truediv and b.lo <= 0.0 <= b.hi:
                 b = Interval(abs(b.lo) + 0.5, abs(b.lo) + 0.5 + (b.hi - b.lo))
-            r = iv_arith(a, b, op)
+            r = op(a, b)
             xs = sample_members(rng, a.lo, a.hi, 100)
             ys = sample_members(rng, b.lo, b.hi, 100)
-            vals = fn(xs, ys)
+            vals = op(xs, ys)
             assert np.all(vals >= r.lo) and np.all(vals <= r.hi)
             checks += 200 * 100
     assert checks >= 100_000
 
 
-@given(finite, finite, finite, finite, st.sampled_from(["add", "sub", "mul"]))
+@given(finite, finite, finite, finite, ring_ops)
 @settings(max_examples=200, deadline=None)
 def test_containment_property(a1, a2, b1, b2, op):
     a = make_iv(a1, a2)
     b = make_iv(b1, b2)
-    r = iv_arith(a, b, op)
-    fn = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
-          "mul": lambda x, y: x * y}[op]
+    r = op(a, b)
     for x in (a.lo, a.hi, a.mid):
         for y in (b.lo, b.hi, b.mid):
-            assert r.lo <= fn(x, y) <= r.hi
+            assert r.lo <= op(x, y) <= r.hi
 
 
-@given(finite, finite, finite, finite, st.sampled_from(["add", "sub", "mul"]))
+@given(finite, finite, finite, finite, ring_ops)
 @settings(max_examples=200, deadline=None)
 def test_monotonicity_property(a1, a2, b1, b2, op):
     """Widening the operands never shrinks the result, up to 2 ulp slack per
@@ -108,53 +105,43 @@ def test_monotonicity_property(a1, a2, b1, b2, op):
     b = make_iv(b1, b2)
     wider_a = Interval(math.nextafter(a.lo, -math.inf), math.nextafter(a.hi, math.inf))
     wider_b = Interval(math.nextafter(b.lo, -math.inf), math.nextafter(b.hi, math.inf))
-    r = iv_arith(a, b, op)
-    rw = iv_arith(wider_a, wider_b, op)
+    r = op(a, b)
+    rw = op(wider_a, wider_b)
     lo_slack = math.nextafter(math.nextafter(r.lo, math.inf), math.inf)
     hi_slack = math.nextafter(math.nextafter(r.hi, -math.inf), -math.inf)
     assert rw.lo <= lo_slack
     assert rw.hi >= hi_slack
 
 
-def test_box_hull_examples():
-    a = IBox([0, 0], [1, 1])
-    b = IBox([2, 2], [3, 3])
-    assert box_hull(a, b) == IBox([0, 0], [3, 3])
-    assert box_hull(a, a) == a
-    with pytest.raises(DomainError):
-        box_hull(a, IBox([0], [1]))
-
-
-def test_box_hull_random_containment(rng):
-    boxes = []
-    for _ in range(100):
-        lo = rng.uniform(-5, 5, size=3)
-        boxes.append(IBox(lo, lo + rng.uniform(0, 2, size=3)))
-    h = boxes[0]
-    for b in boxes[1:]:
-        h = box_hull(h, b)
-    assert all(h.contains_box(b) for b in boxes)
-
+# --- cell bisection (covering._bisect_cells) ---
 
 def test_box_bisect_examples():
-    left, right = box_bisect(IBox([0, 0], [2, 1]))
-    assert left == IBox([0, 0], [1, 1])
-    assert right == IBox([1, 0], [2, 1])
-    with pytest.raises(DegenerateBoxError):
-        box_bisect(IBox.point([1.0, 2.0]))
+    """Each cell is split along its own widest coordinate: all left halves,
+    then all right halves."""
+    lo = np.array([[0.0, 0.0], [0.0, 0.0]])
+    hi = np.array([[2.0, 1.0], [1.0, 3.0]])
+    clo, chi = _bisect_cells(lo, hi)
+    assert np.array_equal(clo, [[0, 0], [0, 0], [1, 0], [0, 1.5]])
+    assert np.array_equal(chi, [[1, 1], [1, 1.5], [2, 1], [1, 3]])
 
 
 def test_box_bisect_halves_widest(rng):
-    for _ in range(50):
-        lo = rng.uniform(-5, 5, size=4)
-        b = IBox(lo, lo + rng.uniform(0.01, 3, size=4))
-        left, right = box_bisect(b)
-        ax = int(np.argmax(b.widths()))
-        w = b.widths()[ax]
-        # split point is the float midpoint: accurate at coordinate scale
-        scale = max(abs(b.lo[ax]), abs(b.hi[ax]), 1.0)
-        assert abs(left.widths()[ax] - w / 2) <= 2 * math.ulp(scale)
-        assert box_hull(left, right) == b
+    nb = 50
+    lo = rng.uniform(-5, 5, size=(nb, 4))
+    hi = lo + rng.uniform(0.01, 3, size=(nb, 4))
+    clo, chi = _bisect_cells(lo, hi)
+    (llo, rlo), (lhi, rhi) = np.split(clo, 2), np.split(chi, 2)
+    r = np.arange(nb)
+    ax = np.argmax(hi - lo, axis=1)
+    # split point is the float midpoint: accurate at coordinate scale
+    scale = np.maximum(np.maximum(np.abs(lo[r, ax]), np.abs(hi[r, ax])), 1.0)
+    assert np.all(np.abs((lhi - llo)[r, ax] - (hi - lo)[r, ax] / 2) <= 2 * np.spacing(scale))
+    # the halves differ from the cell only at the shared splitting
+    # hyperplane, so their union is the cell
+    assert np.array_equal(llo, lo) and np.array_equal(rhi, hi)
+    assert np.array_equal(lhi[r, ax], rlo[r, ax])
+    other = np.arange(4)[None, :] != ax[:, None]
+    assert np.array_equal(lhi[other], hi[other]) and np.array_equal(rlo[other], lo[other])
 
 
 def test_imat_vec_examples(rng):
