@@ -25,12 +25,13 @@ frontier that holds the cells of all failing roots with a root-index
 column: all of a root's cells at one depth are evaluated, in level order and
 up to the root's remaining allowance, before any of its deeper cells. A
 root is retired by a refuted cell, else by running out of allowance, else
-by a failing cell at the depth cap, each decided within a level. Each
-root's outcome and counts thus depend only on its own subtree and the
-config, so verdicts and statistics are independent of the thread count and
-of `batch_size`, which only sizes the kernel calls. Large frontiers are
-split (see `_Refinement`), which keeps memory bounded, and are sharded by
-root over worker processes once they outgrow one batch.
+by a failing cell at the depth cap or of zero width (which bisection cannot
+shrink), each decided within a level. Each root's outcome and counts thus
+depend only on its own subtree and the config, so verdicts and statistics
+are independent of the thread count and of `batch_size`, which only sizes
+the kernel calls. Large frontiers are split (see `_Refinement`), which
+keeps memory bounded, and are sharded by root over worker processes once
+they outgrow one batch.
 """
 
 from __future__ import annotations
@@ -383,8 +384,9 @@ class _Refinement:
     def _level(self, lo, hi, root, depth):
         """Evaluates one level of a part: each root's cells in level order up
         to its remaining allowance. Retires a root on a refuted cell, else on
-        running out of allowance, else on a failing cell at the depth cap.
-        Returns the next level of the roots still active, or None."""
+        running out of allowance, else on a failing cell at the depth cap or
+        of zero width. Returns the next level of the roots still active, or
+        None."""
         ids, start, count = np.unique(root, return_index=True, return_counts=True)
         room = self.allowance - self.boxes[ids]
         rank = np.arange(len(root)) - np.repeat(start, count)
@@ -408,6 +410,10 @@ class _Refinement:
         if depth >= self.max_depth:
             self._retire(_EXHAUSTED, failing, elo, ehi, eroot, depth)
             return None
+        # a failing point cell bisects into copies of itself: it can never pass
+        point = np.all(elo[failing] == ehi[failing], axis=1)
+        self._retire(_EXHAUSTED, failing[point], elo, ehi, eroot, depth)
+        failing = failing[self.status[eroot[failing]] == _ACTIVE]
         if failing.size == 0:
             return None
         clo, chi = _bisect_cells(elo[failing], ehi[failing])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,18 @@ def float_sweep(N, mapsys, k, M, rng, npts=10_000):
     exit_min = float(np.min(np.max(np.abs(wall_img[:, : M.u]), axis=1)))
     entry_max = float(np.max(np.max(np.abs(bnd_img[:, M.u :]), axis=1)))
     return exit_min, entry_max
+
+
+def encloses(lo, hi, exact):
+    """lo <= exact <= hi elementwise, for float bounds and exact Fraction
+    values; an infinite bound encloses only on its own side, so a value past
+    the float range needs an infinite bound there, and NaN encloses nothing."""
+    for l, h, v in zip(np.ravel(lo).tolist(), np.ravel(hi).tolist(), exact):
+        if not (l == -math.inf or (math.isfinite(l) and Fraction(l) <= v)):
+            return False
+        if not (h == math.inf or (math.isfinite(h) and v <= Fraction(h))):
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

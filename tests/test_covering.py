@@ -228,6 +228,37 @@ def test_passing_cell_children_pass(data):
         assert cpassed.all()
 
 
+@pytest.mark.parametrize("which", ["exit", "entry"])
+@pytest.mark.parametrize("mean_value", [False, True])
+def test_classify_nonfinite_enclosure_fails_both_masks(which, mean_value):
+    """A cell whose image overflows passes neither mask: its enclosure is
+    infinite, or NaN where inf meets an exact 0 of the target chart."""
+    from revcover.covering import _CellEngine
+
+    mapsys = expansion_map([1e300, 1e300])  # two iterates overflow
+    lo, hi = np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])
+    for inv, nonfinite in ((np.eye(2), np.isnan), (np.full((2, 2), 0.5), np.isinf)):
+        engine = _CellEngine(mapsys, 2, np.eye(2), np.zeros(2), inv, inv, np.zeros(2),
+                             np.eye(2), np.eye(2), 1, which, mean_value)
+        with np.errstate(all="ignore"):
+            clo, chi = engine._chart_image(lo, hi)
+        assert nonfinite(clo).all() or nonfinite(chi).all()
+        passed, refuted = engine.classify(lo, hi)
+        assert not passed[0] and not refuted[0]
+
+
+def test_zero_width_failing_cell_retires_its_root():
+    """A failing point cell bisects into copies of itself, so its root is
+    retired at once: the exit wall of a 1-d h-set is two points, and under
+    the identity both fail at depth 0."""
+    N = HSet("P", [0.0], [[1.0]], 1, 0)
+    res = check_exit_condition(N, linear_map_system(np.eye(1)), 1, N,
+                               VerifyConfig(budget=100_000))
+    assert res.verdict == INCONCLUSIVE
+    assert (res.stats.boxes, res.stats.max_depth, res.stats.exhausted_subtrees) == (2, 0, 2)
+    assert res.worst_cell["chart_lo"] == res.worst_cell["chart_hi"] == [-1.0]
+
+
 def test_budget_starvation_inconclusive():
     N = toy_hset(2, 1)
     cert = verify_cover(N, linear_map_system(np.eye(2)), 1, N,

@@ -23,6 +23,8 @@ from revcover.dynamics import (
 from revcover.hset import LinearReversor
 from revcover.interval import DomainError, IBox
 
+from conftest import encloses
+
 
 def _f_box(b: IBox) -> IBox:
     lo, hi = _f_batch(b.lo[None, :], b.hi[None, :])
@@ -259,11 +261,6 @@ def _exact_jacobian(z, inverse):
     return top + bottom
 
 
-def _encloses(lo, hi, exact):
-    return all(Fraction(l) <= v <= Fraction(h)
-               for l, h, v in zip(lo.ravel().tolist(), hi.ravel().tolist(), exact))
-
-
 def test_map_kernels_exact_oracle(rng):
     """eval_batch and jac_batch of F and F^-1 enclose the exact values at the
     corners and at interior points of random cells, with zero-width cells and
@@ -286,8 +283,8 @@ def test_map_kernels_exact_oracle(rng):
             for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
                 z = [Fraction(x) for x in p.tolist()]
                 value = exact(*z)
-                assert _encloses(elo[i], ehi[i], value)
+                assert encloses(elo[i], ehi[i], value)
                 assert np.allclose(m.eval_point(p), [float(v) for v in value],
                                    rtol=1e-14, atol=1e-13)
                 J = _exact_jacobian(z, inverse)
-                assert _encloses(jlo[i], jhi[i], [v for row in J for v in row])
+                assert encloses(jlo[i], jhi[i], [v for row in J for v in row])

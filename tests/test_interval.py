@@ -3,15 +3,19 @@
 The randomized checks follow one pattern: draw random intervals, draw member
 points, apply the exact float operation to the members, and require the
 result to lie inside the interval result. A single violation is a bug.
+The batch matrix kernels are checked against exact rational products, and
+the outward rounding bit for bit against np.nextafter.
 """
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revcover import interval
 from revcover.covering import _bisect_cells
 from revcover.interval import (
     DomainError,
@@ -19,11 +23,19 @@ from revcover.interval import (
     IMatrix,
     IndeterminateSignError,
     Interval,
+    affine_batch,
     det_sign,
+    idiv,
     imat_inverse,
     imat_mul,
     imat_vec,
+    imat_vec_batch,
+    imatmul_batch,
+    imatvec_cellwise,
+    imul,
 )
+
+from conftest import encloses
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 # the Interval operators; each also applies to the float members
@@ -111,6 +123,165 @@ def test_monotonicity_property(a1, a2, b1, b2, op):
     hi_slack = math.nextafter(math.nextafter(r.hi, -math.inf), -math.inf)
     assert rw.lo <= lo_slack
     assert rw.hi >= hi_slack
+
+
+# --- outward rounding: the same bits as np.nextafter ---
+
+MAX = np.finfo(np.float64).max
+TINY = np.finfo(np.float64).smallest_subnormal
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY,
+                    np.nextafter(np.finfo(np.float64).smallest_normal, 0.0),
+                    -np.nextafter(np.finfo(np.float64).smallest_normal, 0.0),
+                    MAX, -MAX, 1.0, -1.0])
+CUT = interval._BITSTEP_MIN
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, counting every NaN as equal to any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def random_bits(rng, size):
+    """Floats from uniformly random int64 bit patterns (NaNs, subnormals and
+    every exponent), with the special values in front."""
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=size,
+                        dtype=np.int64, endpoint=True)
+    a = bits.view(np.float64)
+    a[:len(SPECIAL)] = SPECIAL[:size]
+    return a
+
+
+@pytest.mark.parametrize("size", [1, 100, CUT - 1, CUT, CUT + 1, 4 * CUT])
+def test_rounding_steps_match_nextafter(rng, size):
+    """_down/_up are np.nextafter toward -inf/+inf on both sides of the size
+    at which arrays switch to stepping the bit pattern."""
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            a = random_bits(rng, size)
+            for b in (a, a.reshape(-1, 1)[::-1]):  # and a strided view of another shape
+                assert_same_bits(interval._down(b), np.nextafter(b, -np.inf))
+                assert_same_bits(interval._up(b), np.nextafter(b, np.inf))
+
+
+def test_rounding_steps_match_nextafter_scalars():
+    with np.errstate(all="ignore"):
+        for x in SPECIAL:
+            for a in (float(x), np.float64(x), np.array(x)):
+                assert_same_bits(interval._down(a), np.nextafter(a, -np.inf))
+                assert_same_bits(interval._up(a), np.nextafter(a, np.inf))
+
+
+def _widen_each(op, alo, ahi, blo, bhi):
+    """Reference imul/idiv: every candidate widened before the min/max."""
+    c = [op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi)]
+    down = [np.nextafter(x, -np.inf) for x in c]
+    up = [np.nextafter(x, np.inf) for x in c]
+    return (np.minimum(np.minimum(down[0], down[1]), np.minimum(down[2], down[3])),
+            np.maximum(np.maximum(up[0], up[1]), np.maximum(up[2], up[3])))
+
+
+def _endpoints(rng, size):
+    """Interval endpoints of mixed magnitude (1e-320 to beyond overflow),
+    signed zeros, infinities, NaN and point intervals; not sorted, which the
+    formulas do not need."""
+    mag = 10.0 ** rng.uniform(-320, 310, size=size)
+    a = np.where(rng.random(size) < 0.5, rng.normal(size=size), rng.normal(size=size) * mag)
+    b = np.where(rng.random(size) < 0.3, a, a * rng.uniform(-2, 2, size=size))
+    pick = rng.integers(0, len(SPECIAL), size=size)
+    special = rng.random(size) < 0.05
+    a[special] = SPECIAL[pick[special]]
+    return a, b
+
+
+@pytest.mark.parametrize("size", [1, CUT - 1, CUT, CUT + 1, 4 * CUT])
+def test_imul_idiv_round_once_is_bit_identical(rng, size):
+    """Rounding the min/max of the candidates once gives the same bits as
+    widening each candidate first."""
+    with np.errstate(all="ignore"):
+        for _ in range(10):
+            alo, ahi = _endpoints(rng, size)
+            blo, bhi = _endpoints(rng, size)
+            ok = ~((blo <= 0.0) & (bhi >= 0.0))
+            i = int(rng.integers(size))
+            for kernel, op, args in (
+                (imul, operator.mul, (alo, ahi, blo, bhi)),
+                (idiv, operator.truediv, (alo[ok], ahi[ok], blo[ok], bhi[ok])),
+                (imul, operator.mul, (float(alo[i]), float(ahi[i]), float(blo[i]), float(bhi[i]))),
+            ):
+                for got, want in zip(kernel(*args), _widen_each(op, *args)):
+                    assert_same_bits(got, want)
+
+
+# --- batch matrix kernels: exact member-sampling oracle ---
+
+def _interval_array(rng, shape):
+    """Sorted endpoints: a third of the entries of zero width, magnitudes
+    from 1e-20, so that sums round, to about 1e300, so that products
+    overflow, all finite."""
+    scale = rng.choice([1e-20, 1.0, 1.0, 1e150, 1e300], size=shape)
+    mid = rng.normal(size=shape) * scale
+    rad = np.abs(rng.normal(size=shape)) * scale * rng.choice([0.0, 1e-8, 1.0], size=shape)
+    return mid - rad, mid + rad
+
+
+def _members(rng, lo, hi, count):
+    """count member arrays of [lo, hi]: both corners, then entries picked at
+    random from the lower corner, the upper corner and the interior."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = np.clip(lo + rng.uniform(size=(count,) + lo.shape) * (hi - lo), lo, hi)
+    pick = rng.integers(0, 3, size=inner.shape)
+    pts = np.where(pick == 0, lo, np.where(pick == 1, hi, inner))
+    pts[0], pts[1] = lo, hi
+    return pts
+
+
+def _exact_matmul(A, B):
+    A = [[Fraction(x) for x in row] for row in A.tolist()]
+    B = [[Fraction(x) for x in row] for row in B.tolist()]
+    return [[sum(A[i][j] * B[j][k] for j in range(len(B))) for k in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def test_batch_kernels_exact_oracle(rng):
+    """affine_batch, imat_vec_batch, imatvec_cellwise and imatmul_batch
+    enclose the exact products of member points, corners included, with
+    zero-width entries and finite inputs whose products overflow."""
+    nb, n = 24, 4
+    lo, hi = _interval_array(rng, (nb, n))
+    M = _interval_array(rng, (n, n))[1]
+    x = _interval_array(rng, (n,))[1]
+    Ml, Mh = _interval_array(rng, (n, n))
+    Al, Ah = _interval_array(rng, (nb, n, n))
+    Bl, Bh = _interval_array(rng, (nb, n, n))
+    with np.errstate(over="ignore"):
+        aff = affine_batch(M, x, lo, hi)
+        fixed = imat_vec_batch(Ml, Mh, lo, hi)
+        cellwise = imatvec_cellwise(Al, Ah, lo, hi)
+        prod = imatmul_batch(Al, Ah, Bl, Bh)
+    outs = (aff, fixed, cellwise, prod)
+    assert not any(np.isnan(b).any() for out in outs for b in out)
+    # overflow is exercised on both sides
+    assert any((out[0] == -np.inf).any() for out in outs)
+    assert any((out[1] == np.inf).any() for out in outs)
+    for b in range(nb):
+        vs = _members(rng, lo[b], hi[b], 6)
+        mats = _members(rng, Ml, Mh, 6)
+        As = _members(rng, Al[b], Ah[b], 6)
+        Bs = _members(rng, Bl[b], Bh[b], 6)
+        for v, Mm, A, B in zip(vs, mats, As, Bs):
+            exact = [r[0] + Fraction(c) for r, c in
+                     zip(_exact_matmul(M, v[:, None]), x.tolist())]
+            assert encloses(aff[0][b], aff[1][b], exact)
+            exact = [r[0] for r in _exact_matmul(Mm, v[:, None])]
+            assert encloses(fixed[0][b], fixed[1][b], exact)
+            exact = [r[0] for r in _exact_matmul(A, v[:, None])]
+            assert encloses(cellwise[0][b], cellwise[1][b], exact)
+            exact = [e for row in _exact_matmul(A, B) for e in row]
+            assert encloses(prod[0][b], prod[1][b], exact)
 
 
 # --- cell bisection (covering._bisect_cells) ---
