@@ -470,6 +470,9 @@ class CampaignConfig:
     fixed_grid: bool = False
     enumerate_upto: int = 8
 
+    def __post_init__(self):
+        self.verify_config()  # raises DomainError for what VerifyConfig rejects
+
     def verify_config(self) -> VerifyConfig:
         return VerifyConfig(
             resolution=self.resolution,

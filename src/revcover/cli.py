@@ -2,10 +2,11 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error. For prove-paper, 1 also means that every relation verified
-but a certified degree differs from the expected one or a structural check
-(symmetry, disjoint supports, fixed-space disks) failed; see
-ProofReport.exit_code.
+3 input error (an unknown or malformed h-set or map, or a config value out of
+range, such as a budget or thread count below 1). For prove-paper, 1 also
+means that every relation verified but a certified degree differs from the
+expected one or a structural check (symmetry, disjoint supports, fixed-space
+disks) failed; see ProofReport.exit_code.
 """
 
 from __future__ import annotations
@@ -114,17 +115,17 @@ def _cmd_verify(args) -> int:
         src = _resolve_hset(getattr(args, "from"))
         dst = _resolve_hset(args.to)
         mapsys = map_by_name(args.map)
+        cfg = VerifyConfig(
+            resolution=args.resolution,
+            max_depth=args.max_depth,
+            threads=args.threads,
+            budget=args.budget,
+            fixed_grid=args.fixed_grid,
+            mean_value=args.mean_value,
+        )
     except (DomainError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    cfg = VerifyConfig(
-        resolution=args.resolution,
-        max_depth=args.max_depth,
-        threads=args.threads,
-        budget=args.budget,
-        fixed_grid=args.fixed_grid,
-        mean_value=args.mean_value,
-    )
     fn = verify_backcover if args.back else verify_cover
     try:
         cert = fn(src, mapsys, args.iters, dst, cfg)
@@ -151,15 +152,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prove_paper(args) -> int:
-    cfg = CampaignConfig(
-        resolution=args.resolution,
-        max_depth=args.max_depth,
-        threads=args.threads,
-        budget=args.budget,
-        plain=args.plain,
-        fixed_grid=args.fixed_grid,
-        enumerate_upto=args.enumerate_upto,
-    )
+    try:
+        cfg = CampaignConfig(
+            resolution=args.resolution,
+            max_depth=args.max_depth,
+            threads=args.threads,
+            budget=args.budget,
+            plain=args.plain,
+            fixed_grid=args.fixed_grid,
+            enumerate_upto=args.enumerate_upto,
+        )
+    except DomainError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     report, graph = run_campaign(cfg)
     r = report.report
     print(f"map: {r['map']}  evaluation: {r['config']['evaluation']}")
@@ -203,7 +208,7 @@ def _cmd_enumerate(args) -> int:
                 graph = graph_from_report(ProofReport.load(args.report_in))
             else:
                 _, graph = run_campaign(CampaignConfig(threads=args.threads))
-        except (OSError, KeyError, json.JSONDecodeError) as e:
+        except (OSError, KeyError, json.JSONDecodeError, DomainError) as e:
             print(f"error: no usable covering graph: {e}", file=sys.stderr)
             return 3
         data = build_proof_data()

@@ -31,7 +31,10 @@ depend only on its own subtree and the config, so verdicts and statistics
 are independent of the thread count and of `batch_size`, which only sizes
 the kernel calls. Large frontiers are split (see `_Refinement`), which
 keeps memory bounded, and are sharded by root over worker processes once
-they outgrow one batch.
+they outgrow one batch. The shards are scheduled dynamically: a part goes to
+the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
+and each worker takes the next shard when it finishes one, so a worker whose
+roots turn out light does not sit idle while another finishes heavy ones.
 """
 
 from __future__ import annotations
@@ -93,8 +96,12 @@ class VerifyConfig:
     batch_size: int = 2048
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.budget <= 0 or self.resolution < 1:
-            raise DomainError("invalid verification config")
+        for name, least in (("resolution", 1), ("max_depth", 0), ("threads", 1),
+                            ("budget", 1), ("batch_size", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise DomainError(f"invalid verification config: {name} must be >= {least}, "
+                                  f"got {value}")
 
 
 @dataclass
@@ -325,6 +332,14 @@ _ACTIVE, _REFUTED, _EXHAUSTED = 0, 1, 2
 # the batch size, and memory stays bounded for every batch size.
 _PART_CELLS = 2048
 
+# Shards per worker process when a part is spread over the pool. The work of
+# a root cannot be foreseen when it is sharded (every failing root then holds
+# the same cells), so one shard per worker can leave a worker idle while the
+# other finishes the heavy roots; more shards than workers let the pool even
+# the load out. Few roots per shard would shrink each level below a useful
+# kernel batch, so the number is a small constant, not one shard per root.
+_SHARDS_PER_WORKER = 4
+
 
 class _Refinement:
     """Level-synchronous refinement of one check's initial cells (roots).
@@ -337,7 +352,8 @@ class _Refinement:
     before the second is started. A root's outcome and counts therefore
     depend only on its own subtree and the config, whichever roots share
     its parts, whatever the batch size and however the roots are sharded
-    over worker processes.
+    over worker processes; so shards may finish in any order, and their
+    results are merged by root.
     """
 
     def __init__(self, engine, n_roots, allowance, max_depth, batch_size):
@@ -430,12 +446,16 @@ class _Refinement:
             self.worst[int(rid)] = _cell_record(rid, depth, lo[i], hi[i], self.engine.which)
 
     def _shard(self, pool, workers, lo, hi, root, depth):
+        """Finishes a part in worker processes, split by root into up to
+        _SHARDS_PER_WORKER shards per worker, which the pool hands out one at
+        a time as workers free up."""
         ids = np.unique(root)
+        n_shards = min(_SHARDS_PER_WORKER * workers, len(ids))
         mapspec = self.engine.mapsys.spec
         engine = {**vars(self.engine), "mapsys": None}
         settings = (len(self.boxes), self.allowance, self.max_depth, self.batch_size)
         payloads = []
-        for shard in (ids[i::workers] for i in range(min(workers, len(ids)))):
+        for shard in (ids[i::n_shards] for i in range(n_shards)):
             mine = np.isin(root, shard)
             payloads.append({
                 "mapspec": mapspec, "engine": engine, "settings": settings,
@@ -475,7 +495,7 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
     )
     ref = _Refinement(engine, n_roots, max(1, cfg.budget // n_roots),
                       0 if cfg.fixed_grid else cfg.max_depth, cfg.batch_size)
-    workers = max(1, cfg.threads) if mapsys.spec is not None else 1
+    workers = cfg.threads if mapsys.spec is not None else 1
     # the initial grid is level 0: one cell per root
     ref.run(lo0, hi0, np.arange(n_roots), 0, workers)
 

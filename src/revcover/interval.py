@@ -16,11 +16,18 @@ the float is positive and minus one if it is negative (after mapping -0 to
 +0), and +inf and NaN are their own successors; the predecessor is
 -successor(-a). Smaller arrays and scalars keep `np.nextafter`, which costs
 less per call. Either way every enclosure is bit for bit the same.
+
+`_down` and `_up` take ownership of their argument: a float64 array of at
+least `_BITSTEP_MIN` elements is rounded in place and returned, so every
+caller passes a temporary it made itself. The kernels build their candidates,
+min/max hulls and running sums in buffers of their own and round those; they
+never write into an argument, so callers may pass read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,30 +53,45 @@ class IndeterminateSignError(Exception):
 
 # Arrays with at least this many elements are rounded by stepping their bit
 # pattern: its cost per call is about ten times that of np.nextafter, its
-# cost per element a fraction, and the two cross near this size.
+# cost per element a fraction, and the two cross near this size. Below it,
+# per-call costs also outweigh what reusing buffers saves.
 _BITSTEP_MIN = 1024
 
 
-def _by_bits(a):
-    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.size >= _BITSTEP_MIN
+def _large(a):
+    """A float64 array of at least _BITSTEP_MIN elements: rounded by its bit
+    pattern and in place, and its buffer reused. The dtype is compared by
+    value, as an array unpickled in a worker process has a dtype object of
+    its own."""
+    return type(a) is np.ndarray and a.size >= _BITSTEP_MIN and a.dtype == np.float64
 
 
 def _successor(a):
-    """np.nextafter(a, inf) of a float64 array, from its bit pattern."""
-    z = a + 0.0  # maps -0 to +0, whose successor is the smallest subnormal
-    i = z.view(np.int64)
-    i += (i >> 63) | 1  # away from 0 if positive, towards it if negative
-    return np.where(a < _PINF, z, a)  # +inf and NaN are their own successors
+    """Replaces the float64 array a by np.nextafter(a, inf), stepping its bit
+    pattern in place, and returns it."""
+    a += 0.0  # maps -0 to +0, whose successor is the smallest subnormal
+    i = a.view(np.int64)
+    t = i >> 63
+    t |= 1  # away from 0 if positive, towards it if negative
+    t *= a < _PINF  # +inf and NaN are their own successors
+    i += t
+    return a
 
 
 def _down(a):
-    if _by_bits(a):
-        return -_successor(-a)
+    """np.nextafter(a, -inf). Takes ownership of a: a float64 array of at
+    least _BITSTEP_MIN elements is overwritten with the result, so callers
+    pass a temporary of their own and never an array they read again."""
+    if _large(a):
+        np.negative(a, out=a)
+        _successor(a)
+        return np.negative(a, out=a)
     return np.nextafter(a, _NINF)
 
 
 def _up(a):
-    if _by_bits(a):
+    """np.nextafter(a, inf); takes ownership of a, as _down does."""
+    if _large(a):
         return _successor(a)
     return np.nextafter(a, _PINF)
 
@@ -82,22 +104,42 @@ def isub(alo, ahi, blo, bhi):
     return _down(alo - bhi), _up(ahi - blo)
 
 
-def imul(alo, ahi, blo, bhi):
-    """[alo,ahi] * [blo,bhi]: the min and the max of the four candidate
-    products, each rounded outward once.
+_UFUNCS = {operator.mul: np.multiply, operator.truediv: np.divide}
+
+
+def _round_hull(op, alo, ahi, blo, bhi):
+    """The min of the four candidates op(a, b) rounded down, and their max
+    rounded up; op is operator.mul or operator.truediv.
 
     Rounding after min/max gives the same bits as widening every candidate
     before it: a step toward -inf (+inf) is monotone, so it commutes with min
     (max). This holds for signed zeros, whose steps are equal, and for inf
-    and NaN, which np.minimum, np.maximum and the step all propagate.
+    and NaN, which np.minimum, np.maximum and the step all propagate; so the
+    order in which the candidates are compared does not matter either. When
+    the first and the last candidate are large float64 arrays of one shape,
+    that is the shape of all four: the max is then built in the last one's
+    buffer, the min in one new array, and the two middle candidates are
+    computed in turn into the first one's buffer.
     """
-    c1 = alo * blo
-    c2 = alo * bhi
-    c3 = ahi * blo
-    c4 = ahi * bhi
-    lo = _down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
-    hi = _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
-    return lo, hi
+    c1 = op(alo, blo)
+    c4 = op(ahi, bhi)
+    if not (_large(c1) and _large(c4) and c1.shape == c4.shape):
+        c2, c3 = op(alo, bhi), op(ahi, blo)
+        return (_down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))),
+                _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))))
+    lo = np.minimum(c1, c4)
+    hi = np.maximum(c1, c4, out=c4)
+    for x, y in ((alo, bhi), (ahi, blo)):
+        c = _UFUNCS[op](x, y, out=c1)  # the middle candidates, in turn
+        np.minimum(lo, c, out=lo)
+        np.maximum(hi, c, out=hi)
+    return _down(lo), _up(hi)
+
+
+def imul(alo, ahi, blo, bhi):
+    """[alo,ahi] * [blo,bhi]: the min and the max of the four candidate
+    products, each rounded outward once (see _round_hull)."""
+    return _round_hull(operator.mul, alo, ahi, blo, bhi)
 
 
 def idiv(alo, ahi, blo, bhi):
@@ -105,13 +147,7 @@ def idiv(alo, ahi, blo, bhi):
     Rounded once after min/max, as in imul."""
     if np.any((np.asarray(blo) <= 0.0) & (np.asarray(bhi) >= 0.0)):
         raise DomainError("division by an interval containing 0")
-    c1 = alo / blo
-    c2 = alo / bhi
-    c3 = ahi / blo
-    c4 = ahi / bhi
-    lo = _down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)))
-    hi = _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)))
-    return lo, hi
+    return _round_hull(operator.truediv, alo, ahi, blo, bhi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,18 +395,26 @@ class IMatrix:
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
 
 
+def _rounded_sum(terms, shape):
+    """Outward-rounded sum of interval terms (lo, hi), in order from an exact
+    zero, each partial sum added and rounded in the accumulator."""
+    acc_lo = np.zeros(shape)
+    acc_hi = np.zeros(shape)
+    for tlo, thi in terms:
+        acc_lo += tlo
+        acc_hi += thi
+        acc_lo = _down(acc_lo)
+        acc_hi = _up(acc_hi)
+    return acc_lo, acc_hi
+
+
 def imat_vec(M: IMatrix, v: IBox) -> IBox:
     """Enclosure of {Ax : A in M, x in v}."""
     n, m = M.shape
     if v.dim != m:
         raise DomainError("shape mismatch in imat_vec")
-    acc_lo = np.zeros(n)
-    acc_hi = np.zeros(n)
-    for j in range(m):
-        plo, phi = imul(M.lo[:, j], M.hi[:, j], v.lo[j], v.hi[j])
-        acc_lo = _down(acc_lo + plo)
-        acc_hi = _up(acc_hi + phi)
-    return IBox(acc_lo, acc_hi)
+    return IBox(*_rounded_sum(
+        (imul(M.lo[:, j], M.hi[:, j], v.lo[j], v.hi[j]) for j in range(m)), n))
 
 
 def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
@@ -379,15 +423,9 @@ def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
     m2, k = B.shape
     if m != m2:
         raise DomainError("shape mismatch in imat_mul")
-    acc_lo = np.zeros((n, k))
-    acc_hi = np.zeros((n, k))
-    for j in range(m):
-        plo, phi = imul(
-            A.lo[:, j][:, None], A.hi[:, j][:, None], B.lo[j, :][None, :], B.hi[j, :][None, :]
-        )
-        acc_lo = _down(acc_lo + plo)
-        acc_hi = _up(acc_hi + phi)
-    return IMatrix(acc_lo, acc_hi)
+    return IMatrix(*_rounded_sum(
+        (imul(A.lo[:, j][:, None], A.hi[:, j][:, None], B.lo[j, :][None, :], B.hi[j, :][None, :])
+         for j in range(m)), (n, k)))
 
 
 # --- vectorized kernels over cell batches (arrays of shape (B, n)) ---
@@ -397,55 +435,36 @@ def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     p1 = M[None, :, :] * lo[:, None, :]
     p2 = M[None, :, :] * hi[:, None, :]
     plo = _down(np.minimum(p1, p2))
-    phi = _up(np.maximum(p1, p2))
-    acc_lo = np.zeros(lo.shape)
-    acc_hi = np.zeros(hi.shape)
-    for j in range(M.shape[1]):
-        acc_lo = _down(acc_lo + plo[:, :, j])
-        acc_hi = _up(acc_hi + phi[:, :, j])
-    return _down(acc_lo + x[None, :]), _up(acc_hi + x[None, :])
+    phi = _up(np.maximum(p1, p2, out=p1))
+    acc_lo, acc_hi = _rounded_sum(
+        ((plo[:, :, j], phi[:, :, j]) for j in range(M.shape[1])), lo.shape)
+    acc_lo += x
+    acc_hi += x
+    return _down(acc_lo), _up(acc_hi)
 
 
 def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """One fixed interval matrix applied to a batch of interval vectors."""
-    n = Ml.shape[0]
-    acc_lo = np.zeros((lo.shape[0], n))
-    acc_hi = np.zeros((lo.shape[0], n))
-    for j in range(Ml.shape[1]):
-        plo, phi = imul(Ml[None, :, j], Mh[None, :, j], lo[:, j][:, None], hi[:, j][:, None])
-        acc_lo = _down(acc_lo + plo)
-        acc_hi = _up(acc_hi + phi)
-    return acc_lo, acc_hi
+    return _rounded_sum(
+        (imul(Ml[None, :, j], Mh[None, :, j], lo[:, j][:, None], hi[:, j][:, None])
+         for j in range(Ml.shape[1])), (lo.shape[0], Ml.shape[0]))
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):
     """Batched interval matrix product: (B,n,m) @ (B,m,k)."""
     nb, n, m = Al.shape
-    k = Bl.shape[2]
-    acc_lo = np.zeros((nb, n, k))
-    acc_hi = np.zeros((nb, n, k))
-    for j in range(m):
-        plo, phi = imul(
-            Al[:, :, j][:, :, None],
-            Ah[:, :, j][:, :, None],
-            Bl[:, j, :][:, None, :],
-            Bh[:, j, :][:, None, :],
-        )
-        acc_lo = _down(acc_lo + plo)
-        acc_hi = _up(acc_hi + phi)
-    return acc_lo, acc_hi
+    return _rounded_sum(
+        (imul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
+              Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :]) for j in range(m)),
+        (nb, n, Bl.shape[2]))
 
 
 def imatvec_cellwise(Al, Ah, lo, hi):
     """Batched interval matrix (B,n,m) applied to per-cell vectors (B,m)."""
     nb, n, m = Al.shape
-    acc_lo = np.zeros((nb, n))
-    acc_hi = np.zeros((nb, n))
-    for j in range(m):
-        plo, phi = imul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
-        acc_lo = _down(acc_lo + plo)
-        acc_hi = _up(acc_hi + phi)
-    return acc_lo, acc_hi
+    return _rounded_sum(
+        (imul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None]) for j in range(m)),
+        (nb, n))
 
 
 def _mignitude(lo: float, hi: float) -> float:

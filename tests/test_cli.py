@@ -33,6 +33,20 @@ def test_verify_unknown_name_exit_3():
     assert main(["verify", "--from", "N9", "--to", "N1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--from", "N1", "--to", "N1", "--budget", "0"],
+    ["verify", "--from", "N1", "--to", "N1", "--threads", "0"],
+    ["prove-paper", "--max-depth", "-1"],
+    ["prove-paper", "--threads", "-2"],
+    ["enumerate", "--length", "2", "--threads", "0"],
+])
+def test_invalid_config_exit_3(argv, capsys):
+    """An out-of-range config value is an input error, reported in one line."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
+
+
 def test_verify_hset_file_and_report(tmp_path, data):
     path = tmp_path / "n1.json"
     save_hset(data.hset("N1"), path)

@@ -1,11 +1,14 @@
 """Covering verification: degrees, boundary checks, toy oracles, determinism."""
 
+import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from revcover import covering
+from revcover.campaign import CampaignConfig
 from revcover.covering import (
     INCONCLUSIVE,
     REFUTED,
@@ -22,7 +25,8 @@ from revcover.dynamics import linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image
 from revcover.interval import DomainError
 
-from conftest import float_sweep
+from conftest import encloses, float_sweep
+from test_dynamics import _exact_F
 
 MV = VerifyConfig(mean_value=True)
 
@@ -228,6 +232,68 @@ def test_passing_cell_children_pass(data):
         assert cpassed.all()
 
 
+def _exact_inverse(A):
+    """The inverse of a float matrix in exact rational arithmetic."""
+    n = len(A)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A.tolist())]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _exact_affine(A, x, b):
+    """A x + b, exactly, for entries that are floats or Fractions."""
+    return [sum(Fraction(a) * Fraction(v) for a, v in zip(row, x)) + Fraction(c)
+            for row, c in zip(A, b)]
+
+
+@pytest.mark.parametrize("src, dst, k", [("H1", "H2", 4), ("N2", "N2", 1)])
+def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
+    """Both enclosures of the chart map over a cell, plain and centered,
+    contain the float image of every sampled member point (corners and
+    interior points of grid cells and of their bisections); for k = 1 they
+    also contain the exact rational image."""
+    from revcover.covering import _CellEngine, _bisect_cells
+    from revcover.hset import _facet_cells_arrays
+
+    F, N, M = data.mapsys, data.hset(src), data.hset(dst)
+    deg = compute_degree(N, F, k, M)
+    engines = [_CellEngine(F, k, N.matrix, N.center, M.inv_matrix.lo, M.inv_matrix.hi,
+                           M.center, deg.chart_derivative.lo, deg.chart_derivative.hi,
+                           N.u, "entry", mean_value) for mean_value in (False, True)]
+    lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
+    cells = [(lo, hi)]
+    for _ in range(3):
+        cells.append(_bisect_cells(*cells[-1]))
+    lo, hi = (np.concatenate(c) for c in zip(*cells))
+    pick = rng.choice(len(lo), size=24, replace=False)
+    lo, hi = lo[pick], hi[pick]
+    images = [e._chart_image(lo, hi) for e in engines]
+    inv = _exact_inverse(M.matrix)
+    corners = np.array(list(itertools.product((False, True), repeat=N.dim)))
+    for i in range(len(lo)):
+        inner = lo[i] + rng.uniform(size=(4, N.dim)) * (hi[i] - lo[i])
+        for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
+            z = N.matrix @ p + N.center
+            for _ in range(k):
+                z = F.eval_point(z)
+            y = np.linalg.solve(M.matrix, z - M.center)
+            for clo, chi in images:
+                assert np.all(clo[i] <= y) and np.all(y <= chi[i])
+            if k == 1:
+                Fz = _exact_F(*_exact_affine(N.matrix.tolist(), p.tolist(), N.center.tolist()))
+                d = [v - Fraction(c) for v, c in zip(Fz, M.center.tolist())]
+                exact = _exact_affine(inv, d, [0] * N.dim)
+                for clo, chi in images:
+                    assert encloses(clo[i], chi[i], exact)
+
+
 @pytest.mark.parametrize("which", ["exit", "entry"])
 @pytest.mark.parametrize("mean_value", [False, True])
 def test_classify_nonfinite_enclosure_fails_both_masks(which, mean_value):
@@ -310,11 +376,26 @@ def test_thread_count_invariance(data, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["identity-inconclusive", "H2H3-refuted"])
-def test_failure_stats_independent_of_threads_and_batch(data, case):
+def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch):
     """A failing check reports the same verdict, counts and worst cell for
     every thread count and batch size. The identity toy's subtrees outgrow a
     frontier part and a batch, so the part split and the process pool both
-    run."""
+    run. A part of R roots goes to a pool of w workers as
+    min(_SHARDS_PER_WORKER * w, R) round-robin shards, more than w when R
+    allows, which the pool hands out as workers free up."""
+    submitted = []
+
+    class SpyPool(covering.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+
+        def map(self, fn, payloads, **kwargs):
+            payloads = list(payloads)
+            submitted.append((self.workers, [p["roots"] for p in payloads]))
+            return super().map(fn, payloads, **kwargs)
+
+    monkeypatch.setattr(covering, "ProcessPoolExecutor", SpyPool)
     if case == "identity-inconclusive":
         N = toy_hset(2, 1)
         args = (N, linear_map_system(np.eye(2)), 1, N)
@@ -323,12 +404,35 @@ def test_failure_stats_independent_of_threads_and_batch(data, case):
         args = (data.hset("H2"), data.mapsys, 2, data.hset("H3"))
         base, expected = VerifyConfig(mean_value=True, budget=5_000), REFUTED
     runs = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):  # 3 workers on fewer cores: still three processes
         for batch in (64, 8192):
             cert = verify_cover(*args, replace(base, threads=threads, batch_size=batch))
             runs.append((cert.status, cert.boxes, cert.max_depth, _check_stats(cert)))
     assert runs[0][0] == expected
     assert all(r == runs[0] for r in runs[1:])
+    for workers, shards in submitted:
+        roots = np.concatenate(shards)
+        assert workers in (2, 3)
+        assert len(shards) == min(covering._SHARDS_PER_WORKER * workers, len(roots))
+        assert np.array_equal(np.sort(roots), np.unique(roots))  # each root once
+        assert max(map(len, shards)) - min(map(len, shards)) <= 1
+    if case == "identity-inconclusive":
+        assert {w for w, shards in submitted if len(shards) > w} == {2, 3}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution", 0), ("max_depth", -1), ("threads", 0), ("threads", -1),
+    ("budget", 0), ("batch_size", 0), ("batch_size", -1),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    """A batch size below 1 would leave the kernel unrun and its masks unset,
+    and a thread count below 1 would be recorded as given; both are errors,
+    for a relation and for the campaign alike."""
+    with pytest.raises(DomainError, match=field):
+        VerifyConfig(**{field: value})
+    if field != "batch_size":
+        with pytest.raises(DomainError, match=field):
+            CampaignConfig(**{field: value})
 
 
 def test_budget_is_per_check(data):

@@ -9,14 +9,17 @@ the outward rounding bit for bit against np.nextafter.
 
 import math
 import operator
+import pickle
+from copy import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revcover import interval
+from revcover import dynamics, interval
 from revcover.covering import _bisect_cells
+from revcover.dynamics import reversible_quadratic_map
 from revcover.interval import (
     DomainError,
     IBox,
@@ -158,21 +161,30 @@ def random_bits(rng, size):
 @pytest.mark.parametrize("size", [1, 100, CUT - 1, CUT, CUT + 1, 4 * CUT])
 def test_rounding_steps_match_nextafter(rng, size):
     """_down/_up are np.nextafter toward -inf/+inf on both sides of the size
-    at which arrays switch to stepping the bit pattern."""
+    at which arrays switch to stepping the bit pattern. They take ownership
+    of their argument, so each call gets its own copy."""
     with np.errstate(all="ignore"):
         for _ in range(20):
             a = random_bits(rng, size)
             for b in (a, a.reshape(-1, 1)[::-1]):  # and a strided view of another shape
-                assert_same_bits(interval._down(b), np.nextafter(b, -np.inf))
-                assert_same_bits(interval._up(b), np.nextafter(b, np.inf))
+                assert_same_bits(interval._down(b.copy()), np.nextafter(b, -np.inf))
+                assert_same_bits(interval._up(b.copy()), np.nextafter(b, np.inf))
+
+
+def test_unpickled_arrays_take_the_bit_step():
+    """Worker processes receive their cells by pickle, and an unpickled array
+    has a dtype object of its own; it is still rounded by the bit step."""
+    a = pickle.loads(pickle.dumps(np.ones(CUT)))
+    assert interval._large(a) and interval._large(a + a)
 
 
 def test_rounding_steps_match_nextafter_scalars():
+    """Scalars, 0-d and one-element arrays, each call with its own copy."""
     with np.errstate(all="ignore"):
         for x in SPECIAL:
-            for a in (float(x), np.float64(x), np.array(x)):
-                assert_same_bits(interval._down(a), np.nextafter(a, -np.inf))
-                assert_same_bits(interval._up(a), np.nextafter(a, np.inf))
+            for a in (float(x), np.float64(x), np.array(x), np.array([x])):
+                assert_same_bits(interval._down(copy(a)), np.nextafter(a, -np.inf))
+                assert_same_bits(interval._up(copy(a)), np.nextafter(a, np.inf))
 
 
 def _widen_each(op, alo, ahi, blo, bhi):
@@ -282,6 +294,112 @@ def test_batch_kernels_exact_oracle(rng):
             assert encloses(cellwise[0][b], cellwise[1][b], exact)
             exact = [e for row in _exact_matmul(A, B) for e in row]
             assert encloses(prod[0][b], prod[1][b], exact)
+
+
+# --- kernels round their own buffers, never their arguments ---
+
+def _nextafter_sum(terms, shape):
+    """Reference accumulation: each partial sum widened into a new array."""
+    acc_lo, acc_hi = np.zeros(shape), np.zeros(shape)
+    for tlo, thi in terms:
+        acc_lo = np.nextafter(acc_lo + tlo, -np.inf)
+        acc_hi = np.nextafter(acc_hi + thi, np.inf)
+    return acc_lo, acc_hi
+
+
+def _ref_affine(M, x, lo, hi):
+    p1, p2 = M[None, :, :] * lo[:, None, :], M[None, :, :] * hi[:, None, :]
+    plo = np.nextafter(np.minimum(p1, p2), -np.inf)
+    phi = np.nextafter(np.maximum(p1, p2), np.inf)
+    slo, shi = _nextafter_sum(((plo[:, :, j], phi[:, :, j]) for j in range(M.shape[1])),
+                              lo.shape)
+    return np.nextafter(slo + x, -np.inf), np.nextafter(shi + x, np.inf)
+
+
+def _ref_mul(alo, ahi, blo, bhi):
+    return _widen_each(operator.mul, alo, ahi, blo, bhi)
+
+
+REFERENCE = {
+    interval.iadd: lambda alo, ahi, blo, bhi: (np.nextafter(alo + blo, -np.inf),
+                                               np.nextafter(ahi + bhi, np.inf)),
+    interval.isub: lambda alo, ahi, blo, bhi: (np.nextafter(alo - bhi, -np.inf),
+                                               np.nextafter(ahi - blo, np.inf)),
+    imul: _ref_mul,
+    idiv: lambda *args: _widen_each(operator.truediv, *args),
+    affine_batch: _ref_affine,
+    imat_vec_batch: lambda Ml, Mh, lo, hi: _nextafter_sum(
+        (_ref_mul(Ml[None, :, j], Mh[None, :, j], lo[:, j][:, None], hi[:, j][:, None])
+         for j in range(Ml.shape[1])), (len(lo), len(Ml))),
+    imatmul_batch: lambda Al, Ah, Bl, Bh: _nextafter_sum(
+        (_ref_mul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
+                  Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :])
+         for j in range(Al.shape[2])), (len(Al), Al.shape[1], Bl.shape[2])),
+    imatvec_cellwise: lambda Al, Ah, lo, hi: _nextafter_sum(
+        (_ref_mul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
+         for j in range(Al.shape[2])), lo.shape),
+}
+
+
+def _read_only(*arrays):
+    copies = [np.array(a) for a in arrays]
+    for a in copies:
+        a.flags.writeable = False
+    return copies
+
+
+@pytest.mark.parametrize("nb", [CUT // 16 - 1, CUT // 16, CUT // 4 - 1, CUT // 4])
+def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
+    """Every public kernel accepts read-only arguments (a write into one
+    raises) and returns the bits of the reference formulas, which round every
+    candidate and every partial sum into a new array with np.nextafter. The
+    (nb, 4) and (nb, 4, 4) arrays fall on both sides of _BITSTEP_MIN."""
+    n = 4
+
+    def pairs(shape):
+        lo, hi = _endpoints(rng, int(np.prod(shape)))
+        return lo.reshape(shape), hi.reshape(shape)
+
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            (alo, ahi), (blo, bhi) = pairs((nb, n)), pairs((nb, n))
+            ok = ~((blo <= 0.0) & (bhi >= 0.0))
+            (Al, Ah), (Bl, Bh), (Ml, Mh) = pairs((nb, n, n)), pairs((nb, n, n)), pairs((n, n))
+            calls = [(kernel, (alo, ahi, blo, bhi))
+                     for kernel in (interval.iadd, interval.isub, imul)]
+            calls += [
+                (idiv, (alo[ok], ahi[ok], blo[ok], bhi[ok])),
+                (affine_batch, (Ml, Mh[0], alo, ahi)),
+                (imat_vec_batch, (Ml, Mh, alo, ahi)),
+                (imatmul_batch, (Al, Ah, Bl, Bh)),
+                (imatvec_cellwise, (Al, Ah, alo, ahi)),
+            ]
+            for kernel, args in calls:
+                for got, want in zip(kernel(*_read_only(*args)), REFERENCE[kernel](*args)):
+                    assert_same_bits(got, want)
+            # the IMatrix/IBox kernels on finite data (their classes reject NaN)
+            A = IMatrix(*_interval_array(rng, (n, n)))
+            v = IBox(*_interval_array(rng, (n,)))
+            got = imat_vec(A, v)
+            for g, w in zip((got.lo, got.hi), _nextafter_sum(
+                    (_ref_mul(A.lo[:, j], A.hi[:, j], v.lo[j], v.hi[j]) for j in range(n)), n)):
+                assert_same_bits(g, w)
+            B = IMatrix(*_interval_array(rng, (n, n)))
+            got = imat_mul(A, B)
+            for g, w in zip((got.lo, got.hi), REFERENCE[imatmul_batch](
+                    A.lo[None], A.hi[None], B.lo[None], B.hi[None])):
+                assert_same_bits(g, w[0])
+            # the map kernels, against the same maps built on the reference kernels
+            F = reversible_quadratic_map()
+            with monkeypatch.context() as m:
+                for kernel in (interval.iadd, interval.isub, imul):
+                    m.setattr(dynamics, kernel.__name__, REFERENCE[kernel])
+                want = [f(alo, ahi) for g in (F, F.inverse) for f in (g.eval_batch, g.jac_batch)]
+            got = [f(*_read_only(alo, ahi))
+                   for g in (F, F.inverse) for f in (g.eval_batch, g.jac_batch)]
+            for g, w in zip(got, want):
+                assert_same_bits(g[0], w[0])
+                assert_same_bits(g[1], w[1])
 
 
 # --- cell bisection (covering._bisect_cells) ---
