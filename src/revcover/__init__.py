@@ -32,9 +32,7 @@ from .hset import (
 from .dynamics import (
     MapSystem,
     MissingInverseError,
-    OrbitSegment,
     fixed_point_equations_residual,
-    iterate,
     linear_map_system,
     map_by_name,
     reversibility_encloses_identity,

@@ -1,10 +1,12 @@
 """The bundled proof campaign for the shipped 4-d reversible map.
 
 Builds the concrete h-sets around the two hyperbolic fixed points, verifies
-the six base covering relations, closes the covering graph under the
+the six covering relations of RELATIONS, closes the covering graph under the
 reversing symmetry, certifies the fixed-space disks, and derives the
 symbolic-dynamics conclusions (full two-shift for the 7th iterate, and an
-infinite family of symmetric periodic orbits).
+infinite family of symmetric periodic orbits). RELATIONS is the one list of
+the campaign's relations: the reversed relations, the N2 -> N1 block and the
+graph rebuilt from a saved report all come from it by symmetric_closure.
 """
 
 from __future__ import annotations
@@ -86,15 +88,16 @@ INSTANCE_DATA = {
     },
 }
 
-# degrees the campaign certifies, in campaign order
-EXPECTED_DEGREES = {
-    ("N1", "N1"): 1,
-    ("N2", "N2"): -1,
-    ("N1", "H1"): 1,
-    ("H1", "H2"): -1,
-    ("H2", "H3"): -1,
-    ("H3", "N2"): -1,
-}
+# the relations the campaign certifies, in campaign order, as
+# (source, target, iterates, expected degree w)
+RELATIONS = (
+    ("N1", "N1", 1, 1),
+    ("N2", "N2", 1, -1),
+    ("N1", "H1", 1, 1),
+    ("H1", "H2", 4, -1),
+    ("H2", "H3", 1, -1),
+    ("H3", "N2", 1, -1),
+)
 
 
 def _vec(strings) -> np.ndarray:
@@ -328,33 +331,37 @@ def fix_disk_check(S: LinearReversor, N: HSet) -> DiskCheck:
     return DiskCheck(True, "diagonal disk lies in the reversor's fixed space")
 
 
-# the four 7-step transition blocks between the symmetric anchor sets
+# three of the four 7-step transition blocks between the symmetric anchor
+# sets; block_transitions derives N2 -> N1 from N1 -> N2
 _BLOCKS = {
     ("N1", "N1"): [("N1", "N1", 1)] * 7,
     ("N2", "N2"): [("N2", "N2", 1)] * 7,
     ("N1", "N2"): [("N1", "H1", 1), ("H1", "H2", 4), ("H2", "H3", 1), ("H3", "N2", 1)],
-    ("N2", "N1"): [
-        ("N2", canonical_sym_name("H3"), 1),
-        (canonical_sym_name("H3"), canonical_sym_name("H2"), 1),
-        (canonical_sym_name("H2"), canonical_sym_name("H1"), 4),
-        (canonical_sym_name("H1"), "N1", 1),
-    ],
 }
+
+
+def _reversed_block(graph: CoveringGraph, chain: list) -> Optional[list]:
+    """The symmetric image of a block: the chain walked backwards, each step
+    (a, b) replaced by the graph edge symmetric_closure derived from it;
+    None if one of those edges is missing."""
+    derived = {(e.derived_from, e.iters): e for e in graph.edges if e.derived_from}
+    edges = [derived.get(((a, b), k)) for a, b, k in reversed(chain)]
+    if any(e is None for e in edges):
+        return None
+    return [(e.source, e.target, e.iters) for e in edges]
 
 
 def block_transitions(graph: CoveringGraph) -> dict:
     """Availability of the four 7-step blocks over {N1, N2}; each block is a
-    chain of verified graph edges whose iteration counts sum to 7."""
-    out = {}
-    for pair, chain in _BLOCKS.items():
-        ok = True
-        for src, dst, iters in chain:
-            if not any(e.iters == iters for e in graph.usable_edges(src, dst)):
-                ok = False
-                break
-        assert sum(c[2] for c in chain) == 7
-        out[pair] = ok
-    return out
+    chain of verified graph edges whose iteration counts sum to 7, and
+    N2 -> N1 is the symmetric image of N1 -> N2."""
+    chains = {**_BLOCKS, ("N2", "N1"): _reversed_block(graph, _BLOCKS[("N1", "N2")])}
+    return {
+        pair: chain is not None and all(
+            any(e.iters == iters for e in graph.usable_edges(src, dst))
+            for src, dst, iters in chain)
+        for pair, chain in chains.items()
+    }
 
 
 def enumerate_words(graph: CoveringGraph, alphabet=("N1", "N2"), length: int = 3) -> list[tuple]:
@@ -462,12 +469,12 @@ class CampaignConfig:
     centered (mean value) evaluation; `plain` restores stepwise composition
     everywhere, which reproduces the original grid-method cost profile."""
 
-    resolution: int = 2
-    max_depth: int = 40
-    threads: int = 1
-    budget: int = 20_000_000
+    resolution: int = VerifyConfig.resolution
+    max_depth: int = VerifyConfig.max_depth
+    threads: int = VerifyConfig.threads
+    budget: int = VerifyConfig.budget
     plain: bool = False
-    fixed_grid: bool = False
+    fixed_grid: bool = VerifyConfig.fixed_grid
     enumerate_upto: int = 8
 
     def __post_init__(self):
@@ -491,10 +498,6 @@ REFERENCE_COST = {
     "note": "previously reported cost of the fixed-grid computation of these "
             "relations; adaptive counts differ by orders of magnitude",
 }
-
-_CHAIN = [("N1", "N1", 1), ("N2", "N2", 1),
-          ("N1", "H1", 1), ("H1", "H2", 4), ("H2", "H3", 1), ("H3", "N2", 1)]
-
 
 @dataclass
 class ProofReport:
@@ -539,22 +542,18 @@ class ProofReport:
 
 
 def graph_from_report(report: ProofReport) -> CoveringGraph:
-    """Rebuild the edge structure (names only) from a saved report, for word
-    enumeration without re-verification."""
+    """Rebuild the covering graph (names only) from a saved report's
+    relations, for word enumeration without re-verification. The derived
+    edges are recomputed by symmetric_closure; the report's own
+    `derived_edges` field is not read."""
     data = build_proof_data()
     g = CoveringGraph()
-    for name, h in data.hsets.items():
+    for h in data.hsets.values():
         g.add_node(h)
-    for name in ("H1", "H2", "H3"):
-        g.add_node(sym_image(data.reversor, data.hsets[name]))
     for r in report.report["relations"]:
         g.add_edge(Edge(r["source"], r["target"], r["map"], r["iters"],
                         r["direction"], r["w"], r["status"]))
-    for r in report.report["derived_edges"]:
-        g.add_edge(Edge(r["source"], r["target"], r["map"], r["iters"],
-                        r["direction"], r["w"], r["status"],
-                        derived_from=tuple(r.get("derived_from", ())) or None))
-    return g
+    return symmetric_closure(g, data.reversor)
 
 
 def run_campaign(cfg: Optional[CampaignConfig] = None) -> tuple[ProofReport, CoveringGraph]:
@@ -574,13 +573,12 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> tuple[ProofReport, Cov
         graph.add_node(h)
 
     certs = []
-    for src, dst, k in _CHAIN:
+    for src, dst, k, _ in RELATIONS:
         cert = verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
         certs.append(cert)
         graph.add_certificate(cert, data.hset(src), data.hset(dst))
-    degrees_match = all(
-        c.status == VERIFIED and c.w == EXPECTED_DEGREES[(c.source, c.target)] for c in certs
-    )
+    degrees_match = all(c.status == VERIFIED and c.w == w
+                        for c, (*_, w) in zip(certs, RELATIONS))
 
     symmetric_closure(graph, S)
 
@@ -642,7 +640,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> tuple[ProofReport, Cov
             "disjoint": disjoint,
             "fix_disks": {k: {"ok": v.ok, "detail": v.detail} for k, v in disks.items()},
             "relations": [c.to_dict() for c in certs],
-            "degrees_expected": {f"{a}->{b}": w for (a, b), w in EXPECTED_DEGREES.items()},
+            "degrees_expected": {f"{a}->{b}": w for a, b, _, w in RELATIONS},
             "degrees_match": degrees_match,
             "derived_edges": [e.to_dict() for e in derived],
             "backcover_crosscheck": crosscheck,

@@ -40,35 +40,39 @@ _STATUS_EXIT = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 
 def _default_threads() -> int:
     try:
-        return max(1, int(os.environ.get("REVCOVER_THREADS", "1")))
+        return max(1, int(os.environ.get("REVCOVER_THREADS", VerifyConfig.threads)))
     except ValueError:
-        return 1
+        return VerifyConfig.threads
 
 
-def _resolve_hset(token: str) -> HSet:
-    """A builtin name (N1, H2, S^T*H3, ...) or a path to an h-set JSON file."""
-    if os.path.exists(token):
-        return load_hset(token)
-    data = build_proof_data()
-    name = token
-    symmetric = name.startswith("S^T*")
-    if symmetric:
-        name = name[len("S^T*"):]
-    if name in data.hsets:
+def _resolve_hsets(tokens) -> list[HSet]:
+    """Builtin names (N1, H2, S^T*H3, ...) or paths to h-set JSON files. The
+    builtin instance is built at most once, when a name needs it."""
+    data = None
+    out = []
+    for token in tokens:
+        if os.path.exists(token):
+            out.append(load_hset(token))
+            continue
+        data = data or build_proof_data()
+        name = token.removeprefix("S^T*")
+        if name not in data.hsets:
+            raise DomainError(f"unknown h-set {token!r}: not a file and not a builtin name")
         h = data.hsets[name]
-        return sym_image(data.reversor, h) if symmetric else h
-    raise DomainError(f"unknown h-set {token!r}: not a file and not a builtin name")
+        out.append(h if name == token else sym_image(data.reversor, h))
+    return out
 
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=int, default=2,
+    p.add_argument("--resolution", type=int, default=VerifyConfig.resolution,
                    help="initial subdivisions per free facet coordinate")
-    p.add_argument("--max-depth", type=int, default=40, help="bisection depth cap")
+    p.add_argument("--max-depth", type=int, default=VerifyConfig.max_depth,
+                   help="bisection depth cap")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="worker processes (REVCOVER_THREADS sets the default)")
-    p.add_argument("--budget", type=int, default=20_000_000,
+    p.add_argument("--budget", type=int, default=VerifyConfig.budget,
                    help="box budget per check (exit and entry each)")
-    p.add_argument("--fixed-grid", action="store_true",
+    p.add_argument("--fixed-grid", action="store_true", default=VerifyConfig.fixed_grid,
                    help="uniform grid only, no adaptive bisection")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
     p.add_argument("--plot", type=Path, default=None,
@@ -112,8 +116,7 @@ def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> No
 
 def _cmd_verify(args) -> int:
     try:
-        src = _resolve_hset(getattr(args, "from"))
-        dst = _resolve_hset(args.to)
+        src, dst = _resolve_hsets((getattr(args, "from"), args.to))
         mapsys = map_by_name(args.map)
         cfg = VerifyConfig(
             resolution=args.resolution,
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--map", default="F", help="map name (default F)")
     v.add_argument("--iters", type=int, default=1, help="iterate count k")
     v.add_argument("--back", action="store_true", help="verify a backcovering instead")
-    v.add_argument("--mean-value", action="store_true",
+    v.add_argument("--mean-value", action="store_true", default=VerifyConfig.mean_value,
                    help="centered-form cell evaluation (default: plain composition)")
     _add_verify_flags(v)
     v.set_defaults(func=_cmd_verify)
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the bundled end-to-end proof campaign")
     p.add_argument("--plain", action="store_true",
                    help="plain stepwise evaluation (grid-method cost profile)")
-    p.add_argument("--enumerate-upto", type=int, default=8,
+    p.add_argument("--enumerate-upto", type=int, default=CampaignConfig.enumerate_upto,
                    help="tabulate word counts up to this length")
     _add_verify_flags(p)
     p.set_defaults(func=_cmd_prove_paper)

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem, OrbitSegment, iterate, map_from_spec
+from .dynamics import MapSystem, map_from_spec
 from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
@@ -123,11 +123,10 @@ class CheckResult:
 @dataclass
 class DegreeData:
     """Unstable block of the chart derivative at the source center, its
-    certified determinant sign, and the center orbit it was built from."""
+    certified determinant sign, and the whole chart derivative."""
 
     A: IMatrix
     w: int
-    center_orbit: OrbitSegment
     chart_derivative: IMatrix
 
 
@@ -195,22 +194,32 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
 
     The derivative of c_M o map^k o c_N^{-1} at chart zero is the interval
     chain product inv(M_M) . Dmap(z_{k-1}) ... Dmap(z_0) . M_N along the
-    center orbit; the degree is the determinant sign of its u x u block.
+    interval orbit z_0 .. z_{k-1} of the source center, which is walked and
+    not kept; the degree is the determinant sign of its u x u block. An
+    orbit that leaves the representable range raises DomainError.
     """
     if N.u != M.u or N.s != M.s:
         raise DomainError("covering requires matching unstable/stable dimensions")
-    orbit = iterate(mapsys, k, IBox.point(N.center), with_jacobians=True)
-    if orbit.blowup_at is not None:
-        raise DomainError(f"center orbit left the representable range at step {orbit.blowup_at}")
-    chain = orbit.derivative_product()
+    if k < 1:
+        raise ValueError("compute_degree needs k >= 1")
+    z = IBox.point(N.center)
+    chain = None
+    # overflow to infinite bounds is sound and handled, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, k + 1):
+            J = mapsys.jac_box(z)
+            chain = J if chain is None else imat_mul(J, chain)
+            lo, hi = mapsys.eval_batch(z.lo[None, :], z.hi[None, :])
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise DomainError(f"center orbit left the representable range at step {step}")
+            z = IBox(lo[0], hi[0])
     dfc0 = imat_mul(imat_mul(M.inv_matrix, chain), IMatrix.from_point(N.matrix))
     u = N.u
     if u == 0:
         # no unstable directions: the linear model is trivial and w = +1
-        return DegreeData(IMatrix(np.zeros((0, 0)), np.zeros((0, 0))), 1, orbit, dfc0)
+        return DegreeData(IMatrix(np.zeros((0, 0)), np.zeros((0, 0))), 1, dfc0)
     A = IMatrix(dfc0.lo[:u, :u], dfc0.hi[:u, :u])
-    w = det_sign(A)
-    return DegreeData(A, w, orbit, dfc0)
+    return DegreeData(A, det_sign(A), dfc0)
 
 
 class _CellEngine:
@@ -326,6 +335,9 @@ def _cell_record(root, depth, lo, hi, which):
 
 _ACTIVE, _REFUTED, _EXHAUSTED = 0, 1, 2
 
+# the per-root arrays of a _Refinement, which a worker returns for its shard
+_PER_ROOT = ("boxes", "depth", "status", "cell_depth", "cell_lo", "cell_hi")
+
 # A part holding more cells than this is split before it is evaluated. The
 # split decides the statistics of a failing root whose level outgrows it, so
 # it is a constant and not cfg.batch_size: statistics then do not depend on
@@ -361,10 +373,14 @@ class _Refinement:
         self.allowance = allowance
         self.max_depth = max_depth
         self.batch_size = batch_size
+        dim = engine.src_matrix.shape[1]
         self.boxes = np.zeros(n_roots, dtype=np.int64)
         self.depth = np.zeros(n_roots, dtype=np.int64)
         self.status = np.zeros(n_roots, dtype=np.int8)
-        self.worst: dict[int, dict] = {}
+        # the cell that retired each root, and its depth
+        self.cell_depth = np.zeros(n_roots, dtype=np.int64)
+        self.cell_lo = np.zeros((n_roots, dim))
+        self.cell_hi = np.zeros((n_roots, dim))
 
     def run(self, lo, hi, root, depth, workers=1):
         """Refine a part to completion. With workers > 1, a part of several
@@ -442,8 +458,9 @@ class _Refinement:
         root's first such cell."""
         rids, first = np.unique(root[idx], return_index=True)
         self.status[rids] = status
-        for rid, i in zip(rids, idx[first]):
-            self.worst[int(rid)] = _cell_record(rid, depth, lo[i], hi[i], self.engine.which)
+        self.cell_depth[rids] = depth
+        self.cell_lo[rids] = lo[idx[first]]
+        self.cell_hi[rids] = hi[idx[first]]
 
     def _shard(self, pool, workers, lo, hi, root, depth):
         """Finishes a part in worker processes, split by root into up to
@@ -462,11 +479,9 @@ class _Refinement:
                 "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],
                 "part": (lo[mine], hi[mine], root[mine], depth),
             })
-        for shard, boxes, maxd, status, worst in pool.map(_worker_refine, payloads):
-            self.boxes[shard] = boxes
-            self.depth[shard] = maxd
-            self.status[shard] = status
-            self.worst.update(worst)
+        for shard, per_root in pool.map(_worker_refine, payloads):
+            for name, values in zip(_PER_ROOT, per_root):
+                getattr(self, name)[shard] = values
 
 
 def _worker_refine(payload: dict) -> tuple:
@@ -478,7 +493,7 @@ def _worker_refine(payload: dict) -> tuple:
     ref.boxes[shard] = payload["boxes"]
     ref.depth[shard] = payload["depth"]
     ref.run(*payload["part"])
-    return shard, ref.boxes[shard], ref.depth[shard], ref.status[shard], ref.worst
+    return shard, [getattr(ref, name)[shard] for name in _PER_ROOT]
 
 
 def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
@@ -506,13 +521,13 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
         exhausted_subtrees=int(np.count_nonzero(ref.status == _EXHAUSTED)),
         wall_time=time.perf_counter() - t0,
     )
-    verdict, worst = VERIFIED, None
-    for status, name in ((_REFUTED, REFUTED), (_EXHAUSTED, INCONCLUSIVE)):
+    for status, verdict in ((_REFUTED, REFUTED), (_EXHAUSTED, INCONCLUSIVE)):
         decided = np.flatnonzero(ref.status == status)
         if decided.size:
-            verdict, worst = name, ref.worst[int(decided[0])]
-            break
-    return CheckResult(verdict, stats, worst)
+            r = decided[0]
+            return CheckResult(verdict, stats, _cell_record(
+                r, ref.cell_depth[r], ref.cell_lo[r], ref.cell_hi[r], which))
+    return CheckResult(VERIFIED, stats)
 
 
 def check_exit_condition(N: HSet, mapsys: MapSystem, k: int, M: HSet,
@@ -590,16 +605,8 @@ def verify_backcover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     covering of the transposed targets under the inverse map."""
     inv = mapsys.require_inverse()
     inner = verify_cover(transpose(M), inv, k, transpose(N), cfg)
-    cert = CoveringCertificate(
-        source=N.name, target=M.name, map_name=mapsys.name, iters=k,
-        direction="back", w=inner.w, status=inner.status,
-        boxes=inner.boxes, max_depth=inner.max_depth, wall_time=inner.wall_time,
-        checks=inner.checks, config=inner.config, failure=inner.failure,
+    return replace(
+        inner, source=N.name, target=M.name, map_name=mapsys.name, direction="back",
+        checks={**inner.checks, "transposed_equivalent": {
+            "source": inner.source, "target": inner.target, "map": inv.name}},
     )
-    cert.checks = dict(inner.checks)
-    cert.checks["transposed_equivalent"] = {
-        "source": inner.source,
-        "target": inner.target,
-        "map": inv.name,
-    }
-    return cert

@@ -9,6 +9,10 @@ with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
 F^{-1} = S o F o S, so F is written once (float point, vectorized batch over
 (B, n) lo/hi arrays, and batch Jacobian) and its inverse is derived from it.
+
+This module evaluates maps and keeps no orbits: the covering checks walk
+their own, the degree computation along the source center and the cell
+kernels along batches of chart cells.
 """
 
 from __future__ import annotations
@@ -241,61 +245,6 @@ def map_from_spec(spec: tuple) -> MapSystem:
     if spec[0] == "linear":
         return linear_map_system(spec[1], spec[2])
     return map_by_name(spec[0])
-
-
-@dataclass
-class OrbitSegment:
-    """Stepwise interval orbit x0 .. xk with optional per-step Jacobians.
-
-    blowup_at records the first step whose enclosure left the representable
-    range; verification treats such cells as failures rather than aborting.
-    """
-
-    map_name: str
-    boxes: list  # IBox, length k+1 (shorter when a blowup truncates it)
-    jacobians: Optional[list] = None  # IMatrix per executed step
-    blowup_at: Optional[int] = None
-
-    @property
-    def k(self) -> int:
-        return len(self.boxes) - 1
-
-    def final(self) -> IBox:
-        return self.boxes[-1]
-
-    def derivative_product(self) -> IMatrix:
-        """Chain-rule enclosure of D(map^k) along the stored orbit."""
-        if not self.jacobians:
-            raise ValueError("orbit was computed without Jacobians")
-        from .interval import imat_mul
-
-        acc = self.jacobians[0]
-        for j in self.jacobians[1:]:
-            acc = imat_mul(j, acc)
-        return acc
-
-
-def iterate(mapsys: MapSystem, k: int, z, with_jacobians: bool = False) -> OrbitSegment:
-    """k-fold stepwise interval composition, keeping every intermediate box."""
-    if k < 1:
-        raise ValueError("iterate needs k >= 1")
-    box = z if isinstance(z, IBox) else IBox.point(z)
-    boxes = [box]
-    jacs = [] if with_jacobians else None
-    blowup = None
-    # overflow to infinite bounds is sound and handled, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(k):
-            if with_jacobians:
-                jacs.append(mapsys.jac_box(box))
-            nxt = mapsys.eval_batch(box.lo[None, :], box.hi[None, :])
-            lo, hi = nxt[0][0], nxt[1][0]
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                blowup = step + 1
-                break
-            box = IBox(lo, hi)
-            boxes.append(box)
-    return OrbitSegment(mapsys.name, boxes, jacs, blowup)
 
 
 def reversibility_residual(mapsys: MapSystem, z) -> float:

@@ -46,6 +46,21 @@ def encloses(lo, hi, exact):
     return True
 
 
+def exact_inverse(A):
+    """The inverse of a float matrix in exact rational arithmetic."""
+    n = len(A)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A.tolist())]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
 @pytest.fixture(scope="session")
 def data():
     return build_proof_data()

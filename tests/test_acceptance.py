@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from revcover.campaign import (
+    RELATIONS,
     CampaignConfig,
     automaton_is_admissible,
     automaton_words,
@@ -45,7 +46,7 @@ def test_criterion_1_full_campaign(campaign):
     ok = (
         report.exit_code == 0
         and statuses == [VERIFIED] * 6
-        and degrees == [1, -1, 1, -1, -1, -1]
+        and degrees == [w for *_, w in RELATIONS]
         and r["st_symmetric"] == {"N1": True, "N2": True}
         and r["disjoint"]["N1,N2"] is True
         and all(v["ok"] for v in r["fix_disks"].values())

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from revcover.campaign import (
+    _BLOCKS,
+    RELATIONS,
     CampaignConfig,
     ConfigError,
     CoveringGraph,
@@ -65,23 +67,28 @@ def test_q1_disambiguation_failure_raises():
 
 # --- lemma relations, as certified by the campaign ---
 
-def _relations(campaign, pairs):
+def _assert_certified(campaign, relations):
+    """Each (source, target, k, w) is in the report, verified with k and w."""
     report, _ = campaign
     by_pair = {(r["source"], r["target"]): r for r in report.report["relations"]}
-    return [by_pair[p] for p in pairs]
+    for a, b, k, w in relations:
+        r = by_pair[(a, b)]
+        assert (r["status"], r["iters"], r["w"]) == (VERIFIED, k, w)
 
 
 def test_lemma_self_coverings(campaign):
-    certs = _relations(campaign, [("N1", "N1"), ("N2", "N2")])
-    assert [c["status"] for c in certs] == [VERIFIED, VERIFIED]
-    assert [c["w"] for c in certs] == [1, -1]
+    self_coverings = [rel for rel in RELATIONS if rel[0] == rel[1]]
+    assert [rel[0] for rel in self_coverings] == ["N1", "N2"]
+    _assert_certified(campaign, self_coverings)
 
 
 def test_lemma_connecting_chain(campaign):
-    certs = _relations(campaign, [("N1", "H1"), ("H1", "H2"), ("H2", "H3"), ("H3", "N2")])
-    assert all(c["status"] == VERIFIED for c in certs)
-    assert [c["w"] for c in certs] == [1, -1, -1, -1]
-    assert [c["iters"] for c in certs] == [1, 4, 1, 1]
+    """The N1 -> N2 block is a chain of certified relations of the table."""
+    degree = {(a, b, k): w for a, b, k, w in RELATIONS}
+    chain = _BLOCKS[("N1", "N2")]
+    assert chain[0][0] == "N1" and chain[-1][1] == "N2"
+    assert all(step[1] == nxt[0] for step, nxt in zip(chain, chain[1:]))
+    _assert_certified(campaign, [(a, b, k, degree[(a, b, k)]) for a, b, k in chain])
 
 
 def test_self_covering_robust_to_small_shrink(data):
@@ -146,6 +153,7 @@ def test_blocks_all_available(campaign):
     _, graph = campaign
     blocks = block_transitions(graph)
     assert all(blocks.values()) and len(blocks) == 4
+    assert all(sum(k for *_, k in chain) == 7 for chain in _BLOCKS.values())
 
 
 def test_word_counts_are_full_shift(campaign):
@@ -235,9 +243,9 @@ def test_report_content_and_exit_code(campaign):
     report, _ = campaign
     r = report.report
     assert report.exit_code == 0
-    assert len(r["relations"]) == 6
+    assert [(rel["source"], rel["target"], rel["iters"], rel["w"])
+            for rel in r["relations"]] == list(RELATIONS)
     assert all(rel["status"] == VERIFIED for rel in r["relations"])
-    assert [rel["w"] for rel in r["relations"]] == [1, -1, 1, -1, -1, -1]
     assert r["degrees_match"] is True
     assert r["st_symmetric"] == {"N1": True, "N2": True}
     assert r["disjoint"] == {"N1,N2": True}
@@ -277,12 +285,25 @@ def test_report_deterministic_across_runs_and_threads(campaign):
 
 
 def test_report_save_load_and_graph_rebuild(campaign, tmp_path):
+    """The graph rebuilt from a saved report is the campaign's, edge for
+    edge: its derived edges come from the relations by symmetric closure, so
+    a report whose derived_edges are emptied or carry a bogus entry rebuilds
+    the same graph."""
     report, graph = campaign
     path = tmp_path / "report.json"
     report.save(path)
     loaded = ProofReport.load(path)
     assert _strip_volatile(loaded.report) == _strip_volatile(report.report)
-    rebuilt = graph_from_report(loaded)
-    assert sorted(rebuilt.nodes) == sorted(graph.nodes)
-    for L in (1, 4, 7):
-        assert len(enumerate_words(rebuilt, ("N1", "N2"), L)) == 2**L
+    emptied, bogus = ProofReport.load(path), ProofReport.load(path)
+    emptied.report["derived_edges"] = []
+    bogus.report["derived_edges"].append(
+        {"source": "N1", "target": "N2", "map": "F-quadratic-4d", "iters": 1,
+         "direction": "back", "w": 1, "status": VERIFIED, "derived_from": ["N2", "N1"]})
+    for saved in (loaded, emptied, bogus):
+        rebuilt = graph_from_report(saved)
+        assert list(rebuilt.nodes) == list(graph.nodes)
+        assert [e.to_dict() for e in rebuilt.edges] == [e.to_dict() for e in graph.edges]
+        for L in (1, 4, 7):
+            assert len(enumerate_words(rebuilt, ("N1", "N2"), L)) == 2**L
+        with pytest.raises(InadmissibleWordError, match="no verified relation"):
+            emit_symmetric_orbit_certificate(rebuilt, ("N1", "N2"), build_proof_data().reversor)

@@ -1,10 +1,14 @@
 """Exit codes and report files of the command line front end."""
 
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
-from revcover.cli import main
+from revcover import cli
+from revcover.campaign import CampaignConfig
+from revcover.cli import build_parser, main
+from revcover.covering import VerifyConfig
 from revcover.hset import save_hset
 
 
@@ -45,6 +49,32 @@ def test_invalid_config_exit_3(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
+
+
+def test_parser_defaults_are_verify_config_defaults(monkeypatch):
+    """verify and prove-paper default to VerifyConfig's settings, and
+    prove-paper's parsed defaults give CampaignConfig(), whose cell checks
+    are VerifyConfig's with the centered form."""
+    monkeypatch.delenv("REVCOVER_THREADS", raising=False)
+    parser = build_parser()
+    defaults = asdict(VerifyConfig())
+    v = vars(parser.parse_args(["verify", "--from", "N1", "--to", "N1"]))
+    p = vars(parser.parse_args(["prove-paper"]))
+    shared = ("resolution", "max_depth", "threads", "budget", "fixed_grid")
+    assert {k: v[k] for k in (*shared, "mean_value")} == {
+        k: defaults[k] for k in (*shared, "mean_value")}
+    assert {k: p[k] for k in shared} == {k: defaults[k] for k in shared}
+    campaign = CampaignConfig(**{k: p[k] for k in (*shared, "plain", "enumerate_upto")})
+    assert campaign == CampaignConfig()
+    assert campaign.verify_config() == replace(VerifyConfig(), mean_value=True)
+
+
+def test_verify_builds_the_instance_once(monkeypatch):
+    built = []
+    real = cli.build_proof_data
+    monkeypatch.setattr(cli, "build_proof_data", lambda: built.append(1) or real())
+    assert main(["verify", "--from", "N1", "--to", "S^T*N1", "--mean-value"]) == 0
+    assert len(built) == 1
 
 
 def test_verify_hset_file_and_report(tmp_path, data):

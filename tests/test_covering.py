@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from revcover import covering
-from revcover.campaign import CampaignConfig
+from revcover.campaign import RELATIONS, CampaignConfig
 from revcover.covering import (
     INCONCLUSIVE,
     REFUTED,
@@ -25,7 +25,7 @@ from revcover.dynamics import linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image
 from revcover.interval import DomainError
 
-from conftest import encloses, float_sweep
+from conftest import encloses, exact_inverse, float_sweep
 from test_dynamics import _exact_F
 
 MV = VerifyConfig(mean_value=True)
@@ -60,11 +60,8 @@ def test_degree_requires_matching_dims():
 
 
 def test_instance_degrees(data):
-    F = data.mapsys
-    expected = {("N1", "N1", 1): 1, ("N2", "N2", 1): -1, ("N1", "H1", 1): 1,
-                ("H1", "H2", 4): -1, ("H2", "H3", 1): -1, ("H3", "N2", 1): -1}
-    for (a, b, k), w in expected.items():
-        assert compute_degree(data.hset(a), F, k, data.hset(b)).w == w
+    for a, b, k, w in RELATIONS:
+        assert compute_degree(data.hset(a), data.mapsys, k, data.hset(b)).w == w
 
 
 # --- exit / entry checks on toys ---
@@ -232,21 +229,6 @@ def test_passing_cell_children_pass(data):
         assert cpassed.all()
 
 
-def _exact_inverse(A):
-    """The inverse of a float matrix in exact rational arithmetic."""
-    n = len(A)
-    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A.tolist())]
-    for c in range(n):
-        p = next(r for r in range(c, n) if rows[r][c] != 0)
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c] != 0:
-                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
-    return [row[n:] for row in rows]
-
-
 def _exact_affine(A, x, b):
     """A x + b, exactly, for entries that are floats or Fractions."""
     return [sum(Fraction(a) * Fraction(v) for a, v in zip(row, x)) + Fraction(c)
@@ -275,7 +257,7 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
     pick = rng.choice(len(lo), size=24, replace=False)
     lo, hi = lo[pick], hi[pick]
     images = [e._chart_image(lo, hi) for e in engines]
-    inv = _exact_inverse(M.matrix)
+    inv = exact_inverse(M.matrix)
     corners = np.array(list(itertools.product((False, True), repeat=N.dim)))
     for i in range(len(lo)):
         inner = lo[i] + rng.uniform(size=(4, N.dim)) * (hi[i] - lo[i])
@@ -400,9 +382,15 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
         N = toy_hset(2, 1)
         args = (N, linear_map_system(np.eye(2)), 1, N)
         base, expected = VerifyConfig(budget=100_000), INCONCLUSIVE
+        failing_check, worst_cell = "exit", {
+            "root": 0, "depth": 22, "check": "exit",
+            "chart_lo": [-1.0, -0.416015625], "chart_hi": [-1.0, -0.4160153865814209]}
     else:
         args = (data.hset("H2"), data.mapsys, 2, data.hset("H3"))
         base, expected = VerifyConfig(mean_value=True, budget=5_000), REFUTED
+        failing_check, worst_cell = "entry", {
+            "root": 0, "depth": 2, "check": "entry",
+            "chart_lo": [-1.0, -0.5, -1.0, -1.0], "chart_hi": [-1.0, 0.0, -0.5, 0.0]}
     runs = []
     for threads in (1, 2, 3):  # 3 workers on fewer cores: still three processes
         for batch in (64, 8192):
@@ -410,6 +398,8 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
             runs.append((cert.status, cert.boxes, cert.max_depth, _check_stats(cert)))
     assert runs[0][0] == expected
     assert all(r == runs[0] for r in runs[1:])
+    # the reported cell of the first decided root, as recorded when it retired
+    assert runs[0][3][failing_check]["worst_cell"] == worst_cell
     for workers, shards in submitted:
         roots = np.concatenate(shards)
         assert workers in (2, 3)

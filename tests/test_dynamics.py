@@ -1,4 +1,4 @@
-"""Map evaluation, derivative, inverse, iterates and reversibility identities."""
+"""Map evaluation, derivative, inverse, orbits and reversibility identities."""
 
 import itertools
 from fractions import Fraction
@@ -12,7 +12,6 @@ from revcover.dynamics import (
     _reversor_inverse,
     f_point,
     fixed_point_equations_residual,
-    iterate,
     linear_map_system,
     map_by_name,
     map_from_spec,
@@ -20,10 +19,11 @@ from revcover.dynamics import (
     reversibility_residual,
     reversible_quadratic_map,
 )
-from revcover.hset import LinearReversor
+from revcover.covering import compute_degree
+from revcover.hset import HSet, LinearReversor
 from revcover.interval import DomainError, IBox
 
-from conftest import encloses
+from conftest import encloses, exact_inverse
 
 
 def _f_box(b: IBox) -> IBox:
@@ -121,20 +121,12 @@ def test_interval_jacobian_contains_members(rng):
             assert J.contains_matrix(F.jac_box(IBox.point(p)).mid())
 
 
-def test_iterate_matches_single_eval():
-    F = reversible_quadratic_map()
-    z = IBox.point([0.1, 0.2, -0.3, 0.4])
-    seg = iterate(F, 1, z)
-    one = F.eval_box(z)
-    assert np.array_equal(seg.final().lo, one.lo) and np.array_equal(seg.final().hi, one.hi)
-    assert seg.k == 1
-
-
 def test_q_point_orbit_constraints(data):
     F = data.mapsys
-    seg = iterate(F, 10, IBox.point(data.Q1))
-    mid = seg.final().mid()
-    assert np.max(np.abs(mid - data.P2)) < 0.001
+    box = IBox.point(data.Q1)
+    for _ in range(10):
+        box = F.eval_box(box)
+    assert np.max(np.abs(box.mid() - data.P2)) < 0.001
     back = F.inverse.eval_point(data.Q1)
     assert np.max(np.abs(back - data.P1)) < 0.006
     # the backward image lies in the support of the first anchor set
@@ -142,24 +134,29 @@ def test_q_point_orbit_constraints(data):
     assert np.all(w.lo >= -1.0) and np.all(w.hi <= 1.0)
 
 
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def test_orbit_derivative_product(data):
-    F = data.mapsys
-    seg = iterate(F, 4, IBox.point(data.Q1), with_jacobians=True)
-    prod = seg.derivative_product()
-    # float chain oracle
-    z = data.Q1.copy()
-    acc = np.eye(4)
+    """The chart derivative of H1 =(F^4)=> H2 encloses the exact chain
+    inv(M_H2) DF(z_3) ... DF(z_0) M_H1 along the exact orbit z_0 = Q1."""
+    N, M = data.hset("H1"), data.hset("H2")
+    D = compute_degree(N, data.mapsys, 4, M).chart_derivative
+    z = [Fraction(x) for x in N.center.tolist()]
+    acc = [[Fraction(v) for v in row] for row in N.matrix.tolist()]
     for _ in range(4):
-        acc = F.jac_box(IBox.point(z)).mid() @ acc
-        z = F.eval_point(z)
-    assert prod.contains_matrix(acc)
+        acc = _matmul(_exact_jacobian(z, False), acc)
+        z = _exact_F(*z)
+    exact = _matmul(exact_inverse(M.matrix), acc)
+    assert encloses(D.lo, D.hi, [v for row in exact for v in row])
 
 
 def test_enclosure_blowup_reported():
-    F = reversible_quadratic_map()
-    seg = iterate(F, 400, IBox.point([1e200, 0, 0, 0]))
-    assert seg.blowup_at is not None
-    assert len(seg.boxes) == seg.blowup_at
+    """A center orbit that overflows is a DomainError, not a degree."""
+    N = HSet("far", np.array([1e200, 0.0, 0.0, 0.0]), np.eye(4), 2, 2)
+    with pytest.raises(DomainError, match="left the representable range at step 1"):
+        compute_degree(N, reversible_quadratic_map(), 400, N)
 
 
 def test_reversibility_at_origin():
