@@ -541,12 +541,13 @@ class ProofReport:
             return ProofReport(json.load(fh))
 
 
-def graph_from_report(report: ProofReport) -> CoveringGraph:
+def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> CoveringGraph:
     """Rebuild the covering graph (names only) from a saved report's
     relations, for word enumeration without re-verification. The derived
     edges are recomputed by symmetric_closure; the report's own
-    `derived_edges` field is not read."""
-    data = build_proof_data()
+    `derived_edges` field is not read. `data` is the built instance
+    (build_proof_data() when omitted)."""
+    data = data or build_proof_data()
     g = CoveringGraph()
     for h in data.hsets.values():
         g.add_node(h)
@@ -556,12 +557,14 @@ def graph_from_report(report: ProofReport) -> CoveringGraph:
     return symmetric_closure(g, data.reversor)
 
 
-def run_campaign(cfg: Optional[CampaignConfig] = None) -> tuple[ProofReport, CoveringGraph]:
-    """Run the full certified campaign and assemble the report."""
+def run_campaign(cfg: Optional[CampaignConfig] = None,
+                 data: Optional[ProofData] = None) -> tuple[ProofReport, CoveringGraph]:
+    """Run the full certified campaign and assemble the report. `data` is
+    the built instance (build_proof_data() when omitted)."""
     cfg = cfg or CampaignConfig()
     vcfg = cfg.verify_config()
     t0 = time.perf_counter()
-    data = build_proof_data()
+    data = data or build_proof_data()
     S = data.reversor
 
     st_sym = {name: bool(st_symmetric_check(S, data.hset(name))) for name in ("N1", "N2")}

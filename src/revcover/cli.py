@@ -168,7 +168,8 @@ def _cmd_prove_paper(args) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    report, graph = run_campaign(cfg)
+    data = build_proof_data()
+    report, _ = run_campaign(cfg, data)
     r = report.report
     print(f"map: {r['map']}  evaluation: {r['config']['evaluation']}")
     print(f"Q1 interpretation: {r['q1_interpretation']['choice']}")
@@ -190,7 +191,6 @@ def _cmd_prove_paper(args) -> int:
         report.save(args.report)
         print(f"report written to {args.report}")
     if args.plot:
-        data = build_proof_data()
         _write_relation_clouds(args.plot, data.hset("H1"), data.mapsys, 4, data.hset("H2"))
         _write_relation_clouds(args.plot, data.hset("N1"), data.mapsys, 1, data.hset("N1"))
     return report.exit_code
@@ -206,15 +206,15 @@ def _cmd_enumerate(args) -> int:
                    "words": [list(w) for w in words], "count": len(words)}
         print(f"{len(words)} admissible automaton words of length {args.length}")
     else:
+        data = build_proof_data()
         try:
             if args.report_in:
-                graph = graph_from_report(ProofReport.load(args.report_in))
+                graph = graph_from_report(ProofReport.load(args.report_in), data)
             else:
-                _, graph = run_campaign(CampaignConfig(threads=args.threads))
+                _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
         except (OSError, KeyError, json.JSONDecodeError, DomainError) as e:
             print(f"error: no usable covering graph: {e}", file=sys.stderr)
             return 3
-        data = build_proof_data()
         words = enumerate_words(graph, ("N1", "N2"), args.length)
         payload = {"alphabet": ["N1", "N2"], "length": args.length,
                    "words": ["-".join(w) for w in words], "count": len(words)}

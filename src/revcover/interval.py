@@ -22,6 +22,19 @@ least `_BITSTEP_MIN` elements is rounded in place and returned, so every
 caller passes a temporary it made itself. The kernels build their candidates,
 min/max hulls and running sums in buffers of their own and round those; they
 never write into an argument, so callers may pass read-only arrays.
+
+Two batch kernels are in midpoint-radius form: `affine_batch` and
+`imat_vec_batch`, which multiply a thin matrix (the point chart matrix, the
+verified target inverse or the chart derivative, none more than a few ulps
+wide) by a batch of cells. For such a thin matrix a midpoint-radius product
+is as tight as the inf-sup one up to rounding, and it takes one `np.matmul`
+for the center and one or two for the radius instead of a min/max and a
+rounding per product. The kernels that multiply two wide intervals
+(`imatmul_batch` and `imatvec_cellwise`, which carry the mean-value Jacobian
+chain), `imat_vec`, `imat_mul` and the scalar operations stay in inf-sup
+form: there a midpoint-radius product can be up to 1.5 times wider, and
+with the chain kernels in that form H1⇒H2 (k = 4) took 938 boxes instead
+of 864.
 """
 
 from __future__ import annotations
@@ -395,11 +408,13 @@ class IMatrix:
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
 
 
-def _rounded_sum(terms, shape):
-    """Outward-rounded sum of interval terms (lo, hi), in order from an exact
-    zero, each partial sum added and rounded in the accumulator."""
-    acc_lo = np.zeros(shape)
-    acc_hi = np.zeros(shape)
+def _rounded_sum(terms):
+    """Outward-rounded sum of interval terms (lo, hi), in order: the first
+    term as it is, then each partial sum added and rounded in the
+    accumulator. The first term must have the result's shape; it is copied
+    unless it owns its buffer, so no argument of a kernel is written into."""
+    terms = iter(terms)
+    acc_lo, acc_hi = (t if t.flags.owndata else t.copy() for t in next(terms))
     for tlo, thi in terms:
         acc_lo += tlo
         acc_hi += thi
@@ -410,61 +425,156 @@ def _rounded_sum(terms, shape):
 
 def imat_vec(M: IMatrix, v: IBox) -> IBox:
     """Enclosure of {Ax : A in M, x in v}."""
-    n, m = M.shape
+    m = M.shape[1]
     if v.dim != m:
         raise DomainError("shape mismatch in imat_vec")
     return IBox(*_rounded_sum(
-        (imul(M.lo[:, j], M.hi[:, j], v.lo[j], v.hi[j]) for j in range(m)), n))
+        imul(M.lo[:, j], M.hi[:, j], v.lo[j], v.hi[j]) for j in range(m)))
 
 
 def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
     """Enclosure of the product of any member matrices."""
-    n, m = A.shape
-    m2, k = B.shape
-    if m != m2:
+    m = A.shape[1]
+    if m != B.shape[0]:
         raise DomainError("shape mismatch in imat_mul")
     return IMatrix(*_rounded_sum(
         (imul(A.lo[:, j][:, None], A.hi[:, j][:, None], B.lo[j, :][None, :], B.hi[j, :][None, :])
-         for j in range(m)), (n, k)))
+         for j in range(m))))
 
 
 # --- vectorized kernels over cell batches (arrays of shape (B, n)) ---
+#
+# affine_batch and imat_vec_batch multiply a thin matrix (a point matrix, or
+# a verified inverse whose entries are a few ulps wide) by a batch of cells,
+# in midpoint-radius form (S. M. Rump, "Fast and parallel interval
+# arithmetic", BIT 39 (1999)). With u = 2**-53 the unit roundoff, eta =
+# 2**-1074 the smallest subnormal and gamma_k = k*u / (1 - k*u) (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1), a
+# dot product of length k evaluated in floating point, in any order and
+# with or without fused multiply-adds, is off by at most
+# gamma_k * |a|.|b| + k*eta. An expression in nonnegative terms loses at
+# most a factor 1 - u to each rounded operation, and a rounded product at
+# most eta/2 more to underflow.
+
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+_ONE_PLUS_4U = 1.0 + 4 * _U
+
+
+def _mid_rad(lo, hi):
+    """Midpoint (rounded to nearest) and radius (rounded up) of [lo, hi], so
+    that [lo, hi] lies in [mid - rad, mid + rad]; a point has radius 0.
+
+    Where lo + hi overflows the midpoint is 0.5*lo + 0.5*hi. The differences
+    hi - mid and mid - lo are rounded to nearest: a subnormal difference is
+    exact and a normal one is off by at most u times itself, so scaling the
+    larger by 1 + 4u, with one more rounding, bounds both from above.
+    """
+    mid = lo + hi
+    mid *= 0.5
+    over = np.isinf(mid)
+    if over.any():
+        mid[over] = 0.5 * lo[over] + 0.5 * hi[over]
+    rad = np.maximum(hi - mid, mid - lo)
+    rad *= _ONE_PLUS_4U
+    return mid, rad
+
+
+def _midrad_constants(m):
+    """(gamma, kappa, floor) for dot products of length m: gamma is at least
+    gamma_(m+1) / (1 - u)**3, kappa at least (1 - u)**-(m + 6) and floor
+    covers every underflow term; all three are exact floats."""
+    return (m + 2) * 2 * _U, 1.0 + (m + 8) * 2 * _U, (4 * m + 8) * _ETA
+
+
+def _outward(c, r):
+    """[c - r, c + r] rounded outward, for a center c and a radius r >= 0 of
+    the caller's own (c is overwritten); [-inf, inf] where c is not finite
+    or r is NaN (an infinite radius times an exact zero)."""
+    bad = ~np.isfinite(c)
+    bad |= np.isnan(r)
+    if bad.any():
+        c[bad] = 0.0
+        r[bad] = _PINF
+    lo = _down(c - r)
+    c += r
+    return lo, _up(c)
+
 
 def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Enclosures of M @ v + x for each interval vector v in the batch."""
-    p1 = M[None, :, :] * lo[:, None, :]
-    p2 = M[None, :, :] * hi[:, None, :]
-    plo = _down(np.minimum(p1, p2))
-    phi = _up(np.maximum(p1, p2, out=p1))
-    acc_lo, acc_hi = _rounded_sum(
-        ((plo[:, :, j], phi[:, :, j]) for j in range(M.shape[1])), lo.shape)
-    acc_lo += x
-    acc_hi += x
-    return _down(acc_lo), _up(acc_hi)
+    """Enclosures of M @ v + x for each interval vector v in the batch, for a
+    point matrix M (n, m) and a point vector x (n,), in midpoint-radius form.
+
+    With (mid, rad) from _mid_rad, the center fl(mid @ M.T + x) is a dot
+    product of length m + 1 (the last term x * 1 is exact), so it is off by
+    at most gamma_(m+1) * (|mid| @ |M|.T + |x|) + m*eta. The exact image lies
+    within rad @ |M|.T of the exact center, so the radius is
+
+        r = (rad + gamma*|mid| + eta) @ |M|.T * kappa + gamma*|x| + floor,
+
+    evaluated in round-to-nearest: all its terms are nonnegative, so the
+    factor kappa covers the m + 5 roundings of the first term, eta the
+    underflow of gamma*|mid|, and floor every other underflow. Then
+    [c - r, c + r] is rounded outward once (_outward).
+    """
+    gamma, kappa, floor = _midrad_constants(M.shape[1])
+    mid, rad = _mid_rad(lo, hi)
+    c = mid @ M.T
+    c += x
+    t = np.abs(mid)
+    t *= gamma
+    t += _ETA
+    t += rad
+    r = t @ np.abs(M).T
+    r *= kappa
+    r += gamma * np.abs(x) + floor
+    return _outward(c, r)
 
 
 def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One fixed interval matrix applied to a batch of interval vectors."""
-    return _rounded_sum(
-        (imul(Ml[None, :, j], Mh[None, :, j], lo[:, j][:, None], hi[:, j][:, None])
-         for j in range(Ml.shape[1])), (lo.shape[0], Ml.shape[0]))
+    """One fixed interval matrix [Ml, Mh] (n, m) applied to a batch of
+    interval vectors, in midpoint-radius form.
+
+    With the matrix as Mc +- Mr and each cell as mid +- rad (_mid_rad), every
+    member product lies within |Mc| @ rad + Mr @ (|mid| + rad) of Mc @ mid.
+    The center fl(mid @ Mc.T) is off by at most
+    gamma_m * |mid| @ |Mc|.T + m*eta, so the radius is
+
+        r = ((rad + gamma*|mid| + eta) @ |Mc|.T
+             + (|mid| + rad) @ Mr.T) * kappa + floor,
+
+    evaluated in round-to-nearest and covered as in affine_batch (m + 4
+    roundings in the sum of the two products). Then [c - r, c + r] is
+    rounded outward once (_outward).
+    """
+    gamma, kappa, floor = _midrad_constants(Ml.shape[1])
+    Mc, Mr = _mid_rad(Ml, Mh)
+    mid, rad = _mid_rad(lo, hi)
+    c = mid @ Mc.T
+    a = np.abs(mid)
+    t = a * gamma
+    t += _ETA
+    t += rad
+    a += rad
+    r = t @ np.abs(Mc).T
+    r += a @ Mr.T
+    r *= kappa
+    r += floor
+    return _outward(c, r)
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):
     """Batched interval matrix product: (B,n,m) @ (B,m,k)."""
-    nb, n, m = Al.shape
     return _rounded_sum(
-        (imul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
-              Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :]) for j in range(m)),
-        (nb, n, Bl.shape[2]))
+        imul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
+             Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :]) for j in range(Al.shape[2]))
 
 
 def imatvec_cellwise(Al, Ah, lo, hi):
     """Batched interval matrix (B,n,m) applied to per-cell vectors (B,m)."""
-    nb, n, m = Al.shape
     return _rounded_sum(
-        (imul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None]) for j in range(m)),
-        (nb, n))
+        imul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
+        for j in range(Al.shape[2]))
 
 
 def _mignitude(lo: float, hi: float) -> float:

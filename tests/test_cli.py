@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from revcover import cli
+from revcover import campaign as campaign_module, cli
 from revcover.campaign import CampaignConfig
 from revcover.cli import build_parser, main
 from revcover.covering import VerifyConfig
@@ -74,6 +74,25 @@ def test_verify_builds_the_instance_once(monkeypatch):
     real = cli.build_proof_data
     monkeypatch.setattr(cli, "build_proof_data", lambda: built.append(1) or real())
     assert main(["verify", "--from", "N1", "--to", "S^T*N1", "--mean-value"]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--length", "3"],
+    ["enumerate", "--length", "3", "--report", "{report}", "--emit-word", "N1,H1,H2,H3,N2"],
+    ["prove-paper", "--plot", "{tmp}/clouds"],
+])
+def test_campaign_commands_build_the_instance_once(argv, tmp_path, monkeypatch, campaign):
+    """enumerate (from a campaign or a saved report) and prove-paper --plot
+    build the instance once and hand it on, counted across the CLI and the
+    campaign module."""
+    report = tmp_path / "report.json"
+    campaign[0].save(report)
+    built = []
+    real = campaign_module.build_proof_data
+    for module in (cli, campaign_module):
+        monkeypatch.setattr(module, "build_proof_data", lambda: built.append(1) or real())
+    assert main([a.format(report=report, tmp=tmp_path) for a in argv]) == 0
     assert len(built) == 1
 
 

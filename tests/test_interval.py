@@ -3,8 +3,9 @@
 The randomized checks follow one pattern: draw random intervals, draw member
 points, apply the exact float operation to the members, and require the
 result to lie inside the interval result. A single violation is a bug.
-The batch matrix kernels are checked against exact rational products, and
-the outward rounding bit for bit against np.nextafter.
+The batch matrix kernels are checked against exact rational products (the
+two midpoint-radius kernels also over hypothesis-drawn data), and the
+outward rounding bit for bit against np.nextafter.
 """
 
 import math
@@ -296,24 +297,119 @@ def test_batch_kernels_exact_oracle(rng):
             assert encloses(prod[0][b], prod[1][b], exact)
 
 
+# --- midpoint-radius kernels: exact oracle over hypothesis-drawn data ---
+
+def _exact_members(lo, hi):
+    """Exact member points of the interval array [lo, hi] as Fraction lists:
+    both corners, a mixed corner and the exact midpoint."""
+    lo = [Fraction(v) for v in np.ravel(lo).tolist()]
+    hi = [Fraction(v) for v in np.ravel(hi).tolist()]
+    mixed = [h if i % 2 else l for i, (l, h) in enumerate(zip(lo, hi))]
+    return [lo, hi, mixed, [(l + h) / 2 for l, h in zip(lo, hi)]]
+
+
+def _assert_midrad_enclose(M, x, Ml, Mh, lo, hi, aff, fixed):
+    """aff = affine_batch(M, x, lo, hi) and fixed = imat_vec_batch(Ml, Mh,
+    lo, hi) enclose the exact products of member points, and hold no NaN."""
+    assert not any(np.isnan(b).any() for b in (*aff, *fixed))
+    n, m = M.shape
+    Mq = [Fraction(v) for v in M.ravel().tolist()]
+    xq = [Fraction(v) for v in x.tolist()]
+    mats = _exact_members(Ml, Mh)
+    for b in range(len(lo)):
+        for v in _exact_members(lo[b], hi[b]):
+            exact = [sum(Mq[i * m + j] * v[j] for j in range(m)) + xq[i] for i in range(n)]
+            assert encloses(aff[0][b], aff[1][b], exact)
+            for A in mats:
+                exact = [sum(A[i * m + j] * v[j] for j in range(m)) for i in range(n)]
+                assert encloses(fixed[0][b], fixed[1][b], exact)
+
+
+# magnitudes from 1e-300 to 1e300, subnormals, the largest floats (whose sum
+# overflows) and the whole finite range as hypothesis draws it
+_entry = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, 3 * TINY, MAX, -MAX, 0.75 * MAX, -0.75 * MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _interval_arrays(draw, shape):
+    """Sorted finite endpoints: each entry a point, a narrow interval around
+    a drawn value, or the hull of two drawn values."""
+    size = int(np.prod(shape))
+    a, b = (np.array(draw(st.lists(_entry, min_size=size, max_size=size)), dtype=float)
+            for _ in range(2))
+    kind = np.array(draw(st.lists(st.sampled_from("pnw"), min_size=size, max_size=size)))
+    with np.errstate(over="ignore"):
+        near = a + np.abs(a) * 2.0 ** -30
+    b = np.where(kind == "p", a, np.where((kind == "n") & np.isfinite(near), near, b))
+    return np.minimum(a, b).reshape(shape), np.maximum(a, b).reshape(shape)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_midrad_kernels_enclose_exact_products(data):
+    """affine_batch and imat_vec_batch enclose the exact image of corner and
+    interior member points (exact Fraction arithmetic), with no NaN, over
+    cells and matrices whose entries span the float range: points,
+    subnormals, products that overflow and cells whose lo + hi overflows."""
+    nb, n, m = (data.draw(st.integers(1, k)) for k in (3, 4, 4))
+    lo, hi = data.draw(_interval_arrays((nb, m)))
+    M = data.draw(_interval_arrays((n, m)))[0]
+    x = data.draw(_interval_arrays((n,)))[1]
+    Ml, Mh = data.draw(_interval_arrays((n, m)))
+    # inf - inf in the center is expected: it comes out as [-inf, inf]
+    with np.errstate(over="ignore", invalid="ignore"):
+        aff = affine_batch(M, x, lo, hi)
+        fixed = imat_vec_batch(Ml, Mh, lo, hi)
+    _assert_midrad_enclose(M, x, Ml, Mh, lo, hi, aff, fixed)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_midrad_constants_meet_their_bounds(m):
+    """gamma >= gamma_(m+1) / (1 - u)**3, kappa >= (1 - u)**-(m + 6) and
+    floor >= (2m + 2) * eta, checked in exact arithmetic."""
+    gamma, kappa, floor = interval._midrad_constants(m)
+    u, eta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
+    assert Fraction(gamma) * (1 - u) ** 3 >= (m + 1) * u / (1 - (m + 1) * u)
+    assert Fraction(kappa) * (1 - u) ** (m + 6) >= 1
+    assert Fraction(floor) >= (2 * m + 2) * eta
+
+
+def test_midrad_kernels_examples():
+    """A point cell comes out a few ulps wide, a cell whose lo + hi
+    overflows keeps a finite enclosure, and a non-finite cell gives
+    [-inf, inf]."""
+    eye = np.eye(2)
+    v = np.array([[0.1, -3.0]])
+    for lo, hi in (affine_batch(eye, np.zeros(2), v, v), imat_vec_batch(eye, eye, v, v)):
+        assert np.all(lo <= v) and np.all(v <= hi)
+        assert np.all(hi - lo <= 16 * np.spacing(np.abs(v)))
+    lo, hi = np.array([[0.6 * MAX, -0.7 * MAX]]), np.array([[0.7 * MAX, -0.6 * MAX]])
+    with np.errstate(over="ignore"):
+        outs = (affine_batch(eye, np.zeros(2), lo, hi), imat_vec_batch(eye, eye, lo, hi))
+    for out in outs:
+        assert np.isfinite(out).all()
+        assert encloses(*out, [Fraction(v) for v in lo[0]])
+        assert encloses(*out, [Fraction(v) for v in hi[0]])
+    with np.errstate(invalid="ignore"):
+        lo, hi = imat_vec_batch(eye, eye, np.array([[-np.inf, 0.0]]), np.array([[np.inf, 0.0]]))
+    assert np.array_equal(lo, [[-np.inf] * 2]) and np.array_equal(hi, [[np.inf] * 2])
+
+
 # --- kernels round their own buffers, never their arguments ---
 
-def _nextafter_sum(terms, shape):
-    """Reference accumulation: each partial sum widened into a new array."""
-    acc_lo, acc_hi = np.zeros(shape), np.zeros(shape)
+def _nextafter_sum(terms):
+    """Reference accumulation: the first term as it is, then each partial sum
+    widened into a new array."""
+    terms = iter(terms)
+    acc_lo, acc_hi = next(terms)
     for tlo, thi in terms:
         acc_lo = np.nextafter(acc_lo + tlo, -np.inf)
         acc_hi = np.nextafter(acc_hi + thi, np.inf)
     return acc_lo, acc_hi
-
-
-def _ref_affine(M, x, lo, hi):
-    p1, p2 = M[None, :, :] * lo[:, None, :], M[None, :, :] * hi[:, None, :]
-    plo = np.nextafter(np.minimum(p1, p2), -np.inf)
-    phi = np.nextafter(np.maximum(p1, p2), np.inf)
-    slo, shi = _nextafter_sum(((plo[:, :, j], phi[:, :, j]) for j in range(M.shape[1])),
-                              lo.shape)
-    return np.nextafter(slo + x, -np.inf), np.nextafter(shi + x, np.inf)
 
 
 def _ref_mul(alo, ahi, blo, bhi):
@@ -327,17 +423,13 @@ REFERENCE = {
                                                np.nextafter(ahi - blo, np.inf)),
     imul: _ref_mul,
     idiv: lambda *args: _widen_each(operator.truediv, *args),
-    affine_batch: _ref_affine,
-    imat_vec_batch: lambda Ml, Mh, lo, hi: _nextafter_sum(
-        (_ref_mul(Ml[None, :, j], Mh[None, :, j], lo[:, j][:, None], hi[:, j][:, None])
-         for j in range(Ml.shape[1])), (len(lo), len(Ml))),
     imatmul_batch: lambda Al, Ah, Bl, Bh: _nextafter_sum(
-        (_ref_mul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
-                  Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :])
-         for j in range(Al.shape[2])), (len(Al), Al.shape[1], Bl.shape[2])),
+        _ref_mul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
+                 Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :])
+        for j in range(Al.shape[2])),
     imatvec_cellwise: lambda Al, Ah, lo, hi: _nextafter_sum(
-        (_ref_mul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
-         for j in range(Al.shape[2])), lo.shape),
+        _ref_mul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
+        for j in range(Al.shape[2])),
 }
 
 
@@ -351,9 +443,11 @@ def _read_only(*arrays):
 @pytest.mark.parametrize("nb", [CUT // 16 - 1, CUT // 16, CUT // 4 - 1, CUT // 4])
 def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
     """Every public kernel accepts read-only arguments (a write into one
-    raises) and returns the bits of the reference formulas, which round every
-    candidate and every partial sum into a new array with np.nextafter. The
-    (nb, 4) and (nb, 4, 4) arrays fall on both sides of _BITSTEP_MIN."""
+    raises). The inf-sup kernels return the bits of the reference formulas,
+    which round every candidate and every partial sum into a new array with
+    np.nextafter; the midpoint-radius kernels, whose bits no such formula
+    gives, enclose the exact products of member points. The (nb, 4) and
+    (nb, 4, 4) arrays fall on both sides of _BITSTEP_MIN."""
     n = 4
 
     def pairs(shape):
@@ -369,20 +463,31 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
                      for kernel in (interval.iadd, interval.isub, imul)]
             calls += [
                 (idiv, (alo[ok], ahi[ok], blo[ok], bhi[ok])),
-                (affine_batch, (Ml, Mh[0], alo, ahi)),
-                (imat_vec_batch, (Ml, Mh, alo, ahi)),
                 (imatmul_batch, (Al, Ah, Bl, Bh)),
                 (imatvec_cellwise, (Al, Ah, alo, ahi)),
             ]
             for kernel, args in calls:
                 for got, want in zip(kernel(*_read_only(*args)), REFERENCE[kernel](*args)):
                     assert_same_bits(got, want)
+            # the midpoint-radius kernels: read-only on the same endpoints
+            # (NaN, inf, lo + hi overflowing), then on finite cells against
+            # the exact products at a few rows
+            affine_batch(*_read_only(Ml, Mh[0], alo, ahi))
+            imat_vec_batch(*_read_only(Ml, Mh, alo, ahi))
+            lo, hi = _interval_array(rng, (nb, n))
+            M, x = _interval_array(rng, (n, n))[1], _interval_array(rng, (n,))[1]
+            Wl, Wh = _interval_array(rng, (n, n))
+            aff = affine_batch(*_read_only(M, x, lo, hi))
+            fixed = imat_vec_batch(*_read_only(Wl, Wh, lo, hi))
+            rows = [0, nb - 1, *rng.integers(nb, size=4)]
+            _assert_midrad_enclose(M, x, Wl, Wh, lo[rows], hi[rows],
+                                   [a[rows] for a in aff], [a[rows] for a in fixed])
             # the IMatrix/IBox kernels on finite data (their classes reject NaN)
             A = IMatrix(*_interval_array(rng, (n, n)))
             v = IBox(*_interval_array(rng, (n,)))
             got = imat_vec(A, v)
             for g, w in zip((got.lo, got.hi), _nextafter_sum(
-                    (_ref_mul(A.lo[:, j], A.hi[:, j], v.lo[j], v.hi[j]) for j in range(n)), n)):
+                    _ref_mul(A.lo[:, j], A.hi[:, j], v.lo[j], v.hi[j]) for j in range(n))):
                 assert_same_bits(g, w)
             B = IMatrix(*_interval_array(rng, (n, n)))
             got = imat_mul(A, B)
