@@ -419,11 +419,17 @@ class _Refinement:
         running out of allowance, else on a failing cell at the depth cap or
         of zero width. Returns the next level of the roots still active, or
         None."""
-        ids, start, count = np.unique(root, return_index=True, return_counts=True)
+        # root is sorted, so each root's cells are one run
+        start = np.flatnonzero(np.concatenate(([True], root[1:] != root[:-1])))
+        count = np.diff(start, append=len(root))
+        ids = root[start]
         room = self.allowance - self.boxes[ids]
-        rank = np.arange(len(root)) - np.repeat(start, count)
-        take = rank < np.repeat(room, count)
-        elo, ehi, eroot = lo[take], hi[take], root[take]
+        if (count <= room).all():
+            elo, ehi, eroot = lo, hi, root
+        else:
+            rank = np.arange(len(root)) - np.repeat(start, count)
+            take = rank < np.repeat(room, count)
+            elo, ehi, eroot = lo[take], hi[take], root[take]
         passed = np.empty(len(eroot), dtype=bool)
         refuted = np.empty(len(eroot), dtype=bool)
         for s in range(0, len(eroot), self.batch_size):
@@ -444,8 +450,9 @@ class _Refinement:
             return None
         # a failing point cell bisects into copies of itself: it can never pass
         point = np.all(elo[failing] == ehi[failing], axis=1)
-        self._retire(_EXHAUSTED, failing[point], elo, ehi, eroot, depth)
-        failing = failing[self.status[eroot[failing]] == _ACTIVE]
+        if point.any():
+            self._retire(_EXHAUSTED, failing[point], elo, ehi, eroot, depth)
+            failing = failing[self.status[eroot[failing]] == _ACTIVE]
         if failing.size == 0:
             return None
         clo, chi = _bisect_cells(elo[failing], ehi[failing])
@@ -456,6 +463,8 @@ class _Refinement:
     def _retire(self, status, idx, lo, hi, root, depth):
         """Retires the roots of the cells idx (ascending), recording each
         root's first such cell."""
+        if idx.size == 0:
+            return
         rids, first = np.unique(root[idx], return_index=True)
         self.status[rids] = status
         self.cell_depth[rids] = depth

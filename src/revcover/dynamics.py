@@ -9,6 +9,11 @@ with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
 F^{-1} = S o F o S, so F is written once (float point, vectorized batch over
 (B, n) lo/hi arrays, and batch Jacobian) and its inverse is derived from it.
+The batch evaluation rounds once per output: each output endpoint is
+evaluated in round-to-nearest on a contiguous transposed copy of the cells,
+widened by an a-priori bound on its rounding error and rounded outward once
+(see `_F_batch` for the derivation). The batch Jacobian stays stepwise, one
+outward rounding per `iadd`/`isub`.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own, the degree computation along the source center and the cell
@@ -27,9 +32,10 @@ from .interval import (
     DomainError,
     IBox,
     IMatrix,
+    _down,
+    _up,
     affine_batch,
     iadd,
-    imul,
     isub,
 )
 
@@ -111,35 +117,123 @@ def f_point(w: np.ndarray) -> np.ndarray:
     return np.array([w[0] * (1 - w[0]) + 4 - w[1], w[1] * (1 - w[1]) + 4 + w[0]])
 
 
-def _f_batch(lo, hi):
-    w1l, w1h = lo[:, 0], hi[:, 0]
-    w2l, w2h = lo[:, 1], hi[:, 1]
-    a1l, a1h = isub(1.0, 1.0, w1l, w1h)
-    t1l, t1h = imul(w1l, w1h, a1l, a1h)
-    f1l, f1h = iadd(t1l, t1h, 4.0, 4.0)
-    f1l, f1h = isub(f1l, f1h, w2l, w2h)
-    a2l, a2h = isub(1.0, 1.0, w2l, w2h)
-    t2l, t2h = imul(w2l, w2h, a2l, a2h)
-    f2l, f2h = iadd(t2l, t2h, 4.0, 4.0)
-    f2l, f2h = iadd(f2l, f2h, w1l, w1h)
-    return np.stack([f1l, f2l], axis=1), np.stack([f1h, f2h], axis=1)
-
-
 def F_point(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     g = 0.5 * f_point(z[:2] + z[2:])
     return np.concatenate([-z[2:] + g, z[:2] + g])
 
 
+# The gamma of _F_batch: 2**-50 = 8u is at least (gamma_7 + eta/2) / (1 - u)**8.
+_F_GAMMA = 2.0 ** -50
+
+
 def _F_batch(lo, hi):
-    w_lo, w_hi = iadd(lo[:, :2], hi[:, :2], lo[:, 2:], hi[:, 2:])
-    fl, fh = _f_batch(w_lo, w_hi)
-    gl, gh = 0.5 * fl, 0.5 * fh  # scaling by 0.5 is exact
+    """Enclosures of F over a batch of cells, each output endpoint
+    evaluated in round-to-nearest and rounded outward once.
+
+    The cells are copied to C-contiguous (4, B) arrays, rows x1, x2, y1,
+    y2, so every operation runs on contiguous rows, and the results are
+    returned as (B, 4) transposed views. With w = x + y, each output
+    endpoint is an expression in the input endpoints: the lower end of the
+    first output is
+
+        L = ((P1_lo + 4) - w2_hi) * 0.5 - y1_hi,   w2_hi = x2_hi + y2_hi,
+
+    where P1_lo is the min of the four products w1 * (1 - w1') over the
+    endpoints w1, w1' of w1 (the inf-sup hull of w1 * (1 - w1)); the other
+    endpoints and outputs follow F's formula the same way. In exact
+    arithmetic L is a lower bound of the first output over the cell.
+
+    Error bound. With u = 2**-53, eta = 2**-1074 and gamma_k as in
+    interval.py, a rounded +, - or * returns (a o b)(1 + d) + e with
+    |d| <= u, |e| <= eta/2, and e = 0 for + and -; scaling by 0.5 has d = 0
+    but is not exact for subnormals, so it has |e| <= eta/2 too. Let X_i,
+    Y_i be the largest magnitudes of the cell's x_i, y_i and
+    W_i = X_i + Y_i, which bounds |w_i|. If two operands are off by at most
+    gamma_j A and gamma_k B from exact values bounded by A and B, their
+    rounded sum or difference is off by at most gamma_(max(j,k)+1) (A + B),
+    and their rounded product by gamma_(j+k+1) A B + eta/2 (Higham, lemma
+    3.3); min and max do not increase an error. Step by step, w is off by
+    gamma_1 W, 1 - w by gamma_2 (1 + W), the products and their hull by
+    gamma_4 W(1 + W) + eta/2, and L by at most gamma_7 E + eta, where
+
+        E1 = ((W1 (1 + W1) + 4) + W2) * 0.5 + Y1
+
+    (outputs 3 and 4 add X instead of Y, and outputs 2 and 4 swap W1 and
+    W2), the underflow terms summing to less than eta. As E >= 2, that is
+    at most (gamma_7 + eta/2) E.
+
+    E is itself evaluated in round-to-nearest, from X and Y (_F_radius).
+    All its terms are nonnegative and no step underflows (W (1 + W) is at
+    least W, and the halved value at least 4), so each rounded step loses at
+    most a factor 1 - u, and these factors compound as the errors above do:
+    the computed e >= (1 - u)**7 E. One more rounding gives the radius
+    r = fl(_F_GAMMA * e) >= (1 - u)**8 _F_GAMMA E >= (gamma_7 + eta/2) E.
+    Each endpoint is then widened by r and rounded outward once with
+    _down/_up.
+
+    Non-finite values. Rounding to nearest is monotone and
+    |a +- b| <= |a| + |b|, so every intermediate of L is at most the
+    matching intermediate of e in magnitude: where r is finite no step
+    overflowed. Where r is not finite (an inf or NaN input, or an overflow),
+    that output is [-inf, +inf]. An overflow of w1 (1 - w1) leaves outputs
+    2 and 4 finite, as their bounds do not contain W1 (1 + W1).
+    """
+    lo, hi = lo.T.copy(), hi.T.copy()
+    wl = lo[:2] + lo[2:]
+    wh = hi[:2] + hi[2:]
+    al = 1.0 - wh
+    ah = 1.0 - wl
+    c1, c2, c3 = wl * al, wl * ah, wh * al
+    gl = np.minimum(c1, c2)
+    gh = np.maximum(c1, c2, out=c1)
+    np.minimum(gl, c3, out=gl)
+    np.maximum(gh, c3, out=gh)
+    c4 = np.multiply(wh, ah, out=c3)
+    np.minimum(gl, c4, out=gl)
+    np.maximum(gh, c4, out=gh)
+    # g = f(w) / 2, f = (w1(1 - w1) + 4 - w2, w2(1 - w2) + 4 + w1)
+    gl += 4.0
+    gh += 4.0
+    gl[0] -= wh[1]
+    gh[0] -= wl[1]
+    gl[1] += wl[0]
+    gh[1] += wh[0]
+    gl *= 0.5
+    gh *= 0.5
+    # F = (-y + g, x + g)
     out_lo = np.empty_like(lo)
     out_hi = np.empty_like(hi)
-    out_lo[:, :2], out_hi[:, :2] = isub(gl, gh, lo[:, 2:], hi[:, 2:])
-    out_lo[:, 2:], out_hi[:, 2:] = iadd(gl, gh, lo[:, :2], hi[:, :2])
-    return out_lo, out_hi
+    np.subtract(gl, hi[2:], out=out_lo[:2])
+    np.add(gl, lo[:2], out=out_lo[2:])
+    np.subtract(gh, lo[2:], out=out_hi[:2])
+    np.add(gh, hi[:2], out=out_hi[2:])
+    r = _F_radius(lo, hi)
+    out_lo -= r
+    out_hi += r
+    bad = ~np.isfinite(r)
+    if bad.any():
+        out_lo[bad] = -np.inf
+        out_hi[bad] = np.inf
+    return _down(out_lo).T, _up(out_hi).T
+
+
+def _F_radius(lo, hi):
+    """The radius r = fl(_F_GAMMA * e) of each output of _F_batch, for cells
+    given as (4, B) arrays, rows x1, x2, y1, y2 (see _F_batch)."""
+    m = np.abs(lo)
+    np.maximum(m, np.abs(hi), out=m)
+    w = m[:2] + m[2:]
+    g = w + 1.0
+    g *= w
+    g += 4.0
+    g += w[::-1]
+    g *= 0.5
+    r = np.empty_like(m)
+    np.add(g, m[2:], out=r[:2])
+    np.add(g, m[:2], out=r[2:])
+    r *= _F_GAMMA
+    return r
 
 
 def _F_jac_batch(lo, hi):

@@ -6,7 +6,10 @@ in round-to-nearest differs from the exact value by at most half an ulp, so
 stepping each endpoint one float outward always yields a rigorous bound. The
 kernel functions (iadd, isub, imul, idiv) accept floats or numpy arrays and
 are the single source of truth for both the scalar Interval class and the
-vectorized batch pipelines.
+inf-sup batch kernels. The midpoint-radius kernels below and the batch
+evaluation of the map F (`dynamics._F_batch`) instead evaluate a whole
+expression in round-to-nearest, widen each output by an a-priori bound on
+its rounding error, and round it outward once with `_down`/`_up`.
 
 The step is `np.nextafter` toward -inf (`_down`) or +inf (`_up`). Float64
 arrays of at least `_BITSTEP_MIN` elements take it from the IEEE bit pattern
@@ -34,7 +37,9 @@ rounding per product. The kernels that multiply two wide intervals
 chain), `imat_vec`, `imat_mul` and the scalar operations stay in inf-sup
 form: there a midpoint-radius product can be up to 1.5 times wider, and
 with the chain kernels in that form H1⇒H2 (k = 4) took 938 boxes instead
-of 864.
+of 864. A cell coordinate that is not finite, or whose radius term
+overflows, makes [-inf, +inf] only of the outputs it reaches through a
+nonzero matrix entry (`_midrad_outward`).
 """
 
 from __future__ import annotations
@@ -487,13 +492,42 @@ def _midrad_constants(m):
     return (m + 2) * 2 * _U, 1.0 + (m + 8) * 2 * _U, (4 * m + 8) * _ETA
 
 
-def _outward(c, r):
-    """[c - r, c + r] rounded outward, for a center c and a radius r >= 0 of
-    the caller's own (c is overwritten); [-inf, inf] where c is not finite
-    or r is NaN (an infinite radius times an exact zero)."""
+def _midrad_outward(Mc, x, mid, terms, kappa, extra):
+    """[c - r, c + r] rounded outward once, for the center c = mid @ Mc.T + x
+    and the radius r = (the sum of t @ A.T over the (t, A) in terms) * kappa
+    + extra, both evaluated in round-to-nearest; |Mc| must be one of the A.
+
+    An entry whose center is not finite or whose radius is NaN comes out as
+    [-inf, +inf]. A cell coordinate whose midpoint or radius operand t is not
+    finite would make NaN of inf * 0 in every output of its cell; such a
+    coordinate is left out of both sums instead, and only the outputs that
+    it reaches through a nonzero entry of an A become [-inf, +inf]. That is
+    sound: where every A is zero in its column, so is the matrix, whose
+    product with any real member is exactly 0, and the other coordinates
+    keep their bound.
+    """
+    def center_radius(mid, terms):
+        c = mid @ Mc.T
+        c += x
+        r = sum(t @ A.T for t, A in terms)
+        r *= kappa
+        r += extra
+        return c, r
+
+    c, r = center_radius(mid, terms)
     bad = ~np.isfinite(c)
     bad |= np.isnan(r)
     if bad.any():
+        lost = ~np.isfinite(mid)
+        for t, _ in terms:
+            lost |= ~np.isfinite(t)
+        if lost.any():
+            c, r = center_radius(np.where(lost, 0.0, mid),
+                                 [(np.where(lost, 0.0, t), A) for t, A in terms])
+            reach = np.any([A != 0 for _, A in terms], axis=0)
+            r[lost @ reach.T] = _PINF
+            bad = ~np.isfinite(c)
+            bad |= np.isnan(r)
         c[bad] = 0.0
         r[bad] = _PINF
     lo = _down(c - r)
@@ -515,20 +549,15 @@ def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     evaluated in round-to-nearest: all its terms are nonnegative, so the
     factor kappa covers the m + 5 roundings of the first term, eta the
     underflow of gamma*|mid|, and floor every other underflow. Then
-    [c - r, c + r] is rounded outward once (_outward).
+    [c - r, c + r] is rounded outward once (_midrad_outward).
     """
     gamma, kappa, floor = _midrad_constants(M.shape[1])
     mid, rad = _mid_rad(lo, hi)
-    c = mid @ M.T
-    c += x
     t = np.abs(mid)
     t *= gamma
     t += _ETA
     t += rad
-    r = t @ np.abs(M).T
-    r *= kappa
-    r += gamma * np.abs(x) + floor
-    return _outward(c, r)
+    return _midrad_outward(M, x, mid, [(t, np.abs(M))], kappa, gamma * np.abs(x) + floor)
 
 
 def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -545,22 +574,17 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
 
     evaluated in round-to-nearest and covered as in affine_batch (m + 4
     roundings in the sum of the two products). Then [c - r, c + r] is
-    rounded outward once (_outward).
+    rounded outward once (_midrad_outward).
     """
     gamma, kappa, floor = _midrad_constants(Ml.shape[1])
     Mc, Mr = _mid_rad(Ml, Mh)
     mid, rad = _mid_rad(lo, hi)
-    c = mid @ Mc.T
     a = np.abs(mid)
     t = a * gamma
     t += _ETA
     t += rad
     a += rad
-    r = t @ np.abs(Mc).T
-    r += a @ Mr.T
-    r *= kappa
-    r += floor
-    return _outward(c, r)
+    return _midrad_outward(Mc, 0.0, mid, [(t, np.abs(Mc)), (a, Mr)], kappa, floor)
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):

@@ -8,7 +8,6 @@ import pytest
 
 from revcover.dynamics import (
     MissingInverseError,
-    _f_batch,
     _reversor_inverse,
     f_point,
     fixed_point_equations_residual,
@@ -27,8 +26,12 @@ from conftest import encloses, exact_inverse
 
 
 def _f_box(b: IBox) -> IBox:
-    lo, hi = _f_batch(b.lo[None, :], b.hi[None, :])
-    return IBox(lo[0], hi[0])
+    """The enclosure of f over the box b of w, read off F's: at y = 0,
+    w = x and the first two outputs of F are g(w) = f(w)/2."""
+    F = reversible_quadratic_map()
+    cell = IBox(np.concatenate([b.lo, [0.0, 0.0]]), np.concatenate([b.hi, [0.0, 0.0]]))
+    img = F.eval_box(cell)
+    return IBox(2 * img.lo[:2], 2 * img.hi[:2])
 
 
 def test_f_values():

@@ -40,6 +40,7 @@ from revcover.interval import (
 )
 
 from conftest import encloses
+from test_dynamics import _exact_F, _exact_F_inverse
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 # the Interval operators; each also applies to the float members
@@ -380,8 +381,8 @@ def test_midrad_constants_meet_their_bounds(m):
 
 def test_midrad_kernels_examples():
     """A point cell comes out a few ulps wide, a cell whose lo + hi
-    overflows keeps a finite enclosure, and a non-finite cell gives
-    [-inf, inf]."""
+    overflows keeps a finite enclosure, and a non-finite cell coordinate
+    gives [-inf, inf] only in the outputs it reaches."""
     eye = np.eye(2)
     v = np.array([[0.1, -3.0]])
     for lo, hi in (affine_batch(eye, np.zeros(2), v, v), imat_vec_batch(eye, eye, v, v)):
@@ -396,6 +397,28 @@ def test_midrad_kernels_examples():
         assert encloses(*out, [Fraction(v) for v in hi[0]])
     with np.errstate(invalid="ignore"):
         lo, hi = imat_vec_batch(eye, eye, np.array([[-np.inf, 0.0]]), np.array([[np.inf, 0.0]]))
+    assert (lo[0, 0], hi[0, 0]) == (-np.inf, np.inf)
+    assert np.isfinite([lo[0, 1], hi[0, 1]]).all() and lo[0, 1] <= 0.0 <= hi[0, 1]
+
+
+def test_midrad_infinite_radius_reaches_only_its_outputs():
+    """An infinite radius operand (|mid| + rad, or rad itself, overflowing)
+    times an exact zero of |M| or rad(M) is no NaN: the outputs that the
+    coordinate does not reach keep a finite enclosure."""
+    eye = np.eye(2)
+    cases = [(np.array([[0.75 * MAX, 1.0]]), np.array([[MAX, 2.0]])),
+             (np.array([[-MAX, 1.0]]), np.array([[MAX, 2.0]]))]
+    for lo, hi in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            outs = (imat_vec_batch(eye, eye, lo, hi), affine_batch(eye, np.zeros(2), lo, hi))
+        for olo, ohi in outs:
+            assert np.isfinite([olo[0, 1], ohi[0, 1]]).all()
+            assert olo[0, 1] <= 1.0 and 2.0 <= ohi[0, 1]
+            assert encloses(olo[0], ohi[0], [Fraction(v) for v in lo[0]])
+            assert encloses(olo[0], ohi[0], [Fraction(v) for v in hi[0]])
+    # a dense matrix carries the infinite coordinate into every output
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = imat_vec_batch(np.ones((2, 2)), np.ones((2, 2)), *cases[0])
     assert np.array_equal(lo, [[-np.inf] * 2]) and np.array_equal(hi, [[np.inf] * 2])
 
 
@@ -494,17 +517,120 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
             for g, w in zip((got.lo, got.hi), REFERENCE[imatmul_batch](
                     A.lo[None], A.hi[None], B.lo[None], B.hi[None])):
                 assert_same_bits(g, w[0])
-            # the map kernels, against the same maps built on the reference kernels
+            # the map kernels: eval_batch read-only on the same endpoints,
+            # then on finite cells against the exact images at a few rows;
+            # jac_batch, which is stepwise, against the same Jacobian built
+            # on the reference kernels
             F = reversible_quadratic_map()
+            for g in (F, F.inverse):
+                g.eval_batch(*_read_only(alo, ahi))
+            for g, exact in ((F, _exact_F), (F.inverse, _exact_F_inverse)):
+                elo, ehi = g.eval_batch(*_read_only(lo, hi))
+                assert not (np.isnan(elo).any() or np.isnan(ehi).any())
+                for b in rows:
+                    for v in _exact_members(lo[b], hi[b]):
+                        assert encloses(elo[b], ehi[b], exact(*v))
             with monkeypatch.context() as m:
-                for kernel in (interval.iadd, interval.isub, imul):
+                for kernel in (interval.iadd, interval.isub):
                     m.setattr(dynamics, kernel.__name__, REFERENCE[kernel])
-                want = [f(alo, ahi) for g in (F, F.inverse) for f in (g.eval_batch, g.jac_batch)]
-            got = [f(*_read_only(alo, ahi))
-                   for g in (F, F.inverse) for f in (g.eval_batch, g.jac_batch)]
+                want = [g.jac_batch(alo, ahi) for g in (F, F.inverse)]
+            got = [g.jac_batch(*_read_only(alo, ahi)) for g in (F, F.inverse)]
             for g, w in zip(got, want):
                 assert_same_bits(g[0], w[0])
                 assert_same_bits(g[1], w[1])
+
+
+# --- the map F, rounded once per output: exact oracle and its bound ---
+
+U, ETA = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
+
+
+def _F_magnitude_bound(X, Y):
+    """The exact magnitude expression E of each output of F (dynamics._F_batch)
+    for the largest magnitudes X = (X1, X2) of x and Y of y."""
+    W = [X[i] + Y[i] for i in range(2)]
+    G = [(W[i] * (1 + W[i]) + 4 + W[1 - i]) / 2 for i in range(2)]
+    return [G[0] + Y[0], G[1] + Y[1], G[0] + X[0], G[1] + X[1]]
+
+
+def test_F_gamma_meets_its_bound():
+    """_F_GAMMA * (1 - u)**8 >= gamma_7 + eta/2, in exact arithmetic."""
+    assert Fraction(dynamics._F_GAMMA) * (1 - U) ** 8 >= 7 * U / (1 - 7 * U) + ETA / 2
+
+
+# magnitudes of cell endpoints with no overflow in E: zero, subnormals and
+# 1e-300 to 1e150
+_magnitude = st.one_of(
+    st.sampled_from([0.0, TINY, 3 * TINY, 1.0]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(0, 10), st.integers(-300, 150)),
+)
+
+
+@given(st.lists(_magnitude, min_size=8, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_F_radius_covers_the_rounding_error(mags):
+    """The radius _F_batch widens each output by is at least
+    (gamma_7 + eta/2) E, for E evaluated exactly from the cell's
+    magnitudes: a cell [-a, b] per coordinate has largest magnitude
+    max(a, b)."""
+    a, b = np.array(mags[:4])[:, None], np.array(mags[4:])[:, None]
+    r = dynamics._F_radius(-a, b)[:, 0]
+    m = [Fraction(v) for v in np.maximum(a, b)[:, 0].tolist()]
+    E = _F_magnitude_bound(m[:2], m[2:])
+    for ri, ei in zip(r.tolist(), E):
+        assert Fraction(ri) >= (7 * U / (1 - 7 * U) + ETA / 2) * ei
+
+
+@st.composite
+def _F_cells(draw):
+    """(nb, 4) cells for F: entries as for the midpoint-radius kernels or
+    of order one (where F's terms cancel most), some cells points (whose
+    image only the rounding error widens), some y made the negated x (so
+    w = x + y cancels and y carries the output), and some endpoints
+    infinite or NaN."""
+    nb = draw(st.integers(1, 3))
+    lo, hi = draw(_interval_arrays((nb, 4)))
+    for b in range(nb):
+        if draw(st.booleans()):
+            lo[b] = hi[b] = draw(st.lists(st.floats(-4, 4), min_size=4, max_size=4))
+        elif draw(st.booleans()):
+            hi[b] = lo[b]
+        for i in draw(st.lists(st.sampled_from([0, 1]), max_size=2)):
+            lo[b, 2 + i], hi[b, 2 + i] = -hi[b, i], -lo[b, i]
+        for i, j, v in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1),
+                                               st.sampled_from([-np.inf, np.inf, np.nan])),
+                                     max_size=1)):
+            (lo, hi)[j][b, i] = v
+    return lo, hi
+
+
+@given(_F_cells())
+@settings(max_examples=150, deadline=None)
+def test_F_kernels_enclose_exact_images(cells):
+    """eval_batch of F and F^-1 encloses the exact image of corner and
+    interior member points (exact Fraction arithmetic) over cells whose
+    entries span the float range: points, subnormals, intermediates that
+    overflow and y = -x. An output is [-inf, inf] only where it is reached:
+    a cell with an infinite or NaN endpoint gives [-inf, inf] in every
+    output (each one uses every coordinate), and otherwise only an output
+    whose magnitude bound E is past the float range has an infinite end.
+    No output is NaN."""
+    lo, hi = cells
+    F = reversible_quadratic_map()
+    for g, exact in ((F, _exact_F), (F.inverse, _exact_F_inverse)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            elo, ehi = g.eval_batch(lo, hi)
+        assert not (np.isnan(elo).any() or np.isnan(ehi).any())
+        for b in range(len(lo)):
+            if not (np.isfinite(lo[b]).all() and np.isfinite(hi[b]).all()):
+                assert (elo[b] == -np.inf).all() and (ehi[b] == np.inf).all()
+                continue
+            m = [Fraction(v) for v in np.maximum(np.abs(lo[b]), np.abs(hi[b])).tolist()]
+            E = _F_magnitude_bound(m[:2], m[2:])
+            infinite = ~(np.isfinite(elo[b]) & np.isfinite(ehi[b]))
+            assert all(e > Fraction(MAX) / 2 for e, inf in zip(E, infinite) if inf)
+            for v in _exact_members(lo[b], hi[b]):
+                assert encloses(elo[b], ehi[b], exact(*v))
 
 
 # --- cell bisection (covering._bisect_cells) ---
