@@ -246,8 +246,7 @@ class _CellEngine:
             vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
             for _ in range(self.k):
                 vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-            dlo, dhi = isub(vlo, vhi, self.tgt_center[None, :], self.tgt_center[None, :])
-            return imat_vec_batch(self.inv_lo, self.inv_hi, dlo, dhi)
+            return imat_vec_batch(self.inv_lo, self.inv_hi, vlo, vhi, self.tgt_center)
 
         nb, n = lo.shape
         mid = 0.5 * (lo + hi)
@@ -266,8 +265,7 @@ class _CellEngine:
             jlo,
             jhi,
         )
-        dlo, dhi = isub(vlo, vhi, self.tgt_center[None, :], self.tgt_center[None, :])
-        plo, phi = imat_vec_batch(self.inv_lo, self.inv_hi, dlo, dhi)
+        plo, phi = imat_vec_batch(self.inv_lo, self.inv_hi, vlo, vhi, self.tgt_center)
         rlo, rhi = isub(lo, hi, mid, mid)
         clo, chi = imatvec_cellwise(tlo, thi, rlo, rhi)
         return iadd(plo, phi, clo, chi)
@@ -309,18 +307,38 @@ class _CellEngine:
         return passed, refuted & ~passed
 
 
-def _bisect_cells(lo, hi):
-    """Halves each cell along its widest coordinate: all left halves, then
-    all right halves."""
-    w = hi - lo
-    ax = np.argmax(w, axis=1)
-    r = np.arange(len(lo))
+def _runs(root):
+    """The start and the length of each run of equal values of a sorted
+    root column."""
+    bounds = np.flatnonzero(np.concatenate(([True], root[1:] != root[:-1], [True])))
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _bisect_cells(lo, hi, root):
+    """Halves each cell along its widest coordinate, for cells with a
+    sorted root column. The halves and their root column come in level
+    order: per root, the left halves of its cells and then their right
+    halves (for a single root, all left halves and then all right halves).
+
+    The children are gathered from their parents straight into place: the
+    left half of cell j of a root whose cells start at index s goes to
+    j + s, and its right sibling count(root) further on.
+    """
+    n = len(lo)
+    r = np.arange(n)
+    ax = np.argmax(hi - lo, axis=1)
     mid = 0.5 * (lo[r, ax] + hi[r, ax])
-    left_hi = hi.copy()
-    left_hi[r, ax] = mid
-    right_lo = lo.copy()
-    right_lo[r, ax] = mid
-    return np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
+    start, count = _runs(root)
+    left = r + np.repeat(start, count)
+    right = left + np.repeat(count, count)
+    parent = np.empty(2 * n, dtype=np.intp)
+    parent[left] = r
+    parent[right] = r
+    clo = np.take(lo, parent, axis=0)
+    chi = np.take(hi, parent, axis=0)
+    chi[left, ax] = mid
+    clo[right, ax] = mid
+    return clo, chi, np.take(root, parent)
 
 
 def _cell_record(root, depth, lo, hi, which):
@@ -401,8 +419,8 @@ class _Refinement:
                     pool = pool or ProcessPoolExecutor(max_workers=workers)
                     self._shard(pool, workers, lo, hi, root, depth)
                 elif n > _PART_CELLS:
-                    ids = np.unique(root)
-                    cut = np.searchsorted(root, ids[len(ids) // 2]) if several else n // 2
+                    start, _ = _runs(root)
+                    cut = start[len(start) // 2] if several else n // 2
                     parts.append((lo[cut:].copy(), hi[cut:].copy(), root[cut:].copy(), depth))
                     parts.append((lo[:cut].copy(), hi[:cut].copy(), root[:cut].copy(), depth))
                 else:
@@ -420,8 +438,7 @@ class _Refinement:
         of zero width. Returns the next level of the roots still active, or
         None."""
         # root is sorted, so each root's cells are one run
-        start = np.flatnonzero(np.concatenate(([True], root[1:] != root[:-1])))
-        count = np.diff(start, append=len(root))
+        start, count = _runs(root)
         ids = root[start]
         room = self.allowance - self.boxes[ids]
         if (count <= room).all():
@@ -448,41 +465,46 @@ class _Refinement:
         if depth >= self.max_depth:
             self._retire(_EXHAUSTED, failing, elo, ehi, eroot, depth)
             return None
+        flo, fhi = np.take(elo, failing, axis=0), np.take(ehi, failing, axis=0)
+        froot = eroot[failing]
         # a failing point cell bisects into copies of itself: it can never pass
-        point = np.all(elo[failing] == ehi[failing], axis=1)
+        point = np.all(flo == fhi, axis=1)
         if point.any():
-            self._retire(_EXHAUSTED, failing[point], elo, ehi, eroot, depth)
-            failing = failing[self.status[eroot[failing]] == _ACTIVE]
-        if failing.size == 0:
+            self._retire(_EXHAUSTED, np.flatnonzero(point), flo, fhi, froot, depth)
+            keep = self.status[froot] == _ACTIVE
+            flo, fhi, froot = flo[keep], fhi[keep], froot[keep]
+        if froot.size == 0:
             return None
-        clo, chi = _bisect_cells(elo[failing], ehi[failing])
-        croot = np.concatenate([eroot[failing], eroot[failing]])
-        order = np.argsort(croot, kind="stable")
-        return clo[order], chi[order], croot[order]
+        return _bisect_cells(flo, fhi, froot)
 
     def _retire(self, status, idx, lo, hi, root, depth):
         """Retires the roots of the cells idx (ascending), recording each
         root's first such cell."""
         if idx.size == 0:
             return
-        rids, first = np.unique(root[idx], return_index=True)
+        first = idx[_runs(root[idx])[0]]
+        rids = root[first]
         self.status[rids] = status
         self.cell_depth[rids] = depth
-        self.cell_lo[rids] = lo[idx[first]]
-        self.cell_hi[rids] = hi[idx[first]]
+        self.cell_lo[rids] = lo[first]
+        self.cell_hi[rids] = hi[first]
 
     def _shard(self, pool, workers, lo, hi, root, depth):
         """Finishes a part in worker processes, split by root into up to
         _SHARDS_PER_WORKER shards per worker, which the pool hands out one at
         a time as workers free up."""
-        ids = np.unique(root)
+        start, count = _runs(root)
+        ids = root[start]
         n_shards = min(_SHARDS_PER_WORKER * workers, len(ids))
+        # the shard of each cell: its root's rank, round robin
+        cell_shard = np.repeat(np.arange(len(ids)) % n_shards, count)
         mapspec = self.engine.mapsys.spec
         engine = {**vars(self.engine), "mapsys": None}
         settings = (len(self.boxes), self.allowance, self.max_depth, self.batch_size)
         payloads = []
-        for shard in (ids[i::n_shards] for i in range(n_shards)):
-            mine = np.isin(root, shard)
+        for i in range(n_shards):
+            shard = ids[i::n_shards]
+            mine = cell_shard == i
             payloads.append({
                 "mapspec": mapspec, "engine": engine, "settings": settings,
                 "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],

@@ -10,10 +10,11 @@ S o F o S o F = Id. Since S is an involution this already gives the inverse,
 F^{-1} = S o F o S, so F is written once (float point, vectorized batch over
 (B, n) lo/hi arrays, and batch Jacobian) and its inverse is derived from it.
 The batch evaluation rounds once per output: each output endpoint is
-evaluated in round-to-nearest on a contiguous transposed copy of the cells,
-widened by an a-priori bound on its rounding error and rounded outward once
-(see `_F_batch` for the derivation). The batch Jacobian stays stepwise, one
-outward rounding per `iadd`/`isub`.
+evaluated in round-to-nearest on a contiguous transposed copy of the cells
+and widened by an a-priori radius, also in round-to-nearest, with no
+outward step: the radius covers the endpoint's rounding error and the one
+rounding of the widening itself (see `_F_batch` for the derivation). The
+batch Jacobian stays stepwise, one outward rounding per `iadd`/`isub`.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own, the degree computation along the source center and the cell
@@ -32,8 +33,6 @@ from .interval import (
     DomainError,
     IBox,
     IMatrix,
-    _down,
-    _up,
     affine_batch,
     iadd,
     isub,
@@ -123,13 +122,15 @@ def F_point(z: np.ndarray) -> np.ndarray:
     return np.concatenate([-z[2:] + g, z[:2] + g])
 
 
-# The gamma of _F_batch: 2**-50 = 8u is at least (gamma_7 + eta/2) / (1 - u)**8.
-_F_GAMMA = 2.0 ** -50
+# The gamma of _F_batch: 9u meets gamma (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u,
+# which 8u misses.
+_F_GAMMA = 9 * 2.0 ** -53
 
 
 def _F_batch(lo, hi):
     """Enclosures of F over a batch of cells, each output endpoint
-    evaluated in round-to-nearest and rounded outward once.
+    evaluated in round-to-nearest and widened by a radius that covers its
+    rounding error and the rounding of the widening, with no outward step.
 
     The cells are copied to C-contiguous (4, B) arrays, rows x1, x2, y1,
     y2, so every operation runs on contiguous rows, and the results are
@@ -163,14 +164,24 @@ def _F_batch(lo, hi):
     W2), the underflow terms summing to less than eta. As E >= 2, that is
     at most (gamma_7 + eta/2) E.
 
-    E is itself evaluated in round-to-nearest, from X and Y (_F_radius).
+    E is itself evaluated in round-to-nearest, from X and Y (_F_magnitude).
     All its terms are nonnegative and no step underflows (W (1 + W) is at
     least W, and the halved value at least 4), so each rounded step loses at
     most a factor 1 - u, and these factors compound as the errors above do:
     the computed e >= (1 - u)**7 E. One more rounding gives the radius
-    r = fl(_F_GAMMA * e) >= (1 - u)**8 _F_GAMMA E >= (gamma_7 + eta/2) E.
-    Each endpoint is then widened by r and rounded outward once with
-    _down/_up.
+    r = fl(_F_GAMMA * e) >= (1 - u) _F_GAMMA e.
+
+    Widening. The computed endpoint L~ is widened in round-to-nearest:
+    fl(L~ - r) is off by at most u |L~ - r| <= u (|L~| + r), and |L~| <= e
+    (see below), so fl(L~ - r) <= L~ - (1 - u) r + u e. This is a lower
+    bound of the output once (1 - u) r >= (gamma_7 + eta/2) E + u e. With
+    e >= (1 - u)**7 E that holds when
+
+        _F_GAMMA (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u,
+
+    which 9u meets and 8u does not; the upper end fl(U~ + r) is the mirror
+    image. Neither end overflows towards the other side, and one that
+    overflows outward is -inf or +inf, still a bound.
 
     Non-finite values. Rounding to nearest is monotone and
     |a +- b| <= |a| + |b|, so every intermediate of L is at most the
@@ -208,19 +219,21 @@ def _F_batch(lo, hi):
     np.add(gl, lo[:2], out=out_lo[2:])
     np.subtract(gh, lo[2:], out=out_hi[:2])
     np.add(gh, hi[:2], out=out_hi[2:])
-    r = _F_radius(lo, hi)
+    r = _F_magnitude(lo, hi)
+    r *= _F_GAMMA
     out_lo -= r
     out_hi += r
     bad = ~np.isfinite(r)
     if bad.any():
         out_lo[bad] = -np.inf
         out_hi[bad] = np.inf
-    return _down(out_lo).T, _up(out_hi).T
+    return out_lo.T, out_hi.T
 
 
-def _F_radius(lo, hi):
-    """The radius r = fl(_F_GAMMA * e) of each output of _F_batch, for cells
-    given as (4, B) arrays, rows x1, x2, y1, y2 (see _F_batch)."""
+def _F_magnitude(lo, hi):
+    """The magnitude bound e of each output of _F_batch, evaluated in
+    round-to-nearest, for cells given as (4, B) arrays, rows x1, x2, y1, y2
+    (see _F_batch)."""
     m = np.abs(lo)
     np.maximum(m, np.abs(hi), out=m)
     w = m[:2] + m[2:]
@@ -229,11 +242,10 @@ def _F_radius(lo, hi):
     g += 4.0
     g += w[::-1]
     g *= 0.5
-    r = np.empty_like(m)
-    np.add(g, m[2:], out=r[:2])
-    np.add(g, m[:2], out=r[2:])
-    r *= _F_GAMMA
-    return r
+    e = np.empty_like(m)
+    np.add(g, m[2:], out=e[:2])
+    np.add(g, m[:2], out=e[2:])
+    return e
 
 
 def _F_jac_batch(lo, hi):

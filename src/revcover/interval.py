@@ -8,8 +8,10 @@ kernel functions (iadd, isub, imul, idiv) accept floats or numpy arrays and
 are the single source of truth for both the scalar Interval class and the
 inf-sup batch kernels. The midpoint-radius kernels below and the batch
 evaluation of the map F (`dynamics._F_batch`) instead evaluate a whole
-expression in round-to-nearest, widen each output by an a-priori bound on
-its rounding error, and round it outward once with `_down`/`_up`.
+expression in round-to-nearest and return fl(c - r) and fl(c + r) for its
+value c and an a-priori radius r. They take no outward step: r bounds the
+rounding error of c and also covers the one rounding of c -+ r, because
+fl(c - r) <= c - (1 - u) r + u |c| (see `_midrad_outward`).
 
 The step is `np.nextafter` toward -inf (`_down`) or +inf (`_up`). Float64
 arrays of at least `_BITSTEP_MIN` elements take it from the IEEE bit pattern
@@ -23,23 +25,26 @@ less per call. Either way every enclosure is bit for bit the same.
 `_down` and `_up` take ownership of their argument: a float64 array of at
 least `_BITSTEP_MIN` elements is rounded in place and returned, so every
 caller passes a temporary it made itself. The kernels build their candidates,
-min/max hulls and running sums in buffers of their own and round those; they
-never write into an argument, so callers may pass read-only arrays.
+min/max hulls, running sums, centers and radii in buffers of their own and
+round or widen those; they never write into an argument, so callers may
+pass read-only arrays.
 
 Two batch kernels are in midpoint-radius form: `affine_batch` and
 `imat_vec_batch`, which multiply a thin matrix (the point chart matrix, the
 verified target inverse or the chart derivative, none more than a few ulps
-wide) by a batch of cells. For such a thin matrix a midpoint-radius product
-is as tight as the inf-sup one up to rounding, and it takes one `np.matmul`
-for the center and one or two for the radius instead of a min/max and a
-rounding per product. The kernels that multiply two wide intervals
-(`imatmul_batch` and `imatvec_cellwise`, which carry the mean-value Jacobian
-chain), `imat_vec`, `imat_mul` and the scalar operations stay in inf-sup
-form: there a midpoint-radius product can be up to 1.5 times wider, and
-with the chain kernels in that form H1⇒H2 (k = 4) took 938 boxes instead
-of 864. A cell coordinate that is not finite, or whose radius term
-overflows, makes [-inf, +inf] only of the outputs it reaches through a
-nonzero matrix entry (`_midrad_outward`).
+wide) by a batch of cells; `imat_vec_batch` also subtracts a point (the
+target center) from the cells first. For such a thin matrix a
+midpoint-radius product is as tight as the inf-sup one up to rounding, and
+it takes one `np.matmul` for the center and one or two for the radius
+instead of a min/max and a rounding per product. The kernels that multiply
+two wide intervals (`imatmul_batch` and `imatvec_cellwise`, which carry the
+mean-value Jacobian chain), `imat_vec`, `imat_mul` and the scalar
+operations stay in inf-sup form, each operation stepped outward: there a
+midpoint-radius product can be up to 1.5 times wider, and with the chain
+kernels in that form H1⇒H2 (k = 4) took 938 boxes instead of 864. A cell
+coordinate that is not finite, or whose radius term overflows, makes
+[-inf, +inf] only of the outputs it reaches through a nonzero matrix entry
+(`_midrad_outward`).
 """
 
 from __future__ import annotations
@@ -459,7 +464,16 @@ def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
 # with or without fused multiply-adds, is off by at most
 # gamma_k * |a|.|b| + k*eta. An expression in nonnegative terms loses at
 # most a factor 1 - u to each rounded operation, and a rounded product at
-# most eta/2 more to underflow.
+# most eta/2 more to underflow. A rounded sum or difference a of two floats
+# is off by at most u*|a| (it is exact where it is subnormal), and so is
+# its rounding fl(a) by at most u*|a|.
+#
+# Neither kernel steps outward. Its radius r covers, besides the distance R
+# of every exact image from the computed center c, the rounding of c -+ r,
+# as in the round-to-nearest interval products of Ozaki, Ogita, Rump and
+# Oishi ("Fast algorithms for floating-point interval matrix
+# multiplication", J. Comput. Appl. Math. 236 (2012)); _midrad_outward
+# gives the condition, and each kernel's docstring shows that it holds.
 
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
@@ -486,16 +500,36 @@ def _mid_rad(lo, hi):
 
 
 def _midrad_constants(m):
-    """(gamma, kappa, floor) for dot products of length m: gamma is at least
-    gamma_(m+1) / (1 - u)**3, kappa at least (1 - u)**-(m + 6) and floor
-    covers every underflow term; all three are exact floats."""
+    """(gamma, kappa, floor) for products with m columns; all three are
+    exact floats. With g = gamma_(m+1) + u (1 + gamma_(m+1)):
+
+        gamma * (1 - u)**4 >= g,   kappa * (1 - u)**(m + 7) >= 1,
+        floor * (1 - u)**3 >= ((1 + u) m + kappa m + 1) * eta.
+
+    gamma_(m+1) bounds the rounding error of either kernel's center (see
+    affine_batch and imat_vec_batch), and u (1 + gamma_(m+1)) the rounding
+    of c -+ r relative to the same magnitudes; kappa covers the roundings of
+    the radius and the division by 1 - u in _midrad_outward, and floor every
+    underflow term.
+    """
     return (m + 2) * 2 * _U, 1.0 + (m + 8) * 2 * _U, (4 * m + 8) * _ETA
 
 
 def _midrad_outward(Mc, x, mid, terms, kappa, extra):
-    """[c - r, c + r] rounded outward once, for the center c = mid @ Mc.T + x
-    and the radius r = (the sum of t @ A.T over the (t, A) in terms) * kappa
-    + extra, both evaluated in round-to-nearest; |Mc| must be one of the A.
+    """[fl(c - r), fl(c + r)] for the center c = mid @ Mc.T + x and the
+    radius r = (the sum of t @ A.T over the (t, A) in terms) * kappa + extra,
+    both evaluated in round-to-nearest; |Mc| must be one of the A.
+
+    No outward step follows. The rounded difference lo = fl(c - r) is off by
+    at most u |c - r| <= u (|c| + r), so lo <= c - (1 - u) r + u |c|, and
+    likewise fl(c + r) >= c + (1 - u) r - u |c|. So [lo, hi] contains every
+    value within R of c once
+
+        (1 - u) r >= R + u |c|,
+
+    which the callers show of their r. Neither end can overflow towards the
+    other side: c - r <= c <= MAX, and an end that overflows outward is
+    -inf or +inf, which is still a bound.
 
     An entry whose center is not finite or whose radius is NaN comes out as
     [-inf, +inf]. A cell coordinate whose midpoint or radius operand t is not
@@ -530,26 +564,39 @@ def _midrad_outward(Mc, x, mid, terms, kappa, extra):
             bad |= np.isnan(r)
         c[bad] = 0.0
         r[bad] = _PINF
-    lo = _down(c - r)
+    lo = c - r
     c += r
-    return lo, _up(c)
+    return lo, c
 
 
 def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Enclosures of M @ v + x for each interval vector v in the batch, for a
     point matrix M (n, m) and a point vector x (n,), in midpoint-radius form.
 
-    With (mid, rad) from _mid_rad, the center fl(mid @ M.T + x) is a dot
-    product of length m + 1 (the last term x * 1 is exact), so it is off by
-    at most gamma_(m+1) * (|mid| @ |M|.T + |x|) + m*eta. The exact image lies
-    within rad @ |M|.T of the exact center, so the radius is
+    With (mid, rad) from _mid_rad, P = |mid| @ |M|.T and X = |x|, the center
+    c = fl(mid @ M.T + x) is a dot product of length m + 1 (the last term
+    x * 1 is exact), so it is off by at most gamma_(m+1) (P + X) + m*eta, and
+    |c| <= (1 + gamma_(m+1)) (P + X) + m*eta. The exact image lies within
+    rad @ |M|.T of the exact center, so within
+    R = rad @ |M|.T + gamma_(m+1) (P + X) + m*eta of c, and with g as in
+    _midrad_constants
 
-        r = (rad + gamma*|mid| + eta) @ |M|.T * kappa + gamma*|x| + floor,
+        R + u |c| <= rad @ |M|.T + g (P + X) + (1 + u) m*eta.
 
-    evaluated in round-to-nearest: all its terms are nonnegative, so the
-    factor kappa covers the m + 5 roundings of the first term, eta the
-    underflow of gamma*|mid|, and floor every other underflow. Then
-    [c - r, c + r] is rounded outward once (_midrad_outward).
+    The radius
+
+        r = (rad + gamma*|mid| + eta) @ |M|.T * kappa + (gamma*|x| + floor)
+
+    is evaluated in round-to-nearest, and all its terms are nonnegative.
+    The |mid| term passes m + 5 roundings (gamma*, + eta, + rad, m in the
+    product, * kappa, + the last term), the rad term m + 3 and the |x| term
+    3, so with the division by 1 - u of _midrad_outward the conditions
+    kappa gamma (1 - u)**(m + 6) >= g, kappa (1 - u)**(m + 4) >= 1 and
+    gamma (1 - u)**4 >= g suffice, and _midrad_constants meets all three.
+    The + eta makes up for the underflow of gamma*|mid|; the product and
+    * kappa lose at most (kappa m + 1) eta/2 and gamma*|x| eta/2 more, which
+    floor covers together with (1 + u) m*eta. So (1 - u) r >= R + u |c|,
+    and [fl(c - r), fl(c + r)] is an enclosure (_midrad_outward).
     """
     gamma, kappa, floor = _midrad_constants(M.shape[1])
     mid, rad = _mid_rad(lo, hi)
@@ -560,31 +607,53 @@ def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return _midrad_outward(M, x, mid, [(t, np.abs(M))], kappa, gamma * np.abs(x) + floor)
 
 
-def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """One fixed interval matrix [Ml, Mh] (n, m) applied to a batch of
-    interval vectors, in midpoint-radius form.
+def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   center=0.0):
+    """Enclosures of A @ (v - center) over the members A of one fixed
+    interval matrix [Ml, Mh] (n, m) and v of each interval vector of the
+    batch, for a point vector center (m,), in midpoint-radius form.
 
-    With the matrix as Mc +- Mr and each cell as mid +- rad (_mid_rad), every
-    member product lies within |Mc| @ rad + Mr @ (|mid| + rad) of Mc @ mid.
-    The center fl(mid @ Mc.T) is off by at most
-    gamma_m * |mid| @ |Mc|.T + m*eta, so the radius is
+    With the matrix as Mc +- Mr and each cell as mid +- rad (_mid_rad), the
+    shifted midpoint d = fl(mid - center) is off by at most u |d|, so every
+    v - center lies within rad + u |d| of d, and every member product within
+    |Mc| @ (rad + u |d|) + Mr @ ((1 + u) |d| + rad) of Mc @ d. The center
+    c = fl(d @ Mc.T) is off by at most gamma_m P + m*eta, for
+    P = |d| @ |Mc|.T, and |c| <= (1 + gamma_m) P + m*eta. The sum R of the
+    two distances bounds every exact image's distance from c, and as
+    gamma_m + u <= gamma_(m+1), with g as in _midrad_constants
 
-        r = ((rad + gamma*|mid| + eta) @ |Mc|.T
-             + (|mid| + rad) @ Mr.T) * kappa + floor,
+        R + u |c| <= rad @ |Mc|.T + g P + (1 + u) (|d| + rad) @ Mr.T
+                     + (1 + u) m*eta.
 
-    evaluated in round-to-nearest and covered as in affine_batch (m + 4
-    roundings in the sum of the two products). Then [c - r, c + r] is
-    rounded outward once (_midrad_outward).
+    The radius
+
+        r = ((rad + gamma*|d| + eta) @ |Mc|.T + (|d| + rad) @ Mr.T) * kappa
+            + floor
+
+    is evaluated in round-to-nearest, and all its terms are nonnegative.
+    The |d| term of the first product passes m + 6 roundings (gamma*, + eta,
+    + rad, m in the product, the sum of the two products, * kappa, + floor),
+    its rad term m + 4, and the second product m + 4 (|d| + rad, m in the
+    product, the sum, * kappa, + floor) with the factor 1 + u <= 1/(1 - u)
+    on top. With the division by 1 - u of _midrad_outward, the conditions
+    kappa gamma (1 - u)**(m + 7) >= g and kappa (1 - u)**(m + 6) >= 1
+    suffice, and _midrad_constants meets both. The + eta makes up for the
+    underflow of gamma*|d|; the two products and * kappa lose at most
+    (2 kappa m + 1) eta/2, which floor covers together with
+    (1 + u) m*eta. So (1 - u) r >= R + u |c|, and [fl(c - r), fl(c + r)] is
+    an enclosure (_midrad_outward). A shifted midpoint that overflows is
+    not finite, and _midrad_outward treats it as such.
     """
     gamma, kappa, floor = _midrad_constants(Ml.shape[1])
     Mc, Mr = _mid_rad(Ml, Mh)
-    mid, rad = _mid_rad(lo, hi)
-    a = np.abs(mid)
+    d, rad = _mid_rad(lo, hi)
+    d -= center
+    a = np.abs(d)
     t = a * gamma
     t += _ETA
     t += rad
     a += rad
-    return _midrad_outward(Mc, 0.0, mid, [(t, np.abs(Mc)), (a, Mr)], kappa, floor)
+    return _midrad_outward(Mc, 0.0, d, [(t, np.abs(Mc)), (a, Mr)], kappa, floor)
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):

@@ -368,15 +368,57 @@ def test_midrad_kernels_enclose_exact_products(data):
     _assert_midrad_enclose(M, x, Ml, Mh, lo, hi, aff, fixed)
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_midrad_shift_encloses_exact_images(data):
+    """imat_vec_batch with a center encloses A @ (v - center) for corner
+    and interior members v of each cell and corner members A of the matrix
+    (exact Fraction arithmetic), with no NaN, over cells, matrices and
+    centers whose entries span the float range: points, subnormals, and
+    shifts and products that overflow. An output end is infinite only where
+    it is reached (A_ij != 0) by a coordinate j with max|v_j - center_j|
+    past MAX/2, whose shift or radius operand |d| + rad can overflow, or
+    where the exact bound of the image, the sum over j of
+    max|A_ij| * max|v_j - center_j|, exceeds MAX/2."""
+    nb, n, m = (data.draw(st.integers(1, k)) for k in (3, 4, 4))
+    lo, hi = data.draw(_interval_arrays((nb, m)))
+    Ml, Mh = data.draw(_interval_arrays((n, m)))
+    center = data.draw(_interval_arrays((m,)))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        olo, ohi = imat_vec_batch(Ml, Mh, lo, hi, center)
+    assert not (np.isnan(olo).any() or np.isnan(ohi).any())
+    cq = [Fraction(v) for v in center.tolist()]
+    mats = _exact_members(Ml, Mh)
+    amax = [max(abs(Fraction(v)) for v in pair) for pair in zip(Ml.ravel().tolist(),
+                                                                   Mh.ravel().tolist())]
+    for b in range(nb):
+        members = _exact_members(lo[b], hi[b])
+        vmax = [max(abs(v[j] - cq[j]) for v in members[:2]) for j in range(m)]
+        for i in range(n):
+            terms = [amax[i * m + j] * vmax[j] for j in range(m)]
+            if not (np.isfinite(olo[b, i]) and np.isfinite(ohi[b, i])):
+                assert (sum(terms) > Fraction(MAX) / 2
+                        or any(t and vmax[j] > Fraction(MAX) / 2 for j, t in enumerate(terms)))
+        for v in members:
+            for A in mats:
+                exact = [sum(A[i * m + j] * (v[j] - cq[j]) for j in range(m)) for i in range(n)]
+                assert encloses(olo[b], ohi[b], exact)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_midrad_constants_meet_their_bounds(m):
-    """gamma >= gamma_(m+1) / (1 - u)**3, kappa >= (1 - u)**-(m + 6) and
-    floor >= (2m + 2) * eta, checked in exact arithmetic."""
-    gamma, kappa, floor = interval._midrad_constants(m)
+    """gamma (1 - u)**4 >= gamma_(m+1) + u (1 + gamma_(m+1)),
+    kappa (1 - u)**(m + 7) >= 1 and
+    floor (1 - u)**3 >= ((1 + u) m + kappa m + 1) eta, checked in exact
+    arithmetic: the radius of either midpoint-radius kernel then also
+    covers the rounding of c -+ r and, in imat_vec_batch, the shift's
+    u |d|."""
+    gamma, kappa, floor = (Fraction(c) for c in interval._midrad_constants(m))
     u, eta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
-    assert Fraction(gamma) * (1 - u) ** 3 >= (m + 1) * u / (1 - (m + 1) * u)
-    assert Fraction(kappa) * (1 - u) ** (m + 6) >= 1
-    assert Fraction(floor) >= (2 * m + 2) * eta
+    g = (m + 1) * u / (1 - (m + 1) * u)
+    assert gamma * (1 - u) ** 4 >= g + u * (1 + g)
+    assert kappa * (1 - u) ** (m + 7) >= 1
+    assert floor * (1 - u) ** 3 >= ((1 + u) * m + kappa * m + 1) * eta
 
 
 def test_midrad_kernels_examples():
@@ -554,8 +596,10 @@ def _F_magnitude_bound(X, Y):
 
 
 def test_F_gamma_meets_its_bound():
-    """_F_GAMMA * (1 - u)**8 >= gamma_7 + eta/2, in exact arithmetic."""
-    assert Fraction(dynamics._F_GAMMA) * (1 - U) ** 8 >= 7 * U / (1 - 7 * U) + ETA / 2
+    """_F_GAMMA (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u, in exact
+    arithmetic: the radius then also covers the rounding of the widening."""
+    assert (Fraction(dynamics._F_GAMMA) * (1 - U) ** 2
+            >= (7 * U / (1 - 7 * U) + ETA / 2) / (1 - U) ** 7 + U)
 
 
 # magnitudes of cell endpoints with no overflow in E: zero, subnormals and
@@ -569,16 +613,17 @@ _magnitude = st.one_of(
 @given(st.lists(_magnitude, min_size=8, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_F_radius_covers_the_rounding_error(mags):
-    """The radius _F_batch widens each output by is at least
-    (gamma_7 + eta/2) E, for E evaluated exactly from the cell's
-    magnitudes: a cell [-a, b] per coordinate has largest magnitude
-    max(a, b)."""
+    """The radius r = fl(_F_GAMMA * e) that _F_batch widens each output by
+    is at least ((gamma_7 + eta/2) E + u e) / (1 - u), for the computed
+    magnitude bound e and E evaluated exactly from the cell's magnitudes:
+    a cell [-a, b] per coordinate has largest magnitude max(a, b)."""
     a, b = np.array(mags[:4])[:, None], np.array(mags[4:])[:, None]
-    r = dynamics._F_radius(-a, b)[:, 0]
+    e = dynamics._F_magnitude(-a, b)
+    r = e * dynamics._F_GAMMA
     m = [Fraction(v) for v in np.maximum(a, b)[:, 0].tolist()]
     E = _F_magnitude_bound(m[:2], m[2:])
-    for ri, ei in zip(r.tolist(), E):
-        assert Fraction(ri) >= (7 * U / (1 - 7 * U) + ETA / 2) * ei
+    for ri, ei, Ei in zip(r[:, 0].tolist(), e[:, 0].tolist(), E):
+        assert Fraction(ri) >= ((7 * U / (1 - 7 * U) + ETA / 2) * Ei + U * Fraction(ei)) / (1 - U)
 
 
 @st.composite
@@ -636,20 +681,28 @@ def test_F_kernels_enclose_exact_images(cells):
 # --- cell bisection (covering._bisect_cells) ---
 
 def test_box_bisect_examples():
-    """Each cell is split along its own widest coordinate: all left halves,
-    then all right halves."""
+    """Each cell is split along its own widest coordinate, into level
+    order: per root, all left halves, then all right halves."""
     lo = np.array([[0.0, 0.0], [0.0, 0.0]])
     hi = np.array([[2.0, 1.0], [1.0, 3.0]])
-    clo, chi = _bisect_cells(lo, hi)
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([5, 5]))
     assert np.array_equal(clo, [[0, 0], [0, 0], [1, 0], [0, 1.5]])
     assert np.array_equal(chi, [[1, 1], [1, 1.5], [2, 1], [1, 3]])
+    assert np.array_equal(croot, [5] * 4)
+    # three cells of roots 0, 0 and 1: the children of root 0, then of root 1
+    lo = np.zeros((3, 1))
+    hi = np.array([[2.0], [4.0], [8.0]])
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]))
+    assert np.array_equal(clo[:, 0], [0, 0, 1, 2, 0, 4])
+    assert np.array_equal(chi[:, 0], [1, 2, 2, 4, 4, 8])
+    assert np.array_equal(croot, [0, 0, 0, 0, 1, 1])
 
 
 def test_box_bisect_halves_widest(rng):
     nb = 50
     lo = rng.uniform(-5, 5, size=(nb, 4))
     hi = lo + rng.uniform(0.01, 3, size=(nb, 4))
-    clo, chi = _bisect_cells(lo, hi)
+    clo, chi, _ = _bisect_cells(lo, hi, np.zeros(nb, dtype=int))
     (llo, rlo), (lhi, rhi) = np.split(clo, 2), np.split(chi, 2)
     r = np.arange(nb)
     ax = np.argmax(hi - lo, axis=1)
