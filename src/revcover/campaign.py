@@ -318,7 +318,8 @@ def fix_disk_check(S: LinearReversor, N: HSet) -> DiskCheck:
     Needs S(x) = x exactly and S(u_j) = s_j columnwise exactly; then
     S(b(p,q)) = b(p,q) algebraically, and the disk is simultaneously a
     horizontal and a vertical disk of N (its chart image is the diagonal
-    (p,q,p,q), linearly homotopic to either core). No numerics required.
+    (p,q,p,q), linearly homotopic to either core). No numerics required:
+    S is a signed permutation, so S x and S M are exact.
     """
     if N.u != N.s:
         return DiskCheck(False, f"u={N.u} differs from s={N.s}")

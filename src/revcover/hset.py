@@ -4,6 +4,16 @@ An h-set is a parallelepiped M([-1,1]^n) + x under the maximum norm, with the
 first u columns of M spanning the nominally unstable directions and the last s
 columns the stable ones. The chart c(v) = M^{-1}(v - x) maps the support onto
 the unit cube; a verified enclosure of M^{-1} is certified at construction.
+
+The transpose and the reversor image of an h-set do not eliminate again.
+Their direction matrix is M' = D M P, with D the identity or the reversor S
+and P the permutation that swaps the unstable and stable column blocks. A
+reversor is a signed permutation (LinearReversor), so D M is computed
+exactly in floating point and M' is exactly D M P. As S is an involution,
+inv(M') = P^T inv(M) D, and on the certified enclosure of inv(M) that is a
+permutation of rows and columns and a negation of some columns, all exact.
+The image therefore encloses the exact inverse of the stored M' whenever the
+source's enclosure does, and it cannot fail where a fresh elimination might.
 """
 
 from __future__ import annotations
@@ -27,7 +37,14 @@ from .interval import (
 
 @dataclass(frozen=True)
 class LinearReversor:
-    """Linear involution S (S @ S = identity, exactly on representable entries)."""
+    """Linear involution S (S @ S = identity) that is a signed permutation:
+    each row and each column holds one entry +1 or -1 and zeros elsewhere.
+
+    Every product with S then moves or negates entries without rounding, so
+    S(|N|), the fixed-space checks and the h-sets' derived inverses are
+    exact. A general float involution is refused: its products round, and a
+    rounded image of an h-set is not S(|N|).
+    """
 
     matrix: np.ndarray
 
@@ -37,6 +54,10 @@ class LinearReversor:
         n = m.shape[0]
         if m.shape != (n, n):
             raise DomainError("reversor matrix must be square")
+        nonzero = m != 0.0
+        if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)
+                and np.all(np.abs(m[nonzero]) == 1.0)):
+            raise DomainError("reversor is not a signed permutation")
         if not np.array_equal(m @ m, np.eye(n)):
             raise DomainError("reversor is not an exact involution")
 
@@ -72,23 +93,7 @@ class HSet:
     __slots__ = ("name", "center", "matrix", "u", "s", "inv_matrix", "decimal_source")
 
     def __init__(self, name: str, center, matrix, u: int, s: int, decimal_source=None):
-        center = np.asarray(center, dtype=float).copy()
-        matrix = np.asarray(matrix, dtype=float).copy()
-        n = center.shape[0]
-        if u < 0 or s < 0 or u + s != n:
-            raise DomainError(f"u + s must equal the dimension ({u}+{s} != {n})")
-        if matrix.shape != (n, n):
-            raise DomainError("direction matrix must be n x n")
-        center.flags.writeable = False
-        matrix.flags.writeable = False
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "u", int(u))
-        object.__setattr__(self, "s", int(s))
-        # raises SingularMatrixError when no verified inverse exists
-        object.__setattr__(self, "inv_matrix", imat_inverse(matrix))
-        object.__setattr__(self, "decimal_source", decimal_source)
+        _fill(self, name, center, matrix, u, s, None, decimal_source)
 
     def __setattr__(self, *a):
         raise AttributeError("HSet is immutable")
@@ -129,20 +134,64 @@ class HSet:
         return f"HSet({self.name!r}, dim={self.dim}, u={self.u}, s={self.s})"
 
 
+def _fill(N: HSet, name, center, matrix, u, s, inv, decimal_source) -> None:
+    """Validate and set N's fields; inv is None for a freshly certified
+    inverse, or the exact image of a source's certified one (_swapped)."""
+    center = np.asarray(center, dtype=float).copy()
+    matrix = np.asarray(matrix, dtype=float).copy()
+    n = center.shape[0]
+    if u < 0 or s < 0 or u + s != n:
+        raise DomainError(f"u + s must equal the dimension ({u}+{s} != {n})")
+    if matrix.shape != (n, n):
+        raise DomainError("direction matrix must be n x n")
+    center.flags.writeable = False
+    matrix.flags.writeable = False
+    object.__setattr__(N, "name", str(name))
+    object.__setattr__(N, "center", center)
+    object.__setattr__(N, "matrix", matrix)
+    object.__setattr__(N, "u", int(u))
+    object.__setattr__(N, "s", int(s))
+    # raises SingularMatrixError when no verified inverse exists
+    object.__setattr__(N, "inv_matrix", imat_inverse(matrix) if inv is None else inv)
+    object.__setattr__(N, "decimal_source", decimal_source)
+
+
+def _swapped(N: HSet, name: str, center, S: LinearReversor | None = None) -> HSet:
+    """The h-set with directions D M P and center `center`, for D = S (or
+    the identity) and P the swap of the unstable and stable column blocks,
+    its inverse taken from N's as P^T inv(M) D (see the module docstring).
+
+    Column j of S holds its one nonzero, sign t_j, in row k_j, so column j
+    of inv(M) S is t_j times column k_j of inv(M); a negated interval column
+    swaps its bounds. Row j of P^T X is row perm[j] of X.
+    """
+    perm = np.r_[N.u : N.dim, 0 : N.u]
+    m = N.matrix if S is None else S.matrix @ N.matrix
+    lo, hi = N.inv_matrix.lo, N.inv_matrix.hi
+    if S is not None:
+        k = np.argmax(S.matrix != 0.0, axis=0)
+        neg = S.matrix[k, np.arange(N.dim)] < 0.0
+        lo, hi = np.where(neg, -hi[:, k], lo[:, k]), np.where(neg, -lo[:, k], hi[:, k])
+    T = HSet.__new__(HSet)
+    _fill(T, name, center, m[:, perm], N.s, N.u, IMatrix(lo[perm], hi[perm]), None)
+    return T
+
+
 def transpose(N: HSet) -> HSet:
-    """Same support, unstable and stable roles swapped (column blocks permuted)."""
-    m = np.concatenate([N.matrix[:, N.u :], N.matrix[:, : N.u]], axis=1)
-    return HSet(f"{N.name}^T", N.center, m, N.s, N.u)
+    """Same support, unstable and stable roles swapped (column blocks
+    permuted). Its inverse is N's with the rows permuted likewise: exact,
+    so no elimination runs."""
+    return _swapped(N, f"{N.name}^T", N.center)
 
 
 def sym_image(S: LinearReversor, N: HSet) -> HSet:
     """Transposed symmetric image: support S(|N|), directions S M with the
-    unstable and stable column blocks swapped."""
+    unstable and stable column blocks swapped. S is a signed permutation, so
+    S M is exact and its inverse is N's with its columns permuted and
+    negated as S's say, and its rows block-swapped: no elimination runs."""
     if S.dim != N.dim:
         raise DomainError("reversor dimension mismatch")
-    sm = S.matrix @ N.matrix
-    m = np.concatenate([sm[:, N.u :], sm[:, : N.u]], axis=1)
-    return HSet(canonical_sym_name(N.name), S.apply(N.center), m, N.s, N.u)
+    return _swapped(N, canonical_sym_name(N.name), S.apply(N.center), S)
 
 
 def canonical_sym_name(name: str) -> str:
@@ -154,7 +203,8 @@ def canonical_sym_name(name: str) -> str:
 
 def st_symmetric_check(S: LinearReversor, N: HSet) -> bool:
     """True iff S fixes the center exactly and maps each unstable column onto
-    the corresponding stable column bit-exactly (then sym_image(S, N) == N)."""
+    the corresponding stable column bit-exactly (then sym_image(S, N) == N).
+    S is a signed permutation, so the products compared are exact."""
     if N.u != N.s:
         return False
     if not S.fixes(N.center):

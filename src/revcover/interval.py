@@ -57,6 +57,7 @@ import numpy as np
 
 _NINF = float("-inf")
 _PINF = float("inf")
+_NAN = float("nan")
 
 
 class DomainError(Exception):
@@ -104,7 +105,11 @@ def _successor(a):
 def _down(a):
     """np.nextafter(a, -inf). Takes ownership of a: a float64 array of at
     least _BITSTEP_MIN elements is overwritten with the result, so callers
-    pass a temporary of their own and never an array they read again."""
+    pass a temporary of their own and never an array they read again. A
+    Python float takes math.nextafter, the same IEEE step at a fraction of
+    the cost of a numpy call."""
+    if type(a) is float:
+        return math.nextafter(a, _NINF)
     if _large(a):
         np.negative(a, out=a)
         _successor(a)
@@ -114,6 +119,8 @@ def _down(a):
 
 def _up(a):
     """np.nextafter(a, inf); takes ownership of a, as _down does."""
+    if type(a) is float:
+        return math.nextafter(a, _PINF)
     if _large(a):
         return _successor(a)
     return np.nextafter(a, _PINF)
@@ -142,8 +149,17 @@ def _round_hull(op, alo, ahi, blo, bhi):
     the first and the last candidate are large float64 arrays of one shape,
     that is the shape of all four: the max is then built in the last one's
     buffer, the min in one new array, and the two middle candidates are
-    computed in turn into the first one's buffer.
+    computed in turn into the first one's buffer. Four Python floats take
+    the builtin min and max, with NaN propagated as np.minimum and
+    np.maximum propagate it: the same bits, as the step maps +0 and -0 to
+    the same value.
     """
+    if type(alo) is type(ahi) is type(blo) is type(bhi) is float:
+        c1, c2, c3, c4 = op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi)
+        if c1 != c1 or c2 != c2 or c3 != c3 or c4 != c4:
+            return _NAN, _NAN
+        return (math.nextafter(min(c1, c2, c3, c4), _NINF),
+                math.nextafter(max(c1, c2, c3, c4), _PINF))
     c1 = op(alo, blo)
     c4 = op(ahi, bhi)
     if not (_large(c1) and _large(c4) and c1.shape == c4.shape):
@@ -168,7 +184,13 @@ def imul(alo, ahi, blo, bhi):
 def idiv(alo, ahi, blo, bhi):
     """Division; the divisor must exclude 0 (raises DomainError otherwise).
     Rounded once after min/max, as in imul."""
-    if np.any((np.asarray(blo) <= 0.0) & (np.asarray(bhi) >= 0.0)):
+    if type(blo) is type(bhi) is float:
+        if blo <= 0.0 <= bhi:
+            raise DomainError("division by an interval containing 0")
+        if not (blo and bhi):
+            # an end of 0 only if the ends are unsorted; numpy divides by it
+            blo, bhi = np.float64(blo), np.float64(bhi)
+    elif np.any((np.asarray(blo) <= 0.0) & (np.asarray(bhi) >= 0.0)):
         raise DomainError("division by an interval containing 0")
     return _round_hull(operator.truediv, alo, ahi, blo, bhi)
 
@@ -477,6 +499,7 @@ def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
 
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
+_MAX = float(np.finfo(np.float64).max)
 _ONE_PLUS_4U = 1.0 + 4 * _U
 
 
@@ -643,9 +666,19 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
     (1 + u) m*eta. So (1 - u) r >= R + u |c|, and [fl(c - r), fl(c + r)] is
     an enclosure (_midrad_outward). A shifted midpoint that overflows is
     not finite, and _midrad_outward treats it as such.
+
+    A matrix radius Mr that overflows is taken as MAX, the largest float.
+    The radius of an entry with finite ends overflows only where Mh - Ml is
+    within a few ulps of 2 MAX, so that its ends have opposite signs and
+    magnitudes above MAX/2 (such as [-MAX, MAX]); then Ml + Mh and Mc are
+    exact, and the radius (Mh - Ml)/2 is at most MAX. An infinite end makes
+    Mc, and so the center, not finite. Without the cap a coordinate whose
+    members all equal the center would make inf * 0 = NaN, and one of small
+    magnitude an infinite radius, where the image is bounded.
     """
     gamma, kappa, floor = _midrad_constants(Ml.shape[1])
     Mc, Mr = _mid_rad(Ml, Mh)
+    np.minimum(Mr, _MAX, out=Mr)
     d, rad = _mid_rad(lo, hi)
     d -= center
     a = np.abs(d)

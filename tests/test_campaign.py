@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from revcover import hset
 from revcover.campaign import (
     _BLOCKS,
     RELATIONS,
@@ -254,6 +255,32 @@ def test_report_content_and_exit_code(campaign):
     assert r["reference_cost"]["boxes"] == 220_000_000
     assert r["q1_interpretation"]["choice"] == "same-frame-u2"
     assert len(r["conclusions"]) == 2
+
+
+def test_campaign_box_counts_are_pinned(campaign):
+    """The campaign's box counts at defaults, relation by relation: a change
+    to an h-set's inverse enclosure (or to a kernel) that moves a count
+    shows here even where every verdict stays."""
+    r = campaign[0].report
+    assert {f"{rel['source']}=>{rel['target']}": rel["boxes"] for rel in r["relations"]} == {
+        "N1=>N1": 96, "N2=>N2": 390, "N1=>H1": 96,
+        "H1=>H2": 864, "H2=>H3": 744, "H3=>N2": 592,
+    }
+    assert r["backcover_crosscheck"]["boxes"] == 744
+    assert r["totals"]["boxes"] == 3_526
+
+
+def test_campaign_certifies_five_inverses(monkeypatch):
+    """One run certifies by elimination only the five h-sets of the
+    instance; the transposes and reversor images it builds (for the
+    symmetric closure and the cross-check) take their inverse by exact
+    signed permutation."""
+    calls = []
+    real = hset.imat_inverse
+    monkeypatch.setattr(hset, "imat_inverse", lambda M: calls.append(M) or real(M))
+    report, _ = run_campaign(CampaignConfig())
+    assert report.exit_code == 0
+    assert len(calls) == 5
 
 
 def test_exit_code_1_when_all_verified_but_a_check_fails(campaign):

@@ -18,6 +18,8 @@ from revcover.hset import (
 )
 from revcover.interval import DomainError, IBox, SingularMatrixError
 
+from conftest import encloses, exact_inverse
+
 
 def unit_hset(n=4, u=2):
     return HSet("I", np.zeros(n), np.eye(n), u, n - u)
@@ -135,6 +137,75 @@ def test_reversor_validation():
         LinearReversor(np.array([[1.0, 1.0], [0.0, 1.0]]))
     S = coordinate_reflection(2, (0,))
     assert S.fixes([0.0, 3.0]) and not S.fixes([1.0, 3.0])
+
+
+def test_reversor_must_be_a_signed_permutation():
+    """An exact float involution that is not a signed permutation is
+    refused: its image of an h-set would round (here fl(S M) stores 1.0
+    where S M has 1 - 1e-17), so it would not be S(|N|)."""
+    for m in ([[1.0, 0.0], [1.0, -1.0]], [[0.0, 2.0], [0.5, 0.0]], [[-1.0, 0.0], [2.0, 1.0]]):
+        assert np.array_equal(np.array(m) @ np.array(m), np.eye(2))
+        with pytest.raises(DomainError, match="signed permutation"):
+            LinearReversor(np.array(m))
+    for m in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.0, 1.0]]):
+        LinearReversor(np.array(m))
+    with pytest.raises(DomainError, match="involution"):
+        LinearReversor(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # a signed rotation
+
+
+# --- derived inverses: exact images of the source's certified inverse ---
+
+# the shipped reflection and a signed permutation that is not diagonal,
+# x1 <-> -y1 (both involutions)
+REFLECTION = coordinate_reflection(4, (0, 1))
+SWAP = LinearReversor(np.array([[0.0, 0.0, -1.0, 0.0],
+                                [0.0, 1.0, 0.0, 0.0],
+                                [-1.0, 0.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0]]))
+
+
+def _assert_encloses_exact_inverse(N):
+    exact = [v for row in exact_inverse(N.matrix) for v in row]
+    assert encloses(N.inv_matrix.lo, N.inv_matrix.hi, exact), N.name
+
+
+def _assert_same_inverse(A, B):
+    for a, b in ((A.inv_matrix.lo, B.inv_matrix.lo), (A.inv_matrix.hi, B.inv_matrix.hi)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _derived_hsets(N):
+    return [transpose(N)] + [f(S, N) for S in (REFLECTION, SWAP)
+                             for f in (sym_image, lambda S, N: transpose(sym_image(S, N)))]
+
+
+def test_derived_inverses_enclose_exact_inverses(data, rng):
+    """transpose(N) and sym_image(S, N) take N's certified inverse, permuted
+    and negated: it must contain the exact rational inverse of the matrix
+    they store. Over the five campaign h-sets and random well-conditioned
+    4x4 matrices of every split u + s = 4."""
+    sources = list(data.hsets.values())
+    for i in range(40):
+        M = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-2, 2, size=4) + 4 * np.eye(4)
+        sources.append(HSet(f"R{i}", rng.normal(size=4), M, 1 + i % 3, 3 - i % 3))
+    for N in sources:
+        _assert_encloses_exact_inverse(N)
+        for T in _derived_hsets(N):
+            assert (T.u, T.s) in ((N.s, N.u), (N.u, N.s))
+            _assert_encloses_exact_inverse(T)
+
+
+def test_derived_inverses_round_trip_bit_for_bit(data, rng):
+    """Transposing twice, or taking the reversor image twice, gives back N's
+    inverse bit for bit (the permutations and negations undo each other)."""
+    sources = list(data.hsets.values())
+    sources.append(HSet("R", rng.normal(size=4), rng.normal(size=(4, 4)) + 3 * np.eye(4), 1, 3))
+    for N in sources:
+        _assert_same_inverse(transpose(transpose(N)), N)
+        for S in (REFLECTION, SWAP):
+            twice = sym_image(S, sym_image(S, N))
+            assert twice == N
+            _assert_same_inverse(twice, N)
 
 
 # --- wall grids: the initial cells of the exit (u pinned axes) and entry

@@ -8,6 +8,7 @@ two midpoint-radius kernels also over hypothesis-drawn data), and the
 outward rounding bit for bit against np.nextafter.
 """
 
+import itertools
 import math
 import operator
 import pickle
@@ -180,17 +181,23 @@ def test_unpickled_arrays_take_the_bit_step():
     assert interval._large(a) and interval._large(a + a)
 
 
-def test_rounding_steps_match_nextafter_scalars():
-    """Scalars, 0-d and one-element arrays, each call with its own copy."""
+def test_rounding_steps_match_nextafter_scalars(rng):
+    """Python floats (math.nextafter), numpy scalars, 0-d and one-element
+    arrays, each call with its own copy, over the special values and random
+    bit patterns."""
     with np.errstate(all="ignore"):
-        for x in SPECIAL:
+        for x in random_bits(rng, 2000):
             for a in (float(x), np.float64(x), np.array(x), np.array([x])):
                 assert_same_bits(interval._down(copy(a)), np.nextafter(a, -np.inf))
                 assert_same_bits(interval._up(copy(a)), np.nextafter(a, np.inf))
 
 
 def _widen_each(op, alo, ahi, blo, bhi):
-    """Reference imul/idiv: every candidate widened before the min/max."""
+    """Reference imul/idiv: every candidate widened before the min/max.
+    Python floats are taken as float64 scalars, which divide by 0 as arrays
+    do instead of raising."""
+    alo, ahi, blo, bhi = (np.float64(x) if type(x) is float else x
+                          for x in (alo, ahi, blo, bhi))
     c = [op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi)]
     down = [np.nextafter(x, -np.inf) for x in c]
     up = [np.nextafter(x, np.inf) for x in c]
@@ -228,6 +235,35 @@ def test_imul_idiv_round_once_is_bit_identical(rng, size):
             ):
                 for got, want in zip(kernel(*args), _widen_each(op, *args)):
                     assert_same_bits(got, want)
+
+
+def test_scalar_kernels_match_arrays(rng):
+    """iadd, isub, imul and idiv on four Python floats (math.nextafter and
+    the builtin min/max) give the bits of the same operands as one-element
+    float64 arrays, and NaN wherever those give NaN: over every combination
+    of four special endpoints, against the references on the whole vector
+    (elementwise, so as on one-element arrays), and over random endpoints
+    (unsorted, so a divisor may end in 0) one call at a time."""
+    sp = SPECIAL.tolist()
+    grid = np.array(list(itertools.product(sp, repeat=4))).T
+    with np.errstate(all="ignore"):
+        rand = np.array([*_endpoints(rng, 500), *_endpoints(rng, 500)])
+        for kernel in (interval.iadd, interval.isub, imul, idiv):
+            for cols in (grid, rand):
+                if kernel is idiv:
+                    cols = cols[:, ~((cols[2] <= 0.0) & (cols[3] >= 0.0))]
+                got = np.array([kernel(*args) for args in cols.T.tolist()]).T
+                for g, w in zip(got, REFERENCE[kernel](*cols)):
+                    assert_same_bits(g, w)
+            for args in rand.T.tolist():
+                one = [np.array([x]) for x in args]
+                if kernel is idiv and args[2] <= 0.0 <= args[3]:
+                    for a in (args, one):
+                        with pytest.raises(DomainError):
+                            idiv(*a)
+                    continue
+                for g, w in zip(kernel(*args), kernel(*one)):
+                    assert_same_bits(np.array([g]), w)
 
 
 # --- batch matrix kernels: exact member-sampling oracle ---
@@ -462,6 +498,20 @@ def test_midrad_infinite_radius_reaches_only_its_outputs():
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = imat_vec_batch(np.ones((2, 2)), np.ones((2, 2)), *cases[0])
     assert np.array_equal(lo, [[-np.inf] * 2]) and np.array_equal(hi, [[np.inf] * 2])
+
+
+def test_midrad_matrix_radius_overflow_stays_bounded():
+    """A matrix entry [-MAX, MAX], whose radius overflows in _mid_rad's
+    safety factor, is taken at radius MAX: times a coordinate that is
+    exactly the center, or one of small magnitude, its image is finite."""
+    Ml, Mh = np.array([[-MAX, 0.0], [0.0, 1.0]]), np.array([[MAX, 0.0], [0.0, 1.0]])
+    for x in (0.0, 0.1, -1e-300):
+        v = np.array([[x, 2.0]])
+        with np.errstate(over="ignore"):
+            lo, hi = imat_vec_batch(Ml, Mh, v, v)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        for a in (-MAX, MAX):
+            assert encloses(lo[0], hi[0], [Fraction(a) * Fraction(x), Fraction(2)])
 
 
 # --- kernels round their own buffers, never their arguments ---
