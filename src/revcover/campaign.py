@@ -31,7 +31,7 @@ from .hset import (
     HSet,
     LinearReversor,
     canonical_sym_name,
-    st_symmetric_check,
+    fix_disk_check,
     supports_disjoint,
     sym_image,
 )
@@ -305,33 +305,6 @@ def symmetric_closure(graph: CoveringGraph, S: LinearReversor) -> CoveringGraph:
     return graph
 
 
-@dataclass
-class DiskCheck:
-    ok: bool
-    detail: str
-
-
-def fix_disk_check(S: LinearReversor, N: HSet) -> DiskCheck:
-    """Certify that the canonical diagonal disk b(p,q) = M (p,q,p,q) + x lies
-    in the reversor's fixed space.
-
-    Needs S(x) = x exactly and S(u_j) = s_j columnwise exactly; then
-    S(b(p,q)) = b(p,q) algebraically, and the disk is simultaneously a
-    horizontal and a vertical disk of N (its chart image is the diagonal
-    (p,q,p,q), linearly homotopic to either core). No numerics required:
-    S is a signed permutation, so S x and S M are exact.
-    """
-    if N.u != N.s:
-        return DiskCheck(False, f"u={N.u} differs from s={N.s}")
-    if not S.fixes(N.center):
-        return DiskCheck(False, "center is not fixed by the reversor")
-    su = S.matrix @ N.matrix[:, : N.u]
-    for j in range(N.u):
-        if not np.array_equal(su[:, j], N.matrix[:, N.u + j]):
-            return DiskCheck(False, f"unstable column {j} does not map onto stable column {j}")
-    return DiskCheck(True, "diagonal disk lies in the reversor's fixed space")
-
-
 # three of the four 7-step transition blocks between the symmetric anchor
 # sets; block_transitions derives N2 -> N1 from N1 -> N2
 _BLOCKS = {
@@ -568,9 +541,9 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     data = data or build_proof_data()
     S = data.reversor
 
-    st_sym = {name: bool(st_symmetric_check(S, data.hset(name))) for name in ("N1", "N2")}
-    disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
     disks = {name: fix_disk_check(S, data.hset(name)) for name in ("N1", "N2")}
+    st_sym = {name: d.ok for name, d in disks.items()}
+    disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
 
     graph = CoveringGraph()
     for h in data.hsets.values():

@@ -35,10 +35,14 @@ they outgrow one batch. The shards are scheduled dynamically: a part goes to
 the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
 and each worker takes the next shard when it finishes one, so a worker whose
 roots turn out light does not sit idle while another finishes heavy ones.
+Each shard carries the check's cell engine, map included, pickled as it is;
+with more than one worker, a map that does not pickle is refused with
+DomainError before any cell is evaluated.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -46,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem, map_from_spec
+from .dynamics import MapSystem
 from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
@@ -283,11 +287,8 @@ class _CellEngine:
         clo, chi = self._chart_image(lo, hi)
         u = self.u
         if self.which == "exit":
-            ulo = lo.copy()
-            uhi = hi.copy()
-            ulo[:, u:] = 0.0
-            uhi[:, u:] = 0.0
-            lxlo, lxhi = imat_vec_batch(self.dfc0_lo, self.dfc0_hi, ulo, uhi)
+            lxlo, lxhi = imat_vec_batch(self.dfc0_lo[:, :u], self.dfc0_hi[:, :u],
+                                        lo[:, :u], hi[:, :u])
             zlo = np.minimum(clo, lxlo)
             zhi = np.maximum(chi, lxhi)
             passed = np.zeros(len(lo), dtype=bool)
@@ -498,15 +499,13 @@ class _Refinement:
         n_shards = min(_SHARDS_PER_WORKER * workers, len(ids))
         # the shard of each cell: its root's rank, round robin
         cell_shard = np.repeat(np.arange(len(ids)) % n_shards, count)
-        mapspec = self.engine.mapsys.spec
-        engine = {**vars(self.engine), "mapsys": None}
         settings = (len(self.boxes), self.allowance, self.max_depth, self.batch_size)
         payloads = []
         for i in range(n_shards):
             shard = ids[i::n_shards]
             mine = cell_shard == i
             payloads.append({
-                "mapspec": mapspec, "engine": engine, "settings": settings,
+                "engine": self.engine, "settings": settings,
                 "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],
                 "part": (lo[mine], hi[mine], root[mine], depth),
             })
@@ -518,8 +517,7 @@ class _Refinement:
 def _worker_refine(payload: dict) -> tuple:
     """Pool worker: finishes the refinement of one shard of roots. Pure
     function of its payload."""
-    engine = _CellEngine(**{**payload["engine"], "mapsys": map_from_spec(payload["mapspec"])})
-    ref = _Refinement(engine, *payload["settings"])
+    ref = _Refinement(payload["engine"], *payload["settings"])
     shard = payload["roots"]
     ref.boxes[shard] = payload["boxes"]
     ref.depth[shard] = payload["depth"]
@@ -541,9 +539,14 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
     )
     ref = _Refinement(engine, n_roots, max(1, cfg.budget // n_roots),
                       0 if cfg.fixed_grid else cfg.max_depth, cfg.batch_size)
-    workers = cfg.threads if mapsys.spec is not None else 1
+    if cfg.threads > 1:
+        try:
+            pickle.dumps(engine)
+        except (pickle.PicklingError, AttributeError, TypeError) as e:
+            raise DomainError(f"map {mapsys.name!r} does not pickle, so it cannot run on "
+                              f"worker processes; use threads=1 ({e})") from e
     # the initial grid is level 0: one cell per root
-    ref.run(lo0, hi0, np.arange(n_roots), 0, workers)
+    ref.run(lo0, hi0, np.arange(n_roots), 0, cfg.threads)
 
     stats = CheckStats(
         boxes=int(ref.boxes.sum()),

@@ -24,6 +24,7 @@ kernels along batches of chart cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,9 +48,11 @@ class MissingInverseError(Exception):
 class MapSystem:
     """Evaluatable map with derivative and optional inverse.
 
-    `spec` is a small picklable description used to rebuild the map inside
-    worker processes; maps constructed from ad-hoc closures leave it None and
-    are then verified single-threaded.
+    The bundled maps are built from module-level functions, bound to their
+    data with functools.partial, so they pickle by value, inverse link and
+    reversor included, and worker processes run them as they are. A map built
+    from closures or lambdas does not pickle; covering checks refuse to run
+    it on more than one worker process.
     """
 
     name: str
@@ -59,7 +62,6 @@ class MapSystem:
     jac_batch: Callable  # (lo, hi) -> (Jlo, Jhi), arrays (B, dim, dim)
     inverse: Optional["MapSystem"] = None
     reversor: Optional[LinearReversor] = None
-    spec: Optional[tuple] = None
 
     def eval_box(self, b: IBox) -> IBox:
         lo, hi = self.eval_batch(b.lo[None, :], b.hi[None, :])
@@ -76,8 +78,8 @@ class MapSystem:
 
 
 def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
-    """The inverse S o F o S of a map F with reversing symmetry S, registered
-    under `name`, and linked with F as each other's inverse.
+    """The inverse S o F o S of a map F with reversing symmetry S, named
+    `name`, and linked with F as each other's inverse.
 
     S is applied as exact sign flips, so it must be a signed diagonal:
     negating a coordinate negates and swaps its bounds, and Jacobian entry
@@ -90,23 +92,24 @@ def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
         raise DomainError(f"reversor of {fwd.name!r} is not a signed diagonal")
     neg = s < 0
     neg_jac = neg[:, None] != neg[None, :]
-
-    def flip(mask, lo, hi):
-        return np.where(mask, -hi, lo), np.where(mask, -lo, hi)
-
-    def eval_point(z):
-        return s * fwd.eval_point(s * np.asarray(z, dtype=float))
-
-    def eval_batch(lo, hi):
-        return flip(neg, *fwd.eval_batch(*flip(neg, lo, hi)))
-
-    def jac_batch(lo, hi):
-        return flip(neg_jac, *fwd.jac_batch(*flip(neg, lo, hi)))
-
-    inv = MapSystem(name, fwd.dim, eval_point, eval_batch, jac_batch,
-                    inverse=fwd, reversor=S, spec=(name,))
+    inv = MapSystem(name, fwd.dim, partial(_conjugate_point, s, fwd.eval_point),
+                    partial(_conjugate_batch, neg, neg, fwd.eval_batch),
+                    partial(_conjugate_batch, neg, neg_jac, fwd.jac_batch),
+                    inverse=fwd, reversor=S)
     fwd.inverse = inv
     return inv
+
+
+def _flip(mask, lo, hi):
+    return np.where(mask, -hi, lo), np.where(mask, -lo, hi)
+
+
+def _conjugate_point(s, f, z):
+    return s * f(s * np.asarray(z, dtype=float))
+
+
+def _conjugate_batch(neg_in, neg_out, f, lo, hi):
+    return _flip(neg_out, *f(*_flip(neg_in, lo, hi)))
 
 
 # --- the planar quadratic generator f and the 4-d reversible map F ---
@@ -288,44 +291,31 @@ def reversible_quadratic_map() -> MapSystem:
         eval_batch=_F_batch,
         jac_batch=_F_jac_batch,
         reversor=coordinate_reflection(4, (0, 1)),
-        spec=("F-quadratic-4d",),
     )
     _reversor_inverse(fwd, "F-quadratic-4d-inverse")
     return fwd
 
 
-def _linear_only(A: np.ndarray, name: str, reversor, spec) -> MapSystem:
+def _linear_point(A, z):
+    return A @ np.asarray(z, dtype=float)
+
+
+def _linear_jac(A, lo, hi):
+    j = np.broadcast_to(A, (lo.shape[0],) + A.shape)
+    return j.copy(), j.copy()
+
+
+def _linear_only(A: np.ndarray, name: str, reversor=None) -> MapSystem:
     n = A.shape[0]
-
-    def _eval_point(z):
-        return A @ np.asarray(z, dtype=float)
-
-    def _eval_batch(lo, hi):
-        return affine_batch(A, np.zeros(n), lo, hi)
-
-    def _jac_batch(lo, hi):
-        j = np.broadcast_to(A, (lo.shape[0], n, n))
-        return j.copy(), j.copy()
-
-    return MapSystem(
-        name=name,
-        dim=n,
-        eval_point=_eval_point,
-        eval_batch=_eval_batch,
-        jac_batch=_jac_batch,
-        reversor=reversor,
-        spec=spec,
-    )
+    return MapSystem(name, n, partial(_linear_point, A), partial(affine_batch, A, np.zeros(n)),
+                     partial(_linear_jac, A), reversor=reversor)
 
 
 def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None) -> MapSystem:
     """MapSystem for z -> A z; mainly for toy coverings and tests."""
-    A = np.asarray(matrix, dtype=float)
-    inv = None if inverse_matrix is None else np.asarray(inverse_matrix, dtype=float)
-    spec_inv = None if inv is None else inv.tolist()
-    m = _linear_only(A, name, reversor, ("linear", A.tolist(), spec_inv))
-    if inv is not None:
-        m.inverse = _linear_only(inv, name + "-inverse", None, ("linear", spec_inv, A.tolist()))
+    m = _linear_only(np.asarray(matrix, dtype=float), name, reversor)
+    if inverse_matrix is not None:
+        m.inverse = _linear_only(np.asarray(inverse_matrix, dtype=float), name + "-inverse")
         m.inverse.inverse = m
     return m
 
@@ -343,14 +333,6 @@ def map_by_name(name: str) -> MapSystem:
         return _REGISTRY[name]()
     except KeyError:
         raise KeyError(f"unknown map {name!r}; known: {sorted(_REGISTRY)}")
-
-
-def map_from_spec(spec: tuple) -> MapSystem:
-    """Rebuild a MapSystem from its picklable spec (worker-process side):
-    a registered name, or a linear map's matrices."""
-    if spec[0] == "linear":
-        return linear_map_system(spec[1], spec[2])
-    return map_by_name(spec[0])
 
 
 def reversibility_residual(mapsys: MapSystem, z) -> float:

@@ -1,4 +1,4 @@
-"""Affine h-sets: coordinate charts, transposes, symmetric images, wall grids.
+"""Affine h-sets: charts, transposes, symmetric images, fixed-space disks, wall grids.
 
 An h-set is a parallelepiped M([-1,1]^n) + x under the maximum norm, with the
 first u columns of M spanning the nominally unstable directions and the last s
@@ -128,7 +128,9 @@ class HSet:
         )
 
     def __hash__(self):
-        return hash((self.center.tobytes(), self.matrix.tobytes(), self.u, self.s))
+        # + 0.0 maps -0.0 to 0.0, which == does not tell apart
+        return hash(((self.center + 0.0).tobytes(), (self.matrix + 0.0).tobytes(),
+                     self.u, self.s))
 
     def __repr__(self):
         return f"HSet({self.name!r}, dim={self.dim}, u={self.u}, s={self.s})"
@@ -201,15 +203,38 @@ def canonical_sym_name(name: str) -> str:
     return prefix + name
 
 
+@dataclass
+class DiskCheck:
+    ok: bool
+    detail: str
+
+
+def fix_disk_check(S: LinearReversor, N: HSet) -> DiskCheck:
+    """Certify that the canonical diagonal disk b(p,q) = M (p,q,p,q) + x lies
+    in the reversor's fixed space.
+
+    Needs S(x) = x exactly and S(u_j) = s_j columnwise exactly; then
+    S(b(p,q)) = b(p,q) algebraically, and the disk is simultaneously a
+    horizontal and a vertical disk of N (its chart image is the diagonal
+    (p,q,p,q), linearly homotopic to either core). No numerics required:
+    S is a signed permutation, so S x and S M are exact.
+    """
+    if N.u != N.s:
+        return DiskCheck(False, f"u={N.u} differs from s={N.s}")
+    if not S.fixes(N.center):
+        return DiskCheck(False, "center is not fixed by the reversor")
+    su = S.matrix @ N.matrix[:, : N.u]
+    for j in range(N.u):
+        if not np.array_equal(su[:, j], N.matrix[:, N.u + j]):
+            return DiskCheck(False, f"unstable column {j} does not map onto stable column {j}")
+    return DiskCheck(True, "diagonal disk lies in the reversor's fixed space")
+
+
 def st_symmetric_check(S: LinearReversor, N: HSet) -> bool:
     """True iff S fixes the center exactly and maps each unstable column onto
-    the corresponding stable column bit-exactly (then sym_image(S, N) == N).
-    S is a signed permutation, so the products compared are exact."""
-    if N.u != N.s:
-        return False
-    if not S.fixes(N.center):
-        return False
-    return np.array_equal(S.matrix @ N.matrix[:, : N.u], N.matrix[:, N.u :])
+    the corresponding stable column bit-exactly (then sym_image(S, N) == N):
+    the conditions of fix_disk_check."""
+    return fix_disk_check(S, N).ok
 
 
 def _facet_cells_arrays(n: int, axes, resolution: int):

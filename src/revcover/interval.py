@@ -376,7 +376,8 @@ class IBox:
         return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
 
     def __hash__(self):
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
+        # + 0.0 maps -0.0 to 0.0, which == does not tell apart
+        return hash(((self.lo + 0.0).tobytes(), (self.hi + 0.0).tobytes()))
 
     def __repr__(self):
         parts = ", ".join(f"[{l!r},{h!r}]" for l, h in zip(self.lo, self.hi))
@@ -424,17 +425,6 @@ class IMatrix:
     def contains_matrix(self, m) -> bool:
         m = np.asarray(m, dtype=float)
         return bool(np.all(self.lo <= m) and np.all(m <= self.hi))
-
-    def __matmul__(self, other):
-        if isinstance(other, IMatrix):
-            return imat_mul(self, other)
-        if isinstance(other, IBox):
-            return imat_vec(self, other)
-        if isinstance(other, np.ndarray):
-            if other.ndim == 1:
-                return imat_vec(self, IBox.point(other))
-            return imat_mul(self, IMatrix.from_point(other))
-        return NotImplemented
 
     def __repr__(self):
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"

@@ -1,6 +1,7 @@
 """Covering verification: degrees, boundary checks, toy oracles, determinism."""
 
 import itertools
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,9 +22,9 @@ from revcover.covering import (
     verify_backcover,
     verify_cover,
 )
-from revcover.dynamics import linear_map_system, reversible_quadratic_map
+from revcover.dynamics import MapSystem, linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image
-from revcover.interval import DomainError
+from revcover.interval import DomainError, affine_batch
 
 from conftest import encloses, exact_inverse, float_sweep
 from test_dynamics import _exact_F
@@ -350,7 +351,7 @@ def _check_stats(cert):
 def test_thread_count_invariance(data, monkeypatch):
     """Threads 1 and 2 certify the campaign's backcover cross-check alike.
     The batches are small enough that parts of several roots are sharded
-    over the pool, whose workers rebuild the inverse map from its spec."""
+    over the pool, whose workers run the inverse map they receive pickled."""
     pools = []
     real_pool = covering.ProcessPoolExecutor
 
@@ -370,6 +371,52 @@ def test_thread_count_invariance(data, monkeypatch):
     assert a.status == b.status == VERIFIED
     assert (a.w, a.boxes, a.max_depth) == (b.w, b.boxes, b.max_depth)
     assert _check_stats(a) == _check_stats(b)
+
+
+def test_spawned_workers_run_the_pickled_map(data, monkeypatch):
+    """Workers started by spawn inherit nothing from the parent process: the
+    inverse map S o F o S reaches them only pickled in each shard's cell
+    engine, and they certify the cross-check as one process does."""
+    spawn = multiprocessing.get_context("spawn")
+    real_pool = covering.ProcessPoolExecutor
+    pools = []
+
+    def spawn_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers, mp_context=spawn)
+
+    monkeypatch.setattr(covering, "ProcessPoolExecutor", spawn_pool)
+    S = data.reversor
+    args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
+    one, two = (verify_backcover(*args, VerifyConfig(mean_value=True, threads=t, batch_size=16))
+                for t in (1, 2))
+    assert set(pools) == {2}  # a pool for each check that shards
+    assert one.status == two.status == VERIFIED
+    assert (one.w, one.boxes, one.max_depth) == (two.w, two.boxes, two.max_depth)
+    assert _check_stats(one) == _check_stats(two)
+
+
+def test_unpicklable_map_is_refused_on_several_workers(monkeypatch):
+    """A map built from closures does not pickle. With threads > 1 the check
+    raises DomainError before it evaluates a cell, instead of running on one
+    process under a config that says otherwise; with threads = 1 it runs."""
+    A = np.diag([3.0, 1.0 / 3.0])
+
+    def jac_batch(lo, hi):
+        j = np.broadcast_to(A, (len(lo), 2, 2))
+        return j.copy(), j.copy()
+
+    closures = MapSystem("closure-toy", 2, lambda z: A @ z,
+                         lambda lo, hi: affine_batch(A, np.zeros(2), lo, hi), jac_batch)
+    N = toy_hset(2, 1)
+    with monkeypatch.context() as m:
+        def no_cells(*a):
+            raise AssertionError("a cell was evaluated")
+
+        m.setattr(covering._CellEngine, "classify", no_cells)
+        with pytest.raises(DomainError, match="'closure-toy'.*threads=1"):
+            verify_cover(N, closures, 1, N, VerifyConfig(threads=2))
+    assert verify_cover(N, closures, 1, N, VerifyConfig(threads=1)).verified
 
 
 @pytest.mark.parametrize("case", ["identity-inconclusive", "H2H3-refuted"])

@@ -1,6 +1,7 @@
 """Map evaluation, derivative, inverse, orbits and reversibility identities."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from revcover.dynamics import (
     fixed_point_equations_residual,
     linear_map_system,
     map_by_name,
-    map_from_spec,
     reversibility_encloses_identity,
     reversibility_residual,
     reversible_quadratic_map,
@@ -199,8 +199,8 @@ def test_linear_map_system(rng):
     z = rng.uniform(-1, 1, size=2)
     assert np.allclose(m.eval_point(z), A @ z)
     assert m.inverse.inverse is m
-    rebuilt = map_from_spec(m.spec)
-    assert np.allclose(rebuilt.eval_point(z), m.eval_point(z))
+    assert (m.name, m.inverse.name) == ("toy", "toy-inverse")
+    assert np.allclose(m.inverse.eval_point(m.eval_point(z)), z)
 
 
 def test_map_registry():
@@ -209,15 +209,44 @@ def test_map_registry():
     assert F.inverse.inverse is F
     for name in ("F-inverse", "F-quadratic-4d-inverse"):
         inv = map_by_name(name)
-        assert inv.name == inv.spec[0] == "F-quadratic-4d-inverse"
-        assert map_from_spec(inv.spec).name == inv.name
+        assert inv.name == "F-quadratic-4d-inverse"
+        assert inv.inverse.inverse is inv
     with pytest.raises(KeyError):
         map_by_name("unknown-map")
-    with pytest.raises(KeyError):
-        map_from_spec(("unknown-map",))
     bare = linear_map_system(np.eye(2))
     with pytest.raises(MissingInverseError):
         bare.require_inverse()
+
+
+def _same_kernels(a, b, rng):
+    """a and b agree bit for bit on random points, cells and Jacobians."""
+    z = rng.uniform(-2, 2, size=(8, a.dim))
+    lo, hi = z - rng.uniform(0, 0.1, size=z.shape), z + rng.uniform(0, 0.1, size=z.shape)
+    for p in z:
+        assert np.array_equal(a.eval_point(p), b.eval_point(p))
+    for x, y in zip(a.eval_batch(lo, hi), b.eval_batch(lo, hi)):
+        assert np.array_equal(x, y)
+    for x, y in zip(a.jac_batch(lo, hi), b.jac_batch(lo, hi)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("which", ["F", "F-inverse", "linear"])
+def test_maps_pickle_by_value(which, rng):
+    """The bundled maps pickle as themselves: the copy's kernels match the
+    original's bit for bit, and the inverse links and reversor survive."""
+    if which == "linear":
+        A = np.array([[2.0, 0.5], [0.0, 0.5]])
+        m = linear_map_system(A, np.linalg.inv(A), name="toy")
+    else:
+        m = map_by_name(which)
+    c = pickle.loads(pickle.dumps(m))
+    assert c is not m and c.name == m.name
+    assert c.inverse.inverse is c
+    assert c.inverse.name == m.inverse.name
+    if m.reversor is not None:
+        assert np.array_equal(c.reversor.matrix, m.reversor.matrix)
+    _same_kernels(c, m, rng)
+    _same_kernels(c.inverse, m.inverse, rng)
 
 
 def test_reversor_inverse_needs_signed_diagonal():

@@ -111,6 +111,18 @@ def test_sym_image_involution(rng):
     assert sym_image(S, sym_image(S, N)) == N
 
 
+def test_hash_agrees_with_eq_on_signed_zeros():
+    """H-sets equal under == hash alike, also where they differ only in the
+    sign of a zero, so a set keeps one of them."""
+    I = np.eye(2)
+    a = HSet("a", [0.0, 0.0], I, 1, 1)
+    b = HSet("b", [-0.0, 0.0], I, 1, 1)
+    c = HSet("c", [0.0, 0.0], [[1.0, -0.0], [0.0, 1.0]], 1, 1)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+
+
 def test_st_symmetric_checks(data):
     S = data.reversor
     assert st_symmetric_check(S, data.hset("N1"))

@@ -767,6 +767,13 @@ def test_box_bisect_halves_widest(rng):
     assert np.array_equal(lhi[other], hi[other]) and np.array_equal(rlo[other], lo[other])
 
 
+def test_box_hash_agrees_with_eq_on_signed_zeros():
+    a, b, c = IBox([0.0], [1.0]), IBox([-0.0], [1.0]), IBox([-1.0], [-0.0])
+    assert a == b and hash(a) == hash(b)
+    assert c == IBox([-1.0], [0.0]) and hash(c) == hash(IBox([-1.0], [0.0]))
+    assert len({a, b}) == 1
+
+
 def test_imat_vec_examples(rng):
     eye = IMatrix.from_point(np.eye(3))
     b = IBox([-1, 0, 2], [1, 1, 3])
