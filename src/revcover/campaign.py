@@ -35,6 +35,7 @@ from .hset import (
     supports_disjoint,
     sym_image,
 )
+from .interval import DomainError
 
 
 class ConfigError(Exception):
@@ -515,17 +516,28 @@ class ProofReport:
             return ProofReport(json.load(fh))
 
 
+# the fields of a saved relation that graph_from_report reads
+_EDGE_KEYS = ("source", "target", "map", "iters", "direction", "w", "status")
+
+
 def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> CoveringGraph:
     """Rebuild the covering graph (names only) from a saved report's
     relations, for word enumeration without re-verification. The derived
     edges are recomputed by symmetric_closure; the report's own
     `derived_edges` field is not read. `data` is the built instance
-    (build_proof_data() when omitted)."""
+    (build_proof_data() when omitted). A report that is not a dict whose
+    `relations` is a list of dicts with the keys _EDGE_KEYS raises
+    DomainError."""
+    relations = report.report.get("relations") if isinstance(report.report, dict) else None
+    if not (isinstance(relations, list)
+            and all(isinstance(r, dict) and all(k in r for k in _EDGE_KEYS) for r in relations)):
+        raise DomainError("the report has no list of relations with the keys "
+                          + ", ".join(_EDGE_KEYS))
     data = data or build_proof_data()
     g = CoveringGraph()
     for h in data.hsets.values():
         g.add_node(h)
-    for r in report.report["relations"]:
+    for r in relations:
         g.add_edge(Edge(r["source"], r["target"], r["map"], r["iters"],
                         r["direction"], r["w"], r["status"]))
     return symmetric_closure(g, data.reversor)

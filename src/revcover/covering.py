@@ -58,14 +58,15 @@ from .interval import (
     IMatrix,
     IndeterminateSignError,
     SingularMatrixError,
-    det_sign,
-    imat_mul,
-    imat_vec_batch,
-    imatmul_batch,
-    imatvec_cellwise,
+    _imat_vec_midrad,
+    _mid_rad,
+    _radius_image,
+    _split_matrix,
     affine_batch,
+    det_sign,
     iadd,
-    isub,
+    imat_mul,
+    imatmul_batch,
 )
 
 VERIFIED = "verified"
@@ -227,7 +228,9 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
 
 
 class _CellEngine:
-    """Batch evaluator for the exit/entry conditions of one relation."""
+    """Batch evaluator for the exit/entry conditions of one relation. The
+    target inverse and the exit check's linear map (the unstable columns of
+    the chart derivative) are split into midpoint and radius once, here."""
 
     def __init__(self, mapsys, k, src_matrix, src_center, inv_lo, inv_hi, tgt_center,
                  dfc0_lo, dfc0_hi, u, which, mean_value):
@@ -235,44 +238,59 @@ class _CellEngine:
         self.k = k
         self.src_matrix = src_matrix
         self.src_center = src_center
-        self.inv_lo = inv_lo
-        self.inv_hi = inv_hi
+        self.inv = _split_matrix(inv_lo, inv_hi)
         self.tgt_center = tgt_center
-        self.dfc0_lo = dfc0_lo
-        self.dfc0_hi = dfc0_hi
+        self.linear = _split_matrix(dfc0_lo[:, :u], dfc0_hi[:, :u]) if which == "exit" else None
         self.u = u
         self.which = which
         self.mean_value = mean_value
 
     def _chart_image(self, lo, hi):
-        """Enclosure of the chart map over each cell, (B, n) lo/hi."""
+        """Enclosure of the chart map over each cell, (B, n) lo/hi.
+
+        Plain: the cell is pushed through M_N, the k steps of the map and
+        inv(M_M) in turn. Centered (mean value): with the cell inside
+        mid +- rad (_mid_rad; mid lies in the cell, so the segment from it
+        to any point of the cell does too) and p an enclosure of the image
+        of mid, the image of the cell lies in p + T [-rad, rad], where the
+        interval Jacobian chain T = inv(M_M) G_k ... G_1 M_N holds G_i, F's
+        Jacobian over the cell's (i-1)-th step image. Each product is in
+        the cheapest form that keeps it tight:
+          * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on
+            the rows of G_1);
+          * G_i J for i >= 2: inf-sup, as both factors are wide
+            (imatmul_batch);
+          * inv(M_M) J: midpoint-radius, as the inverse is thin (on the
+            columns of J);
+          * T [-rad, rad]: as [-s, s] with s >= |T| rad, as the radius is
+            centered (_radius_image).
+        """
         if not self.mean_value:
             vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
             for _ in range(self.k):
                 vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-            return imat_vec_batch(self.inv_lo, self.inv_hi, vlo, vhi, self.tgt_center)
+            return _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
 
         nb, n = lo.shape
-        mid = 0.5 * (lo + hi)
+        mid, rad = _mid_rad(lo, hi)
         vlo, vhi = affine_batch(self.src_matrix, self.src_center, mid, mid)
         blo, bhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
-        jlo = np.broadcast_to(self.src_matrix, (nb, n, n)).copy()
-        jhi = jlo.copy()
-        for _ in range(self.k):
+        for step in range(self.k):
             glo, ghi = self.mapsys.jac_batch(blo, bhi)
-            jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
+            if step == 0:
+                rows = affine_batch(self.src_matrix.T, 0.0,
+                                    glo.reshape(-1, n), ghi.reshape(-1, n))
+                jlo, jhi = (a.reshape(nb, n, n) for a in rows)
+            else:
+                jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
             blo, bhi = self.mapsys.eval_batch(blo, bhi)
             vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-        tlo, thi = imatmul_batch(
-            np.broadcast_to(self.inv_lo, (nb, n, n)),
-            np.broadcast_to(self.inv_hi, (nb, n, n)),
-            jlo,
-            jhi,
-        )
-        plo, phi = imat_vec_batch(self.inv_lo, self.inv_hi, vlo, vhi, self.tgt_center)
-        rlo, rhi = isub(lo, hi, mid, mid)
-        clo, chi = imatvec_cellwise(tlo, thi, rlo, rhi)
-        return iadd(plo, phi, clo, chi)
+        plo, phi = _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
+        # row (b, j) of the product is column j of cell b's T
+        cols = _imat_vec_midrad(*self.inv, *(a.transpose(0, 2, 1).reshape(-1, n)
+                                             for a in (jlo, jhi)), 0.0)
+        s = _radius_image(*(a.reshape(nb, n, n).transpose(0, 2, 1) for a in cols), rad)
+        return iadd(plo, phi, -s, s)
 
     def classify(self, lo, hi):
         """Returns (passed, refuted) boolean masks for a batch of chart cells.
@@ -287,8 +305,7 @@ class _CellEngine:
         clo, chi = self._chart_image(lo, hi)
         u = self.u
         if self.which == "exit":
-            lxlo, lxhi = imat_vec_batch(self.dfc0_lo[:, :u], self.dfc0_hi[:, :u],
-                                        lo[:, :u], hi[:, :u])
+            lxlo, lxhi = _imat_vec_midrad(*self.linear, lo[:, :u], hi[:, :u], 0.0)
             zlo = np.minimum(clo, lxlo)
             zhi = np.maximum(chi, lxhi)
             passed = np.zeros(len(lo), dtype=bool)

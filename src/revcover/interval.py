@@ -29,22 +29,26 @@ min/max hulls, running sums, centers and radii in buffers of their own and
 round or widen those; they never write into an argument, so callers may
 pass read-only arrays.
 
-Two batch kernels are in midpoint-radius form: `affine_batch` and
+Three batch kernels are in midpoint-radius form: `affine_batch` and
 `imat_vec_batch`, which multiply a thin matrix (the point chart matrix, the
 verified target inverse or the chart derivative, none more than a few ulps
-wide) by a batch of cells; `imat_vec_batch` also subtracts a point (the
-target center) from the cells first. For such a thin matrix a
-midpoint-radius product is as tight as the inf-sup one up to rounding, and
-it takes one `np.matmul` for the center and one or two for the radius
-instead of a min/max and a rounding per product. The kernels that multiply
-two wide intervals (`imatmul_batch` and `imatvec_cellwise`, which carry the
-mean-value Jacobian chain), `imat_vec`, `imat_mul` and the scalar
+wide) by a batch of interval vectors (cells, or the rows or columns of
+the mean-value chain's Jacobians), and `_radius_image`, which bounds a wide
+interval matrix times a centered radius [-rad, rad] by |T| rad;
+`imat_vec_batch` also subtracts a point (the target center) from the cells
+first. For a thin or centered factor a midpoint-radius product is as tight
+as the inf-sup one up to rounding, and it takes one `np.matmul` for the
+center and one or two for the radius instead of a min/max and a rounding
+per product. The mean-value chain uses all three (see
+`covering._CellEngine._chart_image`). The kernels that multiply two wide
+intervals (`imatmul_batch`, which carries the chain's steps after the
+first, and `imatvec_cellwise`), `imat_vec`, `imat_mul` and the scalar
 operations stay in inf-sup form, each operation stepped outward: there a
-midpoint-radius product can be up to 1.5 times wider, and with the chain
-kernels in that form H1⇒H2 (k = 4) took 938 boxes instead of 864. A cell
-coordinate that is not finite, or whose radius term overflows, makes
-[-inf, +inf] only of the outputs it reaches through a nonzero matrix entry
-(`_midrad_outward`).
+midpoint-radius product can be up to 1.5 times wider, and with the chain's
+wide-by-wide product in that form H1⇒H2 (k = 4) took 938 boxes instead of
+864. A cell coordinate that is not finite, or whose radius term overflows,
+makes [-inf, +inf] only of the outputs it reaches through a nonzero matrix
+entry (`_midrad_outward`).
 """
 
 from __future__ import annotations
@@ -666,9 +670,22 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
     members all equal the center would make inf * 0 = NaN, and one of small
     magnitude an infinite radius, where the image is bounded.
     """
-    gamma, kappa, floor = _midrad_constants(Ml.shape[1])
+    return _imat_vec_midrad(*_split_matrix(Ml, Mh), lo, hi, center)
+
+
+def _split_matrix(Ml, Mh):
+    """A fixed interval matrix [Ml, Mh] as (Mc, Mr) for _imat_vec_midrad:
+    _mid_rad's midpoint and radius, the radius capped at MAX (see
+    imat_vec_batch). A caller that applies one matrix many times splits it
+    once."""
     Mc, Mr = _mid_rad(Ml, Mh)
     np.minimum(Mr, _MAX, out=Mr)
+    return Mc, Mr
+
+
+def _imat_vec_midrad(Mc, Mr, lo, hi, center):
+    """imat_vec_batch for a matrix already split by _split_matrix."""
+    gamma, kappa, floor = _midrad_constants(Mc.shape[1])
     d, rad = _mid_rad(lo, hi)
     d -= center
     a = np.abs(d)
@@ -677,6 +694,58 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
     t += rad
     a += rad
     return _midrad_outward(Mc, 0.0, d, [(t, np.abs(Mc)), (a, Mr)], kappa, floor)
+
+
+def _radius_image_constants(m):
+    """(kappa, floor) for _radius_image over m columns; both are exact
+    floats, and
+
+        kappa * (1 - u)**(m + 2) >= 1,   floor >= (kappa m + 1) * eta/2.
+    """
+    return 1.0 + (m + 2) * 2 * _U, (m + 1) * _ETA
+
+
+def _radius_image(Tl, Th, rad):
+    """A bound s >= |T| @ rad for each cell, where |T| = max(|Tl|, |Th|)
+    and rad >= 0: for every member A of the interval matrix [Tl, Th]
+    (B, n, m) and every y with |y| <= rad (B, m), A @ y lies in [-s, s].
+    This is T times the centered radius [-rad, rad] in midpoint-radius
+    form, which for a centered factor is the inf-sup product up to
+    rounding.
+
+    s is evaluated in round-to-nearest, with no outward step. The sum
+    q = sum_j |T_ij| rad_j is a dot product of nonnegative terms, evaluated
+    in any order and with or without fused multiply-adds. Each rounding in
+    it loses at most a factor 1 - u of its exact nonnegative result, and a
+    rounding that forms a product (alone or fused with an addition) at most
+    eta/2 more to underflow; a subnormal sum of two floats is exact. Each
+    product passes at most m roundings, and at most m roundings form a
+    product, so q >= (1 - u)**m S - m eta/2 for the exact
+    S = sum_j |T_ij| rad_j. Then s = fl(fl(q kappa) + floor) satisfies
+
+        s >= (1 - u) ((1 - u) kappa q - eta/2 + floor)
+          >= (1 - u)**(m + 2) kappa S
+             + (1 - u) (floor - eta/2 - (1 - u) kappa m eta/2),
+
+    which is at least S under the two conditions of
+    _radius_image_constants. A q or s that overflows is +inf, still a
+    bound.
+
+    A coordinate with rad_j = 0 contributes exactly 0, also where |T_ij| is
+    infinite or NaN: y_j is then 0, and so is A_ij y_j for every real A_ij.
+    Against rad_j > 0, an infinite |T_ij| makes s_i infinite and a NaN one
+    makes it NaN, in row i only.
+    """
+    kappa, floor = _radius_image_constants(rad.shape[-1])
+    a = np.abs(Tl)
+    np.maximum(a, np.abs(Th), out=a)
+    s = np.einsum("bij,bj->bi", a, rad)
+    if np.isnan(s).any():  # inf or NaN in |T| times rad_j = 0
+        np.copyto(a, 0.0, where=rad[:, None, :] == 0.0)
+        s = np.einsum("bij,bj->bi", a, rad)
+    s *= kappa
+    s += floor
+    return s
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):

@@ -170,6 +170,16 @@ def test_enumerate_missing_report_exit_3(tmp_path):
                  "--report", str(tmp_path / "nope.json")]) == 3
 
 
+@pytest.mark.parametrize("content", ['{"relations": ["x"]}', '{"relations": 5}', '[1, 2]'])
+def test_enumerate_malformed_report_exit_3(tmp_path, capsys, content):
+    """A report that is not a dict of relation records is an input error
+    (exit 3), not a refuted cell (exit 1)."""
+    report = tmp_path / "report.json"
+    report.write_text(content)
+    assert main(["enumerate", "--length", "3", "--report", str(report)]) == 3
+    assert "error: no usable covering graph" in capsys.readouterr().err
+
+
 def test_enumerate_automaton(capsys):
     rc = main(["enumerate", "--length", "4", "--automaton"])
     assert rc == 0

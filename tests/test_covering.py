@@ -252,9 +252,10 @@ def _exact_affine(A, x, b):
 @pytest.mark.parametrize("src, dst, k", [("H1", "H2", 4), ("N2", "N2", 1)])
 def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
     """Both enclosures of the chart map over a cell, plain and centered,
-    contain the float image of every sampled member point (corners and
-    interior points of grid cells and of their bisections); for k = 1 they
-    also contain the exact rational image."""
+    contain the float image and the exact rational image (F iterated k
+    times on Fractions, then the exact inverse) of every sampled member
+    point: corners and interior points of grid cells and of their
+    bisections."""
     from revcover.covering import _CellEngine, _bisect_cells
     from revcover.hset import _facet_cells_arrays
 
@@ -283,12 +284,39 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
             y = np.linalg.solve(M.matrix, z - M.center)
             for clo, chi in images:
                 assert np.all(clo[i] <= y) and np.all(y <= chi[i])
-            if k == 1:
-                Fz = _exact_F(*_exact_affine(N.matrix.tolist(), p.tolist(), N.center.tolist()))
-                d = [v - Fraction(c) for v, c in zip(Fz, M.center.tolist())]
-                exact = _exact_affine(inv, d, [0] * N.dim)
-                for clo, chi in images:
-                    assert encloses(clo[i], chi[i], exact)
+            z = _exact_affine(N.matrix.tolist(), p.tolist(), N.center.tolist())
+            for _ in range(k):
+                z = _exact_F(*z)
+            d = [v - Fraction(c) for v, c in zip(z, M.center.tolist())]
+            exact = _exact_affine(inv, d, [0] * N.dim)
+            for clo, chi in images:
+                assert encloses(clo[i], chi[i], exact)
+
+
+@pytest.mark.parametrize("src, dst", [("H3", "N2"), ("N2", "N2")])
+def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
+    """The engine splits the target inverse and the exit check's linear map
+    into midpoint and radius once; its plain chart image and its linear
+    image are bit for bit those of imat_vec_batch on the unsplit
+    matrices."""
+    from revcover.covering import _CellEngine
+    from revcover.hset import _facet_cells_arrays
+    from revcover.interval import _imat_vec_midrad, imat_vec_batch
+
+    F, N, M = data.mapsys, data.hset(src), data.hset(dst)
+    dfc0 = compute_degree(N, F, 1, M).chart_derivative
+    engine = _CellEngine(F, 1, N.matrix, N.center, M.inv_matrix.lo, M.inv_matrix.hi,
+                         M.center, dfc0.lo, dfc0.hi, N.u, "exit", False)
+    lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 3)
+    vlo, vhi = F.eval_batch(*affine_batch(N.matrix, N.center, lo, hi))
+    u = N.u
+    pairs = [(engine._chart_image(lo, hi),
+              imat_vec_batch(M.inv_matrix.lo, M.inv_matrix.hi, vlo, vhi, M.center)),
+             (_imat_vec_midrad(*engine.linear, lo[:, :u], hi[:, :u], 0.0),
+              imat_vec_batch(dfc0.lo[:, :u], dfc0.hi[:, :u], lo[:, :u], hi[:, :u]))]
+    for got, want in pairs:
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("which", ["exit", "entry"])

@@ -4,8 +4,9 @@ The randomized checks follow one pattern: draw random intervals, draw member
 points, apply the exact float operation to the members, and require the
 result to lie inside the interval result. A single violation is a bug.
 The batch matrix kernels are checked against exact rational products (the
-two midpoint-radius kernels also over hypothesis-drawn data), and the
-outward rounding bit for bit against np.nextafter.
+midpoint-radius kernels and the bound of a matrix times a centered radius
+also over hypothesis-drawn data), and the outward rounding bit for bit
+against np.nextafter.
 """
 
 import itertools
@@ -439,6 +440,62 @@ def test_midrad_shift_encloses_exact_images(data):
             for A in mats:
                 exact = [sum(A[i * m + j] * (v[j] - cq[j]) for j in range(m)) for i in range(n)]
                 assert encloses(olo[b], ohi[b], exact)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_radius_image_bounds_exact_products(data):
+    """_radius_image's s bounds |A @ y| for corner and interior members A of
+    [Tl, Th] and every sign pattern of y = +-rad (exact Fraction
+    arithmetic), and is no less than the exact sum of max(|Tl|, |Th|) rad,
+    with no NaN, over entries that span the float range: points,
+    subnormals, radii of 0 and sums that overflow."""
+    nb, n, m = (data.draw(st.integers(1, k)) for k in (3, 4, 4))
+    Tl, Th = data.draw(_interval_arrays((nb, n, m)))
+    rad = np.abs(data.draw(_interval_arrays((nb, m)))[0])
+    with np.errstate(over="ignore"):
+        s = interval._radius_image(Tl, Th, rad)
+    assert s.shape == (nb, n) and not np.isnan(s).any()
+    lows = [Fraction(v) for v in Tl.ravel().tolist()]
+    highs = [Fraction(v) for v in Th.ravel().tolist()]
+    mags = [max(abs(a), abs(b)) for a, b in zip(lows, highs)]
+    for b in range(nb):
+        r = [Fraction(v) for v in rad[b].tolist()]
+        bound = [sum(mags[(b * n + i) * m + j] * r[j] for j in range(m)) for i in range(n)]
+        assert encloses(np.zeros(n), s[b], bound)
+        members = _exact_members(Tl[b], Th[b])
+        for signs in itertools.product((-1, 1), repeat=m):
+            y = [sg * v for sg, v in zip(signs, r)]
+            for A in members:
+                exact = [sum(A[i * m + j] * y[j] for j in range(m)) for i in range(n)]
+                assert encloses(-s[b], s[b], exact)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_radius_image_constants_meet_their_bounds(m):
+    """kappa (1 - u)**(m + 2) >= 1 and floor >= (kappa m + 1) eta/2, checked
+    in exact arithmetic: _radius_image's s then covers the rounding of the
+    sum, of * kappa and of + floor, and every underflow."""
+    kappa, floor = (Fraction(c) for c in interval._radius_image_constants(m))
+    u, eta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
+    assert kappa * (1 - u) ** (m + 2) >= 1
+    assert floor >= (kappa * m + 1) * eta / 2
+
+
+def test_radius_image_nonfinite_entries_reach_only_their_rows():
+    """An infinite or NaN |T| entry against rad = 0 contributes exactly 0,
+    with no NaN; an infinite one against rad > 0 makes s infinite only in
+    its own row."""
+    Tl = np.array([[[-np.inf, 1.0], [np.nan, 2.0]]])
+    Th = np.array([[[np.inf, 1.0], [np.nan, 2.0]]])
+    s = interval._radius_image(Tl, Th, np.array([[0.0, 0.5]]))
+    assert np.isfinite(s).all()
+    assert encloses(np.zeros(2), s[0], [Fraction(1, 2), Fraction(1)])
+    assert s[0, 0] <= 0.5 * (1 + 2 ** -40) and s[0, 1] <= 1 + 2 ** -40
+    Th = np.array([[[np.inf, 1.0], [0.0, 2.0]]])
+    s = interval._radius_image(np.zeros((1, 2, 2)), Th, np.array([[0.5, 0.5]]))
+    assert s[0, 0] == np.inf and np.isfinite(s[0, 1])
+    assert encloses(np.zeros(1), s[0, 1:], [Fraction(1)])
 
 
 @pytest.mark.parametrize("m", range(1, 9))
