@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -264,6 +263,13 @@ class _CellEngine:
             columns of J);
           * T [-rad, rad]: as [-s, s] with s >= |T| rad, as the radius is
             centered (_radius_image).
+
+        Rows travel together through the chain: the midpoints (as point
+        cells) above the cells through M_N and through each of the k map
+        steps, whose Jacobian sees the cell rows only; then the midpoint
+        images, shifted by the target center, above the columns of J,
+        shifted by 0, through inv(M_M). Every kernel treats each row on its
+        own, so each row comes out bit for bit as it would alone.
         """
         if not self.mean_value:
             vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
@@ -273,24 +279,27 @@ class _CellEngine:
 
         nb, n = lo.shape
         mid, rad = _mid_rad(lo, hi)
-        vlo, vhi = affine_batch(self.src_matrix, self.src_center, mid, mid)
-        blo, bhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
+        # rows :nb are the midpoints and their images, rows nb: the cells'
+        vlo, vhi = affine_batch(self.src_matrix, self.src_center,
+                                np.concatenate((mid, lo)), np.concatenate((mid, hi)))
         for step in range(self.k):
-            glo, ghi = self.mapsys.jac_batch(blo, bhi)
+            glo, ghi = self.mapsys.jac_batch(vlo[nb:], vhi[nb:])
             if step == 0:
                 rows = affine_batch(self.src_matrix.T, 0.0,
                                     glo.reshape(-1, n), ghi.reshape(-1, n))
                 jlo, jhi = (a.reshape(nb, n, n) for a in rows)
             else:
                 jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
-            blo, bhi = self.mapsys.eval_batch(blo, bhi)
             vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-        plo, phi = _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
-        # row (b, j) of the product is column j of cell b's T
-        cols = _imat_vec_midrad(*self.inv, *(a.transpose(0, 2, 1).reshape(-1, n)
-                                             for a in (jlo, jhi)), 0.0)
-        s = _radius_image(*(a.reshape(nb, n, n).transpose(0, 2, 1) for a in cols), rad)
-        return iadd(plo, phi, -s, s)
+        # below the midpoint images, row nb + (b, j) is column j of cell b's J
+        slo, shi = (np.concatenate((v[:nb], a.transpose(0, 2, 1).reshape(-1, n)))
+                    for v, a in ((vlo, jlo), (vhi, jhi)))
+        center = np.zeros_like(slo)
+        center[:nb] = self.tgt_center
+        plo, phi = _imat_vec_midrad(*self.inv, slo, shi, center)
+        s = _radius_image(*(a[nb:].reshape(nb, n, n).transpose(0, 2, 1) for a in (plo, phi)),
+                          rad)
+        return iadd(plo[:nb], phi[:nb], -s, s)
 
     def classify(self, lo, hi):
         """Returns (passed, refuted) boolean masks for a batch of chart cells.
@@ -389,6 +398,15 @@ _PART_CELLS = 2048
 _SHARDS_PER_WORKER = 4
 
 
+def _process_pool(workers):
+    """A pool of `workers` processes. The pool machinery (multiprocessing,
+    and with it socket and subprocess) is imported here, when a check first
+    shards, so a run that never shards does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class _Refinement:
     """Level-synchronous refinement of one check's initial cells (roots).
 
@@ -434,7 +452,7 @@ class _Refinement:
                     continue
                 several = root[0] != root[-1]
                 if workers > 1 and several and n > min(self.batch_size, _PART_CELLS):
-                    pool = pool or ProcessPoolExecutor(max_workers=workers)
+                    pool = pool or _process_pool(workers)
                     self._shard(pool, workers, lo, hi, root, depth)
                 elif n > _PART_CELLS:
                     start, _ = _runs(root)

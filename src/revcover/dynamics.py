@@ -14,7 +14,8 @@ evaluated in round-to-nearest on a contiguous transposed copy of the cells
 and widened by an a-priori radius, also in round-to-nearest, with no
 outward step: the radius covers the endpoint's rounding error and the one
 rounding of the widening itself (see `_F_batch` for the derivation). The
-batch Jacobian stays stepwise, one outward rounding per `iadd`/`isub`.
+batch Jacobian stays stepwise, one outward rounding per `iadd`/`isub`, on
+(B, 2) arrays that fill a constant template of its +-1/2 entries.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own, the degree computation along the source center and the cell
@@ -53,6 +54,12 @@ class MapSystem:
     reversor included, and worker processes run them as they are. A map built
     from closures or lambdas does not pickle; covering checks refuse to run
     it on more than one worker process.
+
+    eval_batch and jac_batch must treat each row of a batch on its own: a
+    row's result may not depend on the other rows or on the batch size. The
+    mean-value cell engine stacks each cell's midpoint with the cells in one
+    eval_batch call, and verdicts and counts are independent of the thread
+    count and the batch size only under this rule.
     """
 
     name: str
@@ -251,34 +258,32 @@ def _F_magnitude(lo, hi):
     return e
 
 
+# DF's constant entries +-1/2, flattened row by row, and the diagonals of its
+# 2 x 2 blocks Dg, Dg - I, I + Dg and Dg as slices of that flat row
+_DF_TEMPLATE = np.array([[0.0, -0.5, 0.0, -0.5], [0.5, 0.0, 0.5, 0.0]] * 2).ravel()
+_DF_DIAGONALS = (slice(0, 6, 5), slice(2, 8, 5), slice(8, 14, 5), slice(10, 16, 5))
+
+
 def _F_jac_batch(lo, hi):
     """DF = [[Dg, Dg - I], [I + Dg, Dg]] with Dg at w = x + y, where
-    Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]]."""
+    Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]].
+
+    w and a = 1/2 - w are each rounded outward once, on (B, 2) arrays, and
+    a - 1 and a + 1 once more; their enclosures fill the block diagonals
+    of a constant template of DF's +-1/2 entries."""
     nb = lo.shape[0]
     w_lo, w_hi = iadd(lo[:, :2], hi[:, :2], lo[:, 2:], hi[:, 2:])
-    a11l, a11h = isub(0.5, 0.5, w_lo[:, 0], w_hi[:, 0])
-    a22l, a22h = isub(0.5, 0.5, w_lo[:, 1], w_hi[:, 1])
-    jl = np.empty((nb, 4, 4))
-    jh = np.empty((nb, 4, 4))
-    half = 0.5
-    m11l, m11h = iadd(a11l, a11h, -1.0, -1.0)
-    m22l, m22h = iadd(a22l, a22h, -1.0, -1.0)
-    p11l, p11h = iadd(a11l, a11h, 1.0, 1.0)
-    p22l, p22h = iadd(a22l, a22h, 1.0, 1.0)
-    jl[:, 0], jh[:, 0] = _rows((a11l, -half, m11l, -half), (a11h, -half, m11h, -half), nb)
-    jl[:, 1], jh[:, 1] = _rows((half, a22l, half, m22l), (half, a22h, half, m22h), nb)
-    jl[:, 2], jh[:, 2] = _rows((p11l, -half, a11l, -half), (p11h, -half, a11h, -half), nb)
-    jl[:, 3], jh[:, 3] = _rows((half, p22l, half, a22l), (half, p22h, half, a22h), nb)
-    return jl, jh
-
-
-def _rows(los, his, nb):
-    lo = np.empty((nb, len(los)))
-    hi = np.empty((nb, len(his)))
-    for j, (l, h) in enumerate(zip(los, his)):
-        lo[:, j] = l
-        hi[:, j] = h
-    return lo, hi
+    al, ah = isub(0.5, 0.5, w_lo, w_hi)
+    ml, mh = iadd(al, ah, -1.0, -1.0)
+    pl, ph = iadd(al, ah, 1.0, 1.0)
+    out = []
+    for diagonals in ((al, ml, pl, al), (ah, mh, ph, ah)):
+        j = np.empty((nb, 16))
+        j[:] = _DF_TEMPLATE
+        for slots, d in zip(_DF_DIAGONALS, diagonals):
+            j[:, slots] = d
+        out.append(j.reshape(nb, 4, 4))
+    return tuple(out)
 
 
 def reversible_quadratic_map() -> MapSystem:

@@ -146,6 +146,8 @@ def _fill(N: HSet, name, center, matrix, u, s, inv, decimal_source) -> None:
         raise DomainError(f"u + s must equal the dimension ({u}+{s} != {n})")
     if matrix.shape != (n, n):
         raise DomainError("direction matrix must be n x n")
+    if not (np.isfinite(center).all() and np.isfinite(matrix).all()):
+        raise DomainError("center and direction matrix must be finite")
     center.flags.writeable = False
     matrix.flags.writeable = False
     object.__setattr__(N, "name", str(name))

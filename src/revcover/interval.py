@@ -49,6 +49,11 @@ wide-by-wide product in that form H1⇒H2 (k = 4) took 938 boxes instead of
 864. A cell coordinate that is not finite, or whose radius term overflows,
 makes [-inf, +inf] only of the outputs it reaches through a nonzero matrix
 entry (`_midrad_outward`).
+
+Every batch kernel evaluates each row of its batch on its own, bit for bit
+the same in a batch of any size (`_times_transpose` keeps a one-row product
+on the path of larger ones). The refinement's thread and batch invariance,
+and the mean-value chain's stacking of midpoints with cells, rest on this.
 """
 
 from __future__ import annotations
@@ -532,6 +537,16 @@ def _midrad_constants(m):
     return (m + 2) * 2 * _U, 1.0 + (m + 8) * 2 * _U, (4 * m + 8) * _ETA
 
 
+def _times_transpose(a, A):
+    """a @ A.T for a batch of rows a (B, m), each row's bits the same in
+    every batch. numpy hands a one-row product to BLAS gemv and a larger one
+    to gemm, whose results can differ in the last bit, so one row is
+    multiplied as two. Either is within the error bounds of the callers."""
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ A.T)[:1]
+    return a @ A.T
+
+
 def _midrad_outward(Mc, x, mid, terms, kappa, extra):
     """[fl(c - r), fl(c + r)] for the center c = mid @ Mc.T + x and the
     radius r = (the sum of t @ A.T over the (t, A) in terms) * kappa + extra,
@@ -558,9 +573,9 @@ def _midrad_outward(Mc, x, mid, terms, kappa, extra):
     keep their bound.
     """
     def center_radius(mid, terms):
-        c = mid @ Mc.T
+        c = _times_transpose(mid, Mc)
         c += x
-        r = sum(t @ A.T for t, A in terms)
+        r = sum(_times_transpose(t, A) for t, A in terms)
         r *= kappa
         r += extra
         return c, r
@@ -684,7 +699,9 @@ def _split_matrix(Ml, Mh):
 
 
 def _imat_vec_midrad(Mc, Mr, lo, hi, center):
-    """imat_vec_batch for a matrix already split by _split_matrix."""
+    """imat_vec_batch for a matrix already split by _split_matrix. The
+    center may also be one point per cell, (B, m); a center of 0 leaves a
+    midpoint exactly as it is."""
     gamma, kappa, floor = _midrad_constants(Mc.shape[1])
     d, rad = _mid_rad(lo, hi)
     d -= center

@@ -2,6 +2,10 @@
 
 import itertools
 import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +27,7 @@ from revcover.covering import (
     verify_cover,
 )
 from revcover.dynamics import MapSystem, linear_map_system, reversible_quadratic_map
-from revcover.hset import HSet, sym_image
+from revcover.hset import HSet, sym_image, transpose
 from revcover.interval import DomainError, affine_batch
 
 from conftest import encloses, exact_inverse, float_sweep
@@ -319,6 +323,52 @@ def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
             assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("case", ["N1N1", "H1H2", "cross-check"])
+def test_chart_images_are_row_independent(data, rng, case):
+    """Every chart image is a function of its own cell: the image of a batch
+    of 2,048 cells is bit for bit the concatenation of the images of its
+    sub-batches, of sizes from 1 to 2,048, for plain and centered engines
+    of both checks. The centered engine stacks each cell's midpoint with
+    the cell in every kernel call, and the thread and batch invariance of
+    the refinement rests on this. The batch holds grid cells of several
+    depths, point cells and cells with an infinite or NaN coordinate."""
+    from revcover.covering import _CellEngine, _bisect_cells
+    from revcover.hset import _facet_cells_arrays
+
+    F, S = data.mapsys, data.reversor
+    N, mapsys, k, M = {
+        "N1N1": (data.hset("N1"), F, 1, data.hset("N1")),
+        "H1H2": (data.hset("H1"), F, 4, data.hset("H2")),
+        # verify_backcover's transposed h-sets under the inverse map
+        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.inverse, 1,
+                        transpose(sym_image(S, data.hset("H3")))),
+    }[case]
+    deg = compute_degree(N, mapsys, k, M)
+    lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
+    cells = [(lo, hi)]
+    while sum(len(c[0]) for c in cells) < 2048:
+        cells.append(_bisect_cells(*cells[-1], np.zeros(len(cells[-1][0]), dtype=int))[:2])
+    pick = rng.permutation(2048)
+    lo, hi = (np.concatenate(c)[pick] for c in zip(*cells))
+    lo[:64] = hi[:64]
+    lo[64:72, 1], hi[72:80, 3], lo[80:88, 0] = -np.inf, np.inf, np.nan
+    sizes = [1, 1, 2, 3, 1]
+    while sum(sizes) < 2048:
+        sizes.append(int(rng.integers(1, 600)))
+    cuts = np.cumsum(sizes)[:-1]
+    for which in ("exit", "entry"):
+        for mean_value in (False, True):
+            engine = _CellEngine(mapsys, k, N.matrix, N.center, M.inv_matrix.lo,
+                                 M.inv_matrix.hi, M.center, deg.chart_derivative.lo,
+                                 deg.chart_derivative.hi, N.u, which, mean_value)
+            with np.errstate(all="ignore"):
+                whole = engine._chart_image(lo, hi)
+                parts = [engine._chart_image(a, b)
+                         for a, b in zip(np.split(lo, cuts), np.split(hi, cuts))]
+            for w, p in zip(whole, zip(*parts)):
+                assert w.tobytes() == np.concatenate(p).tobytes()
+
+
 @pytest.mark.parametrize("which", ["exit", "entry"])
 @pytest.mark.parametrize("mean_value", [False, True])
 def test_classify_nonfinite_enclosure_fails_both_masks(which, mean_value):
@@ -381,13 +431,13 @@ def test_thread_count_invariance(data, monkeypatch):
     The batches are small enough that parts of several roots are sharded
     over the pool, whose workers run the inverse map they receive pickled."""
     pools = []
-    real_pool = covering.ProcessPoolExecutor
+    real_pool = covering._process_pool
 
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return real_pool(*args, **kwargs)
+    def counting_pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
 
-    monkeypatch.setattr(covering, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(covering, "_process_pool", counting_pool)
     S = data.reversor
     args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
     certs = []
@@ -406,14 +456,13 @@ def test_spawned_workers_run_the_pickled_map(data, monkeypatch):
     inverse map S o F o S reaches them only pickled in each shard's cell
     engine, and they certify the cross-check as one process does."""
     spawn = multiprocessing.get_context("spawn")
-    real_pool = covering.ProcessPoolExecutor
     pools = []
 
-    def spawn_pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers, mp_context=spawn)
+    def spawn_pool(workers):
+        pools.append(workers)
+        return ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
 
-    monkeypatch.setattr(covering, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(covering, "_process_pool", spawn_pool)
     S = data.reversor
     args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
     one, two = (verify_backcover(*args, VerifyConfig(mean_value=True, threads=t, batch_size=16))
@@ -457,7 +506,7 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
     allows, which the pool hands out as workers free up."""
     submitted = []
 
-    class SpyPool(covering.ProcessPoolExecutor):
+    class SpyPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers=max_workers)
             self.workers = max_workers
@@ -467,7 +516,7 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
             submitted.append((self.workers, [p["roots"] for p in payloads]))
             return super().map(fn, payloads, **kwargs)
 
-    monkeypatch.setattr(covering, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(covering, "_process_pool", SpyPool)
     if case == "identity-inconclusive":
         N = toy_hset(2, 1)
         args = (N, linear_map_system(np.eye(2)), 1, N)
@@ -543,10 +592,32 @@ def test_small_frontier_stays_in_process(data, monkeypatch):
     def no_pool(*a, **k):
         raise AssertionError("pool started for a small frontier")
 
-    monkeypatch.setattr(covering, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(covering, "_process_pool", no_pool)
     cert = verify_cover(data.hset("H2"), data.mapsys, 1, data.hset("H3"),
                         VerifyConfig(mean_value=True, threads=2))
     assert cert.verified
+
+
+def test_single_process_run_never_loads_the_pool():
+    """The process pool is imported only when a check first shards: a fresh
+    interpreter that builds the instance and certifies a relation at
+    threads = 1 has loaded neither multiprocessing nor the pool module."""
+    script = (
+        "import sys\n"
+        "from revcover.campaign import build_proof_data\n"
+        "from revcover.covering import VerifyConfig, verify_cover\n"
+        "d = build_proof_data()\n"
+        "cert = verify_cover(d.hset('N1'), d.mapsys, 1, d.hset('N1'),\n"
+        "                    VerifyConfig(mean_value=True, threads=1))\n"
+        "assert cert.verified\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(covering.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["[]"]
 
 
 def test_certificate_serialization_round_trip(data):

@@ -1,14 +1,18 @@
 """H-set charts, transposes, symmetric images, wall grids and the file format."""
 
+import json
+
 import numpy as np
 import pytest
 
+from revcover.cli import main
 from revcover.hset import (
     HSet,
     LinearReversor,
     _facet_cells_arrays,
     coordinate_reflection,
     hset_from_dict,
+    hset_to_dict,
     load_hset,
     save_hset,
     st_symmetric_check,
@@ -318,3 +322,24 @@ def test_file_malformed(tmp_path):
         load_hset(p)
     with pytest.raises(DomainError):
         hset_from_dict({"name": "x", "center": ["0", "0"], "matrix": [["1"]], "u": 1, "s": 1})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["center", "matrix"])
+def test_nonfinite_center_or_matrix_rejected(tmp_path, capsys, data, field, value):
+    """An h-set with a NaN or infinite center or direction entry is malformed:
+    HSet raises DomainError, and `verify` reads such a file as an input
+    error (exit 3), not as an inconclusive relation (exit 2)."""
+    d = hset_to_dict(data.hset("N1"))
+    if field == "center":
+        d["center"][2] = value
+    else:
+        d["matrix"][1][3] = value
+    center = np.array(d["center"], dtype=float)
+    matrix = np.array(d["matrix"], dtype=float)
+    with pytest.raises(DomainError, match="finite"):
+        HSet("bad", center, matrix, 2, 2)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "--from", str(path), "--to", "N2"]) == 3
+    assert "finite" in capsys.readouterr().err

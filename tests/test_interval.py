@@ -613,7 +613,7 @@ def _read_only(*arrays):
 
 
 @pytest.mark.parametrize("nb", [CUT // 16 - 1, CUT // 16, CUT // 4 - 1, CUT // 4])
-def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
+def test_kernels_leave_read_only_inputs_alone(rng, nb):
     """Every public kernel accepts read-only arguments (a write into one
     raises). The inf-sup kernels return the bits of the reference formulas,
     which round every candidate and every partial sum into a new array with
@@ -668,8 +668,7 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
                 assert_same_bits(g, w[0])
             # the map kernels: eval_batch read-only on the same endpoints,
             # then on finite cells against the exact images at a few rows;
-            # jac_batch, which is stepwise, against the same Jacobian built
-            # on the reference kernels
+            # jac_batch against the Jacobian written out entry by entry
             F = reversible_quadratic_map()
             for g in (F, F.inverse):
                 g.eval_batch(*_read_only(alo, ahi))
@@ -679,14 +678,68 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb, monkeypatch):
                 for b in rows:
                     for v in _exact_members(lo[b], hi[b]):
                         assert encloses(elo[b], ehi[b], exact(*v))
-            with monkeypatch.context() as m:
-                for kernel in (interval.iadd, interval.isub):
-                    m.setattr(dynamics, kernel.__name__, REFERENCE[kernel])
-                want = [g.jac_batch(alo, ahi) for g in (F, F.inverse)]
-            got = [g.jac_batch(*_read_only(alo, ahi)) for g in (F, F.inverse)]
-            for g, w in zip(got, want):
-                assert_same_bits(g[0], w[0])
-                assert_same_bits(g[1], w[1])
+            for g, reference in ((F, _reference_DF), (F.inverse, _reference_DF_inverse)):
+                for got, want in zip(g.jac_batch(*_read_only(alo, ahi)), reference(alo, ahi)):
+                    assert_same_bits(got, want)
+
+
+def _reference_DF(lo, hi):
+    """F's Jacobian over each cell, written out entry by entry: w = x + y,
+    a = 1/2 - w, a - 1 and a + 1, each endpoint rounded outward with
+    np.nextafter into a new array, in the rows
+    (a1, -1/2, a1 - 1, -1/2), (1/2, a2, 1/2, a2 - 1),
+    (a1 + 1, -1/2, a1, -1/2) and (1/2, a2 + 1, 1/2, a2)."""
+    def down(v):
+        return np.nextafter(v, -np.inf)
+
+    def up(v):
+        return np.nextafter(v, np.inf)
+
+    w_lo = [down(lo[:, i] + lo[:, i + 2]) for i in (0, 1)]
+    w_hi = [up(hi[:, i] + hi[:, i + 2]) for i in (0, 1)]
+    # a's lower end is taken at w's upper end, and its upper end at w's lower
+    a_lo = [down(0.5 - w) for w in w_hi]
+    a_hi = [up(0.5 - w) for w in w_lo]
+    J = []
+    for (a1, a2), step in ((a_lo, down), (a_hi, up)):
+        m1, m2, p1, p2 = step(a1 - 1.0), step(a2 - 1.0), step(a1 + 1.0), step(a2 + 1.0)
+        half = np.full_like(a1, 0.5)
+        J.append(np.stack([
+            np.stack([a1, -half, m1, -half], axis=1),
+            np.stack([half, a2, half, m2], axis=1),
+            np.stack([p1, -half, a1, -half], axis=1),
+            np.stack([half, p2, half, a2], axis=1),
+        ], axis=1))
+    return tuple(J)
+
+
+def _reference_DF_inverse(lo, hi):
+    """The Jacobian of F^-1 = S o F o S, S = diag(-1, -1, 1, 1), from
+    _reference_DF: the cell's x negated, and the entries (i, j) with
+    s_i s_j = -1 negated, each with its bounds swapped."""
+    neg = np.array([True, True, False, False])
+    Jl, Jh = _reference_DF(np.where(neg, -hi, lo), np.where(neg, -lo, hi))
+    flip = neg[:, None] != neg[None, :]
+    return np.where(flip, -Jh, Jl), np.where(flip, -Jl, Jh)
+
+
+@pytest.mark.parametrize("nb", [1, 7, CUT // 2 - 1, CUT // 2, 2 * CUT])
+def test_jacobian_matches_entrywise_reference(rng, nb):
+    """jac_batch of F and F^-1 is bit for bit the written-out stepwise
+    Jacobian, over signed zeros, infinities, NaN, subnormals and magnitudes
+    near 1e+-300, with the (nb, 2) arrays of w on both sides of
+    _BITSTEP_MIN."""
+    F = reversible_quadratic_map()
+    extreme = np.concatenate([SPECIAL, [1e300, -1e300, 1e-300, -1e-300, 0.5, 1.5]])
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            lo, hi = (a.reshape(nb, 4) for a in _endpoints(rng, 4 * nb))
+            for a in (lo, hi):
+                pick = rng.random((nb, 4)) < 0.2
+                a[pick] = rng.choice(extreme, size=int(pick.sum()))
+            for g, reference in ((F, _reference_DF), (F.inverse, _reference_DF_inverse)):
+                for got, want in zip(g.jac_batch(lo, hi), reference(lo, hi)):
+                    assert_same_bits(got, want)
 
 
 # --- the map F, rounded once per output: exact oracle and its bound ---
