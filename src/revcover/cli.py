@@ -2,11 +2,12 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error (an unknown or malformed h-set or map, or a config value out of
-range, such as a budget or thread count below 1). For prove-paper, 1 also
-means that every relation verified but a certified degree differs from the
-expected one or a structural check (symmetry, disjoint supports, fixed-space
-disks) failed; see ProofReport.exit_code.
+3 input error (an unknown or malformed h-set or map, a config value out of
+range, such as a budget or thread count below 1, or a REVCOVER_THREADS that
+is not a positive integer). For prove-paper, 1 also means that every
+relation verified but a certified degree differs from the expected one or a
+structural check (symmetry, disjoint supports, fixed-space disks) failed;
+see ProofReport.exit_code.
 """
 
 from __future__ import annotations
@@ -39,10 +40,18 @@ _STATUS_EXIT = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 
 
 def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("REVCOVER_THREADS", VerifyConfig.threads)))
-    except ValueError:
+    """The default --threads: REVCOVER_THREADS if set, which must be a
+    positive integer (DomainError otherwise), else VerifyConfig's."""
+    value = os.environ.get("REVCOVER_THREADS")
+    if value is None:
         return VerifyConfig.threads
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"REVCOVER_THREADS must be a positive integer, got {value!r}")
+    return threads
 
 
 def _resolve_hsets(tokens) -> list[HSet]:
@@ -281,7 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except DomainError as e:  # REVCOVER_THREADS out of range
+        print(f"error: {e}", file=sys.stderr)
+        return 3
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

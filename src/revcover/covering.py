@@ -38,10 +38,17 @@ roots turn out light does not sit idle while another finishes heavy ones.
 Each shard carries the check's cell engine, map included, pickled as it is;
 with more than one worker, a map that does not pickle is refused with
 DomainError before any cell is evaluated.
+
+The process keeps one worker pool (`_worker_pool`). The first check that
+shards starts it, and later checks reuse it. It is replaced when the worker
+count changes or a worker dies, discarded when a check is interrupted while
+its shards run, and shut down at exit. Idle workers keep their memory
+between checks.
 """
 
 from __future__ import annotations
 
+import atexit
 import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -407,6 +414,36 @@ def _process_pool(workers):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+_POOL = None  # (workers, pool): the process's worker pool, see _worker_pool
+
+
+def _worker_pool(workers):
+    """The process's pool of `workers` processes, shared by every check that
+    shards. A pool is made only when there is none, when the worker count
+    changed or when a worker died (the pool is broken); the old pool is shut
+    down first, so no worker is forked while another pool's manager thread
+    runs. There is no lock: checks are run from one thread."""
+    global _POOL
+    if _POOL is not None and (_POOL[0] != workers or _POOL[1]._broken):
+        _shutdown_pool()
+    if _POOL is None:
+        _POOL = (workers, _process_pool(workers))
+        # registered after the pool machinery's own exit hooks, so it runs
+        # before them; unregister keeps it registered once
+        atexit.unregister(_shutdown_pool)
+        atexit.register(_shutdown_pool)
+    return _POOL[1]
+
+
+def _shutdown_pool():
+    """Shuts the shared pool down, if there is one, and cancels the shards
+    it has not started."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(cancel_futures=True)
+
+
 class _Refinement:
     """Level-synchronous refinement of one check's initial cells (roots).
 
@@ -438,34 +475,29 @@ class _Refinement:
 
     def run(self, lo, hi, root, depth, workers=1):
         """Refine a part to completion. With workers > 1, a part of several
-        roots that outgrows one batch is sharded by root over a process pool."""
+        roots that outgrows one batch is sharded by root over the process's
+        worker pool."""
         parts = [(lo, hi, root, depth)]
-        pool = None
-        try:
-            while parts:
-                lo, hi, root, depth = parts.pop()
-                live = self.status[root] == _ACTIVE
-                if not live.all():
-                    lo, hi, root = lo[live], hi[live], root[live]
-                n = len(root)
-                if n == 0:
-                    continue
-                several = root[0] != root[-1]
-                if workers > 1 and several and n > min(self.batch_size, _PART_CELLS):
-                    pool = pool or _process_pool(workers)
-                    self._shard(pool, workers, lo, hi, root, depth)
-                elif n > _PART_CELLS:
-                    start, _ = _runs(root)
-                    cut = start[len(start) // 2] if several else n // 2
-                    parts.append((lo[cut:].copy(), hi[cut:].copy(), root[cut:].copy(), depth))
-                    parts.append((lo[:cut].copy(), hi[:cut].copy(), root[:cut].copy(), depth))
-                else:
-                    nxt = self._level(lo, hi, root, depth)
-                    if nxt is not None:
-                        parts.append((*nxt, depth + 1))
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        while parts:
+            lo, hi, root, depth = parts.pop()
+            live = self.status[root] == _ACTIVE
+            if not live.all():
+                lo, hi, root = lo[live], hi[live], root[live]
+            n = len(root)
+            if n == 0:
+                continue
+            several = root[0] != root[-1]
+            if workers > 1 and several and n > min(self.batch_size, _PART_CELLS):
+                self._shard(workers, lo, hi, root, depth)
+            elif n > _PART_CELLS:
+                start, _ = _runs(root)
+                cut = start[len(start) // 2] if several else n // 2
+                parts.append((lo[cut:].copy(), hi[cut:].copy(), root[cut:].copy(), depth))
+                parts.append((lo[:cut].copy(), hi[:cut].copy(), root[:cut].copy(), depth))
+            else:
+                nxt = self._level(lo, hi, root, depth)
+                if nxt is not None:
+                    parts.append((*nxt, depth + 1))
 
     def _level(self, lo, hi, root, depth):
         """Evaluates one level of a part: each root's cells in level order up
@@ -525,10 +557,13 @@ class _Refinement:
         self.cell_lo[rids] = lo[first]
         self.cell_hi[rids] = hi[first]
 
-    def _shard(self, pool, workers, lo, hi, root, depth):
+    def _shard(self, workers, lo, hi, root, depth):
         """Finishes a part in worker processes, split by root into up to
         _SHARDS_PER_WORKER shards per worker, which the pool hands out one at
-        a time as workers free up."""
+        a time as workers free up. If anything interrupts the shards (a
+        worker's exception, a dead worker, KeyboardInterrupt), the pool is
+        discarded with its pending shards, so no later check waits behind
+        them."""
         start, count = _runs(root)
         ids = root[start]
         n_shards = min(_SHARDS_PER_WORKER * workers, len(ids))
@@ -544,9 +579,13 @@ class _Refinement:
                 "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],
                 "part": (lo[mine], hi[mine], root[mine], depth),
             })
-        for shard, per_root in pool.map(_worker_refine, payloads):
-            for name, values in zip(_PER_ROOT, per_root):
-                getattr(self, name)[shard] = values
+        try:
+            for shard, per_root in _worker_pool(workers).map(_worker_refine, payloads):
+                for name, values in zip(_PER_ROOT, per_root):
+                    getattr(self, name)[shard] = values
+        except BaseException:
+            _shutdown_pool()
+            raise
 
 
 def _worker_refine(payload: dict) -> tuple:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from revcover import covering
 from revcover.campaign import CampaignConfig, build_proof_data, run_campaign
 
 
@@ -75,3 +76,11 @@ def campaign():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250809)
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_pool_across_tests():
+    """Shuts the process's worker pool down after each test, so a pool that
+    one test patched in never serves the next."""
+    yield
+    covering._shutdown_pool()

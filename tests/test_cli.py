@@ -51,6 +51,22 @@ def test_invalid_config_exit_3(argv, capsys):
     assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_invalid_thread_env_exit_3(value, monkeypatch, capsys):
+    """REVCOVER_THREADS must be a positive integer, as --threads must be."""
+    monkeypatch.setenv("REVCOVER_THREADS", value)
+    assert main(["verify", "--from", "N1", "--to", "N1", "--mean-value"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: REVCOVER_THREADS") and len(err.splitlines()) == 1
+
+
+def test_thread_env_sets_the_default(monkeypatch):
+    monkeypatch.setenv("REVCOVER_THREADS", "3")
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--from", "N1", "--to", "N1"]).threads == 3
+    assert parser.parse_args(["prove-paper", "--threads", "1"]).threads == 1
+
+
 def test_parser_defaults_are_verify_config_defaults(monkeypatch):
     """verify and prove-paper default to VerifyConfig's settings, and
     prove-paper's parsed defaults give CampaignConfig(), whose cell checks

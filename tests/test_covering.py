@@ -3,8 +3,11 @@
 import itertools
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -426,18 +429,24 @@ def _check_stats(cert):
             for which, chk in cert.checks.items()}
 
 
+def _count_pools(monkeypatch):
+    """The worker counts of the pools made from now on, in order."""
+    pools = []
+    real_pool = covering._process_pool
+    monkeypatch.setattr(covering, "_process_pool",
+                        lambda workers: pools.append(workers) or real_pool(workers))
+    return pools
+
+
+def _outcome(cert):
+    return cert.status, cert.w, cert.boxes, cert.max_depth, _check_stats(cert)
+
+
 def test_thread_count_invariance(data, monkeypatch):
     """Threads 1 and 2 certify the campaign's backcover cross-check alike.
     The batches are small enough that parts of several roots are sharded
     over the pool, whose workers run the inverse map they receive pickled."""
-    pools = []
-    real_pool = covering._process_pool
-
-    def counting_pool(workers):
-        pools.append(workers)
-        return real_pool(workers)
-
-    monkeypatch.setattr(covering, "_process_pool", counting_pool)
+    pools = _count_pools(monkeypatch)
     S = data.reversor
     args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
     certs = []
@@ -467,7 +476,8 @@ def test_spawned_workers_run_the_pickled_map(data, monkeypatch):
     args = (sym_image(S, data.hset("H3")), data.mapsys, 1, sym_image(S, data.hset("H2")))
     one, two = (verify_backcover(*args, VerifyConfig(mean_value=True, threads=t, batch_size=16))
                 for t in (1, 2))
-    assert set(pools) == {2}  # a pool for each check that shards
+    assert set(pools) == {2}
+    assert len(pools) == 1  # one pool, reused by every check that shards
     assert one.status == two.status == VERIFIED
     assert (one.w, one.boxes, one.max_depth) == (two.w, two.boxes, two.max_depth)
     assert _check_stats(one) == _check_stats(two)
@@ -598,6 +608,16 @@ def test_small_frontier_stays_in_process(data, monkeypatch):
     assert cert.verified
 
 
+def _fresh_python(script):
+    """Runs script in a fresh interpreter that imports revcover from this
+    source tree."""
+    src = os.path.dirname(os.path.dirname(covering.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_single_process_run_never_loads_the_pool():
     """The process pool is imported only when a check first shards: a fresh
     interpreter that builds the instance and certifies a relation at
@@ -612,12 +632,115 @@ def test_single_process_run_never_loads_the_pool():
         "assert cert.verified\n"
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
     )
-    src = os.path.dirname(os.path.dirname(covering.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.split() == ["[]"]
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def _sharded_identity(threads):
+    """The identity toy's failing exit and entry checks: their subtrees
+    outgrow a batch, so threads > 1 shards them over the pool."""
+    N = toy_hset(2, 1)
+    return verify_cover(N, linear_map_system(np.eye(2)), 1, N,
+                        VerifyConfig(budget=2_000, batch_size=64, threads=threads))
+
+
+def test_one_pool_serves_every_check(data, monkeypatch):
+    """plain-grid's N2=>N2 and H3=>N2 at threads 2 shard their checks over
+    one pool, made once, and certify as one process does."""
+    pools = _count_pools(monkeypatch)
+    runs = {threads: [_outcome(verify_cover(data.hset(src), data.mapsys, 1, data.hset("N2"),
+                                            VerifyConfig(threads=threads)))
+                      for src in ("N2", "H3")]
+            for threads in (1, 2)}
+    assert pools == [2]
+    assert runs[1] == runs[2]
+    assert [r[:2] for r in runs[1]] == [(VERIFIED, -1)] * 2
+
+
+def test_pool_replaced_after_a_worker_dies(monkeypatch):
+    """A worker killed between checks breaks the pool; the next check gets
+    a new pool and certifies as one process does."""
+    pools = _count_pools(monkeypatch)
+    one = _outcome(_sharded_identity(1))
+    assert one[0] == INCONCLUSIVE
+    assert _outcome(_sharded_identity(2)) == one
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    # the pool's manager thread sees the death and ends the other worker
+    deadline = time.monotonic() + 60
+    while multiprocessing.active_children():
+        assert time.monotonic() < deadline, "the broken pool kept a worker"
+        time.sleep(0.01)
+    assert _outcome(_sharded_identity(2)) == one
+    assert pools == [2, 2]
+
+
+def test_pool_replaced_after_a_shard_raises(monkeypatch):
+    """A shard that raises in a worker ends the check with its exception and
+    discards the pool, pending shards included; the next check gets a new
+    pool and certifies as one process does."""
+    pools = _count_pools(monkeypatch)
+    one = _outcome(_sharded_identity(1))
+    parent = os.getpid()
+    real_classify = covering._CellEngine.classify
+
+    def classify(self, lo, hi):
+        if os.getpid() != parent:
+            raise RuntimeError("shard failed")
+        return real_classify(self, lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(covering._CellEngine, "classify", classify)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            _sharded_identity(2)  # its workers are forked with the failing classify
+    assert multiprocessing.active_children() == []
+    assert _outcome(_sharded_identity(2)) == one
+    assert pools == [2, 2]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pool does not fork its workers")
+def test_workers_forked_while_no_pool_thread_runs(monkeypatch):
+    """A pool is replaced only after the old one's threads have stopped, so
+    each worker is forked from a process running no thread but its own
+    (Python 3.12+ warns that a fork beside other threads may deadlock)."""
+    threads = threading.active_count()
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(threading.active_count()) or real_fork())
+    for workers in (2, 2, 3, 2):
+        _sharded_identity(workers)
+    assert forks == [threads] * 7  # 2 + 0 (reused) + 3 + 2 workers
+
+
+def test_workers_end_with_the_interpreter():
+    """A fresh interpreter that certifies on two workers exits cleanly: the
+    pool is shut down by an exit hook, before the interpreter clears its
+    modules (a pool collected after that prints an ignored AttributeError),
+    so nothing is printed to stderr and no worker is left running."""
+    script = (
+        "import atexit, multiprocessing, sys\n"
+        "import numpy as np\n"
+        "from revcover import covering\n"
+        "from revcover.covering import VerifyConfig, verify_cover\n"
+        "# runs after every exit hook registered later, the pool's included\n"
+        "atexit.register(lambda: covering._POOL and print('pool left', file=sys.stderr))\n"
+        "from revcover.dynamics import linear_map_system\n"
+        "from revcover.hset import HSet\n"
+        "N = HSet('T', np.zeros(2), np.eye(2), 1, 1)\n"
+        "verify_cover(N, linear_map_system(np.eye(2)), 1, N,\n"
+        "             VerifyConfig(budget=2_000, batch_size=64, threads=2))\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    proc = _fresh_python(script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_certificate_serialization_round_trip(data):
