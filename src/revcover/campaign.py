@@ -351,6 +351,22 @@ def enumerate_words(graph: CoveringGraph, alphabet=("N1", "N2"), length: int = 3
     return words
 
 
+def word_counts(graph: CoveringGraph, upto: int, alphabet=("N1", "N2")) -> dict:
+    """The number of words that enumerate_words lists, for each length
+    1..upto, counted without listing them: the words of length L + 1 that
+    end in b are those of length L that end in some a with an available
+    block a -> b, so the counts are the row vector of ones times the powers
+    of the block-availability matrix, in exact ints."""
+    blocks = block_transitions(graph)
+    ending = [1] * len(alphabet)  # the words of length L, by last letter
+    counts = {}
+    for L in range(1, upto + 1):
+        counts[L] = sum(ending)
+        ending = [sum(n for a, n in zip(alphabet, ending) if blocks.get((a, b), False))
+                  for b in alphabet]
+    return counts
+
+
 AUTOMATON_SUCCESSORS = {0: (0, 1), 1: (2,), 2: (3,), 3: (1,)}
 AUTOMATON_ENDPOINTS = (0, 2)
 
@@ -593,10 +609,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     }
 
     blocks = block_transitions(graph)
-    word_counts = {
-        L: len(enumerate_words(graph, ("N1", "N2"), L))
-        for L in range(1, cfg.enumerate_upto + 1)
-    }
+    counts = word_counts(graph, cfg.enumerate_upto)
     conclusions = []
     if all(blocks.values()):
         conclusions.append(
@@ -634,7 +647,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
             "derived_edges": [e.to_dict() for e in derived],
             "backcover_crosscheck": crosscheck,
             "blocks": {f"{a}->{b}": ok for (a, b), ok in blocks.items()},
-            "word_counts": {str(k): v for k, v in word_counts.items()},
+            "word_counts": {str(k): v for k, v in counts.items()},
             "conclusions": conclusions,
             "totals": {
                 "boxes": total_boxes,

@@ -2,9 +2,12 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error (an unknown or malformed h-set or map, a config value out of
-range, such as a budget or thread count below 1, or a REVCOVER_THREADS that
-is not a positive integer). For prove-paper, 1 also means that every
+3 input error (an unknown or malformed h-set or map, an h-set matrix without
+a verified inverse, a relation whose h-sets and map differ in dimension or
+whose h-sets differ in unstable dimension, an iterate count below 1, a
+backcovering under a map without an inverse, a config value out of range,
+such as a budget or thread count below 1, or a REVCOVER_THREADS that is not
+a positive integer). For prove-paper, 1 also means that every
 relation verified but a certified degree differs from the expected one or a
 structural check (symmetry, disjoint supports, fixed-space disks) failed;
 see ProofReport.exit_code.
@@ -32,7 +35,7 @@ from .campaign import (
     run_campaign,
 )
 from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
-from .dynamics import map_by_name
+from .dynamics import MissingInverseError, map_by_name
 from .hset import HSet, load_hset, sym_image
 from .interval import DomainError
 
@@ -141,7 +144,7 @@ def _cmd_verify(args) -> int:
     fn = verify_backcover if args.back else verify_cover
     try:
         cert = fn(src, mapsys, args.iters, dst, cfg)
-    except Exception as e:  # missing inverse, dimension mismatch, ...
+    except (DomainError, MissingInverseError) as e:  # a mismatched relation, no inverse
         print(f"error: {e}", file=sys.stderr)
         return 3
     print(f"{cert.source} ={cert.map_name}^{cert.iters}=> {cert.target} "

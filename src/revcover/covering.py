@@ -2,8 +2,11 @@
 
 A relation N =(map^k)=> M is certified by three ingredients:
 
-  * degree: the unstable block A of the chart derivative at the source center
-    must have a determinant enclosure of certified sign w;
+  * degree: the unstable block of the chart derivative at the source center
+    must have a determinant enclosure of certified sign w. The derivative
+    is read off the same centered Jacobian chain that the mean-value cell
+    engine computes for every cell (`_centered_chain`), here for the point
+    cell at chart zero;
   * exit condition: every cell of a grid covering the exit wall (boundary of
     the unstable cube times the stable cube) maps, hulled with the linear
     image used by the convex homotopy, strictly clear of the target's
@@ -60,10 +63,8 @@ from .dynamics import MapSystem
 from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
-    IBox,
     IMatrix,
     IndeterminateSignError,
-    SingularMatrixError,
     _imat_vec_midrad,
     _mid_rad,
     _radius_image,
@@ -71,7 +72,6 @@ from .interval import (
     affine_batch,
     det_sign,
     iadd,
-    imat_mul,
     imatmul_batch,
 )
 
@@ -133,10 +133,9 @@ class CheckResult:
 
 @dataclass
 class DegreeData:
-    """Unstable block of the chart derivative at the source center, its
-    certified determinant sign, and the whole chart derivative."""
+    """The chart derivative at the source center, and the certified
+    determinant sign w of its unstable block."""
 
-    A: IMatrix
     w: int
     chart_derivative: IMatrix
 
@@ -200,37 +199,92 @@ class CoveringCertificate:
         )
 
 
+def _require_relation(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> None:
+    """Raises DomainError unless N =(map^k)=> M is a relation that can be
+    checked at all: h-sets and map of one dimension, the same unstable
+    dimension, and k >= 1."""
+    if not N.dim == M.dim == mapsys.dim:
+        raise DomainError(f"dimensions differ: h-sets {N.dim} and {M.dim}, map {mapsys.dim}")
+    if N.u != M.u:
+        raise DomainError("covering requires matching unstable/stable dimensions")
+    if k < 1:
+        raise DomainError(f"the iterate count must be >= 1, got {k}")
+
+
 def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
     """Chart derivative at the source center and its certified degree.
 
-    The derivative of c_M o map^k o c_N^{-1} at chart zero is the interval
-    chain product inv(M_M) . Dmap(z_{k-1}) ... Dmap(z_0) . M_N along the
-    interval orbit z_0 .. z_{k-1} of the source center, which is walked and
-    not kept; the degree is the determinant sign of its u x u block. An
-    orbit that leaves the representable range raises DomainError.
+    The derivative of c_M o map^k o c_N^{-1} at chart zero is the centered
+    chain T of the point cell 0 (_centered_chain): each Jacobian is taken
+    over an enclosure of the exact center orbit, so T encloses the exact
+    derivative. The degree is the determinant sign of its u x u block. A
+    mismatched relation raises DomainError (_require_relation), and so does
+    a center orbit that leaves the representable range, naming the first
+    step whose image is not finite.
     """
-    if N.u != M.u or N.s != M.s:
-        raise DomainError("covering requires matching unstable/stable dimensions")
-    if k < 1:
-        raise ValueError("compute_degree needs k >= 1")
-    z = IBox.point(N.center)
-    chain = None
+    _require_relation(N, mapsys, k, M)
+    zero = np.zeros((1, N.dim))
     # overflow to infinite bounds is sound and handled, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, k + 1):
-            J = mapsys.jac_box(z)
-            chain = J if chain is None else imat_mul(J, chain)
-            lo, hi = mapsys.eval_batch(z.lo[None, :], z.hi[None, :])
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise DomainError(f"center orbit left the representable range at step {step}")
-            z = IBox(lo[0], hi[0])
-    dfc0 = imat_mul(imat_mul(M.inv_matrix, chain), IMatrix.from_point(N.matrix))
+        p, (tlo, thi) = _centered_chain(mapsys, k, N.matrix, N.center,
+                                        _split_matrix(M.inv_matrix.lo, M.inv_matrix.hi),
+                                        M.center, zero, zero, zero)
+        if not all(np.isfinite(a).all() for a in (*p, tlo, thi)):
+            z = (N.center[None, :],) * 2
+            for step in range(1, k + 1):
+                z = mapsys.eval_batch(*z)
+                if not np.isfinite(z).all():
+                    raise DomainError(
+                        f"center orbit left the representable range at step {step}")
+            raise DomainError("the chart derivative at the source center is not finite")
     u = N.u
-    if u == 0:
-        # no unstable directions: the linear model is trivial and w = +1
-        return DegreeData(IMatrix(np.zeros((0, 0)), np.zeros((0, 0))), 1, dfc0)
-    A = IMatrix(dfc0.lo[:u, :u], dfc0.hi[:u, :u])
-    return DegreeData(A, det_sign(A), dfc0)
+    return DegreeData(det_sign(IMatrix(tlo[0, :u, :u], thi[0, :u, :u])),
+                      IMatrix(tlo[0], thi[0]))
+
+
+def _centered_chain(mapsys, k, src_matrix, src_center, inv, tgt_center, mid, lo, hi):
+    """The midpoint images p and the Jacobian chain T of the centered form,
+    for a batch of cells [lo, hi] (B, n) with a point mid (B, n) in each.
+
+    p encloses the chart image inv(M_M) (map^k(M_N mid + x_N) - x_M) of each
+    midpoint, and T = inv(M_M) G_k ... G_1 M_N holds G_i, the map's
+    Jacobian over the cell's (i-1)-th step image; inv is the target inverse
+    split by _split_matrix. Returns (plo, phi) (B, n) and (Tlo, Thi)
+    (B, n, n). Each product is in the cheapest form that keeps it tight:
+      * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on the
+        rows of G_1);
+      * G_i J for i >= 2: inf-sup, as both factors are wide
+        (imatmul_batch);
+      * inv(M_M) J: midpoint-radius, as the inverse is thin (on the columns
+        of J).
+
+    Rows travel together through the chain: the midpoints (as point cells)
+    above the cells through M_N and through each of the k map steps, whose
+    Jacobian sees the cell rows only; then the midpoint images, shifted by
+    the target center, above the columns of J, shifted by 0, through
+    inv(M_M). Every kernel treats each row on its own, so each row comes out
+    bit for bit as it would alone.
+    """
+    nb, n = lo.shape
+    # rows :nb are the midpoints and their images, rows nb: the cells'
+    vlo, vhi = affine_batch(src_matrix, src_center,
+                            np.concatenate((mid, lo)), np.concatenate((mid, hi)))
+    for step in range(k):
+        glo, ghi = mapsys.jac_batch(vlo[nb:], vhi[nb:])
+        if step == 0:
+            rows = affine_batch(src_matrix.T, 0.0, glo.reshape(-1, n), ghi.reshape(-1, n))
+            jlo, jhi = (a.reshape(nb, n, n) for a in rows)
+        else:
+            jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
+        vlo, vhi = mapsys.eval_batch(vlo, vhi)
+    # below the midpoint images, row nb + (b, j) is column j of cell b's J
+    slo, shi = (np.concatenate((v[:nb], a.transpose(0, 2, 1).reshape(-1, n)))
+                for v, a in ((vlo, jlo), (vhi, jhi)))
+    center = np.zeros_like(slo)
+    center[:nb] = tgt_center
+    plo, phi = _imat_vec_midrad(*inv, slo, shi, center)
+    return (plo[:nb], phi[:nb]), tuple(a[nb:].reshape(nb, n, n).transpose(0, 2, 1)
+                                       for a in (plo, phi))
 
 
 class _CellEngine:
@@ -257,56 +311,21 @@ class _CellEngine:
         Plain: the cell is pushed through M_N, the k steps of the map and
         inv(M_M) in turn. Centered (mean value): with the cell inside
         mid +- rad (_mid_rad; mid lies in the cell, so the segment from it
-        to any point of the cell does too) and p an enclosure of the image
-        of mid, the image of the cell lies in p + T [-rad, rad], where the
-        interval Jacobian chain T = inv(M_M) G_k ... G_1 M_N holds G_i, F's
-        Jacobian over the cell's (i-1)-th step image. Each product is in
-        the cheapest form that keeps it tight:
-          * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on
-            the rows of G_1);
-          * G_i J for i >= 2: inf-sup, as both factors are wide
-            (imatmul_batch);
-          * inv(M_M) J: midpoint-radius, as the inverse is thin (on the
-            columns of J);
-          * T [-rad, rad]: as [-s, s] with s >= |T| rad, as the radius is
-            centered (_radius_image).
-
-        Rows travel together through the chain: the midpoints (as point
-        cells) above the cells through M_N and through each of the k map
-        steps, whose Jacobian sees the cell rows only; then the midpoint
-        images, shifted by the target center, above the columns of J,
-        shifted by 0, through inv(M_M). Every kernel treats each row on its
-        own, so each row comes out bit for bit as it would alone.
+        to any point of the cell does too), the image of the cell lies in
+        p + T [-rad, rad] for the midpoint image p and the Jacobian chain T
+        of _centered_chain. T [-rad, rad] is taken as [-s, s] with
+        s >= |T| rad, as the radius is centered (_radius_image).
         """
         if not self.mean_value:
             vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
             for _ in range(self.k):
                 vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
             return _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
-
-        nb, n = lo.shape
         mid, rad = _mid_rad(lo, hi)
-        # rows :nb are the midpoints and their images, rows nb: the cells'
-        vlo, vhi = affine_batch(self.src_matrix, self.src_center,
-                                np.concatenate((mid, lo)), np.concatenate((mid, hi)))
-        for step in range(self.k):
-            glo, ghi = self.mapsys.jac_batch(vlo[nb:], vhi[nb:])
-            if step == 0:
-                rows = affine_batch(self.src_matrix.T, 0.0,
-                                    glo.reshape(-1, n), ghi.reshape(-1, n))
-                jlo, jhi = (a.reshape(nb, n, n) for a in rows)
-            else:
-                jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
-            vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-        # below the midpoint images, row nb + (b, j) is column j of cell b's J
-        slo, shi = (np.concatenate((v[:nb], a.transpose(0, 2, 1).reshape(-1, n)))
-                    for v, a in ((vlo, jlo), (vhi, jhi)))
-        center = np.zeros_like(slo)
-        center[:nb] = self.tgt_center
-        plo, phi = _imat_vec_midrad(*self.inv, slo, shi, center)
-        s = _radius_image(*(a[nb:].reshape(nb, n, n).transpose(0, 2, 1) for a in (plo, phi)),
-                          rad)
-        return iadd(plo[:nb], phi[:nb], -s, s)
+        (plo, phi), T = _centered_chain(self.mapsys, self.k, self.src_matrix, self.src_center,
+                                        self.inv, self.tgt_center, mid, lo, hi)
+        s = _radius_image(*T, rad)
+        return iadd(plo, phi, -s, s)
 
     def classify(self, lo, hi):
         """Returns (passed, refuted) boolean masks for a batch of chart cells.
@@ -676,9 +695,10 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
         direction="direct", w=None, status=INCONCLUSIVE,
         config=asdict(cfg),
     )
+    _require_relation(N, mapsys, k, M)
     try:
         degree = compute_degree(N, mapsys, k, M)
-    except (IndeterminateSignError, SingularMatrixError, DomainError) as e:
+    except (IndeterminateSignError, DomainError) as e:
         cert.failure = f"degree computation failed: {e}"
         cert.wall_time = time.perf_counter() - t0
         return cert

@@ -18,8 +18,8 @@ batch Jacobian stays stepwise, one outward rounding per `iadd`/`isub`, on
 (B, 2) arrays that fill a constant template of its +-1/2 entries.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
-their own, the degree computation along the source center and the cell
-kernels along batches of chart cells.
+their own along batches of chart cells, and the degree computation along
+the point cell at the source center, through the same chain.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .hset import LinearReversor, coordinate_reflection
 from .interval import (
     DomainError,
     IBox,
-    IMatrix,
     affine_batch,
     iadd,
     isub,
@@ -73,10 +72,6 @@ class MapSystem:
     def eval_box(self, b: IBox) -> IBox:
         lo, hi = self.eval_batch(b.lo[None, :], b.hi[None, :])
         return IBox(lo[0], hi[0])
-
-    def jac_box(self, b: IBox) -> IMatrix:
-        jl, jh = self.jac_batch(b.lo[None, :], b.hi[None, :])
-        return IMatrix(jl[0], jh[0])
 
     def require_inverse(self) -> "MapSystem":
         if self.inverse is None:

@@ -27,6 +27,7 @@ from .interval import (
     DomainError,
     IBox,
     IMatrix,
+    SingularMatrixError,
     iadd,
     imat_inverse,
     imat_mul,
@@ -308,19 +309,20 @@ def hset_to_dict(N: HSet) -> dict:
 
 
 def hset_from_dict(d: dict) -> HSet:
+    """The h-set of a file's JSON object. A malformed object, or a direction
+    matrix without a verified inverse, raises DomainError."""
     try:
-        name = d["name"]
         center = [float(x) for x in d["center"]]
         matrix = [[float(x) for x in row] for row in d["matrix"]]
-        u = int(d["u"])
-        s = int(d["s"])
+        source = {
+            "center": [str(x) for x in d["center"]],
+            "matrix": [[str(x) for x in row] for row in d["matrix"]],
+        }
+        return HSet(d["name"], center, matrix, int(d["u"]), int(d["s"]), decimal_source=source)
     except (KeyError, TypeError, ValueError) as e:
         raise DomainError(f"malformed h-set object: {e}") from e
-    source = {
-        "center": [str(x) for x in d["center"]],
-        "matrix": [[str(x) for x in row] for row in d["matrix"]],
-    }
-    return HSet(name, center, matrix, u, s, decimal_source=source)
+    except SingularMatrixError as e:
+        raise DomainError(f"h-set {d['name']!r} has no verified inverse: {e}") from e
 
 
 def save_hset(N: HSet, path) -> None:

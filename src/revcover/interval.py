@@ -40,10 +40,12 @@ first. For a thin or centered factor a midpoint-radius product is as tight
 as the inf-sup one up to rounding, and it takes one `np.matmul` for the
 center and one or two for the radius instead of a min/max and a rounding
 per product. The mean-value chain uses all three (see
-`covering._CellEngine._chart_image`). The kernels that multiply two wide
-intervals (`imatmul_batch`, which carries the chain's steps after the
-first, and `imatvec_cellwise`), `imat_vec`, `imat_mul` and the scalar
-operations stay in inf-sup form, each operation stepped outward: there a
+`covering._centered_chain`). There is one inf-sup matrix product,
+`imatmul_batch`, which multiplies two wide intervals and carries the
+chain's steps after the first. `imat_mul` is it on a batch of one, and
+`imat_vec` and `imatvec_cellwise` are it with a trailing axis of length 1,
+so none of the three is a kernel of its own. It and the scalar operations
+stay in inf-sup form, each operation stepped outward: there a
 midpoint-radius product can be up to 1.5 times wider, and with the chain's
 wide-by-wide product in that form H1⇒H2 (k = 4) took 938 boxes instead of
 864. A cell coordinate that is not finite, or whose radius term overflows,
@@ -439,38 +441,22 @@ class IMatrix:
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
 
 
-def _rounded_sum(terms):
-    """Outward-rounded sum of interval terms (lo, hi), in order: the first
-    term as it is, then each partial sum added and rounded in the
-    accumulator. The first term must have the result's shape; it is copied
-    unless it owns its buffer, so no argument of a kernel is written into."""
-    terms = iter(terms)
-    acc_lo, acc_hi = (t if t.flags.owndata else t.copy() for t in next(terms))
-    for tlo, thi in terms:
-        acc_lo += tlo
-        acc_hi += thi
-        acc_lo = _down(acc_lo)
-        acc_hi = _up(acc_hi)
-    return acc_lo, acc_hi
-
-
 def imat_vec(M: IMatrix, v: IBox) -> IBox:
-    """Enclosure of {Ax : A in M, x in v}."""
-    m = M.shape[1]
-    if v.dim != m:
+    """Enclosure of {Ax : A in M, x in v}: imatmul_batch on a batch of one,
+    with v as a column."""
+    if v.dim != M.shape[1]:
         raise DomainError("shape mismatch in imat_vec")
-    return IBox(*_rounded_sum(
-        imul(M.lo[:, j], M.hi[:, j], v.lo[j], v.hi[j]) for j in range(m)))
+    lo, hi = imatmul_batch(M.lo[None], M.hi[None], v.lo[None, :, None], v.hi[None, :, None])
+    return IBox(lo[0, :, 0], hi[0, :, 0])
 
 
 def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
-    """Enclosure of the product of any member matrices."""
-    m = A.shape[1]
-    if m != B.shape[0]:
+    """Enclosure of the product of any member matrices: imatmul_batch on a
+    batch of one."""
+    if A.shape[1] != B.shape[0]:
         raise DomainError("shape mismatch in imat_mul")
-    return IMatrix(*_rounded_sum(
-        (imul(A.lo[:, j][:, None], A.hi[:, j][:, None], B.lo[j, :][None, :], B.hi[j, :][None, :])
-         for j in range(m))))
+    lo, hi = imatmul_batch(A.lo[None], A.hi[None], B.lo[None], B.hi[None])
+    return IMatrix(lo[0], hi[0])
 
 
 # --- vectorized kernels over cell batches (arrays of shape (B, n)) ---
@@ -766,17 +752,31 @@ def _radius_image(Tl, Th, rad):
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):
-    """Batched interval matrix product: (B,n,m) @ (B,m,k)."""
-    return _rounded_sum(
-        imul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
-             Bl[:, j, :][:, None, :], Bh[:, j, :][:, None, :]) for j in range(Al.shape[2]))
+    """Batched interval matrix product (B, n, m) @ (B, m, k), in inf-sup
+    form: the one inf-sup matrix product, which imat_vec, imat_mul and
+    imatvec_cellwise call.
+
+    Column j of A times row j of B is an imul of every pair, each product
+    rounded outward once; the sum over j is accumulated in order, the first
+    term as it is and each partial sum added and rounded outward in the
+    accumulator. The accumulator is a buffer of its own (imul returns new
+    arrays), so no argument is written into."""
+    terms = (imul(Al[:, :, j, None], Ah[:, :, j, None], Bl[:, None, j, :], Bh[:, None, j, :])
+             for j in range(Al.shape[2]))
+    acc_lo, acc_hi = next(terms)
+    for tlo, thi in terms:
+        acc_lo += tlo
+        acc_hi += thi
+        acc_lo = _down(acc_lo)
+        acc_hi = _up(acc_hi)
+    return acc_lo, acc_hi
 
 
 def imatvec_cellwise(Al, Ah, lo, hi):
-    """Batched interval matrix (B,n,m) applied to per-cell vectors (B,m)."""
-    return _rounded_sum(
-        imul(Al[:, :, j], Ah[:, :, j], lo[:, j][:, None], hi[:, j][:, None])
-        for j in range(Al.shape[2]))
+    """Batched interval matrix (B, n, m) applied to per-cell vectors (B, m):
+    imatmul_batch with each vector as a column."""
+    plo, phi = imatmul_batch(Al, Ah, lo[:, :, None], hi[:, :, None])
+    return plo[:, :, 0], phi[:, :, 0]
 
 
 def _mignitude(lo: float, hi: float) -> float:

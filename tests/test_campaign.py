@@ -1,6 +1,7 @@
 """Instance data, lemma relations, symmetric closure, words and certificates."""
 
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from revcover.campaign import (
     graph_from_report,
     run_campaign,
     symmetric_closure,
+    word_counts,
 )
 from revcover.covering import VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, st_symmetric_check, sym_image
@@ -162,6 +164,33 @@ def test_word_counts_are_full_shift(campaign):
     assert len(enumerate_words(graph, ("N1", "N2"), 3)) == 8
     for L in range(1, 13):
         assert len(enumerate_words(graph, ("N1", "N2"), L)) == 2**L
+
+
+def test_word_counts_without_listing(campaign, data):
+    """word_counts equals len(enumerate_words) on the campaign graph (the
+    full shift) and on its relations without the symmetric closure, where
+    the N2 -> N1 block is missing and the words are N1^a N2^b."""
+    _, graph = campaign
+    direct = CoveringGraph()
+    for h in data.hsets.values():
+        direct.add_node(h)
+    for e in graph.edges:
+        if e.derived_from is None:
+            direct.add_edge(e)
+    assert not block_transitions(direct)[("N2", "N1")]
+    for g, full in ((graph, True), (direct, False)):
+        counts = word_counts(g, 10)
+        assert list(counts) == list(range(1, 11))
+        for L, n in counts.items():
+            assert n == len(enumerate_words(g, ("N1", "N2"), L)) == (2**L if full else L + 1)
+
+
+def test_word_counts_long_words_fast(campaign):
+    """Length 64 is counted, not enumerated: 2**64 in well under a second."""
+    _, graph = campaign
+    t0 = time.perf_counter()
+    assert word_counts(graph, 64)[64] == 2**64
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_missing_edge_breaks_full_shift(campaign):

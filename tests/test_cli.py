@@ -3,13 +3,14 @@
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from revcover import campaign as campaign_module, cli
 from revcover.campaign import CampaignConfig
 from revcover.cli import build_parser, main
 from revcover.covering import VerifyConfig
-from revcover.hset import save_hset
+from revcover.hset import HSet, save_hset
 
 
 def test_verify_self_covering_exit_0(capsys):
@@ -35,6 +36,51 @@ def test_verify_malformed_file_exit_3(tmp_path, capsys):
 
 def test_verify_unknown_name_exit_3():
     assert main(["verify", "--from", "N9", "--to", "N1"]) == 3
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([["1", "1"], ["1", "1"]], "no verified inverse"),
+    ([["1", "0"], ["1"]], "malformed h-set object"),
+], ids=["singular", "ragged"])
+def test_verify_bad_matrix_file_exit_3(matrix, message, tmp_path, capsys):
+    """An h-set file whose matrix has no verified inverse, or is ragged, is
+    an input error (exit 3), not a refuted cell (exit 1) with a traceback."""
+    z = tmp_path / "Z.json"
+    z.write_text(json.dumps({"name": "Z", "center": ["0", "0"], "matrix": matrix,
+                             "u": 1, "s": 1}))
+    assert main(["verify", "--from", str(z), "--to", str(z)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("case", ["to-2d", "both-2d", "u-mismatch", "iters-0", "back-2d"])
+def test_verify_mismatched_relation_exit_3(case, tmp_path, capsys):
+    """A relation whose h-sets and map differ in dimension, whose h-sets
+    differ in unstable dimension, or with an iterate count below 1 is an
+    input error (exit 3), not "inconclusive" (exit 2)."""
+    flat, u1 = tmp_path / "flat.json", tmp_path / "u1.json"
+    save_hset(HSet("flat", np.zeros(2), np.eye(2), 1, 1), flat)
+    save_hset(HSet("u1", np.zeros(4), np.eye(4), 1, 3), u1)
+    argv = {
+        "to-2d": ["--from", "N1", "--to", str(flat)],
+        "both-2d": ["--from", str(flat), "--to", str(flat)],
+        "u-mismatch": ["--from", "N1", "--to", str(u1)],
+        "iters-0": ["--from", "N1", "--to", "N1", "--iters", "0"],
+        "back-2d": ["--from", str(flat), "--to", str(flat), "--back"],
+    }[case]
+    assert main(["verify", *argv, "--mean-value"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_overflowing_center_orbit_exit_2(tmp_path, capsys):
+    """A center orbit that overflows fails the degree: inconclusive (exit 2)
+    with the failure text, not an input error."""
+    far = tmp_path / "far.json"
+    save_hset(HSet("far", np.array([1e200, 0.0, 0.0, 0.0]), np.eye(4), 2, 2), far)
+    assert main(["verify", "--from", str(far), "--to", str(far), "--iters", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "inconclusive" in out and "left the representable range at step 1" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,6 +67,24 @@ def test_degree_requires_matching_dims():
         compute_degree(toy_hset(2, 1), linear_map_system(np.eye(2)), 1, toy_hset(2, 2))
 
 
+@pytest.mark.parametrize("case", ["dims", "map-dim", "u", "k"])
+def test_mismatched_relation_is_domain_error(case):
+    """verify_cover and verify_backcover refuse a relation that cannot be
+    checked, before the degree: it is an input error, not a failed degree."""
+    N4, F = toy_hset(4, 2), reversible_quadratic_map()
+    N, M, k = {
+        "dims": (N4, toy_hset(2, 1), 1),
+        "map-dim": (toy_hset(2, 1), toy_hset(2, 1), 1),
+        "u": (N4, toy_hset(4, 1), 1),
+        "k": (N4, N4, 0),
+    }[case]
+    with pytest.raises(DomainError):
+        compute_degree(N, F, k, M)
+    for fn in (verify_cover, verify_backcover):
+        with pytest.raises(DomainError):
+            fn(N, F, k, M, MV)
+
+
 def test_instance_degrees(data):
     for a, b, k, w in RELATIONS:
         assert compute_degree(data.hset(a), data.mapsys, k, data.hset(b)).w == w

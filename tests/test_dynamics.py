@@ -18,11 +18,18 @@ from revcover.dynamics import (
     reversibility_residual,
     reversible_quadratic_map,
 )
+from revcover.campaign import RELATIONS
 from revcover.covering import compute_degree
-from revcover.hset import HSet, LinearReversor
-from revcover.interval import DomainError, IBox
+from revcover.hset import HSet, LinearReversor, sym_image, transpose
+from revcover.interval import DomainError, IBox, IMatrix
 
 from conftest import encloses, exact_inverse
+
+
+def _jac(mapsys, b: IBox) -> IMatrix:
+    """The map's Jacobian enclosure over one box."""
+    jl, jh = mapsys.jac_batch(b.lo[None, :], b.hi[None, :])
+    return IMatrix(jl[0], jh[0])
 
 
 def _f_box(b: IBox) -> IBox:
@@ -77,7 +84,7 @@ def test_inverse_consistency_on_small_boxes(rng):
 
 def test_derivative_at_origin():
     # Df(0) = [[1,-1],[1,1]]; DF(0) assembles from its half
-    J = reversible_quadratic_map().jac_box(IBox.point(np.zeros(4)))
+    J = _jac(reversible_quadratic_map(), IBox.point(np.zeros(4)))
     expected = np.array(
         [
             [0.5, -0.5, -0.5, -0.5],
@@ -95,7 +102,7 @@ def test_derivative_finite_differences(rng):
     h = 1e-6
     for _ in range(100):
         z = rng.uniform(-3, 3, size=4)
-        J = F.jac_box(IBox.point(z)).mid()
+        J = _jac(F, IBox.point(z)).mid()
         fd = np.empty((4, 4))
         for j in range(4):
             e = np.zeros(4)
@@ -109,8 +116,8 @@ def test_inverse_derivative_matches_matrix_inverse(rng):
     for _ in range(50):
         z = rng.uniform(-2, 2, size=4)
         w = F.eval_point(z)
-        J = F.jac_box(IBox.point(z)).mid()
-        Ji = F.inverse.jac_box(IBox.point(w)).mid()
+        J = _jac(F, IBox.point(z)).mid()
+        Ji = _jac(F.inverse, IBox.point(w)).mid()
         assert np.max(np.abs(Ji @ J - np.eye(4))) < 1e-9
 
 
@@ -119,9 +126,9 @@ def test_interval_jacobian_contains_members(rng):
     for _ in range(30):
         c = rng.uniform(-2, 2, size=4)
         box = IBox.cube(c, 0.1)
-        J = F.jac_box(box)
+        J = _jac(F, box)
         for p in box.sample(rng, 30):
-            assert J.contains_matrix(F.jac_box(IBox.point(p)).mid())
+            assert J.contains_matrix(_jac(F, IBox.point(p)).mid())
 
 
 def test_q_point_orbit_constraints(data):
@@ -141,18 +148,35 @@ def _matmul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
-def test_orbit_derivative_product(data):
-    """The chart derivative of H1 =(F^4)=> H2 encloses the exact chain
-    inv(M_H2) DF(z_3) ... DF(z_0) M_H1 along the exact orbit z_0 = Q1."""
-    N, M = data.hset("H1"), data.hset("H2")
-    D = compute_degree(N, data.mapsys, 4, M).chart_derivative
+@pytest.mark.parametrize("relation", [*RELATIONS, "cross-check"],
+                         ids=[f"{a}-{b}-{k}" for a, b, k, _ in RELATIONS] + ["cross-check"])
+def test_orbit_derivative_product(data, relation):
+    """The chart derivative of each campaign relation, and of the
+    cross-check's transposed relation under F^-1, encloses the exact chain
+    inv(M_M) DF(z_{k-1}) ... DF(z_0) M_N along the exact orbit z_0 = x_N,
+    and the exact unstable block's determinant sign is the certified w."""
+    if relation == "cross-check":
+        S = data.reversor
+        N = transpose(sym_image(S, data.hset("H2")))
+        M = transpose(sym_image(S, data.hset("H3")))
+        mapsys, k, w, exact_map, inverse = data.mapsys.inverse, 1, None, _exact_F_inverse, True
+    else:
+        a, b, k, w = relation
+        N, M = data.hset(a), data.hset(b)
+        mapsys, exact_map, inverse = data.mapsys, _exact_F, False
+    degree = compute_degree(N, mapsys, k, M)
     z = [Fraction(x) for x in N.center.tolist()]
     acc = [[Fraction(v) for v in row] for row in N.matrix.tolist()]
-    for _ in range(4):
-        acc = _matmul(_exact_jacobian(z, False), acc)
-        z = _exact_F(*z)
+    for _ in range(k):
+        acc = _matmul(_exact_jacobian(z, inverse), acc)
+        z = exact_map(*z)
     exact = _matmul(exact_inverse(M.matrix), acc)
+    D = degree.chart_derivative
     assert encloses(D.lo, D.hi, [v for row in exact for v in row])
+    assert N.u == 2
+    det = exact[0][0] * exact[1][1] - exact[0][1] * exact[1][0]
+    assert det != 0 and (1 if det > 0 else -1) == degree.w
+    assert w is None or degree.w == w
 
 
 def test_enclosure_blowup_reported():

@@ -52,6 +52,18 @@ def test_singular_directions_rejected():
         HSet("bad", np.zeros(2), np.array([[1.0, 2.0], [2.0, 4.0]]), 1, 1)
 
 
+def test_singular_hset_file_is_domain_error(tmp_path):
+    """A file's matrix without a verified inverse is an input error."""
+    d = {"name": "Z", "center": ["0", "0"], "matrix": [["1", "1"], ["1", "1"]],
+         "u": 1, "s": 1}
+    with pytest.raises(DomainError, match="no verified inverse"):
+        hset_from_dict(d)
+    path = tmp_path / "Z.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(DomainError, match="no verified inverse"):
+        load_hset(path)
+
+
 def test_dimension_validation():
     with pytest.raises(DomainError):
         HSet("bad", np.zeros(3), np.eye(3), 1, 1)
