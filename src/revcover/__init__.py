@@ -1,9 +1,9 @@
 """Validated-numerics toolkit for covering relations of reversible maps.
 
-Interval arithmetic with outward rounding, affine h-sets, rigorous
-verification of covering and backcovering relations, and a bundled campaign
-certifying chaos and infinitely many symmetric periodic orbits for a
-four-dimensional reversible map.
+Interval arithmetic with outward rounding on lo/hi arrays, affine h-sets,
+rigorous verification of covering and backcovering relations, and a bundled
+campaign certifying chaos and infinitely many symmetric periodic orbits for
+a four-dimensional reversible map.
 """
 
 from .interval import (
@@ -11,7 +11,6 @@ from .interval import (
     IBox,
     IMatrix,
     IndeterminateSignError,
-    Interval,
     SingularMatrixError,
     det_sign,
     imat_inverse,
@@ -24,7 +23,6 @@ from .hset import (
     coordinate_reflection,
     load_hset,
     save_hset,
-    st_symmetric_check,
     supports_disjoint,
     sym_image,
     transpose,
@@ -32,11 +30,8 @@ from .hset import (
 from .dynamics import (
     MapSystem,
     MissingInverseError,
-    fixed_point_equations_residual,
     linear_map_system,
     map_by_name,
-    reversibility_encloses_identity,
-    reversibility_residual,
     reversible_quadratic_map,
 )
 from .covering import (
@@ -56,7 +51,6 @@ from .campaign import (
     InadmissibleWordError,
     ProofReport,
     SymmetricOrbitCertificate,
-    automaton_is_admissible,
     automaton_words,
     build_proof_data,
     block_transitions,

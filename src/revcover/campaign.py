@@ -371,19 +371,11 @@ AUTOMATON_SUCCESSORS = {0: (0, 1), 1: (2,), 2: (3,), 3: (1,)}
 AUTOMATON_ENDPOINTS = (0, 2)
 
 
-def automaton_is_admissible(word) -> bool:
-    """Abstract 4-symbol transition system: endpoints in {0, 2}, successors
-    0 -> {0,1}, 1 -> {2}, 2 -> {3}, 3 -> {1}."""
-    word = tuple(int(a) for a in word)
-    if len(word) == 0:
-        return False
-    if word[0] not in AUTOMATON_ENDPOINTS or word[-1] not in AUTOMATON_ENDPOINTS:
-        return False
-    return all(b in AUTOMATON_SUCCESSORS[a] for a, b in zip(word, word[1:]))
-
-
 def automaton_words(length: int) -> list[tuple]:
-    """All admissible words of the given length (endpoints included)."""
+    """All admissible words of the given length in an abstract 4-symbol
+    transition system: each word starts and ends in an endpoint, {0, 2}, and
+    each letter is a successor of the one before, 0 -> {0, 1}, 1 -> {2},
+    2 -> {3}, 3 -> {1}."""
     if length < 1:
         return []
     words = [(a,) for a in AUTOMATON_ENDPOINTS]

@@ -33,6 +33,7 @@ from .campaign import (
     enumerate_words,
     graph_from_report,
     run_campaign,
+    word_counts,
 )
 from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
 from .dynamics import MissingInverseError, map_by_name
@@ -227,10 +228,13 @@ def _cmd_enumerate(args) -> int:
         except (OSError, KeyError, json.JSONDecodeError, DomainError) as e:
             print(f"error: no usable covering graph: {e}", file=sys.stderr)
             return 3
-        words = enumerate_words(graph, ("N1", "N2"), args.length)
-        payload = {"alphabet": ["N1", "N2"], "length": args.length,
-                   "words": ["-".join(w) for w in words], "count": len(words)}
-        print(f"{len(words)} words of length {args.length} over (N1, N2)")
+        # counted without listing; the 2**L words are listed only for --out
+        count = word_counts(graph, args.length)[args.length]
+        payload = {"alphabet": ["N1", "N2"], "length": args.length, "count": count}
+        if args.out:
+            payload["words"] = ["-".join(w) for w in
+                                enumerate_words(graph, ("N1", "N2"), args.length)]
+        print(f"{count} words of length {args.length} over (N1, N2)")
         certs = []
         for spec in args.emit_word or []:
             word = tuple(x.strip() for x in spec.split(","))
@@ -287,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--emit-word", action="append", default=None,
                    help="comma-separated node word to certify (repeatable)")
     e.add_argument("--threads", type=int, default=_default_threads())
-    e.add_argument("--out", type=Path, default=None, help="write results as JSON")
+    e.add_argument("--out", type=Path, default=None,
+                   help="write results as JSON, every word listed")
     e.set_defaults(func=_cmd_enumerate)
     return ap
 

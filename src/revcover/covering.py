@@ -180,24 +180,6 @@ class CoveringCertificate:
             d["failure"] = self.failure
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "CoveringCertificate":
-        return CoveringCertificate(
-            source=d["source"],
-            target=d["target"],
-            map_name=d["map"],
-            iters=d["iters"],
-            direction=d["direction"],
-            w=d["w"],
-            status=d["status"],
-            boxes=d.get("boxes", 0),
-            max_depth=d.get("max_depth", 0),
-            wall_time=d.get("wall_time_s", 0.0),
-            checks=d.get("checks", {}),
-            config=d.get("config"),
-            failure=d.get("failure"),
-        )
-
 
 def _require_relation(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> None:
     """Raises DomainError unless N =(map^k)=> M is a relation that can be

@@ -33,7 +33,6 @@ import numpy as np
 from .hset import LinearReversor, coordinate_reflection
 from .interval import (
     DomainError,
-    IBox,
     affine_batch,
     iadd,
     isub,
@@ -68,10 +67,6 @@ class MapSystem:
     jac_batch: Callable  # (lo, hi) -> (Jlo, Jhi), arrays (B, dim, dim)
     inverse: Optional["MapSystem"] = None
     reversor: Optional[LinearReversor] = None
-
-    def eval_box(self, b: IBox) -> IBox:
-        lo, hi = self.eval_batch(b.lo[None, :], b.hi[None, :])
-        return IBox(lo[0], hi[0])
 
     def require_inverse(self) -> "MapSystem":
         if self.inverse is None:
@@ -333,29 +328,3 @@ def map_by_name(name: str) -> MapSystem:
         return _REGISTRY[name]()
     except KeyError:
         raise KeyError(f"unknown map {name!r}; known: {sorted(_REGISTRY)}")
-
-
-def reversibility_residual(mapsys: MapSystem, z) -> float:
-    """Float max-norm of (S o F o S o F)(z) - z; diagnostic only."""
-    if mapsys.reversor is None:
-        raise ValueError("map has no reversor")
-    S = mapsys.reversor.apply
-    z = np.asarray(z, dtype=float)
-    w = S(mapsys.eval_point(S(mapsys.eval_point(z))))
-    return float(np.max(np.abs(w - z)))
-
-
-def reversibility_encloses_identity(mapsys: MapSystem, b: IBox) -> bool:
-    """Interval variant: the enclosure of (S o F o S o F)(b) contains b."""
-    if mapsys.reversor is None:
-        raise ValueError("map has no reversor")
-    img = mapsys.reversor.apply_box(mapsys.eval_box(mapsys.reversor.apply_box(mapsys.eval_box(b))))
-    return img.contains_box(b)
-
-
-def fixed_point_equations_residual(P) -> tuple[float, float]:
-    """Residuals of the two fixed-point equations at a symmetric point
-    (x1 = x2 = 0): y1^2 + (y2+1)^2 = 9 and (y1+1)^2 - y2^2 = 1."""
-    P = np.asarray(P, dtype=float)
-    y1, y2 = P[2], P[3]
-    return y1**2 + (y2 + 1) ** 2 - 9.0, (y1 + 1) ** 2 - y2**2 - 1.0

@@ -3,9 +3,12 @@
 An h-set is a parallelepiped M([-1,1]^n) + x under the maximum norm, with the
 first u columns of M spanning the nominally unstable directions and the last s
 columns the stable ones. The chart c(v) = M^{-1}(v - x) maps the support onto
-the unit cube; a verified enclosure of M^{-1} is certified at construction.
+the unit cube; a verified enclosure of M^{-1} is certified at construction
+by Rump's residual test (`interval.imat_inverse`; S. M. Rump, "Verification
+methods", Acta Numerica 19, 2010): with X = fl(inv(M)) and the exact
+residual R0 = I - X M of norm rho < 1, it is X + R0 X -+ rho^2 ||X|| / (1 - rho).
 
-The transpose and the reversor image of an h-set do not eliminate again.
+The transpose and the reversor image of an h-set do not certify again.
 Their direction matrix is M' = D M P, with D the identity or the reversor S
 and P the permutation that swaps the unstable and stable column blocks. A
 reversor is a signed permutation (LinearReversor), so D M is computed
@@ -13,7 +16,7 @@ exactly in floating point and M' is exactly D M P. As S is an involution,
 inv(M') = P^T inv(M) D, and on the certified enclosure of inv(M) that is a
 permutation of rows and columns and a negation of some columns, all exact.
 The image therefore encloses the exact inverse of the stored M' whenever the
-source's enclosure does, and it cannot fail where a fresh elimination might.
+source's enclosure does, and it cannot fail where a fresh proof might.
 """
 
 from __future__ import annotations
@@ -69,9 +72,6 @@ class LinearReversor:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
 
-    def apply_box(self, b: IBox) -> IBox:
-        return imat_vec(IMatrix.from_point(self.matrix), b)
-
     def fixes(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return np.array_equal(self.matrix @ x, x)
@@ -102,11 +102,6 @@ class HSet:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def chart(self, v: IBox) -> IBox:
-        """c(v) = M^{-1}(v - x), rigorous."""
-        d = IBox(*isub(v.lo, v.hi, self.center, self.center))
-        return imat_vec(self.inv_matrix, d)
 
     def chart_inverse(self, w: IBox) -> IBox:
         """c^{-1}(w) = M w + x, rigorous."""
@@ -185,7 +180,7 @@ def _swapped(N: HSet, name: str, center, S: LinearReversor | None = None) -> HSe
 def transpose(N: HSet) -> HSet:
     """Same support, unstable and stable roles swapped (column blocks
     permuted). Its inverse is N's with the rows permuted likewise: exact,
-    so no elimination runs."""
+    so no residual test runs."""
     return _swapped(N, f"{N.name}^T", N.center)
 
 
@@ -193,7 +188,7 @@ def sym_image(S: LinearReversor, N: HSet) -> HSet:
     """Transposed symmetric image: support S(|N|), directions S M with the
     unstable and stable column blocks swapped. S is a signed permutation, so
     S M is exact and its inverse is N's with its columns permuted and
-    negated as S's say, and its rows block-swapped: no elimination runs."""
+    negated as S's say, and its rows block-swapped: no residual test runs."""
     if S.dim != N.dim:
         raise DomainError("reversor dimension mismatch")
     return _swapped(N, canonical_sym_name(N.name), S.apply(N.center), S)
@@ -231,13 +226,6 @@ def fix_disk_check(S: LinearReversor, N: HSet) -> DiskCheck:
         if not np.array_equal(su[:, j], N.matrix[:, N.u + j]):
             return DiskCheck(False, f"unstable column {j} does not map onto stable column {j}")
     return DiskCheck(True, "diagonal disk lies in the reversor's fixed space")
-
-
-def st_symmetric_check(S: LinearReversor, N: HSet) -> bool:
-    """True iff S fixes the center exactly and maps each unstable column onto
-    the corresponding stable column bit-exactly (then sym_image(S, N) == N):
-    the conditions of fix_disk_check."""
-    return fix_disk_check(S, N).ok
 
 
 def _facet_cells_arrays(n: int, axes, resolution: int):

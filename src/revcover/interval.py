@@ -1,12 +1,13 @@
-"""Outward-rounded interval arithmetic for scalars, boxes and matrices.
+"""Outward-rounded interval arithmetic on lo/hi arrays: boxes, matrices and
+batches of cells.
 
 Every operation returns an enclosure of the exact real-arithmetic result set.
 Outward rounding is realized by next-representable widening: a result computed
 in round-to-nearest differs from the exact value by at most half an ulp, so
 stepping each endpoint one float outward always yields a rigorous bound. The
-kernel functions (iadd, isub, imul, idiv) accept floats or numpy arrays and
-are the single source of truth for both the scalar Interval class and the
-inf-sup batch kernels. The midpoint-radius kernels below and the batch
+kernel functions (iadd, isub, imul) take numpy arrays, or floats, which
+np.nextafter steps to the same bits, and are the single source of truth for
+the inf-sup batch kernels. The midpoint-radius kernels below and the batch
 evaluation of the map F (`dynamics._F_batch`) instead evaluate a whole
 expression in round-to-nearest and return fl(c - r) and fl(c + r) for its
 value c and an a-priori radius r. They take no outward step: r bounds the
@@ -44,46 +45,49 @@ per product. The mean-value chain uses all three (see
 `imatmul_batch`, which multiplies two wide intervals and carries the
 chain's steps after the first. `imat_mul` is it on a batch of one, and
 `imat_vec` and `imatvec_cellwise` are it with a trailing axis of length 1,
-so none of the three is a kernel of its own. It and the scalar operations
-stay in inf-sup form, each operation stepped outward: there a
-midpoint-radius product can be up to 1.5 times wider, and with the chain's
-wide-by-wide product in that form H1⇒H2 (k = 4) took 938 boxes instead of
-864. A cell coordinate that is not finite, or whose radius term overflows,
-makes [-inf, +inf] only of the outputs it reaches through a nonzero matrix
-entry (`_midrad_outward`).
+so none of the three is a kernel of its own. It stays in inf-sup form, each
+operation stepped outward: there a midpoint-radius product can be up to 1.5
+times wider, and with the chain's wide-by-wide product in that form H1⇒H2
+(k = 4) took 938 boxes instead of 864. A cell coordinate that is not
+finite, or whose radius term overflows, makes [-inf, +inf] only of the
+outputs it reaches through a nonzero matrix entry (`_midrad_outward`).
 
 Every batch kernel evaluates each row of its batch on its own, bit for bit
 the same in a batch of any size (`_times_transpose` keeps a one-row product
 on the path of larger ones). The refinement's thread and batch invariance,
 and the mean-value chain's stacking of midpoints with cells, rest on this.
+
+The verified inverse of a point matrix (`imat_inverse`, one per h-set) and
+the certified determinant sign of an interval matrix (`det_sign`, the
+degree of a relation) rest on one regularity proof, Rump's residual test
+(`_regular`; S. M. Rump, "Verification methods: rigorous results using
+floating-point arithmetic", Acta Numerica 19 (2010)): with X = fl(inv(mid)),
+every member A is regular once ||I - X A||_inf < 1. Each float is an
+integer times a power of two, so the residual is evaluated exactly in
+Python ints, and the test needs no rounding analysis of its own.
 """
 
 from __future__ import annotations
-
-import math
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 _NINF = float("-inf")
 _PINF = float("inf")
-_NAN = float("nan")
 
 
 class DomainError(Exception):
-    """Operand outside an operation's domain (e.g. division by an interval containing 0)."""
+    """Operand outside an operation's domain (e.g. matrices of mismatched shapes)."""
 
 
 class SingularMatrixError(Exception):
-    """Pivot interval contains 0: a verified inverse cannot be produced.
+    """The residual test failed: a verified inverse cannot be produced.
 
     This is a failure to verify invertibility, not a claim of singularity.
     """
 
 
 class IndeterminateSignError(Exception):
-    """The rigorous determinant enclosure contains 0, so no sign can be certified."""
+    """The residual test failed, so no determinant sign can be certified."""
 
 
 # Arrays with at least this many elements are rounded by stepping their bit
@@ -116,11 +120,7 @@ def _successor(a):
 def _down(a):
     """np.nextafter(a, -inf). Takes ownership of a: a float64 array of at
     least _BITSTEP_MIN elements is overwritten with the result, so callers
-    pass a temporary of their own and never an array they read again. A
-    Python float takes math.nextafter, the same IEEE step at a fraction of
-    the cost of a numpy call."""
-    if type(a) is float:
-        return math.nextafter(a, _NINF)
+    pass a temporary of their own and never an array they read again."""
     if _large(a):
         np.negative(a, out=a)
         _successor(a)
@@ -130,8 +130,6 @@ def _down(a):
 
 def _up(a):
     """np.nextafter(a, inf); takes ownership of a, as _down does."""
-    if type(a) is float:
-        return math.nextafter(a, _PINF)
     if _large(a):
         return _successor(a)
     return np.nextafter(a, _PINF)
@@ -145,12 +143,9 @@ def isub(alo, ahi, blo, bhi):
     return _down(alo - bhi), _up(ahi - blo)
 
 
-_UFUNCS = {operator.mul: np.multiply, operator.truediv: np.divide}
-
-
-def _round_hull(op, alo, ahi, blo, bhi):
-    """The min of the four candidates op(a, b) rounded down, and their max
-    rounded up; op is operator.mul or operator.truediv.
+def imul(alo, ahi, blo, bhi):
+    """[alo,ahi] * [blo,bhi]: the min of the four candidate products rounded
+    down, and their max rounded up.
 
     Rounding after min/max gives the same bits as widening every candidate
     before it: a step toward -inf (+inf) is monotone, so it commutes with min
@@ -160,172 +155,21 @@ def _round_hull(op, alo, ahi, blo, bhi):
     the first and the last candidate are large float64 arrays of one shape,
     that is the shape of all four: the max is then built in the last one's
     buffer, the min in one new array, and the two middle candidates are
-    computed in turn into the first one's buffer. Four Python floats take
-    the builtin min and max, with NaN propagated as np.minimum and
-    np.maximum propagate it: the same bits, as the step maps +0 and -0 to
-    the same value.
+    computed in turn into the first one's buffer.
     """
-    if type(alo) is type(ahi) is type(blo) is type(bhi) is float:
-        c1, c2, c3, c4 = op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi)
-        if c1 != c1 or c2 != c2 or c3 != c3 or c4 != c4:
-            return _NAN, _NAN
-        return (math.nextafter(min(c1, c2, c3, c4), _NINF),
-                math.nextafter(max(c1, c2, c3, c4), _PINF))
-    c1 = op(alo, blo)
-    c4 = op(ahi, bhi)
+    c1 = alo * blo
+    c4 = ahi * bhi
     if not (_large(c1) and _large(c4) and c1.shape == c4.shape):
-        c2, c3 = op(alo, bhi), op(ahi, blo)
+        c2, c3 = alo * bhi, ahi * blo
         return (_down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))),
                 _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))))
     lo = np.minimum(c1, c4)
     hi = np.maximum(c1, c4, out=c4)
     for x, y in ((alo, bhi), (ahi, blo)):
-        c = _UFUNCS[op](x, y, out=c1)  # the middle candidates, in turn
+        c = np.multiply(x, y, out=c1)  # the middle candidates, in turn
         np.minimum(lo, c, out=lo)
         np.maximum(hi, c, out=hi)
     return _down(lo), _up(hi)
-
-
-def imul(alo, ahi, blo, bhi):
-    """[alo,ahi] * [blo,bhi]: the min and the max of the four candidate
-    products, each rounded outward once (see _round_hull)."""
-    return _round_hull(operator.mul, alo, ahi, blo, bhi)
-
-
-def idiv(alo, ahi, blo, bhi):
-    """Division; the divisor must exclude 0 (raises DomainError otherwise).
-    Rounded once after min/max, as in imul."""
-    if type(blo) is type(bhi) is float:
-        if blo <= 0.0 <= bhi:
-            raise DomainError("division by an interval containing 0")
-        if not (blo and bhi):
-            # an end of 0 only if the ends are unsorted; numpy divides by it
-            blo, bhi = np.float64(blo), np.float64(bhi)
-    elif np.any((np.asarray(blo) <= 0.0) & (np.asarray(bhi) >= 0.0)):
-        raise DomainError("division by an interval containing 0")
-    return _round_hull(operator.truediv, alo, ahi, blo, bhi)
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Closed interval [lo, hi] with double endpoints; lo <= hi, never NaN.
-
-    Zero-width intervals are first-class exact points. Empty intervals are not
-    representable: emptiness of an intersection is a query, not a value.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise DomainError("NaN endpoint")
-        if self.lo > self.hi:
-            raise DomainError(f"inverted endpoints: [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(float(x), float(x))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        return m
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def _coerce(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        if isinstance(other, (int, float)):
-            return Interval.point(other)
-        return NotImplemented
-
-    def _is_point(self, value: float) -> bool:
-        return self.lo == value and self.hi == value
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        # adding an exact zero is exact; keeps identity-like data width-free
-        if o._is_point(0.0):
-            return self
-        if self._is_point(0.0):
-            return o
-        lo, hi = iadd(self.lo, self.hi, o.lo, o.hi)
-        return Interval(float(lo), float(hi))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o._is_point(0.0):
-            return self
-        if self._is_point(0.0):
-            return -o
-        lo, hi = isub(self.lo, self.hi, o.lo, o.hi)
-        return Interval(float(lo), float(hi))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        # exact cases: multiplication by a point 0, 1 or -1 never rounds
-        for a, b in ((self, o), (o, self)):
-            if a._is_point(0.0):
-                return Interval(0.0, 0.0)
-            if a._is_point(1.0):
-                return b
-            if a._is_point(-1.0):
-                return -b
-        lo, hi = imul(self.lo, self.hi, o.lo, o.hi)
-        return Interval(float(lo), float(hi))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError("division by an interval containing 0")
-        if self._is_point(0.0):
-            return Interval(0.0, 0.0)
-        if o._is_point(1.0):
-            return self
-        if o._is_point(-1.0):
-            return -self
-        lo, hi = idiv(self.lo, self.hi, o.lo, o.hi)
-        return Interval(float(lo), float(hi))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        lo, hi = idiv(o.lo, o.hi, self.lo, self.hi)
-        return Interval(float(lo), float(hi))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __repr__(self):
-        return f"[{self.lo!r}, {self.hi!r}]"
 
 
 class IBox:
@@ -353,11 +197,6 @@ class IBox:
         x = np.asarray(x, dtype=float)
         return IBox(x, x)
 
-    @staticmethod
-    def cube(center, radius: float) -> "IBox":
-        c = np.asarray(center, dtype=float)
-        return IBox(c - radius, c + radius)
-
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
@@ -367,19 +206,6 @@ class IBox:
 
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
-
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
-    def contains_box(self, other: "IBox") -> bool:
-        return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
-
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m member points, shape (m, n); endpoints included via clipping."""
-        u = rng.uniform(0.0, 1.0, size=(m, self.dim))
-        pts = self.lo + u * (self.hi - self.lo)
-        return np.clip(pts, self.lo, self.hi)
 
     def __eq__(self, other):
         if not isinstance(other, IBox):
@@ -424,18 +250,8 @@ class IMatrix:
     def shape(self) -> tuple[int, int]:
         return self.lo.shape
 
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
-
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains_matrix(self, m) -> bool:
-        m = np.asarray(m, dtype=float)
-        return bool(np.all(self.lo <= m) and np.all(m <= self.hi))
 
     def __repr__(self):
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
@@ -779,94 +595,124 @@ def imatvec_cellwise(Al, Ah, lo, hi):
     return plo[:, :, 0], phi[:, :, 0]
 
 
-def _mignitude(lo: float, hi: float) -> float:
-    # distance of the interval from 0; 0 if it contains 0
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return min(abs(lo), abs(hi))
 
 
-def _gauss_eliminate(rows: list[list[Interval]], ncols: int):
-    """In-place interval Gaussian elimination with mignitude partial pivoting.
+# --- regularity: the verified inverse and the certified determinant sign ---
 
-    Returns (pivot_intervals, swap_parity). Raises SingularMatrixError when no
-    candidate pivot excludes 0.
+def _exact(*arrays):
+    """Object arrays k_i of Python ints and one exponent p <= 0 with
+    a_i == k_i * 2**p exactly, for finite float arrays a_i of one shape.
+    np.frexp splits a float into a mantissa of at most 53 bits, which 2**53
+    scales to an integer, and a power of two."""
+    m, e = np.frexp(np.stack(arrays))
+    e -= 53
+    p = int(e.min(initial=0))
+    k = (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - p).astype(object)
+    return *k, p
+
+
+def _regular(Al, Ah):
+    """Proves every member of the interval matrix [Al, Ah] (n, n) regular,
+    or raises SingularMatrixError.
+
+    This is Rump's residual test (S. M. Rump, "Verification methods:
+    rigorous results using floating-point arithmetic", Acta Numerica 19
+    (2010)). X = fl(inv(mid)) approximates the midpoint's inverse. For a
+    member A, I - X A = R0 - X (A - Al) with R0 = I - X Al and
+    0 <= A - Al <= Ah - Al, so ||I - X A||_inf <= rho, the largest row sum
+    of |R0| + |X| (Ah - Al). If rho < 1, X A is regular, and so is A. Every
+    float is an integer times a power of two, so R0 and rho are computed
+    exactly, in Python ints.
+
+    Returns (X, x, p, r, d, rho): X == x * 2**p, R0 == r / d and
+    rho / d, with x and r object arrays of ints. A matrix that is not
+    finite, a midpoint that numpy cannot invert and an X that is not finite
+    fail, as does rho >= 1.
     """
-    n = len(rows)
-    parity = 1
-    pivots = []
-    for c in range(n):
-        best, best_mig = c, _mignitude(rows[c][c].lo, rows[c][c].hi)
-        for r in range(c + 1, n):
-            mig = _mignitude(rows[r][c].lo, rows[r][c].hi)
-            if mig > best_mig:
-                best, best_mig = r, mig
-        if best_mig == 0.0:
-            raise SingularMatrixError(f"pivot interval in column {c} contains 0")
-        if best != c:
-            rows[c], rows[best] = rows[best], rows[c]
-            parity = -parity
-        piv = rows[c][c]
-        pivots.append(piv)
-        for r in range(c + 1, n):
-            if rows[r][c].lo == 0.0 and rows[r][c].hi == 0.0:
-                continue
-            factor = rows[r][c] / piv
-            rows[r][c] = Interval.point(0.0)
-            for j in range(c + 1, ncols):
-                rows[r][j] = rows[r][j] - factor * rows[c][j]
-    return pivots, parity
+    n = Al.shape[0]
+    if not (np.isfinite(Al).all() and np.isfinite(Ah).all()):
+        raise SingularMatrixError("the matrix is not finite")
+    try:
+        X = np.linalg.inv(0.5 * Al + 0.5 * Ah)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError(f"the midpoint has no float inverse: {e}") from e
+    if not np.isfinite(X).all():
+        raise SingularMatrixError("the approximate inverse is not finite")
+    x, lo, hi, p = _exact(X, Al, Ah)
+    d = 1 << -2 * p  # X Al, and so R0 and rho, in units of 1/d
+    r = -(x @ lo)
+    r[np.diag_indices(n)] += d
+    rho = np.max((np.abs(r) + np.abs(x) @ (hi - lo)).sum(axis=1), initial=0)
+    if rho >= d:
+        raise SingularMatrixError("the residual bound ||I - X A||_inf is not below 1")
+    return X, x, p, r, d, rho
 
 
 def imat_inverse(M) -> IMatrix:
-    """Verified enclosure of the inverse of a point matrix.
+    """Verified enclosure of the inverse of a point matrix M; raises
+    SingularMatrixError where the residual test of _regular fails.
 
-    Interval Gaussian elimination with partial pivoting on [M | I]; every
-    pivot interval is certified to exclude 0, so the exact inverse is a
-    member of the returned enclosure.
+    With R0 = I - X M and ||R0||_inf <= rho < 1, the Neumann series of
+    M^-1 = (I - R0)^-1 X gives M^-1 = X + R0 X + R0^2 (I - R0)^-1 X, whose
+    last term is at most rho^2 ||X||_inf / (1 - rho) in every entry. Both
+    ends of X + R0 X -+ that bound are exact ratios of ints, which Python
+    divides correctly rounded; each is then stepped one float outward.
+    Where R0 = 0, X M = I exactly and X is returned as it is, so the
+    inverses of the identity, of a diagonal of powers of two and of a
+    signed permutation are exact.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
         raise DomainError("imat_inverse needs a square matrix")
-    rows = [
-        [Interval.point(M[i, j]) for j in range(n)]
-        + [Interval.point(1.0 if i == j else 0.0) for j in range(n)]
-        for i in range(n)
-    ]
-    _gauss_eliminate(rows, 2 * n)
-    # back substitution
-    for c in range(n - 1, -1, -1):
-        piv = rows[c][c]
-        for j in range(n, 2 * n):
-            rows[c][j] = rows[c][j] / piv
-        for r in range(c - 1, -1, -1):
-            factor = rows[r][c]
-            if factor.lo == 0.0 and factor.hi == 0.0:
-                continue
-            for j in range(n, 2 * n):
-                rows[r][j] = rows[r][j] - factor * rows[c][j]
-    lo = np.array([[rows[i][n + j].lo for j in range(n)] for i in range(n)])
-    hi = np.array([[rows[i][n + j].hi for j in range(n)] for i in range(n)])
-    return IMatrix(lo, hi)
+    X, x, p, r, d, rho = _regular(M, M)
+    if rho == 0:
+        return IMatrix(X, X)
+    g = d - rho
+    # exactly: c / den = X + R0 X, and e / den is the bound on the last term
+    c = (d * x + r @ x) * g
+    e = rho * rho * np.max(np.abs(x).sum(axis=1))
+    den = (d << -p) * g
+    try:
+        lo, hi = ((c - e) / den).astype(float), ((c + e) / den).astype(float)
+    except OverflowError as err:
+        raise SingularMatrixError("the inverse enclosure overflows") from err
+    return IMatrix(_down(lo), _up(hi))
 
 
 def det_sign(M: IMatrix) -> int:
-    """Sign of the determinant, certified via an interval LU factorization.
+    """The determinant sign of every member of the square interval matrix
+    M; raises IndeterminateSignError where the residual test of _regular
+    fails.
 
-    Returns +1 or -1 only when every pivot interval excludes 0 (so the
-    determinant enclosure excludes 0); raises IndeterminateSignError or
-    SingularMatrixError otherwise.
+    With X from _regular, every member A has ||I - X A||_inf < 1, so the
+    segment from I to X A, I - t (I - X A) for t in [0, 1], holds only
+    regular matrices, and det(X A) > 0 as det(I) = 1. So det A has the sign
+    of det X, which Bareiss elimination gives exactly.
     """
     n, m = M.shape
     if n != m:
         raise DomainError("det_sign needs a square matrix")
-    rows = [[M.entry(i, j) for j in range(n)] for i in range(n)]
     try:
-        pivots, parity = _gauss_eliminate(rows, n)
+        x = _regular(M.lo, M.hi)[1]
     except SingularMatrixError as e:
         raise IndeterminateSignError(str(e)) from e
-    sign = parity
-    for p in pivots:
-        sign = sign if p.lo > 0.0 else -sign
-    return sign
+    return _bareiss_sign(x.tolist())
+
+
+def _bareiss_sign(a):
+    """The sign of the determinant of a regular integer matrix (a list of
+    rows, overwritten), by fraction-free Bareiss elimination with row swaps:
+    each division is exact, and the last pivot is the determinant of the
+    matrix with its rows swapped."""
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign if prev > 0 else -sign

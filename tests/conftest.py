@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from revcover import covering
-from revcover.campaign import CampaignConfig, build_proof_data, run_campaign
+from revcover.campaign import (
+    AUTOMATON_ENDPOINTS,
+    AUTOMATON_SUCCESSORS,
+    CampaignConfig,
+    build_proof_data,
+    run_campaign,
+)
+from revcover.interval import IBox, IMatrix, imat_vec, isub
 
 
 def float_sweep(N, mapsys, k, M, rng, npts=10_000):
@@ -60,6 +67,67 @@ def exact_inverse(A):
             if r != c and rows[r][c] != 0:
                 rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
     return [row[n:] for row in rows]
+
+
+def cube(center, radius):
+    """The box of the given center and radius in the max norm."""
+    c = np.asarray(center, dtype=float)
+    return IBox(c - radius, c + radius)
+
+
+def sample(box, rng, m):
+    """m member points of the box, shape (m, n); endpoints included via clipping."""
+    u = rng.uniform(0.0, 1.0, size=(m, box.dim))
+    return np.clip(box.lo + u * (box.hi - box.lo), box.lo, box.hi)
+
+
+def contains(X, x):
+    """The IBox or IMatrix X contains the point or point matrix x."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(X.lo <= x) and np.all(x <= X.hi))
+
+
+def contains_box(a, b):
+    return contains(a, b.lo) and contains(a, b.hi)
+
+
+def eval_box(mapsys, b):
+    """The map's enclosure of the image of the box b."""
+    lo, hi = mapsys.eval_batch(b.lo[None, :], b.hi[None, :])
+    return IBox(lo[0], hi[0])
+
+
+def chart(N, v):
+    """The h-set N's chart c(v) = M^{-1}(v - x) of the box v, rigorous."""
+    return imat_vec(N.inv_matrix, IBox(*isub(v.lo, v.hi, N.center, N.center)))
+
+
+def reversibility_residual(mapsys, z):
+    """Float max-norm of (S o F o S o F)(z) - z."""
+    S = mapsys.reversor.apply
+    z = np.asarray(z, dtype=float)
+    return float(np.max(np.abs(S(mapsys.eval_point(S(mapsys.eval_point(z)))) - z)))
+
+
+def reversibility_encloses_identity(mapsys, b):
+    """The enclosure of (S o F o S o F)(b) contains b."""
+    S = IMatrix.from_point(mapsys.reversor.matrix)
+    return contains_box(imat_vec(S, eval_box(mapsys, imat_vec(S, eval_box(mapsys, b)))), b)
+
+
+def fixed_point_equations_residual(P):
+    """Residuals of the two fixed-point equations at a symmetric point
+    (x1 = x2 = 0): y1^2 + (y2+1)^2 = 9 and (y1+1)^2 - y2^2 = 1."""
+    y1, y2 = np.asarray(P, dtype=float)[2:]
+    return y1**2 + (y2 + 1) ** 2 - 9.0, (y1 + 1) ** 2 - y2**2 - 1.0
+
+
+def automaton_is_admissible(word):
+    """The word starts and ends in an endpoint of the abstract 4-symbol
+    automaton, and each letter is a successor of the one before."""
+    word = tuple(int(a) for a in word)
+    return (len(word) > 0 and word[0] in AUTOMATON_ENDPOINTS and word[-1] in AUTOMATON_ENDPOINTS
+            and all(b in AUTOMATON_SUCCESSORS[a] for a, b in zip(word, word[1:])))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from revcover.campaign import (
     InadmissibleWordError,
     ProofReport,
     INSTANCE_DATA,
-    automaton_is_admissible,
     automaton_words,
     block_transitions,
     build_proof_data,
@@ -29,7 +28,9 @@ from revcover.campaign import (
     word_counts,
 )
 from revcover.covering import VERIFIED, VerifyConfig, verify_cover
-from revcover.hset import HSet, st_symmetric_check, sym_image
+from revcover.hset import HSet, sym_image
+
+from conftest import automaton_is_admissible
 
 MV = VerifyConfig(mean_value=True)
 
@@ -300,7 +301,7 @@ def test_campaign_box_counts_are_pinned(campaign):
 
 
 def test_campaign_certifies_five_inverses(monkeypatch):
-    """One run certifies by elimination only the five h-sets of the
+    """One run certifies by the residual test only the five h-sets of the
     instance; the transposes and reversor images it builds (for the
     symmetric closure and the cross-check) take their inverse by exact
     signed permutation."""

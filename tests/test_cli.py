@@ -222,6 +222,17 @@ def test_enumerate_from_report(tmp_path, capsys):
     assert [c["total_map_steps"] for c in certs] == [7, 8, 9]
 
 
+def test_enumerate_counts_without_listing(monkeypatch, capsys):
+    """Without --out, enumerate counts the words and lists none, so length
+    40 (2**40 words) answers at once."""
+    def refuse(*args):
+        raise AssertionError("enumerate_words listed the words")
+
+    monkeypatch.setattr(cli, "enumerate_words", refuse)
+    assert main(["enumerate", "--length", "40"]) == 0
+    assert f"{2**40} words of length 40 over (N1, N2)" in capsys.readouterr().out
+
+
 def test_enumerate_zero_length_rejected(capsys):
     assert main(["enumerate", "--length", "0", "--automaton"]) == 3
     assert "error" in capsys.readouterr().err

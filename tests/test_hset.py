@@ -11,18 +11,18 @@ from revcover.hset import (
     LinearReversor,
     _facet_cells_arrays,
     coordinate_reflection,
+    fix_disk_check,
     hset_from_dict,
     hset_to_dict,
     load_hset,
     save_hset,
-    st_symmetric_check,
     supports_disjoint,
     sym_image,
     transpose,
 )
 from revcover.interval import DomainError, IBox, SingularMatrixError
 
-from conftest import encloses, exact_inverse
+from conftest import chart, contains, contains_box, encloses, exact_inverse
 
 
 def unit_hset(n=4, u=2):
@@ -32,7 +32,7 @@ def unit_hset(n=4, u=2):
 def test_unit_cube_support():
     N = unit_hset()
     s = N.support_box()
-    assert s.contains_box(IBox(-np.ones(4), np.ones(4)))
+    assert contains_box(s, IBox(-np.ones(4), np.ones(4)))
     assert float(np.max(np.abs(s.lo + 1))) < 1e-14 and float(np.max(np.abs(s.hi - 1))) < 1e-14
 
 
@@ -74,9 +74,9 @@ def test_chart_round_trip(data, rng):
         N = data.hset(name)
         pts = rng.uniform(-1, 1, size=(1000, 4)) @ N.matrix.T + N.center
         for v in pts[:50]:
-            w = N.chart(IBox.point(v))
+            w = chart(N, IBox.point(v))
             back = N.chart_inverse(w)
-            assert back.contains_point(v)
+            assert contains(back, v)
         # vectorized membership for the rest
         charts = np.linalg.solve(N.matrix, (pts - N.center).T).T
         assert np.all(np.abs(charts) <= 1 + 1e-9)
@@ -104,7 +104,7 @@ def test_transpose_exit_is_entry(data, rng):
         q = rng.uniform(-1, 1, size=2)
         q[rng.integers(0, 2)] = rng.choice([-1.0, 1.0])  # stable boundary
         v = N.chart_inverse(IBox.point(np.concatenate([p, q])))
-        w = T.chart(v)
+        w = chart(T, v)
         # unstable block of the transpose chart is the old stable block
         assert np.max(w.hi[: T.u]) >= 1.0 - 1e-12 or np.min(w.lo[: T.u]) <= -1.0 + 1e-12
 
@@ -141,9 +141,9 @@ def test_hash_agrees_with_eq_on_signed_zeros():
 
 def test_st_symmetric_checks(data):
     S = data.reversor
-    assert st_symmetric_check(S, data.hset("N1"))
-    assert st_symmetric_check(S, data.hset("N2"))
-    assert not st_symmetric_check(S, data.hset("H1"))  # center off the fixed space
+    assert fix_disk_check(S, data.hset("N1")).ok
+    assert fix_disk_check(S, data.hset("N2")).ok
+    assert not fix_disk_check(S, data.hset("H1")).ok  # center off the fixed space
 
 
 def test_st_symmetric_implies_field_equality(rng):
@@ -156,7 +156,7 @@ def test_st_symmetric_implies_field_equality(rng):
             N = HSet("sym", center, M, 2, 2)
         except SingularMatrixError:
             continue
-        assert st_symmetric_check(S, N)
+        assert fix_disk_check(S, N).ok
         assert sym_image(S, N) == N
 
 
