@@ -8,14 +8,11 @@ a four-dimensional reversible map.
 
 from .interval import (
     DomainError,
-    IBox,
     IMatrix,
     IndeterminateSignError,
     SingularMatrixError,
     det_sign,
     imat_inverse,
-    imat_mul,
-    imat_vec,
 )
 from .hset import (
     HSet,

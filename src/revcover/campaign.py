@@ -150,30 +150,23 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
 
     back_tol = float(d["q1_constraints"]["backward_to_P1"])
     fwd_tol = float(d["q1_constraints"]["forward10_to_P2"])
-    inv = mapsys.require_inverse()
-    residuals = {}
-    passing = []
-    for cname, terms in d["q1_candidates"].items():
-        q = _q1_candidate_point(P1, vectors, terms)
-        back = float(np.max(np.abs(inv.eval_point(q) - P1)))
-        z = q.copy()
-        for _ in range(10):
-            z = mapsys.eval_point(z)
-        fwd = float(np.max(np.abs(z - P2)))
-        residuals[cname] = {"backward_to_P1": back, "forward10_to_P2": fwd}
-        if back < back_tol and fwd < fwd_tol:
-            passing.append(cname)
+    # the candidates' orbits, one row each: steps 0..10 under F
+    names = list(d["q1_candidates"])
+    orbit = [np.stack([_q1_candidate_point(P1, vectors, d["q1_candidates"][c]) for c in names])]
+    back = np.max(np.abs(mapsys.require_inverse().image(orbit[0]) - P1), axis=1)
+    for _ in range(10):
+        orbit.append(mapsys.image(orbit[-1]))
+    fwd = np.max(np.abs(orbit[10] - P2), axis=1)
+    residuals = {c: {"backward_to_P1": float(b), "forward10_to_P2": float(f)}
+                 for c, b, f in zip(names, back, fwd)}
+    passing = [c for c, b, f in zip(names, back, fwd) if b < back_tol and f < fwd_tol]
     if len(passing) != 1:
         raise ConfigError(
             f"Q1 disambiguation needs exactly one passing candidate, got {passing}; "
             f"residuals: {residuals}"
         )
     choice = passing[0]
-    Q1 = _q1_candidate_point(P1, vectors, d["q1_candidates"][choice])
-    Q2 = Q1.copy()
-    for _ in range(4):
-        Q2 = mapsys.eval_point(Q2)
-    Q3 = mapsys.eval_point(Q2)
+    Q1, Q2, Q3 = (orbit[step][names.index(choice)] for step in (0, 4, 5))
 
     k1 = float(d["frame_scales"]["N1"])
     k2 = float(d["frame_scales"]["N2"])
@@ -524,8 +517,15 @@ class ProofReport:
             return ProofReport(json.load(fh))
 
 
-# the fields of a saved relation that graph_from_report reads
-_EDGE_KEYS = ("source", "target", "map", "iters", "direction", "w", "status")
+def _valid_relation(r) -> bool:
+    """A saved relation record: a dict whose source, target, map, direction
+    and status are str, whose iters is an int >= 1 and whose w is -1, 1 or
+    None (a bool or a float is neither)."""
+    return (isinstance(r, dict)
+            and all(isinstance(r.get(k), str) for k in ("source", "target", "map", "direction",
+                                                        "status"))
+            and type(r.get("iters")) is int and r["iters"] >= 1
+            and "w" in r and (r["w"] is None or (type(r["w"]) is int and r["w"] in (-1, 1))))
 
 
 def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> CoveringGraph:
@@ -534,13 +534,12 @@ def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> 
     edges are recomputed by symmetric_closure; the report's own
     `derived_edges` field is not read. `data` is the built instance
     (build_proof_data() when omitted). A report that is not a dict whose
-    `relations` is a list of dicts with the keys _EDGE_KEYS raises
-    DomainError."""
+    `relations` is a list of valid relation records (_valid_relation)
+    raises DomainError."""
     relations = report.report.get("relations") if isinstance(report.report, dict) else None
-    if not (isinstance(relations, list)
-            and all(isinstance(r, dict) and all(k in r for k in _EDGE_KEYS) for r in relations)):
-        raise DomainError("the report has no list of relations with the keys "
-                          + ", ".join(_EDGE_KEYS))
+    if not (isinstance(relations, list) and all(map(_valid_relation, relations))):
+        raise DomainError("the report has no list of relations whose names are strings, "
+                          "iters an integer >= 1 and w -1, 1 or null")
     data = data or build_proof_data()
     g = CoveringGraph()
     for h in data.hsets.values():

@@ -3,14 +3,14 @@ symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
 3 input error (an unknown or malformed h-set or map, an h-set matrix without
-a verified inverse, a relation whose h-sets and map differ in dimension or
-whose h-sets differ in unstable dimension, an iterate count below 1, a
-backcovering under a map without an inverse, a config value out of range,
-such as a budget or thread count below 1, or a REVCOVER_THREADS that is not
-a positive integer). For prove-paper, 1 also means that every
-relation verified but a certified degree differs from the expected one or a
-structural check (symmetry, disjoint supports, fixed-space disks) failed;
-see ProofReport.exit_code.
+a verified inverse, a saved report whose relations are malformed, a
+relation whose h-sets and map differ in dimension or whose h-sets differ
+in unstable dimension, an iterate count below 1, a backcovering under a map
+without an inverse, a config value out of range, such as a budget or thread
+count below 1, or a REVCOVER_THREADS that is not a positive integer). For
+prove-paper, 1 also means that every relation verified but a certified
+degree differs from the expected one or a structural check (symmetry,
+disjoint supports, fixed-space disks) failed; see ProofReport.exit_code.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> No
 
     def chart_image(points):
         for _ in range(k):
-            points = np.stack([mapsys.eval_point(z) for z in points])
+            points = mapsys.image(points)
         return np.linalg.solve(M.matrix, (points - M.center).T).T
 
     cube = rng.uniform(-1.0, 1.0, size=(4000, n))

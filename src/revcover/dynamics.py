@@ -7,8 +7,11 @@ The shipped instance is the 4-d map
 
 with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
-F^{-1} = S o F o S, so F is written once (float point, vectorized batch over
-(B, n) lo/hi arrays, and batch Jacobian) and its inverse is derived from it.
+F^{-1} = S o F o S, so F is written once (a vectorized batch over (B, n)
+lo/hi arrays, and a batch Jacobian) and its inverse is derived from it. A
+map has no separate point variant: a point is a cell of zero width, and
+`MapSystem.image` evaluates points through the batch.
+
 The batch evaluation rounds once per output: each output endpoint is
 evaluated in round-to-nearest on a contiguous transposed copy of the cells
 and widened by an a-priori radius, also in round-to-nearest, with no
@@ -45,7 +48,9 @@ class MissingInverseError(Exception):
 
 @dataclass
 class MapSystem:
-    """Evaluatable map with derivative and optional inverse.
+    """Evaluatable map with derivative and optional inverse: a map is
+    given by its interval batch and its batch Jacobian, and `image`
+    evaluates float points through the batch.
 
     The bundled maps are built from module-level functions, bound to their
     data with functools.partial, so they pickle by value, inverse link and
@@ -62,11 +67,20 @@ class MapSystem:
 
     name: str
     dim: int
-    eval_point: Callable[[np.ndarray], np.ndarray]
     eval_batch: Callable  # (lo, hi) -> (lo, hi), arrays (B, dim)
     jac_batch: Callable  # (lo, hi) -> (Jlo, Jhi), arrays (B, dim, dim)
     inverse: Optional["MapSystem"] = None
     reversor: Optional[LinearReversor] = None
+
+    def image(self, z) -> np.ndarray:
+        """Float images of the points z, (n,) or (B, n): the midpoints
+        0.5*lo + 0.5*hi of eval_batch on the points as cells of zero width.
+        They are not enclosures but values for orbits, residuals and plots;
+        for F and the linear maps, whose batches widen the round-to-nearest
+        value by a radius, they are that value up to rounding."""
+        cells = np.atleast_2d(np.asarray(z, dtype=float))
+        lo, hi = self.eval_batch(cells, cells)
+        return (0.5 * lo + 0.5 * hi).reshape(np.shape(z))
 
     def require_inverse(self) -> "MapSystem":
         if self.inverse is None:
@@ -89,8 +103,7 @@ def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
         raise DomainError(f"reversor of {fwd.name!r} is not a signed diagonal")
     neg = s < 0
     neg_jac = neg[:, None] != neg[None, :]
-    inv = MapSystem(name, fwd.dim, partial(_conjugate_point, s, fwd.eval_point),
-                    partial(_conjugate_batch, neg, neg, fwd.eval_batch),
+    inv = MapSystem(name, fwd.dim, partial(_conjugate_batch, neg, neg, fwd.eval_batch),
                     partial(_conjugate_batch, neg, neg_jac, fwd.jac_batch),
                     inverse=fwd, reversor=S)
     fwd.inverse = inv
@@ -101,26 +114,11 @@ def _flip(mask, lo, hi):
     return np.where(mask, -hi, lo), np.where(mask, -lo, hi)
 
 
-def _conjugate_point(s, f, z):
-    return s * f(s * np.asarray(z, dtype=float))
-
-
 def _conjugate_batch(neg_in, neg_out, f, lo, hi):
     return _flip(neg_out, *f(*_flip(neg_in, lo, hi)))
 
 
-# --- the planar quadratic generator f and the 4-d reversible map F ---
-
-def f_point(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    return np.array([w[0] * (1 - w[0]) + 4 - w[1], w[1] * (1 - w[1]) + 4 + w[0]])
-
-
-def F_point(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    g = 0.5 * f_point(z[:2] + z[2:])
-    return np.concatenate([-z[2:] + g, z[:2] + g])
-
+# --- the 4-d reversible map F ---
 
 # The gamma of _F_batch: 9u meets gamma (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u,
 # which 8u misses.
@@ -282,17 +280,12 @@ def reversible_quadratic_map() -> MapSystem:
     fwd = MapSystem(
         name="F-quadratic-4d",
         dim=4,
-        eval_point=F_point,
         eval_batch=_F_batch,
         jac_batch=_F_jac_batch,
         reversor=coordinate_reflection(4, (0, 1)),
     )
     _reversor_inverse(fwd, "F-quadratic-4d-inverse")
     return fwd
-
-
-def _linear_point(A, z):
-    return A @ np.asarray(z, dtype=float)
 
 
 def _linear_jac(A, lo, hi):
@@ -302,8 +295,8 @@ def _linear_jac(A, lo, hi):
 
 def _linear_only(A: np.ndarray, name: str, reversor=None) -> MapSystem:
     n = A.shape[0]
-    return MapSystem(name, n, partial(_linear_point, A), partial(affine_batch, A, np.zeros(n)),
-                     partial(_linear_jac, A), reversor=reversor)
+    return MapSystem(name, n, partial(affine_batch, A, np.zeros(n)), partial(_linear_jac, A),
+                     reversor=reversor)
 
 
 def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None) -> MapSystem:

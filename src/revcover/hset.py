@@ -7,6 +7,9 @@ the unit cube; a verified enclosure of M^{-1} is certified at construction
 by Rump's residual test (`interval.imat_inverse`; S. M. Rump, "Verification
 methods", Acta Numerica 19, 2010): with X = fl(inv(M)) and the exact
 residual R0 = I - X M of norm rho < 1, it is X + R0 X -+ rho^2 ||X|| / (1 - rho).
+An h-set holds its data and no box methods: its charts are evaluated on
+lo/hi arrays by the batch kernels, v -> M v + x by `interval.affine_batch`
+and c by the split inverse (`covering._CellEngine`, `supports_disjoint`).
 
 The transpose and the reversor image of an h-set do not certify again.
 Their direction matrix is M' = D M P, with D the identity or the reversor S
@@ -28,14 +31,13 @@ import numpy as np
 
 from .interval import (
     DomainError,
-    IBox,
     IMatrix,
     SingularMatrixError,
+    _radius_image,
+    affine_batch,
     iadd,
     imat_inverse,
-    imat_mul,
-    imat_vec,
-    isub,
+    imat_vec_batch,
 )
 
 
@@ -102,16 +104,6 @@ class HSet:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def chart_inverse(self, w: IBox) -> IBox:
-        """c^{-1}(w) = M w + x, rigorous."""
-        img = imat_vec(IMatrix.from_point(self.matrix), w)
-        return IBox(*iadd(img.lo, img.hi, self.center, self.center))
-
-    def support_box(self) -> IBox:
-        """Ambient axis-aligned enclosure of the support M([-1,1]^n) + x."""
-        cube = IBox(-np.ones(self.dim), np.ones(self.dim))
-        return self.chart_inverse(cube)
 
     def __eq__(self, other):
         if not isinstance(other, HSet):
@@ -262,24 +254,28 @@ def _facet_cells_arrays(n: int, axes, resolution: int):
 def supports_disjoint(N: HSet, M: HSet) -> bool:
     """True only with a rigorous separation proof; False means inconclusive.
 
-    Tries a separating ambient coordinate first, then encloses each support in
-    the other's chart and looks for a chart coordinate clear of [-1, 1].
+    Tries a separating ambient coordinate of the two supports' enclosing
+    boxes M [-1, 1]^n + x first. Then it encloses each support in the
+    other's chart, as p + T [-1, 1]^n with p the chart image of the source
+    center and T = inv(M_dst) M_src, and looks for a chart coordinate clear
+    of [-1, 1]. The source center, shifted by the target center, and the
+    source's columns are the rows of one product with the target inverse;
+    T [-1, 1]^n is [-s, s] with s >= |T| 1 (_radius_image).
     """
     if N.dim != M.dim:
         raise DomainError("ambient dimension mismatch")
-    a = N.support_box()
-    b = M.support_box()
-    if np.any(a.hi < b.lo) or np.any(b.hi < a.lo):
+    cube = -np.ones((1, N.dim)), np.ones((1, N.dim))
+    (alo, ahi), (blo, bhi) = (affine_batch(h.matrix, h.center, *cube) for h in (N, M))
+    if np.any(ahi < blo) or np.any(bhi < alo):
         return True
-    cube = IBox(-np.ones(N.dim), np.ones(N.dim))
     for src, dst in ((N, M), (M, N)):
-        T = imat_mul(dst.inv_matrix, IMatrix.from_point(src.matrix))
-        off = imat_vec(
-            dst.inv_matrix, IBox(*isub(src.center, src.center, dst.center, dst.center))
-        )
-        img = imat_vec(T, cube)
-        lo, hi = iadd(img.lo, img.hi, off.lo, off.hi)
-        if np.any(hi < -1.0) or np.any(lo > 1.0):
+        rows = np.vstack((src.center, src.matrix.T))
+        shift = np.vstack((dst.center, np.zeros_like(src.matrix)))
+        lo, hi = imat_vec_batch(dst.inv_matrix.lo, dst.inv_matrix.hi, rows, rows, shift)
+        s = _radius_image(lo[None, 1:].transpose(0, 2, 1), hi[None, 1:].transpose(0, 2, 1),
+                          cube[1])
+        clo, chi = iadd(lo[:1], hi[:1], -s, s)
+        if np.any(chi < -1.0) or np.any(clo > 1.0):
             return True
     return False
 
@@ -297,8 +293,9 @@ def hset_to_dict(N: HSet) -> dict:
 
 
 def hset_from_dict(d: dict) -> HSet:
-    """The h-set of a file's JSON object. A malformed object, or a direction
-    matrix without a verified inverse, raises DomainError."""
+    """The h-set of a file's JSON object. A malformed object, u or s that
+    is not a JSON integer, or a direction matrix without a verified inverse,
+    raises DomainError."""
     try:
         center = [float(x) for x in d["center"]]
         matrix = [[float(x) for x in row] for row in d["matrix"]]
@@ -306,7 +303,10 @@ def hset_from_dict(d: dict) -> HSet:
             "center": [str(x) for x in d["center"]],
             "matrix": [[str(x) for x in row] for row in d["matrix"]],
         }
-        return HSet(d["name"], center, matrix, int(d["u"]), int(d["s"]), decimal_source=source)
+        u, s = d["u"], d["s"]
+        if not (type(u) is int and type(s) is int):  # not a float, str or bool
+            raise DomainError(f"u and s must be integers, got {u!r} and {s!r}")
+        return HSet(d["name"], center, matrix, u, s, decimal_source=source)
     except (KeyError, TypeError, ValueError) as e:
         raise DomainError(f"malformed h-set object: {e}") from e
     except SingularMatrixError as e:

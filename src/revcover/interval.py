@@ -1,6 +1,11 @@
 """Outward-rounded interval arithmetic on lo/hi arrays: boxes, matrices and
 batches of cells.
 
+There is one interval representation: a box, a matrix or a batch of either
+is a pair of float arrays (lo, hi), and a point is a box of zero width.
+`IMatrix` wraps such a pair only at the API edges, as the type of an
+h-set's verified inverse and of a relation's chart derivative.
+
 Every operation returns an enclosure of the exact real-arithmetic result set.
 Outward rounding is realized by next-representable widening: a result computed
 in round-to-nearest differs from the exact value by at most half an ulp, so
@@ -43,9 +48,8 @@ center and one or two for the radius instead of a min/max and a rounding
 per product. The mean-value chain uses all three (see
 `covering._centered_chain`). There is one inf-sup matrix product,
 `imatmul_batch`, which multiplies two wide intervals and carries the
-chain's steps after the first. `imat_mul` is it on a batch of one, and
-`imat_vec` and `imatvec_cellwise` are it with a trailing axis of length 1,
-so none of the three is a kernel of its own. It stays in inf-sup form, each
+chain's steps after the first; `imatvec_cellwise` is it with a trailing
+axis of length 1, not a kernel of its own. It stays in inf-sup form, each
 operation stepped outward: there a midpoint-radius product can be up to 1.5
 times wider, and with the chain's wide-by-wide product in that form H1⇒H2
 (k = 4) took 938 boxes instead of 864. A cell coordinate that is not
@@ -172,55 +176,6 @@ def imul(alo, ahi, blo, bhi):
     return _down(lo), _up(hi)
 
 
-class IBox:
-    """Axis-aligned interval box in R^n, stored as lo/hi float arrays."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DomainError("box bounds must be 1-d arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
-            raise DomainError("invalid box bounds")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IBox is immutable")
-
-    @staticmethod
-    def point(x) -> "IBox":
-        x = np.asarray(x, dtype=float)
-        return IBox(x, x)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def __eq__(self, other):
-        if not isinstance(other, IBox):
-            return NotImplemented
-        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
-
-    def __hash__(self):
-        # + 0.0 maps -0.0 to 0.0, which == does not tell apart
-        return hash(((self.lo + 0.0).tobytes(), (self.hi + 0.0).tobytes()))
-
-    def __repr__(self):
-        parts = ", ".join(f"[{l!r},{h!r}]" for l, h in zip(self.lo, self.hi))
-        return f"IBox({parts})"
-
-
 class IMatrix:
     """Matrix of intervals, stored as lo/hi float arrays of shape (n, m)."""
 
@@ -241,11 +196,6 @@ class IMatrix:
     def __setattr__(self, *a):
         raise AttributeError("IMatrix is immutable")
 
-    @staticmethod
-    def from_point(m) -> "IMatrix":
-        m = np.asarray(m, dtype=float)
-        return IMatrix(m, m)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.lo.shape
@@ -255,24 +205,6 @@ class IMatrix:
 
     def __repr__(self):
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
-
-
-def imat_vec(M: IMatrix, v: IBox) -> IBox:
-    """Enclosure of {Ax : A in M, x in v}: imatmul_batch on a batch of one,
-    with v as a column."""
-    if v.dim != M.shape[1]:
-        raise DomainError("shape mismatch in imat_vec")
-    lo, hi = imatmul_batch(M.lo[None], M.hi[None], v.lo[None, :, None], v.hi[None, :, None])
-    return IBox(lo[0, :, 0], hi[0, :, 0])
-
-
-def imat_mul(A: IMatrix, B: IMatrix) -> IMatrix:
-    """Enclosure of the product of any member matrices: imatmul_batch on a
-    batch of one."""
-    if A.shape[1] != B.shape[0]:
-        raise DomainError("shape mismatch in imat_mul")
-    lo, hi = imatmul_batch(A.lo[None], A.hi[None], B.lo[None], B.hi[None])
-    return IMatrix(lo[0], hi[0])
 
 
 # --- vectorized kernels over cell batches (arrays of shape (B, n)) ---
@@ -445,7 +377,8 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
                    center=0.0):
     """Enclosures of A @ (v - center) over the members A of one fixed
     interval matrix [Ml, Mh] (n, m) and v of each interval vector of the
-    batch, for a point vector center (m,), in midpoint-radius form.
+    batch, for a point vector center (m,), or one per cell (B, m), in
+    midpoint-radius form.
 
     With the matrix as Mc +- Mr and each cell as mid +- rad (_mid_rad), the
     shifted midpoint d = fl(mid - center) is off by at most u |d|, so every
@@ -501,9 +434,8 @@ def _split_matrix(Ml, Mh):
 
 
 def _imat_vec_midrad(Mc, Mr, lo, hi, center):
-    """imat_vec_batch for a matrix already split by _split_matrix. The
-    center may also be one point per cell, (B, m); a center of 0 leaves a
-    midpoint exactly as it is."""
+    """imat_vec_batch for a matrix already split by _split_matrix; a center
+    of 0 leaves a midpoint exactly as it is."""
     gamma, kappa, floor = _midrad_constants(Mc.shape[1])
     d, rad = _mid_rad(lo, hi)
     d -= center
@@ -569,8 +501,7 @@ def _radius_image(Tl, Th, rad):
 
 def imatmul_batch(Al, Ah, Bl, Bh):
     """Batched interval matrix product (B, n, m) @ (B, m, k), in inf-sup
-    form: the one inf-sup matrix product, which imat_vec, imat_mul and
-    imatvec_cellwise call.
+    form: the one inf-sup matrix product, which imatvec_cellwise calls.
 
     Column j of A times row j of B is an imul of every pair, each product
     rounded outward once; the sum over j is accumulated in order, the first
@@ -593,8 +524,6 @@ def imatvec_cellwise(Al, Ah, lo, hi):
     imatmul_batch with each vector as a column."""
     plo, phi = imatmul_batch(Al, Ah, lo[:, :, None], hi[:, :, None])
     return plo[:, :, 0], phi[:, :, 0]
-
-
 
 
 # --- regularity: the verified inverse and the certified determinant sign ---

@@ -12,7 +12,7 @@ from revcover.campaign import (
     build_proof_data,
     run_campaign,
 )
-from revcover.interval import IBox, IMatrix, imat_vec, isub
+from revcover.interval import IMatrix, imatmul_batch, isub
 
 
 def float_sweep(N, mapsys, k, M, rng, npts=10_000):
@@ -28,7 +28,7 @@ def float_sweep(N, mapsys, k, M, rng, npts=10_000):
 
     def push(points):
         for _ in range(k):
-            points = np.stack([mapsys.eval_point(z) for z in points])
+            points = mapsys.image(points)
         return np.linalg.solve(M.matrix, (points - M.center).T).T
 
     wall = rng.uniform(-1, 1, size=(npts, n))
@@ -69,50 +69,70 @@ def exact_inverse(A):
     return [row[n:] for row in rows]
 
 
+# Boxes and interval matrices are (lo, hi) pairs of arrays; a point is a
+# box of zero width, (x, x).
+
 def cube(center, radius):
     """The box of the given center and radius in the max norm."""
     c = np.asarray(center, dtype=float)
-    return IBox(c - radius, c + radius)
+    return c - radius, c + radius
 
 
 def sample(box, rng, m):
     """m member points of the box, shape (m, n); endpoints included via clipping."""
-    u = rng.uniform(0.0, 1.0, size=(m, box.dim))
-    return np.clip(box.lo + u * (box.hi - box.lo), box.lo, box.hi)
+    lo, hi = box
+    u = rng.uniform(0.0, 1.0, size=(m, len(lo)))
+    return np.clip(lo + u * (hi - lo), lo, hi)
 
 
 def contains(X, x):
-    """The IBox or IMatrix X contains the point or point matrix x."""
+    """The box or matrix X, a (lo, hi) pair or an IMatrix, contains the
+    point or point matrix x."""
+    lo, hi = (X.lo, X.hi) if isinstance(X, IMatrix) else X
     x = np.asarray(x, dtype=float)
-    return bool(np.all(X.lo <= x) and np.all(x <= X.hi))
+    return bool(np.all(lo <= x) and np.all(x <= hi))
 
 
 def contains_box(a, b):
-    return contains(a, b.lo) and contains(a, b.hi)
+    return contains(a, b[0]) and contains(a, b[1])
+
+
+def matmul(A, B):
+    """The interval product of the matrices A (n, m) and B (m, k), (lo, hi)
+    pairs: imatmul_batch on a batch of one."""
+    lo, hi = imatmul_batch(A[0][None], A[1][None], B[0][None], B[1][None])
+    return lo[0], hi[0]
+
+
+def matvec(A, v):
+    """The interval product of the matrix A and the box v: matmul with v as
+    a column."""
+    lo, hi = matmul(A, (v[0][:, None], v[1][:, None]))
+    return lo[:, 0], hi[:, 0]
 
 
 def eval_box(mapsys, b):
     """The map's enclosure of the image of the box b."""
-    lo, hi = mapsys.eval_batch(b.lo[None, :], b.hi[None, :])
-    return IBox(lo[0], hi[0])
+    lo, hi = mapsys.eval_batch(b[0][None, :], b[1][None, :])
+    return lo[0], hi[0]
 
 
 def chart(N, v):
     """The h-set N's chart c(v) = M^{-1}(v - x) of the box v, rigorous."""
-    return imat_vec(N.inv_matrix, IBox(*isub(v.lo, v.hi, N.center, N.center)))
+    return matvec((N.inv_matrix.lo, N.inv_matrix.hi), isub(*v, N.center, N.center))
 
 
 def reversibility_residual(mapsys, z):
     """Float max-norm of (S o F o S o F)(z) - z."""
     S = mapsys.reversor.apply
     z = np.asarray(z, dtype=float)
-    return float(np.max(np.abs(S(mapsys.eval_point(S(mapsys.eval_point(z)))) - z)))
+    return float(np.max(np.abs(S(mapsys.image(S(mapsys.image(z)))) - z)))
 
 
 def reversibility_encloses_identity(mapsys, b):
     """The enclosure of (S o F o S o F)(b) contains b."""
-    S = IMatrix.from_point(mapsys.reversor.matrix)
-    return contains_box(imat_vec(S, eval_box(mapsys, imat_vec(S, eval_box(mapsys, b)))), b)
+    S = (mapsys.reversor.matrix,) * 2
+    return contains_box(matvec(S, eval_box(mapsys, matvec(S, eval_box(mapsys, b)))), b)
 
 
 def fixed_point_equations_residual(P):

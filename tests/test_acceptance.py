@@ -18,7 +18,7 @@ from revcover.campaign import (
 from revcover.covering import VERIFIED, VerifyConfig, verify_backcover, verify_cover
 from revcover.dynamics import linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image
-from revcover.interval import IBox, IMatrix, imat_inverse, imat_mul, imat_vec
+from revcover.interval import imat_inverse
 
 from conftest import (
     automaton_is_admissible,
@@ -26,6 +26,8 @@ from conftest import (
     cube,
     fixed_point_equations_residual,
     float_sweep,
+    matmul,
+    matvec,
     reversibility_encloses_identity,
     reversibility_residual,
     sample,
@@ -69,8 +71,8 @@ def test_criterion_1_full_campaign(campaign):
 
 def test_criterion_2_constant_fidelity(data):
     F = data.mapsys
-    r1 = float(np.max(np.abs(F.eval_point(data.P1) - data.P1)))
-    r2 = float(np.max(np.abs(F.eval_point(data.P2) - data.P2)))
+    r1 = float(np.max(np.abs(F.image(data.P1) - data.P1)))
+    r2 = float(np.max(np.abs(F.image(data.P2) - data.P2)))
     e1 = max(abs(x) for x in fixed_point_equations_residual(data.P1))
     e2 = max(abs(x) for x in fixed_point_equations_residual(data.P2))
     ok = r1 < 1e-10 and r2 < 1e-10 and e1 < 1e-9 and e2 < 1e-9
@@ -80,10 +82,10 @@ def test_criterion_2_constant_fidelity(data):
 
 def test_criterion_3_q_point_constraints(data):
     F = data.mapsys
-    back = float(np.max(np.abs(F.inverse.eval_point(data.Q1) - data.P1)))
+    back = float(np.max(np.abs(F.inverse.image(data.Q1) - data.P1)))
     z = data.Q1.copy()
     for _ in range(10):
-        z = F.eval_point(z)
+        z = F.image(z)
     fwd = float(np.max(np.abs(z - data.P2)))
     ok = back < 0.006 and fwd < 0.001
     _report("criterion 3: Q-point constraints", ok,
@@ -130,25 +132,24 @@ def test_criterion_5_interval_soundness(data, rng):
 
     for _ in range(10):
         A = rng.normal(size=(4, 4))
-        M = IMatrix.from_point(A)
         lo = rng.uniform(-2, 2, size=4)
-        v = IBox(lo, lo + rng.uniform(0, 1, size=4))
-        img = imat_vec(M, v)
+        v = lo, lo + rng.uniform(0, 1, size=4)
+        img = matvec((A, A), v)
         pts = sample(v, rng, 500)
-        crosscheck(pts @ A.T, img.lo[None, :], img.hi[None, :])
+        crosscheck(pts @ A.T, img[0][None, :], img[1][None, :])
         B = rng.normal(size=(4, 4))
-        prod = imat_mul(M, IMatrix.from_point(B))
-        crosscheck(A @ B, prod.lo, prod.hi)
+        prod = matmul((A, A), (B, B))
+        crosscheck(A @ B, *prod)
 
     resid_ok = True
     defects = []
     for name in ("N1", "N2"):
         Mat = data.hset(name).matrix
         J = imat_inverse(Mat)
-        resid = imat_mul(J, IMatrix.from_point(Mat))
+        resid = matmul((J.lo, J.hi), (Mat, Mat))
         resid_ok &= contains(resid, np.eye(4))
-        defect = float(max(np.max(np.abs(resid.lo - np.eye(4))),
-                           np.max(np.abs(resid.hi - np.eye(4)))))
+        defect = float(max(np.max(np.abs(resid[0] - np.eye(4))),
+                           np.max(np.abs(resid[1] - np.eye(4)))))
         defects.append(defect)
         resid_ok &= defect < 1e-12
     ok = checks >= 100_000 and violations == 0 and resid_ok

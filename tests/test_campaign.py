@@ -1,6 +1,7 @@
 """Instance data, lemma relations, symmetric closure, words and certificates."""
 
 import copy
+import hashlib
 import time
 
 import numpy as np
@@ -59,6 +60,33 @@ def test_q1_disambiguation_recorded(data):
     assert chosen["forward10_to_P2"] < 0.001
     rejected = q1["residuals"]["mixed-frame-u1"]
     assert rejected["forward10_to_P2"] > 1.0
+
+
+# SHA-256 of the float.hex of every entry of each h-set's center, matrix and
+# inverse lo and hi, and the float.hex of the Q1 residuals, as recorded when
+# each map still had a float point function of its own
+INSTANCE_SHA256 = {
+    "N1": "bccfde8b3e408c0dc59b277f27ede37b0d6a0a6dc95105298a870182b763d383",
+    "N2": "78cf60338fa7d8d79664c2df95417188fab832c5c07ef5a4b10a89dffa3dfbc4",
+    "H1": "fa2ddb9bb654c90f34af9202c3dbce96117efe9179d9a331903c3316ff9d17fc",
+    "H2": "7cc1995bf3596b3648d46223d1f24e7caa115320f74176d567dfacadab313b27",
+    "H3": "c376f14ee8d902e288f73e72e0a30571ab9013998f23a4d89279125c65d72f87",
+}
+Q1_RESIDUALS_HEX = {
+    "same-frame-u2": ("0x1.57f523b016100p-8", "0x1.0490d1ea2a000p-10"),
+    "mixed-frame-u1": ("0x1.33bdb9cfdbf80p-6", "0x1.85f96eaf3029ap+85"),
+}
+
+
+def test_built_instance_is_pinned(data):
+    """The built instance is bit for bit the recorded one: every double of
+    the five h-sets and the Q1 residuals of both candidates."""
+    for name, h in data.hsets.items():
+        text = " ".join(float(x).hex() for a in (h.center, h.matrix, h.inv_matrix.lo,
+                                                  h.inv_matrix.hi) for x in a.ravel())
+        assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_SHA256[name], name
+    assert {c: (r["backward_to_P1"].hex(), r["forward10_to_P2"].hex())
+            for c, r in data.q1_interpretation["residuals"].items()} == Q1_RESIDUALS_HEX
 
 
 def test_q1_disambiguation_failure_raises():

@@ -253,6 +253,20 @@ def test_enumerate_malformed_report_exit_3(tmp_path, capsys, content):
     assert "error: no usable covering graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index, key, value", [(0, "w", "x"), (0, "w", 7), (3, "iters", "4")])
+def test_enumerate_invalid_relation_exit_3(tmp_path, capsys, campaign, index, key, value):
+    """A saved relation whose w is not -1, 1 or null, or whose iters is not
+    an integer >= 1, is an input error (exit 3): not a traceback, not a
+    certificate with a degree product of 7, and not a block silently lost."""
+    r = json.loads(campaign[0].to_json())
+    r["relations"][index][key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(r))
+    assert main(["enumerate", "--length", "3", "--report", str(report),
+                 "--emit-word", "N1,N1"]) == 3
+    assert "error: no usable covering graph" in capsys.readouterr().err
+
+
 def test_enumerate_automaton(capsys):
     rc = main(["enumerate", "--length", "4", "--automaton"])
     assert rc == 0

@@ -305,7 +305,7 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
         for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
             z = N.matrix @ p + N.center
             for _ in range(k):
-                z = F.eval_point(z)
+                z = F.image(z)
             y = np.linalg.solve(M.matrix, z - M.center)
             for clo, chi in images:
                 assert np.all(clo[i] <= y) and np.all(y <= chi[i])
@@ -511,8 +511,8 @@ def test_unpicklable_map_is_refused_on_several_workers(monkeypatch):
         j = np.broadcast_to(A, (len(lo), 2, 2))
         return j.copy(), j.copy()
 
-    closures = MapSystem("closure-toy", 2, lambda z: A @ z,
-                         lambda lo, hi: affine_batch(A, np.zeros(2), lo, hi), jac_batch)
+    closures = MapSystem("closure-toy", 2, lambda lo, hi: affine_batch(A, np.zeros(2), lo, hi),
+                         jac_batch)
     N = toy_hset(2, 1)
     with monkeypatch.context() as m:
         def no_cells(*a):

@@ -10,15 +10,14 @@ import pytest
 from revcover.dynamics import (
     MissingInverseError,
     _reversor_inverse,
-    f_point,
     linear_map_system,
     map_by_name,
     reversible_quadratic_map,
 )
-from revcover.campaign import RELATIONS
+from revcover.campaign import INSTANCE_DATA, RELATIONS, _q1_candidate_point
 from revcover.covering import compute_degree
 from revcover.hset import HSet, LinearReversor, sym_image, transpose
-from revcover.interval import DomainError, IBox, IMatrix
+from revcover.interval import DomainError
 
 from conftest import (
     chart,
@@ -35,57 +34,90 @@ from conftest import (
 )
 
 
-def _jac(mapsys, b: IBox) -> IMatrix:
-    """The map's Jacobian enclosure over one box."""
-    jl, jh = mapsys.jac_batch(b.lo[None, :], b.hi[None, :])
-    return IMatrix(jl[0], jh[0])
+def _jac(mapsys, b):
+    """The map's Jacobian enclosure over one box, a (lo, hi) pair."""
+    jl, jh = mapsys.jac_batch(b[0][None, :], b[1][None, :])
+    return jl[0], jh[0]
 
 
 def _jac_mid(mapsys, z):
     """The midpoint of the map's Jacobian enclosure at the point z."""
-    J = _jac(mapsys, IBox.point(z))
-    return 0.5 * (J.lo + J.hi)
+    jl, jh = _jac(mapsys, (z, z))
+    return 0.5 * (jl + jh)
 
 
-def _f_box(b: IBox) -> IBox:
+def _f_box(b):
     """The enclosure of f over the box b of w, read off F's: at y = 0,
     w = x and the first two outputs of F are g(w) = f(w)/2."""
     F = reversible_quadratic_map()
-    cell = IBox(np.concatenate([b.lo, [0.0, 0.0]]), np.concatenate([b.hi, [0.0, 0.0]]))
-    img = eval_box(F, cell)
-    return IBox(2 * img.lo[:2], 2 * img.hi[:2])
+    lo, hi = eval_box(F, tuple(np.concatenate([a, [0.0, 0.0]]) for a in b))
+    return 2 * lo[:2], 2 * hi[:2]
 
 
 def test_f_values():
-    assert np.array_equal(f_point([0.0, 0.0]), [4.0, 4.0])
-    assert np.array_equal(f_point([1.0, 1.0]), [3.0, 5.0])
-    assert contains(_f_box(IBox.point([1.0, 1.0])), [3.0, 5.0])
+    """f(0, 0) = (4, 4) and f(1, 1) = (3, 5), read off F's image at y = 0."""
+    F = reversible_quadratic_map()
+    for w, f in (([0.0, 0.0], [4.0, 4.0]), ([1.0, 1.0], [3.0, 5.0])):
+        assert np.array_equal(2 * F.image(w + [0.0, 0.0])[:2], f)
+        assert contains(_f_box((np.array(w), np.array(w))), f)
 
 
 def test_f_interval_contains_samples(rng):
-    box = IBox([0.0, 0.0], [1.0, 1.0])
+    box = np.zeros(2), np.ones(2)
     img = _f_box(box)
     for p in sample(box, rng, 100):
-        assert contains(img, f_point(p))
+        assert encloses(*img, [2 * v for v in _g(*map(Fraction, p.tolist()))])
 
 
 def test_F_at_origin():
     F = reversible_quadratic_map()
-    assert np.array_equal(F.eval_point(np.zeros(4)), [2.0, 2.0, 2.0, 2.0])
-    assert contains(eval_box(F, IBox.point(np.zeros(4))), [2, 2, 2, 2])
+    assert np.array_equal(F.image(np.zeros(4)), [2.0, 2.0, 2.0, 2.0])
+    assert contains(eval_box(F, (np.zeros(4),) * 2), [2, 2, 2, 2])
+
+
+def _F_float(z):
+    """F at the points z (B, 4) in float arithmetic, the formula written out
+    in the order of operations of F's own evaluation."""
+    x, y = z[:, :2], z[:, 2:]
+    w = x + y
+    g = 0.5 * np.stack([w[:, 0] * (1 - w[:, 0]) + 4 - w[:, 1],
+                        w[:, 1] * (1 - w[:, 1]) + 4 + w[:, 0]], axis=1)
+    return np.concatenate([-y + g, x + g], axis=1)
+
+
+def test_image_matches_the_float_formula(data, rng):
+    """F.image and F.inverse.image (S F S) are the float formula's values bit
+    for bit along each map's 10-step orbits from both Q1 candidates. At
+    seeded random points they lie in eval_batch's enclosure and within a few
+    ulps of the formula."""
+    F = data.mapsys
+    s = np.diag(data.reversor.matrix)
+    q = np.stack([_q1_candidate_point(data.P1, data.vectors, terms)
+                  for terms in INSTANCE_DATA["q1_candidates"].values()])
+    z = rng.uniform(-5, 5, size=(20_000, 4))
+    for m, formula in ((F, _F_float), (F.inverse, lambda p: s * _F_float(s * p))):
+        orbit = q
+        for _ in range(10):
+            step = m.image(orbit)
+            assert np.array_equal(step.view(np.int64), formula(orbit).view(np.int64))
+            orbit = step
+        img, want = m.image(z), formula(z)
+        lo, hi = m.eval_batch(z, z)
+        assert np.all(lo <= img) and np.all(img <= hi)
+        assert np.all(np.abs(img - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def test_fixed_points_nearly_fixed(data):
     F = data.mapsys
-    assert np.max(np.abs(F.eval_point(data.P1) - data.P1)) < 1e-10
-    assert np.max(np.abs(F.eval_point(data.P2) - data.P2)) < 1e-10
+    assert np.max(np.abs(F.image(data.P1) - data.P1)) < 1e-10
+    assert np.max(np.abs(F.image(data.P2) - data.P2)) < 1e-10
 
 
 def test_inverse_round_trip_boxes(rng):
     F = reversible_quadratic_map()
     for _ in range(1000):
         z = rng.uniform(-5, 5, size=4)
-        img = eval_box(F.inverse, eval_box(F, IBox.point(z)))
+        img = eval_box(F.inverse, eval_box(F, (z, z)))
         assert contains(img, z)
 
 
@@ -99,7 +131,7 @@ def test_inverse_consistency_on_small_boxes(rng):
 
 def test_derivative_at_origin():
     # Df(0) = [[1,-1],[1,1]]; DF(0) assembles from its half
-    J = _jac(reversible_quadratic_map(), IBox.point(np.zeros(4)))
+    J = _jac(reversible_quadratic_map(), (np.zeros(4),) * 2)
     expected = np.array(
         [
             [0.5, -0.5, -0.5, -0.5],
@@ -109,7 +141,7 @@ def test_derivative_at_origin():
         ]
     )
     assert contains(J, expected)
-    assert float(np.max(J.widths())) < 1e-14
+    assert float(np.max(J[1] - J[0])) < 1e-14
 
 
 def test_derivative_finite_differences(rng):
@@ -122,7 +154,7 @@ def test_derivative_finite_differences(rng):
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd[:, j] = (F.eval_point(z + e) - F.eval_point(z - e)) / (2 * h)
+            fd[:, j] = (F.image(z + e) - F.image(z - e)) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-5
 
 
@@ -130,7 +162,7 @@ def test_inverse_derivative_matches_matrix_inverse(rng):
     F = reversible_quadratic_map()
     for _ in range(50):
         z = rng.uniform(-2, 2, size=4)
-        w = F.eval_point(z)
+        w = F.image(z)
         J = _jac_mid(F, z)
         Ji = _jac_mid(F.inverse, w)
         assert np.max(np.abs(Ji @ J - np.eye(4))) < 1e-9
@@ -148,15 +180,15 @@ def test_interval_jacobian_contains_members(rng):
 
 def test_q_point_orbit_constraints(data):
     F = data.mapsys
-    box = IBox.point(data.Q1)
+    box = data.Q1, data.Q1
     for _ in range(10):
         box = eval_box(F, box)
-    assert np.max(np.abs(box.mid() - data.P2)) < 0.001
-    back = F.inverse.eval_point(data.Q1)
+    assert np.max(np.abs(0.5 * (box[0] + box[1]) - data.P2)) < 0.001
+    back = F.inverse.image(data.Q1)
     assert np.max(np.abs(back - data.P1)) < 0.006
     # the backward image lies in the support of the first anchor set
-    w = chart(data.hset("N1"), IBox.point(back))
-    assert np.all(w.lo >= -1.0) and np.all(w.hi <= 1.0)
+    lo, hi = chart(data.hset("N1"), (back, back))
+    assert np.all(lo >= -1.0) and np.all(hi <= 1.0)
 
 
 def _matmul(A, B):
@@ -217,7 +249,7 @@ def test_reversibility_sweep(rng):
 
 def test_reversibility_interval_identity(rng):
     F = reversible_quadratic_map()
-    assert reversibility_encloses_identity(F, IBox(-np.ones(4), np.ones(4)))
+    assert reversibility_encloses_identity(F, cube(np.zeros(4), 1.0))
     for _ in range(100):
         c = rng.uniform(-3, 3, size=4)
         assert reversibility_encloses_identity(F, cube(c, 0.05))
@@ -236,10 +268,10 @@ def test_linear_map_system(rng):
     A = np.diag([3.0, 1.0 / 3.0])
     m = linear_map_system(A, np.diag([1.0 / 3.0, 3.0]), name="toy")
     z = rng.uniform(-1, 1, size=2)
-    assert np.allclose(m.eval_point(z), A @ z)
+    assert np.allclose(m.image(z), A @ z)
     assert m.inverse.inverse is m
     assert (m.name, m.inverse.name) == ("toy", "toy-inverse")
-    assert np.allclose(m.inverse.eval_point(m.eval_point(z)), z)
+    assert np.allclose(m.inverse.image(m.image(z)), z)
 
 
 def test_map_registry():
@@ -261,8 +293,7 @@ def _same_kernels(a, b, rng):
     """a and b agree bit for bit on random points, cells and Jacobians."""
     z = rng.uniform(-2, 2, size=(8, a.dim))
     lo, hi = z - rng.uniform(0, 0.1, size=z.shape), z + rng.uniform(0, 0.1, size=z.shape)
-    for p in z:
-        assert np.array_equal(a.eval_point(p), b.eval_point(p))
+    assert np.array_equal(a.image(z), b.image(z))
     for x, y in zip(a.eval_batch(lo, hi), b.eval_batch(lo, hi)):
         assert np.array_equal(x, y)
     for x, y in zip(a.jac_batch(lo, hi), b.jac_batch(lo, hi)):
@@ -332,7 +363,7 @@ def _exact_jacobian(z, inverse):
 def test_map_kernels_exact_oracle(rng):
     """eval_batch and jac_batch of F and F^-1 enclose the exact values at the
     corners and at interior points of random cells, with zero-width cells and
-    widths down to 1e-12, and eval_point is within rounding of them. The F^-1
+    widths down to 1e-12, and image is within rounding of them. The F^-1
     reference is the closed-form inverse, not the reversor conjugate the map
     system uses."""
     F = reversible_quadratic_map()
@@ -352,7 +383,7 @@ def test_map_kernels_exact_oracle(rng):
                 z = [Fraction(x) for x in p.tolist()]
                 value = exact(*z)
                 assert encloses(elo[i], ehi[i], value)
-                assert np.allclose(m.eval_point(p), [float(v) for v in value],
+                assert np.allclose(m.image(p), [float(v) for v in value],
                                    rtol=1e-14, atol=1e-13)
                 J = _exact_jacobian(z, inverse)
                 assert encloses(jlo[i], jhi[i], [v for row in J for v in row])

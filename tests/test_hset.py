@@ -20,20 +20,31 @@ from revcover.hset import (
     sym_image,
     transpose,
 )
-from revcover.interval import DomainError, IBox, SingularMatrixError
+from revcover.interval import DomainError, SingularMatrixError, affine_batch
 
-from conftest import chart, contains, contains_box, encloses, exact_inverse
+from conftest import chart, contains, contains_box, cube, encloses, exact_inverse
 
 
 def unit_hset(n=4, u=2):
     return HSet("I", np.zeros(n), np.eye(n), u, n - u)
 
 
+def chart_inverse(N, w):
+    """c^{-1}(w) = M w + x of the box w, rigorous."""
+    lo, hi = affine_batch(N.matrix, N.center, w[0][None], w[1][None])
+    return lo[0], hi[0]
+
+
+def support_box(N):
+    """Ambient axis-aligned enclosure of the support M([-1,1]^n) + x."""
+    return chart_inverse(N, cube(np.zeros(N.dim), 1.0))
+
+
 def test_unit_cube_support():
     N = unit_hset()
-    s = N.support_box()
-    assert contains_box(s, IBox(-np.ones(4), np.ones(4)))
-    assert float(np.max(np.abs(s.lo + 1))) < 1e-14 and float(np.max(np.abs(s.hi - 1))) < 1e-14
+    s = support_box(N)
+    assert contains_box(s, cube(np.zeros(4), 1.0))
+    assert float(np.max(np.abs(s[0] + 1))) < 1e-14 and float(np.max(np.abs(s[1] - 1))) < 1e-14
 
 
 def test_instance_hsets_match_frame_data(data):
@@ -74,8 +85,8 @@ def test_chart_round_trip(data, rng):
         N = data.hset(name)
         pts = rng.uniform(-1, 1, size=(1000, 4)) @ N.matrix.T + N.center
         for v in pts[:50]:
-            w = chart(N, IBox.point(v))
-            back = N.chart_inverse(w)
+            w = chart(N, (v, v))
+            back = chart_inverse(N, w)
             assert contains(back, v)
         # vectorized membership for the rest
         charts = np.linalg.solve(N.matrix, (pts - N.center).T).T
@@ -103,10 +114,10 @@ def test_transpose_exit_is_entry(data, rng):
         p = rng.uniform(-1, 1, size=2)
         q = rng.uniform(-1, 1, size=2)
         q[rng.integers(0, 2)] = rng.choice([-1.0, 1.0])  # stable boundary
-        v = N.chart_inverse(IBox.point(np.concatenate([p, q])))
-        w = chart(T, v)
+        pq = np.concatenate([p, q])
+        lo, hi = chart(T, chart_inverse(N, (pq, pq)))
         # unstable block of the transpose chart is the old stable block
-        assert np.max(w.hi[: T.u]) >= 1.0 - 1e-12 or np.min(w.lo[: T.u]) <= -1.0 + 1e-12
+        assert np.max(hi[: T.u]) >= 1.0 - 1e-12 or np.min(lo[: T.u]) <= -1.0 + 1e-12
 
 
 def test_sym_image_instance(data):
@@ -312,9 +323,24 @@ def test_supports_disjoint_needs_chart_argument():
     R = np.array([[1.0, 1.0], [-1.0, 1.0]])  # rotated squares |v|_1 <= 2
     a = HSet("A", np.zeros(2), R, 1, 1)
     b = HSet("B", np.array([2.5, 2.0]), R, 1, 1)  # 1-norm distance 4.5 > 4
-    ab, bb = a.support_box(), b.support_box()
-    assert np.all(ab.hi > bb.lo) and np.all(bb.hi > ab.lo)  # ambient boxes overlap
+    (alo, ahi), (blo, bhi) = support_box(a), support_box(b)
+    assert np.all(ahi > blo) and np.all(bhi > alo)  # ambient boxes overlap
     assert supports_disjoint(a, b)
+
+
+def test_supports_disjoint_is_sound(rng):
+    """Where supports_disjoint proves two random planar supports disjoint,
+    no sampled point of either lies in the other's chart cube."""
+    proved = 0
+    for _ in range(300):
+        a, b = (HSet("X", rng.normal(size=2), rng.normal(size=(2, 2)), 1, 1) for _ in range(2))
+        if supports_disjoint(a, b):
+            proved += 1
+            for src, dst in ((a, b), (b, a)):
+                pts = rng.uniform(-1, 1, size=(500, 2)) @ src.matrix.T + src.center
+                w = np.linalg.solve(dst.matrix, (pts - dst.center).T)
+                assert np.all(np.max(np.abs(w), axis=0) > 1.0)
+    assert 0 < proved < 300
 
 
 def test_file_round_trip(tmp_path, data):
@@ -334,6 +360,19 @@ def test_file_malformed(tmp_path):
         load_hset(p)
     with pytest.raises(DomainError):
         hset_from_dict({"name": "x", "center": ["0", "0"], "matrix": [["1"]], "u": 1, "s": 1})
+
+
+@pytest.mark.parametrize("u, s", [(1.7, 1.2), (True, 1), (1, 1.0), ("1", "1")])
+def test_file_u_and_s_must_be_integers(tmp_path, capsys, u, s):
+    """u and s are JSON integers: a float, a bool or a string is an input
+    error (exit 3), not truncated to an int."""
+    d = {"name": "Z", "center": ["0", "0"], "matrix": [["1", "0"], ["0", "1"]], "u": u, "s": s}
+    with pytest.raises(DomainError, match="integers"):
+        hset_from_dict(d)
+    path = tmp_path / "Z.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "--from", str(path), "--to", str(path)]) == 3
+    assert "integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -23,23 +23,19 @@ from revcover import dynamics, interval
 from revcover.covering import _bisect_cells
 from revcover.dynamics import reversible_quadratic_map
 from revcover.interval import (
-    DomainError,
-    IBox,
     IMatrix,
     IndeterminateSignError,
     SingularMatrixError,
     affine_batch,
     det_sign,
     imat_inverse,
-    imat_mul,
-    imat_vec,
     imat_vec_batch,
     imatmul_batch,
     imatvec_cellwise,
     imul,
 )
 
-from conftest import contains, contains_box, encloses, exact_inverse, sample
+from conftest import contains, contains_box, encloses, exact_inverse, matmul, matvec, sample
 from test_dynamics import _exact_F, _exact_F_inverse
 
 def test_randomized_containment_all_ops(rng):
@@ -556,17 +552,16 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb):
             rows = [0, nb - 1, *rng.integers(nb, size=4)]
             _assert_midrad_enclose(M, x, Wl, Wh, lo[rows], hi[rows],
                                    [a[rows] for a in aff], [a[rows] for a in fixed])
-            # the IMatrix/IBox kernels on finite data (their classes reject NaN)
-            A = IMatrix(*_interval_array(rng, (n, n)))
-            v = IBox(*_interval_array(rng, (n,)))
-            got = imat_vec(A, v)
-            for g, w in zip((got.lo, got.hi), _nextafter_sum(
-                    _ref_mul(A.lo[:, j], A.hi[:, j], v.lo[j], v.hi[j]) for j in range(n))):
+            # imatmul_batch on a batch of one, matrix times vector and
+            # matrix times matrix, on finite data
+            A = _read_only(*_interval_array(rng, (n, n)))
+            v = _read_only(*_interval_array(rng, (n,)))
+            for g, w in zip(matvec(A, v), _nextafter_sum(
+                    _ref_mul(A[0][:, j], A[1][:, j], v[0][j], v[1][j]) for j in range(n))):
                 assert_same_bits(g, w)
-            B = IMatrix(*_interval_array(rng, (n, n)))
-            got = imat_mul(A, B)
-            for g, w in zip((got.lo, got.hi), REFERENCE[imatmul_batch](
-                    A.lo[None], A.hi[None], B.lo[None], B.hi[None])):
+            B = _read_only(*_interval_array(rng, (n, n)))
+            for g, w in zip(matmul(A, B), REFERENCE[imatmul_batch](
+                    A[0][None], A[1][None], B[0][None], B[1][None])):
                 assert_same_bits(g, w[0])
             # the map kernels: eval_batch read-only on the same endpoints,
             # then on finite cells against the exact images at a few rows;
@@ -779,44 +774,33 @@ def test_box_bisect_halves_widest(rng):
     assert np.array_equal(lhi[other], hi[other]) and np.array_equal(rlo[other], lo[other])
 
 
-def test_box_hash_agrees_with_eq_on_signed_zeros():
-    a, b, c = IBox([0.0], [1.0]), IBox([-0.0], [1.0]), IBox([-1.0], [-0.0])
-    assert a == b and hash(a) == hash(b)
-    assert c == IBox([-1.0], [0.0]) and hash(c) == hash(IBox([-1.0], [0.0]))
-    assert len({a, b}) == 1
-
-
 def test_imat_vec_examples(rng):
-    eye = IMatrix.from_point(np.eye(3))
-    b = IBox([-1, 0, 2], [1, 1, 3])
-    img = imat_vec(eye, b)
+    """imatmul_batch on a batch of one, matrix times a box as a column."""
+    eye = (np.eye(3),) * 2
+    b = np.array([-1.0, 0, 2]), np.array([1.0, 1, 3])
+    img = matvec(eye, b)
     assert contains_box(img, b)
-    assert float(np.max(img.widths() - b.widths())) <= 4 * math.ulp(3.0)
+    assert float(np.max((img[1] - img[0]) - (b[1] - b[0]))) <= 4 * math.ulp(3.0)
 
-    swap = IMatrix.from_point([[0, 1], [1, 0]])
-    img = imat_vec(swap, IBox([1, 3], [2, 4]))
-    assert contains_box(img, IBox([3, 1], [4, 2]))
-
-    with pytest.raises(DomainError):
-        imat_vec(swap, IBox([0, 0, 0], [1, 1, 1]))
+    swap = (np.array([[0.0, 1], [1, 0]]),) * 2
+    img = matvec(swap, (np.array([1.0, 3]), np.array([2.0, 4])))
+    assert contains_box(img, (np.array([3.0, 1]), np.array([4.0, 2])))
 
 
 def test_imat_vec_sampling_oracle(rng):
     A = rng.normal(size=(4, 4))
-    M = IMatrix.from_point(A)
     lo = rng.uniform(-2, 2, size=4)
-    v = IBox(lo, lo + rng.uniform(0, 1, size=4))
-    img = imat_vec(M, v)
+    v = lo, lo + rng.uniform(0, 1, size=4)
+    img = matvec((A, A), v)
     pts = sample(v, rng, 1000)
     images = pts @ A.T
-    assert np.all(images >= img.lo[None, :]) and np.all(images <= img.hi[None, :])
+    assert np.all(images >= img[0][None, :]) and np.all(images <= img[1][None, :])
 
 
 def test_imat_mul_containment(rng):
     A = rng.normal(size=(3, 3))
     B = rng.normal(size=(3, 3))
-    prod = imat_mul(IMatrix.from_point(A), IMatrix.from_point(B))
-    assert contains(prod, A @ B)
+    assert contains(matmul((A, A), (B, B)), A @ B)
 
 
 def test_imat_inverse_identity_exact():
@@ -835,8 +819,7 @@ def test_imat_inverse_residual_encloses_identity(rng):
     for _ in range(20):
         A = rng.normal(size=(4, 4)) + 2 * np.eye(4)
         J = imat_inverse(A)
-        resid = imat_mul(J, IMatrix.from_point(A))
-        assert contains(resid, np.eye(4))
+        assert contains(matmul((J.lo, J.hi), (A, A)), np.eye(4))
 
 
 def test_imat_inverse_singular():
@@ -908,7 +891,7 @@ def test_residual_bound_of_one_fails(monkeypatch):
     with pytest.raises(SingularMatrixError):
         imat_inverse(np.diag([1.0, 0.0]))
     with pytest.raises(IndeterminateSignError):
-        det_sign(IMatrix.from_point(np.diag([1.0, 0.0])))
+        det_sign(IMatrix(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
 
 
 def _exact_det(A):
@@ -949,12 +932,12 @@ def test_det_sign_exact_oracle(rng, n, trials):
 
 
 def test_det_sign_examples():
-    assert det_sign(IMatrix.from_point(np.eye(2))) == 1
-    assert det_sign(IMatrix.from_point([[0, 1], [1, 0]])) == -1
+    assert det_sign(IMatrix(np.eye(2), np.eye(2))) == 1
+    assert det_sign(IMatrix([[0, 1], [1, 0]], [[0, 1], [1, 0]])) == -1
     with pytest.raises(IndeterminateSignError):
         det_sign(IMatrix([[-1.0]], [[1.0]]))
     with pytest.raises(IndeterminateSignError):
-        det_sign(IMatrix.from_point([[1.0, 2.0], [2.0, 4.0]]))
+        det_sign(IMatrix([[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_det_sign_matches_float_det(rng):
@@ -963,4 +946,4 @@ def test_det_sign_matches_float_det(rng):
         d = np.linalg.det(A)
         if abs(d) < 1e-6:
             continue
-        assert det_sign(IMatrix.from_point(A)) == (1 if d > 0 else -1)
+        assert det_sign(IMatrix(A, A)) == (1 if d > 0 else -1)
