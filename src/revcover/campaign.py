@@ -4,9 +4,14 @@ Builds the concrete h-sets around the two hyperbolic fixed points, verifies
 the six covering relations of RELATIONS, closes the covering graph under the
 reversing symmetry, certifies the fixed-space disks, and derives the
 symbolic-dynamics conclusions (full two-shift for the 7th iterate, and an
-infinite family of symmetric periodic orbits). RELATIONS is the one list of
-the campaign's relations: the reversed relations, the N2 -> N1 block and the
-graph rebuilt from a saved report all come from it by symmetric_closure.
+infinite family of symmetric periodic orbits).
+
+Each fact of the instance and the proof is stated once. INSTANCE_DATA holds
+the constants; build_proof_data gives each h-set its center, anchor frame
+and column scales from one table. RELATIONS is the one list of the
+campaign's relations: the transition blocks over ALPHABET are read off its
+rows, and the reversed relations, the N2 -> N1 block and the graph rebuilt
+from a saved report all come from it by symmetric_closure.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import numpy as np
 from .covering import (
     REFUTED,
     VERIFIED,
-    CoveringCertificate,
     VerifyConfig,
     verify_backcover,
     verify_cover,
@@ -30,7 +34,6 @@ from .dynamics import MapSystem, reversible_quadratic_map
 from .hset import (
     HSet,
     LinearReversor,
-    canonical_sym_name,
     fix_disk_check,
     supports_disjoint,
     sym_image,
@@ -107,16 +110,11 @@ def _vec(strings) -> np.ndarray:
 
 @dataclass
 class ProofData:
-    """Built instance: anchor points, frames, connecting points and h-sets."""
+    """Built instance: the map, its reversor, the five h-sets and the record
+    of the Q1 disambiguation."""
 
     mapsys: MapSystem
     reversor: LinearReversor
-    P1: np.ndarray
-    P2: np.ndarray
-    vectors: dict  # u1_P1, u2_P1, u1_P2, u2_P2, s1_P1, ...
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
     hsets: dict  # name -> HSet for N1, N2, H1, H2, H3
     q1_interpretation: dict
 
@@ -136,7 +134,8 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
 
     The connecting point Q1 is disambiguated against its two stated orbit
     constraints; if not exactly one candidate passes, a ConfigError carries
-    both residual pairs.
+    both residual pairs. Each h-set's direction columns are the frame
+    (u1, u2, s1, s2) at its anchor point, scaled one by one.
     """
     d = data or INSTANCE_DATA
     mapsys = reversible_quadratic_map()
@@ -168,48 +167,21 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
     choice = passing[0]
     Q1, Q2, Q3 = (orbit[step][names.index(choice)] for step in (0, 4, 5))
 
-    k1 = float(d["frame_scales"]["N1"])
-    k2 = float(d["frame_scales"]["N2"])
-    M1 = k1 * np.column_stack(
-        [vectors["u1_P1"], vectors["u2_P1"], vectors["s1_P1"], vectors["s2_P1"]]
-    )
-    M2 = k2 * np.column_stack(
-        [vectors["u1_P2"], vectors["u2_P2"], vectors["s1_P2"], vectors["s2_P2"]]
-    )
-    r1 = [float(x) for x in d["h_radii"]["H1"]]
-    r2 = [float(x) for x in d["h_radii"]["H2"]]
-    r3 = [float(x) for x in d["h_radii"]["H3"]]
-    H1m = np.column_stack([
-        r1[0] * vectors["u1_P1"], r1[1] * vectors["u2_P1"],
-        r1[2] * vectors["s1_P1"], r1[3] * vectors["s2_P1"],
-    ])
-    H2m = np.column_stack([
-        r2[0] * vectors["u1_P2"], r2[1] * vectors["u2_P2"],
-        r2[2] * vectors["s1_P2"], r2[3] * vectors["s2_P2"],
-    ])
-    H3m = np.column_stack([
-        r3[0] * vectors["u1_P2"], r3[1] * vectors["u2_P2"],
-        r3[2] * vectors["s1_P2"], r3[3] * vectors["s2_P2"],
-    ])
-    hsets = {
-        "N1": HSet("N1", P1, M1, 2, 2),
-        "N2": HSet("N2", P2, M2, 2, 2),
-        "H1": HSet("H1", Q1, H1m, 2, 2),
-        "H2": HSet("H2", Q2, H2m, 2, 2),
-        "H3": HSet("H3", Q3, H3m, 2, 2),
+    # each h-set's anchor frame and the scales of its four columns
+    frames = {
+        "N1": ("P1", [d["frame_scales"]["N1"]] * 4),
+        "N2": ("P2", [d["frame_scales"]["N2"]] * 4),
+        "H1": ("P1", d["h_radii"]["H1"]),
+        "H2": ("P2", d["h_radii"]["H2"]),
+        "H3": ("P2", d["h_radii"]["H3"]),
     }
-    return ProofData(
-        mapsys=mapsys,
-        reversor=S,
-        P1=P1,
-        P2=P2,
-        vectors=vectors,
-        Q1=Q1,
-        Q2=Q2,
-        Q3=Q3,
-        hsets=hsets,
-        q1_interpretation={"choice": choice, "residuals": residuals},
-    )
+    centers = {"N1": P1, "N2": P2, "H1": Q1, "H2": Q2, "H3": Q3}
+    hsets = {}
+    for name, (anchor, scales) in frames.items():
+        cols = [float(k) * vectors[f"{v}_{anchor}"] for v, k in zip(("u1", "u2", "s1", "s2"), scales)]
+        hsets[name] = HSet(name, centers[name], np.column_stack(cols), 2, 2)
+    return ProofData(mapsys=mapsys, reversor=S, hsets=hsets,
+                     q1_interpretation={"choice": choice, "residuals": residuals})
 
 
 @dataclass
@@ -222,7 +194,6 @@ class Edge:
     w: Optional[int]
     status: str
     derived_from: Optional[tuple] = None
-    certificate: Optional[CoveringCertificate] = None
 
     def key(self):
         return (self.source, self.target, self.map_name, self.iters, self.direction)
@@ -257,15 +228,6 @@ class CoveringGraph:
         self.nodes[h.name] = h
         return h.name
 
-    def add_certificate(self, cert: CoveringCertificate, src: HSet, dst: HSet) -> Edge:
-        sname = self.add_node(src)
-        dname = self.add_node(dst)
-        e = Edge(sname, dname, cert.map_name, cert.iters, cert.direction,
-                 cert.w, cert.status, certificate=cert)
-        if e.key() not in {x.key() for x in self.edges}:
-            self.edges.append(e)
-        return e
-
     def add_edge(self, e: Edge) -> bool:
         if e.key() in {x.key() for x in self.edges}:
             return False
@@ -299,12 +261,18 @@ def symmetric_closure(graph: CoveringGraph, S: LinearReversor) -> CoveringGraph:
     return graph
 
 
-# three of the four 7-step transition blocks between the symmetric anchor
-# sets; block_transitions derives N2 -> N1 from N1 -> N2
+# the block alphabet: the two symmetric anchor sets
+ALPHABET = ("N1", "N2")
+
+# three of the four transition blocks over ALPHABET, read off RELATIONS:
+# N1 -> N2 is the chain of the connecting rows in table order, and each
+# self-covering row is repeated up to that chain's iterate sum, 7;
+# block_transitions derives N2 -> N1 from N1 -> N2
+_CHAIN = [(a, b, k) for a, b, k, _ in RELATIONS if a != b]
+_BLOCK_ITERS = sum(k for *_, k in _CHAIN)
 _BLOCKS = {
-    ("N1", "N1"): [("N1", "N1", 1)] * 7,
-    ("N2", "N2"): [("N2", "N2", 1)] * 7,
-    ("N1", "N2"): [("N1", "H1", 1), ("H1", "H2", 4), ("H2", "H3", 1), ("H3", "N2", 1)],
+    **{(a, b): [(a, b, k)] * (_BLOCK_ITERS // k) for a, b, k, _ in RELATIONS if a == b},
+    (_CHAIN[0][0], _CHAIN[-1][1]): _CHAIN,
 }
 
 
@@ -332,31 +300,30 @@ def block_transitions(graph: CoveringGraph) -> dict:
     }
 
 
-def enumerate_words(graph: CoveringGraph, alphabet=("N1", "N2"), length: int = 3) -> list[tuple]:
-    """All words over the block alphabet whose consecutive pairs have an
-    available 7-step block; the full shift yields exactly 2^L words."""
+def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
+    """All words over ALPHABET whose consecutive pairs have an available
+    7-step block; the full shift yields exactly 2^L words."""
     if length < 1:
         raise InadmissibleWordError("word length must be >= 1")
     blocks = block_transitions(graph)
-    words = [(a,) for a in alphabet]
+    words = [(a,) for a in ALPHABET]
     for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in alphabet if blocks.get((w[-1], b), False)]
+        words = [w + (b,) for w in words for b in ALPHABET if blocks[(w[-1], b)]]
     return words
 
 
-def word_counts(graph: CoveringGraph, upto: int, alphabet=("N1", "N2")) -> dict:
+def word_counts(graph: CoveringGraph, upto: int) -> dict:
     """The number of words that enumerate_words lists, for each length
     1..upto, counted without listing them: the words of length L + 1 that
     end in b are those of length L that end in some a with an available
     block a -> b, so the counts are the row vector of ones times the powers
     of the block-availability matrix, in exact ints."""
     blocks = block_transitions(graph)
-    ending = [1] * len(alphabet)  # the words of length L, by last letter
+    ending = [1] * len(ALPHABET)  # the words of length L, by last letter
     counts = {}
     for L in range(1, upto + 1):
         counts[L] = sum(ending)
-        ending = [sum(n for a, n in zip(alphabet, ending) if blocks.get((a, b), False))
-                  for b in alphabet]
+        ending = [sum(n for a, n in zip(ALPHABET, ending) if blocks[(a, b)]) for b in ALPHABET]
     return counts
 
 
@@ -560,7 +527,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     data = data or build_proof_data()
     S = data.reversor
 
-    disks = {name: fix_disk_check(S, data.hset(name)) for name in ("N1", "N2")}
+    disks = {name: fix_disk_check(S, data.hset(name)) for name in ALPHABET}
     st_sym = {name: d.ok for name, d in disks.items()}
     disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
 
@@ -570,9 +537,9 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
 
     certs = []
     for src, dst, k, _ in RELATIONS:
-        cert = verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
-        certs.append(cert)
-        graph.add_certificate(cert, data.hset(src), data.hset(dst))
+        c = verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
+        certs.append(c)
+        graph.add_edge(Edge(src, dst, c.map_name, c.iters, c.direction, c.w, c.status))
     degrees_match = all(c.status == VERIFIED and c.w == w
                         for c, (*_, w) in zip(certs, RELATIONS))
 
@@ -584,13 +551,9 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     sH3 = sym_image(S, data.hset("H3"))
     cross = verify_backcover(sH3, data.mapsys, 1, sH2, vcfg)
     derived = [e for e in graph.edges if e.derived_from is not None]
-    derived_w = next(
-        (e.w for e in derived
-         if e.source == canonical_sym_name("H3") and e.target == canonical_sym_name("H2")),
-        None,
-    )
+    derived_w = next((e.w for e in derived if e.derived_from == ("H2", "H3")), None)
     crosscheck = {
-        "edge": [canonical_sym_name("H3"), canonical_sym_name("H2")],
+        "edge": [sH3.name, sH2.name],
         "derived_w": derived_w,
         "direct_status": cross.status,
         "direct_w": cross.w,

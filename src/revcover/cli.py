@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import (
+    ALPHABET,
     CampaignConfig,
     InadmissibleWordError,
     ProofReport,
@@ -230,11 +231,10 @@ def _cmd_enumerate(args) -> int:
             return 3
         # counted without listing; the 2**L words are listed only for --out
         count = word_counts(graph, args.length)[args.length]
-        payload = {"alphabet": ["N1", "N2"], "length": args.length, "count": count}
+        payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
         if args.out:
-            payload["words"] = ["-".join(w) for w in
-                                enumerate_words(graph, ("N1", "N2"), args.length)]
-        print(f"{count} words of length {args.length} over (N1, N2)")
+            payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
+        print(f"{count} words of length {args.length} over ({', '.join(ALPHABET)})")
         certs = []
         for spec in args.emit_word or []:
             word = tuple(x.strip() for x in spec.split(","))

@@ -293,9 +293,9 @@ def hset_to_dict(N: HSet) -> dict:
 
 
 def hset_from_dict(d: dict) -> HSet:
-    """The h-set of a file's JSON object. A malformed object, u or s that
-    is not a JSON integer, or a direction matrix without a verified inverse,
-    raises DomainError."""
+    """The h-set of a file's JSON object. A malformed object, a name that is
+    not a JSON string, u or s that is not a JSON integer, or a direction
+    matrix without a verified inverse, raises DomainError."""
     try:
         center = [float(x) for x in d["center"]]
         matrix = [[float(x) for x in row] for row in d["matrix"]]
@@ -303,10 +303,12 @@ def hset_from_dict(d: dict) -> HSet:
             "center": [str(x) for x in d["center"]],
             "matrix": [[str(x) for x in row] for row in d["matrix"]],
         }
-        u, s = d["u"], d["s"]
+        name, u, s = d["name"], d["u"], d["s"]
+        if type(name) is not str:
+            raise DomainError(f"the name must be a string, got {name!r}")
         if not (type(u) is int and type(s) is int):  # not a float, str or bool
             raise DomainError(f"u and s must be integers, got {u!r} and {s!r}")
-        return HSet(d["name"], center, matrix, u, s, decimal_source=source)
+        return HSet(name, center, matrix, u, s, decimal_source=source)
     except (KeyError, TypeError, ValueError) as e:
         raise DomainError(f"malformed h-set object: {e}") from e
     except SingularMatrixError as e:

@@ -96,8 +96,7 @@ class IndeterminateSignError(Exception):
 
 # Arrays with at least this many elements are rounded by stepping their bit
 # pattern: its cost per call is about ten times that of np.nextafter, its
-# cost per element a fraction, and the two cross near this size. Below it,
-# per-call costs also outweigh what reusing buffers saves.
+# cost per element a fraction, and the two cross near this size.
 _BITSTEP_MIN = 1024
 
 
@@ -155,25 +154,11 @@ def imul(alo, ahi, blo, bhi):
     before it: a step toward -inf (+inf) is monotone, so it commutes with min
     (max). This holds for signed zeros, whose steps are equal, and for inf
     and NaN, which np.minimum, np.maximum and the step all propagate; so the
-    order in which the candidates are compared does not matter either. When
-    the first and the last candidate are large float64 arrays of one shape,
-    that is the shape of all four: the max is then built in the last one's
-    buffer, the min in one new array, and the two middle candidates are
-    computed in turn into the first one's buffer.
+    order in which the candidates are compared does not matter either.
     """
-    c1 = alo * blo
-    c4 = ahi * bhi
-    if not (_large(c1) and _large(c4) and c1.shape == c4.shape):
-        c2, c3 = alo * bhi, ahi * blo
-        return (_down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))),
-                _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))))
-    lo = np.minimum(c1, c4)
-    hi = np.maximum(c1, c4, out=c4)
-    for x, y in ((alo, bhi), (ahi, blo)):
-        c = np.multiply(x, y, out=c1)  # the middle candidates, in turn
-        np.minimum(lo, c, out=lo)
-        np.maximum(hi, c, out=hi)
-    return _down(lo), _up(hi)
+    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    return (_down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))),
+            _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))))
 
 
 class IMatrix:

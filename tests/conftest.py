@@ -8,10 +8,12 @@ from revcover import covering
 from revcover.campaign import (
     AUTOMATON_ENDPOINTS,
     AUTOMATON_SUCCESSORS,
+    INSTANCE_DATA,
     CampaignConfig,
     build_proof_data,
     run_campaign,
 )
+from revcover.dynamics import reversible_quadratic_map
 from revcover.interval import IMatrix, imatmul_batch, isub
 
 
@@ -140,6 +142,15 @@ def fixed_point_equations_residual(P):
     (x1 = x2 = 0): y1^2 + (y2+1)^2 = 9 and (y1+1)^2 - y2^2 = 1."""
     y1, y2 = np.asarray(P, dtype=float)[2:]
     return y1**2 + (y2 + 1) ** 2 - 9.0, (y1 + 1) ** 2 - y2**2 - 1.0
+
+
+def frame_vectors():
+    """The instance's frame vectors by name, parsed from INSTANCE_DATA: the
+    unstable u1_P1, u2_P1, u1_P2 and u2_P2, and their stable partners s1_P1,
+    ..., the images under the reversor."""
+    S = reversible_quadratic_map().reversor
+    u = {k: np.array([float(x) for x in v]) for k, v in INSTANCE_DATA["eigenvectors"].items()}
+    return {**u, **{"s" + k[1:]: S.apply(v) for k, v in u.items()}}
 
 
 def automaton_is_admissible(word):

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -39,17 +40,20 @@ MV = VerifyConfig(mean_value=True)
 # --- instance data ---
 
 def test_anchor_digits_parsed_exactly(data):
-    assert data.P1[2] == float("-2.9288690017630725")
-    assert data.P1[3] == float("-1.649404627725545")
-    assert data.P2[2] == float("2.199939462565084")
+    P1, P2 = data.hset("N1").center, data.hset("N2").center
+    assert P1[2] == float("-2.9288690017630725")
+    assert P1[3] == float("-1.649404627725545")
+    assert P2[2] == float("2.199939462565084")
 
 
 def test_stable_partners_are_exact_reflections(data):
-    u = data.vectors["u1_P1"]
-    s = data.vectors["s1_P1"]
+    """N1's stable columns are its unstable ones with the first two
+    coordinates negated, bit for bit."""
+    M = data.hset("N1").matrix
+    u, s = M[:, 0], M[:, 2]
     assert np.array_equal(s, np.concatenate([-u[:2], u[2:]]))
     expected = [-0.527847408170044, -0.254065286036574, 0.730261232439584, 0.351491787265563]
-    assert np.array_equal(s, np.array(expected))
+    assert np.array_equal(s, 0.012 * np.array(expected))
 
 
 def test_q1_disambiguation_recorded(data):
@@ -190,9 +194,9 @@ def test_blocks_all_available(campaign):
 
 def test_word_counts_are_full_shift(campaign):
     _, graph = campaign
-    assert len(enumerate_words(graph, ("N1", "N2"), 3)) == 8
+    assert len(enumerate_words(graph, 3)) == 8
     for L in range(1, 13):
-        assert len(enumerate_words(graph, ("N1", "N2"), L)) == 2**L
+        assert len(enumerate_words(graph, L)) == 2**L
 
 
 def test_word_counts_without_listing(campaign, data):
@@ -211,7 +215,7 @@ def test_word_counts_without_listing(campaign, data):
         counts = word_counts(g, 10)
         assert list(counts) == list(range(1, 11))
         for L, n in counts.items():
-            assert n == len(enumerate_words(g, ("N1", "N2"), L)) == (2**L if full else L + 1)
+            assert n == len(enumerate_words(g, L)) == (2**L if full else L + 1)
 
 
 def test_word_counts_long_words_fast(campaign):
@@ -228,7 +232,7 @@ def test_missing_edge_breaks_full_shift(campaign):
     pruned.nodes = dict(graph.nodes)
     pruned.edges = [e for e in graph.edges
                     if not (e.source == "H2" and e.target == "H3")]
-    words = enumerate_words(pruned, ("N1", "N2"), 5)
+    words = enumerate_words(pruned, 5)
     assert len(words) < 2**5
     assert all(("N1", "N2") != (a, b) for w in words for a, b in zip(w, w[1:]))
 
@@ -369,6 +373,19 @@ def test_report_deterministic_across_runs_and_threads(campaign):
     assert _strip_volatile(report.report) == _strip_volatile(again.report)
 
 
+# SHA-256 of the campaign report at defaults as sorted JSON, without its
+# timings and thread count (_strip_volatile): a change to any relation,
+# derived edge, block, word count, cross-check or conclusion shows here
+REPORT_SHA256 = "8c2f2bfd937ec031312ea52da8c395b5e939f00ca7b1773dd91492dc1ca49146"
+
+
+def test_campaign_report_is_pinned(campaign):
+    """The whole report, bit for bit: relations, derived edges, blocks, word
+    counts, cross-check, conclusions and the Q1 record at once."""
+    text = json.dumps(_strip_volatile(campaign[0].report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
 def test_report_save_load_and_graph_rebuild(campaign, tmp_path):
     """The graph rebuilt from a saved report is the campaign's, edge for
     edge: its derived edges come from the relations by symmetric closure, so
@@ -389,6 +406,6 @@ def test_report_save_load_and_graph_rebuild(campaign, tmp_path):
         assert list(rebuilt.nodes) == list(graph.nodes)
         assert [e.to_dict() for e in rebuilt.edges] == [e.to_dict() for e in graph.edges]
         for L in (1, 4, 7):
-            assert len(enumerate_words(rebuilt, ("N1", "N2"), L)) == 2**L
+            assert len(enumerate_words(rebuilt, L)) == 2**L
         with pytest.raises(InadmissibleWordError, match="no verified relation"):
             emit_symmetric_orbit_certificate(rebuilt, ("N1", "N2"), build_proof_data().reversor)

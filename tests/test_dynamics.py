@@ -28,6 +28,7 @@ from conftest import (
     eval_box,
     exact_inverse,
     fixed_point_equations_residual,
+    frame_vectors,
     reversibility_encloses_identity,
     reversibility_residual,
     sample,
@@ -92,7 +93,7 @@ def test_image_matches_the_float_formula(data, rng):
     ulps of the formula."""
     F = data.mapsys
     s = np.diag(data.reversor.matrix)
-    q = np.stack([_q1_candidate_point(data.P1, data.vectors, terms)
+    q = np.stack([_q1_candidate_point(data.hset("N1").center, frame_vectors(), terms)
                   for terms in INSTANCE_DATA["q1_candidates"].values()])
     z = rng.uniform(-5, 5, size=(20_000, 4))
     for m, formula in ((F, _F_float), (F.inverse, lambda p: s * _F_float(s * p))):
@@ -109,8 +110,8 @@ def test_image_matches_the_float_formula(data, rng):
 
 def test_fixed_points_nearly_fixed(data):
     F = data.mapsys
-    assert np.max(np.abs(F.image(data.P1) - data.P1)) < 1e-10
-    assert np.max(np.abs(F.image(data.P2) - data.P2)) < 1e-10
+    for P in (data.hset("N1").center, data.hset("N2").center):
+        assert np.max(np.abs(F.image(P) - P)) < 1e-10
 
 
 def test_inverse_round_trip_boxes(rng):
@@ -180,12 +181,13 @@ def test_interval_jacobian_contains_members(rng):
 
 def test_q_point_orbit_constraints(data):
     F = data.mapsys
-    box = data.Q1, data.Q1
+    Q1 = data.hset("H1").center
+    box = Q1, Q1
     for _ in range(10):
         box = eval_box(F, box)
-    assert np.max(np.abs(0.5 * (box[0] + box[1]) - data.P2)) < 0.001
-    back = F.inverse.image(data.Q1)
-    assert np.max(np.abs(back - data.P1)) < 0.006
+    assert np.max(np.abs(0.5 * (box[0] + box[1]) - data.hset("N2").center)) < 0.001
+    back = F.inverse.image(Q1)
+    assert np.max(np.abs(back - data.hset("N1").center)) < 0.006
     # the backward image lies in the support of the first anchor set
     lo, hi = chart(data.hset("N1"), (back, back))
     assert np.all(lo >= -1.0) and np.all(hi <= 1.0)
@@ -256,10 +258,9 @@ def test_reversibility_interval_identity(rng):
 
 
 def test_fixed_point_equations(data):
-    r1, r2 = fixed_point_equations_residual(data.P1)
-    assert abs(r1) < 1e-9 and abs(r2) < 1e-9
-    r1, r2 = fixed_point_equations_residual(data.P2)
-    assert abs(r1) < 1e-9 and abs(r2) < 1e-9
+    for name in ("N1", "N2"):
+        r1, r2 = fixed_point_equations_residual(data.hset(name).center)
+        assert abs(r1) < 1e-9 and abs(r2) < 1e-9
     r1, r2 = fixed_point_equations_residual([0.0, 0.0, 3.0, -1.0])
     assert r1 == 0.0 and r2 == 14.0
 

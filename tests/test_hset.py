@@ -22,7 +22,7 @@ from revcover.hset import (
 )
 from revcover.interval import DomainError, SingularMatrixError, affine_batch
 
-from conftest import chart, contains, contains_box, cube, encloses, exact_inverse
+from conftest import chart, contains, contains_box, cube, encloses, exact_inverse, frame_vectors
 
 
 def unit_hset(n=4, u=2):
@@ -51,10 +51,10 @@ def test_instance_hsets_match_frame_data(data):
     N1 = data.hset("N1")
     assert N1.center[2] == -2.9288690017630725
     assert np.array_equal(
-        N1.matrix[:, 0], 0.012 * data.vectors["u1_P1"]
+        N1.matrix[:, 0], 0.012 * frame_vectors()["u1_P1"]
     )
     N2 = data.hset("N2")
-    assert np.array_equal(N2.matrix[:, 1], 0.31 * data.vectors["u2_P2"])
+    assert np.array_equal(N2.matrix[:, 1], 0.31 * frame_vectors()["u2_P2"])
     assert N1.u == N1.s == 2
 
 
@@ -126,8 +126,8 @@ def test_sym_image_instance(data):
     assert sym_image(S, N1) == N1
     H1 = data.hset("H1")
     img = sym_image(S, H1)
-    assert np.array_equal(img.center, S.apply(data.Q1))
-    assert img.center[0] == -data.Q1[0] and img.center[2] == data.Q1[2]
+    assert np.array_equal(img.center, S.apply(H1.center))
+    assert img.center[0] == -H1.center[0] and img.center[2] == H1.center[2]
     assert img.u == H1.s and img.s == H1.u
 
 
@@ -373,6 +373,19 @@ def test_file_u_and_s_must_be_integers(tmp_path, capsys, u, s):
     path.write_text(json.dumps(d))
     assert main(["verify", "--from", str(path), "--to", str(path)]) == 3
     assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [[1, 2], 7, None, {"n": "Z"}, True])
+def test_file_name_must_be_a_string(tmp_path, capsys, name):
+    """The name is a JSON string: any other value is an input error (exit
+    3), not turned into a name by str()."""
+    d = {"name": name, "center": ["0", "0"], "matrix": [["1", "0"], ["0", "1"]], "u": 1, "s": 1}
+    with pytest.raises(DomainError, match="string"):
+        hset_from_dict(d)
+    path = tmp_path / "Z.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "--from", str(path), "--to", str(path)]) == 3
+    assert "string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
