@@ -501,13 +501,18 @@ def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> 
     edges are recomputed by symmetric_closure; the report's own
     `derived_edges` field is not read. `data` is the built instance
     (build_proof_data() when omitted). A report that is not a dict whose
-    `relations` is a list of valid relation records (_valid_relation)
+    `relations` is a list of valid relation records (_valid_relation), or
+    that relates a source or target that is not an h-set of the instance,
     raises DomainError."""
     relations = report.report.get("relations") if isinstance(report.report, dict) else None
     if not (isinstance(relations, list) and all(map(_valid_relation, relations))):
         raise DomainError("the report has no list of relations whose names are strings, "
                           "iters an integer >= 1 and w -1, 1 or null")
     data = data or build_proof_data()
+    unknown = {r[end] for r in relations for end in ("source", "target")} - data.hsets.keys()
+    if unknown:
+        raise DomainError(f"the report relates h-sets the instance does not have: "
+                          f"{', '.join(sorted(unknown))}")
     g = CoveringGraph()
     for h in data.hsets.values():
         g.add_node(h)

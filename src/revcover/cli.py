@@ -77,6 +77,14 @@ def _resolve_hsets(tokens) -> list[HSet]:
     return out
 
 
+# the flags of _add_verify_flags that verify and prove-paper pass on as config fields
+_CONFIG_FLAGS = ("resolution", "max_depth", "threads", "budget", "fixed_grid")
+
+
+def _config_flags(args) -> dict:
+    return {name: getattr(args, name) for name in _CONFIG_FLAGS}
+
+
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int, default=VerifyConfig.resolution,
                    help="initial subdivisions per free facet coordinate")
@@ -132,14 +140,7 @@ def _cmd_verify(args) -> int:
     try:
         src, dst = _resolve_hsets((getattr(args, "from"), args.to))
         mapsys = map_by_name(args.map)
-        cfg = VerifyConfig(
-            resolution=args.resolution,
-            max_depth=args.max_depth,
-            threads=args.threads,
-            budget=args.budget,
-            fixed_grid=args.fixed_grid,
-            mean_value=args.mean_value,
-        )
+        cfg = VerifyConfig(**_config_flags(args), mean_value=args.mean_value)
     except (DomainError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -170,15 +171,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_prove_paper(args) -> int:
     try:
-        cfg = CampaignConfig(
-            resolution=args.resolution,
-            max_depth=args.max_depth,
-            threads=args.threads,
-            budget=args.budget,
-            plain=args.plain,
-            fixed_grid=args.fixed_grid,
-            enumerate_upto=args.enumerate_upto,
-        )
+        cfg = CampaignConfig(**_config_flags(args), plain=args.plain,
+                             enumerate_upto=args.enumerate_upto)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -226,7 +220,7 @@ def _cmd_enumerate(args) -> int:
                 graph = graph_from_report(ProofReport.load(args.report_in), data)
             else:
                 _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
-        except (OSError, KeyError, json.JSONDecodeError, DomainError) as e:
+        except (OSError, json.JSONDecodeError, DomainError) as e:
             print(f"error: no usable covering graph: {e}", file=sys.stderr)
             return 3
         # counted without listing; the 2**L words are listed only for --out

@@ -5,7 +5,7 @@ A relation N =(map^k)=> M is certified by three ingredients:
   * degree: the unstable block of the chart derivative at the source center
     must have a determinant enclosure of certified sign w. The derivative
     is read off the same centered Jacobian chain that the mean-value cell
-    engine computes for every cell (`_centered_chain`), here for the point
+    engine computes for every cell (`_CellEngine.chain`), here for the point
     cell at chart zero;
   * exit condition: every cell of a grid covering the exit wall (boundary of
     the unstable cube times the stable cube) maps, hulled with the linear
@@ -161,23 +161,14 @@ class CoveringCertificate:
         return self.status == VERIFIED
 
     def to_dict(self) -> dict:
-        d = {
-            "schema": "revcover-certificate/1",
-            "source": self.source,
-            "target": self.target,
-            "map": self.map_name,
-            "iters": self.iters,
-            "direction": self.direction,
-            "w": self.w,
-            "status": self.status,
-            "boxes": self.boxes,
-            "max_depth": self.max_depth,
-            "wall_time_s": round(self.wall_time, 6),
-            "checks": self.checks,
-            "config": self.config,
-        }
-        if self.failure:
-            d["failure"] = self.failure
+        """The fields under the certificate schema, `map_name` as "map" and
+        `wall_time` as "wall_time_s" (rounded to 6 places); `failure` only
+        when there is one."""
+        d = {"schema": "revcover-certificate/1", **asdict(self)}
+        d["map"] = d.pop("map_name")
+        d["wall_time_s"] = round(d.pop("wall_time"), 6)
+        if not self.failure:
+            del d["failure"]
         return d
 
 
@@ -197,7 +188,7 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
     """Chart derivative at the source center and its certified degree.
 
     The derivative of c_M o map^k o c_N^{-1} at chart zero is the centered
-    chain T of the point cell 0 (_centered_chain): each Jacobian is taken
+    chain T of the point cell 0 (_CellEngine.chain): each Jacobian is taken
     over an enclosure of the exact center orbit, so T encloses the exact
     derivative. The degree is the determinant sign of its u x u block. A
     mismatched relation raises DomainError (_require_relation), and so does
@@ -208,9 +199,7 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
     zero = np.zeros((1, N.dim))
     # overflow to infinite bounds is sound and handled, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        p, (tlo, thi) = _centered_chain(mapsys, k, N.matrix, N.center,
-                                        _split_matrix(M.inv_matrix.lo, M.inv_matrix.hi),
-                                        M.center, zero, zero, zero)
+        p, (tlo, thi) = _CellEngine(N, mapsys, k, M).chain(zero, zero, zero)
         if not all(np.isfinite(a).all() for a in (*p, tlo, thi)):
             z = (N.center[None, :],) * 2
             for step in range(1, k + 1):
@@ -224,68 +213,75 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
                       IMatrix(tlo[0], thi[0]))
 
 
-def _centered_chain(mapsys, k, src_matrix, src_center, inv, tgt_center, mid, lo, hi):
-    """The midpoint images p and the Jacobian chain T of the centered form,
-    for a batch of cells [lo, hi] (B, n) with a point mid (B, n) in each.
-
-    p encloses the chart image inv(M_M) (map^k(M_N mid + x_N) - x_M) of each
-    midpoint, and T = inv(M_M) G_k ... G_1 M_N holds G_i, the map's
-    Jacobian over the cell's (i-1)-th step image; inv is the target inverse
-    split by _split_matrix. Returns (plo, phi) (B, n) and (Tlo, Thi)
-    (B, n, n). Each product is in the cheapest form that keeps it tight:
-      * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on the
-        rows of G_1);
-      * G_i J for i >= 2: inf-sup, as both factors are wide
-        (imatmul_batch);
-      * inv(M_M) J: midpoint-radius, as the inverse is thin (on the columns
-        of J).
-
-    Rows travel together through the chain: the midpoints (as point cells)
-    above the cells through M_N and through each of the k map steps, whose
-    Jacobian sees the cell rows only; then the midpoint images, shifted by
-    the target center, above the columns of J, shifted by 0, through
-    inv(M_M). Every kernel treats each row on its own, so each row comes out
-    bit for bit as it would alone.
-    """
-    nb, n = lo.shape
-    # rows :nb are the midpoints and their images, rows nb: the cells'
-    vlo, vhi = affine_batch(src_matrix, src_center,
-                            np.concatenate((mid, lo)), np.concatenate((mid, hi)))
-    for step in range(k):
-        glo, ghi = mapsys.jac_batch(vlo[nb:], vhi[nb:])
-        if step == 0:
-            rows = affine_batch(src_matrix.T, 0.0, glo.reshape(-1, n), ghi.reshape(-1, n))
-            jlo, jhi = (a.reshape(nb, n, n) for a in rows)
-        else:
-            jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
-        vlo, vhi = mapsys.eval_batch(vlo, vhi)
-    # below the midpoint images, row nb + (b, j) is column j of cell b's J
-    slo, shi = (np.concatenate((v[:nb], a.transpose(0, 2, 1).reshape(-1, n)))
-                for v, a in ((vlo, jlo), (vhi, jhi)))
-    center = np.zeros_like(slo)
-    center[:nb] = tgt_center
-    plo, phi = _imat_vec_midrad(*inv, slo, shi, center)
-    return (plo[:nb], phi[:nb]), tuple(a[nb:].reshape(nb, n, n).transpose(0, 2, 1)
-                                       for a in (plo, phi))
-
-
 class _CellEngine:
-    """Batch evaluator for the exit/entry conditions of one relation. The
-    target inverse and the exit check's linear map (the unstable columns of
-    the chart derivative) are split into midpoint and radius once, here."""
+    """Batch evaluator of the chart map c_M o map^k o c_N^{-1} of one
+    relation N =(map^k)=> M, and of the exit or entry condition (`which`)
+    on its cells.
 
-    def __init__(self, mapsys, k, src_matrix, src_center, inv_lo, inv_hi, tgt_center,
-                 dfc0_lo, dfc0_hi, u, which, mean_value):
+    It keeps the arrays it reads off the two h-sets, not the h-sets, which
+    a worker process cannot unpickle: N's matrix, center and unstable
+    dimension, M's center, and M's inverse, split into midpoint and radius
+    once, here. The exit check's linear map, the unstable columns of the
+    chart `derivative`, is split likewise."""
+
+    def __init__(self, N, mapsys, k, M, which=None, mean_value=False, derivative=None):
         self.mapsys = mapsys
         self.k = k
-        self.src_matrix = src_matrix
-        self.src_center = src_center
-        self.inv = _split_matrix(inv_lo, inv_hi)
-        self.tgt_center = tgt_center
-        self.linear = _split_matrix(dfc0_lo[:, :u], dfc0_hi[:, :u]) if which == "exit" else None
-        self.u = u
+        self.src_matrix = N.matrix
+        self.src_center = N.center
+        self.u = N.u
+        self.inv = _split_matrix(M.inv_matrix.lo, M.inv_matrix.hi)
+        self.tgt_center = M.center
+        self.linear = (_split_matrix(derivative.lo[:, :N.u], derivative.hi[:, :N.u])
+                       if which == "exit" else None)
         self.which = which
         self.mean_value = mean_value
+
+    def chain(self, mid, lo, hi):
+        """The midpoint images p and the Jacobian chain T of the centered
+        form, for a batch of cells [lo, hi] (B, n) with a point mid (B, n)
+        in each.
+
+        p encloses the chart image inv(M_M) (map^k(M_N mid + x_N) - x_M) of
+        each midpoint, and T = inv(M_M) G_k ... G_1 M_N holds G_i, the map's
+        Jacobian over the cell's (i-1)-th step image. Returns (plo, phi)
+        (B, n) and (Tlo, Thi) (B, n, n). Each product is in the cheapest
+        form that keeps it tight:
+          * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on the
+            rows of G_1);
+          * G_i J for i >= 2: inf-sup, as both factors are wide
+            (imatmul_batch);
+          * inv(M_M) J: midpoint-radius, as the inverse is thin (on the
+            columns of J).
+
+        Rows travel together through the chain: the midpoints (as point
+        cells) above the cells through M_N and through each of the k map
+        steps, whose Jacobian sees the cell rows only; then the midpoint
+        images, shifted by the target center, above the columns of J,
+        shifted by 0, through inv(M_M). Every kernel treats each row on its
+        own, so each row comes out bit for bit as it would alone.
+        """
+        nb, n = lo.shape
+        # rows :nb are the midpoints and their images, rows nb: the cells'
+        vlo, vhi = affine_batch(self.src_matrix, self.src_center,
+                                np.concatenate((mid, lo)), np.concatenate((mid, hi)))
+        for step in range(self.k):
+            glo, ghi = self.mapsys.jac_batch(vlo[nb:], vhi[nb:])
+            if step == 0:
+                rows = affine_batch(self.src_matrix.T, 0.0, glo.reshape(-1, n),
+                                    ghi.reshape(-1, n))
+                jlo, jhi = (a.reshape(nb, n, n) for a in rows)
+            else:
+                jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
+            vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
+        # below the midpoint images, row nb + (b, j) is column j of cell b's J
+        slo, shi = (np.concatenate((v[:nb], a.transpose(0, 2, 1).reshape(-1, n)))
+                    for v, a in ((vlo, jlo), (vhi, jhi)))
+        center = np.zeros_like(slo)
+        center[:nb] = self.tgt_center
+        plo, phi = _imat_vec_midrad(*self.inv, slo, shi, center)
+        return (plo[:nb], phi[:nb]), tuple(a[nb:].reshape(nb, n, n).transpose(0, 2, 1)
+                                           for a in (plo, phi))
 
     def _chart_image(self, lo, hi):
         """Enclosure of the chart map over each cell, (B, n) lo/hi.
@@ -295,8 +291,8 @@ class _CellEngine:
         mid +- rad (_mid_rad; mid lies in the cell, so the segment from it
         to any point of the cell does too), the image of the cell lies in
         p + T [-rad, rad] for the midpoint image p and the Jacobian chain T
-        of _centered_chain. T [-rad, rad] is taken as [-s, s] with
-        s >= |T| rad, as the radius is centered (_radius_image).
+        of `chain`. T [-rad, rad] is taken as [-s, s] with s >= |T| rad, as
+        the radius is centered (_radius_image).
         """
         if not self.mean_value:
             vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
@@ -304,8 +300,7 @@ class _CellEngine:
                 vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
             return _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
         mid, rad = _mid_rad(lo, hi)
-        (plo, phi), T = _centered_chain(self.mapsys, self.k, self.src_matrix, self.src_center,
-                                        self.inv, self.tgt_center, mid, lo, hi)
+        (plo, phi), T = self.chain(mid, lo, hi)
         s = _radius_image(*T, rad)
         return iadd(plo, phi, -s, s)
 
@@ -601,17 +596,19 @@ def _worker_refine(payload: dict) -> tuple:
 
 
 def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
-               which: str, degree: DegreeData) -> CheckResult:
+               which: str, degree: Optional[DegreeData]) -> CheckResult:
+    """The exit or entry check (`which`) of N =(map^k)=> M. A missing
+    degree is computed first; an empty wall (u = 0 for exit, s = 0 for
+    entry) is verified with empty statistics."""
+    if degree is None:
+        degree = compute_degree(N, mapsys, k, M)
+    if (N.u if which == "exit" else N.s) == 0:
+        return CheckResult(VERIFIED, CheckStats())
     t0 = time.perf_counter()
     axes = range(N.u) if which == "exit" else range(N.dim)
     lo0, hi0 = _facet_cells_arrays(N.dim, axes, cfg.resolution)
     n_roots = len(lo0)
-    engine = _CellEngine(
-        mapsys, k, np.asarray(N.matrix), np.asarray(N.center),
-        M.inv_matrix.lo, M.inv_matrix.hi, np.asarray(M.center),
-        degree.chart_derivative.lo, degree.chart_derivative.hi,
-        N.u, which, cfg.mean_value,
-    )
+    engine = _CellEngine(N, mapsys, k, M, which, cfg.mean_value, degree.chart_derivative)
     ref = _Refinement(engine, n_roots, max(1, cfg.budget // n_roots),
                       0 if cfg.fixed_grid else cfg.max_depth, cfg.batch_size)
     if cfg.threads > 1:
@@ -647,10 +644,6 @@ def check_exit_condition(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     (the convex homotopy endpoint) before the test; success implies the
     homotopy never meets the target chart cube on the exit wall.
     """
-    if degree is None:
-        degree = compute_degree(N, mapsys, k, M)
-    if N.u == 0:
-        return CheckResult(VERIFIED, CheckStats())
     return _run_check(N, mapsys, k, M, cfg, "exit", degree)
 
 
@@ -660,10 +653,6 @@ def check_entry_condition(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     stable cube. Requires the chart map to be a diffeomorphism onto its image
     (true for the shipped map and invertible affine toys); the interior then
     stays clear of the target's entry wall."""
-    if degree is None:
-        degree = compute_degree(N, mapsys, k, M)
-    if N.s == 0:
-        return CheckResult(VERIFIED, CheckStats())
     return _run_check(N, mapsys, k, M, cfg, "entry", degree)
 
 
@@ -685,26 +674,18 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
         cert.wall_time = time.perf_counter() - t0
         return cert
     cert.w = degree.w
-    exit_res = check_exit_condition(N, mapsys, k, M, cfg, degree)
-    entry_res = check_entry_condition(N, mapsys, k, M, cfg, degree)
-    for name, res in (("exit", exit_res), ("entry", entry_res)):
-        cert.checks[name] = {
-            "verdict": res.verdict,
-            "boxes": res.stats.boxes,
-            "max_depth": res.stats.max_depth,
-            "refuted_cells": res.stats.refuted_cells,
-            "exhausted_subtrees": res.stats.exhausted_subtrees,
-            "wall_time_s": round(res.stats.wall_time, 6),
-            "worst_cell": res.worst_cell,
-        }
-    cert.boxes = exit_res.stats.boxes + entry_res.stats.boxes
-    cert.max_depth = max(exit_res.stats.max_depth, entry_res.stats.max_depth)
-    if exit_res.verdict == REFUTED or entry_res.verdict == REFUTED:
-        cert.status = REFUTED
-    elif exit_res.verdict == VERIFIED and entry_res.verdict == VERIFIED:
-        cert.status = VERIFIED
-    else:
-        cert.status = INCONCLUSIVE
+    results = {which: _run_check(N, mapsys, k, M, cfg, which, degree)
+               for which in ("exit", "entry")}
+    for which, res in results.items():
+        stats = asdict(res.stats)
+        wall = round(stats.pop("wall_time"), 6)
+        cert.checks[which] = {"verdict": res.verdict, **stats, "wall_time_s": wall,
+                              "worst_cell": res.worst_cell}
+    cert.boxes = sum(res.stats.boxes for res in results.values())
+    cert.max_depth = max(res.stats.max_depth for res in results.values())
+    verdicts = {res.verdict for res in results.values()}
+    cert.status = (REFUTED if REFUTED in verdicts
+                   else VERIFIED if verdicts == {VERIFIED} else INCONCLUSIVE)
     cert.wall_time = time.perf_counter() - t0
     return cert
 

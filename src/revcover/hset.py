@@ -293,10 +293,18 @@ def hset_to_dict(N: HSet) -> dict:
 
 
 def hset_from_dict(d: dict) -> HSet:
-    """The h-set of a file's JSON object. A malformed object, a name that is
-    not a JSON string, u or s that is not a JSON integer, or a direction
-    matrix without a verified inverse, raises DomainError."""
+    """The h-set of a file's JSON object. A malformed object, a center that
+    is not an array or a matrix that is not an array of arrays, an entry
+    that is neither a string nor a number (a bool is not a number), a name
+    that is not a JSON string, u or s that is not a JSON integer, or a
+    direction matrix without a verified inverse, raises DomainError."""
     try:
+        if not (type(d["center"]) is list and type(d["matrix"]) is list
+                and all(type(row) is list for row in d["matrix"])):
+            raise DomainError("the center must be an array and the matrix an array of arrays")
+        for x in (*d["center"], *(x for row in d["matrix"] for x in row)):
+            if type(x) not in (str, int, float):  # not a bool, null, array or object
+                raise DomainError(f"h-set entries must be numbers or strings, got {x!r}")
         center = [float(x) for x in d["center"]]
         matrix = [[float(x) for x in row] for row in d["matrix"]]
         source = {
@@ -309,7 +317,7 @@ def hset_from_dict(d: dict) -> HSet:
         if not (type(u) is int and type(s) is int):  # not a float, str or bool
             raise DomainError(f"u and s must be integers, got {u!r} and {s!r}")
         return HSet(name, center, matrix, u, s, decimal_source=source)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"malformed h-set object: {e}") from e
     except SingularMatrixError as e:
         raise DomainError(f"h-set {d['name']!r} has no verified inverse: {e}") from e

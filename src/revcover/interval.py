@@ -46,7 +46,7 @@ first. For a thin or centered factor a midpoint-radius product is as tight
 as the inf-sup one up to rounding, and it takes one `np.matmul` for the
 center and one or two for the radius instead of a min/max and a rounding
 per product. The mean-value chain uses all three (see
-`covering._centered_chain`). There is one inf-sup matrix product,
+`covering._CellEngine.chain`). There is one inf-sup matrix product,
 `imatmul_batch`, which multiplies two wide intervals and carries the
 chain's steps after the first; `imatvec_cellwise` is it with a trailing
 axis of length 1, not a kernel of its own. It stays in inf-sup form, each

@@ -31,6 +31,7 @@ from revcover.campaign import (
 )
 from revcover.covering import VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, sym_image
+from revcover.interval import DomainError
 
 from conftest import automaton_is_admissible
 
@@ -409,3 +410,15 @@ def test_report_save_load_and_graph_rebuild(campaign, tmp_path):
             assert len(enumerate_words(rebuilt, L)) == 2**L
         with pytest.raises(InadmissibleWordError, match="no verified relation"):
             emit_symmetric_orbit_certificate(rebuilt, ("N1", "N2"), build_proof_data().reversor)
+
+
+@pytest.mark.parametrize("end, status", [("source", VERIFIED), ("target", VERIFIED),
+                                         ("source", "inconclusive")])
+def test_report_with_unknown_hset_is_rejected(campaign, data, end, status):
+    """A saved relation whose source or target is not an h-set of the
+    instance, verified or not, is an input error (DomainError), not a
+    lookup error in symmetric_closure."""
+    r = json.loads(campaign[0].to_json())
+    r["relations"][0].update({end: "X", "status": status})
+    with pytest.raises(DomainError, match="does not have: X"):
+        graph_from_report(ProofReport(r), data)

@@ -267,6 +267,19 @@ def test_enumerate_invalid_relation_exit_3(tmp_path, capsys, campaign, index, ke
     assert "error: no usable covering graph" in capsys.readouterr().err
 
 
+def test_enumerate_report_with_unknown_hset_exit_3(tmp_path, capsys, campaign):
+    """A saved relation X -> N1 names an h-set the instance does not have:
+    an input error (exit 3) with one error line."""
+    r = json.loads(campaign[0].to_json())
+    r["relations"][0]["source"] = "X"
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(r))
+    assert main(["enumerate", "--length", "3", "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no usable covering graph") and "X" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_enumerate_automaton(capsys):
     rc = main(["enumerate", "--length", "4", "--automaton"])
     assert rc == 0

@@ -12,6 +12,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from revcover.covering import (
 )
 from revcover.dynamics import MapSystem, linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image, transpose
-from revcover.interval import DomainError, affine_batch
+from revcover.interval import DomainError, IMatrix, affine_batch
 
 from conftest import encloses, exact_inverse, float_sweep
 from test_dynamics import _exact_F
@@ -256,9 +257,7 @@ def test_passing_cell_children_pass(data):
     F = data.mapsys
     N = data.hset("N2")
     deg = compute_degree(N, F, 1, N)
-    engine = _CellEngine(F, 1, N.matrix, N.center, N.inv_matrix.lo, N.inv_matrix.hi,
-                         N.center, deg.chart_derivative.lo, deg.chart_derivative.hi,
-                         N.u, "entry", True)
+    engine = _CellEngine(N, F, 1, N, "entry", True, deg.chart_derivative)
     lo = np.array([[1.0, -0.5, -0.5, -0.5]])
     hi = np.array([[1.0, 0.0, 0.0, 0.0]])
     passed, _ = engine.classify(lo, hi)
@@ -286,9 +285,8 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
     deg = compute_degree(N, F, k, M)
-    engines = [_CellEngine(F, k, N.matrix, N.center, M.inv_matrix.lo, M.inv_matrix.hi,
-                           M.center, deg.chart_derivative.lo, deg.chart_derivative.hi,
-                           N.u, "entry", mean_value) for mean_value in (False, True)]
+    engines = [_CellEngine(N, F, k, M, "entry", mean_value, deg.chart_derivative)
+               for mean_value in (False, True)]
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
     cells = [(lo, hi)]
     for _ in range(3):
@@ -330,8 +328,7 @@ def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
     dfc0 = compute_degree(N, F, 1, M).chart_derivative
-    engine = _CellEngine(F, 1, N.matrix, N.center, M.inv_matrix.lo, M.inv_matrix.hi,
-                         M.center, dfc0.lo, dfc0.hi, N.u, "exit", False)
+    engine = _CellEngine(N, F, 1, M, "exit", False, dfc0)
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 3)
     vlo, vhi = F.eval_batch(*affine_batch(N.matrix, N.center, lo, hi))
     u = N.u
@@ -379,9 +376,7 @@ def test_chart_images_are_row_independent(data, rng, case):
     cuts = np.cumsum(sizes)[:-1]
     for which in ("exit", "entry"):
         for mean_value in (False, True):
-            engine = _CellEngine(mapsys, k, N.matrix, N.center, M.inv_matrix.lo,
-                                 M.inv_matrix.hi, M.center, deg.chart_derivative.lo,
-                                 deg.chart_derivative.hi, N.u, which, mean_value)
+            engine = _CellEngine(N, mapsys, k, M, which, mean_value, deg.chart_derivative)
             with np.errstate(all="ignore"):
                 whole = engine._chart_image(lo, hi)
                 parts = [engine._chart_image(a, b)
@@ -395,14 +390,17 @@ def test_chart_images_are_row_independent(data, rng, case):
 def test_classify_nonfinite_enclosure_fails_both_masks(which, mean_value):
     """A cell whose image overflows passes neither mask: its enclosure is
     not finite (infinite, or NaN where inf meets an exact 0 of the target
-    chart in an inf-sup product)."""
+    chart in an inf-sup product). The singular target inverse is no
+    h-set's, so the target is a stand-in with the attributes the engine
+    reads."""
     from revcover.covering import _CellEngine
 
     mapsys = expansion_map([1e300, 1e300])  # two iterates overflow
     lo, hi = np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])
     for inv in (np.eye(2), np.full((2, 2), 0.5)):
-        engine = _CellEngine(mapsys, 2, np.eye(2), np.zeros(2), inv, inv, np.zeros(2),
-                             np.eye(2), np.eye(2), 1, which, mean_value)
+        M = SimpleNamespace(center=np.zeros(2), inv_matrix=IMatrix(inv, inv))
+        engine = _CellEngine(toy_hset(2, 1), mapsys, 2, M, which, mean_value,
+                             IMatrix(np.eye(2), np.eye(2)))
         with np.errstate(all="ignore"):
             clo, chi = engine._chart_image(lo, hi)
         assert not np.isfinite(clo).any() or not np.isfinite(chi).any()
@@ -769,3 +767,57 @@ def test_certificate_serialization_round_trip(data):
     back = json.loads(json.dumps(d))
     assert back == d
     assert cert.verified and back["status"] == VERIFIED and back["w"] == 1
+
+
+def _without_wall_times(d):
+    """d with every `wall_time_s` dropped, each checked to be a float
+    rounded to 6 places first."""
+    if not isinstance(d, dict):
+        return d
+    t = d.get("wall_time_s")
+    assert t is None or (isinstance(t, float) and round(t, 6) == t)
+    return {k: _without_wall_times(v) for k, v in d.items() if k != "wall_time_s"}
+
+
+def test_certificate_dicts_are_pinned(data):
+    """The full dicts of the certificates that a campaign report does not
+    hold: an inconclusive relation with its worst cells, a degree failure
+    with its failure text, and a backcovering with its transposed
+    equivalent."""
+    T = toy_hset(2, 1)
+    far = HSet("far", np.array([1e200, 0.0, 0.0, 0.0]), np.eye(4), 2, 2)
+    config = {"resolution": 2, "max_depth": 40, "threads": 1, "budget": 20_000_000,
+              "fixed_grid": False, "mean_value": False, "batch_size": 2048}
+    head = {"schema": "revcover-certificate/1", "source": "T", "target": "T", "iters": 1}
+
+    def check(verdict, boxes, depth, exhausted, cell=None):
+        return {"verdict": verdict, "boxes": boxes, "max_depth": depth, "refuted_cells": 0,
+                "exhausted_subtrees": exhausted, "worst_cell": cell}
+
+    def cell(depth, lo, hi, which):
+        return {"root": 0, "depth": depth, "chart_lo": lo, "chart_hi": hi, "check": which}
+
+    inconclusive = verify_cover(T, linear_map_system(np.eye(2)), 1, T,
+                                VerifyConfig(budget=16, max_depth=30))
+    degree_failure = verify_cover(far, data.mapsys, 3, far)
+    back = verify_backcover(T, expansion_map([3, 1 / 3]), 1, T, VerifyConfig())
+    assert [_without_wall_times(c.to_dict()) for c in (inconclusive, degree_failure, back)] == [
+        {**head, "map": "linear", "direction": "direct", "w": 1, "status": INCONCLUSIVE,
+         "boxes": 32, "max_depth": 2,
+         "checks": {"exit": check(INCONCLUSIVE, 16, 2, 4,
+                                  cell(2, [-1.0, -0.5], [-1.0, -0.25], "exit")),
+                    "entry": check(INCONCLUSIVE, 16, 1, 8,
+                                   cell(1, [-1.0, -0.5], [-1.0, 0.0], "entry"))},
+         "config": {**config, "max_depth": 30, "budget": 16}},
+        {**head, "source": "far", "target": "far", "map": "F-quadratic-4d", "iters": 3,
+         "direction": "direct", "w": None, "status": INCONCLUSIVE, "boxes": 0,
+         "max_depth": 0, "checks": {}, "config": config,
+         "failure": "degree computation failed: center orbit left the representable "
+                    "range at step 1"},
+        {**head, "map": "toy", "direction": "back", "w": 1, "status": VERIFIED,
+         "boxes": 12, "max_depth": 0,
+         "checks": {"exit": check(VERIFIED, 4, 0, 0), "entry": check(VERIFIED, 8, 0, 0),
+                    "transposed_equivalent": {"source": "T^T", "target": "T^T",
+                                              "map": "toy-inverse"}},
+         "config": config},
+    ]

@@ -388,6 +388,37 @@ def test_file_name_must_be_a_string(tmp_path, capsys, name):
     assert "string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center, matrix, match", [
+    ("00", ["10", "01"], "array"),  # strings are not read one character at a time
+    (["0", "0"], ["10", "01"], "array"),
+    ({"0": 0}, [["1", "0"], ["0", "1"]], "array"),
+    ([True, False], [[True, 0], [0, 1]], "numbers or strings"),
+    ([0, 0], [[1, False], [0, 1]], "numbers or strings"),
+    ([0, None], [[1, 0], [0, 1]], "numbers or strings"),
+    ([0, 0], [[1, [0]], [0, 1]], "numbers or strings"),
+    ([0, 0], [[10**400, 0], [0, 1]], "too large"),
+])
+def test_file_entries_are_typed(tmp_path, capsys, center, matrix, match):
+    """The center is an array and the matrix an array of arrays, whose
+    entries are strings or numbers; a bool, a null, a nested array or an
+    integer beyond the double range is an input error (exit 3)."""
+    d = {"name": "Z", "center": center, "matrix": matrix, "u": 1, "s": 1}
+    with pytest.raises(DomainError, match=match):
+        hset_from_dict(d)
+    path = tmp_path / "Z.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", "--from", str(path), "--to", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert match in err and len(err.splitlines()) == 1
+
+
+def test_file_entries_may_mix_numbers_and_strings():
+    """A JSON integer, a JSON float and a decimal string are all read."""
+    N = hset_from_dict({"name": "Z", "center": [0, "0.5"], "matrix": [[1, 0.0], ["0", "2"]],
+                        "u": 1, "s": 1})
+    assert N.center.tolist() == [0.0, 0.5] and N.matrix.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["center", "matrix"])
 def test_nonfinite_center_or_matrix_rejected(tmp_path, capsys, data, field, value):
