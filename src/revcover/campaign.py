@@ -11,14 +11,18 @@ the constants; build_proof_data gives each h-set its center, anchor frame
 and column scales from one table. RELATIONS is the one list of the
 campaign's relations: the transition blocks over ALPHABET are read off its
 rows, and the reversed relations, the N2 -> N1 block and the graph rebuilt
-from a saved report all come from it by symmetric_closure.
+from a saved report all come from it by symmetric_closure. A relation is one
+record under one set of field names, whether it is a certificate, a graph
+Edge, a saved report's entry or an orbit certificate's step, and _graph
+builds the covering graph from such records, for a campaign run and for a
+saved report alike.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,6 +38,7 @@ from .dynamics import MapSystem, reversible_quadratic_map
 from .hset import (
     HSet,
     LinearReversor,
+    _load_json,
     fix_disk_check,
     supports_disjoint,
     sym_image,
@@ -186,31 +191,27 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
 
 @dataclass
 class Edge:
+    """A relation of the covering graph, with the fields of its record. An
+    edge that symmetric_closure derived from the edge A => B has the
+    opposite direction and derived_from = (A, B)."""
+
     source: str
     target: str
-    map_name: str
+    map: str
     iters: int
-    direction: str  # "direct" | "back" | "derived-by-symmetry"
+    direction: str  # "direct" | "back"
     w: Optional[int]
     status: str
     derived_from: Optional[tuple] = None
 
     def key(self):
-        return (self.source, self.target, self.map_name, self.iters, self.direction)
+        return (self.source, self.target, self.map, self.iters, self.direction)
 
     def to_dict(self) -> dict:
-        d = {
-            "source": self.source,
-            "target": self.target,
-            "map": self.map_name,
-            "iters": self.iters,
-            "direction": self.direction,
-            "w": self.w,
-            "status": self.status,
-        }
-        if self.derived_from:
-            d["derived_from"] = list(self.derived_from)
-        return d
+        """The fields, derived_from as a list and only on a derived edge."""
+        d = asdict(self)
+        derived = d.pop("derived_from")
+        return {**d, "derived_from": list(derived)} if derived else d
 
 
 class CoveringGraph:
@@ -256,9 +257,25 @@ def symmetric_closure(graph: CoveringGraph, S: LinearReversor) -> CoveringGraph:
         new_dst = sym_image(S, src)
         ns = graph.add_node(new_src)
         nd = graph.add_node(new_dst)
-        graph.add_edge(Edge(ns, nd, e.map_name, e.iters, flip[e.direction],
+        graph.add_edge(Edge(ns, nd, e.map, e.iters, flip[e.direction],
                             e.w, VERIFIED, derived_from=(e.source, e.target)))
     return graph
+
+
+# the fields of a relation record that make a graph edge
+_EDGE_FIELDS = ("source", "target", "map", "iters", "direction", "w", "status")
+
+
+def _graph(data: ProofData, relations: list) -> CoveringGraph:
+    """The covering graph of relation records (certificate dicts, or a saved
+    report's relations) over the instance's h-sets, closed under its
+    reversor."""
+    graph = CoveringGraph()
+    for h in data.hsets.values():
+        graph.add_node(h)
+    for r in relations:
+        graph.add_edge(Edge(*(r[f] for f in _EDGE_FIELDS)))
+    return symmetric_closure(graph, data.reversor)
 
 
 # the block alphabet: the two symmetric anchor sets
@@ -360,14 +377,7 @@ class SymmetricOrbitCertificate:
     conclusion: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "revcover-symmetric-orbit/1",
-            "word": list(self.word),
-            "steps": self.steps,
-            "total_map_steps": self.total_map_steps,
-            "abs_degree_product": self.abs_degree_product,
-            "conclusion": self.conclusion,
-        }
+        return {"schema": "revcover-symmetric-orbit/1", **asdict(self), "word": list(self.word)}
 
 
 def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearReversor
@@ -393,8 +403,7 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
         if not edges:
             raise InadmissibleWordError(f"no verified relation {a!r} => {b!r}")
         e = edges[0]
-        steps.append({"source": a, "target": b, "map": e.map_name,
-                      "iters": e.iters, "direction": e.direction, "w": e.w})
+        steps.append({f: v for f, v in asdict(e).items() if f not in ("status", "derived_from")})
         total += e.iters
         degree_product *= e.w
     conclusion = (
@@ -480,8 +489,9 @@ class ProofReport:
 
     @staticmethod
     def load(path) -> "ProofReport":
-        with open(path) as fh:
-            return ProofReport(json.load(fh))
+        """The saved report at path; a file that is not JSON raises
+        DomainError."""
+        return ProofReport(_load_json(path))
 
 
 def _valid_relation(r) -> bool:
@@ -513,13 +523,7 @@ def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> 
     if unknown:
         raise DomainError(f"the report relates h-sets the instance does not have: "
                           f"{', '.join(sorted(unknown))}")
-    g = CoveringGraph()
-    for h in data.hsets.values():
-        g.add_node(h)
-    for r in relations:
-        g.add_edge(Edge(r["source"], r["target"], r["map"], r["iters"],
-                        r["direction"], r["w"], r["status"]))
-    return symmetric_closure(g, data.reversor)
+    return _graph(data, relations)
 
 
 def run_campaign(cfg: Optional[CampaignConfig] = None,
@@ -536,19 +540,12 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     st_sym = {name: d.ok for name, d in disks.items()}
     disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
 
-    graph = CoveringGraph()
-    for h in data.hsets.values():
-        graph.add_node(h)
-
-    certs = []
-    for src, dst, k, _ in RELATIONS:
-        c = verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
-        certs.append(c)
-        graph.add_edge(Edge(src, dst, c.map_name, c.iters, c.direction, c.w, c.status))
+    certs = [verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
+             for src, dst, k, _ in RELATIONS]
     degrees_match = all(c.status == VERIFIED and c.w == w
                         for c, (*_, w) in zip(certs, RELATIONS))
-
-    symmetric_closure(graph, S)
+    relations = [c.to_dict() for c in certs]
+    graph = _graph(data, relations)
 
     # independent cross-check of one symmetry-derived backcovering, certified
     # head-on as a direct covering under the inverse map S o F o S
@@ -600,7 +597,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
             "st_symmetric": st_sym,
             "disjoint": disjoint,
             "fix_disks": {k: {"ok": v.ok, "detail": v.detail} for k, v in disks.items()},
-            "relations": [c.to_dict() for c in certs],
+            "relations": relations,
             "degrees_expected": {f"{a}->{b}": w for a, b, _, w in RELATIONS},
             "degrees_match": degrees_match,
             "derived_edges": [e.to_dict() for e in derived],

@@ -2,12 +2,13 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error (an unknown or malformed h-set or map, an h-set matrix without
-a verified inverse, a saved report whose relations are malformed, a
-relation whose h-sets and map differ in dimension or whose h-sets differ
-in unstable dimension, an iterate count below 1, a backcovering under a map
-without an inverse, a config value out of range, such as a budget or thread
-count below 1, or a REVCOVER_THREADS that is not a positive integer). For
+3 input error (an unknown or malformed h-set or map, an h-set file or saved
+report that is not JSON text, an h-set matrix without a verified inverse, a
+saved report whose relations are malformed, a relation whose h-sets and map
+differ in dimension or whose h-sets differ in unstable dimension, an
+iterate count below 1, a backcovering under a map without an inverse, a
+config value out of range, such as a budget or thread count below 1, or a
+REVCOVER_THREADS that is not a positive integer). For
 prove-paper, 1 also means that every relation verified but a certified
 degree differs from the expected one or a structural check (symmetry,
 disjoint supports, fixed-space disks) failed; see ProofReport.exit_code.
@@ -150,7 +151,7 @@ def _cmd_verify(args) -> int:
     except (DomainError, MissingInverseError) as e:  # a mismatched relation, no inverse
         print(f"error: {e}", file=sys.stderr)
         return 3
-    print(f"{cert.source} ={cert.map_name}^{cert.iters}=> {cert.target} "
+    print(f"{cert.source} ={cert.map}^{cert.iters}=> {cert.target} "
           f"[{cert.direction}]: {cert.status}"
           + (f", w={cert.w}" if cert.w is not None else "")
           + f", boxes={cert.boxes}, depth={cert.max_depth}")
@@ -220,7 +221,7 @@ def _cmd_enumerate(args) -> int:
                 graph = graph_from_report(ProofReport.load(args.report_in), data)
             else:
                 _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
-        except (OSError, json.JSONDecodeError, DomainError) as e:
+        except (OSError, DomainError) as e:
             print(f"error: no usable covering graph: {e}", file=sys.stderr)
             return 3
         # counted without listing; the 2**L words are listed only for --out

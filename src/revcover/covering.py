@@ -38,9 +38,10 @@ they outgrow one batch. The shards are scheduled dynamically: a part goes to
 the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
 and each worker takes the next shard when it finishes one, so a worker whose
 roots turn out light does not sit idle while another finishes heavy ones.
-Each shard carries the check's cell engine, map included, pickled as it is;
-with more than one worker, a map that does not pickle is refused with
-DomainError before any cell is evaluated.
+A shard is the check's refinement itself, with its roots and its cells,
+pickled as it is, cell engine and map included; the worker runs it and
+returns its roots' rows. With more than one worker, a map that does not
+pickle is refused with DomainError before any cell is evaluated.
 
 The process keeps one worker pool (`_worker_pool`). The first check that
 shards starts it, and later checks reuse it. It is replaced when the worker
@@ -144,9 +145,9 @@ class DegreeData:
 class CoveringCertificate:
     source: str
     target: str
-    map_name: str
+    map: str
     iters: int
-    direction: str  # "direct" | "back" | "derived-by-symmetry"
+    direction: str  # "direct" | "back"
     w: Optional[int]
     status: str
     boxes: int = 0
@@ -161,11 +162,10 @@ class CoveringCertificate:
         return self.status == VERIFIED
 
     def to_dict(self) -> dict:
-        """The fields under the certificate schema, `map_name` as "map" and
-        `wall_time` as "wall_time_s" (rounded to 6 places); `failure` only
-        when there is one."""
+        """The fields under the certificate schema, `wall_time` as
+        "wall_time_s" (rounded to 6 places); `failure` only when there is
+        one."""
         d = {"schema": "revcover-certificate/1", **asdict(self)}
-        d["map"] = d.pop("map_name")
         d["wall_time_s"] = round(d.pop("wall_time"), 6)
         if not self.failure:
             del d["failure"]
@@ -559,24 +559,23 @@ class _Refinement:
         a time as workers free up. If anything interrupts the shards (a
         worker's exception, a dead worker, KeyboardInterrupt), the pool is
         discarded with its pending shards, so no later check waits behind
-        them."""
+        them.
+
+        The pool pickles a shard's refinement when a worker is ready for it,
+        possibly after earlier shards' rows were merged into it; a shard
+        reads and writes only its own roots' rows, so that changes nothing.
+        """
         start, count = _runs(root)
         ids = root[start]
         n_shards = min(_SHARDS_PER_WORKER * workers, len(ids))
         # the shard of each cell: its root's rank, round robin
         cell_shard = np.repeat(np.arange(len(ids)) % n_shards, count)
-        settings = (len(self.boxes), self.allowance, self.max_depth, self.batch_size)
-        payloads = []
+        shards = []
         for i in range(n_shards):
-            shard = ids[i::n_shards]
             mine = cell_shard == i
-            payloads.append({
-                "engine": self.engine, "settings": settings,
-                "roots": shard, "boxes": self.boxes[shard], "depth": self.depth[shard],
-                "part": (lo[mine], hi[mine], root[mine], depth),
-            })
+            shards.append((self, ids[i::n_shards], (lo[mine], hi[mine], root[mine], depth)))
         try:
-            for shard, per_root in _worker_pool(workers).map(_worker_refine, payloads):
+            for shard, per_root in _worker_pool(workers).map(_worker_refine, shards):
                 for name, values in zip(_PER_ROOT, per_root):
                     getattr(self, name)[shard] = values
         except BaseException:
@@ -584,22 +583,22 @@ class _Refinement:
             raise
 
 
-def _worker_refine(payload: dict) -> tuple:
-    """Pool worker: finishes the refinement of one shard of roots. Pure
-    function of its payload."""
-    ref = _Refinement(payload["engine"], *payload["settings"])
-    shard = payload["roots"]
-    ref.boxes[shard] = payload["boxes"]
-    ref.depth[shard] = payload["depth"]
-    ref.run(*payload["part"])
-    return shard, [getattr(ref, name)[shard] for name in _PER_ROOT]
+def _worker_refine(shard: tuple) -> tuple:
+    """Pool worker: runs a shard, (refinement, its roots, its part), to
+    completion on the worker's copy of the refinement, and returns the roots
+    and their rows of the per-root arrays."""
+    ref, roots, part = shard
+    ref.run(*part)
+    return roots, [getattr(ref, name)[roots] for name in _PER_ROOT]
 
 
 def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
                which: str, degree: Optional[DegreeData]) -> CheckResult:
-    """The exit or entry check (`which`) of N =(map^k)=> M. A missing
-    degree is computed first; an empty wall (u = 0 for exit, s = 0 for
-    entry) is verified with empty statistics."""
+    """The exit or entry check (`which`) of N =(map^k)=> M. A relation that
+    cannot be checked raises DomainError (_require_relation), with or
+    without a degree; a missing degree is computed first; an empty wall
+    (u = 0 for exit, s = 0 for entry) is verified with empty statistics."""
+    _require_relation(N, mapsys, k, M)
     if degree is None:
         degree = compute_degree(N, mapsys, k, M)
     if (N.u if which == "exit" else N.s) == 0:
@@ -662,7 +661,7 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     cfg = cfg or VerifyConfig()
     t0 = time.perf_counter()
     cert = CoveringCertificate(
-        source=N.name, target=M.name, map_name=mapsys.name, iters=k,
+        source=N.name, target=M.name, map=mapsys.name, iters=k,
         direction="direct", w=None, status=INCONCLUSIVE,
         config=asdict(cfg),
     )
@@ -697,7 +696,7 @@ def verify_backcover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     inv = mapsys.require_inverse()
     inner = verify_cover(transpose(M), inv, k, transpose(N), cfg)
     return replace(
-        inner, source=N.name, target=M.name, map_name=mapsys.name, direction="back",
+        inner, source=N.name, target=M.name, map=mapsys.name, direction="back",
         checks={**inner.checks, "transposed_equivalent": {
             "source": inner.source, "target": inner.target, "map": inv.name}},
     )

@@ -8,7 +8,9 @@ The shipped instance is the 4-d map
 with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
 F^{-1} = S o F o S, so F is written once (a vectorized batch over (B, n)
-lo/hi arrays, and a batch Jacobian) and its inverse is derived from it. A
+lo/hi arrays, and a batch Jacobian) and its inverse is derived from it: a
+reversor is a signed permutation, which acts on intervals exactly
+(LinearReversor.act), so F's batches conjugated by it lose nothing. A
 map has no separate point variant: a point is a cell of zero width, and
 `MapSystem.image` evaluates points through the batch.
 
@@ -34,12 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
-from .interval import (
-    DomainError,
-    affine_batch,
-    iadd,
-    isub,
-)
+from .interval import affine_batch, iadd, isub
 
 
 class MissingInverseError(Exception):
@@ -92,30 +89,27 @@ def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
     """The inverse S o F o S of a map F with reversing symmetry S, named
     `name`, and linked with F as each other's inverse.
 
-    S is applied as exact sign flips, so it must be a signed diagonal:
-    negating a coordinate negates and swaps its bounds, and Jacobian entry
-    (i, j) is negated, with its bounds swapped, where s_i s_j = -1. Any other
-    linear S would round on intervals, so it raises DomainError.
+    S is a signed permutation and acts exactly on intervals
+    (LinearReversor.act), so the values are S.act o F o S.act. The Jacobian
+    at x is S DF(S x) S, and on a row-major flattened n x n matrix J the map
+    J -> S J S is the Kronecker product S (x) S, itself an involutive signed
+    permutation: it moves or negates bounds too, and nothing rounds.
     """
     S = fwd.reversor
-    s = np.diag(S.matrix)
-    if not np.array_equal(S.matrix, np.diag(s)):
-        raise DomainError(f"reversor of {fwd.name!r} is not a signed diagonal")
-    neg = s < 0
-    neg_jac = neg[:, None] != neg[None, :]
-    inv = MapSystem(name, fwd.dim, partial(_conjugate_batch, neg, neg, fwd.eval_batch),
-                    partial(_conjugate_batch, neg, neg_jac, fwd.jac_batch),
+    inv = MapSystem(name, fwd.dim, partial(_conjugate, S, S, fwd.eval_batch),
+                    partial(_conjugate, S, LinearReversor(np.kron(S.matrix, S.matrix)),
+                            fwd.jac_batch),
                     inverse=fwd, reversor=S)
     fwd.inverse = inv
     return inv
 
 
-def _flip(mask, lo, hi):
-    return np.where(mask, -hi, lo), np.where(mask, -lo, hi)
-
-
-def _conjugate_batch(neg_in, neg_out, f, lo, hi):
-    return _flip(neg_out, *f(*_flip(neg_in, lo, hi)))
+def _conjugate(S, out, f, lo, hi):
+    """out applied to f's batch result at S x, each cell's result flattened
+    to one row for out.act."""
+    rlo, rhi = f(*S.act(lo, hi))
+    rows = (len(rlo), -1)
+    return tuple(a.reshape(rlo.shape) for a in out.act(rlo.reshape(rows), rhi.reshape(rows)))
 
 
 # --- the 4-d reversible map F ---

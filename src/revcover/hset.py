@@ -17,7 +17,8 @@ and P the permutation that swaps the unstable and stable column blocks. A
 reversor is a signed permutation (LinearReversor), so D M is computed
 exactly in floating point and M' is exactly D M P. As S is an involution,
 inv(M') = P^T inv(M) D, and on the certified enclosure of inv(M) that is a
-permutation of rows and columns and a negation of some columns, all exact.
+permutation of rows and columns and a negation of some columns, all exact
+(S's action on the rows, LinearReversor.act, and a row permutation).
 The image therefore encloses the exact inverse of the stored M' whenever the
 source's enclosure does, and it cannot fail where a fresh proof might.
 """
@@ -49,7 +50,9 @@ class LinearReversor:
     Every product with S then moves or negates entries without rounding, so
     S(|N|), the fixed-space checks and the h-sets' derived inverses are
     exact. A general float involution is refused: its products round, and a
-    rounded image of an h-set is not S(|N|).
+    rounded image of an h-set is not S(|N|). S's permutation `perm` and the
+    mask `neg` of its negative entries are read off the matrix once; `act`
+    applies S to intervals with them.
     """
 
     matrix: np.ndarray
@@ -66,10 +69,23 @@ class LinearReversor:
             raise DomainError("reversor is not a signed permutation")
         if not np.array_equal(m @ m, np.eye(n)):
             raise DomainError("reversor is not an exact involution")
+        # (S x)_i = sign_i x_perm(i); an involutive signed permutation is
+        # symmetric, so column j too holds sign_j in row perm(j)
+        perm = np.argmax(nonzero, axis=1)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "neg", m[np.arange(n), perm] < 0.0)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def act(self, lo, hi):
+        """The image of the intervals [lo, hi] under S along the last axis,
+        exact: each coordinate is moved, and a negated one has its bounds
+        negated and swapped. On a cell batch that is S x for each cell; on
+        each row of a matrix X it is X S, as S is symmetric."""
+        lo, hi = lo[..., self.perm], hi[..., self.perm]
+        return np.where(self.neg, -hi, lo), np.where(self.neg, -lo, hi)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
@@ -151,19 +167,14 @@ def _fill(N: HSet, name, center, matrix, u, s, inv, decimal_source) -> None:
 def _swapped(N: HSet, name: str, center, S: LinearReversor | None = None) -> HSet:
     """The h-set with directions D M P and center `center`, for D = S (or
     the identity) and P the swap of the unstable and stable column blocks,
-    its inverse taken from N's as P^T inv(M) D (see the module docstring).
-
-    Column j of S holds its one nonzero, sign t_j, in row k_j, so column j
-    of inv(M) S is t_j times column k_j of inv(M); a negated interval column
-    swaps its bounds. Row j of P^T X is row perm[j] of X.
+    its inverse taken from N's as P^T inv(M) D (see the module docstring):
+    inv(M) S is S's exact action on the rows of inv(M) (LinearReversor.act),
+    and row j of P^T X is row perm[j] of X.
     """
     perm = np.r_[N.u : N.dim, 0 : N.u]
-    m = N.matrix if S is None else S.matrix @ N.matrix
-    lo, hi = N.inv_matrix.lo, N.inv_matrix.hi
+    m, lo, hi = N.matrix, N.inv_matrix.lo, N.inv_matrix.hi
     if S is not None:
-        k = np.argmax(S.matrix != 0.0, axis=0)
-        neg = S.matrix[k, np.arange(N.dim)] < 0.0
-        lo, hi = np.where(neg, -hi[:, k], lo[:, k]), np.where(neg, -lo[:, k], hi[:, k])
+        m, (lo, hi) = S.matrix @ m, S.act(lo, hi)
     T = HSet.__new__(HSet)
     _fill(T, name, center, m[:, perm], N.s, N.u, IMatrix(lo[perm], hi[perm]), None)
     return T
@@ -329,10 +340,16 @@ def save_hset(N: HSet, path) -> None:
         fh.write("\n")
 
 
-def load_hset(path) -> HSet:
+def _load_json(path):
+    """The JSON value in the file at path. A file that is not UTF-8 or not
+    JSON (UnicodeDecodeError and JSONDecodeError are both ValueErrors)
+    raises DomainError."""
     with open(path) as fh:
         try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh)
+        except ValueError as e:
             raise DomainError(f"not valid JSON: {e}") from e
-    return hset_from_dict(d)
+
+
+def load_hset(path) -> HSet:
+    return hset_from_dict(_load_json(path))

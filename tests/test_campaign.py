@@ -290,6 +290,41 @@ def test_emit_symmetric_orbit_certificates(campaign, data):
     assert cert.total_map_steps == 7
 
 
+def _orbit_step(source, target, iters, direction, w):
+    return {"source": source, "target": target, "map": "F-quadratic-4d", "iters": iters,
+            "direction": direction, "w": w}
+
+
+def _orbit_conclusion(word):
+    return (f"There is a point x in |{word[0]}| fixed by the reversor whose orbit follows "
+            f"the itinerary {'-'.join(word)} and returns to the fixed space; its orbit is "
+            f"symmetric periodic with principal period dividing 14 map steps.")
+
+
+def test_orbit_certificates_are_pinned(campaign, data):
+    """The full certificate of the paper word and of its reverse through the
+    symmetric images: a step is the edge's source, target, map, iters,
+    direction and degree, and nothing else (no status, no derived_from)."""
+    forward = ("N1", "H1", "H2", "H3", "N2")
+    reverse = ("N2", "S^T*H3", "S^T*H2", "S^T*H1", "N1")
+    expected = {
+        forward: [_orbit_step("N1", "H1", 1, "direct", 1),
+                  _orbit_step("H1", "H2", 4, "direct", -1),
+                  _orbit_step("H2", "H3", 1, "direct", -1),
+                  _orbit_step("H3", "N2", 1, "direct", -1)],
+        reverse: [_orbit_step("N2", "S^T*H3", 1, "back", -1),
+                  _orbit_step("S^T*H3", "S^T*H2", 1, "back", -1),
+                  _orbit_step("S^T*H2", "S^T*H1", 4, "back", -1),
+                  _orbit_step("S^T*H1", "N1", 1, "back", 1)],
+    }
+    for word, steps in expected.items():
+        cert = emit_symmetric_orbit_certificate(campaign[1], word, data.reversor)
+        assert cert.to_dict() == {
+            "schema": "revcover-symmetric-orbit/1", "word": list(word), "steps": steps,
+            "total_map_steps": 7, "abs_degree_product": 1,
+            "conclusion": _orbit_conclusion(word)}
+
+
 def test_emit_rejects_bad_words(campaign, data):
     _, graph = campaign
     S = data.reversor

@@ -280,6 +280,21 @@ def test_enumerate_report_with_unknown_hset_exit_3(tmp_path, capsys, campaign):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--from", "--report"])
+def test_undecodable_file_exit_3(flag, tmp_path, capsys):
+    """A file that is not UTF-8 text (here a UTF-16 byte order mark) is an
+    input error like any other malformed file: exit 3 with one error line,
+    not a UnicodeDecodeError traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{\x00}\x00')
+    argv = (["verify", "--from", str(bad), "--to", "N1"] if flag == "--from"
+            else ["enumerate", "--length", "3", "--report", str(bad)])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid JSON" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_enumerate_automaton(capsys):
     rc = main(["enumerate", "--length", "4", "--automaton"])
     assert rc == 0

@@ -86,6 +86,20 @@ def test_mismatched_relation_is_domain_error(case):
             fn(N, F, k, M, MV)
 
 
+@pytest.mark.parametrize("case", ["k", "dims"])
+@pytest.mark.parametrize("cfg", [VerifyConfig(), MV], ids=["plain", "mean-value"])
+def test_checks_refuse_mismatched_relation_given_a_degree(data, case, cfg):
+    """A degree passed in does not stand for the relation: the exit and the
+    entry check refuse k = 0 and a source of another dimension with
+    DomainError, in both evaluation modes, before any cell is evaluated."""
+    N1, F = data.hset("N1"), data.mapsys
+    degree = compute_degree(N1, F, 1, N1)
+    N, k = {"k": (N1, 0), "dims": (toy_hset(2, 1), 1)}[case]
+    for check in (check_exit_condition, check_entry_condition):
+        with pytest.raises(DomainError):
+            check(N, F, k, N1, cfg, degree)
+
+
 def test_instance_degrees(data):
     for a, b, k, w in RELATIONS:
         assert compute_degree(data.hset(a), data.mapsys, k, data.hset(b)).w == w
@@ -539,7 +553,7 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
 
         def map(self, fn, payloads, **kwargs):
             payloads = list(payloads)
-            submitted.append((self.workers, [p["roots"] for p in payloads]))
+            submitted.append((self.workers, [p[1] for p in payloads]))
             return super().map(fn, payloads, **kwargs)
 
     monkeypatch.setattr(covering, "_process_pool", SpyPool)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from revcover.dynamics import (
+    MapSystem,
     MissingInverseError,
     _reversor_inverse,
     linear_map_system,
@@ -320,11 +321,55 @@ def test_maps_pickle_by_value(which, rng):
     _same_kernels(c.inverse, m.inverse, rng)
 
 
-def test_reversor_inverse_needs_signed_diagonal():
-    """Only a signed-diagonal reversor acts exactly on intervals."""
+def _signed_permutation_image(S, lo, hi):
+    """The exact image of the intervals [lo, hi] under the signed
+    permutation S along the last axis, from the matrix: with S = P - Q for
+    its positive and negative parts, S [lo, hi] = [P lo - Q hi, P hi - Q lo],
+    every sum a single product with an exact zero added."""
+    P, Q = np.maximum(S.matrix, 0.0), np.maximum(-S.matrix, 0.0)
+    return lo @ P.T - hi @ Q.T, hi @ P.T - lo @ Q.T
+
+
+def _swap_cases():
+    """A 2-d swap with A = diag(2, 1/2), so that S A S = inv(A) exactly, and
+    a 4-d signed permutation x1 <-> -y1 under F's kernels."""
     swap = LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(DomainError):
-        _reversor_inverse(linear_map_system(np.eye(2), reversor=swap), "swap-inverse")
+    A = np.diag([2.0, 0.5])
+    F = reversible_quadratic_map()
+    signed = LinearReversor(np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                      [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    return [linear_map_system(A, reversor=swap),
+            MapSystem("F-signed", 4, F.eval_batch, F.jac_batch, reversor=signed)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["swap-2d", "signed-4d"])
+def test_reversor_inverse_of_signed_permutations_is_exact(case, rng):
+    """S o F o S takes values S F(S x) and Jacobian S DF(S x) S, bit for bit
+    as the matrix products with S's positive and negative parts give them,
+    for a reversor that is not diagonal; for the swap, S A S is inv(A)."""
+    fwd = _swap_cases()[case]
+    S = fwd.reversor
+    inv = _reversor_inverse(fwd, "conjugate")
+    assert inv.inverse is fwd and fwd.inverse is inv
+    z = rng.uniform(-2, 2, size=(16, fwd.dim))
+    r = rng.uniform(0, 0.1, size=z.shape)
+    r[:4] = 0.0  # point cells too
+    lo, hi = z - r, z + r
+    vlo, vhi = inv.eval_batch(lo, hi)
+    wlo, whi = _signed_permutation_image(S, *fwd.eval_batch(*_signed_permutation_image(S, lo, hi)))
+    assert np.array_equal(vlo, wlo) and np.array_equal(vhi, whi)
+    jlo, jhi = inv.jac_batch(lo, hi)
+    glo, ghi = fwd.jac_batch(*_signed_permutation_image(S, lo, hi))
+    # S G S: S on the rows of each G^T (G S), then on the rows of (G S)^T
+    glo, ghi = _signed_permutation_image(S, glo, ghi)
+    glo, ghi = _signed_permutation_image(S, glo.transpose(0, 2, 1), ghi.transpose(0, 2, 1))
+    assert np.array_equal(jlo, glo.transpose(0, 2, 1))
+    assert np.array_equal(jhi, ghi.transpose(0, 2, 1))
+    if case == 0:
+        assert np.array_equal(jlo, np.broadcast_to(np.diag([0.5, 2.0]), jlo.shape))
+        assert np.array_equal(jhi, jlo)
+        exact = z[:4] * [0.5, 2.0]  # inv(A) z, exact for powers of two
+        assert np.all(vlo[:4] <= exact) and np.all(exact <= vhi[:4])
 
 
 # --- exact reference formulas, independent of revcover.dynamics ---
