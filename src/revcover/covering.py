@@ -56,6 +56,7 @@ import atexit
 import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
+from os import cpu_count
 from typing import Optional
 
 import numpy as np
@@ -87,7 +88,8 @@ class VerifyConfig:
 
     resolution: initial subdivisions per free chart coordinate of each facet.
     max_depth: bisection depth cap for failing cells.
-    threads: worker processes for cell verification (verdict-invariant).
+    threads: worker processes for cell verification (verdict-invariant);
+        the pool starts at most os.cpu_count() of them.
     budget: box budget per check (exit and entry each, so a relation may
         spend up to twice it), apportioned evenly over the check's initial
         cells. The initial grid is always evaluated in full, so only a
@@ -414,12 +416,15 @@ _POOL = None  # (workers, pool): the process's worker pool, see _worker_pool
 
 
 def _worker_pool(workers):
-    """The process's pool of `workers` processes, shared by every check that
-    shards. A pool is made only when there is none, when the worker count
+    """The process's pool of `workers` processes, at most os.cpu_count(),
+    shared by every check that shards. Under fork the pool starts all its
+    processes at the first shard, so a larger count would only oversubscribe
+    the cores. A pool is made only when there is none, when the worker count
     changed or when a worker died (the pool is broken); the old pool is shut
     down first, so no worker is forked while another pool's manager thread
     runs. There is no lock: checks are run from one thread."""
     global _POOL
+    workers = min(workers, cpu_count() or 1)
     if _POOL is not None and (_POOL[0] != workers or _POOL[1]._broken):
         _shutdown_pool()
     if _POOL is None:

@@ -1,26 +1,35 @@
-"""The concrete reversible map family and the MapSystem abstraction.
+"""The reversible map family and the MapSystem abstraction.
+
+A map of the family is quadratic and given by its data:
+
+    F(z) = A z + c + C (B z + b)**2,
+
+the square taken coordinate by coordinate, for A (n, n), c (n,), B (m, n),
+b (m,) and C (n, m). `quadratic_map_system` derives the kernel matrices
+from the data once and binds them to the two kernels, the interval batch
+`_quadratic_eval` and the batch Jacobian `_quadratic_jac`,
+DF(z) = A + 2 C diag(B z + b) B. A linear map is the case m = 0. A map that
+is not quadratic is a MapSystem built from its own two batch functions.
 
 The shipped instance is the 4-d map
 
     F(x, y) = (-y + g(x+y), x + g(x+y)),      g = f/2,
     f(w1, w2) = (w1(1-w1) + 4 - w2,  w2(1-w2) + 4 + w1),
 
-with reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
+with its squares completed, w(1 - w) = 1/4 - (w - 1/2)**2 (`_F_DATA`),
+and reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
-F^{-1} = S o F o S, so F is written once (a vectorized batch over (B, n)
-lo/hi arrays, and a batch Jacobian) and its inverse is derived from it: a
-reversor is a signed permutation, which acts on intervals exactly
+F^{-1} = S o F o S, so F is written once and its inverse is derived from
+it: a reversor is a signed permutation, which acts on intervals exactly
 (LinearReversor.act), so F's batches conjugated by it lose nothing. A
 map has no separate point variant: a point is a cell of zero width, and
 `MapSystem.image` evaluates points through the batch.
 
-The batch evaluation rounds once per output: each output endpoint is
-evaluated in round-to-nearest on a contiguous transposed copy of the cells
-and widened by an a-priori radius, also in round-to-nearest, with no
-outward step: the radius covers the endpoint's rounding error and the one
-rounding of the widening itself (see `_F_batch` for the derivation). The
-batch Jacobian stays stepwise, one outward rounding per `iadd`/`isub`, on
-(B, 2) arrays that fill a constant template of its +-1/2 entries.
+Both kernels compute every bound as one matrix product over the cells'
+endpoints, in round-to-nearest on (rows, B) arrays, and widen it once by an
+a-priori radius, also in round-to-nearest, with no outward step: the radius
+covers the products' rounding errors and the one rounding of the widening
+itself (see `_quadratic_eval` for the derivation).
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own along batches of chart cells, and the degree computation along
@@ -29,6 +38,7 @@ the point cell at the source center, through the same chain.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -36,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
-from .interval import affine_batch, iadd, isub
+from .interval import _ETA, _MAX, _U, DomainError
 
 
 class MissingInverseError(Exception):
@@ -73,8 +83,8 @@ class MapSystem:
         """Float images of the points z, (n,) or (B, n): the midpoints
         0.5*lo + 0.5*hi of eval_batch on the points as cells of zero width.
         They are not enclosures but values for orbits, residuals and plots;
-        for F and the linear maps, whose batches widen the round-to-nearest
-        value by a radius, they are that value up to rounding."""
+        for a quadratic map, whose batch widens the round-to-nearest value
+        by a radius, they are that value up to rounding."""
         cells = np.atleast_2d(np.asarray(z, dtype=float))
         lo, hi = self.eval_batch(cells, cells)
         return (0.5 * lo + 0.5 * hi).reshape(np.shape(z))
@@ -112,206 +122,286 @@ def _conjugate(S, out, f, lo, hi):
     return tuple(a.reshape(rlo.shape) for a in out.act(rlo.reshape(rows), rhi.reshape(rows)))
 
 
-# --- the 4-d reversible map F ---
+# --- quadratic maps: F(z) = A z + c + C (B z + b)**2 ---
 
-# The gamma of _F_batch: 9u meets gamma (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u,
-# which 8u misses.
-_F_GAMMA = 9 * 2.0 ** -53
+_NU = 2.0 ** -500  # added to the shift's magnitude, see _quadratic_eval
+_BIG = 0.75 * _MAX  # an entry whose magnitude bound passes this is [-inf, +inf]
+
+# The kernel matrices of a quadratic map, each over the rows of
+# X = [1; l_1; h_1; ...; l_n; h_n; d_1**2; g_1**2; ...], S = [1; s_lo,1;
+# s_hi,1; ...] or W = [Z; 1; s'] (see _quadratic_eval): shift (1 + 2m,
+# 1 + 2n) gives S from X's first rows; value (2n, 1 + 2n + 2m) the lower,
+# then the upper bounds of F from X; jacobian (2n*n, 1 + 2m) those of DF
+# from S; sigma (m, n + 1) s~ from W's first rows; magnitude (n, n + 1 + m)
+# e from W with s' squared; jac_magnitude (n*n, 1 + m) e_J from W's last
+# rows; constants is _quadratic_constants(n, m).
+_Quadratic = namedtuple("_Quadratic",
+                        "shift value jacobian sigma magnitude jac_magnitude constants")
 
 
-def _F_batch(lo, hi):
-    """Enclosures of F over a batch of cells, each output endpoint
-    evaluated in round-to-nearest and widened by a radius that covers its
-    rounding error and the rounding of the widening, with no outward step.
+def _split(M):
+    """The coefficients of the lower and the upper bound of M z over the
+    rows l_1, h_1, ..., l_k, h_k of the bounds of z: M's positive and
+    negative parts interleaved column by column, as (M+, M-) and (M-, M+)."""
+    P, N = np.maximum(M, 0.0), np.minimum(M, 0.0)
+    return [np.stack(t, axis=-1).reshape(M.shape[0], 2 * M.shape[1]) for t in ((P, N), (N, P))]
 
-    The cells are copied to C-contiguous (4, B) arrays, rows x1, x2, y1,
-    y2, so every operation runs on contiguous rows, and the results are
-    returned as (B, 4) transposed views. With w = x + y, each output
-    endpoint is an expression in the input endpoints: the lower end of the
-    first output is
 
-        L = ((P1_lo + 4) - w2_hi) * 0.5 - y1_hi,   w2_hi = x2_hi + y2_hi,
+def _columns(M, X):
+    """M @ X for the columns of X (k, B), each column's bits the same in
+    every batch: numpy hands a one-column product to BLAS gemv, whose
+    result can differ in the last bit from gemm's, so one column is
+    multiplied as two (as interval._times_transpose does for rows)."""
+    if X.shape[1] == 1:
+        return (M @ np.concatenate((X, X), axis=1))[:, :1]
+    return M @ X
 
-    where P1_lo is the min of the four products w1 * (1 - w1') over the
-    endpoints w1, w1' of w1 (the inf-sup hull of w1 * (1 - w1)); the other
-    endpoints and outputs follow F's formula the same way. In exact
-    arithmetic L is a lower bound of the first output over the cell.
 
-    Error bound. With u = 2**-53, eta = 2**-1074 and gamma_k as in
-    interval.py, a rounded +, - or * returns (a o b)(1 + d) + e with
-    |d| <= u, |e| <= eta/2, and e = 0 for + and -; scaling by 0.5 has d = 0
-    but is not exact for subnormals, so it has |e| <= eta/2 too. Let X_i,
-    Y_i be the largest magnitudes of the cell's x_i, y_i and
-    W_i = X_i + Y_i, which bounds |w_i|. If two operands are off by at most
-    gamma_j A and gamma_k B from exact values bounded by A and B, their
-    rounded sum or difference is off by at most gamma_(max(j,k)+1) (A + B),
-    and their rounded product by gamma_(j+k+1) A B + eta/2 (Higham, lemma
-    3.3); min and max do not increase an error. Step by step, w is off by
-    gamma_1 W, 1 - w by gamma_2 (1 + W), the products and their hull by
-    gamma_4 W(1 + W) + eta/2, and L by at most gamma_7 E + eta, where
+def _quadratic_constants(n, m):
+    """(gamma, floor, gamma_J, floor_J) of the kernels of an n-d map with m
+    squares; all four are exact floats. With p = 2n + 1, q = 2n + 2m + 1,
+    q_J = 2m + 1, and G and G_J as in _quadratic_eval and _quadratic_jac:
 
-        E1 = ((W1 (1 + W1) + 4) + W2) * 0.5 + Y1
+        gamma (1 - u)**(3n + m + 9) >= G,
+        (1 - u)**2 (floor - eta/2) - gamma (n + m) eta/2 >= (1 + u) q eta,
+        gamma_J (1 - u)**(n + m + 7) >= G_J,
+        (1 - u)**2 (floor_J - eta/2) - gamma_J m eta/2 >= (1 + u) q_J eta.
 
-    (outputs 3 and 4 add X instead of Y, and outputs 2 and 4 swap W1 and
-    W2), the underflow terms summing to less than eta. As E >= 2, that is
-    at most (gamma_7 + eta/2) E.
-
-    E is itself evaluated in round-to-nearest, from X and Y (_F_magnitude).
-    All its terms are nonnegative and no step underflows (W (1 + W) is at
-    least W, and the halved value at least 4), so each rounded step loses at
-    most a factor 1 - u, and these factors compound as the errors above do:
-    the computed e >= (1 - u)**7 E. One more rounding gives the radius
-    r = fl(_F_GAMMA * e) >= (1 - u) _F_GAMMA e.
-
-    Widening. The computed endpoint L~ is widened in round-to-nearest:
-    fl(L~ - r) is off by at most u |L~ - r| <= u (|L~| + r), and |L~| <= e
-    (see below), so fl(L~ - r) <= L~ - (1 - u) r + u e. This is a lower
-    bound of the output once (1 - u) r >= (gamma_7 + eta/2) E + u e. With
-    e >= (1 - u)**7 E that holds when
-
-        _F_GAMMA (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u,
-
-    which 9u meets and 8u does not; the upper end fl(U~ + r) is the mirror
-    image. Neither end overflows towards the other side, and one that
-    overflows outward is -inf or +inf, still a bound.
-
-    Non-finite values. Rounding to nearest is monotone and
-    |a +- b| <= |a| + |b|, so every intermediate of L is at most the
-    matching intermediate of e in magnitude: where r is finite no step
-    overflowed. Where r is not finite (an inf or NaN input, or an overflow),
-    that output is [-inf, +inf]. An overflow of w1 (1 - w1) leaves outputs
-    2 and 4 finite, as their bounds do not contain W1 (1 + W1).
+    For m = 0 the Jacobian's one product is A times 1, which is exact, so
+    gamma_J = floor_J = 0 and the Jacobian is A.
     """
-    lo, hi = lo.T.copy(), hi.T.copy()
-    wl = lo[:2] + lo[2:]
-    wh = hi[:2] + hi[2:]
-    al = 1.0 - wh
-    ah = 1.0 - wl
-    c1, c2, c3 = wl * al, wl * ah, wh * al
-    gl = np.minimum(c1, c2)
-    gh = np.maximum(c1, c2, out=c1)
-    np.minimum(gl, c3, out=gl)
-    np.maximum(gh, c3, out=gh)
-    c4 = np.multiply(wh, ah, out=c3)
-    np.minimum(gl, c4, out=gl)
-    np.maximum(gh, c4, out=gh)
-    # g = f(w) / 2, f = (w1(1 - w1) + 4 - w2, w2(1 - w2) + 4 + w1)
-    gl += 4.0
-    gh += 4.0
-    gl[0] -= wh[1]
-    gh[0] -= wl[1]
-    gl[1] += wl[0]
-    gh[1] += wh[0]
-    gl *= 0.5
-    gh *= 0.5
-    # F = (-y + g, x + g)
-    out_lo = np.empty_like(lo)
-    out_hi = np.empty_like(hi)
-    np.subtract(gl, hi[2:], out=out_lo[:2])
-    np.add(gl, lo[:2], out=out_lo[2:])
-    np.subtract(gh, lo[2:], out=out_hi[:2])
-    np.add(gh, hi[:2], out=out_hi[2:])
-    r = _F_magnitude(lo, hi)
-    r *= _F_GAMMA
-    out_lo -= r
-    out_hi += r
-    bad = ~np.isfinite(r)
-    if bad.any():
-        out_lo[bad] = -np.inf
-        out_hi[bad] = np.inf
-    return out_lo.T, out_hi.T
+    p, q, qj = 2 * n + 1, 2 * n + 2 * m + 1, 2 * m + 1
+    jac = ((qj + p + 3) * _U, 2 * (qj + 1) * _ETA) if m else (0.0, 0.0)
+    return ((q + 2 * p + 3) * _U, 2 * (q + 1) * _ETA) + jac
 
 
-def _F_magnitude(lo, hi):
-    """The magnitude bound e of each output of _F_batch, evaluated in
-    round-to-nearest, for cells given as (4, B) arrays, rows x1, x2, y1, y2
-    (see _F_batch)."""
-    m = np.abs(lo)
-    np.maximum(m, np.abs(hi), out=m)
-    w = m[:2] + m[2:]
-    g = w + 1.0
-    g *= w
-    g += 4.0
-    g += w[::-1]
-    g *= 0.5
-    e = np.empty_like(m)
-    np.add(g, m[2:], out=e[:2])
-    np.add(g, m[:2], out=e[2:])
-    return e
+def _prepare(q, lo, hi, rows):
+    """The operands of both kernels for the cells [lo, hi] (B, n): X (rows,
+    B) with its first 2n + 1 rows set, S, g = max(|s_lo|, |s_hi|) (m, B)
+    and W (see _quadratic_eval)."""
+    nb, n = lo.shape
+    X = np.empty((rows, nb))
+    X[0] = 1.0
+    X[1:2 * n + 1:2], X[2:2 * n + 1:2] = lo.T, hi.T
+    S = _columns(q.shift, X[:2 * n + 1])
+    W = np.empty((n + 1 + len(q.sigma), nb))
+    np.abs(X[1:2 * n + 1:2], out=W[:n])
+    np.maximum(W[:n], np.abs(X[2:2 * n + 1:2]), out=W[:n])
+    W[n] = 1.0
+    g = np.abs(S[1::2])
+    np.maximum(g, np.abs(S[2::2]), out=g)
+    np.maximum(_columns(q.sigma, W[:n + 1]), g, out=W[n + 1:])
+    return X, S, g, W
 
 
-# DF's constant entries +-1/2, flattened row by row, and the diagonals of its
-# 2 x 2 blocks Dg, Dg - I, I + Dg and Dg as slices of that flat row
-_DF_TEMPLATE = np.array([[0.0, -0.5, 0.0, -0.5], [0.5, 0.0, 0.5, 0.0]] * 2).ravel()
-_DF_DIAGONALS = (slice(0, 6, 5), slice(2, 8, 5), slice(8, 14, 5), slice(10, 16, 5))
+def _enclose(M, X, Me, W, gamma, floor):
+    """The bounds M @ X = [lower; upper] (2k, B), widened by
+    r = fl(fl(gamma e) + floor) for the magnitude bounds e = Me @ W, as
+    (B, k) lo and hi; an entry whose e is above _BIG or NaN is
+    [-inf, +inf]. An operand (an entry of X or W) that is not finite would
+    make NaN of inf * 0 in every entry of its cell, so such operands are
+    left out of both products instead, and only the entries that one
+    reaches through a nonzero coefficient become [-inf, +inf]: the others
+    do not depend on it."""
+    k, Y, e = len(Me), _columns(M, X), _columns(Me, W)
+    if not (e <= _BIG).all():
+        lost = [~np.isfinite(a) for a in (X, W)]
+        Y, e = (_columns(A, np.where(gone, 0.0, a)) for A, a, gone in zip((M, Me), (X, W), lost))
+        reach = _columns(M != 0, lost[0])
+        bad = ~(e <= _BIG) | reach[:k] | reach[k:] | _columns(Me != 0, lost[1])
+        Y[:k][bad], Y[k:][bad], e[bad] = -np.inf, np.inf, 0.0
+    r = e * gamma
+    r += floor
+    Y[:k] -= r
+    Y[k:] += r
+    return Y[:k].T, Y[k:].T
 
 
-def _F_jac_batch(lo, hi):
-    """DF = [[Dg, Dg - I], [I + Dg, Dg]] with Dg at w = x + y, where
-    Dg = [[1/2 - w1, -1/2], [1/2, 1/2 - w2]].
+def _quadratic_eval(q, lo, hi):
+    """Enclosures of F(z) = A z + c + C (B z + b)**2 over a batch of cells
+    [lo, hi] (B, n), for the kernel matrices q of quadratic_map_system.
 
-    w and a = 1/2 - w are each rounded outward once, on (B, 2) arrays, and
-    a - 1 and a + 1 once more; their enclosures fill the block diagonals
-    of a constant template of DF's +-1/2 entries."""
-    nb = lo.shape[0]
-    w_lo, w_hi = iadd(lo[:, :2], hi[:, :2], lo[:, 2:], hi[:, 2:])
-    al, ah = isub(0.5, 0.5, w_lo, w_hi)
-    ml, mh = iadd(al, ah, -1.0, -1.0)
-    pl, ph = iadd(al, ah, 1.0, 1.0)
-    out = []
-    for diagonals in ((al, ml, pl, al), (ah, mh, ph, ah)):
-        j = np.empty((nb, 16))
-        j[:] = _DF_TEMPLATE
-        for slots, d in zip(_DF_DIAGONALS, diagonals):
-            j[:, slots] = d
-        out.append(j.reshape(nb, 4, 4))
-    return tuple(out)
+    Bounds. The cells are copied to the columns of X = [1; l_1; h_1; ...;
+    l_n; h_n], each lower bound's row next to its upper bound's. With M+
+    and M- the positive and negative parts of a matrix M, one product gives
+    both bounds of the shift sigma = B z + b over each cell,
+    s_lo = b + B+ l + B- h and s_hi = b + B+ h + B- l. With
+    d = max(s_lo, -s_hi, 0) and g = max(|s_lo|, |s_hi|), d**2 <= sigma**2
+    <= g**2 over the cell, and
+
+        L = c + A+ l + A- h + C+ d**2 + C- g**2 <= F(z)
+          <= c + A+ h + A- l + C+ g**2 + C- d**2 = U,
+
+    one product of the `value` matrix with X, d**2 and g**2 appended. The
+    coefficients of L and U are interleaved like X's rows, so their nonzero
+    terms come in the same order, and a product that sums each row in
+    column order gives a point cell L = U.
+    This is the tight square of each shift coordinate; for F it is as tight
+    as the hull of the four products w (1 - w') wherever w avoids [0, 1],
+    and tighter where it does not.
+
+    Error bound. With u, eta and gamma_k as in interval.py, a dot product
+    of length k, in any order and with or without fused multiply-adds, is
+    off by at most gamma_k times the sum of its terms' magnitudes plus
+    k eta. The shift's products have length p = 2n + 1, F's q = 2n + 2m + 1.
+    Let Z = max(|l|, |h|) and
+
+        s = |B| Z + |b| + nu,   nu = 2**-500,
+
+    which bounds |s_lo| and |s_hi|, and makes every underflow of the shift
+    and the squares negligible (eta <= u nu, eta/2 <= 2**-22 u nu**2). The
+    computed shift is off by at most gamma_p s. max, negation and abs are
+    exact, and d and g are 1-Lipschitz in (s_lo, s_hi) and at most s, so
+    the rounded squares are off from the exact ones by at most
+
+        a2 s**2,   a2 = gamma_p (2 + gamma_p) + u (1 + gamma_p)**2 + 2**-22 u,
+
+    and are at most a1 s**2, a1 = (1 + u)(1 + gamma_p)**2 + 2**-22 u. So the
+    computed L~ is off from L by at most
+    R = gamma_q (|c| + |A| Z + a1 |C| s**2) + a2 |C| s**2 + q eta, and
+    |L~| <= (1 + gamma_q)(|c| + |A| Z + a1 |C| s**2) + q eta, so that with
+    E = |c| + |A| Z + |C| s**2
+
+        R + u |L~| <= G E + (1 + u) q eta,
+        G = (gamma_q + u (1 + gamma_q)) a1 + a2.
+
+    Radius. E is evaluated in round-to-nearest, as e = fl(|A| Z + |c| +
+    |C| s'**2) with s~ = fl(|B| Z + (|b| + nu)), the constant rounded once
+    when the map is built, and s' = max(s~, g~), which can only raise e.
+    All terms are nonnegative, so each rounding loses at most a factor
+    1 - u: s~ >= (1 - u)**(n + 2) s (its n eta/2 of underflow is below
+    u nu), s~**2 is normal, and e >= (1 - u)**(3n + m + 6) E - (n + m) eta/2.
+    The radius r = fl(fl(gamma e) + floor) then has
+
+        (1 - u) r >= (1 - u)**(3n + m + 9) gamma E + (1 - u)**2 (floor - eta/2)
+                     - gamma (n + m) eta/2,
+
+    which is at least G E + (1 + u) q eta under the two conditions of
+    _quadratic_constants.
+
+    Widening. fl(L~ - r) is off by at most u |L~ - r| <= u (|L~| + r), so
+    fl(L~ - r) <= L~ - (1 - u) r + u |L~| <= L, and fl(U~ + r) >= U is the
+    mirror image: [fl(L~ - r), fl(U~ + r)] encloses F over the cell, with
+    no outward step.
+
+    Non-finite values. An output whose e is above _BIG or NaN is
+    [-inf, +inf]. Below _BIG nothing overflowed: each term of L~ and U~ is
+    at most the matching term of e (a computed square is at most s'**2),
+    so every intermediate is at most (1 + gamma_q) e / (1 - u)**(n + m + 1)
+    < MAX, and so is each widened end. A cell coordinate that is
+    not finite, and a shift or square that overflowed, is an operand that
+    is not finite (in X, or in W as s' = max(s~, g~)), and _enclose makes
+    [-inf, +inf] of the outputs it reaches: for F, every output of a cell
+    with a coordinate that is not finite.
+    """
+    n = lo.shape[1]
+    X, S, g, W = _prepare(q, lo, hi, q.value.shape[1])
+    np.square(np.maximum(np.maximum(S[1::2], -S[2::2]), 0.0), out=X[2 * n + 1::2])  # d**2
+    np.square(g, out=X[2 * n + 2::2])
+    np.square(W[n + 1:], out=W[n + 1:])
+    return _enclose(q.value, X, q.magnitude, W, *q.constants[:2])
+
+
+def _quadratic_jac(q, lo, hi):
+    """Enclosures of DF(z) = A + 2 C diag(B z + b) B over a batch of cells
+    [lo, hi] (B, n), as (B, n, n) lo and hi.
+
+    Entry (i, j) is A_ij + sum_k P_kij sigma_k with P_kij = 2 C_ik B_kj,
+    linear in the shift, so one product of the `jacobian` matrix, rows
+    [A | P+ | P-] and [A | P- | P+] interleaved like S, with S gives its
+    bounds. P~ = fl(2 C_ik B_kj) is rounded once when the map is built,
+    and is off by at most u |P~| + eta/2, and by 0 where C_ik or B_kj is 0.
+
+    Error bound. In the notation of _quadratic_eval, and with q_J = 2m + 1,
+    the product is off by at most
+    gamma_qJ (|A| + |P~| (1 + gamma_p) s) + q_J eta, the shift's error adds
+    at most |P~| gamma_p s, and P's rounding at most u Pi s, for
+    Pi = |P~| + 2**-1022 where C_ik and B_kj are both nonzero and Pi = 0
+    elsewhere (eta/2 = u 2**-1022). With the widening's u |J~|, and
+    E_J = |A| + Pi s, that is at most G_J E_J + (1 + u) q_J eta, where
+
+        G_J = (gamma_qJ + u (1 + gamma_qJ))(1 + gamma_p) + gamma_p + u.
+
+    E_J is evaluated as e_J = fl(|A| + fl(Pi) s'), each term passing at
+    most n + m + 4 roundings, so e_J >= (1 - u)**(n + m + 4) E_J - m eta/2,
+    and r_J = fl(fl(gamma_J e_J) + floor_J) covers G_J E_J + (1 + u) q_J eta
+    under the conditions of _quadratic_constants, as in _quadratic_eval.
+    Entries are [-inf, +inf] as there (_enclose): an entry of a cell with a
+    coordinate that is not finite only where some P_kij is nonzero. For
+    m = 0 the product is A times 1, exact, and the Jacobian is A.
+    """
+    nb, n = lo.shape
+    S, W = _prepare(q, lo, hi, 2 * n + 1)[1::2]
+    # copied to C order: the chain's products read each cell's matrix whole
+    return tuple(np.ascontiguousarray(a).reshape(nb, n, n)
+                 for a in _enclose(q.jacobian, S, q.jac_magnitude, W[n:], *q.constants[2:]))
+
+
+def quadratic_map_system(name, A, c, B, b, C, reversor=None) -> MapSystem:
+    """The MapSystem of F(z) = A z + c + C (B z + b)**2, for A (n, n),
+    c (n,), B (m, n), b (m,) and C (n, m), named `name`, with an optional
+    reversor of dimension n. Data of another shape, an entry that is not a
+    finite number, or a reversor of another dimension raises DomainError.
+    Its eval_batch and jac_batch are _quadratic_eval and _quadratic_jac
+    bound to the data's kernel matrices, so the map pickles by value."""
+    try:
+        A, c, B, b, C = (np.asarray(x, dtype=float) for x in (A, c, B, b, C))
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"quadratic map data must be arrays of numbers: {e}") from e
+    n, m = (x.shape[0] if x.ndim else -1 for x in (A, B))
+    for label, x, shape in zip("AcBbC", (A, c, B, b, C), ((n, n), (n,), (m, n), (m,), (n, m))):
+        if x.shape != shape or not np.isfinite(x).all():
+            raise DomainError(f"{label} must be finite, of shape {shape}; got shape {x.shape}")
+    if reversor is not None and reversor.dim != n:
+        raise DomainError(f"the reversor has dimension {reversor.dim}, the map {n}")
+    P = np.einsum("ik,kj->ijk", 2.0 * C, B).reshape(n * n, m)
+    inexact = np.einsum("ik,kj->ijk", C != 0, B != 0).reshape(n * n, m)
+    (Al, Ah), (Bl, Bh), (Cl, Ch), (Pl, Ph) = (_split(M) for M in (A, B, C, P))
+    shift = np.stack((np.c_[b, Bl], np.c_[b, Bh]), axis=1).reshape(2 * m, 2 * n + 1)
+    Pi = np.where(inexact, np.abs(P) + 2.0 ** -1022, 0.0)
+    q = _Quadratic(np.vstack([np.eye(1, 2 * n + 1), shift]),
+                   np.block([[c[:, None], Al, Cl], [c[:, None], Ah, Ch]]),
+                   np.block([[A.reshape(-1, 1), Pl], [A.reshape(-1, 1), Ph]]),
+                   np.c_[np.abs(B), np.abs(b) + _NU], np.c_[np.abs(A), np.abs(c), np.abs(C)],
+                   np.c_[np.abs(A).reshape(-1, 1), Pi], _quadratic_constants(n, m))
+    return MapSystem(name, n, partial(_quadratic_eval, q), partial(_quadratic_jac, q),
+                     reversor=reversor)
+
+
+# F with its squares completed: B z + b = x + y - 1/2
+_F_DATA = dict(A=np.array([[0, -1, -2, -1], [1, 0, 1, -2], [2, -1, 0, -1], [1, 2, 1, 0]]) / 2,
+               c=[17 / 8] * 4, B=[[1, 0, 1, 0], [0, 1, 0, 1]], b=[-0.5] * 2,
+               C=[[-0.5, 0], [0, -0.5], [-0.5, 0], [0, -0.5]])
 
 
 def reversible_quadratic_map() -> MapSystem:
     """The shipped 4-d reversible instance, registered as "F-quadratic-4d";
     its inverse S o F o S is registered as "F-quadratic-4d-inverse"."""
-    fwd = MapSystem(
-        name="F-quadratic-4d",
-        dim=4,
-        eval_batch=_F_batch,
-        jac_batch=_F_jac_batch,
-        reversor=coordinate_reflection(4, (0, 1)),
-    )
+    fwd = quadratic_map_system("F-quadratic-4d", **_F_DATA,
+                               reversor=coordinate_reflection(4, (0, 1)))
     _reversor_inverse(fwd, "F-quadratic-4d-inverse")
     return fwd
 
 
-def _linear_jac(A, lo, hi):
-    j = np.broadcast_to(A, (lo.shape[0],) + A.shape)
-    return j.copy(), j.copy()
-
-
-def _linear_only(A: np.ndarray, name: str, reversor=None) -> MapSystem:
-    n = A.shape[0]
-    return MapSystem(name, n, partial(affine_batch, A, np.zeros(n)), partial(_linear_jac, A),
-                     reversor=reversor)
-
-
 def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None) -> MapSystem:
-    """MapSystem for z -> A z; mainly for toy coverings and tests."""
-    m = _linear_only(np.asarray(matrix, dtype=float), name, reversor)
-    if inverse_matrix is not None:
-        m.inverse = _linear_only(np.asarray(inverse_matrix, dtype=float), name + "-inverse")
-        m.inverse.inverse = m
-    return m
+    """MapSystem for z -> A z, the quadratic map with c = 0 and no squares
+    (m = 0); mainly for toy coverings and tests."""
+    n = len(matrix)
+    fwd, inv = (M if M is None else quadratic_map_system(
+        label, M, np.zeros(n), np.zeros((0, n)), np.zeros(0), np.zeros((n, 0)), S)
+        for label, M, S in ((name, matrix, reversor), (name + "-inverse", inverse_matrix, None)))
+    if inv is not None:
+        fwd.inverse, inv.inverse = inv, fwd
+    return fwd
 
 
-_REGISTRY = {
-    "F": reversible_quadratic_map,
-    "F-quadratic-4d": reversible_quadratic_map,
-    "F-inverse": lambda: reversible_quadratic_map().inverse,
-    "F-quadratic-4d-inverse": lambda: reversible_quadratic_map().inverse,
-}
+_NAMES = ("F", "F-quadratic-4d", "F-inverse", "F-quadratic-4d-inverse")
 
 
 def map_by_name(name: str) -> MapSystem:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown map {name!r}; known: {sorted(_REGISTRY)}")
+    """The registered map `name`: F, or its inverse S o F o S, each under
+    two names."""
+    if name not in _NAMES:
+        raise KeyError(f"unknown map {name!r}; known: {sorted(_NAMES)}")
+    F = reversible_quadratic_map()
+    return F.inverse if name.endswith("-inverse") else F

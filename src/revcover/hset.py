@@ -52,7 +52,8 @@ class LinearReversor:
     exact. A general float involution is refused: its products round, and a
     rounded image of an h-set is not S(|N|). S's permutation `perm` and the
     mask `neg` of its negative entries are read off the matrix once; `act`
-    applies S to intervals with them.
+    applies S to intervals with them. Equality and the hash are those of
+    the matrix, as for HSet.
     """
 
     matrix: np.ndarray
@@ -93,6 +94,15 @@ class LinearReversor:
     def fixes(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return np.array_equal(self.matrix @ x, x)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearReversor):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which == does not tell apart
+        return hash((self.matrix + 0.0).tobytes())
 
 
 def coordinate_reflection(n: int, negated: tuple[int, ...]) -> LinearReversor:

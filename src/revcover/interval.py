@@ -12,11 +12,12 @@ in round-to-nearest differs from the exact value by at most half an ulp, so
 stepping each endpoint one float outward always yields a rigorous bound. The
 kernel functions (iadd, isub, imul) take numpy arrays, or floats, which
 np.nextafter steps to the same bits, and are the single source of truth for
-the inf-sup batch kernels. The midpoint-radius kernels below and the batch
-evaluation of the map F (`dynamics._F_batch`) instead evaluate a whole
-expression in round-to-nearest and return fl(c - r) and fl(c + r) for its
-value c and an a-priori radius r. They take no outward step: r bounds the
-rounding error of c and also covers the one rounding of c -+ r, because
+the inf-sup batch kernels. The midpoint-radius kernels below and the two
+kernels of a quadratic map (`dynamics._quadratic_eval` and
+`dynamics._quadratic_jac`) instead evaluate a whole expression in
+round-to-nearest and return fl(c - r) and fl(c + r) for its value c and an
+a-priori radius r. They take no outward step: r bounds the rounding error
+of c and also covers the one rounding of c -+ r, because
 fl(c - r) <= c - (1 - u) r + u |c| (see `_midrad_outward`).
 
 The step is `np.nextafter` toward -inf (`_down`) or +inf (`_up`). Float64

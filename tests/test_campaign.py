@@ -68,18 +68,19 @@ def test_q1_disambiguation_recorded(data):
 
 
 # SHA-256 of the float.hex of every entry of each h-set's center, matrix and
-# inverse lo and hi, and the float.hex of the Q1 residuals, as recorded when
-# each map still had a float point function of its own
+# inverse lo and hi, and the float.hex of the Q1 residuals. Q2 = F^4(Q1) and
+# Q3 = F^5(Q1), the centers of H2 and H3, and the residuals are
+# MapSystem.image values, so they follow the bits of F's value kernel
 INSTANCE_SHA256 = {
     "N1": "bccfde8b3e408c0dc59b277f27ede37b0d6a0a6dc95105298a870182b763d383",
     "N2": "78cf60338fa7d8d79664c2df95417188fab832c5c07ef5a4b10a89dffa3dfbc4",
     "H1": "fa2ddb9bb654c90f34af9202c3dbce96117efe9179d9a331903c3316ff9d17fc",
-    "H2": "7cc1995bf3596b3648d46223d1f24e7caa115320f74176d567dfacadab313b27",
-    "H3": "c376f14ee8d902e288f73e72e0a30571ab9013998f23a4d89279125c65d72f87",
+    "H2": "adb6755ddcbf1bed8ee756d5f8251fb55d2c3578cf829acf4f5fed2596e723ed",
+    "H3": "7903b76fd5cdc1aac17486c0078d6d8979a411c88a5760caa3a9c2a75bb16b9a",
 }
 Q1_RESIDUALS_HEX = {
-    "same-frame-u2": ("0x1.57f523b016100p-8", "0x1.0490d1ea2a000p-10"),
-    "mixed-frame-u1": ("0x1.33bdb9cfdbf80p-6", "0x1.85f96eaf3029ap+85"),
+    "same-frame-u2": ("0x1.57f523b016200p-8", "0x1.0490cfc579800p-10"),
+    "mixed-frame-u1": ("0x1.33bdb9cfdbe00p-6", "0x1.85f96eaf2fafep+85"),
 }
 
 
@@ -412,7 +413,7 @@ def test_report_deterministic_across_runs_and_threads(campaign):
 # SHA-256 of the campaign report at defaults as sorted JSON, without its
 # timings and thread count (_strip_volatile): a change to any relation,
 # derived edge, block, word count, cross-check or conclusion shows here
-REPORT_SHA256 = "8c2f2bfd937ec031312ea52da8c395b5e939f00ca7b1773dd91492dc1ca49146"
+REPORT_SHA256 = "f9022c250b35508829113f2bfde14e9547bc833407dce55fa6354f495080f4af"
 
 
 def test_campaign_report_is_pinned(campaign):

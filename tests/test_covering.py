@@ -557,6 +557,9 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
             return super().map(fn, payloads, **kwargs)
 
     monkeypatch.setattr(covering, "_process_pool", SpyPool)
+    # the pool is capped at the cpu count: with more cpus assumed, three
+    # workers on fewer cores are still three processes
+    monkeypatch.setattr(covering, "cpu_count", lambda: 4)
     if case == "identity-inconclusive":
         N = toy_hset(2, 1)
         args = (N, linear_map_system(np.eye(2)), 1, N)
@@ -625,6 +628,25 @@ def test_budget_is_per_check(data):
         if cert.status != VERIFIED:
             assert cert.status == INCONCLUSIVE
     assert over_budget  # a relation may spend up to twice the budget
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    """A thread count above os.cpu_count() starts only cpu_count workers;
+    the recorder in place of the pool starts no process."""
+    made = []
+
+    class Recorder:
+        _broken = False
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(covering, "cpu_count", lambda: 2)
+    monkeypatch.setattr(covering, "_process_pool",
+                        lambda workers: made.append(workers) or Recorder())
+    covering._worker_pool(64)
+    covering._worker_pool(64)  # the same capped count reuses the pool
+    assert made == [2]
 
 
 def test_small_frontier_stays_in_process(data, monkeypatch):
@@ -736,6 +758,7 @@ def test_workers_forked_while_no_pool_thread_runs(monkeypatch):
     """A pool is replaced only after the old one's threads have stopped, so
     each worker is forked from a process running no thread but its own
     (Python 3.12+ warns that a fork beside other threads may deadlock)."""
+    monkeypatch.setattr(covering, "cpu_count", lambda: 4)  # three workers are three
     threads = threading.active_count()
     forks = []
     real_fork = os.fork

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from revcover.dynamics import (
+    _F_DATA,
     MapSystem,
     MissingInverseError,
     _reversor_inverse,
     linear_map_system,
     map_by_name,
+    quadratic_map_system,
     reversible_quadratic_map,
 )
 from revcover.campaign import INSTANCE_DATA, RELATIONS, _q1_candidate_point
@@ -78,13 +80,23 @@ def test_F_at_origin():
 
 
 def _F_float(z):
-    """F at the points z (B, 4) in float arithmetic, the formula written out
-    in the order of operations of F's own evaluation."""
-    x, y = z[:, :2], z[:, 2:]
-    w = x + y
-    g = 0.5 * np.stack([w[:, 0] * (1 - w[:, 0]) + 4 - w[:, 1],
-                        w[:, 1] * (1 - w[:, 1]) + 4 + w[:, 0]], axis=1)
-    return np.concatenate([-y + g, x + g], axis=1)
+    """F at the points z (B, 4) in float arithmetic: its completed square
+    c + A z + C (B z + b)**2, each coordinate summed in the order of
+    operations of F's own evaluation, the constant first and then the
+    nonzero terms column by column (the shift B z + b likewise)."""
+    A, c, B, b, C = (np.asarray(_F_DATA[k], dtype=float) for k in "AcBbC")
+
+    def rows(M, x, const):
+        out = np.empty((len(x), len(M)))
+        for i, row in enumerate(M):
+            acc = np.full(len(x), const[i])
+            for j in np.flatnonzero(row):
+                acc = acc + row[j] * x[:, j]
+            out[:, i] = acc
+        return out
+
+    s = rows(B, z, b)
+    return rows(np.hstack([A, C]), np.hstack([z, s * s]), c)
 
 
 def test_image_matches_the_float_formula(data, rng):
@@ -406,6 +418,55 @@ def _exact_jacobian(z, inverse):
     return top + bottom
 
 
+def _exact_form(data, z):
+    """A z + c + C (B z + b)**2 and A + 2 C diag(B z + b) B at the point z
+    (Fractions) in exact arithmetic, for the float data of a quadratic map;
+    the Jacobian as a list of rows."""
+    A, c, B, b, C = ([[Fraction(x) for x in row] for row in np.atleast_2d(data[k]).tolist()]
+                     for k in "AcBbC")
+    s = [b[0][k] + sum(x * v for x, v in zip(B[k], z)) for k in range(len(B))]
+    value = [c[0][i] + sum(x * v for x, v in zip(A[i], z))
+             + sum(x * sk * sk for x, sk in zip(C[i], s)) for i in range(len(z))]
+    jac = [[A[i][j] + 2 * sum(C[i][k] * s[k] * B[k][j] for k in range(len(s)))
+            for j in range(len(z))] for i in range(len(z))]
+    return value, jac
+
+
+def test_F_data_is_F(rng):
+    """F's five arrays reproduce F and its Jacobian (the closed formulas
+    below) exactly, at 100 random rational points: two quadratic maps that
+    agree at that many generic points are the same map."""
+    for _ in range(100):
+        z = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-1000, 1000, 4),
+                                                         rng.integers(1, 1000, 4))]
+        value, jac = _exact_form(_F_DATA, z)
+        assert value == _exact_F(*z)
+        assert jac == _exact_jacobian(z, False)
+
+
+def _assert_kernels_enclose(m, exact, rng, nb=60):
+    """eval_batch and jac_batch of m enclose exact(z) = (value, Jacobian
+    rows) at the corners and at interior points of random cells, with
+    zero-width cells and widths down to 1e-12, and image is within rounding
+    of the value."""
+    n = m.dim
+    lo = rng.uniform(-3, 3, size=(nb, n))
+    width = 10.0 ** rng.uniform(-12, 0, size=(nb, n))
+    width[rng.uniform(size=(nb, n)) < 0.2] = 0.0
+    width[:5] = 0.0
+    hi = lo + width
+    corners = np.array(list(itertools.product((False, True), repeat=n)))
+    elo, ehi = m.eval_batch(lo, hi)
+    jlo, jhi = m.jac_batch(lo, hi)
+    for i in range(nb):
+        inner = np.clip(lo[i] + rng.uniform(size=(4, n)) * width[i], lo[i], hi[i])
+        for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
+            value, J = exact([Fraction(x) for x in p.tolist()])
+            assert encloses(elo[i], ehi[i], value)
+            assert np.allclose(m.image(p), [float(v) for v in value], rtol=1e-14, atol=1e-13)
+            assert encloses(jlo[i], jhi[i], [v for row in J for v in row])
+
+
 def test_map_kernels_exact_oracle(rng):
     """eval_batch and jac_batch of F and F^-1 enclose the exact values at the
     corners and at interior points of random cells, with zero-width cells and
@@ -413,23 +474,65 @@ def test_map_kernels_exact_oracle(rng):
     reference is the closed-form inverse, not the reversor conjugate the map
     system uses."""
     F = reversible_quadratic_map()
-    nb = 60
-    lo = rng.uniform(-3, 3, size=(nb, 4))
-    width = 10.0 ** rng.uniform(-12, 0, size=(nb, 4))
-    width[rng.uniform(size=(nb, 4)) < 0.2] = 0.0
-    width[:5] = 0.0
-    hi = lo + width
-    corners = np.array(list(itertools.product((False, True), repeat=4)))
     for m, exact, inverse in ((F, _exact_F, False), (F.inverse, _exact_F_inverse, True)):
-        elo, ehi = m.eval_batch(lo, hi)
-        jlo, jhi = m.jac_batch(lo, hi)
-        for i in range(nb):
-            inner = np.clip(lo[i] + rng.uniform(size=(4, 4)) * width[i], lo[i], hi[i])
-            for p in np.concatenate([np.where(corners, hi[i], lo[i]), inner]):
-                z = [Fraction(x) for x in p.tolist()]
-                value = exact(*z)
-                assert encloses(elo[i], ehi[i], value)
-                assert np.allclose(m.image(p), [float(v) for v in value],
-                                   rtol=1e-14, atol=1e-13)
-                J = _exact_jacobian(z, inverse)
-                assert encloses(jlo[i], jhi[i], [v for row in J for v in row])
+        _assert_kernels_enclose(m, lambda z: (exact(*z), _exact_jacobian(z, inverse)), rng)
+
+
+def _henon(a):
+    """The area-preserving Henon map (x, y) -> (y, -x + a - y**2) as data."""
+    return dict(A=[[0.0, 1.0], [-1.0, 0.0]], c=[0.0, a], B=[[0.0, 1.0]], b=[0.0],
+                C=[[0.0], [-1.0]])
+
+
+@pytest.mark.parametrize("a", [0.3, 1.4])
+def test_henon_kernels_enclose_the_exact_map(a, rng):
+    """A 2-d quadratic map from its five arrays, with the swap reversor: its
+    kernels enclose the exact map and Jacobian, and those of S o H o S
+    (_reversor_inverse) the closed-form inverse (X, Y) -> (a - X**2 - Y, X)
+    and its Jacobian [[-2X, -1], [1, 0]]."""
+    swap = LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    H = quadratic_map_system("henon", **_henon(a), reversor=swap)
+    _reversor_inverse(H, "henon-inverse")
+    A = Fraction(a)
+    _assert_kernels_enclose(H, lambda z: _exact_form(_henon(a), z), rng)
+    _assert_kernels_enclose(H.inverse, lambda z: ([A - z[0] ** 2 - z[1], z[0]],
+                                                  [[-2 * z[0], -1], [1, 0]]), rng)
+    # the reversor inverts H: S H S H is the identity on points, up to rounding
+    z = rng.uniform(-1, 1, size=(100, 2))
+    assert np.allclose(H.inverse.image(H.image(z)), z, atol=1e-13)
+
+
+def test_kernels_cover_coefficients_that_underflow():
+    """A Jacobian coefficient 2 C B that underflows to 0 in floating point
+    is still covered: F(x) = 1e-200 (1e-200 x)**2 has DF(x) = 2e-400 x, which
+    is 2e-100 at x = 1e300, far above the rounding error of the value."""
+    data = dict(A=[[0.0]], c=[0.0], B=[[1e-200]], b=[0.0], C=[[1e-200]])
+    m = quadratic_map_system("tiny", **data)
+    z = np.array([[1e300], [-1e300], [1.0], [0.0]])
+    lo, hi = z * (1 - 2 ** -40), z * (1 + 2 ** -40)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    elo, ehi = m.eval_batch(lo, hi)
+    jlo, jhi = m.jac_batch(lo, hi)
+    for i in range(len(z)):
+        for v in (lo[i, 0], hi[i, 0]):
+            value, J = _exact_form(data, [Fraction(v)])
+            assert encloses(elo[i], ehi[i], value)
+            assert encloses(jlo[i], jhi[i], [J[0][0]])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A", np.ones((4, 3))), ("c", np.ones(3)), ("B", np.ones((2, 3))), ("b", np.ones(3)),
+    ("C", np.ones((4, 3))), ("c", [1.0, np.inf, 0.0, 0.0]), ("reversor", "3-d"),
+], ids=["A-not-square", "c-length", "B-columns", "b-length", "C-shape", "not-finite",
+        "reversor-dimension"])
+def test_quadratic_map_rejects_malformed_data(field, value):
+    """User data is checked: each shape, finiteness and the reversor's
+    dimension, each a DomainError that names what is wrong."""
+    data = {k: np.asarray(v, dtype=float) for k, v in _F_DATA.items()}
+    reversor = LinearReversor(np.diag([-1.0, -1.0, 1.0, 1.0]))
+    if field == "reversor":
+        reversor = LinearReversor(np.eye(3))
+    else:
+        data[field] = value
+    with pytest.raises(DomainError, match=f"^(the )?{field} "):
+        quadratic_map_system("bad", **data, reversor=reversor)

@@ -192,6 +192,21 @@ def test_reversor_must_be_a_signed_permutation():
         LinearReversor(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # a signed rotation
 
 
+def test_reversor_equality_and_hash():
+    """Reversors compare and hash by their matrix, as h-sets do: equal ones
+    are equal and hash equal, also where a zero is signed, and reversors of
+    another matrix or dimension are unequal."""
+    S = coordinate_reflection(4, (0, 1))
+    same = LinearReversor(np.diag([-1.0, -1.0, 1.0, 1.0]) * np.where(np.eye(4), 1.0, -0.0))
+    assert S == coordinate_reflection(4, (0, 1)) == same and not S != same
+    assert hash(S) == hash(coordinate_reflection(4, (0, 1))) == hash(same)
+    assert len({S, same, coordinate_reflection(4, (0, 1))}) == 1
+    for other in (coordinate_reflection(4, (0,)), coordinate_reflection(2, (0, 1)),
+                  LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        assert S != other and not S == other
+    assert S != "S" and S != S.matrix.tolist()
+
+
 # --- derived inverses: exact images of the source's certified inverse ---
 
 # the shipped reflection and a signed permutation that is not diagonal,

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from revcover import dynamics, interval
 from revcover.covering import _bisect_cells
-from revcover.dynamics import reversible_quadratic_map
+from revcover.dynamics import _F_DATA, reversible_quadratic_map
 from revcover.interval import (
     IMatrix,
     IndeterminateSignError,
@@ -36,7 +36,7 @@ from revcover.interval import (
 )
 
 from conftest import contains, contains_box, encloses, exact_inverse, matmul, matvec, sample
-from test_dynamics import _exact_F, _exact_F_inverse
+from test_dynamics import _exact_F, _exact_F_inverse, _exact_jacobian
 
 def test_randomized_containment_all_ops(rng):
     """>= 1e5 sampled containment checks of iadd, isub and imul, 0 violations."""
@@ -563,100 +563,112 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb):
             for g, w in zip(matmul(A, B), REFERENCE[imatmul_batch](
                     A[0][None], A[1][None], B[0][None], B[1][None])):
                 assert_same_bits(g, w[0])
-            # the map kernels: eval_batch read-only on the same endpoints,
-            # then on finite cells against the exact images at a few rows;
-            # jac_batch against the Jacobian written out entry by entry
+            # the map kernels: read-only on the same endpoints, then on
+            # finite cells against the exact images and Jacobians at a few
+            # rows
             F = reversible_quadratic_map()
             for g in (F, F.inverse):
                 g.eval_batch(*_read_only(alo, ahi))
-            for g, exact in ((F, _exact_F), (F.inverse, _exact_F_inverse)):
+                g.jac_batch(*_read_only(alo, ahi))
+            for g, exact, inverse in ((F, _exact_F, False), (F.inverse, _exact_F_inverse, True)):
                 elo, ehi = g.eval_batch(*_read_only(lo, hi))
                 assert not (np.isnan(elo).any() or np.isnan(ehi).any())
                 for b in rows:
                     for v in _exact_members(lo[b], hi[b]):
                         assert encloses(elo[b], ehi[b], exact(*v))
-            for g, reference in ((F, _reference_DF), (F.inverse, _reference_DF_inverse)):
-                for got, want in zip(g.jac_batch(*_read_only(alo, ahi)), reference(alo, ahi)):
-                    assert_same_bits(got, want)
+                _assert_jacobian_encloses(g, inverse, *_read_only(lo, hi), rows)
 
 
-def _reference_DF(lo, hi):
-    """F's Jacobian over each cell, written out entry by entry: w = x + y,
-    a = 1/2 - w, a - 1 and a + 1, each endpoint rounded outward with
-    np.nextafter into a new array, in the rows
-    (a1, -1/2, a1 - 1, -1/2), (1/2, a2, 1/2, a2 - 1),
-    (a1 + 1, -1/2, a1, -1/2) and (1/2, a2 + 1, 1/2, a2)."""
-    def down(v):
-        return np.nextafter(v, -np.inf)
-
-    def up(v):
-        return np.nextafter(v, np.inf)
-
-    w_lo = [down(lo[:, i] + lo[:, i + 2]) for i in (0, 1)]
-    w_hi = [up(hi[:, i] + hi[:, i + 2]) for i in (0, 1)]
-    # a's lower end is taken at w's upper end, and its upper end at w's lower
-    a_lo = [down(0.5 - w) for w in w_hi]
-    a_hi = [up(0.5 - w) for w in w_lo]
-    J = []
-    for (a1, a2), step in ((a_lo, down), (a_hi, up)):
-        m1, m2, p1, p2 = step(a1 - 1.0), step(a2 - 1.0), step(a1 + 1.0), step(a2 + 1.0)
-        half = np.full_like(a1, 0.5)
-        J.append(np.stack([
-            np.stack([a1, -half, m1, -half], axis=1),
-            np.stack([half, a2, half, m2], axis=1),
-            np.stack([p1, -half, a1, -half], axis=1),
-            np.stack([half, p2, half, a2], axis=1),
-        ], axis=1))
-    return tuple(J)
-
-
-def _reference_DF_inverse(lo, hi):
-    """The Jacobian of F^-1 = S o F o S, S = diag(-1, -1, 1, 1), from
-    _reference_DF: the cell's x negated, and the entries (i, j) with
-    s_i s_j = -1 negated, each with its bounds swapped."""
-    neg = np.array([True, True, False, False])
-    Jl, Jh = _reference_DF(np.where(neg, -hi, lo), np.where(neg, -lo, hi))
-    flip = neg[:, None] != neg[None, :]
-    return np.where(flip, -Jh, Jl), np.where(flip, -Jl, Jh)
+def _assert_jacobian_encloses(g, inverse, lo, hi, rows):
+    """jac_batch of g (F or F^-1) holds no NaN over the cells [lo, hi],
+    keeps each entry that no square reaches (a constant of DF) around its
+    value, and encloses the exact Jacobian at the member points of the
+    given rows whose endpoints are finite."""
+    with np.errstate(all="ignore"):
+        jlo, jhi = g.jac_batch(lo, hi)
+    assert not (np.isnan(jlo).any() or np.isnan(jhi).any())
+    A, B, C = (np.asarray(_F_DATA[k], dtype=float) for k in "ABC")
+    constant = (np.abs(C) @ np.abs(B)) == 0
+    # F^-1's Jacobian is S DF S, S = diag(-1, -1, 1, 1): F's pattern, some entries negated
+    s = np.array([-1.0, -1.0, 1.0, 1.0])
+    value = np.outer(s, s) * A if inverse else A
+    assert np.all(jlo[:, constant] <= value[constant])
+    assert np.all(value[constant] <= jhi[:, constant])
+    for b in rows:
+        if np.isfinite(lo[b]).all() and np.isfinite(hi[b]).all():
+            for v in _exact_members(lo[b], hi[b]):
+                J = _exact_jacobian(v, inverse)
+                assert encloses(jlo[b], jhi[b], [x for row in J for x in row])
 
 
 @pytest.mark.parametrize("nb", [1, 7, CUT // 2 - 1, CUT // 2, 2 * CUT])
 def test_jacobian_matches_entrywise_reference(rng, nb):
-    """jac_batch of F and F^-1 is bit for bit the written-out stepwise
-    Jacobian, over signed zeros, infinities, NaN, subnormals and magnitudes
-    near 1e+-300, with the (nb, 2) arrays of w on both sides of
-    _BITSTEP_MIN."""
+    """jac_batch of F and F^-1 encloses the exact Jacobian, entry by entry,
+    over signed zeros, infinities, NaN, subnormals and magnitudes near
+    1e+-300, in batches on both sides of _BITSTEP_MIN: no entry is NaN,
+    DF's constant entries keep their value, and the exact Jacobian at the
+    member points of finite cells lies inside (at every row of small
+    batches, and at sampled rows of large ones)."""
     F = reversible_quadratic_map()
     extreme = np.concatenate([SPECIAL, [1e300, -1e300, 1e-300, -1e-300, 0.5, 1.5]])
     with np.errstate(all="ignore"):
         for _ in range(4):
-            lo, hi = (a.reshape(nb, 4) for a in _endpoints(rng, 4 * nb))
-            for a in (lo, hi):
+            a, b = (v.reshape(nb, 4) for v in _endpoints(rng, 4 * nb))
+            for v in (a, b):
                 pick = rng.random((nb, 4)) < 0.2
-                a[pick] = rng.choice(extreme, size=int(pick.sum()))
-            for g, reference in ((F, _reference_DF), (F.inverse, _reference_DF_inverse)):
-                for got, want in zip(g.jac_batch(lo, hi), reference(lo, hi)):
-                    assert_same_bits(got, want)
+                v[pick] = rng.choice(extreme, size=int(pick.sum()))
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            rows = range(nb) if nb <= 8 else [0, nb - 1, *rng.integers(nb, size=6)]
+            for g, inverse in ((F, False), (F.inverse, True)):
+                _assert_jacobian_encloses(g, inverse, lo, hi, rows)
 
 
-# --- the map F, rounded once per output: exact oracle and its bound ---
+# --- quadratic maps, rounded once per output: exact oracle and bounds ---
 
 U, ETA = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
 
 
+def _gamma(k):
+    return k * U / (1 - k * U)
+
+
+def _required(n, m):
+    """G and G_J of _quadratic_eval and _quadratic_jac, in exact arithmetic."""
+    p, q, qj = 2 * n + 1, 2 * n + 2 * m + 1, 2 * m + 1
+    tail = Fraction(1, 2 ** 22) * U
+    a1 = (1 + U) * (1 + _gamma(p)) ** 2 + tail
+    a2 = _gamma(p) * (2 + _gamma(p)) + U * (1 + _gamma(p)) ** 2 + tail
+    G = (_gamma(q) + U * (1 + _gamma(q))) * a1 + a2
+    GJ = (_gamma(qj) + U * (1 + _gamma(qj))) * (1 + _gamma(p)) + _gamma(p) + U
+    return G, GJ
+
+
 def _F_magnitude_bound(X, Y):
-    """The exact magnitude expression E of each output of F (dynamics._F_batch)
-    for the largest magnitudes X = (X1, X2) of x and Y of y."""
+    """An exact magnitude of each output of F's formula for the largest
+    magnitudes X = (X1, X2) of x and Y of y; the E of F's kernel
+    (dynamics._quadratic_eval) exceeds it by a little more than 1/4."""
     W = [X[i] + Y[i] for i in range(2)]
     G = [(W[i] * (1 + W[i]) + 4 + W[1 - i]) / 2 for i in range(2)]
     return [G[0] + Y[0], G[1] + Y[1], G[0] + X[0], G[1] + X[1]]
 
 
-def test_F_gamma_meets_its_bound():
-    """_F_GAMMA (1 - u)**2 >= (gamma_7 + eta/2) / (1 - u)**7 + u, in exact
-    arithmetic: the radius then also covers the rounding of the widening."""
-    assert (Fraction(dynamics._F_GAMMA) * (1 - U) ** 2
-            >= (7 * U / (1 - 7 * U) + ETA / 2) / (1 - U) ** 7 + U)
+def test_quadratic_constants_meet_their_bounds():
+    """The kernel constants meet the four conditions of
+    _quadratic_constants in exact arithmetic, for F's (n, m) = (4, 2), a
+    Henon map's (2, 1), other sizes and linear maps (m = 0), whose
+    Jacobian constants are 0: the radii then cover every rounding error,
+    underflow and the rounding of the widening."""
+    for n, m in ((4, 2), (2, 1), (1, 1), (3, 5), (8, 8), (1, 0), (2, 0), (4, 0)):
+        gamma, floor, gamma_j, floor_j = map(Fraction, dynamics._quadratic_constants(n, m))
+        G, GJ = _required(n, m)
+        q, qj = 2 * n + 2 * m + 1, 2 * m + 1
+        assert gamma * (1 - U) ** (3 * n + m + 9) >= G
+        assert (1 - U) ** 2 * (floor - ETA / 2) - gamma * (n + m) * ETA / 2 >= (1 + U) * q * ETA
+        if m == 0:
+            assert gamma_j == floor_j == 0
+            continue
+        assert gamma_j * (1 - U) ** (n + m + 7) >= GJ
+        assert (1 - U) ** 2 * (floor_j - ETA / 2) - gamma_j * m * ETA / 2 >= (1 + U) * qj * ETA
 
 
 # magnitudes of cell endpoints with no overflow in E: zero, subnormals and
@@ -670,17 +682,27 @@ _magnitude = st.one_of(
 @given(st.lists(_magnitude, min_size=8, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_F_radius_covers_the_rounding_error(mags):
-    """The radius r = fl(_F_GAMMA * e) that _F_batch widens each output by
-    is at least ((gamma_7 + eta/2) E + u e) / (1 - u), for the computed
-    magnitude bound e and E evaluated exactly from the cell's magnitudes:
-    a cell [-a, b] per coordinate has largest magnitude max(a, b)."""
-    a, b = np.array(mags[:4])[:, None], np.array(mags[4:])[:, None]
-    e = dynamics._F_magnitude(-a, b)
-    r = e * dynamics._F_GAMMA
-    m = [Fraction(v) for v in np.maximum(a, b)[:, 0].tolist()]
-    E = _F_magnitude_bound(m[:2], m[2:])
-    for ri, ei, Ei in zip(r[:, 0].tolist(), e[:, 0].tolist(), E):
-        assert Fraction(ri) >= ((7 * U / (1 - 7 * U) + ETA / 2) * Ei + U * Fraction(ei)) / (1 - U)
+    """The radius r = fl(fl(gamma e) + floor) that F's kernel widens each
+    output by has (1 - u) r >= G E + (1 + u) q eta (_quadratic_eval), for
+    the magnitude bound e it computes and E = |c| + |A| Z + |C| s**2,
+    s = |B| Z + |b| + nu, evaluated exactly from the cell's magnitudes Z: a
+    cell [-a, b] per coordinate has largest magnitude max(a, b)."""
+    q = reversible_quadratic_map().eval_batch.args[0]
+    lo, hi = -np.array([mags[:4]]), np.array([mags[4:]])
+    W = dynamics._prepare(q, lo, hi, q.value.shape[1])[3]
+    np.square(W[5:], out=W[5:])
+    gamma, floor = q.constants[:2]
+    r = dynamics._columns(q.magnitude, W)[:, 0] * gamma + floor
+    Z = [Fraction(v) for v in np.maximum(-lo, hi)[0].tolist()]
+    A, c, B, b, C = ([[Fraction(x) for x in row] for row in np.atleast_2d(_F_DATA[k]).tolist()]
+                     for k in "AcBbC")
+    s = [abs(b[0][k]) + sum(abs(x) * v for x, v in zip(B[k], Z)) + Fraction(dynamics._NU)
+         for k in range(2)]
+    G = _required(4, 2)[0]
+    for i, ri in enumerate(r.tolist()):
+        E = (abs(c[0][i]) + sum(abs(x) * v for x, v in zip(A[i], Z))
+             + sum(abs(x) * sk * sk for x, sk in zip(C[i], s)))
+        assert (1 - U) * Fraction(ri) >= G * E + (1 + U) * 13 * ETA
 
 
 @st.composite
