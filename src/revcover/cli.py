@@ -39,7 +39,7 @@ from .campaign import (
 )
 from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
 from .dynamics import MissingInverseError, map_by_name
-from .hset import HSet, load_hset, sym_image
+from .hset import HSet, load_hset, sym_image, transpose
 from .interval import DomainError
 
 _STATUS_EXIT = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2}
@@ -103,12 +103,17 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> None:
-    """Float point clouds (diagnostic, not rigorous): exit-wall image in the
-    target's unstable chart coordinates, boundary image in the stable ones,
-    and ambient projections of both supports."""
+    """Float point clouds (diagnostic, not rigorous) of the relation
+    N =(map^k)=> M: exit-wall image in the target's unstable chart
+    coordinates, boundary image in the stable ones, and ambient projections
+    of both supports. File names are the h-set names with "*" as "_" and
+    without "^"."""
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(20240)
     n = N.dim
+
+    def stem(h):
+        return h.name.replace("*", "_").replace("^", "")
 
     def chart_image(points):
         for _ in range(k):
@@ -125,13 +130,13 @@ def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> No
 
     img_wall = chart_image(wall @ N.matrix.T + N.center)
     img_bnd = chart_image(bnd @ N.matrix.T + N.center)
-    np.savetxt(outdir / f"{N.name}_exit_image_unstable.txt", img_wall[:, : M.u],
+    np.savetxt(outdir / f"{stem(N)}_exit_image_unstable.txt", img_wall[:, : M.u],
                header=f"exit wall of {N.name} mapped {k}x, unstable chart coords of {M.name}")
-    np.savetxt(outdir / f"{N.name}_boundary_image_stable.txt", img_bnd[:, M.u:],
+    np.savetxt(outdir / f"{stem(N)}_boundary_image_stable.txt", img_bnd[:, M.u:],
                header=f"boundary of {N.name} mapped {k}x, stable chart coords of {M.name}")
     for h in (N, M):
         pts = rng.uniform(-1.0, 1.0, size=(2000, n)) @ h.matrix.T + h.center
-        np.savetxt(outdir / f"{h.name.replace('*', '_').replace('^', '')}_support_y.txt",
+        np.savetxt(outdir / f"{stem(h)}_support_y.txt",
                    pts[:, 2:4] if n >= 4 else pts,
                    header=f"support of {h.name}, ambient coords 3,4" if n >= 4
                    else f"support of {h.name}")
@@ -166,6 +171,8 @@ def _cmd_verify(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.plot:
+        if args.back:  # the relation that verify_backcover certifies
+            src, mapsys, dst = transpose(dst), mapsys.inverse, transpose(src)
         _write_relation_clouds(args.plot, src, mapsys, args.iters, dst)
     return _STATUS_EXIT.get(cert.status, 2)
 

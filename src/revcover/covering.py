@@ -67,11 +67,10 @@ from .interval import (
     DomainError,
     IMatrix,
     IndeterminateSignError,
-    _imat_vec_midrad,
+    _linear,
+    _linear_eval,
     _mid_rad,
     _radius_image,
-    _split_matrix,
-    affine_batch,
     det_sign,
     iadd,
     imatmul_batch,
@@ -220,21 +219,22 @@ class _CellEngine:
     relation N =(map^k)=> M, and of the exit or entry condition (`which`)
     on its cells.
 
-    It keeps the arrays it reads off the two h-sets, not the h-sets, which
-    a worker process cannot unpickle: N's matrix, center and unstable
-    dimension, M's center, and M's inverse, split into midpoint and radius
-    once, here. The exit check's linear map, the unstable columns of the
-    chart `derivative`, is split likewise."""
+    It keeps what it reads off the two h-sets, not the h-sets, which a
+    worker process cannot unpickle: N's unstable dimension, M's center, and
+    the kernels (interval._linear) of its linear steps, built once, here:
+    the source chart v -> M_N v + x_N, the rows of G_1 under M_N^T, the
+    target chart v -> inv(M_M) (v - x_M) on M's verified inverse, and for
+    the exit check the unstable columns of the chart `derivative`."""
 
     def __init__(self, N, mapsys, k, M, which=None, mean_value=False, derivative=None):
         self.mapsys = mapsys
         self.k = k
-        self.src_matrix = N.matrix
-        self.src_center = N.center
         self.u = N.u
-        self.inv = _split_matrix(M.inv_matrix.lo, M.inv_matrix.hi)
+        self.source = _linear(N.matrix, N.center)
+        self.rows = _linear(N.matrix.T)
+        self.target = _linear(M.inv_matrix.lo, 0.0, M.inv_matrix.hi)
         self.tgt_center = M.center
-        self.linear = (_split_matrix(derivative.lo[:, :N.u], derivative.hi[:, :N.u])
+        self.linear = (_linear(derivative.lo[:, :N.u], 0.0, derivative.hi[:, :N.u])
                        if which == "exit" else None)
         self.which = which
         self.mean_value = mean_value
@@ -247,31 +247,33 @@ class _CellEngine:
         p encloses the chart image inv(M_M) (map^k(M_N mid + x_N) - x_M) of
         each midpoint, and T = inv(M_M) G_k ... G_1 M_N holds G_i, the map's
         Jacobian over the cell's (i-1)-th step image. Returns (plo, phi)
-        (B, n) and (Tlo, Thi) (B, n, n). Each product is in the cheapest
-        form that keeps it tight:
-          * G_1 M_N: midpoint-radius, as M_N is a point (affine_batch on the
-            rows of G_1);
-          * G_i J for i >= 2: inf-sup, as both factors are wide
-            (imatmul_batch);
-          * inv(M_M) J: midpoint-radius, as the inverse is thin (on the
-            columns of J).
+        (B, n) and (Tlo, Thi) (B, n, n). Every product with a point or thin
+        matrix runs on the one kernel (interval._linear_eval, with the
+        engine's kernels):
+          * M_N v + x_N: the source chart, on the midpoints and the cells;
+          * G_1 M_N: the rows of G_1 under M_N^T, as M_N is a point;
+          * inv(M_M) (p - x_M) and inv(M_M) J: the target chart on the
+            verified inverse, which is thin, with the target center
+            subtracted from the midpoint images' rows and 0 from the
+            columns of J.
+        Only G_i J for i >= 2, where both factors are wide, is inf-sup
+        (imatmul_batch).
 
         Rows travel together through the chain: the midpoints (as point
         cells) above the cells through M_N and through each of the k map
         steps, whose Jacobian sees the cell rows only; then the midpoint
-        images, shifted by the target center, above the columns of J,
-        shifted by 0, through inv(M_M). Every kernel treats each row on its
-        own, so each row comes out bit for bit as it would alone.
+        images above the columns of J through inv(M_M). Every kernel treats
+        each row on its own, so each row comes out bit for bit as it would
+        alone.
         """
         nb, n = lo.shape
         # rows :nb are the midpoints and their images, rows nb: the cells'
-        vlo, vhi = affine_batch(self.src_matrix, self.src_center,
-                                np.concatenate((mid, lo)), np.concatenate((mid, hi)))
+        vlo, vhi = _linear_eval(self.source, np.concatenate((mid, lo)),
+                                np.concatenate((mid, hi)))
         for step in range(self.k):
             glo, ghi = self.mapsys.jac_batch(vlo[nb:], vhi[nb:])
             if step == 0:
-                rows = affine_batch(self.src_matrix.T, 0.0, glo.reshape(-1, n),
-                                    ghi.reshape(-1, n))
+                rows = _linear_eval(self.rows, glo.reshape(-1, n), ghi.reshape(-1, n))
                 jlo, jhi = (a.reshape(nb, n, n) for a in rows)
             else:
                 jlo, jhi = imatmul_batch(glo, ghi, jlo, jhi)
@@ -281,7 +283,7 @@ class _CellEngine:
                     for v, a in ((vlo, jlo), (vhi, jhi)))
         center = np.zeros_like(slo)
         center[:nb] = self.tgt_center
-        plo, phi = _imat_vec_midrad(*self.inv, slo, shi, center)
+        plo, phi = _linear_eval(self.target, slo, shi, center)
         return (plo[:nb], phi[:nb]), tuple(a[nb:].reshape(nb, n, n).transpose(0, 2, 1)
                                            for a in (plo, phi))
 
@@ -297,10 +299,10 @@ class _CellEngine:
         the radius is centered (_radius_image).
         """
         if not self.mean_value:
-            vlo, vhi = affine_batch(self.src_matrix, self.src_center, lo, hi)
+            vlo, vhi = _linear_eval(self.source, lo, hi)
             for _ in range(self.k):
                 vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-            return _imat_vec_midrad(*self.inv, vlo, vhi, self.tgt_center)
+            return _linear_eval(self.target, vlo, vhi, self.tgt_center)
         mid, rad = _mid_rad(lo, hi)
         (plo, phi), T = self.chain(mid, lo, hi)
         s = _radius_image(*T, rad)
@@ -319,7 +321,7 @@ class _CellEngine:
         clo, chi = self._chart_image(lo, hi)
         u = self.u
         if self.which == "exit":
-            lxlo, lxhi = _imat_vec_midrad(*self.linear, lo[:, :u], hi[:, :u], 0.0)
+            lxlo, lxhi = _linear_eval(self.linear, lo[:, :u], hi[:, :u])
             zlo = np.minimum(clo, lxlo)
             zhi = np.maximum(chi, lxhi)
             passed = np.zeros(len(lo), dtype=bool)
@@ -465,7 +467,7 @@ class _Refinement:
         self.allowance = allowance
         self.max_depth = max_depth
         self.batch_size = batch_size
-        dim = engine.src_matrix.shape[1]
+        dim = len(engine.tgt_center)
         self.boxes = np.zeros(n_roots, dtype=np.int64)
         self.depth = np.zeros(n_roots, dtype=np.int64)
         self.status = np.zeros(n_roots, dtype=np.int8)

@@ -25,11 +25,14 @@ it: a reversor is a signed permutation, which acts on intervals exactly
 map has no separate point variant: a point is a cell of zero width, and
 `MapSystem.image` evaluates points through the batch.
 
-Both kernels compute every bound as one matrix product over the cells'
-endpoints, in round-to-nearest on (rows, B) arrays, and widen it once by an
-a-priori radius, also in round-to-nearest, with no outward step: the radius
-covers the products' rounding errors and the one rounding of the widening
-itself (see `_quadratic_eval` for the derivation).
+Both kernels run on the one kernel of interval.py (`interval._prepare`,
+`interval._enclose`), which also carries the charts' linear steps: every
+bound is one matrix product over the cells' endpoints, in round-to-nearest
+on (rows, B) arrays, widened once by an a-priori radius, also in
+round-to-nearest, with no outward step. The radius covers the products'
+rounding errors and the one rounding of the widening itself; what is
+particular to a quadratic map is the shift and its squares (`_shift`), and
+`_quadratic_eval` derives their share of the radius.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own along batches of chart cells, and the degree computation along
@@ -46,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
-from .interval import _ETA, _MAX, _U, DomainError
+from .interval import DomainError, _columns, _constants, _enclose, _prepare, _split
 
 
 class MissingInverseError(Exception):
@@ -125,7 +128,6 @@ def _conjugate(S, out, f, lo, hi):
 # --- quadratic maps: F(z) = A z + c + C (B z + b)**2 ---
 
 _NU = 2.0 ** -500  # added to the shift's magnitude, see _quadratic_eval
-_BIG = 0.75 * _MAX  # an entry whose magnitude bound passes this is [-inf, +inf]
 
 # The kernel matrices of a quadratic map, each over the rows of
 # X = [1; l_1; h_1; ...; l_n; h_n; d_1**2; g_1**2; ...], S = [1; s_lo,1;
@@ -134,87 +136,23 @@ _BIG = 0.75 * _MAX  # an entry whose magnitude bound passes this is [-inf, +inf]
 # then the upper bounds of F from X; jacobian (2n*n, 1 + 2m) those of DF
 # from S; sigma (m, n + 1) s~ from W's first rows; magnitude (n, n + 1 + m)
 # e from W with s' squared; jac_magnitude (n*n, 1 + m) e_J from W's last
-# rows; constants is _quadratic_constants(n, m).
+# rows; constants is interval._constants(n, m).
 _Quadratic = namedtuple("_Quadratic",
                         "shift value jacobian sigma magnitude jac_magnitude constants")
 
 
-def _split(M):
-    """The coefficients of the lower and the upper bound of M z over the
-    rows l_1, h_1, ..., l_k, h_k of the bounds of z: M's positive and
-    negative parts interleaved column by column, as (M+, M-) and (M-, M+)."""
-    P, N = np.maximum(M, 0.0), np.minimum(M, 0.0)
-    return [np.stack(t, axis=-1).reshape(M.shape[0], 2 * M.shape[1]) for t in ((P, N), (N, P))]
-
-
-def _columns(M, X):
-    """M @ X for the columns of X (k, B), each column's bits the same in
-    every batch: numpy hands a one-column product to BLAS gemv, whose
-    result can differ in the last bit from gemm's, so one column is
-    multiplied as two (as interval._times_transpose does for rows)."""
-    if X.shape[1] == 1:
-        return (M @ np.concatenate((X, X), axis=1))[:, :1]
-    return M @ X
-
-
-def _quadratic_constants(n, m):
-    """(gamma, floor, gamma_J, floor_J) of the kernels of an n-d map with m
-    squares; all four are exact floats. With p = 2n + 1, q = 2n + 2m + 1,
-    q_J = 2m + 1, and G and G_J as in _quadratic_eval and _quadratic_jac:
-
-        gamma (1 - u)**(3n + m + 9) >= G,
-        (1 - u)**2 (floor - eta/2) - gamma (n + m) eta/2 >= (1 + u) q eta,
-        gamma_J (1 - u)**(n + m + 7) >= G_J,
-        (1 - u)**2 (floor_J - eta/2) - gamma_J m eta/2 >= (1 + u) q_J eta.
-
-    For m = 0 the Jacobian's one product is A times 1, which is exact, so
-    gamma_J = floor_J = 0 and the Jacobian is A.
-    """
-    p, q, qj = 2 * n + 1, 2 * n + 2 * m + 1, 2 * m + 1
-    jac = ((qj + p + 3) * _U, 2 * (qj + 1) * _ETA) if m else (0.0, 0.0)
-    return ((q + 2 * p + 3) * _U, 2 * (q + 1) * _ETA) + jac
-
-
-def _prepare(q, lo, hi, rows):
+def _shift(q, lo, hi, rows):
     """The operands of both kernels for the cells [lo, hi] (B, n): X (rows,
-    B) with its first 2n + 1 rows set, S, g = max(|s_lo|, |s_hi|) (m, B)
-    and W (see _quadratic_eval)."""
-    nb, n = lo.shape
-    X = np.empty((rows, nb))
-    X[0] = 1.0
-    X[1:2 * n + 1:2], X[2:2 * n + 1:2] = lo.T, hi.T
+    B) and W from interval._prepare, the shift's bounds S, and
+    g = max(|s_lo|, |s_hi|) (m, B), with W's last m rows set to s'
+    (see _quadratic_eval)."""
+    n = lo.shape[1]
+    X, W = _prepare(lo, hi, rows, n + 1 + len(q.sigma))
     S = _columns(q.shift, X[:2 * n + 1])
-    W = np.empty((n + 1 + len(q.sigma), nb))
-    np.abs(X[1:2 * n + 1:2], out=W[:n])
-    np.maximum(W[:n], np.abs(X[2:2 * n + 1:2]), out=W[:n])
-    W[n] = 1.0
     g = np.abs(S[1::2])
     np.maximum(g, np.abs(S[2::2]), out=g)
     np.maximum(_columns(q.sigma, W[:n + 1]), g, out=W[n + 1:])
     return X, S, g, W
-
-
-def _enclose(M, X, Me, W, gamma, floor):
-    """The bounds M @ X = [lower; upper] (2k, B), widened by
-    r = fl(fl(gamma e) + floor) for the magnitude bounds e = Me @ W, as
-    (B, k) lo and hi; an entry whose e is above _BIG or NaN is
-    [-inf, +inf]. An operand (an entry of X or W) that is not finite would
-    make NaN of inf * 0 in every entry of its cell, so such operands are
-    left out of both products instead, and only the entries that one
-    reaches through a nonzero coefficient become [-inf, +inf]: the others
-    do not depend on it."""
-    k, Y, e = len(Me), _columns(M, X), _columns(Me, W)
-    if not (e <= _BIG).all():
-        lost = [~np.isfinite(a) for a in (X, W)]
-        Y, e = (_columns(A, np.where(gone, 0.0, a)) for A, a, gone in zip((M, Me), (X, W), lost))
-        reach = _columns(M != 0, lost[0])
-        bad = ~(e <= _BIG) | reach[:k] | reach[k:] | _columns(Me != 0, lost[1])
-        Y[:k][bad], Y[k:][bad], e[bad] = -np.inf, np.inf, 0.0
-    r = e * gamma
-    r += floor
-    Y[:k] -= r
-    Y[k:] += r
-    return Y[:k].T, Y[k:].T
 
 
 def _quadratic_eval(q, lo, hi):
@@ -276,8 +214,10 @@ def _quadratic_eval(q, lo, hi):
         (1 - u) r >= (1 - u)**(3n + m + 9) gamma E + (1 - u)**2 (floor - eta/2)
                      - gamma (n + m) eta/2,
 
-    which is at least G E + (1 + u) q eta under the two conditions of
-    _quadratic_constants.
+    which is at least G E + (1 + u) q eta under the first two conditions
+    of interval._constants for m > 0. For m = 0 there are no squares, and
+    this is interval._linear_eval without a center and a matrix radius,
+    under its conditions.
 
     Widening. fl(L~ - r) is off by at most u |L~ - r| <= u (|L~| + r), so
     fl(L~ - r) <= L~ - (1 - u) r + u |L~| <= L, and fl(U~ + r) >= U is the
@@ -295,11 +235,11 @@ def _quadratic_eval(q, lo, hi):
     with a coordinate that is not finite.
     """
     n = lo.shape[1]
-    X, S, g, W = _prepare(q, lo, hi, q.value.shape[1])
+    X, S, g, W = _shift(q, lo, hi, q.value.shape[1])
     np.square(np.maximum(np.maximum(S[1::2], -S[2::2]), 0.0), out=X[2 * n + 1::2])  # d**2
     np.square(g, out=X[2 * n + 2::2])
     np.square(W[n + 1:], out=W[n + 1:])
-    return _enclose(q.value, X, q.magnitude, W, *q.constants[:2])
+    return _enclose(q.value, X, q.magnitude, W, *q.constants[:3])
 
 
 def _quadratic_jac(q, lo, hi):
@@ -325,16 +265,17 @@ def _quadratic_jac(q, lo, hi):
     E_J is evaluated as e_J = fl(|A| + fl(Pi) s'), each term passing at
     most n + m + 4 roundings, so e_J >= (1 - u)**(n + m + 4) E_J - m eta/2,
     and r_J = fl(fl(gamma_J e_J) + floor_J) covers G_J E_J + (1 + u) q_J eta
-    under the conditions of _quadratic_constants, as in _quadratic_eval.
+    under the last two conditions of interval._constants, as in
+    _quadratic_eval.
     Entries are [-inf, +inf] as there (_enclose): an entry of a cell with a
     coordinate that is not finite only where some P_kij is nonzero. For
     m = 0 the product is A times 1, exact, and the Jacobian is A.
     """
     nb, n = lo.shape
-    S, W = _prepare(q, lo, hi, 2 * n + 1)[1::2]
+    S, W = _shift(q, lo, hi, 2 * n + 1)[1::2]
     # copied to C order: the chain's products read each cell's matrix whole
     return tuple(np.ascontiguousarray(a).reshape(nb, n, n)
-                 for a in _enclose(q.jacobian, S, q.jac_magnitude, W[n:], *q.constants[2:]))
+                 for a in _enclose(q.jacobian, S, q.jac_magnitude, W[n:], *q.constants[3:]))
 
 
 def quadratic_map_system(name, A, c, B, b, C, reversor=None) -> MapSystem:
@@ -363,7 +304,7 @@ def quadratic_map_system(name, A, c, B, b, C, reversor=None) -> MapSystem:
                    np.block([[c[:, None], Al, Cl], [c[:, None], Ah, Ch]]),
                    np.block([[A.reshape(-1, 1), Pl], [A.reshape(-1, 1), Ph]]),
                    np.c_[np.abs(B), np.abs(b) + _NU], np.c_[np.abs(A), np.abs(c), np.abs(C)],
-                   np.c_[np.abs(A).reshape(-1, 1), Pi], _quadratic_constants(n, m))
+                   np.c_[np.abs(A).reshape(-1, 1), Pi], _constants(n, m))
     return MapSystem(name, n, partial(_quadratic_eval, q), partial(_quadratic_jac, q),
                      reversor=reversor)
 

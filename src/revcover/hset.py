@@ -7,9 +7,12 @@ the unit cube; a verified enclosure of M^{-1} is certified at construction
 by Rump's residual test (`interval.imat_inverse`; S. M. Rump, "Verification
 methods", Acta Numerica 19, 2010): with X = fl(inv(M)) and the exact
 residual R0 = I - X M of norm rho < 1, it is X + R0 X -+ rho^2 ||X|| / (1 - rho).
-An h-set holds its data and no box methods: its charts are evaluated on
-lo/hi arrays by the batch kernels, v -> M v + x by `interval.affine_batch`
-and c by the split inverse (`covering._CellEngine`, `supports_disjoint`).
+An h-set holds its data and no box methods: both its charts, v -> M v + x
+and c on the verified inverse, are evaluated on lo/hi arrays by the one
+linear-step kernel (`interval._linear_eval`), with one rounding analysis:
+in `supports_disjoint` through `interval.affine_batch` and
+`interval.imat_vec_batch`, and in a covering check through the kernels
+that `covering._CellEngine` builds once per check.
 
 The transpose and the reversor image of an h-set do not certify again.
 Their direction matrix is M' = D M P, with D the identity or the reversor S

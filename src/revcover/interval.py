@@ -6,19 +6,36 @@ is a pair of float arrays (lo, hi), and a point is a box of zero width.
 `IMatrix` wraps such a pair only at the API edges, as the type of an
 h-set's verified inverse and of a relation's chart derivative.
 
-Every operation returns an enclosure of the exact real-arithmetic result set.
-Outward rounding is realized by next-representable widening: a result computed
+Every operation returns an enclosure of the exact real-arithmetic result
+set, rounded in one of two ways, each derived once.
+
+The inf-sup kernels step each endpoint one float outward: a result computed
 in round-to-nearest differs from the exact value by at most half an ulp, so
-stepping each endpoint one float outward always yields a rigorous bound. The
-kernel functions (iadd, isub, imul) take numpy arrays, or floats, which
-np.nextafter steps to the same bits, and are the single source of truth for
-the inf-sup batch kernels. The midpoint-radius kernels below and the two
-kernels of a quadratic map (`dynamics._quadratic_eval` and
-`dynamics._quadratic_jac`) instead evaluate a whole expression in
-round-to-nearest and return fl(c - r) and fl(c + r) for its value c and an
-a-priori radius r. They take no outward step: r bounds the rounding error
-of c and also covers the one rounding of c -+ r, because
-fl(c - r) <= c - (1 - u) r + u |c| (see `_midrad_outward`).
+the step always yields a rigorous bound. iadd and imul take numpy arrays, or
+floats, which np.nextafter steps to the same bits, and are the single source
+of truth for `imatmul_batch`, the one inf-sup matrix product. It multiplies
+two wide intervals and carries the mean-value chain's steps after the first;
+`imatvec_cellwise` is it with a trailing axis of length 1, not a kernel of
+its own. There a midpoint-radius product can be up to 1.5 times wider, and
+with the chain's wide-by-wide product in that form H1⇒H2 (k = 4) took 938
+boxes instead of 864.
+
+Every product of a point or thin coefficient matrix with cell bounds runs
+on one kernel instead (`_prepare`, `_enclose`): the cells' bounds are the
+rows of X = [1; l_1; h_1; ...], one matrix product in round-to-nearest
+gives both bounds of every output, and each bound is widened once by an
+a-priori radius, also in round-to-nearest and with no outward step. Its
+callers are a quadratic map's value and Jacobian
+(`dynamics._quadratic_eval`, `dynamics._quadratic_jac`) and the linear
+steps of a chart map (`_linear_eval`): v -> M_N v + x_N, the rows of G_1
+under M_N^T, v -> inv(M_M) (v - x_M) and the exit check's linear map.
+`affine_batch` and `imat_vec_batch` are its public entry points for one
+point or thin interval matrix. One function gives its constants
+(`_constants`), one rule its values that are not finite (`_enclose`), and
+one product keeps a one-column batch on the path of larger ones
+(`_columns`). `_radius_image` bounds a wide interval matrix times a
+centered radius [-rad, rad] by |T| rad, in round-to-nearest with
+constants of its own.
 
 The step is `np.nextafter` toward -inf (`_down`) or +inf (`_up`). Float64
 arrays of at least `_BITSTEP_MIN` elements take it from the IEEE bit pattern
@@ -31,36 +48,15 @@ less per call. Either way every enclosure is bit for bit the same.
 
 `_down` and `_up` take ownership of their argument: a float64 array of at
 least `_BITSTEP_MIN` elements is rounded in place and returned, so every
-caller passes a temporary it made itself. The kernels build their candidates,
-min/max hulls, running sums, centers and radii in buffers of their own and
-round or widen those; they never write into an argument, so callers may
-pass read-only arrays.
-
-Three batch kernels are in midpoint-radius form: `affine_batch` and
-`imat_vec_batch`, which multiply a thin matrix (the point chart matrix, the
-verified target inverse or the chart derivative, none more than a few ulps
-wide) by a batch of interval vectors (cells, or the rows or columns of
-the mean-value chain's Jacobians), and `_radius_image`, which bounds a wide
-interval matrix times a centered radius [-rad, rad] by |T| rad;
-`imat_vec_batch` also subtracts a point (the target center) from the cells
-first. For a thin or centered factor a midpoint-radius product is as tight
-as the inf-sup one up to rounding, and it takes one `np.matmul` for the
-center and one or two for the radius instead of a min/max and a rounding
-per product. The mean-value chain uses all three (see
-`covering._CellEngine.chain`). There is one inf-sup matrix product,
-`imatmul_batch`, which multiplies two wide intervals and carries the
-chain's steps after the first; `imatvec_cellwise` is it with a trailing
-axis of length 1, not a kernel of its own. It stays in inf-sup form, each
-operation stepped outward: there a midpoint-radius product can be up to 1.5
-times wider, and with the chain's wide-by-wide product in that form H1⇒H2
-(k = 4) took 938 boxes instead of 864. A cell coordinate that is not
-finite, or whose radius term overflows, makes [-inf, +inf] only of the
-outputs it reaches through a nonzero matrix entry (`_midrad_outward`).
+caller passes a temporary it made itself. The kernels build their
+candidates, min/max hulls, running sums and operands in buffers of their
+own and round or widen those; they never write into an argument, so
+callers may pass read-only arrays.
 
 Every batch kernel evaluates each row of its batch on its own, bit for bit
-the same in a batch of any size (`_times_transpose` keeps a one-row product
-on the path of larger ones). The refinement's thread and batch invariance,
-and the mean-value chain's stacking of midpoints with cells, rest on this.
+the same in a batch of any size. The refinement's thread and batch
+invariance, and the mean-value chain's stacking of midpoints with cells,
+rest on this.
 
 The verified inverse of a point matrix (`imat_inverse`, one per h-set) and
 the certified determinant sign of an interval matrix (`det_sign`, the
@@ -73,6 +69,8 @@ Python ints, and the test needs no rounding analysis of its own.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -143,10 +141,6 @@ def iadd(alo, ahi, blo, bhi):
     return _down(alo + blo), _up(ahi + bhi)
 
 
-def isub(alo, ahi, blo, bhi):
-    return _down(alo - bhi), _up(ahi - blo)
-
-
 def imul(alo, ahi, blo, bhi):
     """[alo,ahi] * [blo,bhi]: the min of the four candidate products rounded
     down, and their max rounded up.
@@ -193,33 +187,43 @@ class IMatrix:
         return f"IMatrix(shape={self.shape}, max_width={float(np.max(self.widths())):.3g})"
 
 
-# --- vectorized kernels over cell batches (arrays of shape (B, n)) ---
+# --- the one kernel: a matrix product over cell endpoints, rounded once ---
 #
-# affine_batch and imat_vec_batch multiply a thin matrix (a point matrix, or
-# a verified inverse whose entries are a few ulps wide) by a batch of cells,
-# in midpoint-radius form (S. M. Rump, "Fast and parallel interval
-# arithmetic", BIT 39 (1999)). With u = 2**-53 the unit roundoff, eta =
-# 2**-1074 the smallest subnormal and gamma_k = k*u / (1 - k*u) (Higham,
-# "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1), a
-# dot product of length k evaluated in floating point, in any order and
-# with or without fused multiply-adds, is off by at most
-# gamma_k * |a|.|b| + k*eta. An expression in nonnegative terms loses at
-# most a factor 1 - u to each rounded operation, and a rounded product at
-# most eta/2 more to underflow. A rounded sum or difference a of two floats
-# is off by at most u*|a| (it is exact where it is subnormal), and so is
-# its rounding fl(a) by at most u*|a|.
+# Every product of a point or thin coefficient matrix with cell bounds runs
+# on one kernel: a quadratic map's value and Jacobian
+# (`dynamics._quadratic_eval`, `dynamics._quadratic_jac`) and the linear
+# steps (`_linear_eval`: the two charts, the rows of G_1 under M_N^T and
+# the exit check's linear map). The cells are copied to the rows of
+# X = [1; l_1; h_1; ...; l_n; h_n] (_prepare), each lower bound's row next
+# to its upper bound's, and one product with the positive and negative
+# parts of the coefficients interleaved likewise (_split) gives both bounds
+# of every output. With u = 2**-53 the unit roundoff, eta = 2**-1074 the
+# smallest subnormal and gamma_k = k*u / (1 - k*u) (Higham, "Accuracy and
+# Stability of Numerical Algorithms", 2002, section 3.1), a dot product of
+# length k evaluated in floating point, in any order and with or without
+# fused multiply-adds, is off by at most gamma_k * |a|.|b| + k*eta. An
+# expression in nonnegative terms loses at most a factor 1 - u to each
+# rounded operation, and a rounded product at most eta/2 more to underflow.
+# A rounded sum or difference a of two floats is off by at most u*|a| (it
+# is exact where it is subnormal).
 #
-# Neither kernel steps outward. Its radius r covers, besides the distance R
-# of every exact image from the computed center c, the rounding of c -+ r,
-# as in the round-to-nearest interval products of Ozaki, Ogita, Rump and
-# Oishi ("Fast algorithms for floating-point interval matrix
-# multiplication", J. Comput. Appl. Math. 236 (2012)); _midrad_outward
-# gives the condition, and each kernel's docstring shows that it holds.
+# No bound steps outward. Each is widened once by an a-priori radius r,
+# in round-to-nearest, which covers the product's rounding error and also
+# the one rounding of the widening, as in the round-to-nearest interval
+# products of Ozaki, Ogita, Rump and Oishi ("Fast algorithms for
+# floating-point interval matrix multiplication", J. Comput. Appl. Math.
+# 236 (2012)): fl(L - r) is off by at most u |L - r| <= u (|L| + r), so
+# fl(L - r) <= L - (1 - u) r + u |L|, and [fl(L - r), fl(U + r)] contains
+# [L - R, U + R] once (1 - u) r >= R + u |L| and (1 - u) r >= R + u |U|.
+# r is computed from magnitude bounds e, one more product over
+# W = [Z; 1; ...] with Z = max(|l|, |h|) (_enclose); `_constants` gives
+# its constants, and each kernel's docstring shows that they suffice.
 
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
 _MAX = float(np.finfo(np.float64).max)
 _ONE_PLUS_4U = 1.0 + 4 * _U
+_BIG = 0.75 * _MAX  # an entry whose magnitude bound passes this is [-inf, +inf]
 
 
 def _mid_rad(lo, hi):
@@ -241,196 +245,206 @@ def _mid_rad(lo, hi):
     return mid, rad
 
 
-def _midrad_constants(m):
-    """(gamma, kappa, floor) for products with m columns; all three are
-    exact floats. With g = gamma_(m+1) + u (1 + gamma_(m+1)):
+def _split(M):
+    """The coefficients of the lower and the upper bound of M z over the
+    rows l_1, h_1, ..., l_k, h_k of the bounds of z: M's positive and
+    negative parts interleaved column by column, as (M+, M-) and (M-, M+)."""
+    P, N = np.maximum(M, 0.0), np.minimum(M, 0.0)
+    lower, upper = np.empty((2, M.shape[0], 2 * M.shape[1]))
+    lower[:, ::2] = upper[:, 1::2] = P
+    lower[:, 1::2] = upper[:, ::2] = N
+    return lower, upper
 
-        gamma * (1 - u)**4 >= g,   kappa * (1 - u)**(m + 7) >= 1,
-        floor * (1 - u)**3 >= ((1 + u) m + kappa m + 1) * eta.
 
-    gamma_(m+1) bounds the rounding error of either kernel's center (see
-    affine_batch and imat_vec_batch), and u (1 + gamma_(m+1)) the rounding
-    of c -+ r relative to the same magnitudes; kappa covers the roundings of
-    the radius and the division by 1 - u in _midrad_outward, and floor every
-    underflow term.
+def _columns(M, X):
+    """M @ X for the columns of X (k, B), each column's bits the same in
+    every batch: numpy hands a one-column product to BLAS gemv, whose
+    result can differ in the last bit from gemm's, so one column is
+    multiplied as two."""
+    if X.shape[1] == 1:
+        return (M @ np.concatenate((X, X), axis=1))[:, :1]
+    return M @ X
+
+
+def _constants(n, m):
+    """(gamma, floor, kappa, gamma_J, floor_J) of the kernels over n cell
+    coordinates with m squares; all five are exact floats. With
+    p = 2n + 1, q = 2n + 2m + 1 and q_J = 2m + 1:
+
+    for m > 0, with G and G_J as in dynamics._quadratic_eval and
+    dynamics._quadratic_jac,
+
+        gamma (1 - u)**(3n + m + 9) >= G,
+        (1 - u)**2 (floor - eta/2) - gamma (n + m) eta/2 >= (1 + u) q eta,
+        gamma_J (1 - u)**(n + m + 7) >= G_J,
+        (1 - u)**2 (floor_J - eta/2) - gamma_J m eta/2 >= (1 + u) q_J eta;
+
+    for m = 0, a linear step with a center and a matrix radius
+    (_linear_eval; a linear map's value kernel is its case without either),
+
+        gamma (1 - u)**(n + 5) >= gamma_q + u (1 + gamma_q) + u,
+        kappa (1 - u)**(n + 4) >= 1 + u,
+        (1 - u)**3 (floor - eta/2) - (gamma + kappa) n eta/2 - eta/2
+            >= (1 + u) q eta,
+
+    and the Jacobian's one product is A times 1, which is exact, so
+    gamma_J = floor_J = 0 and the Jacobian is A. kappa scales only a
+    matrix radius, which only linear steps have.
     """
-    return (m + 2) * 2 * _U, 1.0 + (m + 8) * 2 * _U, (4 * m + 8) * _ETA
+    p, q, qj = 2 * n + 1, 2 * n + 2 * m + 1, 2 * m + 1
+    floor, kappa = 2 * (q + 1) * _ETA, 1.0 + 2 * (n + 3) * _U
+    if not m:
+        return (q + 3) * _U, floor, kappa, 0.0, 0.0
+    return (q + 2 * p + 3) * _U, floor, kappa, (qj + p + 3) * _U, 2 * (qj + 1) * _ETA
 
 
-def _times_transpose(a, A):
-    """a @ A.T for a batch of rows a (B, m), each row's bits the same in
-    every batch. numpy hands a one-row product to BLAS gemv and a larger one
-    to gemm, whose results can differ in the last bit, so one row is
-    multiplied as two. Either is within the error bounds of the callers."""
-    if a.shape[0] == 1:
-        return (np.concatenate((a, a)) @ A.T)[:1]
-    return a @ A.T
+def _prepare(lo, hi, rows, wrows, center=None):
+    """The operands of a kernel for the cells [lo, hi] (B, n), shifted by
+    a point center (n,) or one per cell (B, n) if one is given: X
+    (rows, B) with its first 2n + 1 rows [1; l_1; h_1; ...; l_n; h_n], the
+    shifted bounds rounded to nearest, and W (wrows, B) with its first
+    n + 1 rows [Z; 1], Z = max(|l|, |h|) of those bounds."""
+    nb, n = lo.shape
+    X = np.empty((rows, nb))
+    X[0] = 1.0
+    X[1:2 * n + 1:2], X[2:2 * n + 1:2] = lo.T, hi.T
+    if center is not None:
+        c = np.transpose(np.atleast_2d(center))
+        X[1:2 * n + 1:2] -= c
+        X[2:2 * n + 1:2] -= c
+    W = np.empty((wrows, nb))
+    np.abs(X[1:2 * n + 1:2], out=W[:n])
+    np.maximum(W[:n], np.abs(X[2:2 * n + 1:2]), out=W[:n])
+    W[n] = 1.0
+    return X, W
 
 
-def _midrad_outward(Mc, x, mid, terms, kappa, extra):
-    """[fl(c - r), fl(c + r)] for the center c = mid @ Mc.T + x and the
-    radius r = (the sum of t @ A.T over the (t, A) in terms) * kappa + extra,
-    both evaluated in round-to-nearest; |Mc| must be one of the A.
+def _enclose(M, X, Me, W, gamma, floor, kappa=0.0):
+    """The bounds M @ X = [lower; upper] (2k, B), widened by
+    r = fl(fl(gamma e) + floor) for the magnitude bounds e = Me @ W, as
+    (B, k) lo and hi. Me has k rows, or 2k for a thin interval matrix,
+    whose last k give its radius term t and r = fl(r + fl(kappa t))
+    (_linear_eval).
 
-    No outward step follows. The rounded difference lo = fl(c - r) is off by
-    at most u |c - r| <= u (|c| + r), so lo <= c - (1 - u) r + u |c|, and
-    likewise fl(c + r) >= c + (1 - u) r - u |c|. So [lo, hi] contains every
-    value within R of c once
+    This is the one rule for values that are not finite. An entry whose e
+    or t is above _BIG or NaN is [-inf, +inf]. An operand (an entry of X or
+    W) that is not finite would make NaN of inf * 0 in every entry of its
+    cell, so such operands are left out of both products instead, and only
+    the entries that one reaches through a nonzero coefficient become
+    [-inf, +inf]: the others do not depend on it."""
+    k, Y, e = len(M) // 2, _columns(M, X), _columns(Me, W)
+    if not (e <= _BIG).all():
+        lost = [~np.isfinite(a) for a in (X, W)]
+        Y, e = (_columns(A, np.where(gone, 0.0, a)) for A, a, gone in zip((M, Me), (X, W), lost))
+        bad = np.concatenate((~(e <= _BIG) | _columns(Me != 0, lost[1]), _columns(M != 0, lost[0])))
+        bad = bad.reshape(-1, k, bad.shape[1]).any(axis=0)
+        Y[:k][bad], Y[k:][bad] = -np.inf, np.inf
+        e[~(e <= _BIG)] = 0.0
+    r = e[:k] * gamma
+    r += floor
+    if len(e) > k:
+        t = e[k:]
+        t *= kappa
+        r += t
+    Y[:k] -= r
+    Y[k:] += r
+    return Y[:k].T, Y[k:].T
 
-        (1 - u) r >= R + u |c|,
 
-    which the callers show of their r. Neither end can overflow towards the
-    other side: c - r <= c <= MAX, and an end that overflows outward is
-    -inf or +inf, which is still a bound.
+# The kernel matrices of a linear step v -> A (v - center) + c: value
+# (2k, 2n + 1) the lower, then the upper bounds from X's first rows;
+# magnitude (k, n + 1), or (2k, n + 1) with the matrix radius, e and t from
+# W = [Z; 1]; constants (gamma, floor, kappa) of _constants(n, 0).
+_Linear = namedtuple("_Linear", "value magnitude constants")
 
-    An entry whose center is not finite or whose radius is NaN comes out as
-    [-inf, +inf]. A cell coordinate whose midpoint or radius operand t is not
-    finite would make NaN of inf * 0 in every output of its cell; such a
-    coordinate is left out of both sums instead, and only the outputs that
-    it reaches through a nonzero entry of an A become [-inf, +inf]. That is
-    sound: where every A is zero in its column, so is the matrix, whose
-    product with any real member is exactly 0, and the other coordinates
-    keep their bound.
+
+def _linear(A, c=0.0, Ah=None):
+    """The kernel of v -> A v + c for a point matrix A (k, n) and a point
+    c (k,) or 0, or of v -> A' v + c for the members A' of the thin interval
+    matrix [A, Ah]. An interval matrix is taken as A' = Ac +- Ar, with
+    _mid_rad's midpoint and radius, and a radius that overflows is taken
+    as MAX: for finite ends it overflows only where Ah - A is within a few
+    ulps of 2 MAX, so that the ends have opposite signs and magnitudes
+    above MAX/2 (such as [-MAX, MAX]); then A + Ah and Ac are exact and the
+    radius (Ah - A)/2 is at most MAX. An infinite end makes Ac, and so the
+    outputs of its row, not finite."""
+    k, n = A.shape
+    value, Me = np.empty((2 * k, 2 * n + 1)), np.zeros((k if Ah is None else 2 * k, n + 1))
+    if Ah is not None:
+        A, Me[k:, :n] = _mid_rad(A, Ah)
+        np.minimum(Me[k:, :n], _MAX, out=Me[k:, :n])
+    value[:k, 0] = value[k:, 0] = c
+    value[:k, 1:], value[k:, 1:] = _split(A)
+    np.abs(A, out=Me[:k, :n])
+    Me[:k, n] = np.abs(c)
+    return _Linear(value, Me, _constants(n, 0)[:3])
+
+
+def _linear_eval(kern, lo, hi, center=None):
+    """Enclosures of A (v - center) + c over the members A of the kernel's
+    matrix (see _linear) and v of each cell [lo, hi] (B, n), as (B, k) lo
+    and hi, for a center (n,) or one per cell (B, n), or none. This is the
+    case m = 0 of dynamics._quadratic_eval, with the two terms a chart
+    needs on top: the center and the matrix radius Ar (0 for a point
+    matrix).
+
+    Shift. X holds d = fl(l - center) and fl(h - center), each off from the
+    exact difference by at most u |d|, so with Z = max(|d_lo|, |d_hi|)
+    every exact y = v - center of the cell lies in
+    [d_lo - u |d_lo|, d_hi + u |d_hi|], and |y| <= (1 + u) Z.
+
+    Bounds. For a member A = Ac + D, |D| <= Ar, A y >= Ac y - Ar |y|, so
+
+        A y + c >= c + Ac+ d_lo + Ac- d_hi - u |Ac| Z - (1 + u) Ar Z
+                 = L - u |Ac| Z - (1 + u) Ar Z,
+
+    and the upper bound is the mirror image. One product of the `value`
+    matrix with X gives L~, off from L by at most gamma_q E + q eta for
+    q = 2n + 1 and E = |c| + |Ac| Z, and |L~| <= (1 + gamma_q) E + q eta.
+    So every exact value is within R of L~, with
+
+        R + u |L~| <= (gamma_q + u (1 + gamma_q) + u) E + (1 + u) q eta
+                      + (1 + u) Ar Z.
+
+    Radius. The magnitude product gives e = fl(|Ac| Z + |c|) >=
+    (1 - u)**(n + 1) E - n eta/2 and t = fl(Ar Z) >=
+    (1 - u)**(n + 1) Ar Z - n eta/2, all terms nonnegative, and
+    r = fl(fl(fl(gamma e) + floor) + fl(kappa t)) then has
+
+        (1 - u) r >= (1 - u)**(n + 5) gamma E + (1 - u)**(n + 4) kappa Ar Z
+                     + (1 - u)**3 (floor - eta/2) - (gamma + kappa) n eta/2
+                     - eta/2,
+
+    at least R + u |L~| under the three conditions of _constants for m = 0.
+    So [fl(L~ - r), fl(U~ + r)] is an enclosure. A point matrix has no t,
+    and r one rounding less, which only helps.
+
+    Non-finite values (_enclose). Below _BIG nothing overflowed: each term
+    of L~ and U~ is at most the matching term of e, so every intermediate
+    is at most (1 + gamma_q) e / (1 - u)**(n + 1) < MAX. A cell coordinate
+    that is not finite, or whose shifted bound overflowed, makes [-inf,
+    +inf] only of the outputs it reaches through a nonzero entry of Ac or
+    Ar.
     """
-    def center_radius(mid, terms):
-        c = _times_transpose(mid, Mc)
-        c += x
-        r = sum(_times_transpose(t, A) for t, A in terms)
-        r *= kappa
-        r += extra
-        return c, r
-
-    c, r = center_radius(mid, terms)
-    bad = ~np.isfinite(c)
-    bad |= np.isnan(r)
-    if bad.any():
-        lost = ~np.isfinite(mid)
-        for t, _ in terms:
-            lost |= ~np.isfinite(t)
-        if lost.any():
-            c, r = center_radius(np.where(lost, 0.0, mid),
-                                 [(np.where(lost, 0.0, t), A) for t, A in terms])
-            reach = np.any([A != 0 for _, A in terms], axis=0)
-            r[lost @ reach.T] = _PINF
-            bad = ~np.isfinite(c)
-            bad |= np.isnan(r)
-        c[bad] = 0.0
-        r[bad] = _PINF
-    lo = c - r
-    c += r
-    return lo, c
+    n = lo.shape[1]
+    X, W = _prepare(lo, hi, 2 * n + 1, n + 1, center)
+    return _enclose(kern.value, X, kern.magnitude, W, *kern.constants)
 
 
 def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Enclosures of M @ v + x for each interval vector v in the batch, for a
-    point matrix M (n, m) and a point vector x (n,), in midpoint-radius form.
-
-    With (mid, rad) from _mid_rad, P = |mid| @ |M|.T and X = |x|, the center
-    c = fl(mid @ M.T + x) is a dot product of length m + 1 (the last term
-    x * 1 is exact), so it is off by at most gamma_(m+1) (P + X) + m*eta, and
-    |c| <= (1 + gamma_(m+1)) (P + X) + m*eta. The exact image lies within
-    rad @ |M|.T of the exact center, so within
-    R = rad @ |M|.T + gamma_(m+1) (P + X) + m*eta of c, and with g as in
-    _midrad_constants
-
-        R + u |c| <= rad @ |M|.T + g (P + X) + (1 + u) m*eta.
-
-    The radius
-
-        r = (rad + gamma*|mid| + eta) @ |M|.T * kappa + (gamma*|x| + floor)
-
-    is evaluated in round-to-nearest, and all its terms are nonnegative.
-    The |mid| term passes m + 5 roundings (gamma*, + eta, + rad, m in the
-    product, * kappa, + the last term), the rad term m + 3 and the |x| term
-    3, so with the division by 1 - u of _midrad_outward the conditions
-    kappa gamma (1 - u)**(m + 6) >= g, kappa (1 - u)**(m + 4) >= 1 and
-    gamma (1 - u)**4 >= g suffice, and _midrad_constants meets all three.
-    The + eta makes up for the underflow of gamma*|mid|; the product and
-    * kappa lose at most (kappa m + 1) eta/2 and gamma*|x| eta/2 more, which
-    floor covers together with (1 + u) m*eta. So (1 - u) r >= R + u |c|,
-    and [fl(c - r), fl(c + r)] is an enclosure (_midrad_outward).
-    """
-    gamma, kappa, floor = _midrad_constants(M.shape[1])
-    mid, rad = _mid_rad(lo, hi)
-    t = np.abs(mid)
-    t *= gamma
-    t += _ETA
-    t += rad
-    return _midrad_outward(M, x, mid, [(t, np.abs(M))], kappa, gamma * np.abs(x) + floor)
+    """Enclosures of M @ v + x for each interval vector v in the batch
+    (B, m), for a point matrix M (n, m) and a point vector x (n,):
+    _linear_eval of the kernel _linear(M, x)."""
+    return _linear_eval(_linear(M, x), lo, hi)
 
 
 def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    center=0.0):
     """Enclosures of A @ (v - center) over the members A of one fixed
     interval matrix [Ml, Mh] (n, m) and v of each interval vector of the
-    batch, for a point vector center (m,), or one per cell (B, m), in
-    midpoint-radius form.
-
-    With the matrix as Mc +- Mr and each cell as mid +- rad (_mid_rad), the
-    shifted midpoint d = fl(mid - center) is off by at most u |d|, so every
-    v - center lies within rad + u |d| of d, and every member product within
-    |Mc| @ (rad + u |d|) + Mr @ ((1 + u) |d| + rad) of Mc @ d. The center
-    c = fl(d @ Mc.T) is off by at most gamma_m P + m*eta, for
-    P = |d| @ |Mc|.T, and |c| <= (1 + gamma_m) P + m*eta. The sum R of the
-    two distances bounds every exact image's distance from c, and as
-    gamma_m + u <= gamma_(m+1), with g as in _midrad_constants
-
-        R + u |c| <= rad @ |Mc|.T + g P + (1 + u) (|d| + rad) @ Mr.T
-                     + (1 + u) m*eta.
-
-    The radius
-
-        r = ((rad + gamma*|d| + eta) @ |Mc|.T + (|d| + rad) @ Mr.T) * kappa
-            + floor
-
-    is evaluated in round-to-nearest, and all its terms are nonnegative.
-    The |d| term of the first product passes m + 6 roundings (gamma*, + eta,
-    + rad, m in the product, the sum of the two products, * kappa, + floor),
-    its rad term m + 4, and the second product m + 4 (|d| + rad, m in the
-    product, the sum, * kappa, + floor) with the factor 1 + u <= 1/(1 - u)
-    on top. With the division by 1 - u of _midrad_outward, the conditions
-    kappa gamma (1 - u)**(m + 7) >= g and kappa (1 - u)**(m + 6) >= 1
-    suffice, and _midrad_constants meets both. The + eta makes up for the
-    underflow of gamma*|d|; the two products and * kappa lose at most
-    (2 kappa m + 1) eta/2, which floor covers together with
-    (1 + u) m*eta. So (1 - u) r >= R + u |c|, and [fl(c - r), fl(c + r)] is
-    an enclosure (_midrad_outward). A shifted midpoint that overflows is
-    not finite, and _midrad_outward treats it as such.
-
-    A matrix radius Mr that overflows is taken as MAX, the largest float.
-    The radius of an entry with finite ends overflows only where Mh - Ml is
-    within a few ulps of 2 MAX, so that its ends have opposite signs and
-    magnitudes above MAX/2 (such as [-MAX, MAX]); then Ml + Mh and Mc are
-    exact, and the radius (Mh - Ml)/2 is at most MAX. An infinite end makes
-    Mc, and so the center, not finite. Without the cap a coordinate whose
-    members all equal the center would make inf * 0 = NaN, and one of small
-    magnitude an infinite radius, where the image is bounded.
-    """
-    return _imat_vec_midrad(*_split_matrix(Ml, Mh), lo, hi, center)
-
-
-def _split_matrix(Ml, Mh):
-    """A fixed interval matrix [Ml, Mh] as (Mc, Mr) for _imat_vec_midrad:
-    _mid_rad's midpoint and radius, the radius capped at MAX (see
-    imat_vec_batch). A caller that applies one matrix many times splits it
-    once."""
-    Mc, Mr = _mid_rad(Ml, Mh)
-    np.minimum(Mr, _MAX, out=Mr)
-    return Mc, Mr
-
-
-def _imat_vec_midrad(Mc, Mr, lo, hi, center):
-    """imat_vec_batch for a matrix already split by _split_matrix; a center
-    of 0 leaves a midpoint exactly as it is."""
-    gamma, kappa, floor = _midrad_constants(Mc.shape[1])
-    d, rad = _mid_rad(lo, hi)
-    d -= center
-    a = np.abs(d)
-    t = a * gamma
-    t += _ETA
-    t += rad
-    a += rad
-    return _midrad_outward(Mc, 0.0, d, [(t, np.abs(Mc)), (a, Mr)], kappa, floor)
+    batch (B, m), for a point vector center (m,), or one per cell (B, m):
+    _linear_eval of the kernel _linear(Ml, 0, Mh)."""
+    return _linear_eval(_linear(Ml, 0.0, Mh), lo, hi, center)
 
 
 def _radius_image_constants(m):

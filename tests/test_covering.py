@@ -332,13 +332,12 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
 
 @pytest.mark.parametrize("src, dst", [("H3", "N2"), ("N2", "N2")])
 def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
-    """The engine splits the target inverse and the exit check's linear map
-    into midpoint and radius once; its plain chart image and its linear
-    image are bit for bit those of imat_vec_batch on the unsplit
-    matrices."""
+    """The engine builds the kernels of the target chart and of the exit
+    check's linear map once; its plain chart image and its linear image are
+    bit for bit those of imat_vec_batch on the unsplit matrices."""
     from revcover.covering import _CellEngine
     from revcover.hset import _facet_cells_arrays
-    from revcover.interval import _imat_vec_midrad, imat_vec_batch
+    from revcover.interval import _linear_eval, imat_vec_batch
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
     dfc0 = compute_degree(N, F, 1, M).chart_derivative
@@ -348,7 +347,7 @@ def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
     u = N.u
     pairs = [(engine._chart_image(lo, hi),
               imat_vec_batch(M.inv_matrix.lo, M.inv_matrix.hi, vlo, vhi, M.center)),
-             (_imat_vec_midrad(*engine.linear, lo[:, :u], hi[:, :u], 0.0),
+             (_linear_eval(engine.linear, lo[:, :u], hi[:, :u]),
               imat_vec_batch(dfc0.lo[:, :u], dfc0.hi[:, :u], lo[:, :u], hi[:, :u]))]
     for got, want in pairs:
         for g, w in zip(got, want):

@@ -520,6 +520,30 @@ def test_kernels_cover_coefficients_that_underflow():
             assert encloses(jlo[i], jhi[i], [J[0][0]])
 
 
+def test_shift_rounded_above_its_magnitude_bound_widens_the_bound():
+    """s' = max(s~, g~) (dynamics._shift): the shift of the point cell
+    (z1, z2) = (0.75 * 2**458, 2**512 - 2**459) for B z + b = z1 + z2 + b,
+    b = 2**457, rounds up to 2**512, whose square overflows, while its
+    rounded magnitude bound s~ stays one ulp below, with a finite square.
+    With s~ alone the magnitude bound e of F(z) = (B z + b)**2 / 2 would be
+    finite, below _BIG, while the bounds' square is inf, and the kernel
+    would return [inf, inf]; with s' the bound is infinite, and the output
+    [-inf, inf] encloses the exact, finite value."""
+    from revcover import dynamics
+
+    data = dict(A=np.zeros((2, 2)), c=np.zeros(2), B=[[1.0, 1.0]], b=[2.0 ** 457],
+                C=[[0.5], [0.5]])
+    m = quadratic_map_system("near-sqrt-max", **data)
+    q = m.eval_batch.args[0]
+    z = np.array([[0.75 * 2.0 ** 458, 2.0 ** 512 - 2.0 ** 459]])
+    g = dynamics._shift(q, z, z, q.value.shape[1])[2]
+    s = dynamics._columns(q.sigma, np.array([[z[0, 0]], [z[0, 1]], [1.0]]))
+    assert g[0, 0] == 2.0 ** 512 > s[0, 0] == z[0, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = m.eval_batch(z, z)
+    assert encloses(lo[0], hi[0], _exact_form(data, [Fraction(v) for v in z[0]])[0])
+
+
 @pytest.mark.parametrize("field, value", [
     ("A", np.ones((4, 3))), ("c", np.ones(3)), ("B", np.ones((2, 3))), ("b", np.ones(3)),
     ("C", np.ones((4, 3))), ("c", [1.0, np.inf, 0.0, 0.0]), ("reversor", "3-d"),

@@ -39,9 +39,9 @@ from conftest import contains, contains_box, encloses, exact_inverse, matmul, ma
 from test_dynamics import _exact_F, _exact_F_inverse, _exact_jacobian
 
 def test_randomized_containment_all_ops(rng):
-    """>= 1e5 sampled containment checks of iadd, isub and imul, 0 violations."""
+    """>= 1e5 sampled containment checks of iadd and imul, 0 violations."""
     checks = 0
-    for kernel, op in ((interval.iadd, np.add), (interval.isub, np.subtract), (imul, np.multiply)):
+    for kernel, op in ((interval.iadd, np.add), (imul, np.multiply)):
         for _ in range(125):
             alo, ahi, blo, bhi = np.sort(rng.uniform(-1e3, 1e3, size=(2, 2)), axis=1).ravel()
             rlo, rhi = kernel(alo, ahi, blo, bhi)
@@ -152,7 +152,7 @@ def test_imul_idiv_round_once_is_bit_identical(rng, size):
 
 
 def test_scalar_kernels_match_arrays(rng):
-    """iadd, isub and imul on four Python floats give the bits of the same
+    """iadd and imul on four Python floats give the bits of the same
     operands as one-element float64 arrays, and NaN wherever those give
     NaN: over every combination of four special endpoints, against the
     references on the whole vector (elementwise, so as on one-element
@@ -161,7 +161,7 @@ def test_scalar_kernels_match_arrays(rng):
     grid = np.array(list(itertools.product(sp, repeat=4))).T
     with np.errstate(all="ignore"):
         rand = np.array([*_endpoints(rng, 500), *_endpoints(rng, 500)])
-        for kernel in (interval.iadd, interval.isub, imul):
+        for kernel in (interval.iadd, imul):
             for cols in (grid, rand):
                 got = np.array([kernel(*args) for args in cols.T.tolist()]).T
                 for g, w in zip(got, REFERENCE[kernel](*cols)):
@@ -405,18 +405,20 @@ def test_radius_image_nonfinite_entries_reach_only_their_rows():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_midrad_constants_meet_their_bounds(m):
-    """gamma (1 - u)**4 >= gamma_(m+1) + u (1 + gamma_(m+1)),
-    kappa (1 - u)**(m + 7) >= 1 and
-    floor (1 - u)**3 >= ((1 + u) m + kappa m + 1) eta, checked in exact
-    arithmetic: the radius of either midpoint-radius kernel then also
-    covers the rounding of c -+ r and, in imat_vec_batch, the shift's
-    u |d|."""
-    gamma, kappa, floor = (Fraction(c) for c in interval._midrad_constants(m))
-    u, eta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
-    g = (m + 1) * u / (1 - (m + 1) * u)
-    assert gamma * (1 - u) ** 4 >= g + u * (1 + g)
-    assert kappa * (1 - u) ** (m + 7) >= 1
-    assert floor * (1 - u) ** 3 >= ((1 + u) * m + kappa * m + 1) * eta
+    """The constants of a linear step over m cell coordinates,
+    interval._constants(m, 0), which affine_batch, imat_vec_batch and the
+    cell engine's chart steps use, meet the three conditions for m = 0 in
+    exact arithmetic: gamma covers the product's rounding, the rounding of
+    the widening and the center's u |d| (the last + u), kappa the
+    roundings of the matrix radius term, and floor every underflow. The
+    Jacobian constants are 0: a linear map's Jacobian is exact."""
+    gamma, floor, kappa, gamma_j, floor_j = map(Fraction, interval._constants(m, 0))
+    q = 2 * m + 1
+    assert gamma * (1 - U) ** (m + 5) >= _gamma(q) + U * (1 + _gamma(q)) + U
+    assert kappa * (1 - U) ** (m + 4) >= 1 + U
+    assert ((1 - U) ** 3 * (floor - ETA / 2) - (gamma + kappa) * m * ETA / 2 - ETA / 2
+            >= (1 + U) * q * ETA)
+    assert gamma_j == floor_j == 0
 
 
 def test_midrad_kernels_examples():
@@ -492,8 +494,6 @@ def _nextafter_sum(terms):
 REFERENCE = {
     interval.iadd: lambda alo, ahi, blo, bhi: (np.nextafter(alo + blo, -np.inf),
                                                np.nextafter(ahi + bhi, np.inf)),
-    interval.isub: lambda alo, ahi, blo, bhi: (np.nextafter(alo - bhi, -np.inf),
-                                               np.nextafter(ahi - blo, np.inf)),
     imul: _ref_mul,
     imatmul_batch: lambda Al, Ah, Bl, Bh: _nextafter_sum(
         _ref_mul(Al[:, :, j][:, :, None], Ah[:, :, j][:, :, None],
@@ -531,7 +531,7 @@ def test_kernels_leave_read_only_inputs_alone(rng, nb):
             (alo, ahi), (blo, bhi) = pairs((nb, n)), pairs((nb, n))
             (Al, Ah), (Bl, Bh), (Ml, Mh) = pairs((nb, n, n)), pairs((nb, n, n)), pairs((n, n))
             calls = [(kernel, (alo, ahi, blo, bhi))
-                     for kernel in (interval.iadd, interval.isub, imul)]
+                     for kernel in (interval.iadd, imul)]
             calls += [
                 (imatmul_batch, (Al, Ah, Bl, Bh)),
                 (imatvec_cellwise, (Al, Ah, alo, ahi)),
@@ -653,20 +653,17 @@ def _F_magnitude_bound(X, Y):
 
 
 def test_quadratic_constants_meet_their_bounds():
-    """The kernel constants meet the four conditions of
-    _quadratic_constants in exact arithmetic, for F's (n, m) = (4, 2), a
-    Henon map's (2, 1), other sizes and linear maps (m = 0), whose
-    Jacobian constants are 0: the radii then cover every rounding error,
-    underflow and the rounding of the widening."""
-    for n, m in ((4, 2), (2, 1), (1, 1), (3, 5), (8, 8), (1, 0), (2, 0), (4, 0)):
-        gamma, floor, gamma_j, floor_j = map(Fraction, dynamics._quadratic_constants(n, m))
+    """The kernel constants meet the four conditions of interval._constants
+    for m > 0 in exact arithmetic, for F's (n, m) = (4, 2), a Henon map's
+    (2, 1) and other sizes: the radii then cover every rounding error,
+    underflow and the rounding of the widening. (m = 0 is
+    test_midrad_constants_meet_their_bounds.)"""
+    for n, m in ((4, 2), (2, 1), (1, 1), (3, 5), (8, 8)):
+        gamma, floor, _, gamma_j, floor_j = map(Fraction, interval._constants(n, m))
         G, GJ = _required(n, m)
         q, qj = 2 * n + 2 * m + 1, 2 * m + 1
         assert gamma * (1 - U) ** (3 * n + m + 9) >= G
         assert (1 - U) ** 2 * (floor - ETA / 2) - gamma * (n + m) * ETA / 2 >= (1 + U) * q * ETA
-        if m == 0:
-            assert gamma_j == floor_j == 0
-            continue
         assert gamma_j * (1 - U) ** (n + m + 7) >= GJ
         assert (1 - U) ** 2 * (floor_j - ETA / 2) - gamma_j * m * ETA / 2 >= (1 + U) * qj * ETA
 
@@ -689,10 +686,10 @@ def test_F_radius_covers_the_rounding_error(mags):
     cell [-a, b] per coordinate has largest magnitude max(a, b)."""
     q = reversible_quadratic_map().eval_batch.args[0]
     lo, hi = -np.array([mags[:4]]), np.array([mags[4:]])
-    W = dynamics._prepare(q, lo, hi, q.value.shape[1])[3]
+    W = dynamics._shift(q, lo, hi, q.value.shape[1])[3]
     np.square(W[5:], out=W[5:])
     gamma, floor = q.constants[:2]
-    r = dynamics._columns(q.magnitude, W)[:, 0] * gamma + floor
+    r = interval._columns(q.magnitude, W)[:, 0] * gamma + floor
     Z = [Fraction(v) for v in np.maximum(-lo, hi)[0].tolist()]
     A, c, B, b, C = ([[Fraction(x) for x in row] for row in np.atleast_2d(_F_DATA[k]).tolist()]
                      for k in "AcBbC")
@@ -703,6 +700,45 @@ def test_F_radius_covers_the_rounding_error(mags):
         E = (abs(c[0][i]) + sum(abs(x) * v for x, v in zip(A[i], Z))
              + sum(abs(x) * sk * sk for x, sk in zip(C[i], s)))
         assert (1 - U) * Fraction(ri) >= G * E + (1 + U) * 13 * ETA
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_linear_radius_covers_the_rounding_error(data):
+    """The radius r = fl(fl(fl(gamma e) + floor) + fl(kappa t)) that a
+    linear step widens each output by has (1 - u) r >=
+    (gamma_q + u (1 + gamma_q) + u) E + (1 + u) q eta + (1 + u) Ar Z
+    (_linear_eval), for the e and t it computes, E = |c| + |Ac| Z and the
+    matrix radius Ar, evaluated exactly: Z are the magnitudes of the cells
+    shifted by the center, as the kernel rounds them. Outputs whose e or t
+    passes _BIG are [-inf, inf] and are skipped."""
+    nb, n, k = (data.draw(st.integers(1, s)) for s in (3, 4, 4))
+    lo, hi = data.draw(_interval_arrays((nb, n)))
+    Ml, Mh = data.draw(_interval_arrays((k, n)))
+    c = data.draw(_interval_arrays((k,)))[0]
+    center = data.draw(_interval_arrays((nb, n)))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = interval._linear(Ml, c, Mh)
+        Ac, Ar = interval._mid_rad(Ml, Mh)
+        W = interval._prepare(lo, hi, 2 * n + 1, n + 1, center)[1]
+        e = interval._columns(kern.magnitude, W)
+        gamma, floor, kappa = kern.constants
+        r = e[:k] * gamma + floor
+        if len(e) > k:
+            r = r + e[k:] * kappa
+    Ar = np.minimum(Ar, MAX)
+    q = 2 * n + 1
+    G = _gamma(q) + U * (1 + _gamma(q)) + U
+    for b in range(nb):
+        if not np.isfinite(W[:n, b]).all():
+            continue
+        Z = [Fraction(v) for v in W[:n, b].tolist()]
+        for i in range(k):
+            if not all(x[i, b] <= interval._BIG for x in (e[:k], e[k:]) if len(x)):
+                continue
+            E = abs(Fraction(c[i])) + sum(abs(Fraction(a)) * z for a, z in zip(Ac[i].tolist(), Z))
+            radius = sum(Fraction(a) * z for a, z in zip(Ar[i].tolist(), Z))
+            assert (1 - U) * Fraction(r[i, b]) >= G * E + (1 + U) * (q * ETA + radius)
 
 
 @st.composite
