@@ -32,9 +32,15 @@ by a failing cell at the depth cap or of zero width (which bisection cannot
 shrink), each decided within a level. Each root's outcome and counts thus
 depend only on its own subtree and the config, so verdicts and statistics
 are independent of the thread count and of `batch_size`, which only sizes
-the kernel calls. Large frontiers are split (see `_Refinement`), which
-keeps memory bounded, and are sharded by root over worker processes once
-they outgrow one batch. The shards are scheduled dynamically: a part goes to
+the kernel calls. Frontier parts of more than `_PART_CELLS` = 8,192 cells
+are split (see `_Refinement`), which keeps memory bounded, so at the
+default batch size each level of a part is one kernel call of up to 8,192
+cells. The plain chain runs in float buffers that the cell engine keeps
+across its calls, about 2 MB for the 4-d map at 8,192 cells; they are
+never pickled. With several workers, a part of several roots is sharded by
+root over worker processes once it holds more than `_SHARD_CELLS` = 2,048
+cells (or one batch, if that is smaller), so the parent's own calls stay
+at that size. The shards are scheduled dynamically: a part goes to
 the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
 and each worker takes the next shard when it finishes one, so a worker whose
 roots turn out light does not sit idle while another finishes heavy ones.
@@ -61,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem
+from .dynamics import MapSystem, _quadratic_kernel, _quadratic_rows
 from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
@@ -69,8 +75,10 @@ from .interval import (
     IndeterminateSignError,
     _linear,
     _linear_eval,
+    _linear_rows,
     _mid_rad,
     _radius_image,
+    _to_rows,
     det_sign,
     iadd,
     imatmul_batch,
@@ -97,7 +105,9 @@ class VerifyConfig:
     mean_value: evaluate cells in centered form (point image plus interval
         Jacobian times radius) instead of plain stepwise composition.
     batch_size: cells per kernel call (verdict- and statistics-invariant);
-        a call never spans more than one frontier part (_PART_CELLS).
+        a call never spans more than one frontier part (_PART_CELLS), so
+        at the default each level of a part is one call of up to 8,192
+        cells, on buffers the cell engine reuses.
     """
 
     resolution: int = 2
@@ -106,7 +116,7 @@ class VerifyConfig:
     budget: int = 20_000_000
     fixed_grid: bool = False
     mean_value: bool = False
-    batch_size: int = 2048
+    batch_size: int = 8192
 
     def __post_init__(self):
         for name, least in (("resolution", 1), ("max_depth", 0), ("threads", 1),
@@ -224,20 +234,42 @@ class _CellEngine:
     the kernels (interval._linear) of its linear steps, built once, here:
     the source chart v -> M_N v + x_N, the rows of G_1 under M_N^T, the
     target chart v -> inv(M_M) (v - x_M) on M's verified inverse, and for
-    the exit check the unstable columns of the chart `derivative`."""
+    the exit check the unstable block of the chart `derivative`: the check
+    reads only the unstable coordinates of that linear image.
+
+    The plain chain and the exit check's linear map run on float buffers
+    that the engine keeps across calls (`_buffer`), so that a refinement's
+    kernel calls of up to _PART_CELLS cells do not allocate, and fault in,
+    their operands afresh. They are scratch space and are never pickled:
+    an engine sent to a worker process as part of a shard starts without
+    them."""
 
     def __init__(self, N, mapsys, k, M, which=None, mean_value=False, derivative=None):
         self.mapsys = mapsys
+        self.kernel = _quadratic_kernel(mapsys)
         self.k = k
         self.u = N.u
         self.source = _linear(N.matrix, N.center)
         self.rows = _linear(N.matrix.T)
         self.target = _linear(M.inv_matrix.lo, 0.0, M.inv_matrix.hi)
         self.tgt_center = M.center
-        self.linear = (_linear(derivative.lo[:, :N.u], 0.0, derivative.hi[:, :N.u])
+        self.linear = (_linear(derivative.lo[:N.u, :N.u], 0.0, derivative.hi[:N.u, :N.u])
                        if which == "exit" else None)
         self.which = which
         self.mean_value = mean_value
+        self._buffers = {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "_buffers": {}}
+
+    def _buffer(self, name, rows, cols):
+        """A C-contiguous (rows, cols) float array on the start of the
+        engine's buffer `name`, which grows to the largest call's size; it
+        holds whatever the last call left there."""
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < rows * cols:
+            flat = self._buffers[name] = np.empty(rows * cols)
+        return flat[:rows * cols].reshape(rows, cols)
 
     def chain(self, mid, lo, hi):
         """The midpoint images p and the Jacobian chain T of the centered
@@ -287,11 +319,40 @@ class _CellEngine:
         return (plo[:nb], phi[:nb]), tuple(a[nb:].reshape(nb, n, n).transpose(0, 2, 1)
                                            for a in (plo, phi))
 
+    def _plain_image(self, lo, hi):
+        """The plain chart image of the cells [lo, hi] (B, n), (B, n) lo and
+        hi: each cell pushed through M_N, the k steps of the map and
+        inv(M_M) (v - x_M) in turn.
+
+        The chain runs on the kernel's rows, on two buffers X that take
+        turns: each step reads its cells from the rows 1..2n of one and
+        widens its bounds straight into the rows 1..2n of the other
+        (interval._enclose's `out`), which the next step reads, and W is
+        one buffer for all steps. A map from quadratic_map_system runs its
+        steps on the rows, on the kernel that its eval_batch is bound to
+        (`kernel`, dynamics._quadratic_kernel); any other map, such as a
+        reversor inverse or a user map, goes through eval_batch on the rows
+        as (B, n) bounds and back. The result is views of a buffer, which
+        the engine's next call overwrites."""
+        nb, n = lo.shape
+        q = self.kernel
+        rows, wrows = (2 * n + 1, n + 1) if q is None else (q.value.shape[1], q.magnitude.shape[1])
+        x, y = (self._buffer(name, rows, nb) for name in ("x", "y"))
+        w = self._buffer("w", wrows, nb)
+        _linear_rows(self.source, _to_rows(lo, hi, rows, x), None, w[:n + 1], y[1:2 * n + 1])
+        for _ in range(self.k):
+            x, y = y, x
+            if q is None:
+                _to_rows(*self.mapsys.eval_batch(x[1:2 * n + 1:2].T, x[2:2 * n + 1:2].T), rows, y)
+            else:
+                _quadratic_rows(q, x, w, y[1:2 * n + 1])
+        return _linear_rows(self.target, y, self.tgt_center, w[:n + 1], x[1:2 * n + 1])
+
     def _chart_image(self, lo, hi):
         """Enclosure of the chart map over each cell, (B, n) lo/hi.
 
-        Plain: the cell is pushed through M_N, the k steps of the map and
-        inv(M_M) in turn. Centered (mean value): with the cell inside
+        Plain: _plain_image, views of the engine's buffers, which its next
+        call overwrites. Centered (mean value): with the cell inside
         mid +- rad (_mid_rad; mid lies in the cell, so the segment from it
         to any point of the cell does too), the image of the cell lies in
         p + T [-rad, rad] for the midpoint image p and the Jacobian chain T
@@ -299,10 +360,7 @@ class _CellEngine:
         the radius is centered (_radius_image).
         """
         if not self.mean_value:
-            vlo, vhi = _linear_eval(self.source, lo, hi)
-            for _ in range(self.k):
-                vlo, vhi = self.mapsys.eval_batch(vlo, vhi)
-            return _linear_eval(self.target, vlo, vhi, self.tgt_center)
+            return self._plain_image(lo, hi)
         mid, rad = _mid_rad(lo, hi)
         (plo, phi), T = self.chain(mid, lo, hi)
         s = _radius_image(*T, rad)
@@ -319,12 +377,13 @@ class _CellEngine:
 
     def _classify(self, lo, hi):
         clo, chi = self._chart_image(lo, hi)
-        u = self.u
+        nb, u = len(lo), self.u
         if self.which == "exit":
-            lxlo, lxhi = _linear_eval(self.linear, lo[:, :u], hi[:, :u])
-            zlo = np.minimum(clo, lxlo)
-            zhi = np.maximum(chi, lxhi)
-            passed = np.zeros(len(lo), dtype=bool)
+            lx = _to_rows(lo[:, :u], hi[:, :u], 2 * u + 1, self._buffer("lx", 2 * u + 1, nb))
+            lxlo, lxhi = _linear_rows(self.linear, lx, None, self._buffer("lw", u + 1, nb))
+            zlo = np.minimum(clo[:, :u], lxlo)
+            zhi = np.maximum(chi[:, :u], lxhi)
+            passed = np.zeros(nb, dtype=bool)
             for i in range(u):
                 passed |= (zlo[:, i] > 1.0) | (zhi[:, i] < -1.0)
             # the plain image landing strictly inside the open target cube
@@ -393,8 +452,22 @@ _PER_ROOT = ("boxes", "depth", "status", "cell_depth", "cell_lo", "cell_hi")
 # A part holding more cells than this is split before it is evaluated. The
 # split decides the statistics of a failing root whose level outgrows it, so
 # it is a constant and not cfg.batch_size: statistics then do not depend on
-# the batch size, and memory stays bounded for every batch size.
-_PART_CELLS = 2048
+# the batch size, and memory stays bounded for every batch size. At the
+# default batch size each level of a part is one kernel call. A plain call
+# costs a fixed 77-130 us on top of about 100 ns per cell (2-core x86-64
+# machine), so at 8,192 cells the fixed share is about a tenth. The engine
+# reuses its buffers for these calls (_CellEngine._buffer), about 2 MB for
+# the 4-d map, plus 0.5 MB for an exit check's linear map; without the
+# reuse, temporaries of this size are returned to the system after each
+# call and faulted back in on the next.
+_PART_CELLS = 8192
+
+# With several workers, a part of several roots with more cells than this
+# (or than one batch, if that is smaller) goes to the pool. It is smaller
+# than _PART_CELLS so that the parent, whose memory is the run's peak,
+# evaluates such parts in calls of at most this size itself and leaves the
+# larger levels to the workers.
+_SHARD_CELLS = 2048
 
 # Shards per worker process when a part is spread over the pool. The work of
 # a root cannot be foreseen when it is sharded (every failing root then holds
@@ -478,8 +551,8 @@ class _Refinement:
 
     def run(self, lo, hi, root, depth, workers=1):
         """Refine a part to completion. With workers > 1, a part of several
-        roots that outgrows one batch is sharded by root over the process's
-        worker pool."""
+        roots that holds more than _SHARD_CELLS cells, or more than one
+        batch, is sharded by root over the process's worker pool."""
         parts = [(lo, hi, root, depth)]
         while parts:
             lo, hi, root, depth = parts.pop()
@@ -490,7 +563,7 @@ class _Refinement:
             if n == 0:
                 continue
             several = root[0] != root[-1]
-            if workers > 1 and several and n > min(self.batch_size, _PART_CELLS):
+            if workers > 1 and several and n > min(self.batch_size, _SHARD_CELLS):
                 self._shard(workers, lo, hi, root, depth)
             elif n > _PART_CELLS:
                 start, _ = _runs(root)

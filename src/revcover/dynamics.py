@@ -32,7 +32,10 @@ on (rows, B) arrays, widened once by an a-priori radius, also in
 round-to-nearest, with no outward step. The radius covers the products'
 rounding errors and the one rounding of the widening itself; what is
 particular to a quadratic map is the shift and its squares (`_shift`), and
-`_quadratic_eval` derives their share of the radius.
+`_quadratic_eval` derives their share of the radius. The value kernel also
+runs on rows (`_quadratic_rows`), so that a plain chart chain passes each
+step's bounds to the next in the kernel's own layout; `_quadratic_kernel`
+reads the kernel data off a map from `quadratic_map_system`.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own along batches of chart cells, and the degree computation along
@@ -49,7 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
-from .interval import DomainError, _columns, _constants, _enclose, _prepare, _split
+from .interval import DomainError, _columns, _constants, _enclose, _prepare, _split, _to_rows
 
 
 class MissingInverseError(Exception):
@@ -131,28 +134,33 @@ _NU = 2.0 ** -500  # added to the shift's magnitude, see _quadratic_eval
 
 # The kernel matrices of a quadratic map, each over the rows of
 # X = [1; l_1; h_1; ...; l_n; h_n; d_1**2; g_1**2; ...], S = [1; s_lo,1;
-# s_hi,1; ...] or W = [Z; 1; s'] (see _quadratic_eval): shift (1 + 2m,
-# 1 + 2n) gives S from X's first rows; value (2n, 1 + 2n + 2m) the lower,
-# then the upper bounds of F from X; jacobian (2n*n, 1 + 2m) those of DF
-# from S; sigma (m, n + 1) s~ from W's first rows; magnitude (n, n + 1 + m)
-# e from W with s' squared; jac_magnitude (n*n, 1 + m) e_J from W's last
-# rows; constants is interval._constants(n, m).
+# s_hi,1; ...] or W = [Z; 1; s'] (see _quadratic_eval): shift (2m, 1 + 2n)
+# gives S after its first row, which is 1, from X's first rows; value
+# (2n, 1 + 2n + 2m) the lower, then the upper bounds of F from X; jacobian
+# (2n*n, 1 + 2m) those of DF from S; sigma (m, n + 1) s~ from W's first
+# rows; magnitude (n, n + 1 + m) e from W with s' squared; jac_magnitude
+# (n*n, 1 + m) e_J from W's last rows; constants is
+# interval._constants(n, m).
 _Quadratic = namedtuple("_Quadratic",
                         "shift value jacobian sigma magnitude jac_magnitude constants")
 
 
-def _shift(q, lo, hi, rows):
-    """The operands of both kernels for the cells [lo, hi] (B, n): X (rows,
-    B) and W from interval._prepare, the shift's bounds S, and
-    g = max(|s_lo|, |s_hi|) (m, B), with W's last m rows set to s'
-    (see _quadratic_eval)."""
-    n = lo.shape[1]
-    X, W = _prepare(lo, hi, rows, n + 1 + len(q.sigma))
-    S = _columns(q.shift, X[:2 * n + 1])
+def _shift(q, X, W=None):
+    """The operands of both kernels for cells in the rows 1..2n of X:
+    W from interval._prepare (into W, if given), the shift's bounds S, and
+    g = max(|s_lo|, |s_hi|) (m, B), with W's last m rows set to s' (see
+    _quadratic_eval). Returns (S, g, W). S's first row is set to 1, not
+    computed as a product with X, where an operand that is not finite
+    would make it NaN."""
+    m, n = len(q.sigma), q.sigma.shape[1] - 1
+    W = _prepare(X, n, n + 1 + m, out=W)
+    S = np.empty((2 * m + 1, X.shape[1]))
+    S[0] = 1.0
+    _columns(q.shift, X[:2 * n + 1], S[1:])
     g = np.abs(S[1::2])
     np.maximum(g, np.abs(S[2::2]), out=g)
     np.maximum(_columns(q.sigma, W[:n + 1]), g, out=W[n + 1:])
-    return X, S, g, W
+    return S, g, W
 
 
 def _quadratic_eval(q, lo, hi):
@@ -234,12 +242,20 @@ def _quadratic_eval(q, lo, hi):
     [-inf, +inf] of the outputs it reaches: for F, every output of a cell
     with a coordinate that is not finite.
     """
-    n = lo.shape[1]
-    X, S, g, W = _shift(q, lo, hi, q.value.shape[1])
+    return _quadratic_rows(q, _to_rows(lo, hi, q.value.shape[1]))
+
+
+def _quadratic_rows(q, X, W=None, out=None):
+    """_quadratic_eval on cells in the rows 1..2n of X (1 + 2n + 2m, B);
+    W (n + 1 + m, B) and out (2n, B) are the destinations of the operand W
+    and of the bounds (interval._enclose), if given. A chart chain passes
+    the rows 1..2n of the next step's X as out."""
+    n = q.sigma.shape[1] - 1
+    S, g, W = _shift(q, X, W)
     np.square(np.maximum(np.maximum(S[1::2], -S[2::2]), 0.0), out=X[2 * n + 1::2])  # d**2
     np.square(g, out=X[2 * n + 2::2])
     np.square(W[n + 1:], out=W[n + 1:])
-    return _enclose(q.value, X, q.magnitude, W, *q.constants[:3])
+    return _enclose(q.value, X, q.magnitude, W, *q.constants[:3], out)
 
 
 def _quadratic_jac(q, lo, hi):
@@ -267,12 +283,14 @@ def _quadratic_jac(q, lo, hi):
     and r_J = fl(fl(gamma_J e_J) + floor_J) covers G_J E_J + (1 + u) q_J eta
     under the last two conditions of interval._constants, as in
     _quadratic_eval.
-    Entries are [-inf, +inf] as there (_enclose): an entry of a cell with a
-    coordinate that is not finite only where some P_kij is nonzero. For
-    m = 0 the product is A times 1, exact, and the Jacobian is A.
+    Entries are [-inf, +inf] as there (_enclose). S's first row is set to
+    exactly 1 (_shift), so on a cell with a coordinate that is not finite
+    an entry is [-inf, +inf] only where some P_kij is nonzero, and A_ij
+    widened by r_J elsewhere. For m = 0 the product is A times 1, exact,
+    and the Jacobian is A, on every cell.
     """
     nb, n = lo.shape
-    S, W = _shift(q, lo, hi, 2 * n + 1)[1::2]
+    S, _, W = _shift(q, _to_rows(lo, hi, 2 * n + 1))
     # copied to C order: the chain's products read each cell's matrix whole
     return tuple(np.ascontiguousarray(a).reshape(nb, n, n)
                  for a in _enclose(q.jacobian, S, q.jac_magnitude, W[n:], *q.constants[3:]))
@@ -300,13 +318,22 @@ def quadratic_map_system(name, A, c, B, b, C, reversor=None) -> MapSystem:
     (Al, Ah), (Bl, Bh), (Cl, Ch), (Pl, Ph) = (_split(M) for M in (A, B, C, P))
     shift = np.stack((np.c_[b, Bl], np.c_[b, Bh]), axis=1).reshape(2 * m, 2 * n + 1)
     Pi = np.where(inexact, np.abs(P) + 2.0 ** -1022, 0.0)
-    q = _Quadratic(np.vstack([np.eye(1, 2 * n + 1), shift]),
+    q = _Quadratic(shift,
                    np.block([[c[:, None], Al, Cl], [c[:, None], Ah, Ch]]),
                    np.block([[A.reshape(-1, 1), Pl], [A.reshape(-1, 1), Ph]]),
                    np.c_[np.abs(B), np.abs(b) + _NU], np.c_[np.abs(A), np.abs(c), np.abs(C)],
                    np.c_[np.abs(A).reshape(-1, 1), Pi], _constants(n, m))
     return MapSystem(name, n, partial(_quadratic_eval, q), partial(_quadratic_jac, q),
                      reversor=reversor)
+
+
+def _quadratic_kernel(mapsys):
+    """The kernel matrices (_Quadratic) that the eval_batch of a map from
+    quadratic_map_system is bound to, so that a plain chart chain can run
+    its steps on the kernel's rows (_quadratic_rows); None for any other
+    map, whose steps run through its eval_batch."""
+    f = mapsys.eval_batch
+    return f.args[0] if isinstance(f, partial) and f.func is _quadratic_eval else None
 
 
 # F with its squares completed: B z + b = x + y - 1/2

@@ -24,7 +24,11 @@ Every product of a point or thin coefficient matrix with cell bounds runs
 on one kernel instead (`_prepare`, `_enclose`): the cells' bounds are the
 rows of X = [1; l_1; h_1; ...], one matrix product in round-to-nearest
 gives both bounds of every output, and each bound is widened once by an
-a-priori radius, also in round-to-nearest and with no outward step. Its
+a-priori radius, also in round-to-nearest and with no outward step. The
+widening can write the bounds straight into the rows of the next step's X
+(`_enclose`'s `out`): a plain chart chain runs its steps on the rows
+(`_linear_rows`, `dynamics._quadratic_rows`) in buffers its caller keeps,
+and the (B, n) entry points are the same kernels after `_to_rows`. Its
 callers are a quadratic map's value and Jacobian
 (`dynamics._quadratic_eval`, `dynamics._quadratic_jac`) and the linear
 steps of a chart map (`_linear_eval`): v -> M_N v + x_N, the rows of G_1
@@ -50,8 +54,9 @@ less per call. Either way every enclosure is bit for bit the same.
 least `_BITSTEP_MIN` elements is rounded in place and returned, so every
 caller passes a temporary it made itself. The kernels build their
 candidates, min/max hulls, running sums and operands in buffers of their
-own and round or widen those; they never write into an argument, so
-callers may pass read-only arrays.
+own and round or widen those; they never write into a cell argument (lo,
+hi), so callers may pass read-only arrays. The row forms take their
+operand X and their destinations from the caller and write into them.
 
 Every batch kernel evaluates each row of its batch on its own, bit for bit
 the same in a batch of any size. The refinement's thread and batch
@@ -194,7 +199,7 @@ class IMatrix:
 # (`dynamics._quadratic_eval`, `dynamics._quadratic_jac`) and the linear
 # steps (`_linear_eval`: the two charts, the rows of G_1 under M_N^T and
 # the exit check's linear map). The cells are copied to the rows of
-# X = [1; l_1; h_1; ...; l_n; h_n] (_prepare), each lower bound's row next
+# X = [1; l_1; h_1; ...; l_n; h_n] (_to_rows), each lower bound's row next
 # to its upper bound's, and one product with the positive and negative
 # parts of the coefficients interleaved likewise (_split) gives both bounds
 # of every output. With u = 2**-53 the unit roundoff, eta = 2**-1074 the
@@ -256,14 +261,18 @@ def _split(M):
     return lower, upper
 
 
-def _columns(M, X):
+def _columns(M, X, out=None):
     """M @ X for the columns of X (k, B), each column's bits the same in
     every batch: numpy hands a one-column product to BLAS gemv, whose
     result can differ in the last bit from gemm's, so one column is
-    multiplied as two."""
+    multiplied as two. Into `out` (len(M), B), if given."""
     if X.shape[1] == 1:
-        return (M @ np.concatenate((X, X), axis=1))[:, :1]
-    return M @ X
+        Y = (M @ np.concatenate((X, X), axis=1))[:, :1]
+        if out is None:
+            return Y
+        out[...] = Y
+        return out
+    return M @ X if out is None else np.matmul(M, X, out=out)
 
 
 def _constants(n, m):
@@ -298,33 +307,44 @@ def _constants(n, m):
     return (q + 2 * p + 3) * _U, floor, kappa, (qj + p + 3) * _U, 2 * (qj + 1) * _ETA
 
 
-def _prepare(lo, hi, rows, wrows, center=None):
-    """The operands of a kernel for the cells [lo, hi] (B, n), shifted by
-    a point center (n,) or one per cell (B, n) if one is given: X
-    (rows, B) with its first 2n + 1 rows [1; l_1; h_1; ...; l_n; h_n], the
-    shifted bounds rounded to nearest, and W (wrows, B) with its first
-    n + 1 rows [Z; 1], Z = max(|l|, |h|) of those bounds."""
-    nb, n = lo.shape
-    X = np.empty((rows, nb))
-    X[0] = 1.0
+def _to_rows(lo, hi, rows, out=None):
+    """X (rows, B) with the cells [lo, hi] (B, n) in its rows 1..2n as
+    l_1; h_1; ...; l_n; h_n; into `out` if given. The other rows are left
+    as they are: _prepare sets row 0, a quadratic map its squares."""
+    n = lo.shape[1]
+    X = np.empty((rows, len(lo))) if out is None else out
     X[1:2 * n + 1:2], X[2:2 * n + 1:2] = lo.T, hi.T
+    return X
+
+
+def _prepare(X, n, wrows, center=None, out=None):
+    """The operands of a kernel whose cells' bounds are the rows 1..2n of X
+    (rows, B), from _to_rows or from the step before (_enclose's `out`):
+    X's row 0 is set to 1 and its bounds are shifted by a point center
+    (n,) or one per cell (B, n), if one is given, rounded to nearest.
+    Returns W (wrows, B), into `out` if given, with its first n + 1 rows
+    [Z; 1], Z = max(|l|, |h|) of the shifted bounds."""
+    X[0] = 1.0
+    V = X[1:2 * n + 1].view()
+    V.shape = (n, 2, X.shape[1])  # V[i] = [l_i; h_i]; setting a shape never copies
     if center is not None:
-        c = np.transpose(np.atleast_2d(center))
-        X[1:2 * n + 1:2] -= c
-        X[2:2 * n + 1:2] -= c
-    W = np.empty((wrows, nb))
-    np.abs(X[1:2 * n + 1:2], out=W[:n])
-    np.maximum(W[:n], np.abs(X[2:2 * n + 1:2]), out=W[:n])
+        V -= np.transpose(np.atleast_2d(center))[:, None]
+    W = np.empty((wrows, X.shape[1])) if out is None else out
+    np.abs(V[:, 0], out=W[:n])
+    np.maximum(W[:n], np.abs(V[:, 1]), out=W[:n])
     W[n] = 1.0
-    return X, W
+    return W
 
 
-def _enclose(M, X, Me, W, gamma, floor, kappa=0.0):
+def _enclose(M, X, Me, W, gamma, floor, kappa=0.0, out=None):
     """The bounds M @ X = [lower; upper] (2k, B), widened by
     r = fl(fl(gamma e) + floor) for the magnitude bounds e = Me @ W, as
     (B, k) lo and hi. Me has k rows, or 2k for a thin interval matrix,
     whose last k give its radius term t and r = fl(r + fl(kappa t))
-    (_linear_eval).
+    (_linear_eval). The bounds are views of the product, or of `out`
+    (2k, B), if given, which takes them as the rows l_1; h_1; ...; l_k;
+    h_k, interleaved like X's: `out` can be the rows 1..2k of the next
+    step's X. Each row of the product is the same dot products either way.
 
     This is the one rule for values that are not finite. An entry whose e
     or t is above _BIG or NaN is [-inf, +inf]. An operand (an entry of X or
@@ -332,23 +352,31 @@ def _enclose(M, X, Me, W, gamma, floor, kappa=0.0):
     cell, so such operands are left out of both products instead, and only
     the entries that one reaches through a nonzero coefficient become
     [-inf, +inf]: the others do not depend on it."""
-    k, Y, e = len(M) // 2, _columns(M, X), _columns(Me, W)
-    if not (e <= _BIG).all():
+    k, e = len(M) // 2, _columns(Me, W)
+    if out is None:
+        Y = _columns(M, X)
+        L, U = Y[:k], Y[k:]
+    else:
+        L, U = _columns(M[:k], X, out[0::2]), _columns(M[k:], X, out[1::2])
+    if e.size and not e.max() <= _BIG:  # or NaN
         lost = [~np.isfinite(a) for a in (X, W)]
-        Y, e = (_columns(A, np.where(gone, 0.0, a)) for A, a, gone in zip((M, Me), (X, W), lost))
+        Z, e = np.where(lost[0], 0.0, X), _columns(Me, np.where(lost[1], 0.0, W))
+        _columns(M[:k], Z, L)
+        _columns(M[k:], Z, U)
         bad = np.concatenate((~(e <= _BIG) | _columns(Me != 0, lost[1]), _columns(M != 0, lost[0])))
         bad = bad.reshape(-1, k, bad.shape[1]).any(axis=0)
-        Y[:k][bad], Y[k:][bad] = -np.inf, np.inf
+        L[bad], U[bad] = -np.inf, np.inf
         e[~(e <= _BIG)] = 0.0
-    r = e[:k] * gamma
+    r = e[:k]
+    r *= gamma
     r += floor
     if len(e) > k:
         t = e[k:]
         t *= kappa
         r += t
-    Y[:k] -= r
-    Y[k:] += r
-    return Y[:k].T, Y[k:].T
+    L -= r
+    U += r
+    return L.T, U.T
 
 
 # The kernel matrices of a linear step v -> A (v - center) + c: value
@@ -427,8 +455,17 @@ def _linear_eval(kern, lo, hi, center=None):
     Ar.
     """
     n = lo.shape[1]
-    X, W = _prepare(lo, hi, 2 * n + 1, n + 1, center)
-    return _enclose(kern.value, X, kern.magnitude, W, *kern.constants)
+    return _linear_rows(kern, _to_rows(lo, hi, 2 * n + 1), center)
+
+
+def _linear_rows(kern, X, center=None, W=None, out=None):
+    """_linear_eval on cells in the rows 1..2n of X; W (n + 1, B) and
+    out (2k, B) are the destinations of the operand W and of the bounds
+    (_enclose), if given."""
+    n = kern.magnitude.shape[1] - 1
+    X = X[:2 * n + 1]
+    W = _prepare(X, n, n + 1, center, W)
+    return _enclose(kern.value, X, kern.magnitude, W, *kern.constants, out)
 
 
 def affine_batch(M: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -334,7 +334,8 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
 def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
     """The engine builds the kernels of the target chart and of the exit
     check's linear map once; its plain chart image and its linear image are
-    bit for bit those of imat_vec_batch on the unsplit matrices."""
+    bit for bit those of imat_vec_batch on the unsplit matrices. The linear
+    map keeps only the unstable rows, the ones the exit check reads."""
     from revcover.covering import _CellEngine
     from revcover.hset import _facet_cells_arrays
     from revcover.interval import _linear_eval, imat_vec_batch
@@ -348,7 +349,8 @@ def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
     pairs = [(engine._chart_image(lo, hi),
               imat_vec_batch(M.inv_matrix.lo, M.inv_matrix.hi, vlo, vhi, M.center)),
              (_linear_eval(engine.linear, lo[:, :u], hi[:, :u]),
-              imat_vec_batch(dfc0.lo[:, :u], dfc0.hi[:, :u], lo[:, :u], hi[:, :u]))]
+              [a[:, :u] for a in imat_vec_batch(dfc0.lo[:, :u], dfc0.hi[:, :u],
+                                                lo[:, :u], hi[:, :u])])]
     for got, want in pairs:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -362,7 +364,9 @@ def test_chart_images_are_row_independent(data, rng, case):
     of both checks. The centered engine stacks each cell's midpoint with
     the cell in every kernel call, and the thread and batch invariance of
     the refinement rests on this. The batch holds grid cells of several
-    depths, point cells and cells with an infinite or NaN coordinate."""
+    depths, point cells and cells with an infinite or NaN coordinate. A
+    plain image is a view of the engine's buffers, which its next call
+    overwrites, so each image is copied."""
     from revcover.covering import _CellEngine, _bisect_cells
     from revcover.hset import _facet_cells_arrays
 
@@ -391,11 +395,102 @@ def test_chart_images_are_row_independent(data, rng, case):
         for mean_value in (False, True):
             engine = _CellEngine(N, mapsys, k, M, which, mean_value, deg.chart_derivative)
             with np.errstate(all="ignore"):
-                whole = engine._chart_image(lo, hi)
-                parts = [engine._chart_image(a, b)
+                whole = [x.copy() for x in engine._chart_image(lo, hi)]
+                parts = [[x.copy() for x in engine._chart_image(a, b)]
                          for a, b in zip(np.split(lo, cuts), np.split(hi, cuts))]
             for w, p in zip(whole, zip(*parts)):
                 assert w.tobytes() == np.concatenate(p).tobytes()
+
+
+@pytest.mark.parametrize("case", ["N2N2", "H1H2", "cross-check"])
+def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, case):
+    """An engine keeps its buffers across calls (_CellEngine._buffer): calls
+    of 8,192, 1, 5 and 8,192 cells give, bit for bit, the chart images and
+    the masks of engines that have never run, plain and centered, for both
+    checks (the exit check's linear map runs in buffers too). The 1-cell
+    call takes _columns' one-column path. The cells include point cells and
+    cells with an infinite or NaN coordinate. H1=>H2 runs four map steps on
+    the two alternating buffers; the cross-check's inverse map has no
+    kernel data, so its steps go through eval_batch. The centered chain
+    runs on fresh arrays, and stays that of a fresh engine too."""
+    from revcover.covering import _CellEngine
+
+    F, S = data.mapsys, data.reversor
+    N, mapsys, k, M = {
+        "N2N2": (data.hset("N2"), F, 1, data.hset("N2")),
+        "H1H2": (data.hset("H1"), F, 4, data.hset("H2")),
+        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.inverse, 1,
+                        transpose(sym_image(S, data.hset("H3")))),
+    }[case]
+    deg = compute_degree(N, mapsys, k, M)
+    for which in ("exit", "entry"):
+        for mean_value in (False, True):
+            def engine():
+                return _CellEngine(N, mapsys, k, M, which, mean_value, deg.chart_derivative)
+
+            reused = engine()
+            for nb in (8192, 1, 5, 8192):
+                mid = rng.uniform(-1, 1, size=(nb, N.dim))
+                rad = rng.uniform(0, 0.2, size=(nb, N.dim))
+                lo, hi = mid - rad, mid + rad
+                if nb > 1:
+                    lo[0] = hi[0]
+                    lo[1, 1], hi[2, 3], lo[3, 0], hi[4, 2] = -np.inf, np.inf, np.nan, np.nan
+                with np.errstate(all="ignore"):
+                    got = [x.copy() for x in reused._chart_image(lo, hi)]
+                    got += reused.classify(lo, hi)
+                    want = [x.copy() for x in engine()._chart_image(lo, hi)]
+                    want += engine().classify(lo, hi)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+
+def test_engine_pickles_without_its_buffers(data):
+    """The buffers are scratch space and never travel with a shard: an
+    engine pickles to the same bytes before and after a classify call of
+    8,192 cells that fills them, and an unpickled engine has none."""
+    import pickle
+
+    from revcover.covering import _CellEngine
+
+    N, M = data.hset("H3"), data.hset("N2")
+    deg = compute_degree(N, data.mapsys, 1, M)
+    engine = _CellEngine(N, data.mapsys, 1, M, "exit", False, deg.chart_derivative)
+    before = pickle.dumps(engine)
+    lo = np.random.default_rng(0).uniform(-1, 1, size=(8192, 4))
+    engine.classify(lo, lo + 0.01)
+    assert sum(b.nbytes for b in engine._buffers.values()) > 8192 * 8 * 20
+    after = pickle.dumps(engine)
+    assert after == before
+    assert pickle.loads(after)._buffers == {}
+
+
+def test_plain_chain_runs_the_eval_batch_of_the_map(data, rng):
+    """The plain chain runs a map's steps on the kernel's rows only where
+    its eval_batch is a quadratic map's own (dynamics._quadratic_kernel):
+    a copy of F whose eval_batch is replaced runs the new one in plain
+    and in centered form, and both images are those of F when the
+    replacement calls F."""
+    from revcover.covering import _CellEngine
+
+    F, N = data.mapsys, data.hset("N2")
+    calls = []
+
+    def eval_batch(lo, hi):
+        calls.append(len(lo))
+        return F.eval_batch(lo, hi)
+
+    G = replace(F, eval_batch=eval_batch)
+    mid = rng.uniform(-1, 1, size=(64, 4))
+    lo, hi = mid - 0.05, mid + 0.05
+    for mean_value in (False, True):
+        engine = _CellEngine(N, G, 1, N, "entry", mean_value)
+        assert engine.kernel is None
+        got = engine._chart_image(lo, hi)
+        want = _CellEngine(N, F, 1, N, "entry", mean_value)._chart_image(lo, hi)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    assert calls == [64, 128]
 
 
 @pytest.mark.parametrize("which", ["exit", "entry"])
@@ -564,8 +659,8 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
         args = (N, linear_map_system(np.eye(2)), 1, N)
         base, expected = VerifyConfig(budget=100_000), INCONCLUSIVE
         failing_check, worst_cell = "exit", {
-            "root": 0, "depth": 22, "check": "exit",
-            "chart_lo": [-1.0, -0.416015625], "chart_hi": [-1.0, -0.4160153865814209]}
+            "root": 0, "depth": 15, "check": "exit",
+            "chart_lo": [-1.0, -0.416015625], "chart_hi": [-1.0, -0.415985107421875]}
     else:
         args = (data.hset("H2"), data.mapsys, 2, data.hset("H3"))
         base, expected = VerifyConfig(mean_value=True, budget=5_000), REFUTED
@@ -823,7 +918,7 @@ def test_certificate_dicts_are_pinned(data):
     T = toy_hset(2, 1)
     far = HSet("far", np.array([1e200, 0.0, 0.0, 0.0]), np.eye(4), 2, 2)
     config = {"resolution": 2, "max_depth": 40, "threads": 1, "budget": 20_000_000,
-              "fixed_grid": False, "mean_value": False, "batch_size": 2048}
+              "fixed_grid": False, "mean_value": False, "batch_size": 8192}
     head = {"schema": "revcover-certificate/1", "source": "T", "target": "T", "iters": 1}
 
     def check(verdict, boxes, depth, exhausted, cell=None):

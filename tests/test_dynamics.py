@@ -520,6 +520,36 @@ def test_kernels_cover_coefficients_that_underflow():
             assert encloses(jlo[i], jhi[i], [J[0][0]])
 
 
+@pytest.mark.parametrize("bounds", [(np.inf, np.inf), (-np.inf, np.inf), (np.nan, np.nan)],
+                         ids=["inf", "whole-line", "nan"])
+def test_jacobian_on_a_cell_that_is_not_finite(bounds):
+    """S's row of ones is set to 1, not computed as 1*1 + 0*x (dynamics._shift),
+    so a coordinate that is not finite reaches a Jacobian entry only through
+    a nonzero P_kij = 2 C_ik B_kj: a linear map's Jacobian is exactly A on
+    such a cell, and F's entries with no nonzero P_kij enclose DF_ij = A_ij.
+    The others are [-inf, +inf]: the shift's product takes 0 * x as NaN,
+    in every shift of the cell."""
+    L = linear_map_system([[2.0, 1.0], [0.0, 3.0]])
+    for z in ([bounds[0], 0.0], [0.0, bounds[1]]):
+        jlo, jhi = L.jac_batch(np.array([[bounds[0], z[1]]]), np.array([[bounds[1], z[1]]]))
+        assert np.array_equal(jlo[0], [[2.0, 1.0], [0.0, 3.0]])
+        assert np.array_equal(jhi[0], [[2.0, 1.0], [0.0, 3.0]])
+    F = reversible_quadratic_map()
+    lo, hi = np.zeros((1, 4)), np.zeros((1, 4))
+    lo[0, 0], hi[0, 0] = bounds
+    with np.errstate(invalid="ignore"):
+        jlo, jhi = F.jac_batch(lo, hi)
+    B, C = (np.asarray(_F_DATA[k]) for k in "BC")
+    reached = (C != 0).astype(int) @ (B != 0) > 0
+    exact = _exact_form(_F_DATA, [Fraction(0)] * 4)[1]
+    for i, j in itertools.product(range(4), repeat=2):
+        if reached[i, j]:
+            assert (jlo[0, i, j], jhi[0, i, j]) == (-np.inf, np.inf)
+        else:
+            assert np.isfinite([jlo[0, i, j], jhi[0, i, j]]).all()
+            assert jlo[0, i, j] <= exact[i][j] <= jhi[0, i, j]
+
+
 def test_shift_rounded_above_its_magnitude_bound_widens_the_bound():
     """s' = max(s~, g~) (dynamics._shift): the shift of the point cell
     (z1, z2) = (0.75 * 2**458, 2**512 - 2**459) for B z + b = z1 + z2 + b,
@@ -536,7 +566,7 @@ def test_shift_rounded_above_its_magnitude_bound_widens_the_bound():
     m = quadratic_map_system("near-sqrt-max", **data)
     q = m.eval_batch.args[0]
     z = np.array([[0.75 * 2.0 ** 458, 2.0 ** 512 - 2.0 ** 459]])
-    g = dynamics._shift(q, z, z, q.value.shape[1])[2]
+    g = dynamics._shift(q, dynamics._to_rows(z, z, q.value.shape[1]))[1]
     s = dynamics._columns(q.sigma, np.array([[z[0, 0]], [z[0, 1]], [1.0]]))
     assert g[0, 0] == 2.0 ** 512 > s[0, 0] == z[0, 1]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -686,7 +686,7 @@ def test_F_radius_covers_the_rounding_error(mags):
     cell [-a, b] per coordinate has largest magnitude max(a, b)."""
     q = reversible_quadratic_map().eval_batch.args[0]
     lo, hi = -np.array([mags[:4]]), np.array([mags[4:]])
-    W = dynamics._shift(q, lo, hi, q.value.shape[1])[3]
+    W = dynamics._shift(q, interval._to_rows(lo, hi, q.value.shape[1]))[2]
     np.square(W[5:], out=W[5:])
     gamma, floor = q.constants[:2]
     r = interval._columns(q.magnitude, W)[:, 0] * gamma + floor
@@ -720,7 +720,7 @@ def test_linear_radius_covers_the_rounding_error(data):
     with np.errstate(over="ignore", invalid="ignore"):
         kern = interval._linear(Ml, c, Mh)
         Ac, Ar = interval._mid_rad(Ml, Mh)
-        W = interval._prepare(lo, hi, 2 * n + 1, n + 1, center)[1]
+        W = interval._prepare(interval._to_rows(lo, hi, 2 * n + 1), n, n + 1, center)
         e = interval._columns(kern.magnitude, W)
         gamma, floor, kappa = kern.constants
         r = e[:k] * gamma + floor
