@@ -29,7 +29,6 @@ from .dynamics import (
     MissingInverseError,
     linear_map_system,
     map_by_name,
-    quadratic_map_system,
     reversible_quadratic_map,
 )
 from .covering import (

@@ -115,13 +115,16 @@ def _vec(strings) -> np.ndarray:
 
 @dataclass
 class ProofData:
-    """Built instance: the map, its reversor, the five h-sets and the record
-    of the Q1 disambiguation."""
+    """Built instance: the map, the five h-sets and the record of the Q1
+    disambiguation; the reversor is the map's."""
 
     mapsys: MapSystem
-    reversor: LinearReversor
     hsets: dict  # name -> HSet for N1, N2, H1, H2, H3
     q1_interpretation: dict
+
+    @property
+    def reversor(self) -> LinearReversor:
+        return self.mapsys.reversor
 
     def hset(self, name: str) -> HSet:
         return self.hsets[name]
@@ -185,7 +188,7 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
     for name, (anchor, scales) in frames.items():
         cols = [float(k) * vectors[f"{v}_{anchor}"] for v, k in zip(("u1", "u2", "s1", "s2"), scales)]
         hsets[name] = HSet(name, centers[name], np.column_stack(cols), 2, 2)
-    return ProofData(mapsys=mapsys, reversor=S, hsets=hsets,
+    return ProofData(mapsys=mapsys, hsets=hsets,
                      q1_interpretation={"choice": choice, "residuals": residuals})
 
 

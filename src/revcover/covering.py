@@ -45,9 +45,8 @@ the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
 and each worker takes the next shard when it finishes one, so a worker whose
 roots turn out light does not sit idle while another finishes heavy ones.
 A shard is the check's refinement itself, with its roots and its cells,
-pickled as it is, cell engine and map included; the worker runs it and
-returns its roots' rows. With more than one worker, a map that does not
-pickle is refused with DomainError before any cell is evaluated.
+pickled as it is, cell engine and map included (a map is its data, so
+it pickles by value); the worker runs it and returns its roots' rows.
 
 The process keeps one worker pool (`_worker_pool`). The first check that
 shards starts it, and later checks reuse it. It is replaced when the worker
@@ -59,7 +58,6 @@ between checks.
 from __future__ import annotations
 
 import atexit
-import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 from os import cpu_count
@@ -67,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MapSystem, _quadratic_kernel, _quadratic_rows
+from .dynamics import MapSystem, _quadratic_rows
 from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
@@ -246,7 +244,6 @@ class _CellEngine:
 
     def __init__(self, N, mapsys, k, M, which=None, mean_value=False, derivative=None):
         self.mapsys = mapsys
-        self.kernel = _quadratic_kernel(mapsys)
         self.k = k
         self.u = N.u
         self.source = _linear(N.matrix, N.center)
@@ -328,24 +325,18 @@ class _CellEngine:
         turns: each step reads its cells from the rows 1..2n of one and
         widens its bounds straight into the rows 1..2n of the other
         (interval._enclose's `out`), which the next step reads, and W is
-        one buffer for all steps. A map from quadratic_map_system runs its
-        steps on the rows, on the kernel that its eval_batch is bound to
-        (`kernel`, dynamics._quadratic_kernel); any other map, such as a
-        reversor inverse or a user map, goes through eval_batch on the rows
-        as (B, n) bounds and back. The result is views of a buffer, which
-        the engine's next call overwrites."""
+        one buffer for all steps. Each map step is the map's value kernel
+        on the rows (dynamics._quadratic_rows on `mapsys.kernel`), the
+        kernel that its eval_batch runs. The result is views of a buffer,
+        which the engine's next call overwrites."""
         nb, n = lo.shape
-        q = self.kernel
-        rows, wrows = (2 * n + 1, n + 1) if q is None else (q.value.shape[1], q.magnitude.shape[1])
-        x, y = (self._buffer(name, rows, nb) for name in ("x", "y"))
-        w = self._buffer("w", wrows, nb)
-        _linear_rows(self.source, _to_rows(lo, hi, rows, x), None, w[:n + 1], y[1:2 * n + 1])
+        q = self.mapsys.kernel
+        x, y = (self._buffer(name, q.value.shape[1], nb) for name in ("x", "y"))
+        w = self._buffer("w", q.magnitude.shape[1], nb)
+        _linear_rows(self.source, _to_rows(lo, hi, len(x), x), None, w[:n + 1], y[1:2 * n + 1])
         for _ in range(self.k):
             x, y = y, x
-            if q is None:
-                _to_rows(*self.mapsys.eval_batch(x[1:2 * n + 1:2].T, x[2:2 * n + 1:2].T), rows, y)
-            else:
-                _quadratic_rows(q, x, w, y[1:2 * n + 1])
+            _quadratic_rows(q, x, w, y[1:2 * n + 1])
         return _linear_rows(self.target, y, self.tgt_center, w[:n + 1], x[1:2 * n + 1])
 
     def _chart_image(self, lo, hi):
@@ -690,12 +681,6 @@ def _run_check(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
     engine = _CellEngine(N, mapsys, k, M, which, cfg.mean_value, degree.chart_derivative)
     ref = _Refinement(engine, n_roots, max(1, cfg.budget // n_roots),
                       0 if cfg.fixed_grid else cfg.max_depth, cfg.batch_size)
-    if cfg.threads > 1:
-        try:
-            pickle.dumps(engine)
-        except (pickle.PicklingError, AttributeError, TypeError) as e:
-            raise DomainError(f"map {mapsys.name!r} does not pickle, so it cannot run on "
-                              f"worker processes; use threads=1 ({e})") from e
     # the initial grid is level 0: one cell per root
     ref.run(lo0, hi0, np.arange(n_roots), 0, cfg.threads)
 

@@ -1,15 +1,17 @@
-"""The reversible map family and the MapSystem abstraction.
+"""The reversible map family: a map is the data of a quadratic form.
 
-A map of the family is quadratic and given by its data:
+A `MapSystem` is the quadratic map
 
     F(z) = A z + c + C (B z + b)**2,
 
 the square taken coordinate by coordinate, for A (n, n), c (n,), B (m, n),
-b (m,) and C (n, m). `quadratic_map_system` derives the kernel matrices
-from the data once and binds them to the two kernels, the interval batch
-`_quadratic_eval` and the batch Jacobian `_quadratic_jac`,
-DF(z) = A + 2 C diag(B z + b) B. A linear map is the case m = 0. A map that
-is not quadratic is a MapSystem built from its own two batch functions.
+b (m,) and C (n, m), with a name, an optional reversor and an optional link
+to its inverse. Its constructor checks the data and derives the kernel
+matrices from it once (`MapSystem.kernel`), and two kernels evaluate the
+map from them: the interval batch `_quadratic_eval` and the batch Jacobian
+`_quadratic_jac`, DF(z) = A + 2 C diag(B z + b) B. A linear map is the case
+m = 0. Every map is arrays, a str and a LinearReversor, so every map
+pickles by value, and each kernel treats each cell on its own.
 
 The shipped instance is the 4-d map
 
@@ -19,11 +21,12 @@ The shipped instance is the 4-d map
 with its squares completed, w(1 - w) = 1/4 - (w - 1/2)**2 (`_F_DATA`),
 and reversing symmetry S(x1, x2, y1, y2) = (-x1, -x2, y1, y2), so that
 S o F o S o F = Id. Since S is an involution this already gives the inverse,
-F^{-1} = S o F o S, so F is written once and its inverse is derived from
-it: a reversor is a signed permutation, which acts on intervals exactly
-(LinearReversor.act), so F's batches conjugated by it lose nothing. A
-map has no separate point variant: a point is a cell of zero width, and
-`MapSystem.image` evaluates points through the batch.
+F^{-1} = S o F o S, which is itself a quadratic map, with the data
+(S A S, S c, B S, b, S C) (`_reversor_inverse`). A reversor is a signed
+permutation, so that data is exact in floats: F is written once, and its
+inverse is the same kind of map. A map has no separate point variant: a
+point is a cell of zero width, and `MapSystem.image` evaluates points
+through the batch.
 
 Both kernels run on the one kernel of interval.py (`interval._prepare`,
 `interval._enclose`), which also carries the charts' linear steps: every
@@ -34,8 +37,7 @@ rounding errors and the one rounding of the widening itself; what is
 particular to a quadratic map is the shift and its squares (`_shift`), and
 `_quadratic_eval` derives their share of the radius. The value kernel also
 runs on rows (`_quadratic_rows`), so that a plain chart chain passes each
-step's bounds to the next in the kernel's own layout; `_quadratic_kernel`
-reads the kernel data off a map from `quadratic_map_system`.
+step's bounds to the next in the kernel's own layout.
 
 This module evaluates maps and keeps no orbits: the covering checks walk
 their own along batches of chart cells, and the degree computation along
@@ -45,9 +47,8 @@ the point cell at the source center, through the same chain.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -59,38 +60,85 @@ class MissingInverseError(Exception):
     """The operation needs an inverse evaluator that this map does not provide."""
 
 
-@dataclass
+@dataclass(eq=False)
 class MapSystem:
-    """Evaluatable map with derivative and optional inverse: a map is
-    given by its interval batch and its batch Jacobian, and `image`
-    evaluates float points through the batch.
+    """The quadratic map F(z) = A z + c + C (B z + b)**2 named `name`, for
+    A (n, n), c (n,), B (m, n), b (m,) and C (n, m), with an optional
+    reversor of dimension n and an optional link to its inverse map.
 
-    The bundled maps are built from module-level functions, bound to their
-    data with functools.partial, so they pickle by value, inverse link and
-    reversor included, and worker processes run them as they are. A map built
-    from closures or lambdas does not pickle; covering checks refuse to run
-    it on more than one worker process.
+    The constructor copies the data to read-only float arrays and checks
+    it: a name that is not a str, data of another shape, an entry that is
+    not a finite number, or a reversor that is not a LinearReversor of
+    dimension n raises DomainError. It then derives the kernel matrices
+    (`kernel`). Neither the kernel nor the `inverse` link is a constructor
+    argument, so a map made by dataclasses.replace derives its own kernel
+    and has no inverse until one is linked to it. Maps compare by identity.
 
-    eval_batch and jac_batch must treat each row of a batch on its own: a
-    row's result may not depend on the other rows or on the batch size. The
-    mean-value cell engine stacks each cell's midpoint with the cells in one
+    eval_batch and jac_batch enclose the map's values and its Jacobian
+    over a batch of cells, and treat each cell on its own: a cell's result
+    does not depend on the other cells or on the batch size. The mean-value
+    cell engine stacks each cell's midpoint with the cells in one
     eval_batch call, and verdicts and counts are independent of the thread
-    count and the batch size only under this rule.
+    count and the batch size because of this.
     """
 
     name: str
-    dim: int
-    eval_batch: Callable  # (lo, hi) -> (lo, hi), arrays (B, dim)
-    jac_batch: Callable  # (lo, hi) -> (Jlo, Jhi), arrays (B, dim, dim)
-    inverse: Optional["MapSystem"] = None
+    A: np.ndarray
+    c: np.ndarray
+    B: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
     reversor: Optional[LinearReversor] = None
+    inverse: Optional["MapSystem"] = field(default=None, init=False, repr=False)
+    kernel: "_Quadratic" = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DomainError(f"name must be a str, not {type(self.name).__name__}")
+        if not isinstance(self.reversor, (LinearReversor, type(None))):
+            raise DomainError(f"reversor is a {type(self.reversor).__name__}, not a LinearReversor")
+        try:
+            data = [np.array(getattr(self, k), dtype=float) for k in "AcBbC"]
+        except (TypeError, ValueError) as e:
+            raise DomainError(f"quadratic map data must be arrays of numbers: {e}") from e
+        n, m = (x.shape[0] if x.ndim else -1 for x in (data[0], data[2]))
+        for label, x, shape in zip("AcBbC", data, ((n, n), (n,), (m, n), (m,), (n, m))):
+            if x.shape != shape or not np.isfinite(x).all():
+                raise DomainError(f"{label} must be finite, of shape {shape}; got shape {x.shape}")
+            x.flags.writeable = False
+            setattr(self, label, x)
+        if self.reversor is not None and self.reversor.dim != n:
+            raise DomainError(f"the reversor has dimension {self.reversor.dim}, the map {n}")
+        self.kernel = _quadratic(*data)
+
+    @property
+    def dim(self) -> int:
+        return len(self.c)
+
+    def _cells(self, lo, hi):
+        """The cells [lo, hi], if the two arrays are (B, dim) of one shape;
+        else DomainError."""
+        if lo.shape[1:] != (self.dim,) or hi.shape != lo.shape:
+            raise DomainError(f"map {self.name!r} takes cells of shape (B, {self.dim}); "
+                              f"got {lo.shape} and {hi.shape}")
+        return lo, hi
+
+    def eval_batch(self, lo, hi):
+        """Enclosures (lo, hi) (B, n) of the images of the cells [lo, hi]
+        (B, n) (_quadratic_eval)."""
+        return _quadratic_eval(self.kernel, *self._cells(lo, hi))
+
+    def jac_batch(self, lo, hi):
+        """Enclosures (lo, hi) (B, n, n) of the Jacobians over the cells
+        [lo, hi] (B, n) (_quadratic_jac)."""
+        return _quadratic_jac(self.kernel, *self._cells(lo, hi))
 
     def image(self, z) -> np.ndarray:
         """Float images of the points z, (n,) or (B, n): the midpoints
         0.5*lo + 0.5*hi of eval_batch on the points as cells of zero width.
-        They are not enclosures but values for orbits, residuals and plots;
-        for a quadratic map, whose batch widens the round-to-nearest value
-        by a radius, they are that value up to rounding."""
+        They are not enclosures but values for orbits, residuals and plots:
+        the batch widens the round-to-nearest value by a radius, so they
+        are that value up to rounding."""
         cells = np.atleast_2d(np.asarray(z, dtype=float))
         lo, hi = self.eval_batch(cells, cells)
         return (0.5 * lo + 0.5 * hi).reshape(np.shape(z))
@@ -105,27 +153,16 @@ def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
     """The inverse S o F o S of a map F with reversing symmetry S, named
     `name`, and linked with F as each other's inverse.
 
-    S is a signed permutation and acts exactly on intervals
-    (LinearReversor.act), so the values are S.act o F o S.act. The Jacobian
-    at x is S DF(S x) S, and on a row-major flattened n x n matrix J the map
-    J -> S J S is the Kronecker product S (x) S, itself an involutive signed
-    permutation: it moves or negates bounds too, and nothing rounds.
+    S F(S z) = S A S z + S c + S C (B S z + b)**2 is the quadratic map with
+    the data (S A S, S c, B S, b, S C). S is a signed permutation, so each
+    entry of those products is one entry of F's data, moved and perhaps
+    negated, plus exact zeros: the inverse's data is exact. For a diagonal
+    S its kernels give, bit for bit, S.act o F o S.act and S DF(S z) S.
     """
-    S = fwd.reversor
-    inv = MapSystem(name, fwd.dim, partial(_conjugate, S, S, fwd.eval_batch),
-                    partial(_conjugate, S, LinearReversor(np.kron(S.matrix, S.matrix)),
-                            fwd.jac_batch),
-                    inverse=fwd, reversor=S)
-    fwd.inverse = inv
+    P = fwd.reversor.matrix
+    inv = replace(fwd, name=name, A=P @ fwd.A @ P, c=P @ fwd.c, B=fwd.B @ P, C=P @ fwd.C)
+    fwd.inverse, inv.inverse = inv, fwd
     return inv
-
-
-def _conjugate(S, out, f, lo, hi):
-    """out applied to f's batch result at S x, each cell's result flattened
-    to one row for out.act."""
-    rlo, rhi = f(*S.act(lo, hi))
-    rows = (len(rlo), -1)
-    return tuple(a.reshape(rlo.shape) for a in out.act(rlo.reshape(rows), rhi.reshape(rows)))
 
 
 # --- quadratic maps: F(z) = A z + c + C (B z + b)**2 ---
@@ -165,7 +202,7 @@ def _shift(q, X, W=None):
 
 def _quadratic_eval(q, lo, hi):
     """Enclosures of F(z) = A z + c + C (B z + b)**2 over a batch of cells
-    [lo, hi] (B, n), for the kernel matrices q of quadratic_map_system.
+    [lo, hi] (B, n), for the kernel matrices q of a map (MapSystem.kernel).
 
     Bounds. The cells are copied to the columns of X = [1; l_1; h_1; ...;
     l_n; h_n], each lower bound's row next to its upper bound's. With M+
@@ -296,44 +333,20 @@ def _quadratic_jac(q, lo, hi):
                  for a in _enclose(q.jacobian, S, q.jac_magnitude, W[n:], *q.constants[3:]))
 
 
-def quadratic_map_system(name, A, c, B, b, C, reversor=None) -> MapSystem:
-    """The MapSystem of F(z) = A z + c + C (B z + b)**2, for A (n, n),
-    c (n,), B (m, n), b (m,) and C (n, m), named `name`, with an optional
-    reversor of dimension n. Data of another shape, an entry that is not a
-    finite number, or a reversor of another dimension raises DomainError.
-    Its eval_batch and jac_batch are _quadratic_eval and _quadratic_jac
-    bound to the data's kernel matrices, so the map pickles by value."""
-    try:
-        A, c, B, b, C = (np.asarray(x, dtype=float) for x in (A, c, B, b, C))
-    except (TypeError, ValueError) as e:
-        raise DomainError(f"quadratic map data must be arrays of numbers: {e}") from e
-    n, m = (x.shape[0] if x.ndim else -1 for x in (A, B))
-    for label, x, shape in zip("AcBbC", (A, c, B, b, C), ((n, n), (n,), (m, n), (m,), (n, m))):
-        if x.shape != shape or not np.isfinite(x).all():
-            raise DomainError(f"{label} must be finite, of shape {shape}; got shape {x.shape}")
-    if reversor is not None and reversor.dim != n:
-        raise DomainError(f"the reversor has dimension {reversor.dim}, the map {n}")
+def _quadratic(A, c, B, b, C) -> _Quadratic:
+    """The kernel matrices of F(z) = A z + c + C (B z + b)**2, for checked
+    data (MapSystem)."""
+    n, m = len(c), len(b)
     P = np.einsum("ik,kj->ijk", 2.0 * C, B).reshape(n * n, m)
     inexact = np.einsum("ik,kj->ijk", C != 0, B != 0).reshape(n * n, m)
     (Al, Ah), (Bl, Bh), (Cl, Ch), (Pl, Ph) = (_split(M) for M in (A, B, C, P))
     shift = np.stack((np.c_[b, Bl], np.c_[b, Bh]), axis=1).reshape(2 * m, 2 * n + 1)
     Pi = np.where(inexact, np.abs(P) + 2.0 ** -1022, 0.0)
-    q = _Quadratic(shift,
-                   np.block([[c[:, None], Al, Cl], [c[:, None], Ah, Ch]]),
-                   np.block([[A.reshape(-1, 1), Pl], [A.reshape(-1, 1), Ph]]),
-                   np.c_[np.abs(B), np.abs(b) + _NU], np.c_[np.abs(A), np.abs(c), np.abs(C)],
-                   np.c_[np.abs(A).reshape(-1, 1), Pi], _constants(n, m))
-    return MapSystem(name, n, partial(_quadratic_eval, q), partial(_quadratic_jac, q),
-                     reversor=reversor)
-
-
-def _quadratic_kernel(mapsys):
-    """The kernel matrices (_Quadratic) that the eval_batch of a map from
-    quadratic_map_system is bound to, so that a plain chart chain can run
-    its steps on the kernel's rows (_quadratic_rows); None for any other
-    map, whose steps run through its eval_batch."""
-    f = mapsys.eval_batch
-    return f.args[0] if isinstance(f, partial) and f.func is _quadratic_eval else None
+    return _Quadratic(shift,
+                      np.block([[c[:, None], Al, Cl], [c[:, None], Ah, Ch]]),
+                      np.block([[A.reshape(-1, 1), Pl], [A.reshape(-1, 1), Ph]]),
+                      np.c_[np.abs(B), np.abs(b) + _NU], np.c_[np.abs(A), np.abs(c), np.abs(C)],
+                      np.c_[np.abs(A).reshape(-1, 1), Pi], _constants(n, m))
 
 
 # F with its squares completed: B z + b = x + y - 1/2
@@ -345,8 +358,7 @@ _F_DATA = dict(A=np.array([[0, -1, -2, -1], [1, 0, 1, -2], [2, -1, 0, -1], [1, 2
 def reversible_quadratic_map() -> MapSystem:
     """The shipped 4-d reversible instance, registered as "F-quadratic-4d";
     its inverse S o F o S is registered as "F-quadratic-4d-inverse"."""
-    fwd = quadratic_map_system("F-quadratic-4d", **_F_DATA,
-                               reversor=coordinate_reflection(4, (0, 1)))
+    fwd = MapSystem("F-quadratic-4d", **_F_DATA, reversor=coordinate_reflection(4, (0, 1)))
     _reversor_inverse(fwd, "F-quadratic-4d-inverse")
     return fwd
 
@@ -355,10 +367,10 @@ def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None)
     """MapSystem for z -> A z, the quadratic map with c = 0 and no squares
     (m = 0); mainly for toy coverings and tests."""
     n = len(matrix)
-    fwd, inv = (M if M is None else quadratic_map_system(
-        label, M, np.zeros(n), np.zeros((0, n)), np.zeros(0), np.zeros((n, 0)), S)
-        for label, M, S in ((name, matrix, reversor), (name + "-inverse", inverse_matrix, None)))
-    if inv is not None:
+    # c = 0, and B, b and C empty: no squares
+    fwd = MapSystem(name, matrix, *(np.zeros(shape) for shape in (n, (0, n), 0, (n, 0))), reversor)
+    if inverse_matrix is not None:
+        inv = replace(fwd, name=f"{name}-inverse", A=inverse_matrix, reversor=None)
         fwd.inverse, inv.inverse = inv, fwd
     return fwd
 

@@ -30,7 +30,7 @@ from revcover.covering import (
     verify_backcover,
     verify_cover,
 )
-from revcover.dynamics import MapSystem, linear_map_system, reversible_quadratic_map
+from revcover.dynamics import linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image, transpose
 from revcover.interval import DomainError, IMatrix, affine_batch
 
@@ -410,9 +410,9 @@ def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, case):
     checks (the exit check's linear map runs in buffers too). The 1-cell
     call takes _columns' one-column path. The cells include point cells and
     cells with an infinite or NaN coordinate. H1=>H2 runs four map steps on
-    the two alternating buffers; the cross-check's inverse map has no
-    kernel data, so its steps go through eval_batch. The centered chain
-    runs on fresh arrays, and stays that of a fresh engine too."""
+    the two alternating buffers, and the cross-check runs the inverse
+    map's kernel on them. The centered chain runs on fresh arrays, and
+    stays that of a fresh engine too."""
     from revcover.covering import _CellEngine
 
     F, S = data.mapsys, data.reversor
@@ -463,34 +463,6 @@ def test_engine_pickles_without_its_buffers(data):
     after = pickle.dumps(engine)
     assert after == before
     assert pickle.loads(after)._buffers == {}
-
-
-def test_plain_chain_runs_the_eval_batch_of_the_map(data, rng):
-    """The plain chain runs a map's steps on the kernel's rows only where
-    its eval_batch is a quadratic map's own (dynamics._quadratic_kernel):
-    a copy of F whose eval_batch is replaced runs the new one in plain
-    and in centered form, and both images are those of F when the
-    replacement calls F."""
-    from revcover.covering import _CellEngine
-
-    F, N = data.mapsys, data.hset("N2")
-    calls = []
-
-    def eval_batch(lo, hi):
-        calls.append(len(lo))
-        return F.eval_batch(lo, hi)
-
-    G = replace(F, eval_batch=eval_batch)
-    mid = rng.uniform(-1, 1, size=(64, 4))
-    lo, hi = mid - 0.05, mid + 0.05
-    for mean_value in (False, True):
-        engine = _CellEngine(N, G, 1, N, "entry", mean_value)
-        assert engine.kernel is None
-        got = engine._chart_image(lo, hi)
-        want = _CellEngine(N, F, 1, N, "entry", mean_value)._chart_image(lo, hi)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-    assert calls == [64, 128]
 
 
 @pytest.mark.parametrize("which", ["exit", "entry"])
@@ -605,29 +577,6 @@ def test_spawned_workers_run_the_pickled_map(data, monkeypatch):
     assert one.status == two.status == VERIFIED
     assert (one.w, one.boxes, one.max_depth) == (two.w, two.boxes, two.max_depth)
     assert _check_stats(one) == _check_stats(two)
-
-
-def test_unpicklable_map_is_refused_on_several_workers(monkeypatch):
-    """A map built from closures does not pickle. With threads > 1 the check
-    raises DomainError before it evaluates a cell, instead of running on one
-    process under a config that says otherwise; with threads = 1 it runs."""
-    A = np.diag([3.0, 1.0 / 3.0])
-
-    def jac_batch(lo, hi):
-        j = np.broadcast_to(A, (len(lo), 2, 2))
-        return j.copy(), j.copy()
-
-    closures = MapSystem("closure-toy", 2, lambda lo, hi: affine_batch(A, np.zeros(2), lo, hi),
-                         jac_batch)
-    N = toy_hset(2, 1)
-    with monkeypatch.context() as m:
-        def no_cells(*a):
-            raise AssertionError("a cell was evaluated")
-
-        m.setattr(covering._CellEngine, "classify", no_cells)
-        with pytest.raises(DomainError, match="'closure-toy'.*threads=1"):
-            verify_cover(N, closures, 1, N, VerifyConfig(threads=2))
-    assert verify_cover(N, closures, 1, N, VerifyConfig(threads=1)).verified
 
 
 @pytest.mark.parametrize("case", ["identity-inconclusive", "H2H3-refuted"])

@@ -14,7 +14,6 @@ from revcover.dynamics import (
     _reversor_inverse,
     linear_map_system,
     map_by_name,
-    quadratic_map_system,
     reversible_quadratic_map,
 )
 from revcover.campaign import INSTANCE_DATA, RELATIONS, _q1_candidate_point
@@ -333,55 +332,124 @@ def test_maps_pickle_by_value(which, rng):
     _same_kernels(c.inverse, m.inverse, rng)
 
 
-def _signed_permutation_image(S, lo, hi):
-    """The exact image of the intervals [lo, hi] under the signed
-    permutation S along the last axis, from the matrix: with S = P - Q for
-    its positive and negative parts, S [lo, hi] = [P lo - Q hi, P hi - Q lo],
-    every sum a single product with an exact zero added."""
-    P, Q = np.maximum(S.matrix, 0.0), np.maximum(-S.matrix, 0.0)
-    return lo @ P.T - hi @ Q.T, hi @ P.T - lo @ Q.T
-
-
 def _swap_cases():
     """A 2-d swap with A = diag(2, 1/2), so that S A S = inv(A) exactly, and
-    a 4-d signed permutation x1 <-> -y1 under F's kernels."""
+    F's data under a 4-d signed permutation x1 <-> -y1."""
     swap = LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))
     A = np.diag([2.0, 0.5])
-    F = reversible_quadratic_map()
     signed = LinearReversor(np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                       [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
-    return [linear_map_system(A, reversor=swap),
-            MapSystem("F-signed", 4, F.eval_batch, F.jac_batch, reversor=signed)]
+    return [linear_map_system(A, reversor=swap), MapSystem("F-signed", **_F_DATA, reversor=signed)]
+
+
+def _fractions(M):
+    """The entries of M as Fractions, a list of rows (a vector is one row)."""
+    return [[Fraction(x) for x in row] for row in np.atleast_2d(M).tolist()]
+
+
+def _data(m):
+    return {k: getattr(m, k) for k in "AcBbC"}
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["swap-2d", "signed-4d"])
 def test_reversor_inverse_of_signed_permutations_is_exact(case, rng):
-    """S o F o S takes values S F(S x) and Jacobian S DF(S x) S, bit for bit
-    as the matrix products with S's positive and negative parts give them,
-    for a reversor that is not diagonal; for the swap, S A S is inv(A)."""
+    """S o F o S is the quadratic map with the data (S A S, S c, B S, b, S C),
+    exactly, for reversors that are not diagonal, and its kernels enclose
+    the exact values S F(S z) and Jacobians S DF(S z) S, computed in
+    Fractions from F's data; for the swap, S A S is inv(A)."""
     fwd = _swap_cases()[case]
     S = fwd.reversor
     inv = _reversor_inverse(fwd, "conjugate")
-    assert inv.inverse is fwd and fwd.inverse is inv
-    z = rng.uniform(-2, 2, size=(16, fwd.dim))
-    r = rng.uniform(0, 0.1, size=z.shape)
-    r[:4] = 0.0  # point cells too
-    lo, hi = z - r, z + r
-    vlo, vhi = inv.eval_batch(lo, hi)
-    wlo, whi = _signed_permutation_image(S, *fwd.eval_batch(*_signed_permutation_image(S, lo, hi)))
-    assert np.array_equal(vlo, wlo) and np.array_equal(vhi, whi)
-    jlo, jhi = inv.jac_batch(lo, hi)
-    glo, ghi = fwd.jac_batch(*_signed_permutation_image(S, lo, hi))
-    # S G S: S on the rows of each G^T (G S), then on the rows of (G S)^T
-    glo, ghi = _signed_permutation_image(S, glo, ghi)
-    glo, ghi = _signed_permutation_image(S, glo.transpose(0, 2, 1), ghi.transpose(0, 2, 1))
-    assert np.array_equal(jlo, glo.transpose(0, 2, 1))
-    assert np.array_equal(jhi, ghi.transpose(0, 2, 1))
+    assert inv.inverse is fwd and fwd.inverse is inv and inv.reversor is S
+    P, d = _fractions(S.matrix), {k: _fractions(v) for k, v in _data(fwd).items()}
+    # c and b are rows here, so S c is c S, as S is symmetric
+    want = {"A": _matmul(_matmul(P, d["A"]), P), "c": _matmul(d["c"], P),
+            "B": _matmul(d["B"], P), "b": d["b"], "C": _matmul(P, d["C"])}
+    for k in "AcBbC":
+        assert _fractions(getattr(inv, k)) == want[k]
+
+    def exact(z):
+        value, J = _exact_form(_data(fwd), _matmul([z], P)[0])
+        return _matmul([value], P)[0], _matmul(_matmul(P, J), P)
+
+    _assert_kernels_enclose(inv, exact, rng)
     if case == 0:
-        assert np.array_equal(jlo, np.broadcast_to(np.diag([0.5, 2.0]), jlo.shape))
-        assert np.array_equal(jhi, jlo)
-        exact = z[:4] * [0.5, 2.0]  # inv(A) z, exact for powers of two
-        assert np.all(vlo[:4] <= exact) and np.all(exact <= vhi[:4])
+        assert np.array_equal(inv.A, np.diag([0.5, 2.0]))
+
+
+@pytest.mark.parametrize("case", ["F", "henon"])
+def test_reversor_inverse_inverts_exactly(case, rng):
+    """F^-1(F(z)) = z and F(F^-1(z)) = z in exact arithmetic from the two
+    maps' data, at random rational points, for F and a Henon map with the
+    swap reversor."""
+    if case == "F":
+        fwd = reversible_quadratic_map()
+    else:
+        fwd = MapSystem("henon", **_henon(1.4), reversor=LinearReversor(np.eye(2)[::-1]))
+        _reversor_inverse(fwd, "henon-inverse")
+    for _ in range(50):
+        z = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-1000, 1000, fwd.dim),
+                                                         rng.integers(1, 1000, fwd.dim))]
+        for a, b in ((fwd, fwd.inverse), (fwd.inverse, fwd)):
+            assert _exact_form(_data(b), _exact_form(_data(a), z)[0])[0] == z
+
+
+def test_diagonal_reversor_inverse_is_the_conjugation_bit_for_bit(rng):
+    """For F's diagonal reversor, the kernels of S o F o S from its data
+    give bit for bit S.act o F o S.act and S DF(S z) S, the conjugation of
+    F's own kernels, on cells, point cells and cells that are not finite:
+    the inverse's bounds, and the pins that follow from them, are those of
+    the conjugated map."""
+    F = reversible_quadratic_map()
+    S = F.reversor
+    z = rng.uniform(-3, 3, size=(400, 4))
+    r = rng.uniform(0, 0.2, size=z.shape)
+    r[:50] = 0.0
+    lo, hi = z - r, z + r
+    lo[50:55, 0], hi[55:60, 2], lo[60:65, 3] = -np.inf, np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        got = [*F.inverse.eval_batch(lo, hi), *F.inverse.jac_batch(lo, hi)]
+        vlo, vhi = S.act(*F.eval_batch(*S.act(lo, hi)))
+        glo, ghi = F.jac_batch(*S.act(lo, hi))
+    # S G S: S on the rows of each G^T (G S), then on the rows of (G S)^T
+    for _ in range(2):
+        glo, ghi = (a.transpose(0, 2, 1) for a in S.act(glo, ghi))
+    for g, w in zip(got, (vlo, vhi, glo, ghi)):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_map_is_its_data(rng):
+    """A map holds read-only copies of its data and derives its kernel from
+    them: a map made by dataclasses.replace derives its own kernel and
+    does not take over the inverse link, which belongs to the old data;
+    maps compare by identity."""
+    from dataclasses import replace
+
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    m = linear_map_system(A, np.linalg.inv(A))
+    A[0, 0] = 5.0
+    assert m.A[0, 0] == 2.0 and not m.A.flags.writeable
+    shifted = replace(m, c=[1.0, -1.0])
+    assert shifted.kernel is not m.kernel and shifted.inverse is None
+    assert m.inverse.inverse is m
+    z = rng.uniform(-1, 1, size=(5, 2))
+    assert np.allclose(shifted.image(z), m.image(z) + [1.0, -1.0])
+    F = reversible_quadratic_map()
+    assert F == F and F != reversible_quadratic_map()
+
+
+@pytest.mark.parametrize("kernel", ["eval_batch", "jac_batch", "image"])
+def test_cells_of_another_width_are_refused(kernel):
+    """Cells whose width is not the map's dimension, or whose lower and
+    upper bounds differ in shape, raise DomainError in every kernel."""
+    F = reversible_quadratic_map()
+    f = getattr(F, kernel)
+    three, four = np.zeros((2, 3)), np.zeros((2, 4))
+    cases = [(three,), (np.zeros(3),)] if kernel == "image" else [
+        (three, three), (four, three), (np.zeros(4), np.zeros(4))]
+    for args in cases:
+        with pytest.raises(DomainError, match="'F-quadratic-4d' takes cells of shape"):
+            f(*args)
 
 
 # --- exact reference formulas, independent of revcover.dynamics ---
@@ -491,7 +559,7 @@ def test_henon_kernels_enclose_the_exact_map(a, rng):
     (_reversor_inverse) the closed-form inverse (X, Y) -> (a - X**2 - Y, X)
     and its Jacobian [[-2X, -1], [1, 0]]."""
     swap = LinearReversor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    H = quadratic_map_system("henon", **_henon(a), reversor=swap)
+    H = MapSystem("henon", **_henon(a), reversor=swap)
     _reversor_inverse(H, "henon-inverse")
     A = Fraction(a)
     _assert_kernels_enclose(H, lambda z: _exact_form(_henon(a), z), rng)
@@ -507,7 +575,7 @@ def test_kernels_cover_coefficients_that_underflow():
     is still covered: F(x) = 1e-200 (1e-200 x)**2 has DF(x) = 2e-400 x, which
     is 2e-100 at x = 1e300, far above the rounding error of the value."""
     data = dict(A=[[0.0]], c=[0.0], B=[[1e-200]], b=[0.0], C=[[1e-200]])
-    m = quadratic_map_system("tiny", **data)
+    m = MapSystem("tiny", **data)
     z = np.array([[1e300], [-1e300], [1.0], [0.0]])
     lo, hi = z * (1 - 2 ** -40), z * (1 + 2 ** -40)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
@@ -563,8 +631,8 @@ def test_shift_rounded_above_its_magnitude_bound_widens_the_bound():
 
     data = dict(A=np.zeros((2, 2)), c=np.zeros(2), B=[[1.0, 1.0]], b=[2.0 ** 457],
                 C=[[0.5], [0.5]])
-    m = quadratic_map_system("near-sqrt-max", **data)
-    q = m.eval_batch.args[0]
+    m = MapSystem("near-sqrt-max", **data)
+    q = m.kernel
     z = np.array([[0.75 * 2.0 ** 458, 2.0 ** 512 - 2.0 ** 459]])
     g = dynamics._shift(q, dynamics._to_rows(z, z, q.value.shape[1]))[1]
     s = dynamics._columns(q.sigma, np.array([[z[0, 0]], [z[0, 1]], [1.0]]))
@@ -576,17 +644,16 @@ def test_shift_rounded_above_its_magnitude_bound_widens_the_bound():
 
 @pytest.mark.parametrize("field, value", [
     ("A", np.ones((4, 3))), ("c", np.ones(3)), ("B", np.ones((2, 3))), ("b", np.ones(3)),
-    ("C", np.ones((4, 3))), ("c", [1.0, np.inf, 0.0, 0.0]), ("reversor", "3-d"),
+    ("C", np.ones((4, 3))), ("c", [1.0, np.inf, 0.0, 0.0]),
+    ("reversor", LinearReversor(np.eye(3))), ("reversor", np.diag([-1.0, -1.0, 1.0, 1.0])),
+    ("name", 5),
 ], ids=["A-not-square", "c-length", "B-columns", "b-length", "C-shape", "not-finite",
-        "reversor-dimension"])
+        "reversor-dimension", "reversor-type", "name-not-str"])
 def test_quadratic_map_rejects_malformed_data(field, value):
-    """User data is checked: each shape, finiteness and the reversor's
-    dimension, each a DomainError that names what is wrong."""
-    data = {k: np.asarray(v, dtype=float) for k, v in _F_DATA.items()}
-    reversor = LinearReversor(np.diag([-1.0, -1.0, 1.0, 1.0]))
-    if field == "reversor":
-        reversor = LinearReversor(np.eye(3))
-    else:
-        data[field] = value
+    """User data is checked: the name's type, each shape, finiteness and the
+    reversor's type and dimension, each a DomainError that names what is
+    wrong."""
+    args = {"name": "bad", **_F_DATA, "reversor": LinearReversor(np.diag([-1.0, -1.0, 1.0, 1.0]))}
+    args[field] = value
     with pytest.raises(DomainError, match=f"^(the )?{field} "):
-        quadratic_map_system("bad", **data, reversor=reversor)
+        MapSystem(**args)

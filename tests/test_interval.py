@@ -684,7 +684,7 @@ def test_F_radius_covers_the_rounding_error(mags):
     the magnitude bound e it computes and E = |c| + |A| Z + |C| s**2,
     s = |B| Z + |b| + nu, evaluated exactly from the cell's magnitudes Z: a
     cell [-a, b] per coordinate has largest magnitude max(a, b)."""
-    q = reversible_quadratic_map().eval_batch.args[0]
+    q = reversible_quadratic_map().kernel
     lo, hi = -np.array([mags[:4]]), np.array([mags[4:]])
     W = dynamics._shift(q, interval._to_rows(lo, hi, q.value.shape[1]))[2]
     np.square(W[5:], out=W[5:])
