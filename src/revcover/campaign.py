@@ -516,12 +516,20 @@ def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> 
     (build_proof_data() when omitted). A report that is not a dict whose
     `relations` is a list of valid relation records (_valid_relation), or
     that relates a source or target that is not an h-set of the instance,
-    raises DomainError."""
+    has a direction other than "direct" or "back", or names a map other
+    than the instance's, raises DomainError."""
     relations = report.report.get("relations") if isinstance(report.report, dict) else None
     if not (isinstance(relations, list) and all(map(_valid_relation, relations))):
         raise DomainError("the report has no list of relations whose names are strings, "
                           "iters an integer >= 1 and w -1, 1 or null")
     data = data or build_proof_data()
+    for r in relations:
+        if r["direction"] not in ("direct", "back"):
+            raise DomainError(f"a relation's direction is {r['direction']!r}, "
+                              f"not 'direct' or 'back'")
+        if r["map"] != data.mapsys.name:
+            raise DomainError(f"a relation's map is {r['map']!r}, not the instance's "
+                              f"{data.mapsys.name!r}")
     unknown = {r[end] for r in relations for end in ("source", "target")} - data.hsets.keys()
     if unknown:
         raise DomainError(f"the report relates h-sets the instance does not have: "

@@ -35,18 +35,19 @@ are independent of the thread count and of `batch_size`, which only sizes
 the kernel calls. Frontier parts of more than `_PART_CELLS` = 8,192 cells
 are split (see `_Refinement`), which keeps memory bounded, so at the
 default batch size each level of a part is one kernel call of up to 8,192
-cells. The plain chain runs in float buffers that the cell engine keeps
-across its calls, about 2 MB for the 4-d map at 8,192 cells; they are
-never pickled. With several workers, a part of several roots is sharded by
-root over worker processes once it holds more than `_SHARD_CELLS` = 2,048
-cells (or one batch, if that is smaller), so the parent's own calls stay
-at that size. The shards are scheduled dynamically: a part goes to
+cells. The plain chain runs in float buffers that each process keeps
+across its calls (`_buffer`), about 2 MB for the 4-d map at 8,192 cells;
+no engine holds them, so a worker reuses its own from shard to shard.
+With several workers, a part of several roots is sharded by root over
+worker processes once it holds more than `_SHARD_CELLS` = 2,048 cells (or
+one batch, if that is smaller), so the parent's own calls stay at that
+size. The shards are scheduled dynamically: a part goes to
 the pool as a fixed small number of shards per worker (`_SHARDS_PER_WORKER`),
 and each worker takes the next shard when it finishes one, so a worker whose
 roots turn out light does not sit idle while another finishes heavy ones.
 A shard is the check's refinement itself, with its roots and its cells,
-pickled as it is, cell engine and map included (a map is its data, so
-it pickles by value); the worker runs it and returns its roots' rows.
+pickled as it is, cell engine and map included (a map pickles its data
+only); the worker runs it and returns its roots' rows.
 
 The process keeps one worker pool (`_worker_pool`). The first check that
 shards starts it, and later checks reuse it. It is replaced when the worker
@@ -71,14 +72,13 @@ from .interval import (
     DomainError,
     IMatrix,
     IndeterminateSignError,
+    _centered_image,
     _linear,
     _linear_eval,
     _linear_rows,
     _mid_rad,
-    _radius_image,
     _to_rows,
     det_sign,
-    iadd,
     imatmul_batch,
 )
 
@@ -105,7 +105,7 @@ class VerifyConfig:
     batch_size: cells per kernel call (verdict- and statistics-invariant);
         a call never spans more than one frontier part (_PART_CELLS), so
         at the default each level of a part is one call of up to 8,192
-        cells, on buffers the cell engine reuses.
+        cells, on buffers the process reuses.
     """
 
     resolution: int = 2
@@ -222,6 +222,23 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
                       IMatrix(tlo[0], thi[0]))
 
 
+# The process's scratch buffers for the cell engines' kernel calls, by name
+# (_buffer). A call reads nothing that an earlier call left there, and its
+# caller is done with its result before the next call, so every engine of
+# the process, and every shard a worker runs, shares them.
+_BUFFERS = {}
+
+
+def _buffer(name, rows, cols):
+    """A C-contiguous (rows, cols) float array on the start of the process's
+    buffer `name`, which grows to the largest call's size; it holds
+    whatever the last call left there."""
+    flat = _BUFFERS.get(name)
+    if flat is None or flat.size < rows * cols:
+        flat = _BUFFERS[name] = np.empty(rows * cols)
+    return flat[:rows * cols].reshape(rows, cols)
+
+
 class _CellEngine:
     """Batch evaluator of the chart map c_M o map^k o c_N^{-1} of one
     relation N =(map^k)=> M, and of the exit or entry condition (`which`)
@@ -236,11 +253,10 @@ class _CellEngine:
     reads only the unstable coordinates of that linear image.
 
     The plain chain and the exit check's linear map run on float buffers
-    that the engine keeps across calls (`_buffer`), so that a refinement's
-    kernel calls of up to _PART_CELLS cells do not allocate, and fault in,
-    their operands afresh. They are scratch space and are never pickled:
-    an engine sent to a worker process as part of a shard starts without
-    them."""
+    of the process (`_buffer`), so that a refinement's kernel calls of up
+    to _PART_CELLS cells do not allocate, and fault in, their operands
+    afresh. The engine holds none: a worker process keeps its buffers from
+    shard to shard, and a shard pickles no scratch space."""
 
     def __init__(self, N, mapsys, k, M, which=None, mean_value=False, derivative=None):
         self.mapsys = mapsys
@@ -254,19 +270,6 @@ class _CellEngine:
                        if which == "exit" else None)
         self.which = which
         self.mean_value = mean_value
-        self._buffers = {}
-
-    def __getstate__(self):
-        return {**self.__dict__, "_buffers": {}}
-
-    def _buffer(self, name, rows, cols):
-        """A C-contiguous (rows, cols) float array on the start of the
-        engine's buffer `name`, which grows to the largest call's size; it
-        holds whatever the last call left there."""
-        flat = self._buffers.get(name)
-        if flat is None or flat.size < rows * cols:
-            flat = self._buffers[name] = np.empty(rows * cols)
-        return flat[:rows * cols].reshape(rows, cols)
 
     def chain(self, mid, lo, hi):
         """The midpoint images p and the Jacobian chain T of the centered
@@ -328,11 +331,11 @@ class _CellEngine:
         one buffer for all steps. Each map step is the map's value kernel
         on the rows (dynamics._quadratic_rows on `mapsys.kernel`), the
         kernel that its eval_batch runs. The result is views of a buffer,
-        which the engine's next call overwrites."""
+        which the next call of any engine overwrites."""
         nb, n = lo.shape
         q = self.mapsys.kernel
-        x, y = (self._buffer(name, q.value.shape[1], nb) for name in ("x", "y"))
-        w = self._buffer("w", q.magnitude.shape[1], nb)
+        x, y = (_buffer(name, q.value.shape[1], nb) for name in ("x", "y"))
+        w = _buffer("w", q.magnitude.shape[1], nb)
         _linear_rows(self.source, _to_rows(lo, hi, len(x), x), None, w[:n + 1], y[1:2 * n + 1])
         for _ in range(self.k):
             x, y = y, x
@@ -342,20 +345,18 @@ class _CellEngine:
     def _chart_image(self, lo, hi):
         """Enclosure of the chart map over each cell, (B, n) lo/hi.
 
-        Plain: _plain_image, views of the engine's buffers, which its next
+        Plain: _plain_image, views of the process's buffers, which the next
         call overwrites. Centered (mean value): with the cell inside
         mid +- rad (_mid_rad; mid lies in the cell, so the segment from it
         to any point of the cell does too), the image of the cell lies in
         p + T [-rad, rad] for the midpoint image p and the Jacobian chain T
-        of `chain`. T [-rad, rad] is taken as [-s, s] with s >= |T| rad, as
-        the radius is centered (_radius_image).
+        of `chain`, enclosed with one widening (_centered_image).
         """
         if not self.mean_value:
             return self._plain_image(lo, hi)
         mid, rad = _mid_rad(lo, hi)
         (plo, phi), T = self.chain(mid, lo, hi)
-        s = _radius_image(*T, rad)
-        return iadd(plo, phi, -s, s)
+        return _centered_image(plo, phi, *T, rad)
 
     def classify(self, lo, hi):
         """Returns (passed, refuted) boolean masks for a batch of chart cells.
@@ -370,8 +371,8 @@ class _CellEngine:
         clo, chi = self._chart_image(lo, hi)
         nb, u = len(lo), self.u
         if self.which == "exit":
-            lx = _to_rows(lo[:, :u], hi[:, :u], 2 * u + 1, self._buffer("lx", 2 * u + 1, nb))
-            lxlo, lxhi = _linear_rows(self.linear, lx, None, self._buffer("lw", u + 1, nb))
+            lx = _to_rows(lo[:, :u], hi[:, :u], 2 * u + 1, _buffer("lx", 2 * u + 1, nb))
+            lxlo, lxhi = _linear_rows(self.linear, lx, None, _buffer("lw", u + 1, nb))
             zlo = np.minimum(clo[:, :u], lxlo)
             zhi = np.maximum(chi[:, :u], lxhi)
             passed = np.zeros(nb, dtype=bool)
@@ -446,11 +447,12 @@ _PER_ROOT = ("boxes", "depth", "status", "cell_depth", "cell_lo", "cell_hi")
 # the batch size, and memory stays bounded for every batch size. At the
 # default batch size each level of a part is one kernel call. A plain call
 # costs a fixed 77-130 us on top of about 100 ns per cell (2-core x86-64
-# machine), so at 8,192 cells the fixed share is about a tenth. The engine
-# reuses its buffers for these calls (_CellEngine._buffer), about 2 MB for
-# the 4-d map, plus 0.5 MB for an exit check's linear map; without the
-# reuse, temporaries of this size are returned to the system after each
-# call and faulted back in on the next.
+# machine), so at 8,192 cells the fixed share is about a tenth. The
+# process reuses its buffers for these calls (_buffer), about 2 MB for the
+# 4-d map, plus 0.5 MB for an exit check's linear map, in the parent and in
+# each worker across its shards; without the reuse, temporaries of this size
+# are returned to the system after each call and faulted back in on the
+# next.
 _PART_CELLS = 8192
 
 # With several workers, a part of several roots with more cells than this

@@ -11,7 +11,8 @@ matrices from it once (`MapSystem.kernel`), and two kernels evaluate the
 map from them: the interval batch `_quadratic_eval` and the batch Jacobian
 `_quadratic_jac`, DF(z) = A + 2 C diag(B z + b) B. A linear map is the case
 m = 0. Every map is arrays, a str and a LinearReversor, so every map
-pickles by value, and each kernel treats each cell on its own.
+pickles by value: its data only, from which unpickling derives the
+kernel again. Each kernel treats each cell on its own.
 
 The shipped instance is the 4-d map
 
@@ -110,6 +111,17 @@ class MapSystem:
         if self.reversor is not None and self.reversor.dim != n:
             raise DomainError(f"the reversor has dimension {self.reversor.dim}, the map {n}")
         self.kernel = _quadratic(*data)
+
+    def __getstate__(self):
+        """The data, the reversor and the inverse link: the kernel is
+        derived again on load (__setstate__)."""
+        return {k: v for k, v in self.__dict__.items() if k != "kernel"}
+
+    def __setstate__(self, state):
+        """Checks the unpickled data and derives the kernel, as the
+        constructor does; the arrays are read-only again."""
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def dim(self) -> int:

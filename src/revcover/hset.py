@@ -37,9 +37,8 @@ from .interval import (
     DomainError,
     IMatrix,
     SingularMatrixError,
-    _radius_image,
+    _centered_image,
     affine_batch,
-    iadd,
     imat_inverse,
     imat_vec_batch,
 )
@@ -283,8 +282,8 @@ def supports_disjoint(N: HSet, M: HSet) -> bool:
     other's chart, as p + T [-1, 1]^n with p the chart image of the source
     center and T = inv(M_dst) M_src, and looks for a chart coordinate clear
     of [-1, 1]. The source center, shifted by the target center, and the
-    source's columns are the rows of one product with the target inverse;
-    T [-1, 1]^n is [-s, s] with s >= |T| 1 (_radius_image).
+    source's columns are the rows of one product with the target inverse,
+    and p + T [-1, 1]^n is enclosed with one widening (_centered_image).
     """
     if N.dim != M.dim:
         raise DomainError("ambient dimension mismatch")
@@ -296,9 +295,8 @@ def supports_disjoint(N: HSet, M: HSet) -> bool:
         rows = np.vstack((src.center, src.matrix.T))
         shift = np.vstack((dst.center, np.zeros_like(src.matrix)))
         lo, hi = imat_vec_batch(dst.inv_matrix.lo, dst.inv_matrix.hi, rows, rows, shift)
-        s = _radius_image(lo[None, 1:].transpose(0, 2, 1), hi[None, 1:].transpose(0, 2, 1),
-                          cube[1])
-        clo, chi = iadd(lo[:1], hi[:1], -s, s)
+        clo, chi = _centered_image(lo[:1], hi[:1], lo[None, 1:].transpose(0, 2, 1),
+                                   hi[None, 1:].transpose(0, 2, 1), cube[1])
         if np.any(chi < -1.0) or np.any(clo > 1.0):
             return True
     return False

@@ -1,4 +1,4 @@
-"""Outward-rounded interval arithmetic on lo/hi arrays: boxes, matrices and
+"""Interval arithmetic on lo/hi arrays, rounded once: boxes, matrices and
 batches of cells.
 
 There is one interval representation: a box, a matrix or a batch of either
@@ -7,61 +7,46 @@ is a pair of float arrays (lo, hi), and a point is a box of zero width.
 h-set's verified inverse and of a relation's chart derivative.
 
 Every operation returns an enclosure of the exact real-arithmetic result
-set, rounded in one of two ways, each derived once.
+set, under one rounding rule: each bound is computed in round-to-nearest
+and widened once by an a-priori radius r = gamma e + floor, for a
+magnitude bound e computed alongside it, also in round-to-nearest. The
+radius covers the bound's rounding errors and the one rounding of the
+widening itself, as in the round-to-nearest interval products of Ozaki,
+Ogita, Rump and Oishi ("Fast algorithms for floating-point interval matrix
+multiplication", J. Comput. Appl. Math. 236 (2012)). One function gives
+every constant (`_constants`), one rule the values that are not finite (an
+entry whose e passes `_BIG` or is NaN is [-inf, +inf]), and each kernel's
+docstring shows that its constants suffice. Three kernels follow the rule.
 
-The inf-sup kernels step each endpoint one float outward: a result computed
-in round-to-nearest differs from the exact value by at most half an ulp, so
-the step always yields a rigorous bound. iadd and imul take numpy arrays, or
-floats, which np.nextafter steps to the same bits, and are the single source
-of truth for `imatmul_batch`, the one inf-sup matrix product. It multiplies
-two wide intervals and carries the mean-value chain's steps after the first;
-`imatvec_cellwise` is it with a trailing axis of length 1, not a kernel of
-its own. There a midpoint-radius product can be up to 1.5 times wider, and
-with the chain's wide-by-wide product in that form H1⇒H2 (k = 4) took 938
-boxes instead of 864.
-
-Every product of a point or thin coefficient matrix with cell bounds runs
-on one kernel instead (`_prepare`, `_enclose`): the cells' bounds are the
-rows of X = [1; l_1; h_1; ...], one matrix product in round-to-nearest
-gives both bounds of every output, and each bound is widened once by an
-a-priori radius, also in round-to-nearest and with no outward step. The
-widening can write the bounds straight into the rows of the next step's X
-(`_enclose`'s `out`): a plain chart chain runs its steps on the rows
-(`_linear_rows`, `dynamics._quadratic_rows`) in buffers its caller keeps,
-and the (B, n) entry points are the same kernels after `_to_rows`. Its
-callers are a quadratic map's value and Jacobian
+The one kernel (`_prepare`, `_enclose`) carries every product of a point or
+thin coefficient matrix with cell bounds: the cells' bounds are the rows of
+X = [1; l_1; h_1; ...], and one matrix product gives both bounds of every
+output. The widening can write the bounds straight into the rows of the
+next step's X (`_enclose`'s `out`): a plain chart chain runs its steps on
+the rows (`_linear_rows`, `dynamics._quadratic_rows`) in buffers its caller
+keeps, and the (B, n) entry points are the same kernels after `_to_rows`.
+Its callers are a quadratic map's value and Jacobian
 (`dynamics._quadratic_eval`, `dynamics._quadratic_jac`) and the linear
 steps of a chart map (`_linear_eval`): v -> M_N v + x_N, the rows of G_1
 under M_N^T, v -> inv(M_M) (v - x_M) and the exit check's linear map.
 `affine_batch` and `imat_vec_batch` are its public entry points for one
-point or thin interval matrix. One function gives its constants
-(`_constants`), one rule its values that are not finite (`_enclose`), and
-one product keeps a one-column batch on the path of larger ones
-(`_columns`). `_radius_image` bounds a wide interval matrix times a
-centered radius [-rad, rad] by |T| rad, in round-to-nearest with
-constants of its own.
+point or thin interval matrix, and one product keeps a one-column batch on
+the path of larger ones (`_columns`).
 
-The step is `np.nextafter` toward -inf (`_down`) or +inf (`_up`). Float64
-arrays of at least `_BITSTEP_MIN` elements take it from the IEEE bit pattern
-instead, which gives the same bits at a fraction of the cost per element:
-read as an int64, the successor of a finite float is the pattern plus one if
-the float is positive and minus one if it is negative (after mapping -0 to
-+0), and +inf and NaN are their own successors; the predecessor is
--successor(-a). Smaller arrays and scalars keep `np.nextafter`, which costs
-less per call. Either way every enclosure is bit for bit the same.
+The wide product (`imatmul_batch`) multiplies two wide interval matrices
+and carries the mean-value chain's steps after the first;
+`imatvec_cellwise` is it with a trailing axis of length 1. It is inf-sup:
+a midpoint-radius product can be up to 1.5 times wider, and with the
+chain's wide-by-wide product in that form H1=>H2 (k = 4) took 938 boxes
+instead of 864. The centered image (`_centered_image`) is the mean-value
+form's last step, p + T [-rad, rad].
 
-`_down` and `_up` take ownership of their argument: a float64 array of at
-least `_BITSTEP_MIN` elements is rounded in place and returned, so every
-caller passes a temporary it made itself. The kernels build their
-candidates, min/max hulls, running sums and operands in buffers of their
-own and round or widen those; they never write into a cell argument (lo,
-hi), so callers may pass read-only arrays. The row forms take their
-operand X and their destinations from the caller and write into them.
-
-Every batch kernel evaluates each row of its batch on its own, bit for bit
-the same in a batch of any size. The refinement's thread and batch
-invariance, and the mean-value chain's stacking of midpoints with cells,
-rest on this.
+The kernels never write into a cell argument, so callers may pass
+read-only arrays; the row forms take their operand X and their
+destinations from the caller and write into them. Every batch kernel
+evaluates each row of its batch on its own, bit for bit the same in a
+batch of any size. The refinement's thread and batch invariance, and the
+mean-value chain's stacking of midpoints with cells, rest on this.
 
 The verified inverse of a point matrix (`imat_inverse`, one per h-set) and
 the certified determinant sign of an interval matrix (`det_sign`, the
@@ -79,9 +64,6 @@ from collections import namedtuple
 
 import numpy as np
 
-_NINF = float("-inf")
-_PINF = float("inf")
-
 
 class DomainError(Exception):
     """Operand outside an operation's domain (e.g. matrices of mismatched shapes)."""
@@ -96,69 +78,6 @@ class SingularMatrixError(Exception):
 
 class IndeterminateSignError(Exception):
     """The residual test failed, so no determinant sign can be certified."""
-
-
-# Arrays with at least this many elements are rounded by stepping their bit
-# pattern: its cost per call is about ten times that of np.nextafter, its
-# cost per element a fraction, and the two cross near this size.
-_BITSTEP_MIN = 1024
-
-
-def _large(a):
-    """A float64 array of at least _BITSTEP_MIN elements: rounded by its bit
-    pattern and in place, and its buffer reused. The dtype is compared by
-    value, as an array unpickled in a worker process has a dtype object of
-    its own."""
-    return type(a) is np.ndarray and a.size >= _BITSTEP_MIN and a.dtype == np.float64
-
-
-def _successor(a):
-    """Replaces the float64 array a by np.nextafter(a, inf), stepping its bit
-    pattern in place, and returns it."""
-    a += 0.0  # maps -0 to +0, whose successor is the smallest subnormal
-    i = a.view(np.int64)
-    t = i >> 63
-    t |= 1  # away from 0 if positive, towards it if negative
-    t *= a < _PINF  # +inf and NaN are their own successors
-    i += t
-    return a
-
-
-def _down(a):
-    """np.nextafter(a, -inf). Takes ownership of a: a float64 array of at
-    least _BITSTEP_MIN elements is overwritten with the result, so callers
-    pass a temporary of their own and never an array they read again."""
-    if _large(a):
-        np.negative(a, out=a)
-        _successor(a)
-        return np.negative(a, out=a)
-    return np.nextafter(a, _NINF)
-
-
-def _up(a):
-    """np.nextafter(a, inf); takes ownership of a, as _down does."""
-    if _large(a):
-        return _successor(a)
-    return np.nextafter(a, _PINF)
-
-
-def iadd(alo, ahi, blo, bhi):
-    return _down(alo + blo), _up(ahi + bhi)
-
-
-def imul(alo, ahi, blo, bhi):
-    """[alo,ahi] * [blo,bhi]: the min of the four candidate products rounded
-    down, and their max rounded up.
-
-    Rounding after min/max gives the same bits as widening every candidate
-    before it: a step toward -inf (+inf) is monotone, so it commutes with min
-    (max). This holds for signed zeros, whose steps are equal, and for inf
-    and NaN, which np.minimum, np.maximum and the step all propagate; so the
-    order in which the candidates are compared does not matter either.
-    """
-    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    return (_down(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))),
-            _up(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))))
 
 
 class IMatrix:
@@ -299,6 +218,18 @@ def _constants(n, m):
     and the Jacobian's one product is A times 1, which is exact, so
     gamma_J = floor_J = 0 and the Jacobian is A. kappa scales only a
     matrix radius, which only linear steps have.
+
+    The two wide kernels over n inner coordinates take the constants for
+    m = 0 as well: the wide product (imatmul_batch) gamma and floor, with
+    G' = gamma_(n-1) + u (1 + gamma_(n-1)),
+
+        gamma (1 - u)**(n + 3) >= (1 + u) G' + u,
+        (1 - u)**2 (floor - eta/2) - gamma n eta/2 >= (1 + G') n eta/2,
+
+    and the centered image (_centered_image) all three, with
+
+        gamma (1 - u)**4 >= u,   kappa (1 - u)**(n + 3) >= 1,
+        (1 - u)**3 (floor - eta/2) - kappa n eta/2 - eta/2 >= 0.
     """
     p, q, qj = 2 * n + 1, 2 * n + 2 * m + 1, 2 * m + 1
     floor, kappa = 2 * (q + 1) * _ETA, 1.0 + 2 * (n + 3) * _U
@@ -484,47 +415,41 @@ def imat_vec_batch(Ml: np.ndarray, Mh: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return _linear_eval(_linear(Ml, 0.0, Mh), lo, hi, center)
 
 
-def _radius_image_constants(m):
-    """(kappa, floor) for _radius_image over m columns; both are exact
-    floats, and
+def _centered_image(plo, phi, Tl, Th, rad):
+    """Enclosures (B, n) lo and hi of p + A y over the members p of
+    [plo, phi] (B, n), A of the interval matrix [Tl, Th] (B, n, m) and y of
+    the centered radius [-rad, rad] (B, m), rad >= 0: the mean-value form's
+    last step.
 
-        kappa * (1 - u)**(m + 2) >= 1,   floor >= (kappa m + 1) * eta/2.
+    Bound. With |T| = max(|Tl|, |Th|) and S = sum_j |T_ij| rad_j, A y lies
+    in [-S, S], so p + A y lies in [plo - S, phi + S]; for a centered
+    factor this is the inf-sup product. Both ends are widened once, by
+    r = fl(fl(fl(gamma P) + floor) + fl(kappa s)) for P = max(|plo|, |phi|)
+    and s = fl(|T| rad): _linear_eval's radius with e = P and t = s. As
+    there, fl(plo - r) <= plo - (1 - u) r + u |plo|, so
+    [fl(plo - r), fl(phi + r)] contains [plo - S, phi + S] once
+    (1 - u) r >= S + u P: one widening covers both S and the rounding of
+    the sum.
+
+    Radius. s is a dot product of m nonnegative terms, in any order and
+    with or without fused multiply-adds: each product passes at most m
+    roundings, each losing at most a factor 1 - u, and at most m roundings
+    form a product, each losing at most eta/2 more to underflow, so
+    s >= (1 - u)**m S - m eta/2. Then
+
+        (1 - u) r >= (1 - u)**4 gamma P + (1 - u)**(m + 3) kappa S
+                     + (1 - u)**3 (floor - eta/2) - kappa m eta/2 - eta/2,
+
+    at least S + u P under the conditions of _constants for a centered
+    image.
+
+    Non-finite values. A coordinate with rad_j = 0 contributes exactly 0,
+    also where |T_ij| is infinite or NaN: y_j is then 0, and so is A_ij y_j
+    for every real A_ij. An entry whose r is above _BIG or NaN is
+    [-inf, +inf], _enclose's rule; below it each widened end is finite or
+    overflows on its own side.
     """
-    return 1.0 + (m + 2) * 2 * _U, (m + 1) * _ETA
-
-
-def _radius_image(Tl, Th, rad):
-    """A bound s >= |T| @ rad for each cell, where |T| = max(|Tl|, |Th|)
-    and rad >= 0: for every member A of the interval matrix [Tl, Th]
-    (B, n, m) and every y with |y| <= rad (B, m), A @ y lies in [-s, s].
-    This is T times the centered radius [-rad, rad] in midpoint-radius
-    form, which for a centered factor is the inf-sup product up to
-    rounding.
-
-    s is evaluated in round-to-nearest, with no outward step. The sum
-    q = sum_j |T_ij| rad_j is a dot product of nonnegative terms, evaluated
-    in any order and with or without fused multiply-adds. Each rounding in
-    it loses at most a factor 1 - u of its exact nonnegative result, and a
-    rounding that forms a product (alone or fused with an addition) at most
-    eta/2 more to underflow; a subnormal sum of two floats is exact. Each
-    product passes at most m roundings, and at most m roundings form a
-    product, so q >= (1 - u)**m S - m eta/2 for the exact
-    S = sum_j |T_ij| rad_j. Then s = fl(fl(q kappa) + floor) satisfies
-
-        s >= (1 - u) ((1 - u) kappa q - eta/2 + floor)
-          >= (1 - u)**(m + 2) kappa S
-             + (1 - u) (floor - eta/2 - (1 - u) kappa m eta/2),
-
-    which is at least S under the two conditions of
-    _radius_image_constants. A q or s that overflows is +inf, still a
-    bound.
-
-    A coordinate with rad_j = 0 contributes exactly 0, also where |T_ij| is
-    infinite or NaN: y_j is then 0, and so is A_ij y_j for every real A_ij.
-    Against rad_j > 0, an infinite |T_ij| makes s_i infinite and a NaN one
-    makes it NaN, in row i only.
-    """
-    kappa, floor = _radius_image_constants(rad.shape[-1])
+    gamma, floor, kappa = _constants(rad.shape[-1], 0)[:3]
     a = np.abs(Tl)
     np.maximum(a, np.abs(Th), out=a)
     s = np.einsum("bij,bj->bi", a, rad)
@@ -532,28 +457,79 @@ def _radius_image(Tl, Th, rad):
         np.copyto(a, 0.0, where=rad[:, None, :] == 0.0)
         s = np.einsum("bij,bj->bi", a, rad)
     s *= kappa
-    s += floor
-    return s
+    r = np.maximum(np.abs(plo), np.abs(phi))
+    r *= gamma
+    r += floor
+    r += s
+    lo, hi = plo - r, phi + r
+    bad = ~(r <= _BIG)
+    lo[bad], hi[bad] = -np.inf, np.inf
+    return lo, hi
 
 
 def imatmul_batch(Al, Ah, Bl, Bh):
-    """Batched interval matrix product (B, n, m) @ (B, m, k), in inf-sup
-    form: the one inf-sup matrix product, which imatvec_cellwise calls.
+    """Batched interval matrix product [Al, Ah] @ [Bl, Bh], (B, n, m) @
+    (B, m, k), as (B, n, k) lo and hi, in inf-sup form: the one product of
+    two wide interval matrices, which imatvec_cellwise calls.
 
-    Column j of A times row j of B is an imul of every pair, each product
-    rounded outward once; the sum over j is accumulated in order, the first
-    term as it is and each partial sum added and rounded outward in the
-    accumulator. The accumulator is a buffer of its own (imul returns new
-    arrays), so no argument is written into."""
-    terms = (imul(Al[:, :, j, None], Ah[:, :, j, None], Bl[:, None, j, :], Bh[:, None, j, :])
-             for j in range(Al.shape[2]))
-    acc_lo, acc_hi = next(terms)
-    for tlo, thi in terms:
-        acc_lo += tlo
-        acc_hi += thi
-        acc_lo = _down(acc_lo)
-        acc_hi = _up(acc_hi)
-    return acc_lo, acc_hi
+    Bounds. Per pair (i, j, l) the four candidate products of the ends of
+    A_ij and B_jl, their min c_lo and their max c_hi, and the sums
+    L = sum_j c_lo and U = sum_j c_hi, accumulated in order of j, all in
+    round-to-nearest. The sums and the candidates are buffers of the
+    kernel's own.
+
+    Error bound. With u, eta and gamma_k as in the notes on the one kernel:
+    the exact product of two intervals is the min and the max of its four
+    exact candidates, and a rounded candidate is off by at most u M_j +
+    eta/2, for M_j the largest exact candidate magnitude; so are c_lo and
+    c_hi, which are at most (1 + u) M_j + eta/2 in magnitude. A sum of m
+    terms is off by at most gamma_(m-1) times the sum of their magnitudes
+    (a subnormal sum is exact), so with S = sum_j M_j and
+    G' = gamma_(m-1) + u (1 + gamma_(m-1)) the computed L is within R of
+    the exact lower bound, where
+
+        R + u |L| <= ((1 + u) G' + u) S + (1 + G') m eta/2.
+
+    Radius. e = fl(sum_j max(|c_lo|, |c_hi|)) sums m nonnegative floats,
+    each at least (1 - u) M_j - eta/2, so e >= (1 - u)**m S - m eta/2, and
+    r = fl(fl(gamma e) + floor) has
+
+        (1 - u) r >= (1 - u)**(m + 3) gamma S + (1 - u)**2 (floor - eta/2)
+                     - gamma m eta/2,
+
+    at least R + u |L| under the conditions of _constants for a wide
+    product. The widening [fl(L - r), fl(U + r)] is then an enclosure, as
+    in _enclose.
+
+    Non-finite values. An entry whose e is above _BIG or NaN is
+    [-inf, +inf]: there a candidate overflowed or is inf times 0. Below
+    _BIG nothing overflowed, as every candidate and partial sum is at most
+    (1 + gamma_m) e / (1 - u)**m < MAX in magnitude, and each widened end
+    is finite or overflows on its own side.
+    """
+    gamma, floor = _constants(Al.shape[2], 0)[:2]
+    # a NaN (inf - inf, inf * 0) arises only in an entry whose e is NaN or
+    # infinite, which the last step replaces
+    with np.errstate(invalid="ignore"):
+        for j in range(Al.shape[2]):
+            al, ah, bl, bh = Al[:, :, j, None], Ah[:, :, j, None], Bl[:, None, j], Bh[:, None, j]
+            c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
+            lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+            hi = np.maximum(np.maximum(c1, c2, out=c1), np.maximum(c3, c4, out=c3), out=c1)
+            mag = np.maximum(np.negative(lo, out=c2), hi, out=c2)  # max(|c_lo|, |c_hi|)
+            if j:
+                L += lo
+                U += hi
+                e += mag
+            else:
+                L, U, e = lo, hi, mag
+        bad = ~(e <= _BIG)
+        e *= gamma
+        e += floor
+        L -= e
+        U += e
+    L[bad], U[bad] = -np.inf, np.inf
+    return L, U
 
 
 def imatvec_cellwise(Al, Ah, lo, hi):
@@ -643,7 +619,7 @@ def imat_inverse(M) -> IMatrix:
         lo, hi = ((c - e) / den).astype(float), ((c + e) / den).astype(float)
     except OverflowError as err:
         raise SingularMatrixError("the inverse enclosure overflows") from err
-    return IMatrix(_down(lo), _up(hi))
+    return IMatrix(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
 
 
 def det_sign(M: IMatrix) -> int:

@@ -14,7 +14,7 @@ from revcover.campaign import (
     run_campaign,
 )
 from revcover.dynamics import reversible_quadratic_map
-from revcover.interval import IMatrix, iadd, imatmul_batch
+from revcover.interval import IMatrix, _exact, imat_vec_batch, imatmul_batch
 
 
 def float_sweep(N, mapsys, k, M, rng, npts=10_000):
@@ -120,8 +120,36 @@ def eval_box(mapsys, b):
 
 
 def chart(N, v):
-    """The h-set N's chart c(v) = M^{-1}(v - x) of the box v, rigorous."""
-    return matvec((N.inv_matrix.lo, N.inv_matrix.hi), iadd(*v, -N.center, -N.center))
+    """The h-set N's chart c(v) = M^{-1}(v - x) of the box v, rigorous: the
+    chart's linear step on the verified inverse, with the center
+    subtracted (imat_vec_batch)."""
+    lo, hi = imat_vec_batch(N.inv_matrix.lo, N.inv_matrix.hi, v[0][None], v[1][None], N.center)
+    return lo[0], hi[0]
+
+
+def exact_affine(A, B, c=None):
+    """c + A @ B in exact arithmetic, for finite float arrays A (N, n, m),
+    B (N, m, k) and c (N, n, k) or none: an object array X of Python ints
+    and an exponent e with c + A @ B == X * 2**e (interval._exact writes
+    each float as an integer times a power of two)."""
+    a, p = _exact(A)
+    b, q = _exact(B)
+    X, e = a @ b, p + q
+    if c is not None:
+        z, r = _exact(c)
+        f = min(e, r)
+        X, e = X * (1 << (e - f)) + z * (1 << (r - f)), f
+    return X, e
+
+
+def outside(lo, hi, X, e):
+    """The number of entries of the exact values X * 2**e (exact_affine)
+    that lie outside the finite float bounds [lo, hi] of their shape."""
+    ends = _exact(lo, hi)
+    f = min(e, ends[2])
+    lo, hi = (k * (1 << (ends[2] - f)) for k in ends[:2])
+    X = X * (1 << (e - f))
+    return int(np.sum((X < lo) | (X > hi)))
 
 
 def reversibility_residual(mapsys, z):

@@ -11,16 +11,18 @@ from revcover.campaign import RELATIONS, automaton_words, enumerate_words
 from revcover.covering import VERIFIED, VerifyConfig, verify_backcover, verify_cover
 from revcover.dynamics import linear_map_system, reversible_quadratic_map
 from revcover.hset import HSet, sym_image
-from revcover.interval import imat_inverse
+from revcover.interval import _centered_image, imat_inverse, imatmul_batch
 
 from conftest import (
     automaton_is_admissible,
     contains,
     cube,
+    exact_affine,
     fixed_point_equations_residual,
     float_sweep,
     matmul,
     matvec,
+    outside,
     reversibility_encloses_identity,
     reversibility_residual,
     sample,
@@ -112,21 +114,24 @@ def test_criterion_5_interval_soundness(data, rng):
         checks += vals.size
         violations += int(np.sum((vals < lo) | (vals > hi)))
 
-    from revcover.interval import iadd, imul
+    # the two wide kernels, the product imatmul_batch and the centered
+    # image p + T [-rad, rad], on 300 cells of 4 x 4 intervals, at 18 member
+    # points each in exact arithmetic (every float is an integer times a
+    # power of two)
+    def members(lo, hi):
+        return np.clip(lo + rng.uniform(size=lo.shape) * (hi - lo), lo, hi)
 
-    def isub(alo, ahi, blo, bhi):  # a - b as a + (-b)
-        return iadd(alo, ahi, -bhi, -blo)
-
-    for kernel, fn in ((iadd, np.add), (isub, np.subtract), (imul, np.multiply)):
-        b1 = rng.uniform(-1e3, 1e3, size=(300, 2))
-        b2 = rng.uniform(-1e3, 1e3, size=(300, 2))
-        alo, ahi = b1.min(axis=1), b1.max(axis=1)
-        blo, bhi = b2.min(axis=1), b2.max(axis=1)
-        rlo, rhi = kernel(alo, ahi, blo, bhi)
-        u = rng.uniform(0, 1, size=(300, 120))
-        xs = alo[:, None] + u * (ahi - alo)[:, None]
-        ys = blo[:, None] + rng.uniform(0, 1, size=(300, 120)) * (bhi - blo)[:, None]
-        crosscheck(fn(xs, ys), rlo[:, None], rhi[:, None])
+    A, B, T = (np.sort(rng.uniform(-1e3, 1e3, size=(2, 300, 4, 4)), axis=0) for _ in range(3))
+    p = np.sort(rng.uniform(-1e3, 1e3, size=(2, 300, 4)), axis=0)
+    rad = rng.uniform(0, 1e3, size=(300, 4))
+    lo, hi = imatmul_batch(*A, *B)
+    clo, chi = _centered_image(*p, *T, rad)
+    for _ in range(18):
+        checks += lo.size + clo.size
+        violations += outside(lo, hi, *exact_affine(members(*A), members(*B)))
+        X, e = exact_affine(members(*T), members(-rad, rad)[:, :, None],
+                            members(*p)[:, :, None])
+        violations += outside(clo, chi, X[:, :, 0], e)
 
     for _ in range(10):
         A = rng.normal(size=(4, 4))

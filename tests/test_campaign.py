@@ -458,3 +458,15 @@ def test_report_with_unknown_hset_is_rejected(campaign, data, end, status):
     r["relations"][0].update({end: "X", "status": status})
     with pytest.raises(DomainError, match="does not have: X"):
         graph_from_report(ProofReport(r), data)
+
+
+@pytest.mark.parametrize("key, value, message", [("direction", "sideways", "direction"),
+                                                 ("map", "no-such-map", "map")])
+def test_report_with_foreign_direction_or_map_is_rejected(campaign, data, key, value, message):
+    """A saved relation whose direction is neither "direct" nor "back", or
+    whose map is not the instance's, is an input error (DomainError): not
+    an edge of the graph, word counts and an orbit certificate naming it."""
+    r = json.loads(campaign[0].to_json())
+    r["relations"][2][key] = value
+    with pytest.raises(DomainError, match=f"a relation's {message} is {value!r}"):
+        graph_from_report(ProofReport(r), data)

@@ -284,6 +284,22 @@ def test_enumerate_invalid_relation_exit_3(tmp_path, capsys, campaign, index, ke
     assert "error: no usable covering graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("direction", "sideways"), ("map", "no-such-map")])
+def test_enumerate_report_with_foreign_relation_exit_3(tmp_path, capsys, campaign, key, value):
+    """A saved relation with a direction other than "direct" or "back", or
+    a map other than the instance's, is an input error (exit 3) with one
+    error line that names the value."""
+    r = json.loads(campaign[0].to_json())
+    r["relations"][0][key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(r))
+    assert main(["enumerate", "--length", "3", "--report", str(report),
+                 "--emit-word", "N1,N1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no usable covering graph") and value in err
+    assert len(err.splitlines()) == 1
+
+
 def test_enumerate_report_with_unknown_hset_exit_3(tmp_path, capsys, campaign):
     """A saved relation X -> N1 names an h-set the instance does not have:
     an input error (exit 3) with one error line."""

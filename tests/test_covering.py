@@ -403,10 +403,11 @@ def test_chart_images_are_row_independent(data, rng, case):
 
 
 @pytest.mark.parametrize("case", ["N2N2", "H1H2", "cross-check"])
-def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, case):
-    """An engine keeps its buffers across calls (_CellEngine._buffer): calls
-    of 8,192, 1, 5 and 8,192 cells give, bit for bit, the chart images and
-    the masks of engines that have never run, plain and centered, for both
+def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, monkeypatch, case):
+    """The process keeps its buffers across calls (covering._buffer): calls
+    of 8,192, 1, 5 and 8,192 cells on one engine give, bit for bit, the
+    chart images and the masks of engines that have never run on buffers
+    that no call has filled, plain and centered, for both
     checks (the exit check's linear map runs in buffers too). The 1-cell
     call takes _columns' one-column path. The cells include point cells and
     cells with an infinite or NaN coordinate. H1=>H2 runs four map steps on
@@ -439,30 +440,38 @@ def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, case):
                 with np.errstate(all="ignore"):
                     got = [x.copy() for x in reused._chart_image(lo, hi)]
                     got += reused.classify(lo, hi)
-                    want = [x.copy() for x in engine()._chart_image(lo, hi)]
-                    want += engine().classify(lo, hi)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(covering, "_BUFFERS", {})
+                        want = [x.copy() for x in engine()._chart_image(lo, hi)]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(covering, "_BUFFERS", {})
+                        want += engine().classify(lo, hi)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes()
 
 
 def test_engine_pickles_without_its_buffers(data):
-    """The buffers are scratch space and never travel with a shard: an
-    engine pickles to the same bytes before and after a classify call of
-    8,192 cells that fills them, and an unpickled engine has none."""
+    """The buffers are the process's scratch space and never travel with a
+    shard: an engine pickles to the same bytes before and after a classify
+    call of 8,192 cells, which fills the process's buffers (covering._buffer),
+    and a second engine's call reuses them instead of allocating its own."""
     import pickle
 
     from revcover.covering import _CellEngine
 
     N, M = data.hset("H3"), data.hset("N2")
     deg = compute_degree(N, data.mapsys, 1, M)
-    engine = _CellEngine(N, data.mapsys, 1, M, "exit", False, deg.chart_derivative)
+    engine, other = (_CellEngine(N, data.mapsys, 1, M, "exit", False, deg.chart_derivative)
+                     for _ in range(2))
     before = pickle.dumps(engine)
     lo = np.random.default_rng(0).uniform(-1, 1, size=(8192, 4))
     engine.classify(lo, lo + 0.01)
-    assert sum(b.nbytes for b in engine._buffers.values()) > 8192 * 8 * 20
-    after = pickle.dumps(engine)
-    assert after == before
-    assert pickle.loads(after)._buffers == {}
+    assert sum(b.nbytes for b in covering._BUFFERS.values()) > 8192 * 8 * 20
+    assert pickle.dumps(engine) == before
+    assert len(before) < 8192 * 8
+    held = {k: id(b) for k, b in covering._BUFFERS.items()}
+    other.classify(lo, lo + 0.01)
+    assert {k: id(b) for k, b in covering._BUFFERS.items()} == held
 
 
 @pytest.mark.parametrize("which", ["exit", "entry"])
