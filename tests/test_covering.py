@@ -271,13 +271,13 @@ def test_passing_cell_children_pass(data):
     F = data.mapsys
     N = data.hset("N2")
     deg = compute_degree(N, F, 1, N)
-    engine = _CellEngine(N, F, 1, N, "entry", True, deg.chart_derivative)
+    engine = _CellEngine(N, F, 1, N, True, deg.chart_derivative)
     lo = np.array([[1.0, -0.5, -0.5, -0.5]])
     hi = np.array([[1.0, 0.0, 0.0, 0.0]])
-    passed, _ = engine.classify(lo, hi)
+    passed, _ = engine.classify(lo, hi, 0)  # the entry test
     if passed[0]:
-        clo, chi, _ = _bisect_cells(lo, hi, np.zeros(1, dtype=int))
-        cpassed, _ = engine.classify(clo, chi)
+        clo, chi, _ = _bisect_cells(lo, hi, np.zeros(1, dtype=int), np.arange(1))
+        cpassed, _ = engine.classify(clo, chi, 0)
         assert cpassed.all()
 
 
@@ -299,12 +299,13 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
     deg = compute_degree(N, F, k, M)
-    engines = [_CellEngine(N, F, k, M, "entry", mean_value, deg.chart_derivative)
+    engines = [_CellEngine(N, F, k, M, mean_value, deg.chart_derivative)
                for mean_value in (False, True)]
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
     cells = [(lo, hi)]
     for _ in range(3):
-        clo, chi, _ = _bisect_cells(*cells[-1], np.zeros(len(cells[-1][0]), dtype=int))
+        n = len(cells[-1][0])
+        clo, chi, _ = _bisect_cells(*cells[-1], np.zeros(n, dtype=int), np.arange(n))
         cells.append((clo, chi))
     lo, hi = (np.concatenate(c) for c in zip(*cells))
     pick = rng.choice(len(lo), size=24, replace=False)
@@ -342,7 +343,7 @@ def test_engine_split_matrices_are_bit_for_bit(data, src, dst):
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
     dfc0 = compute_degree(N, F, 1, M).chart_derivative
-    engine = _CellEngine(N, F, 1, M, "exit", False, dfc0)
+    engine = _CellEngine(N, F, 1, M, False, dfc0)
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 3)
     vlo, vhi = F.eval_batch(*affine_batch(N.matrix, N.center, lo, hi))
     u = N.u
@@ -361,9 +362,9 @@ def test_chart_images_are_row_independent(data, rng, case):
     """Every chart image is a function of its own cell: the image of a batch
     of 2,048 cells is bit for bit the concatenation of the images of its
     sub-batches, of sizes from 1 to 2,048, for plain and centered engines
-    of both checks. The centered engine stacks each cell's midpoint with
-    the cell in every kernel call, and the thread and batch invariance of
-    the refinement rests on this. The batch holds grid cells of several
+    (one chart image serves both checks). The centered engine stacks each
+    cell's midpoint with the cell in every kernel call, and the thread and
+    batch invariance of the refinement rests on this. The batch holds grid cells of several
     depths, point cells and cells with an infinite or NaN coordinate. A
     plain image is a view of the engine's buffers, which its next call
     overwrites, so each image is copied."""
@@ -382,7 +383,8 @@ def test_chart_images_are_row_independent(data, rng, case):
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
     cells = [(lo, hi)]
     while sum(len(c[0]) for c in cells) < 2048:
-        cells.append(_bisect_cells(*cells[-1], np.zeros(len(cells[-1][0]), dtype=int))[:2])
+        n = len(cells[-1][0])
+        cells.append(_bisect_cells(*cells[-1], np.zeros(n, dtype=int), np.arange(n))[:2])
     pick = rng.permutation(2048)
     lo, hi = (np.concatenate(c)[pick] for c in zip(*cells))
     lo[:64] = hi[:64]
@@ -391,15 +393,14 @@ def test_chart_images_are_row_independent(data, rng, case):
     while sum(sizes) < 2048:
         sizes.append(int(rng.integers(1, 600)))
     cuts = np.cumsum(sizes)[:-1]
-    for which in ("exit", "entry"):
-        for mean_value in (False, True):
-            engine = _CellEngine(N, mapsys, k, M, which, mean_value, deg.chart_derivative)
-            with np.errstate(all="ignore"):
-                whole = [x.copy() for x in engine._chart_image(lo, hi)]
-                parts = [[x.copy() for x in engine._chart_image(a, b)]
-                         for a, b in zip(np.split(lo, cuts), np.split(hi, cuts))]
-            for w, p in zip(whole, zip(*parts)):
-                assert w.tobytes() == np.concatenate(p).tobytes()
+    for mean_value in (False, True):
+        engine = _CellEngine(N, mapsys, k, M, mean_value, deg.chart_derivative)
+        with np.errstate(all="ignore"):
+            whole = [x.copy() for x in engine._chart_image(lo, hi)]
+            parts = [[x.copy() for x in engine._chart_image(a, b)]
+                     for a, b in zip(np.split(lo, cuts), np.split(hi, cuts))]
+        for w, p in zip(whole, zip(*parts)):
+            assert w.tobytes() == np.concatenate(p).tobytes()
 
 
 @pytest.mark.parametrize("case", ["N2N2", "H1H2", "cross-check"])
@@ -407,12 +408,12 @@ def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, monkeypatch
     """The process keeps its buffers across calls (covering._buffer): calls
     of 8,192, 1, 5 and 8,192 cells on one engine give, bit for bit, the
     chart images and the masks of engines that have never run on buffers
-    that no call has filled, plain and centered, for both
-    checks (the exit check's linear map runs in buffers too). The 1-cell
-    call takes _columns' one-column path. The cells include point cells and
-    cells with an infinite or NaN coordinate. H1=>H2 runs four map steps on
-    the two alternating buffers, and the cross-check runs the inverse
-    map's kernel on them. The centered chain runs on fresh arrays, and
+    that no call has filled, plain and centered, for exit cells, entry
+    cells and both in one call (the exit test's linear map runs in buffers
+    too). The 1-cell call takes _columns' one-column path. The cells
+    include point cells and cells with an infinite or NaN coordinate.
+    H1=>H2 runs four map steps on the two alternating buffers, and the
+    cross-check runs the inverse map's kernel on them. The centered chain runs on fresh arrays, and
     stays that of a fresh engine too."""
     from revcover.covering import _CellEngine
 
@@ -424,28 +425,29 @@ def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, monkeypatch
                         transpose(sym_image(S, data.hset("H3")))),
     }[case]
     deg = compute_degree(N, mapsys, k, M)
-    for which in ("exit", "entry"):
-        for mean_value in (False, True):
-            def engine():
-                return _CellEngine(N, mapsys, k, M, which, mean_value, deg.chart_derivative)
+    for mean_value in (False, True):
+        def engine():
+            return _CellEngine(N, mapsys, k, M, mean_value, deg.chart_derivative)
 
-            reused = engine()
-            for nb in (8192, 1, 5, 8192):
-                mid = rng.uniform(-1, 1, size=(nb, N.dim))
-                rad = rng.uniform(0, 0.2, size=(nb, N.dim))
-                lo, hi = mid - rad, mid + rad
-                if nb > 1:
-                    lo[0] = hi[0]
-                    lo[1, 1], hi[2, 3], lo[3, 0], hi[4, 2] = -np.inf, np.inf, np.nan, np.nan
+        reused = engine()
+        for nb in (8192, 1, 5, 8192):
+            mid = rng.uniform(-1, 1, size=(nb, N.dim))
+            rad = rng.uniform(0, 0.2, size=(nb, N.dim))
+            lo, hi = mid - rad, mid + rad
+            if nb > 1:
+                lo[0] = hi[0]
+                lo[1, 1], hi[2, 3], lo[3, 0], hi[4, 2] = -np.inf, np.inf, np.nan, np.nan
+            # exit cells only, entry cells only, and both in one call
+            for exits in (nb, 0, nb // 2):
                 with np.errstate(all="ignore"):
                     got = [x.copy() for x in reused._chart_image(lo, hi)]
-                    got += reused.classify(lo, hi)
+                    got += reused.classify(lo, hi, exits)
                     with monkeypatch.context() as mp:
                         mp.setattr(covering, "_BUFFERS", {})
                         want = [x.copy() for x in engine()._chart_image(lo, hi)]
                     with monkeypatch.context() as mp:
                         mp.setattr(covering, "_BUFFERS", {})
-                        want += engine().classify(lo, hi)
+                        want += engine().classify(lo, hi, exits)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes()
 
@@ -461,16 +463,16 @@ def test_engine_pickles_without_its_buffers(data):
 
     N, M = data.hset("H3"), data.hset("N2")
     deg = compute_degree(N, data.mapsys, 1, M)
-    engine, other = (_CellEngine(N, data.mapsys, 1, M, "exit", False, deg.chart_derivative)
+    engine, other = (_CellEngine(N, data.mapsys, 1, M, False, deg.chart_derivative)
                      for _ in range(2))
     before = pickle.dumps(engine)
     lo = np.random.default_rng(0).uniform(-1, 1, size=(8192, 4))
-    engine.classify(lo, lo + 0.01)
+    engine.classify(lo, lo + 0.01, 8192)  # exit cells
     assert sum(b.nbytes for b in covering._BUFFERS.values()) > 8192 * 8 * 20
     assert pickle.dumps(engine) == before
     assert len(before) < 8192 * 8
     held = {k: id(b) for k, b in covering._BUFFERS.items()}
-    other.classify(lo, lo + 0.01)
+    other.classify(lo, lo + 0.01, 8192)
     assert {k: id(b) for k, b in covering._BUFFERS.items()} == held
 
 
@@ -488,12 +490,12 @@ def test_classify_nonfinite_enclosure_fails_both_masks(which, mean_value):
     lo, hi = np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])
     for inv in (np.eye(2), np.full((2, 2), 0.5)):
         M = SimpleNamespace(center=np.zeros(2), inv_matrix=IMatrix(inv, inv))
-        engine = _CellEngine(toy_hset(2, 1), mapsys, 2, M, which, mean_value,
+        engine = _CellEngine(toy_hset(2, 1), mapsys, 2, M, mean_value,
                              IMatrix(np.eye(2), np.eye(2)))
         with np.errstate(all="ignore"):
             clo, chi = engine._chart_image(lo, hi)
         assert not np.isfinite(clo).any() or not np.isfinite(chi).any()
-        passed, refuted = engine.classify(lo, hi)
+        passed, refuted = engine.classify(lo, hi, 1 if which == "exit" else 0)
         assert not passed[0] and not refuted[0]
 
 
@@ -675,11 +677,63 @@ def test_budget_is_per_check(data):
             if chk["boxes"] < full.checks[which]["boxes"]:
                 assert chk["verdict"] == INCONCLUSIVE
             else:
-                assert chk == {**full.checks[which], "wall_time_s": chk["wall_time_s"]}
+                assert chk == full.checks[which]
         over_budget |= cert.boxes > budget
         if cert.status != VERIFIED:
             assert cert.status == INCONCLUSIVE
     assert over_budget  # a relation may spend up to twice the budget
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["verified", "refuted", "starved"])
+def test_joint_checks_equal_separate_ones(data, case, threads):
+    """The exit and entry checks run as one refinement give, field for
+    field, the results of check_exit_condition and check_entry_condition,
+    each of which refines its own wall alone: verdict, counts, depth and
+    worst cell. In the starved case the checks' roots have different
+    allowances (200 boxes over 32 exit and 64 entry roots, 6 and 3 each),
+    and both checks run out of them. At batch size 64 and two threads the
+    joint frontier is sharded over the pool from its first level, in shards
+    that mix exit and entry roots."""
+    F = data.mapsys
+    args, cfg, verdicts = {
+        "verified": ((data.hset("H2"), F, 1, data.hset("H3")), MV, (VERIFIED, VERIFIED)),
+        "refuted": ((data.hset("H2"), F, 2, data.hset("H3")),
+                    VerifyConfig(mean_value=True, budget=5_000), (VERIFIED, REFUTED)),
+        "starved": ((data.hset("H1"), F, 4, data.hset("H2")),
+                    VerifyConfig(mean_value=True, budget=200), (INCONCLUSIVE, INCONCLUSIVE)),
+    }[case]
+    cfg = replace(cfg, threads=threads, batch_size=64)
+    degree = compute_degree(*args)
+    joint = covering._run_checks(*args, cfg, ("exit", "entry"), degree)
+    assert joint == {"exit": check_exit_condition(*args, cfg, degree),
+                     "entry": check_entry_condition(*args, cfg, degree)}
+    assert (joint["exit"].verdict, joint["entry"].verdict) == verdicts
+
+
+def test_both_checks_share_each_kernel_call(data, monkeypatch):
+    """verify_cover evaluates each level of both checks in one classify
+    call: mean-value H2=>H3 takes 7 calls, each the exit check's level and
+    the entry check's level together, where the two checks alone take 7
+    calls each."""
+    sizes = []
+    real_classify = covering._CellEngine.classify
+
+    def classify(self, lo, hi, exits):
+        sizes.append((exits, len(lo) - exits))
+        return real_classify(self, lo, hi, exits)
+
+    monkeypatch.setattr(covering._CellEngine, "classify", classify)
+    args = (data.hset("H2"), data.mapsys, 1, data.hset("H3"))
+    calls = []
+    for run in (check_exit_condition, check_entry_condition, verify_cover):
+        sizes.clear()
+        run(*args, MV)
+        calls.append(list(sizes))
+    exit_calls, entry_calls, joint = calls
+    assert len(exit_calls) == len(entry_calls) == len(joint) == 7
+    assert [e for e, _ in exit_calls] == [e for e, _ in joint]
+    assert [n for _, n in entry_calls] == [n for _, n in joint]
 
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -790,10 +844,10 @@ def test_pool_replaced_after_a_shard_raises(monkeypatch):
     parent = os.getpid()
     real_classify = covering._CellEngine.classify
 
-    def classify(self, lo, hi):
+    def classify(self, lo, hi, exits):
         if os.getpid() != parent:
             raise RuntimeError("shard failed")
-        return real_classify(self, lo, hi)
+        return real_classify(self, lo, hi, exits)
 
     with monkeypatch.context() as m:
         m.setattr(covering._CellEngine, "classify", classify)

@@ -797,28 +797,33 @@ def test_F_kernels_enclose_exact_images(cells):
 # --- cell bisection (covering._bisect_cells) ---
 
 def test_box_bisect_examples():
-    """Each cell is split along its own widest coordinate, into level
-    order: per root, all left halves, then all right halves."""
+    """Each listed cell is split along its own widest coordinate, into
+    level order: per root, all left halves, then all right halves."""
     lo = np.array([[0.0, 0.0], [0.0, 0.0]])
     hi = np.array([[2.0, 1.0], [1.0, 3.0]])
-    clo, chi, croot = _bisect_cells(lo, hi, np.array([5, 5]))
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([5, 5]), np.arange(2))
     assert np.array_equal(clo, [[0, 0], [0, 0], [1, 0], [0, 1.5]])
     assert np.array_equal(chi, [[1, 1], [1, 1.5], [2, 1], [1, 3]])
     assert np.array_equal(croot, [5] * 4)
     # three cells of roots 0, 0 and 1: the children of root 0, then of root 1
     lo = np.zeros((3, 1))
     hi = np.array([[2.0], [4.0], [8.0]])
-    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]))
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]), np.arange(3))
     assert np.array_equal(clo[:, 0], [0, 0, 1, 2, 0, 4])
     assert np.array_equal(chi[:, 0], [1, 2, 2, 4, 4, 8])
     assert np.array_equal(croot, [0, 0, 0, 0, 1, 1])
+    # only the listed cells are halved: the second of root 0, and root 1's
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]), np.array([1, 2]))
+    assert np.array_equal(clo[:, 0], [0, 2, 0, 4])
+    assert np.array_equal(chi[:, 0], [2, 4, 4, 8])
+    assert np.array_equal(croot, [0, 0, 1, 1])
 
 
 def test_box_bisect_halves_widest(rng):
     nb = 50
     lo = rng.uniform(-5, 5, size=(nb, 4))
     hi = lo + rng.uniform(0.01, 3, size=(nb, 4))
-    clo, chi, _ = _bisect_cells(lo, hi, np.zeros(nb, dtype=int))
+    clo, chi, _ = _bisect_cells(lo, hi, np.zeros(nb, dtype=int), np.arange(nb))
     (llo, rlo), (lhi, rhi) = np.split(clo, 2), np.split(chi, 2)
     r = np.arange(nb)
     ax = np.argmax(hi - lo, axis=1)
