@@ -48,7 +48,6 @@ from .campaign import (
     InadmissibleWordError,
     ProofReport,
     SymmetricOrbitCertificate,
-    automaton_words,
     build_proof_data,
     block_transitions,
     emit_symmetric_orbit_certificate,

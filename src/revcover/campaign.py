@@ -15,7 +15,10 @@ from a saved report all come from it by symmetric_closure. A relation is one
 record under one set of field names, whether it is a certificate, a graph
 Edge, a saved report's entry or an orbit certificate's step, and _graph
 builds the covering graph from such records, for a campaign run and for a
-saved report alike.
+saved report alike. The report holds only what cannot be recomputed from
+its other fields: the relations (the closure derives the rest of the graph
+from them), the fixed-space disks (the symmetry checks of N1 and N2) and
+degrees_match, the comparison with RELATIONS' degrees.
 """
 
 from __future__ import annotations
@@ -210,12 +213,6 @@ class Edge:
     def key(self):
         return (self.source, self.target, self.map, self.iters, self.direction)
 
-    def to_dict(self) -> dict:
-        """The fields, derived_from as a list and only on a derived edge."""
-        d = asdict(self)
-        derived = d.pop("derived_from")
-        return {**d, "derived_from": list(derived)} if derived else d
-
 
 class CoveringGraph:
     """Nodes are h-sets (by name), edges are certified or derived relations."""
@@ -347,23 +344,6 @@ def word_counts(graph: CoveringGraph, upto: int) -> dict:
     return counts
 
 
-AUTOMATON_SUCCESSORS = {0: (0, 1), 1: (2,), 2: (3,), 3: (1,)}
-AUTOMATON_ENDPOINTS = (0, 2)
-
-
-def automaton_words(length: int) -> list[tuple]:
-    """All admissible words of the given length in an abstract 4-symbol
-    transition system: each word starts and ends in an endpoint, {0, 2}, and
-    each letter is a successor of the one before, 0 -> {0, 1}, 1 -> {2},
-    2 -> {3}, 3 -> {1}."""
-    if length < 1:
-        return []
-    words = [(a,) for a in AUTOMATON_ENDPOINTS]
-    for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in AUTOMATON_SUCCESSORS[w[-1]]]
-    return [w for w in words if w[-1] in AUTOMATON_ENDPOINTS]
-
-
 @dataclass
 class SymmetricOrbitCertificate:
     """Existence certificate for a symmetric periodic point realizing the
@@ -422,18 +402,22 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
 class CampaignConfig:
     """Configuration of the full campaign. Cell verification defaults to the
     centered (mean value) evaluation; `plain` restores stepwise composition
-    everywhere, which reproduces the original grid-method cost profile."""
+    everywhere, which reproduces the original grid-method cost profile. A
+    fixed grid is max_depth = 0. Word counts are tabulated for the lengths
+    1..enumerate_upto, which must be at least 1."""
 
     resolution: int = VerifyConfig.resolution
     max_depth: int = VerifyConfig.max_depth
     threads: int = VerifyConfig.threads
     budget: int = VerifyConfig.budget
     plain: bool = False
-    fixed_grid: bool = VerifyConfig.fixed_grid
     enumerate_upto: int = 8
 
     def __post_init__(self):
         self.verify_config()  # raises DomainError for what VerifyConfig rejects
+        if self.enumerate_upto < 1:
+            raise DomainError(f"invalid campaign config: enumerate_upto must be >= 1, "
+                              f"got {self.enumerate_upto}")
 
     def verify_config(self) -> VerifyConfig:
         return VerifyConfig(
@@ -441,7 +425,6 @@ class CampaignConfig:
             max_depth=self.max_depth,
             threads=self.threads,
             budget=self.budget,
-            fixed_grid=self.fixed_grid,
             mean_value=not self.plain,
         )
 
@@ -462,20 +445,19 @@ class ProofReport:
 
     @property
     def exit_code(self) -> int:
-        """0: every relation verified with its expected degree and every
-        structural check (symmetry, disjoint supports, fixed-space disks)
-        passed. 1: a relation has a refuted cell, or every relation verified
-        but a degree differs from the expected one or a structural check
-        failed. 2: no relation is refuted but one is inconclusive."""
+        """0: every relation verified, degrees_match is True and every
+        structural check (fixed-space disks, disjoint supports) passed. 1: a
+        relation has a refuted cell, or every relation verified but
+        degrees_match is not True or a structural check failed. 2: no
+        relation is refuted but one is inconclusive."""
         statuses = [r["status"] for r in self.report["relations"]]
         checks_ok = (
-            all(self.report["st_symmetric"].values())
+            self.report.get("degrees_match") is True
             and self.report["disjoint"]["N1,N2"]
             and all(v["ok"] for v in self.report["fix_disks"].values())
         )
         if all(s == VERIFIED for s in statuses) and checks_ok:
-            if self.report.get("degrees_match", True):
-                return 0
+            return 0
         if any(s == REFUTED for s in statuses):
             return 1
         if any(s != VERIFIED for s in statuses):
@@ -510,9 +492,9 @@ def _valid_relation(r) -> bool:
 
 def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> CoveringGraph:
     """Rebuild the covering graph (names only) from a saved report's
-    relations, for word enumeration without re-verification. The derived
-    edges are recomputed by symmetric_closure; the report's own
-    `derived_edges` field is not read. `data` is the built instance
+    relations, for word enumeration without re-verification; the derived
+    edges are recomputed by symmetric_closure, and no other field of the
+    report is read. `data` is the built instance
     (build_proof_data() when omitted). A report that is not a dict whose
     `relations` is a list of valid relation records (_valid_relation), or
     that relates a source or target that is not an h-set of the instance,
@@ -548,7 +530,6 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     S = data.reversor
 
     disks = {name: fix_disk_check(S, data.hset(name)) for name in ALPHABET}
-    st_sym = {name: d.ok for name, d in disks.items()}
     disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
 
     certs = [verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
@@ -563,8 +544,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     sH2 = sym_image(S, data.hset("H2"))
     sH3 = sym_image(S, data.hset("H3"))
     cross = verify_backcover(sH3, data.mapsys, 1, sH2, vcfg)
-    derived = [e for e in graph.edges if e.derived_from is not None]
-    derived_w = next((e.w for e in derived if e.derived_from == ("H2", "H3")), None)
+    derived_w = next((e.w for e in graph.edges if e.derived_from == ("H2", "H3")), None)
     crosscheck = {
         "edge": [sH3.name, sH2.name],
         "derived_w": derived_w,
@@ -602,16 +582,12 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
                 "threads": cfg.threads,
                 "budget": cfg.budget,
                 "evaluation": "plain" if cfg.plain else "mean-value",
-                "fixed_grid": cfg.fixed_grid,
             },
             "q1_interpretation": data.q1_interpretation,
-            "st_symmetric": st_sym,
             "disjoint": disjoint,
             "fix_disks": {k: {"ok": v.ok, "detail": v.detail} for k, v in disks.items()},
             "relations": relations,
-            "degrees_expected": {f"{a}->{b}": w for a, b, _, w in RELATIONS},
             "degrees_match": degrees_match,
-            "derived_edges": [e.to_dict() for e in derived],
             "backcover_crosscheck": crosscheck,
             "blocks": {f"{a}->{b}": ok for (a, b), ok in blocks.items()},
             "word_counts": {str(k): v for k, v in counts.items()},

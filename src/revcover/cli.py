@@ -7,11 +7,12 @@ report that is not JSON text, an h-set matrix without a verified inverse, a
 saved report whose relations are malformed, a relation whose h-sets and map
 differ in dimension or whose h-sets differ in unstable dimension, an
 iterate count below 1, a backcovering under a map without an inverse, a
-config value out of range, such as a budget or thread count below 1, or a
-REVCOVER_THREADS that is not a positive integer). For
-prove-paper, 1 also means that every relation verified but a certified
-degree differs from the expected one or a structural check (symmetry,
-disjoint supports, fixed-space disks) failed; see ProofReport.exit_code.
+config value out of range, such as a budget or thread count below 1 or a
+prove-paper --enumerate-upto below 1, or a REVCOVER_THREADS that is not a
+positive integer). For prove-paper, 1 also means that every relation
+verified but a certified degree differs from the expected one or a
+structural check (the fixed-space disks, disjoint supports) failed; see
+ProofReport.exit_code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .campaign import (
     InadmissibleWordError,
     ProofReport,
     build_proof_data,
-    automaton_words,
     emit_symmetric_orbit_certificate,
     enumerate_words,
     graph_from_report,
@@ -79,7 +79,7 @@ def _resolve_hsets(tokens) -> list[HSet]:
 
 
 # the flags of _add_verify_flags that verify and prove-paper pass on as config fields
-_CONFIG_FLAGS = ("resolution", "max_depth", "threads", "budget", "fixed_grid")
+_CONFIG_FLAGS = ("resolution", "max_depth", "threads", "budget")
 
 
 def _config_flags(args) -> dict:
@@ -90,13 +90,11 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int, default=VerifyConfig.resolution,
                    help="initial subdivisions per free facet coordinate")
     p.add_argument("--max-depth", type=int, default=VerifyConfig.max_depth,
-                   help="bisection depth cap")
+                   help="bisection depth cap (0: the initial grid must decide)")
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="worker processes (REVCOVER_THREADS sets the default)")
     p.add_argument("--budget", type=int, default=VerifyConfig.budget,
                    help="box budget per check (exit and entry each)")
-    p.add_argument("--fixed-grid", action="store_true", default=VerifyConfig.fixed_grid,
-                   help="uniform grid only, no adaptive bisection")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
     p.add_argument("--plot", type=Path, default=None,
                    help="directory for plain-text projection point clouds")
@@ -192,7 +190,7 @@ def _cmd_prove_paper(args) -> int:
     for rel in r["relations"]:
         print(f"  {rel['source']} ={rel['map']}^{rel['iters']}=> {rel['target']}: "
               f"{rel['status']}, w={rel['w']}, boxes={rel['boxes']}")
-    print(f"symmetric: {r['st_symmetric']}  disjoint: {r['disjoint']}")
+    print(f"disjoint: {r['disjoint']}")
     print(f"fix disks: { {k: v['ok'] for k, v in r['fix_disks'].items()} }")
     print(f"blocks: {r['blocks']}")
     cc = r["backcover_crosscheck"]
@@ -216,40 +214,34 @@ def _cmd_enumerate(args) -> int:
     if args.length < 1:
         print("error: --length must be >= 1", file=sys.stderr)
         return 3
-    if args.automaton:
-        words = automaton_words(args.length)
-        payload = {"alphabet": [0, 1, 2, 3], "length": args.length,
-                   "words": [list(w) for w in words], "count": len(words)}
-        print(f"{len(words)} admissible automaton words of length {args.length}")
-    else:
-        data = build_proof_data()
+    data = build_proof_data()
+    try:
+        if args.report_in:
+            graph = graph_from_report(ProofReport.load(args.report_in), data)
+        else:
+            _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
+    except (OSError, DomainError) as e:
+        print(f"error: no usable covering graph: {e}", file=sys.stderr)
+        return 3
+    # counted without listing; the 2**L words are listed only for --out
+    count = word_counts(graph, args.length)[args.length]
+    payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
+    if args.out:
+        payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
+    print(f"{count} words of length {args.length} over ({', '.join(ALPHABET)})")
+    certs = []
+    for spec in args.emit_word or []:
+        word = tuple(x.strip() for x in spec.split(","))
         try:
-            if args.report_in:
-                graph = graph_from_report(ProofReport.load(args.report_in), data)
-            else:
-                _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
-        except (OSError, DomainError) as e:
-            print(f"error: no usable covering graph: {e}", file=sys.stderr)
+            cert = emit_symmetric_orbit_certificate(graph, word, data.reversor)
+        except InadmissibleWordError as e:
+            print(f"error: inadmissible word {spec!r}: {e}", file=sys.stderr)
             return 3
-        # counted without listing; the 2**L words are listed only for --out
-        count = word_counts(graph, args.length)[args.length]
-        payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
-        if args.out:
-            payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
-        print(f"{count} words of length {args.length} over ({', '.join(ALPHABET)})")
-        certs = []
-        for spec in args.emit_word or []:
-            word = tuple(x.strip() for x in spec.split(","))
-            try:
-                cert = emit_symmetric_orbit_certificate(graph, word, data.reversor)
-            except InadmissibleWordError as e:
-                print(f"error: inadmissible word {spec!r}: {e}", file=sys.stderr)
-                return 3
-            certs.append(cert.to_dict())
-            print(f"symmetric orbit certificate: {'-'.join(word)} "
-                  f"(period divides {2 * cert.total_map_steps})")
-        if certs:
-            payload["symmetric_orbit_certificates"] = certs
+        certs.append(cert.to_dict())
+        print(f"symmetric orbit certificate: {'-'.join(word)} "
+              f"(period divides {2 * cert.total_map_steps})")
+    if certs:
+        payload["symmetric_orbit_certificates"] = certs
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -288,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--length", type=int, required=True, help="word length (>= 1)")
     e.add_argument("--report", dest="report_in", type=Path, default=None,
                    help="reuse the covering graph of a saved campaign report")
-    e.add_argument("--automaton", action="store_true",
-                   help="enumerate the abstract 4-symbol transition system instead")
     e.add_argument("--emit-word", action="append", default=None,
                    help="comma-separated node word to certify (repeatable)")
     e.add_argument("--threads", type=int, default=_default_threads())

@@ -107,7 +107,9 @@ class VerifyConfig:
         cells, whichever refinement they run in. The initial grid is always
         evaluated in full, so only a
         budget below the number of initial cells is exceeded.
-    fixed_grid: disable bisection; the initial uniform grid must decide.
+    fixed_grid: the same checks as max_depth = 0, the initial uniform grid
+        deciding alone; it stays only because the benchmark harness
+        (perfbench/) constructs it.
     mean_value: evaluate cells in centered form (point image plus interval
         Jacobian times radius) instead of plain stepwise composition.
     batch_size: cells per kernel call (verdict- and statistics-invariant);

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from revcover import covering
-from revcover.campaign import (
-    AUTOMATON_ENDPOINTS,
-    AUTOMATON_SUCCESSORS,
-    INSTANCE_DATA,
-    CampaignConfig,
-    build_proof_data,
-    run_campaign,
-)
+from revcover.campaign import INSTANCE_DATA, CampaignConfig, build_proof_data, run_campaign
 from revcover.dynamics import reversible_quadratic_map
 from revcover.interval import IMatrix, _exact, imat_vec_batch, imatmul_batch
 
@@ -179,14 +172,6 @@ def frame_vectors():
     S = reversible_quadratic_map().reversor
     u = {k: np.array([float(x) for x in v]) for k, v in INSTANCE_DATA["eigenvectors"].items()}
     return {**u, **{"s" + k[1:]: S.apply(v) for k, v in u.items()}}
-
-
-def automaton_is_admissible(word):
-    """The word starts and ends in an endpoint of the abstract 4-symbol
-    automaton, and each letter is a successor of the one before."""
-    word = tuple(int(a) for a in word)
-    return (len(word) > 0 and word[0] in AUTOMATON_ENDPOINTS and word[-1] in AUTOMATON_ENDPOINTS
-            and all(b in AUTOMATON_SUCCESSORS[a] for a, b in zip(word, word[1:])))
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,12 @@ import copy
 import hashlib
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from revcover import hset
+from revcover import cli, hset
 from revcover.campaign import (
     _BLOCKS,
     RELATIONS,
@@ -18,7 +19,6 @@ from revcover.campaign import (
     InadmissibleWordError,
     ProofReport,
     INSTANCE_DATA,
-    automaton_words,
     block_transitions,
     build_proof_data,
     emit_symmetric_orbit_certificate,
@@ -32,8 +32,6 @@ from revcover.campaign import (
 from revcover.covering import VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, sym_image
 from revcover.interval import DomainError
-
-from conftest import automaton_is_admissible
 
 MV = VerifyConfig(mean_value=True)
 
@@ -239,26 +237,6 @@ def test_missing_edge_breaks_full_shift(campaign):
     assert all(("N1", "N2") != (a, b) for w in words for a, b in zip(w, w[1:]))
 
 
-def test_automaton_rules():
-    assert automaton_is_admissible((0, 1, 2, 3, 1, 2))
-    assert not automaton_is_admissible((0, 1, 1, 2))
-    assert not automaton_is_admissible((1, 2, 3, 1, 2))  # bad start
-    assert not automaton_is_admissible((0, 1,))  # bad end
-    # successors of 1 are exactly {2}
-    for nxt in range(4):
-        assert automaton_is_admissible((0, 1, nxt, 3, 1, 2)) == (nxt == 2)
-
-
-def test_automaton_exhaustive_up_to_8():
-    import itertools
-
-    for L in range(1, 9):
-        enumerated = set(automaton_words(L))
-        brute = {w for w in itertools.product(range(4), repeat=L)
-                 if automaton_is_admissible(w)}
-        assert enumerated == brute
-
-
 def test_derived_backcover_verifies_directly(campaign, data):
     """The symmetry-derived edge N2 => S^T*H3 is also certified head-on via
     the inverse map S o F o S, with matching degree."""
@@ -347,7 +325,7 @@ def test_report_content_and_exit_code(campaign):
             for rel in r["relations"]] == list(RELATIONS)
     assert all(rel["status"] == VERIFIED for rel in r["relations"])
     assert r["degrees_match"] is True
-    assert r["st_symmetric"] == {"N1": True, "N2": True}
+    assert {k: v["ok"] for k, v in r["fix_disks"].items()} == {"N1": True, "N2": True}
     assert r["disjoint"] == {"N1,N2": True}
     assert r["backcover_crosscheck"]["abs_w_agrees"] is True
     assert r["totals"]["boxes"] > 0
@@ -383,12 +361,22 @@ def test_campaign_certifies_five_inverses(monkeypatch):
 
 
 def test_exit_code_1_when_all_verified_but_a_check_fails(campaign):
-    """Every relation verified, but a degree or a structural check failed:
-    the exit code is 1, as for a refuted cell."""
+    """Every relation verified, but a degree or a structural check failed,
+    or the report does not say that the degrees match: the exit code is 1,
+    as for a refuted cell."""
     report, _ = campaign
-    for key, value in (("degrees_match", False), ("disjoint", {"N1,N2": False})):
+
+    def no_disk(r):
+        r["fix_disks"]["N2"]["ok"] = False
+
+    def no_degrees_match(r):
+        del r["degrees_match"]
+
+    for change in (lambda r: r.update(degrees_match=False),
+                   lambda r: r.update(disjoint={"N1,N2": False}),
+                   no_disk, no_degrees_match):
         r = copy.deepcopy(report.report)
-        r[key] = value
+        change(r)
         assert all(rel["status"] == VERIFIED for rel in r["relations"])
         assert ProofReport(r).exit_code == 1
 
@@ -412,36 +400,54 @@ def test_report_deterministic_across_runs_and_threads(campaign):
 
 # SHA-256 of the campaign report at defaults as sorted JSON, without its
 # timings and thread count (_strip_volatile): a change to any relation,
-# derived edge, block, word count, cross-check or conclusion shows here
-REPORT_SHA256 = "e36019d88edfde8de249961326cc09650e44d207a5f50fbe9dfe961ac624efba"
+# block, word count, cross-check or conclusion shows here
+REPORT_SHA256 = "ae2f683b2e92f6192ddaadd3f4e144a3c18b3db68dbdc91d06ae87fb211a230c"
 
 
 def test_campaign_report_is_pinned(campaign):
-    """The whole report, bit for bit: relations, derived edges, blocks, word
-    counts, cross-check, conclusions and the Q1 record at once."""
+    """The whole report, bit for bit: relations, fixed-space disks, blocks,
+    word counts, cross-check, conclusions and the Q1 record at once."""
     text = json.dumps(_strip_volatile(campaign[0].report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
-def test_report_save_load_and_graph_rebuild(campaign, tmp_path):
+def test_report_save_load_and_graph_rebuild(campaign, tmp_path, monkeypatch, capsys):
     """The graph rebuilt from a saved report is the campaign's, edge for
-    edge: its derived edges come from the relations by symmetric closure, so
-    a report whose derived_edges are emptied or carry a bogus entry rebuilds
-    the same graph."""
+    edge: its derived edges come from the relations by symmetric closure.
+    A report saved by an earlier version also carries st_symmetric,
+    degrees_expected, derived_edges (here with a bogus entry too) and
+    config.fixed_grid; none of them is read, so it rebuilds the same graph,
+    through graph_from_report and through enumerate --report."""
     report, graph = campaign
     path = tmp_path / "report.json"
     report.save(path)
     loaded = ProofReport.load(path)
     assert _strip_volatile(loaded.report) == _strip_volatile(report.report)
-    emptied, bogus = ProofReport.load(path), ProofReport.load(path)
-    emptied.report["derived_edges"] = []
-    bogus.report["derived_edges"].append(
+    assert not {"st_symmetric", "degrees_expected", "derived_edges"} & loaded.report.keys()
+    assert "fixed_grid" not in loaded.report["config"]
+
+    old = copy.deepcopy(loaded.report)
+    old["config"]["fixed_grid"] = False
+    old["st_symmetric"] = {"N1": True, "N2": True}
+    old["degrees_expected"] = {f"{a}->{b}": w for a, b, _, w in RELATIONS}
+    old["derived_edges"] = [{**asdict(e), "derived_from": list(e.derived_from)}
+                            for e in graph.edges if e.derived_from] + [
         {"source": "N1", "target": "N2", "map": "F-quadratic-4d", "iters": 1,
-         "direction": "back", "w": 1, "status": VERIFIED, "derived_from": ["N2", "N1"]})
-    for saved in (loaded, emptied, bogus):
-        rebuilt = graph_from_report(saved)
+         "direction": "back", "w": 1, "status": VERIFIED, "derived_from": ["N2", "N1"]}]
+    old_path = tmp_path / "old_report.json"
+    ProofReport(old).save(old_path)
+    old_report = ProofReport.load(old_path)
+    assert old_report.exit_code == 0
+
+    by_cli = []
+    monkeypatch.setattr(cli, "graph_from_report",
+                        lambda *a: by_cli.append(graph_from_report(*a)) or by_cli[-1])
+    assert cli.main(["enumerate", "--length", "4", "--report", str(old_path)]) == 0
+    assert "16 words of length 4" in capsys.readouterr().out
+    assert len(by_cli) == 1
+    for rebuilt in (graph_from_report(loaded), graph_from_report(old_report), *by_cli):
         assert list(rebuilt.nodes) == list(graph.nodes)
-        assert [e.to_dict() for e in rebuilt.edges] == [e.to_dict() for e in graph.edges]
+        assert rebuilt.edges == graph.edges
         for L in (1, 4, 7):
             assert len(enumerate_words(rebuilt, L)) == 2**L
         with pytest.raises(InadmissibleWordError, match="no verified relation"):

@@ -88,10 +88,13 @@ def test_verify_overflowing_center_orbit_exit_2(tmp_path, capsys):
     ["verify", "--from", "N1", "--to", "N1", "--threads", "0"],
     ["prove-paper", "--max-depth", "-1"],
     ["prove-paper", "--threads", "-2"],
+    ["prove-paper", "--enumerate-upto", "0"],
+    ["prove-paper", "--enumerate-upto", "-2"],
     ["enumerate", "--length", "2", "--threads", "0"],
 ])
 def test_invalid_config_exit_3(argv, capsys):
-    """An out-of-range config value is an input error, reported in one line."""
+    """An out-of-range config value is an input error, reported in one line
+    (for --enumerate-upto, not a report with an empty word_counts)."""
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
@@ -122,7 +125,7 @@ def test_parser_defaults_are_verify_config_defaults(monkeypatch):
     defaults = asdict(VerifyConfig())
     v = vars(parser.parse_args(["verify", "--from", "N1", "--to", "N1"]))
     p = vars(parser.parse_args(["prove-paper"]))
-    shared = ("resolution", "max_depth", "threads", "budget", "fixed_grid")
+    shared = ("resolution", "max_depth", "threads", "budget")
     assert {k: v[k] for k in (*shared, "mean_value")} == {
         k: defaults[k] for k in (*shared, "mean_value")}
     assert {k: p[k] for k in shared} == {k: defaults[k] for k in shared}
@@ -251,7 +254,7 @@ def test_enumerate_counts_without_listing(monkeypatch, capsys):
 
 
 def test_enumerate_zero_length_rejected(capsys):
-    assert main(["enumerate", "--length", "0", "--automaton"]) == 3
+    assert main(["enumerate", "--length", "0"]) == 3
     assert "error" in capsys.readouterr().err
 
 
@@ -326,12 +329,6 @@ def test_undecodable_file_exit_3(flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid JSON" in err
     assert len(err.splitlines()) == 1
-
-
-def test_enumerate_automaton(capsys):
-    rc = main(["enumerate", "--length", "4", "--automaton"])
-    assert rc == 0
-    assert "3 admissible" in capsys.readouterr().out
 
 
 def test_enumerate_inadmissible_word_exit_3(tmp_path):

@@ -519,16 +519,28 @@ def test_budget_starvation_inconclusive():
 
 
 def test_fixed_grid_mode(data):
-    F = data.mapsys
-    coarse = verify_cover(data.hset("N1"), F, 1, data.hset("N1"),
-                          VerifyConfig(fixed_grid=True, resolution=1, mean_value=True))
-    fine = verify_cover(data.hset("N1"), F, 1, data.hset("N1"),
-                        VerifyConfig(fixed_grid=True, resolution=6, mean_value=True))
+    """A fixed grid never refines, and fixed_grid=True is max_depth = 0:
+    they give the same verdicts, boxes, depths and worst cells, on N1 => N1
+    at resolutions 1 and 6 and on N2 => N2 at resolution 2, whose entry
+    check the grid leaves inconclusive."""
+
+    def run(name, resolution, **grid):
+        return verify_cover(data.hset(name), data.mapsys, 1, data.hset(name),
+                            VerifyConfig(resolution=resolution, mean_value=True, **grid))
+
+    certs = {(name, res): (run(name, res, fixed_grid=True), run(name, res, max_depth=0))
+             for name, res in (("N1", 1), ("N1", 6), ("N2", 2))}
+    for cert, depth0 in certs.values():
+        assert (depth0.status, depth0.w, depth0.boxes, depth0.max_depth) == (
+            cert.status, cert.w, cert.boxes, cert.max_depth)
+        assert _check_stats(depth0) == _check_stats(cert)
+    fine = certs["N1", 6][0]
     assert fine.verified
     # a fixed grid never refines: box count is exactly the grid size
     assert fine.checks["exit"]["boxes"] == 2 * 2 * 6**3
     assert fine.checks["entry"]["boxes"] == 2 * 4 * 6**3
-    assert coarse.status in (VERIFIED, INCONCLUSIVE)
+    assert certs["N1", 1][0].status in (VERIFIED, INCONCLUSIVE)
+    assert certs["N2", 2][0].checks["entry"]["worst_cell"] is not None
 
 
 def _check_stats(cert):
