@@ -1,15 +1,17 @@
 """Validated-numerics toolkit for covering relations of reversible maps.
 
-Interval arithmetic with outward rounding on lo/hi arrays, affine h-sets,
-rigorous verification of covering and backcovering relations, and a bundled
-campaign certifying chaos and infinitely many symmetric periodic orbits for
-a four-dimensional reversible map.
+Interval arithmetic on lo/hi arrays, each bound computed in
+round-to-nearest and widened once by an a-priori error radius; affine
+h-sets; rigorous verification of covering and backcovering relations; and a
+bundled campaign certifying chaos and infinitely many symmetric periodic
+orbits for a four-dimensional reversible map. Every bad input raises
+DomainError; SingularMatrixError is a failed residual test, a verification
+failure.
 """
 
 from .interval import (
     DomainError,
     IMatrix,
-    IndeterminateSignError,
     SingularMatrixError,
     det_sign,
     imat_inverse,
@@ -26,7 +28,6 @@ from .hset import (
 )
 from .dynamics import (
     MapSystem,
-    MissingInverseError,
     linear_map_system,
     map_by_name,
     reversible_quadratic_map,
@@ -43,9 +44,7 @@ from .covering import (
 )
 from .campaign import (
     CampaignConfig,
-    ConfigError,
     CoveringGraph,
-    InadmissibleWordError,
     ProofReport,
     SymmetricOrbitCertificate,
     build_proof_data,

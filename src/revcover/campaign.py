@@ -49,14 +49,6 @@ from .hset import (
 from .interval import DomainError
 
 
-class ConfigError(Exception):
-    """The instance data failed its own consistency constraints."""
-
-
-class InadmissibleWordError(Exception):
-    """A symbolic word uses a transition the covering graph does not certify."""
-
-
 # Instance constants, kept as decimal strings and parsed to nearest doubles.
 #
 # The two anchor points are approximate symmetric fixed points with real
@@ -144,12 +136,15 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
     """Parse the embedded constants and assemble the campaign h-sets.
 
     The connecting point Q1 is disambiguated against its two stated orbit
-    constraints; if not exactly one candidate passes, a ConfigError carries
-    both residual pairs. Each h-set's direction columns are the frame
+    constraints; if not exactly one candidate passes, a DomainError carries
+    both residual pairs. Data for a map other than the one built here
+    raises DomainError. Each h-set's direction columns are the frame
     (u1, u2, s1, s2) at its anchor point, scaled one by one.
     """
     d = data or INSTANCE_DATA
     mapsys = reversible_quadratic_map()
+    if d["map"] != mapsys.name:
+        raise DomainError(f"the instance data is for map {d['map']!r}, not {mapsys.name!r}")
     S = mapsys.reversor
     P1 = _vec(d["P1"])
     P2 = _vec(d["P2"])
@@ -171,7 +166,7 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
                  for c, b, f in zip(names, back, fwd)}
     passing = [c for c, b, f in zip(names, back, fwd) if b < back_tol and f < fwd_tol]
     if len(passing) != 1:
-        raise ConfigError(
+        raise DomainError(
             f"Q1 disambiguation needs exactly one passing candidate, got {passing}; "
             f"residuals: {residuals}"
         )
@@ -321,7 +316,7 @@ def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
     """All words over ALPHABET whose consecutive pairs have an available
     7-step block; the full shift yields exactly 2^L words."""
     if length < 1:
-        raise InadmissibleWordError("word length must be >= 1")
+        raise DomainError("word length must be >= 1")
     blocks = block_transitions(graph)
     words = [(a,) for a in ALPHABET]
     for _ in range(length - 1):
@@ -334,7 +329,10 @@ def word_counts(graph: CoveringGraph, upto: int) -> dict:
     1..upto, counted without listing them: the words of length L + 1 that
     end in b are those of length L that end in some a with an available
     block a -> b, so the counts are the row vector of ones times the powers
-    of the block-availability matrix, in exact ints."""
+    of the block-availability matrix, in exact ints. Like
+    enumerate_words, it refuses a length below 1 (DomainError)."""
+    if upto < 1:
+        raise DomainError("word length must be >= 1")
     blocks = block_transitions(graph)
     ending = [1] * len(ALPHABET)  # the words of length L, by last letter
     counts = {}
@@ -369,13 +367,13 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
     graph edges and both endpoints must carry a fixed-space disk."""
     word = tuple(word)
     if len(word) < 2:
-        raise InadmissibleWordError("word needs at least two labels")
+        raise DomainError("word needs at least two labels")
     for endpoint in (word[0], word[-1]):
         if endpoint not in graph.nodes:
-            raise InadmissibleWordError(f"unknown endpoint {endpoint!r}")
+            raise DomainError(f"unknown endpoint {endpoint!r}")
         chk = fix_disk_check(S, graph.nodes[endpoint])
         if not chk.ok:
-            raise InadmissibleWordError(
+            raise DomainError(
                 f"endpoint {endpoint!r} carries no fixed-space disk: {chk.detail}"
             )
     steps = []
@@ -384,7 +382,7 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
     for a, b in zip(word, word[1:]):
         edges = graph.usable_edges(a, b)
         if not edges:
-            raise InadmissibleWordError(f"no verified relation {a!r} => {b!r}")
+            raise DomainError(f"no verified relation {a!r} => {b!r}")
         e = edges[0]
         steps.append({f: v for f, v in asdict(e).items() if f not in ("status", "derived_from")})
         total += e.iters

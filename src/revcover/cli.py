@@ -2,17 +2,22 @@
 symbolic-dynamics enumeration, with machine-readable JSON reports.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error (an unknown or malformed h-set or map, an h-set file or saved
-report that is not JSON text, an h-set matrix without a verified inverse, a
-saved report whose relations are malformed, a relation whose h-sets and map
-differ in dimension or whose h-sets differ in unstable dimension, an
-iterate count below 1, a backcovering under a map without an inverse, a
-config value out of range, such as a budget or thread count below 1 or a
-prove-paper --enumerate-upto below 1, or a REVCOVER_THREADS that is not a
-positive integer). For prove-paper, 1 also means that every relation
-verified but a certified degree differs from the expected one or a
-structural check (the fixed-space disks, disjoint supports) failed; see
-ProofReport.exit_code.
+3 input error. Codes 1 and 2 are only ever verdicts. Every input error is a
+DomainError or an OSError, and main alone turns it into one "error:" line
+on stderr and exit code 3: a malformed command line (an unknown command, a
+missing or malformed option, after the usage), an unknown or malformed
+h-set or map, an h-set file or saved report that cannot be read or is not
+JSON text, an h-set matrix without a verified inverse, a saved report whose
+relations are malformed, a relation whose h-sets and map differ in
+dimension or whose h-sets differ in unstable dimension, an iterate count
+below 1, a backcovering under a map without an inverse, a config value out
+of range, such as a budget or thread count below 1, a prove-paper
+--enumerate-upto or an enumerate --length below 1, a REVCOVER_THREADS that
+is not a positive integer, an inadmissible --emit-word, or an output file
+or directory (--report, --out, --plot) that cannot be written. For
+prove-paper, 1 also means that every relation verified but a certified
+degree differs from the expected one or a structural check (the
+fixed-space disks, disjoint supports) failed; see ProofReport.exit_code.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 
 from .campaign import (
     ALPHABET,
+    RELATIONS,
     CampaignConfig,
-    InadmissibleWordError,
     ProofReport,
     build_proof_data,
     emit_symmetric_orbit_certificate,
@@ -38,7 +43,7 @@ from .campaign import (
     word_counts,
 )
 from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
-from .dynamics import MissingInverseError, map_by_name
+from .dynamics import map_by_name
 from .hset import HSet, load_hset, sym_image, transpose
 from .interval import DomainError
 
@@ -141,19 +146,11 @@ def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> No
 
 
 def _cmd_verify(args) -> int:
-    try:
-        src, dst = _resolve_hsets((getattr(args, "from"), args.to))
-        mapsys = map_by_name(args.map)
-        cfg = VerifyConfig(**_config_flags(args), mean_value=args.mean_value)
-    except (DomainError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    src, dst = _resolve_hsets((getattr(args, "from"), args.to))
+    mapsys = map_by_name(args.map)
+    cfg = VerifyConfig(**_config_flags(args), mean_value=args.mean_value)
     fn = verify_backcover if args.back else verify_cover
-    try:
-        cert = fn(src, mapsys, args.iters, dst, cfg)
-    except (DomainError, MissingInverseError) as e:  # a mismatched relation, no inverse
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    cert = fn(src, mapsys, args.iters, dst, cfg)
     print(f"{cert.source} ={cert.map}^{cert.iters}=> {cert.target} "
           f"[{cert.direction}]: {cert.status}"
           + (f", w={cert.w}" if cert.w is not None else "")
@@ -165,9 +162,7 @@ def _cmd_verify(args) -> int:
         sources = {h.name: h.decimal_source for h in (src, dst) if h.decimal_source}
         if sources:
             payload["input_decimal_sources"] = sources
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        args.report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.plot:
         if args.back:  # the relation that verify_backcover certifies
             src, mapsys, dst = transpose(dst), mapsys.inverse, transpose(src)
@@ -176,12 +171,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prove_paper(args) -> int:
-    try:
-        cfg = CampaignConfig(**_config_flags(args), plain=args.plain,
-                             enumerate_upto=args.enumerate_upto)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+    cfg = CampaignConfig(**_config_flags(args), plain=args.plain,
+                         enumerate_upto=args.enumerate_upto)
     data = build_proof_data()
     report, _ = run_campaign(cfg, data)
     r = report.report
@@ -205,15 +196,14 @@ def _cmd_prove_paper(args) -> int:
         report.save(args.report)
         print(f"report written to {args.report}")
     if args.plot:
-        _write_relation_clouds(args.plot, data.hset("H1"), data.mapsys, 4, data.hset("H2"))
-        _write_relation_clouds(args.plot, data.hset("N1"), data.mapsys, 1, data.hset("N1"))
+        longest = max(RELATIONS, key=lambda rel: rel[2])
+        self_covering = next(rel for rel in RELATIONS if rel[0] == rel[1])
+        for src, dst, k, _ in (longest, self_covering):
+            _write_relation_clouds(args.plot, data.hset(src), data.mapsys, k, data.hset(dst))
     return report.exit_code
 
 
 def _cmd_enumerate(args) -> int:
-    if args.length < 1:
-        print("error: --length must be >= 1", file=sys.stderr)
-        return 3
     data = build_proof_data()
     try:
         if args.report_in:
@@ -221,8 +211,7 @@ def _cmd_enumerate(args) -> int:
         else:
             _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
     except (OSError, DomainError) as e:
-        print(f"error: no usable covering graph: {e}", file=sys.stderr)
-        return 3
+        raise DomainError(f"no usable covering graph: {e}") from e
     # counted without listing; the 2**L words are listed only for --out
     count = word_counts(graph, args.length)[args.length]
     payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
@@ -234,23 +223,30 @@ def _cmd_enumerate(args) -> int:
         word = tuple(x.strip() for x in spec.split(","))
         try:
             cert = emit_symmetric_orbit_certificate(graph, word, data.reversor)
-        except InadmissibleWordError as e:
-            print(f"error: inadmissible word {spec!r}: {e}", file=sys.stderr)
-            return 3
+        except DomainError as e:
+            raise DomainError(f"inadmissible word {spec!r}: {e}") from e
         certs.append(cert.to_dict())
         print(f"symmetric orbit certificate: {'-'.join(word)} "
               f"(period divides {2 * cert.total_map_steps})")
     if certs:
         payload["symmetric_orbit_certificates"] = certs
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are input errors: error() prints
+    the usage and raises DomainError, for main to turn into exit code 3.
+    The subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="revcover",
         description="Rigorous covering-relation verification for reversible maps.",
     )
@@ -290,13 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs the command argv (sys.argv[1:] if None) and returns its exit
+    code; the one place where an input error becomes exit code 3."""
     try:
-        parser = build_parser()
-    except DomainError as e:  # REVCOVER_THREADS out of range
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    args = parser.parse_args(argv)
-    return args.func(args)
 
 
 if __name__ == "__main__":

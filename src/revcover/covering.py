@@ -78,7 +78,7 @@ from .hset import HSet, _facet_cells_arrays, transpose
 from .interval import (
     DomainError,
     IMatrix,
-    IndeterminateSignError,
+    SingularMatrixError,
     _centered_image,
     _linear,
     _linear_eval,
@@ -208,10 +208,11 @@ def compute_degree(N: HSet, mapsys: MapSystem, k: int, M: HSet) -> DegreeData:
     The derivative of c_M o map^k o c_N^{-1} at chart zero is the centered
     chain T of the point cell 0 (_CellEngine.chain): each Jacobian is taken
     over an enclosure of the exact center orbit, so T encloses the exact
-    derivative. The degree is the determinant sign of its u x u block. A
-    mismatched relation raises DomainError (_require_relation), and so does
-    a center orbit that leaves the representable range, naming the first
-    step whose image is not finite.
+    derivative. The degree is the determinant sign of its u x u block, and
+    a block that fails the residual test raises SingularMatrixError
+    (det_sign). A mismatched relation raises DomainError
+    (_require_relation), and so does a center orbit that leaves the
+    representable range, naming the first step whose image is not finite.
     """
     _require_relation(N, mapsys, k, M)
     zero = np.zeros((1, N.dim))
@@ -757,7 +758,10 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     """Full certificate for N =(map^k)=> M with the convex linear homotopy.
     The exit and entry checks run as one refinement (_run_checks), so each
     level of both is one chain of kernel calls; each check keeps its own
-    budget, statistics and worst cell, and the certificate its wall time."""
+    budget, statistics and worst cell, and the certificate its wall time.
+    A mismatched relation raises DomainError; a degree that cannot be
+    certified (a failed residual test, a center orbit out of range) makes
+    the certificate inconclusive."""
     cfg = cfg or VerifyConfig()
     t0 = time.perf_counter()
     cert = CoveringCertificate(
@@ -768,7 +772,7 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
     _require_relation(N, mapsys, k, M)
     try:
         degree = compute_degree(N, mapsys, k, M)
-    except (IndeterminateSignError, DomainError) as e:
+    except (SingularMatrixError, DomainError) as e:
         cert.failure = f"degree computation failed: {e}"
         cert.wall_time = time.perf_counter() - t0
         return cert

@@ -57,10 +57,6 @@ from .hset import LinearReversor, coordinate_reflection
 from .interval import DomainError, _columns, _constants, _enclose, _prepare, _split, _to_rows
 
 
-class MissingInverseError(Exception):
-    """The operation needs an inverse evaluator that this map does not provide."""
-
-
 @dataclass(eq=False)
 class MapSystem:
     """The quadratic map F(z) = A z + c + C (B z + b)**2 named `name`, for
@@ -157,7 +153,7 @@ class MapSystem:
 
     def require_inverse(self) -> "MapSystem":
         if self.inverse is None:
-            raise MissingInverseError(f"map {self.name!r} has no inverse evaluator")
+            raise DomainError(f"map {self.name!r} has no inverse evaluator")
         return self.inverse
 
 
@@ -392,8 +388,8 @@ _NAMES = ("F", "F-quadratic-4d", "F-inverse", "F-quadratic-4d-inverse")
 
 def map_by_name(name: str) -> MapSystem:
     """The registered map `name`: F, or its inverse S o F o S, each under
-    two names."""
+    two names; any other name raises DomainError."""
     if name not in _NAMES:
-        raise KeyError(f"unknown map {name!r}; known: {sorted(_NAMES)}")
+        raise DomainError(f"unknown map {name!r}; known: {sorted(_NAMES)}")
     F = reversible_quadratic_map()
     return F.inverse if name.endswith("-inverse") else F

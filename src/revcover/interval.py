@@ -66,7 +66,10 @@ import numpy as np
 
 
 class DomainError(Exception):
-    """Operand outside an operation's domain (e.g. matrices of mismatched shapes)."""
+    """Bad input: an operand outside an operation's domain (e.g. matrices
+    of mismatched shapes), malformed data, an unknown name or a setting out
+    of range. It is the package's one input-error type, and the command
+    line reports it with exit code 3."""
 
 
 class SingularMatrixError(Exception):
@@ -74,10 +77,6 @@ class SingularMatrixError(Exception):
 
     This is a failure to verify invertibility, not a claim of singularity.
     """
-
-
-class IndeterminateSignError(Exception):
-    """The residual test failed, so no determinant sign can be certified."""
 
 
 class IMatrix:
@@ -624,8 +623,8 @@ def imat_inverse(M) -> IMatrix:
 
 def det_sign(M: IMatrix) -> int:
     """The determinant sign of every member of the square interval matrix
-    M; raises IndeterminateSignError where the residual test of _regular
-    fails.
+    M; raises SingularMatrixError where the residual test of _regular
+    fails, as no sign can then be certified.
 
     With X from _regular, every member A has ||I - X A||_inf < 1, so the
     segment from I to X A, I - t (I - X A) for t in [0, 1], holds only
@@ -635,11 +634,7 @@ def det_sign(M: IMatrix) -> int:
     n, m = M.shape
     if n != m:
         raise DomainError("det_sign needs a square matrix")
-    try:
-        x = _regular(M.lo, M.hi)[1]
-    except SingularMatrixError as e:
-        raise IndeterminateSignError(str(e)) from e
-    return _bareiss_sign(x.tolist())
+    return _bareiss_sign(_regular(M.lo, M.hi)[1].tolist())
 
 
 def _bareiss_sign(a):

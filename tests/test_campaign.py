@@ -14,9 +14,7 @@ from revcover.campaign import (
     _BLOCKS,
     RELATIONS,
     CampaignConfig,
-    ConfigError,
     CoveringGraph,
-    InadmissibleWordError,
     ProofReport,
     INSTANCE_DATA,
     block_transitions,
@@ -96,9 +94,17 @@ def test_built_instance_is_pinned(data):
 def test_q1_disambiguation_failure_raises():
     broken = copy.deepcopy(INSTANCE_DATA)
     broken["q1_constraints"] = {"backward_to_P1": "1e-15", "forward10_to_P2": "1e-15"}
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(DomainError) as exc:
         build_proof_data(broken)
     assert "residuals" in str(exc.value)
+
+
+def test_instance_data_for_another_map_raises():
+    """Instance data names its map, and only that map's data builds: data
+    written for another map would give h-sets that F's relations do not
+    hold for."""
+    with pytest.raises(DomainError, match="for map 'henon', not 'F-quadratic-4d'"):
+        build_proof_data({**INSTANCE_DATA, "map": "henon"})
 
 
 # --- lemma relations, as certified by the campaign ---
@@ -216,6 +222,9 @@ def test_word_counts_without_listing(campaign, data):
         assert list(counts) == list(range(1, 11))
         for L, n in counts.items():
             assert n == len(enumerate_words(g, L)) == (2**L if full else L + 1)
+    for words in (word_counts, enumerate_words):
+        with pytest.raises(DomainError, match="word length must be >= 1"):
+            words(graph, 0)
 
 
 def test_word_counts_long_words_fast(campaign):
@@ -307,11 +316,11 @@ def test_orbit_certificates_are_pinned(campaign, data):
 def test_emit_rejects_bad_words(campaign, data):
     _, graph = campaign
     S = data.reversor
-    with pytest.raises(InadmissibleWordError, match="no verified relation"):
+    with pytest.raises(DomainError, match="no verified relation"):
         emit_symmetric_orbit_certificate(graph, ("N1", "H2", "H3", "N2"), S)
-    with pytest.raises(InadmissibleWordError, match="fixed-space disk"):
+    with pytest.raises(DomainError, match="fixed-space disk"):
         emit_symmetric_orbit_certificate(graph, ("H1", "H2"), S)
-    with pytest.raises(InadmissibleWordError):
+    with pytest.raises(DomainError):
         emit_symmetric_orbit_certificate(graph, ("N1",), S)
 
 
@@ -450,7 +459,7 @@ def test_report_save_load_and_graph_rebuild(campaign, tmp_path, monkeypatch, cap
         assert rebuilt.edges == graph.edges
         for L in (1, 4, 7):
             assert len(enumerate_words(rebuilt, L)) == 2**L
-        with pytest.raises(InadmissibleWordError, match="no verified relation"):
+        with pytest.raises(DomainError, match="no verified relation"):
             emit_symmetric_orbit_certificate(rebuilt, ("N1", "N2"), build_proof_data().reversor)
 
 

@@ -100,6 +100,38 @@ def test_invalid_config_exit_3(argv, capsys):
     assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--from", "N1", "--to", "N1", "--budget", "abc"], "invalid int value"),
+    (["verify", "--to", "N1"], "the following arguments are required: --from"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+    (["verify", "--from", "N1", "--to", "N1", "--mean-value", "--report", "{file}/r.json"],
+     "Not a directory"),
+    (["prove-paper", "--report", "{file}/r.json"], "Not a directory"),
+    (["enumerate", "--length", "2", "--out", "{file}/w.json"], "Not a directory"),
+    (["verify", "--from", "N1", "--to", "N1", "--mean-value", "--plot", "{file}/clouds"],
+     "{file}"),
+    (["verify", "--from", "N1", "--to", "N1", "--map", "nosuch"], "unknown map 'nosuch'"),
+], ids=["budget-abc", "no-from", "unknown-command", "verify-report", "prove-paper-report",
+        "enumerate-out", "verify-plot", "unknown-map"])
+def test_input_errors_exit_3(argv, message, tmp_path, capsys):
+    """A malformed command line, an output path under a file and an unknown
+    map are input errors: exit 3, not 2 (inconclusive) or 1 (refuted), and
+    stderr ends in one error line. The map's message is not quoted."""
+    file = tmp_path / "file"
+    file.write_text("")
+    assert main([a.format(file=file) for a in argv]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error:") and message.format(file=file) in last
+    assert not last.startswith('error: "')
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--from" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
 def test_invalid_thread_env_exit_3(value, monkeypatch, capsys):
     """REVCOVER_THREADS must be a positive integer, as --threads must be."""

@@ -180,10 +180,8 @@ def test_verify_backcover_toy():
 
 
 def test_verify_backcover_needs_inverse():
-    from revcover.dynamics import MissingInverseError
-
     N = toy_hset(2, 1)
-    with pytest.raises(MissingInverseError):
+    with pytest.raises(DomainError, match="no inverse evaluator"):
         verify_backcover(N, linear_map_system(np.diag([3.0, 1 / 3])), 1, N, VerifyConfig())
 
 

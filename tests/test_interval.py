@@ -21,7 +21,6 @@ from revcover.covering import _bisect_cells
 from revcover.dynamics import _F_DATA, reversible_quadratic_map
 from revcover.interval import (
     IMatrix,
-    IndeterminateSignError,
     SingularMatrixError,
     affine_batch,
     det_sign,
@@ -959,7 +958,7 @@ def test_residual_bound_of_one_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: np.eye(len(a)))
     with pytest.raises(SingularMatrixError):
         imat_inverse(np.diag([1.0, 0.0]))
-    with pytest.raises(IndeterminateSignError):
+    with pytest.raises(SingularMatrixError):
         det_sign(IMatrix(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
 
 
@@ -975,7 +974,7 @@ def _exact_det(A):
 @pytest.mark.parametrize("n, trials", [(1, 40), (2, 150), (3, 10)])
 def test_det_sign_exact_oracle(rng, n, trials):
     """det_sign returns a sign only where every member's exact determinant
-    has it, and raises IndeterminateSignError wherever the members span
+    has it, and raises SingularMatrixError wherever the members span
     det = 0. The determinant is affine in each entry, so its extremes over
     an interval matrix lie at the vertices; all are checked exactly. Some
     of the matrices are exactly singular at the midpoint."""
@@ -992,7 +991,7 @@ def test_det_sign_exact_oracle(rng, n, trials):
             signs.add((d > 0) - (d < 0))
         try:
             s = det_sign(IMatrix(lo, hi))
-        except IndeterminateSignError:
+        except SingularMatrixError:
             outcomes.add("raised")
             continue
         assert signs == {s}
@@ -1003,9 +1002,9 @@ def test_det_sign_exact_oracle(rng, n, trials):
 def test_det_sign_examples():
     assert det_sign(IMatrix(np.eye(2), np.eye(2))) == 1
     assert det_sign(IMatrix([[0, 1], [1, 0]], [[0, 1], [1, 0]])) == -1
-    with pytest.raises(IndeterminateSignError):
+    with pytest.raises(SingularMatrixError):
         det_sign(IMatrix([[-1.0]], [[1.0]]))
-    with pytest.raises(IndeterminateSignError):
+    with pytest.raises(SingularMatrixError):
         det_sign(IMatrix([[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]]))
 
 
