@@ -9,16 +9,19 @@ infinite family of symmetric periodic orbits).
 Each fact of the instance and the proof is stated once. INSTANCE_DATA holds
 the constants; build_proof_data gives each h-set its center, anchor frame
 and column scales from one table. RELATIONS is the one list of the
-campaign's relations: the transition blocks over ALPHABET are read off its
-rows, and the reversed relations, the N2 -> N1 block and the graph rebuilt
-from a saved report all come from it by symmetric_closure. A relation is one
+campaign's relations: ALPHABET is its self-covering rows, and the reversed
+relations and the graph rebuilt from a saved report come from it by
+symmetric_closure. A transition block a -> b over ALPHABET is any path of
+verified edges of the closed graph from a to b in 7 map steps
+(block_transitions), so no chain is written out by hand. A relation is one
 record under one set of field names, whether it is a certificate, a graph
 Edge, a saved report's entry or an orbit certificate's step, and _graph
 builds the covering graph from such records, for a campaign run and for a
 saved report alike. The report holds only what cannot be recomputed from
 its other fields: the relations (the closure derives the rest of the graph
 from them), the fixed-space disks (the symmetry checks of N1 and N2) and
-degrees_match, the comparison with RELATIONS' degrees.
+degrees_match, the comparison with RELATIONS' degrees. It counts no words:
+the four block booleans fix the counts, and `enumerate` counts them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .hset import (
     supports_disjoint,
     sym_image,
 )
-from .interval import DomainError
+from .interval import DomainError, SingularMatrixError
 
 
 # Instance constants, kept as decimal strings and parsed to nearest doubles.
@@ -133,15 +136,23 @@ def _q1_candidate_point(P1, vectors, terms) -> np.ndarray:
 
 
 def build_proof_data(data: Optional[dict] = None) -> ProofData:
-    """Parse the embedded constants and assemble the campaign h-sets.
+    """Parse the instance data (INSTANCE_DATA when data is None) and
+    assemble the campaign h-sets.
 
     The connecting point Q1 is disambiguated against its two stated orbit
     constraints; if not exactly one candidate passes, a DomainError carries
-    both residual pairs. Data for a map other than the one built here
-    raises DomainError. Each h-set's direction columns are the frame
-    (u1, u2, s1, s2) at its anchor point, scaled one by one.
+    both residual pairs. Data for a map other than the one built here, a
+    missing key or a malformed entry raises DomainError, as does an h-set
+    without a verified inverse. Each h-set's direction columns are the
+    frame (u1, u2, s1, s2) at its anchor point, scaled one by one.
     """
-    d = data or INSTANCE_DATA
+    try:
+        return _assemble(INSTANCE_DATA if data is None else data)
+    except (KeyError, TypeError, ValueError, AttributeError, SingularMatrixError) as e:
+        raise DomainError(f"malformed instance data: {type(e).__name__}: {e}") from e
+
+
+def _assemble(d: dict) -> ProofData:
     mapsys = reversible_quadratic_map()
     if d["map"] != mapsys.name:
         raise DomainError(f"the instance data is for map {d['map']!r}, not {mapsys.name!r}")
@@ -273,43 +284,25 @@ def _graph(data: ProofData, relations: list) -> CoveringGraph:
     return symmetric_closure(graph, data.reversor)
 
 
-# the block alphabet: the two symmetric anchor sets
-ALPHABET = ("N1", "N2")
+# the block alphabet: the two symmetric anchor sets, the self-covering rows
+ALPHABET = tuple(a for a, b, *_ in RELATIONS if a == b)
 
-# three of the four transition blocks over ALPHABET, read off RELATIONS:
-# N1 -> N2 is the chain of the connecting rows in table order, and each
-# self-covering row is repeated up to that chain's iterate sum, 7;
-# block_transitions derives N2 -> N1 from N1 -> N2
-_CHAIN = [(a, b, k) for a, b, k, _ in RELATIONS if a != b]
-_BLOCK_ITERS = sum(k for *_, k in _CHAIN)
-_BLOCKS = {
-    **{(a, b): [(a, b, k)] * (_BLOCK_ITERS // k) for a, b, k, _ in RELATIONS if a == b},
-    (_CHAIN[0][0], _CHAIN[-1][1]): _CHAIN,
-}
-
-
-def _reversed_block(graph: CoveringGraph, chain: list) -> Optional[list]:
-    """The symmetric image of a block: the chain walked backwards, each step
-    (a, b) replaced by the graph edge symmetric_closure derived from it;
-    None if one of those edges is missing."""
-    derived = {(e.derived_from, e.iters): e for e in graph.edges if e.derived_from}
-    edges = [derived.get(((a, b), k)) for a, b, k in reversed(chain)]
-    if any(e is None for e in edges):
-        return None
-    return [(e.source, e.target, e.iters) for e in edges]
+# the map steps of a transition block: the paper's full shift is one of F^7
+_BLOCK_ITERS = 7
 
 
 def block_transitions(graph: CoveringGraph) -> dict:
-    """Availability of the four 7-step blocks over {N1, N2}; each block is a
-    chain of verified graph edges whose iteration counts sum to 7, and
-    N2 -> N1 is the symmetric image of N1 -> N2."""
-    chains = {**_BLOCKS, ("N2", "N1"): _reversed_block(graph, _BLOCKS[("N1", "N2")])}
-    return {
-        pair: chain is not None and all(
-            any(e.iters == iters for e in graph.usable_edges(src, dst))
-            for src, dst, iters in chain)
-        for pair, chain in chains.items()
-    }
+    """Availability of the four 7-step blocks over ALPHABET: a -> b is
+    available when verified edges of the graph, covering or backcovering,
+    lead from a to b in _BLOCK_ITERS map steps. reach[t] holds the pairs
+    (a, v) with such a path from a to v of t steps; each edge is an
+    iterate count >= 1, so one pass over t = 0, 1, ... fills it."""
+    reach = [{(a, a) for a in ALPHABET}] + [set() for _ in range(_BLOCK_ITERS)]
+    for t in range(_BLOCK_ITERS):
+        for e in graph.edges:
+            if e.status == VERIFIED and t + e.iters <= _BLOCK_ITERS:
+                reach[t + e.iters] |= {(a, e.target) for a, v in reach[t] if v == e.source}
+    return {(a, b): (a, b) in reach[_BLOCK_ITERS] for a in ALPHABET for b in ALPHABET}
 
 
 def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
@@ -401,21 +394,17 @@ class CampaignConfig:
     """Configuration of the full campaign. Cell verification defaults to the
     centered (mean value) evaluation; `plain` restores stepwise composition
     everywhere, which reproduces the original grid-method cost profile. A
-    fixed grid is max_depth = 0. Word counts are tabulated for the lengths
-    1..enumerate_upto, which must be at least 1."""
+    fixed grid is max_depth = 0. Every value is checked by VerifyConfig,
+    through verify_config()."""
 
     resolution: int = VerifyConfig.resolution
     max_depth: int = VerifyConfig.max_depth
     threads: int = VerifyConfig.threads
     budget: int = VerifyConfig.budget
     plain: bool = False
-    enumerate_upto: int = 8
 
     def __post_init__(self):
         self.verify_config()  # raises DomainError for what VerifyConfig rejects
-        if self.enumerate_upto < 1:
-            raise DomainError(f"invalid campaign config: enumerate_upto must be >= 1, "
-                              f"got {self.enumerate_upto}")
 
     def verify_config(self) -> VerifyConfig:
         return VerifyConfig(
@@ -554,7 +543,6 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     }
 
     blocks = block_transitions(graph)
-    counts = word_counts(graph, cfg.enumerate_upto)
     conclusions = []
     if all(blocks.values()):
         conclusions.append(
@@ -588,7 +576,6 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
             "degrees_match": degrees_match,
             "backcover_crosscheck": crosscheck,
             "blocks": {f"{a}->{b}": ok for (a, b), ok in blocks.items()},
-            "word_counts": {str(k): v for k, v in counts.items()},
             "conclusions": conclusions,
             "totals": {
                 "boxes": total_boxes,

@@ -1,5 +1,7 @@
 """Command line front end: single relation checks, the full campaign, and
 symbolic-dynamics enumeration, with machine-readable JSON reports.
+`enumerate` is the one command that counts words; it runs the campaign at
+CampaignConfig() or reads the covering graph of a saved report.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
 3 input error. Codes 1 and 2 are only ever verdicts. Every input error is a
@@ -11,10 +13,12 @@ JSON text, an h-set matrix without a verified inverse, a saved report whose
 relations are malformed, a relation whose h-sets and map differ in
 dimension or whose h-sets differ in unstable dimension, an iterate count
 below 1, a backcovering under a map without an inverse, a config value out
-of range, such as a budget or thread count below 1, a prove-paper
---enumerate-upto or an enumerate --length below 1, a REVCOVER_THREADS that
-is not a positive integer, an inadmissible --emit-word, or an output file
-or directory (--report, --out, --plot) that cannot be written. For
+of range, such as a budget or thread count below 1, an enumerate --length
+below 1, a REVCOVER_THREADS that is not a positive integer (read only by
+verify and prove-paper without --threads), an inadmissible --emit-word, or
+an output file or directory (--report, --out, --plot) that cannot be
+written. The output paths are checked, and the --plot directory created,
+before any verification, so a refused output costs no proof. For
 prove-paper, 1 also means that every relation verified but a certified
 degree differs from the expected one or a structural check (the
 fixed-space disks, disjoint supports) failed; see ProofReport.exit_code.
@@ -88,7 +92,23 @@ _CONFIG_FLAGS = ("resolution", "max_depth", "threads", "budget")
 
 
 def _config_flags(args) -> dict:
-    return {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    """The config fields of the flags; without --threads, the thread count
+    is _default_threads(), so only verify and prove-paper, and only then,
+    read REVCOVER_THREADS."""
+    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    if flags["threads"] is None:
+        flags["threads"] = _default_threads()
+    return flags
+
+
+def _prepare_outputs(path, plot=None) -> None:
+    """Before any verification: refuse an output file whose directory does
+    not exist (DomainError), then create the plot directory (OSError if it
+    cannot be). A refused run writes nothing."""
+    if path is not None and not path.parent.is_dir():
+        raise DomainError(f"cannot write {path}: {path.parent} is not a directory")
+    if plot is not None:
+        plot.mkdir(parents=True, exist_ok=True)
 
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
@@ -96,8 +116,9 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
                    help="initial subdivisions per free facet coordinate")
     p.add_argument("--max-depth", type=int, default=VerifyConfig.max_depth,
                    help="bisection depth cap (0: the initial grid must decide)")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker processes (REVCOVER_THREADS sets the default)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: REVCOVER_THREADS if set, else "
+                        f"{VerifyConfig.threads})")
     p.add_argument("--budget", type=int, default=VerifyConfig.budget,
                    help="box budget per check (exit and entry each)")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
@@ -109,9 +130,8 @@ def _write_relation_clouds(outdir: Path, N: HSet, mapsys, k: int, M: HSet) -> No
     """Float point clouds (diagnostic, not rigorous) of the relation
     N =(map^k)=> M: exit-wall image in the target's unstable chart
     coordinates, boundary image in the stable ones, and ambient projections
-    of both supports. File names are the h-set names with "*" as "_" and
-    without "^"."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    of both supports, in the existing directory outdir. File names are the
+    h-set names with "*" as "_" and without "^"."""
     rng = np.random.default_rng(20240)
     n = N.dim
 
@@ -149,6 +169,7 @@ def _cmd_verify(args) -> int:
     src, dst = _resolve_hsets((getattr(args, "from"), args.to))
     mapsys = map_by_name(args.map)
     cfg = VerifyConfig(**_config_flags(args), mean_value=args.mean_value)
+    _prepare_outputs(args.report, args.plot)
     fn = verify_backcover if args.back else verify_cover
     cert = fn(src, mapsys, args.iters, dst, cfg)
     print(f"{cert.source} ={cert.map}^{cert.iters}=> {cert.target} "
@@ -171,8 +192,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prove_paper(args) -> int:
-    cfg = CampaignConfig(**_config_flags(args), plain=args.plain,
-                         enumerate_upto=args.enumerate_upto)
+    cfg = CampaignConfig(**_config_flags(args), plain=args.plain)
+    _prepare_outputs(args.report, args.plot)
     data = build_proof_data()
     report, _ = run_campaign(cfg, data)
     r = report.report
@@ -204,12 +225,13 @@ def _cmd_prove_paper(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _prepare_outputs(args.out)
     data = build_proof_data()
     try:
         if args.report_in:
             graph = graph_from_report(ProofReport.load(args.report_in), data)
         else:
-            _, graph = run_campaign(CampaignConfig(threads=args.threads), data)
+            _, graph = run_campaign(CampaignConfig(), data)
     except (OSError, DomainError) as e:
         raise DomainError(f"no usable covering graph: {e}") from e
     # counted without listing; the 2**L words are listed only for --out
@@ -267,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the bundled end-to-end proof campaign")
     p.add_argument("--plain", action="store_true",
                    help="plain stepwise evaluation (grid-method cost profile)")
-    p.add_argument("--enumerate-upto", type=int, default=CampaignConfig.enumerate_upto,
-                   help="tabulate word counts up to this length")
     _add_verify_flags(p)
     p.set_defaults(func=_cmd_prove_paper)
 
@@ -278,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse the covering graph of a saved campaign report")
     e.add_argument("--emit-word", action="append", default=None,
                    help="comma-separated node word to certify (repeatable)")
-    e.add_argument("--threads", type=int, default=_default_threads())
     e.add_argument("--out", type=Path, default=None,
                    help="write results as JSON, every word listed")
     e.set_defaults(func=_cmd_enumerate)

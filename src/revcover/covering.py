@@ -130,6 +130,9 @@ class VerifyConfig:
         for name, least in (("resolution", 1), ("max_depth", 0), ("threads", 1),
                             ("budget", 1), ("batch_size", 1)):
             value = getattr(self, name)
+            if type(value) is not int:  # not a float, str or bool
+                raise DomainError(f"invalid verification config: {name} must be an integer, "
+                                  f"got {value!r}")
             if value < least:
                 raise DomainError(f"invalid verification config: {name} must be >= {least}, "
                                   f"got {value}")

@@ -11,10 +11,12 @@ import pytest
 
 from revcover import cli, hset
 from revcover.campaign import (
-    _BLOCKS,
+    _BLOCK_ITERS,
+    ALPHABET,
     RELATIONS,
     CampaignConfig,
     CoveringGraph,
+    Edge,
     ProofReport,
     INSTANCE_DATA,
     block_transitions,
@@ -27,7 +29,7 @@ from revcover.campaign import (
     symmetric_closure,
     word_counts,
 )
-from revcover.covering import VERIFIED, VerifyConfig, verify_cover
+from revcover.covering import REFUTED, VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, sym_image
 from revcover.interval import DomainError
 
@@ -102,9 +104,22 @@ def test_q1_disambiguation_failure_raises():
 def test_instance_data_for_another_map_raises():
     """Instance data names its map, and only that map's data builds: data
     written for another map would give h-sets that F's relations do not
-    hold for."""
+    hold for. Empty data is data, not the shipped instance, and data
+    without a key or with a malformed entry is an input error too."""
     with pytest.raises(DomainError, match="for map 'henon', not 'F-quadratic-4d'"):
         build_proof_data({**INSTANCE_DATA, "map": "henon"})
+    without_p1 = {k: v for k, v in INSTANCE_DATA.items() if k != "P1"}
+    for data, missing in (({}, "'map'"), ({"map": "F-quadratic-4d"}, "'P1'"),
+                          (without_p1, "'P1'")):
+        with pytest.raises(DomainError, match=f"malformed instance data: KeyError: {missing}"):
+            build_proof_data(data)
+    for key, value in (("P2", ["0.0", "x"]), ("eigenvectors", []), ("h_radii", None)):
+        with pytest.raises(DomainError, match="malformed instance data"):
+            build_proof_data({**INSTANCE_DATA, key: value})
+    zero = copy.deepcopy(INSTANCE_DATA)
+    zero["h_radii"]["H2"][0] = "0"
+    with pytest.raises(DomainError, match="malformed instance data: SingularMatrixError"):
+        build_proof_data(zero)
 
 
 # --- lemma relations, as certified by the campaign ---
@@ -125,12 +140,13 @@ def test_lemma_self_coverings(campaign):
 
 
 def test_lemma_connecting_chain(campaign):
-    """The N1 -> N2 block is a chain of certified relations of the table."""
-    degree = {(a, b, k): w for a, b, k, w in RELATIONS}
-    chain = _BLOCKS[("N1", "N2")]
+    """The connecting rows of the table are a chain N1 => ... => N2 of
+    certified relations of 7 map steps in all."""
+    chain = [rel for rel in RELATIONS if rel[0] != rel[1]]
     assert chain[0][0] == "N1" and chain[-1][1] == "N2"
     assert all(step[1] == nxt[0] for step, nxt in zip(chain, chain[1:]))
-    _assert_certified(campaign, [(a, b, k, degree[(a, b, k)]) for a, b, k in chain])
+    assert sum(k for _, _, k, _ in chain) == 7
+    _assert_certified(campaign, chain)
 
 
 def test_self_covering_robust_to_small_shrink(data):
@@ -195,7 +211,39 @@ def test_blocks_all_available(campaign):
     _, graph = campaign
     blocks = block_transitions(graph)
     assert all(blocks.values()) and len(blocks) == 4
-    assert all(sum(k for *_, k in chain) == 7 for chain in _BLOCKS.values())
+    assert _BLOCK_ITERS == 7
+    assert ALPHABET == ("N1", "N2")
+
+
+def _path_graph(*edges):
+    """A graph of (source, target, iters[, status]) edges, nodes left out:
+    block_transitions reads the edges only."""
+    g = CoveringGraph()
+    for src, dst, k, *status in edges:
+        g.add_edge(Edge(src, dst, "F", k, "direct", 1, *(status or [VERIFIED])))
+    return g
+
+
+def test_block_is_any_verified_7_step_path():
+    """A block a -> b is available through any path of verified edges from
+    a to b of 7 map steps, through any node and through the letters
+    themselves; a 6- or 8-step path, or one through a refuted or
+    inconclusive edge, gives none."""
+    no_blocks = dict.fromkeys([(a, b) for a in ALPHABET for b in ALPHABET], False)
+    for edges, available in [
+        ([("N1", "X", 3), ("X", "N2", 4)], [("N1", "N2")]),
+        ([("N2", "Y", 5), ("Y", "Z", 1), ("Z", "N1", 1)], [("N2", "N1")]),
+        ([("N1", "N1", 1)], [("N1", "N1")]),
+        ([("N2", "N2", 7)], [("N2", "N2")]),
+        ([("N1", "N1", 2), ("N1", "X", 1), ("X", "N2", 4)], [("N1", "N2")]),
+        ([("N1", "X", 3), ("X", "N2", 3)], []),
+        ([("N1", "X", 3), ("X", "N2", 5)], []),
+        ([("N1", "X", 3), ("X", "N2", 4, REFUTED)], []),
+        ([("N1", "X", 3), ("X", "N2", 4, "inconclusive")], []),
+        ([("N2", "N2", 2)], []),
+    ]:
+        assert block_transitions(_path_graph(*edges)) == {
+            **no_blocks, **dict.fromkeys(available, True)}, edges
 
 
 def test_word_counts_are_full_shift(campaign):
@@ -216,7 +264,9 @@ def test_word_counts_without_listing(campaign, data):
     for e in graph.edges:
         if e.derived_from is None:
             direct.add_edge(e)
-    assert not block_transitions(direct)[("N2", "N1")]
+    # N2 -> N1 is a path of the closure's backcoverings only
+    assert block_transitions(direct) == {("N1", "N1"): True, ("N1", "N2"): True,
+                                         ("N2", "N1"): False, ("N2", "N2"): True}
     for g, full in ((graph, True), (direct, False)):
         counts = word_counts(g, 10)
         assert list(counts) == list(range(1, 11))
@@ -236,11 +286,15 @@ def test_word_counts_long_words_fast(campaign):
 
 
 def test_missing_edge_breaks_full_shift(campaign):
+    """Without H2 => H3 no path leads from N1 to N2 in 7 steps; the
+    closure's edge derived from it still carries N2 -> N1."""
     _, graph = campaign
     pruned = CoveringGraph()
     pruned.nodes = dict(graph.nodes)
     pruned.edges = [e for e in graph.edges
                     if not (e.source == "H2" and e.target == "H3")]
+    assert block_transitions(pruned) == {("N1", "N1"): True, ("N1", "N2"): False,
+                                         ("N2", "N1"): True, ("N2", "N2"): True}
     words = enumerate_words(pruned, 5)
     assert len(words) < 2**5
     assert all(("N1", "N2") != (a, b) for w in words for a, b in zip(w, w[1:]))
@@ -409,13 +463,13 @@ def test_report_deterministic_across_runs_and_threads(campaign):
 
 # SHA-256 of the campaign report at defaults as sorted JSON, without its
 # timings and thread count (_strip_volatile): a change to any relation,
-# block, word count, cross-check or conclusion shows here
-REPORT_SHA256 = "ae2f683b2e92f6192ddaadd3f4e144a3c18b3db68dbdc91d06ae87fb211a230c"
+# block, cross-check or conclusion shows here
+REPORT_SHA256 = "25e00638aa0bfaa4a18572e2d66cf41c8b837a22c32de57a4f6b6c7a51cf7cc3"
 
 
 def test_campaign_report_is_pinned(campaign):
     """The whole report, bit for bit: relations, fixed-space disks, blocks,
-    word counts, cross-check, conclusions and the Q1 record at once."""
+    cross-check, conclusions and the Q1 record at once."""
     text = json.dumps(_strip_volatile(campaign[0].report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 

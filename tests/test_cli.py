@@ -88,13 +88,9 @@ def test_verify_overflowing_center_orbit_exit_2(tmp_path, capsys):
     ["verify", "--from", "N1", "--to", "N1", "--threads", "0"],
     ["prove-paper", "--max-depth", "-1"],
     ["prove-paper", "--threads", "-2"],
-    ["prove-paper", "--enumerate-upto", "0"],
-    ["prove-paper", "--enumerate-upto", "-2"],
-    ["enumerate", "--length", "2", "--threads", "0"],
 ])
 def test_invalid_config_exit_3(argv, capsys):
-    """An out-of-range config value is an input error, reported in one line
-    (for --enumerate-upto, not a report with an empty word_counts)."""
+    """An out-of-range config value is an input error, reported in one line."""
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be >= " in err and len(err.splitlines()) == 1
@@ -105,24 +101,48 @@ def test_invalid_config_exit_3(argv, capsys):
     (["verify", "--to", "N1"], "the following arguments are required: --from"),
     (["nosuch"], "invalid choice: 'nosuch'"),
     (["verify", "--from", "N1", "--to", "N1", "--mean-value", "--report", "{file}/r.json"],
-     "Not a directory"),
-    (["prove-paper", "--report", "{file}/r.json"], "Not a directory"),
-    (["enumerate", "--length", "2", "--out", "{file}/w.json"], "Not a directory"),
+     "{file} is not a directory"),
+    (["prove-paper", "--report", "{file}/r.json"], "{file} is not a directory"),
+    (["enumerate", "--length", "2", "--out", "{file}/w.json"], "{file} is not a directory"),
     (["verify", "--from", "N1", "--to", "N1", "--mean-value", "--plot", "{file}/clouds"],
      "{file}"),
     (["verify", "--from", "N1", "--to", "N1", "--map", "nosuch"], "unknown map 'nosuch'"),
+    (["prove-paper", "--enumerate-upto", "0"], "unrecognized arguments: --enumerate-upto 0"),
+    (["prove-paper", "--enumerate-upto", "-2"], "unrecognized arguments: --enumerate-upto -2"),
+    (["enumerate", "--length", "2", "--threads", "0"], "unrecognized arguments: --threads 0"),
+    (["verify", "--from", "N1", "--to", "N1", "--report", "{tmp}/missing/r.json"],
+     "{tmp}/missing is not a directory"),
+    (["verify", "--from", "N1", "--to", "N1", "--report", "{file}/r.json", "--plot", "{tmp}/p"],
+     "{file} is not a directory"),
+    (["verify", "--from", "S^T*H3", "--to", "S^T*H2", "--back", "--report", "{file}/r.json"],
+     "{file} is not a directory"),
+    (["prove-paper", "--plot", "{file}/clouds"], "{file}"),
 ], ids=["budget-abc", "no-from", "unknown-command", "verify-report", "prove-paper-report",
-        "enumerate-out", "verify-plot", "unknown-map"])
-def test_input_errors_exit_3(argv, message, tmp_path, capsys):
-    """A malformed command line, an output path under a file and an unknown
-    map are input errors: exit 3, not 2 (inconclusive) or 1 (refuted), and
-    stderr ends in one error line. The map's message is not quoted."""
+        "enumerate-out", "verify-plot", "unknown-map", "prove-paper-enumerate-upto-0",
+        "prove-paper-enumerate-upto-negative", "enumerate-threads", "verify-report-missing-dir",
+        "verify-report-and-plot", "verify-back-report", "prove-paper-plot"])
+def test_input_errors_exit_3(argv, message, tmp_path, monkeypatch, capsys):
+    """A malformed command line (an option that was removed included), an
+    output path that cannot be written and an unknown map are input errors:
+    exit 3, not 2 (inconclusive) or 1 (refuted), and stderr is one error
+    line, after the usage for a malformed command line. The map's message
+    is not quoted. Each is refused before any verification runs: nothing
+    is printed on stdout and no file or directory is written (not the
+    --plot directory of a run whose --report is refused either)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the proof ran")
+
+    for name in ("verify_cover", "verify_backcover", "run_campaign"):
+        monkeypatch.setattr(cli, name, refuse)
     file = tmp_path / "file"
     file.write_text("")
-    assert main([a.format(file=file) for a in argv]) == 3
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error:") and message.format(file=file) in last
+    assert main([a.format(file=file, tmp=tmp_path) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    *usage, last = err.splitlines()
+    assert usage == [] or usage[0].startswith("usage:")
+    assert last.startswith("error:") and message.format(file=file, tmp=tmp_path) in last
     assert not last.startswith('error: "')
+    assert out == "" and list(tmp_path.iterdir()) == [file] and file.read_text() == ""
 
 
 def test_help_exits_0(capsys):
@@ -130,6 +150,22 @@ def test_help_exits_0(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--from" in capsys.readouterr().out
+
+
+def test_thread_env_read_only_by_verify_and_prove_paper(tmp_path, monkeypatch, capsys, campaign):
+    """--help and enumerate never read REVCOVER_THREADS, so a malformed
+    value does not stop them; verify and prove-paper read it only without
+    --threads."""
+    monkeypatch.setenv("REVCOVER_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    report = tmp_path / "report.json"
+    campaign[0].save(report)
+    assert main(["enumerate", "--length", "3", "--report", str(report)]) == 0
+    assert "8 words of length 3" in capsys.readouterr().out
+    args = build_parser().parse_args(["verify", "--from", "N1", "--to", "N1", "--threads", "2"])
+    assert cli._config_flags(args)["threads"] == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
@@ -142,10 +178,12 @@ def test_invalid_thread_env_exit_3(value, monkeypatch, capsys):
 
 
 def test_thread_env_sets_the_default(monkeypatch):
+    """The variable is read when the config is built from the flags."""
     monkeypatch.setenv("REVCOVER_THREADS", "3")
     parser = build_parser()
-    assert parser.parse_args(["verify", "--from", "N1", "--to", "N1"]).threads == 3
-    assert parser.parse_args(["prove-paper", "--threads", "1"]).threads == 1
+    for argv, threads in ((["verify", "--from", "N1", "--to", "N1"], 3),
+                          (["prove-paper", "--threads", "1"], 1)):
+        assert cli._config_flags(parser.parse_args(argv))["threads"] == threads
 
 
 def test_parser_defaults_are_verify_config_defaults(monkeypatch):
@@ -155,13 +193,14 @@ def test_parser_defaults_are_verify_config_defaults(monkeypatch):
     monkeypatch.delenv("REVCOVER_THREADS", raising=False)
     parser = build_parser()
     defaults = asdict(VerifyConfig())
-    v = vars(parser.parse_args(["verify", "--from", "N1", "--to", "N1"]))
-    p = vars(parser.parse_args(["prove-paper"]))
+    v, p = ({**vars(args), **cli._config_flags(args)} for args in (
+        parser.parse_args(["verify", "--from", "N1", "--to", "N1"]),
+        parser.parse_args(["prove-paper"])))
     shared = ("resolution", "max_depth", "threads", "budget")
     assert {k: v[k] for k in (*shared, "mean_value")} == {
         k: defaults[k] for k in (*shared, "mean_value")}
     assert {k: p[k] for k in shared} == {k: defaults[k] for k in shared}
-    campaign = CampaignConfig(**{k: p[k] for k in (*shared, "plain", "enumerate_upto")})
+    campaign = CampaignConfig(**{k: p[k] for k in (*shared, "plain")})
     assert campaign == CampaignConfig()
     assert campaign.verify_config() == replace(VerifyConfig(), mean_value=True)
 

@@ -659,11 +659,15 @@ def test_failure_stats_independent_of_threads_and_batch(data, case, monkeypatch)
 @pytest.mark.parametrize("field, value", [
     ("resolution", 0), ("max_depth", -1), ("threads", 0), ("threads", -1),
     ("budget", 0), ("batch_size", 0), ("batch_size", -1),
+    ("threads", 2.5), ("resolution", 2.5), ("budget", "abc"), ("max_depth", 6.0),
+    ("threads", True), ("batch_size", 64.0), ("budget", None),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     """A batch size below 1 would leave the kernel unrun and its masks unset,
     and a thread count below 1 would be recorded as given; both are errors,
-    for a relation and for the campaign alike."""
+    for a relation and for the campaign alike. So is a value that is not an
+    integer (a float, a string, None or a bool), which would otherwise fail
+    as a TypeError inside the verification."""
     with pytest.raises(DomainError, match=field):
         VerifyConfig(**{field: value})
     if field != "batch_size":
