@@ -7,26 +7,28 @@ symbolic-dynamics conclusions (full two-shift for the 7th iterate, and an
 infinite family of symmetric periodic orbits).
 
 Each fact of the instance and the proof is stated once. INSTANCE_DATA holds
-the constants; build_proof_data gives each h-set its center, anchor frame
-and column scales from one table. RELATIONS is the one list of the
-campaign's relations: ALPHABET is its self-covering rows, and the reversed
-relations and the graph rebuilt from a saved report come from it by
-symmetric_closure. A transition block a -> b over ALPHABET is any path of
-verified edges of the closed graph from a to b in 7 map steps
-(block_transitions), so no chain is written out by hand. A relation is one
-record under one set of field names, whether it is a certificate, a graph
-Edge, a saved report's entry or an orbit certificate's step, and _graph
-builds the covering graph from such records, for a campaign run and for a
-saved report alike. The report holds only what cannot be recomputed from
-its other fields: the relations (the closure derives the rest of the graph
-from them), the fixed-space disks (the symmetry checks of N1 and N2) and
-degrees_match, the comparison with RELATIONS' degrees. It counts no words:
-the four block booleans fix the counts, and `enumerate` counts them.
+the constants, the connecting point Q1 as one reading of the paper's
+formula; build_proof_data checks Q1 against its orbit constraints and
+gives each h-set its center, anchor frame and column scales from one
+table. RELATIONS is the one list of the campaign's relations: ALPHABET is
+its self-covering rows, and the reversed relations and the graph rebuilt
+from a saved report come from it by symmetric_closure. A transition block
+a -> b over ALPHABET is any path of verified edges of the closed graph
+from a to b in 7 map steps (block_transitions), so no chain is written out
+by hand. A relation is one record under one set of field names, whether it
+is a certificate, a graph Edge, a saved report's entry or an orbit
+certificate's step, and _graph builds the covering graph from such
+records, for a campaign run and for a saved report alike. The report
+holds only what cannot be recomputed from its other fields: the relations
+(the closure derives the rest of the graph from them), the fixed-space
+disks (the symmetry checks of N1 and N2) and degrees_match, the comparison
+with RELATIONS' degrees; it is saved by the package's one JSON writer
+(hset._dump_json). It counts no words: the four block booleans fix the
+counts, and `enumerate` counts them (word_count).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -44,6 +46,7 @@ from .dynamics import MapSystem, reversible_quadratic_map
 from .hset import (
     HSet,
     LinearReversor,
+    _dump_json,
     _load_json,
     fix_disk_check,
     supports_disjoint,
@@ -77,16 +80,13 @@ INSTANCE_DATA = {
                   "0.4421352370808943", "-0.0425829663821858"],
     },
     "frame_scales": {"N1": "0.012", "N2": "0.31"},
-    # Two readings of the connecting-point formula: the mixed-frame variant
-    # uses an eigenvector of the far fixed point, the same-frame variant the
-    # second eigenvector of the near one. Exactly one satisfies the stated
-    # orbit constraints; the builder selects it at run time.
-    "q1_candidates": {
-        "same-frame-u2": [["u1_P1", "0.0330092432"], ["u2_P1", "-0.048949"],
-                          ["s1_P1", "0.0004931"]],
-        "mixed-frame-u1": [["u1_P1", "0.0330092432"], ["u1_P2", "-0.048949"],
-                           ["s1_P1", "0.0004931"]],
-    },
+    # The connecting point Q1 = P1 + a u1_P1 + b u2_P1 + c s1_P1, summed in
+    # this order: the same-frame reading of the paper's formula, whose
+    # second term is the near point's second eigenvector. The other
+    # reading, u1_P2 in its place, misses both orbit constraints: its
+    # residuals are 0.0188 backward (bound 0.006) and 5.9e25 forward
+    # (bound 0.001).
+    "Q1": [["u1_P1", "0.0330092432"], ["u2_P1", "-0.048949"], ["s1_P1", "0.0004931"]],
     "q1_constraints": {"backward_to_P1": "0.006", "forward10_to_P2": "0.001"},
     "h_radii": {
         "H1": ["0.001", "0.00175", "0.005", "0.005"],
@@ -113,12 +113,12 @@ def _vec(strings) -> np.ndarray:
 
 @dataclass
 class ProofData:
-    """Built instance: the map, the five h-sets and the record of the Q1
-    disambiguation; the reversor is the map's."""
+    """Built instance: the map, the five h-sets and Q1's residuals against
+    its two orbit constraints; the reversor is the map's."""
 
     mapsys: MapSystem
     hsets: dict  # name -> HSet for N1, N2, H1, H2, H3
-    q1_interpretation: dict
+    q1_residuals: dict  # backward_to_P1, forward10_to_P2
 
     @property
     def reversor(self) -> LinearReversor:
@@ -128,23 +128,17 @@ class ProofData:
         return self.hsets[name]
 
 
-def _q1_candidate_point(P1, vectors, terms) -> np.ndarray:
-    q = P1.copy()
-    for vec_name, coeff in terms:
-        q = q + float(coeff) * vectors[vec_name]
-    return q
-
-
 def build_proof_data(data: Optional[dict] = None) -> ProofData:
     """Parse the instance data (INSTANCE_DATA when data is None) and
     assemble the campaign h-sets.
 
-    The connecting point Q1 is disambiguated against its two stated orbit
-    constraints; if not exactly one candidate passes, a DomainError carries
-    both residual pairs. Data for a map other than the one built here, a
-    missing key or a malformed entry raises DomainError, as does an h-set
-    without a verified inverse. Each h-set's direction columns are the
-    frame (u1, u2, s1, s2) at its anchor point, scaled one by one.
+    The connecting point Q1 is checked against its two stated orbit
+    constraints, |F^-1(Q1) - P1| and |F^10(Q1) - P2| in the max norm; a
+    miss raises DomainError with both residuals. Data for a map other than
+    the one built here, a missing key or a malformed entry raises
+    DomainError, as does an h-set without a verified inverse. Each h-set's
+    direction columns are the frame (u1, u2, s1, s2) at its anchor point,
+    scaled one by one.
     """
     try:
         return _assemble(INSTANCE_DATA if data is None else data)
@@ -164,25 +158,19 @@ def _assemble(d: dict) -> ProofData:
         # stable partner: image under the reversor, exact sign flips
         vectors["s" + name[1:]] = S.apply(vectors[name])
 
-    back_tol = float(d["q1_constraints"]["backward_to_P1"])
-    fwd_tol = float(d["q1_constraints"]["forward10_to_P2"])
-    # the candidates' orbits, one row each: steps 0..10 under F
-    names = list(d["q1_candidates"])
-    orbit = [np.stack([_q1_candidate_point(P1, vectors, d["q1_candidates"][c]) for c in names])]
-    back = np.max(np.abs(mapsys.require_inverse().image(orbit[0]) - P1), axis=1)
+    Q1 = P1
+    for vec_name, coeff in d["Q1"]:
+        Q1 = Q1 + float(coeff) * vectors[vec_name]
+    orbit = [Q1]  # Q1's orbit under F, steps 0..10: H2 and H3 are centered at 4 and 5
     for _ in range(10):
         orbit.append(mapsys.image(orbit[-1]))
-    fwd = np.max(np.abs(orbit[10] - P2), axis=1)
-    residuals = {c: {"backward_to_P1": float(b), "forward10_to_P2": float(f)}
-                 for c, b, f in zip(names, back, fwd)}
-    passing = [c for c, b, f in zip(names, back, fwd) if b < back_tol and f < fwd_tol]
-    if len(passing) != 1:
-        raise DomainError(
-            f"Q1 disambiguation needs exactly one passing candidate, got {passing}; "
-            f"residuals: {residuals}"
-        )
-    choice = passing[0]
-    Q1, Q2, Q3 = (orbit[step][names.index(choice)] for step in (0, 4, 5))
+    residuals = {
+        "backward_to_P1": float(np.max(np.abs(mapsys.require_inverse().image(Q1) - P1))),
+        "forward10_to_P2": float(np.max(np.abs(orbit[10] - P2))),
+    }
+    if not all(residuals[k] < float(d["q1_constraints"][k]) for k in residuals):
+        raise DomainError(f"Q1 misses its orbit constraints {d['q1_constraints']}: "
+                          f"residuals {residuals}")
 
     # each h-set's anchor frame and the scales of its four columns
     frames = {
@@ -192,13 +180,12 @@ def _assemble(d: dict) -> ProofData:
         "H2": ("P2", d["h_radii"]["H2"]),
         "H3": ("P2", d["h_radii"]["H3"]),
     }
-    centers = {"N1": P1, "N2": P2, "H1": Q1, "H2": Q2, "H3": Q3}
+    centers = {"N1": P1, "N2": P2, "H1": Q1, "H2": orbit[4], "H3": orbit[5]}
     hsets = {}
     for name, (anchor, scales) in frames.items():
         cols = [float(k) * vectors[f"{v}_{anchor}"] for v, k in zip(("u1", "u2", "s1", "s2"), scales)]
         hsets[name] = HSet(name, centers[name], np.column_stack(cols), 2, 2)
-    return ProofData(mapsys=mapsys, hsets=hsets,
-                     q1_interpretation={"choice": choice, "residuals": residuals})
+    return ProofData(mapsys=mapsys, hsets=hsets, q1_residuals=residuals)
 
 
 @dataclass
@@ -235,15 +222,10 @@ class CoveringGraph:
         self.nodes[h.name] = h
         return h.name
 
-    def add_edge(self, e: Edge) -> bool:
-        if e.key() in {x.key() for x in self.edges}:
-            return False
-        self.edges.append(e)
-        return True
-
-    def usable_edges(self, src: str, dst: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == src and e.target == dst
-                and e.status == VERIFIED]
+    def add_edge(self, e: Edge) -> None:
+        """Append e unless an edge with its key is there already."""
+        if e.key() not in {x.key() for x in self.edges}:
+            self.edges.append(e)
 
 
 def symmetric_closure(graph: CoveringGraph, S: LinearReversor) -> CoveringGraph:
@@ -305,11 +287,17 @@ def block_transitions(graph: CoveringGraph) -> dict:
     return {(a, b): (a, b) in reach[_BLOCK_ITERS] for a in ALPHABET for b in ALPHABET}
 
 
-def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
-    """All words over ALPHABET whose consecutive pairs have an available
-    7-step block; the full shift yields exactly 2^L words."""
+def check_word_length(length: int) -> None:
+    """Refuse a word length below 1 (DomainError)."""
     if length < 1:
         raise DomainError("word length must be >= 1")
+
+
+def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
+    """All words over ALPHABET whose consecutive pairs have an available
+    7-step block; the full shift yields exactly 2^L words. A length below
+    1 raises DomainError (check_word_length)."""
+    check_word_length(length)
     blocks = block_transitions(graph)
     words = [(a,) for a in ALPHABET]
     for _ in range(length - 1):
@@ -317,22 +305,19 @@ def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
     return words
 
 
-def word_counts(graph: CoveringGraph, upto: int) -> dict:
-    """The number of words that enumerate_words lists, for each length
-    1..upto, counted without listing them: the words of length L + 1 that
-    end in b are those of length L that end in some a with an available
-    block a -> b, so the counts are the row vector of ones times the powers
-    of the block-availability matrix, in exact ints. Like
-    enumerate_words, it refuses a length below 1 (DomainError)."""
-    if upto < 1:
-        raise DomainError("word length must be >= 1")
+def word_count(graph: CoveringGraph, length: int) -> int:
+    """The number of words that enumerate_words lists for `length`,
+    counted without listing them: the words of length L + 1 that end in b
+    are those of length L that end in some a with an available block
+    a -> b, so the count is the row vector of ones times a power of the
+    block-availability matrix, in exact ints. Like enumerate_words, it
+    refuses a length below 1 (DomainError)."""
+    check_word_length(length)
     blocks = block_transitions(graph)
-    ending = [1] * len(ALPHABET)  # the words of length L, by last letter
-    counts = {}
-    for L in range(1, upto + 1):
-        counts[L] = sum(ending)
+    ending = [1] * len(ALPHABET)  # the words of length 1, by last letter
+    for _ in range(length - 1):
         ending = [sum(n for a, n in zip(ALPHABET, ending) if blocks[(a, b)]) for b in ALPHABET]
-    return counts
+    return sum(ending)
 
 
 @dataclass
@@ -340,14 +325,13 @@ class SymmetricOrbitCertificate:
     """Existence certificate for a symmetric periodic point realizing the
     itinerary of a word through the covering graph.
 
-    abs_degree_product is |w_1 * ... * w_k| along the chain; the conclusion
-    needs it to be nonzero, and with degrees in {-1, +1} it is always 1.
+    The conclusion needs the product of the steps' degrees to be nonzero;
+    a verified edge's degree is -1 or 1, so it is.
     """
 
     word: tuple
     steps: list
     total_map_steps: int
-    abs_degree_product: int
     conclusion: str
 
     def to_dict(self) -> dict:
@@ -371,22 +355,20 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
             )
     steps = []
     total = 0
-    degree_product = 1
     for a, b in zip(word, word[1:]):
-        edges = graph.usable_edges(a, b)
-        if not edges:
+        e = next((e for e in graph.edges
+                  if (e.source, e.target, e.status) == (a, b, VERIFIED)), None)
+        if e is None:
             raise DomainError(f"no verified relation {a!r} => {b!r}")
-        e = edges[0]
         steps.append({f: v for f, v in asdict(e).items() if f not in ("status", "derived_from")})
         total += e.iters
-        degree_product *= e.w
     conclusion = (
         f"There is a point x in |{word[0]}| fixed by the reversor whose orbit "
         f"follows the itinerary {'-'.join(word)} and returns to the fixed space; "
         f"its orbit is symmetric periodic with principal period dividing {2 * total} "
         f"map steps."
     )
-    return SymmetricOrbitCertificate(word, steps, total, abs(degree_product), conclusion)
+    return SymmetricOrbitCertificate(word, steps, total, conclusion)
 
 
 @dataclass
@@ -451,13 +433,8 @@ class ProofReport:
             return 2
         return 1
 
-    def to_json(self) -> str:
-        return json.dumps(self.report, indent=2, sort_keys=True)
-
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        _dump_json(path, self.report)
 
     @staticmethod
     def load(path) -> "ProofReport":
@@ -468,13 +445,15 @@ class ProofReport:
 
 def _valid_relation(r) -> bool:
     """A saved relation record: a dict whose source, target, map, direction
-    and status are str, whose iters is an int >= 1 and whose w is -1, 1 or
-    None (a bool or a float is neither)."""
+    and status are str, whose iters is an int >= 1 and whose w is -1 or 1
+    (a bool or a float is neither), or None when the status is not
+    verified."""
     return (isinstance(r, dict)
             and all(isinstance(r.get(k), str) for k in ("source", "target", "map", "direction",
                                                         "status"))
             and type(r.get("iters")) is int and r["iters"] >= 1
-            and "w" in r and (r["w"] is None or (type(r["w"]) is int and r["w"] in (-1, 1))))
+            and "w" in r and (type(r["w"]) is int and r["w"] in (-1, 1)
+                              or r["w"] is None and r["status"] != VERIFIED))
 
 
 def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> CoveringGraph:
@@ -490,7 +469,7 @@ def graph_from_report(report: ProofReport, data: Optional[ProofData] = None) -> 
     relations = report.report.get("relations") if isinstance(report.report, dict) else None
     if not (isinstance(relations, list) and all(map(_valid_relation, relations))):
         raise DomainError("the report has no list of relations whose names are strings, "
-                          "iters an integer >= 1 and w -1, 1 or null")
+                          "iters an integer >= 1 and w -1 or 1, or null if not verified")
     data = data or build_proof_data()
     for r in relations:
         if r["direction"] not in ("direct", "back"):
@@ -569,7 +548,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
                 "budget": cfg.budget,
                 "evaluation": "plain" if cfg.plain else "mean-value",
             },
-            "q1_interpretation": data.q1_interpretation,
+            "q1_residuals": data.q1_residuals,
             "disjoint": disjoint,
             "fix_disks": {k: {"ok": v.ok, "detail": v.detail} for k, v in disks.items()},
             "relations": relations,

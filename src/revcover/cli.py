@@ -10,24 +10,25 @@ on stderr and exit code 3: a malformed command line (an unknown command, a
 missing or malformed option, after the usage), an unknown or malformed
 h-set or map, an h-set file or saved report that cannot be read or is not
 JSON text, an h-set matrix without a verified inverse, a saved report whose
-relations are malformed, a relation whose h-sets and map differ in
-dimension or whose h-sets differ in unstable dimension, an iterate count
-below 1, a backcovering under a map without an inverse, a config value out
-of range, such as a budget or thread count below 1, an enumerate --length
-below 1, a REVCOVER_THREADS that is not a positive integer (read only by
-verify and prove-paper without --threads), an inadmissible --emit-word, or
-an output file or directory (--report, --out, --plot) that cannot be
-written. The output paths are checked, and the --plot directory created,
-before any verification, so a refused output costs no proof. For
-prove-paper, 1 also means that every relation verified but a certified
-degree differs from the expected one or a structural check (the
-fixed-space disks, disjoint supports) failed; see ProofReport.exit_code.
+relations are malformed (a verified one without a degree among them), a
+relation whose h-sets and map differ in dimension or whose h-sets differ
+in unstable dimension, an iterate count below 1, a backcovering under a
+map without an inverse, a config value out of range, such as a budget or
+thread count below 1, an enumerate --length below 1, a REVCOVER_THREADS
+that is not a positive integer (read only by verify and prove-paper
+without --threads), an inadmissible --emit-word, or an output file or
+directory (--report, --out, --plot) that cannot be written. The output
+paths and the word length are checked, and the --plot directory created,
+before any verification, so a refused input costs no proof. Every JSON
+file is written by the one JSON writer, hset._dump_json. For prove-paper,
+1 also means that every relation verified but a certified degree differs
+from the expected one or a structural check (the fixed-space disks,
+disjoint supports) failed; see ProofReport.exit_code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -40,15 +41,16 @@ from .campaign import (
     CampaignConfig,
     ProofReport,
     build_proof_data,
+    check_word_length,
     emit_symmetric_orbit_certificate,
     enumerate_words,
     graph_from_report,
     run_campaign,
-    word_counts,
+    word_count,
 )
 from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
 from .dynamics import map_by_name
-from .hset import HSet, load_hset, sym_image, transpose
+from .hset import HSet, _dump_json, load_hset, sym_image, transpose
 from .interval import DomainError
 
 _STATUS_EXIT = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2}
@@ -183,7 +185,7 @@ def _cmd_verify(args) -> int:
         sources = {h.name: h.decimal_source for h in (src, dst) if h.decimal_source}
         if sources:
             payload["input_decimal_sources"] = sources
-        args.report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _dump_json(args.report, payload)
     if args.plot:
         if args.back:  # the relation that verify_backcover certifies
             src, mapsys, dst = transpose(dst), mapsys.inverse, transpose(src)
@@ -198,7 +200,7 @@ def _cmd_prove_paper(args) -> int:
     report, _ = run_campaign(cfg, data)
     r = report.report
     print(f"map: {r['map']}  evaluation: {r['config']['evaluation']}")
-    print(f"Q1 interpretation: {r['q1_interpretation']['choice']}")
+    print(f"Q1 residuals: {r['q1_residuals']}")
     for rel in r["relations"]:
         print(f"  {rel['source']} ={rel['map']}^{rel['iters']}=> {rel['target']}: "
               f"{rel['status']}, w={rel['w']}, boxes={rel['boxes']}")
@@ -225,6 +227,7 @@ def _cmd_prove_paper(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    check_word_length(args.length)
     _prepare_outputs(args.out)
     data = build_proof_data()
     try:
@@ -235,7 +238,7 @@ def _cmd_enumerate(args) -> int:
     except (OSError, DomainError) as e:
         raise DomainError(f"no usable covering graph: {e}") from e
     # counted without listing; the 2**L words are listed only for --out
-    count = word_counts(graph, args.length)[args.length]
+    count = word_count(graph, args.length)
     payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
     if args.out:
         payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
@@ -253,7 +256,7 @@ def _cmd_enumerate(args) -> int:
     if certs:
         payload["symmetric_orbit_certificates"] = certs
     if args.out:
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _dump_json(args.out, payload)
     return 0
 
 

@@ -346,8 +346,14 @@ def hset_from_dict(d: dict) -> HSet:
 
 
 def save_hset(N: HSet, path) -> None:
+    _dump_json(path, hset_to_dict(N))
+
+
+def _dump_json(path, value) -> None:
+    """Write the JSON value to the file at path, the one JSON format of the
+    package's files: indented by 2, keys sorted, one trailing newline."""
     with open(path, "w") as fh:
-        json.dump(hset_to_dict(N), fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

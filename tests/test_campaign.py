@@ -27,7 +27,7 @@ from revcover.campaign import (
     graph_from_report,
     run_campaign,
     symmetric_closure,
-    word_counts,
+    word_count,
 )
 from revcover.covering import REFUTED, VERIFIED, VerifyConfig, verify_cover
 from revcover.hset import HSet, sym_image
@@ -55,18 +55,27 @@ def test_stable_partners_are_exact_reflections(data):
     assert np.array_equal(s, 0.012 * np.array(expected))
 
 
-def test_q1_disambiguation_recorded(data):
-    q1 = data.q1_interpretation
-    assert q1["choice"] == "same-frame-u2"
-    chosen = q1["residuals"][q1["choice"]]
-    assert chosen["backward_to_P1"] < 0.006
-    assert chosen["forward10_to_P2"] < 0.001
-    rejected = q1["residuals"]["mixed-frame-u1"]
-    assert rejected["forward10_to_P2"] > 1.0
+def test_q1_residuals_recorded(data):
+    q1 = data.q1_residuals
+    assert q1.keys() == {"backward_to_P1", "forward10_to_P2"}
+    assert q1["backward_to_P1"] < 0.006
+    assert q1["forward10_to_P2"] < 0.001
+
+
+def test_other_q1_reading_is_refused():
+    """The mixed-frame reading of the paper's Q1 formula, u1_P2 in place of
+    u2_P1, misses both orbit constraints, and the error carries both of its
+    residuals, bit for bit (a float's repr reads back as the same float)."""
+    other = copy.deepcopy(INSTANCE_DATA)
+    other["Q1"][1][0] = "u1_P2"
+    with pytest.raises(DomainError, match="Q1 misses its orbit constraints") as exc:
+        build_proof_data(other)
+    assert (f"residuals {{'backward_to_P1': {float.fromhex('0x1.33bdb9cfdbe00p-6')!r}, "
+            f"'forward10_to_P2': {float.fromhex('0x1.85f96eaf2fafep+85')!r}}}") in str(exc.value)
 
 
 # SHA-256 of the float.hex of every entry of each h-set's center, matrix and
-# inverse lo and hi, and the float.hex of the Q1 residuals. Q2 = F^4(Q1) and
+# inverse lo and hi, and the float.hex of Q1's residuals. Q2 = F^4(Q1) and
 # Q3 = F^5(Q1), the centers of H2 and H3, and the residuals are
 # MapSystem.image values, so they follow the bits of F's value kernel
 INSTANCE_SHA256 = {
@@ -77,23 +86,22 @@ INSTANCE_SHA256 = {
     "H3": "7903b76fd5cdc1aac17486c0078d6d8979a411c88a5760caa3a9c2a75bb16b9a",
 }
 Q1_RESIDUALS_HEX = {
-    "same-frame-u2": ("0x1.57f523b016200p-8", "0x1.0490cfc579800p-10"),
-    "mixed-frame-u1": ("0x1.33bdb9cfdbe00p-6", "0x1.85f96eaf2fafep+85"),
+    "backward_to_P1": "0x1.57f523b016200p-8",
+    "forward10_to_P2": "0x1.0490cfc579800p-10",
 }
 
 
 def test_built_instance_is_pinned(data):
     """The built instance is bit for bit the recorded one: every double of
-    the five h-sets and the Q1 residuals of both candidates."""
+    the five h-sets and Q1's two residuals."""
     for name, h in data.hsets.items():
         text = " ".join(float(x).hex() for a in (h.center, h.matrix, h.inv_matrix.lo,
                                                   h.inv_matrix.hi) for x in a.ravel())
         assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_SHA256[name], name
-    assert {c: (r["backward_to_P1"].hex(), r["forward10_to_P2"].hex())
-            for c, r in data.q1_interpretation["residuals"].items()} == Q1_RESIDUALS_HEX
+    assert {k: r.hex() for k, r in data.q1_residuals.items()} == Q1_RESIDUALS_HEX
 
 
-def test_q1_disambiguation_failure_raises():
+def test_q1_constraint_failure_raises():
     broken = copy.deepcopy(INSTANCE_DATA)
     broken["q1_constraints"] = {"backward_to_P1": "1e-15", "forward10_to_P2": "1e-15"}
     with pytest.raises(DomainError) as exc:
@@ -254,7 +262,7 @@ def test_word_counts_are_full_shift(campaign):
 
 
 def test_word_counts_without_listing(campaign, data):
-    """word_counts equals len(enumerate_words) on the campaign graph (the
+    """word_count equals len(enumerate_words) on the campaign graph (the
     full shift) and on its relations without the symmetric closure, where
     the N2 -> N1 block is missing and the words are N1^a N2^b."""
     _, graph = campaign
@@ -268,11 +276,9 @@ def test_word_counts_without_listing(campaign, data):
     assert block_transitions(direct) == {("N1", "N1"): True, ("N1", "N2"): True,
                                          ("N2", "N1"): False, ("N2", "N2"): True}
     for g, full in ((graph, True), (direct, False)):
-        counts = word_counts(g, 10)
-        assert list(counts) == list(range(1, 11))
-        for L, n in counts.items():
-            assert n == len(enumerate_words(g, L)) == (2**L if full else L + 1)
-    for words in (word_counts, enumerate_words):
+        for L in range(1, 11):
+            assert word_count(g, L) == len(enumerate_words(g, L)) == (2**L if full else L + 1)
+    for words in (word_count, enumerate_words):
         with pytest.raises(DomainError, match="word length must be >= 1"):
             words(graph, 0)
 
@@ -281,7 +287,7 @@ def test_word_counts_long_words_fast(campaign):
     """Length 64 is counted, not enumerated: 2**64 in well under a second."""
     _, graph = campaign
     t0 = time.perf_counter()
-    assert word_counts(graph, 64)[64] == 2**64
+    assert word_count(graph, 64) == 2**64
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -320,7 +326,6 @@ def test_emit_symmetric_orbit_certificates(campaign, data):
     S = data.reversor
     cert = emit_symmetric_orbit_certificate(graph, ("N1", "H1", "H2", "H3", "N2"), S)
     assert cert.total_map_steps == 7
-    assert cert.abs_degree_product == 1
     assert "period dividing 14" in cert.conclusion
     for k in (1, 2, 3):
         word = ("N1",) * (k + 1) + ("H1", "H2", "H3", "N2")
@@ -363,8 +368,7 @@ def test_orbit_certificates_are_pinned(campaign, data):
         cert = emit_symmetric_orbit_certificate(campaign[1], word, data.reversor)
         assert cert.to_dict() == {
             "schema": "revcover-symmetric-orbit/1", "word": list(word), "steps": steps,
-            "total_map_steps": 7, "abs_degree_product": 1,
-            "conclusion": _orbit_conclusion(word)}
+            "total_map_steps": 7, "conclusion": _orbit_conclusion(word)}
 
 
 def test_emit_rejects_bad_words(campaign, data):
@@ -380,7 +384,7 @@ def test_emit_rejects_bad_words(campaign, data):
 
 # --- report ---
 
-def test_report_content_and_exit_code(campaign):
+def test_report_content_and_exit_code(campaign, data):
     report, _ = campaign
     r = report.report
     assert report.exit_code == 0
@@ -393,7 +397,7 @@ def test_report_content_and_exit_code(campaign):
     assert r["backcover_crosscheck"]["abs_w_agrees"] is True
     assert r["totals"]["boxes"] > 0
     assert r["reference_cost"]["boxes"] == 220_000_000
-    assert r["q1_interpretation"]["choice"] == "same-frame-u2"
+    assert r["q1_residuals"] == data.q1_residuals
     assert len(r["conclusions"]) == 2
 
 
@@ -421,6 +425,19 @@ def test_campaign_certifies_five_inverses(monkeypatch):
     report, _ = run_campaign(CampaignConfig())
     assert report.exit_code == 0
     assert len(calls) == 5
+
+
+def test_exit_code_of_refuted_and_inconclusive_relations(campaign):
+    """A refuted relation gives exit code 1, also next to an inconclusive
+    one: a refuted cell outranks an undecided check. An inconclusive
+    relation alone gives 2."""
+    report, _ = campaign
+    for statuses, code in (({0: REFUTED}, 1), ({0: REFUTED, 3: "inconclusive"}, 1),
+                           ({3: "inconclusive"}, 2)):
+        r = copy.deepcopy(report.report)
+        for index, status in statuses.items():
+            r["relations"][index]["status"] = status
+        assert ProofReport(r).exit_code == code, statuses
 
 
 def test_exit_code_1_when_all_verified_but_a_check_fails(campaign):
@@ -464,12 +481,12 @@ def test_report_deterministic_across_runs_and_threads(campaign):
 # SHA-256 of the campaign report at defaults as sorted JSON, without its
 # timings and thread count (_strip_volatile): a change to any relation,
 # block, cross-check or conclusion shows here
-REPORT_SHA256 = "25e00638aa0bfaa4a18572e2d66cf41c8b837a22c32de57a4f6b6c7a51cf7cc3"
+REPORT_SHA256 = "db263e9a725d1d2585defbfacb55aa760038105b7a227a4f72bb1073279dd6fb"
 
 
 def test_campaign_report_is_pinned(campaign):
     """The whole report, bit for bit: relations, fixed-space disks, blocks,
-    cross-check, conclusions and the Q1 record at once."""
+    cross-check, conclusions and Q1's residuals at once."""
     text = json.dumps(_strip_volatile(campaign[0].report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
@@ -523,7 +540,7 @@ def test_report_with_unknown_hset_is_rejected(campaign, data, end, status):
     """A saved relation whose source or target is not an h-set of the
     instance, verified or not, is an input error (DomainError), not a
     lookup error in symmetric_closure."""
-    r = json.loads(campaign[0].to_json())
+    r = copy.deepcopy(campaign[0].report)
     r["relations"][0].update({end: "X", "status": status})
     with pytest.raises(DomainError, match="does not have: X"):
         graph_from_report(ProofReport(r), data)
@@ -535,7 +552,7 @@ def test_report_with_foreign_direction_or_map_is_rejected(campaign, data, key, v
     """A saved relation whose direction is neither "direct" nor "back", or
     whose map is not the instance's, is an input error (DomainError): not
     an edge of the graph, word counts and an orbit certificate naming it."""
-    r = json.loads(campaign[0].to_json())
+    r = copy.deepcopy(campaign[0].report)
     r["relations"][2][key] = value
     with pytest.raises(DomainError, match=f"a relation's {message} is {value!r}"):
         graph_from_report(ProofReport(r), data)

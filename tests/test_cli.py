@@ -1,5 +1,6 @@
 """Exit codes and report files of the command line front end."""
 
+import copy
 import json
 from dataclasses import asdict, replace
 
@@ -117,18 +118,22 @@ def test_invalid_config_exit_3(argv, capsys):
     (["verify", "--from", "S^T*H3", "--to", "S^T*H2", "--back", "--report", "{file}/r.json"],
      "{file} is not a directory"),
     (["prove-paper", "--plot", "{file}/clouds"], "{file}"),
+    (["enumerate", "--length", "3", "--report", "{report}", "--emit-word", "N1,N1"],
+     "w -1 or 1, or null if not verified"),
 ], ids=["budget-abc", "no-from", "unknown-command", "verify-report", "prove-paper-report",
         "enumerate-out", "verify-plot", "unknown-map", "prove-paper-enumerate-upto-0",
         "prove-paper-enumerate-upto-negative", "enumerate-threads", "verify-report-missing-dir",
-        "verify-report-and-plot", "verify-back-report", "prove-paper-plot"])
+        "verify-report-and-plot", "verify-back-report", "prove-paper-plot",
+        "verified-relation-without-degree"])
 def test_input_errors_exit_3(argv, message, tmp_path, monkeypatch, capsys):
     """A malformed command line (an option that was removed included), an
-    output path that cannot be written and an unknown map are input errors:
-    exit 3, not 2 (inconclusive) or 1 (refuted), and stderr is one error
-    line, after the usage for a malformed command line. The map's message
-    is not quoted. Each is refused before any verification runs: nothing
-    is printed on stdout and no file or directory is written (not the
-    --plot directory of a run whose --report is refused either)."""
+    output path that cannot be written, an unknown map and a saved report
+    whose verified relation has no degree are input errors: exit 3, not 2
+    (inconclusive) or 1 (refuted), and stderr is one error line, after the
+    usage for a malformed command line. The map's message is not quoted.
+    Each is refused before any verification runs: nothing is printed on
+    stdout and no file or directory is written (not the --plot directory
+    of a run whose --report is refused either)."""
     def refuse(*args, **kwargs):
         raise AssertionError("the proof ran")
 
@@ -136,13 +141,18 @@ def test_input_errors_exit_3(argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, refuse)
     file = tmp_path / "file"
     file.write_text("")
-    assert main([a.format(file=file, tmp=tmp_path) for a in argv]) == 3
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"relations": [
+        {"source": "N1", "target": "N1", "map": "F-quadratic-4d", "iters": 1,
+         "direction": "direct", "w": None, "status": "verified"}]}))
+    inputs = sorted(tmp_path.iterdir())
+    assert main([a.format(file=file, tmp=tmp_path, report=report) for a in argv]) == 3
     out, err = capsys.readouterr()
     *usage, last = err.splitlines()
     assert usage == [] or usage[0].startswith("usage:")
     assert last.startswith("error:") and message.format(file=file, tmp=tmp_path) in last
     assert not last.startswith('error: "')
-    assert out == "" and list(tmp_path.iterdir()) == [file] and file.read_text() == ""
+    assert out == "" and sorted(tmp_path.iterdir()) == inputs and file.read_text() == ""
 
 
 def test_help_exits_0(capsys):
@@ -324,9 +334,16 @@ def test_enumerate_counts_without_listing(monkeypatch, capsys):
     assert f"{2**40} words of length 40 over (N1, N2)" in capsys.readouterr().out
 
 
-def test_enumerate_zero_length_rejected(capsys):
+def test_enumerate_zero_length_rejected(monkeypatch, capsys):
+    """A length below 1 is refused before any work: the instance is not
+    built and the campaign does not run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate worked before it checked the length")
+
+    for name in ("build_proof_data", "run_campaign"):
+        monkeypatch.setattr(cli, name, refuse)
     assert main(["enumerate", "--length", "0"]) == 3
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: word length must be >= 1\n"
 
 
 def test_enumerate_missing_report_exit_3(tmp_path):
@@ -349,7 +366,7 @@ def test_enumerate_invalid_relation_exit_3(tmp_path, capsys, campaign, index, ke
     """A saved relation whose w is not -1, 1 or null, or whose iters is not
     an integer >= 1, is an input error (exit 3): not a traceback, not a
     certificate with a degree product of 7, and not a block silently lost."""
-    r = json.loads(campaign[0].to_json())
+    r = copy.deepcopy(campaign[0].report)
     r["relations"][index][key] = value
     report = tmp_path / "report.json"
     report.write_text(json.dumps(r))
@@ -363,7 +380,7 @@ def test_enumerate_report_with_foreign_relation_exit_3(tmp_path, capsys, campaig
     """A saved relation with a direction other than "direct" or "back", or
     a map other than the instance's, is an input error (exit 3) with one
     error line that names the value."""
-    r = json.loads(campaign[0].to_json())
+    r = copy.deepcopy(campaign[0].report)
     r["relations"][0][key] = value
     report = tmp_path / "report.json"
     report.write_text(json.dumps(r))
@@ -377,7 +394,7 @@ def test_enumerate_report_with_foreign_relation_exit_3(tmp_path, capsys, campaig
 def test_enumerate_report_with_unknown_hset_exit_3(tmp_path, capsys, campaign):
     """A saved relation X -> N1 names an h-set the instance does not have:
     an input error (exit 3) with one error line."""
-    r = json.loads(campaign[0].to_json())
+    r = copy.deepcopy(campaign[0].report)
     r["relations"][0]["source"] = "X"
     report = tmp_path / "report.json"
     report.write_text(json.dumps(r))

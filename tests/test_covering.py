@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -66,6 +66,21 @@ def test_degree_orientation_flip():
 def test_degree_requires_matching_dims():
     with pytest.raises(DomainError):
         compute_degree(toy_hset(2, 1), linear_map_system(np.eye(2)), 1, toy_hset(2, 2))
+
+
+def test_degree_with_overflowing_derivative_is_inconclusive():
+    """Under z -> 1e200 z the center orbit of 0 stays at 0, but the chart
+    derivative of two iterates is 1e400 I, past the float range: the
+    degree is refused, and the certificate is inconclusive, not verified."""
+    N = toy_hset(2, 1)
+    mapsys = linear_map_system(1e200 * np.eye(2))
+    with pytest.raises(DomainError, match="the chart derivative at the source center is not "
+                                          "finite"):
+        compute_degree(N, mapsys, 2, N)
+    cert = verify_cover(N, mapsys, 2, N, VerifyConfig())
+    assert cert.status == INCONCLUSIVE and cert.w is None and cert.boxes == 0
+    assert cert.failure == ("degree computation failed: the chart derivative at the source "
+                            "center is not finite")
 
 
 @pytest.mark.parametrize("case", ["dims", "map-dim", "u", "k"])
@@ -199,6 +214,18 @@ def test_pure_expansion_no_stable():
     N = HSet("E", np.zeros(1), np.eye(1), 1, 0)
     cert = verify_cover(N, expansion_map([3.0]), 1, N, VerifyConfig())
     assert cert.verified and cert.w == 1
+
+
+@pytest.mark.parametrize("u, check", [(0, check_exit_condition), (2, check_entry_condition)])
+def test_empty_wall_is_verified_with_empty_statistics(u, check):
+    """The exit wall of an h-set with u = 0, and the entry wall of one with
+    s = 0, are empty: their check is verified without a box, even under a
+    map under which the other check does not verify."""
+    N = HSet("Z", np.zeros(2), np.eye(2), u, 2 - u)
+    res = check(N, linear_map_system(np.eye(2)), 1, N, VerifyConfig())
+    assert res.verdict == VERIFIED and res.worst_cell is None
+    assert asdict(res.stats) == {"boxes": 0, "max_depth": 0, "refuted_cells": 0,
+                                 "exhausted_subtrees": 0}
 
 
 # --- instance relations ---

@@ -15,7 +15,7 @@ from revcover.dynamics import (
     map_by_name,
     reversible_quadratic_map,
 )
-from revcover.campaign import INSTANCE_DATA, RELATIONS, _q1_candidate_point
+from revcover.campaign import INSTANCE_DATA, RELATIONS
 from revcover.covering import compute_degree
 from revcover.hset import HSet, LinearReversor, sym_image, transpose
 from revcover.interval import DomainError
@@ -97,15 +97,23 @@ def _F_float(z):
     return rows(np.hstack([A, C]), np.hstack([z, s * s]), c)
 
 
+# Two readings of the paper's Q1 formula: the instance's same-frame one, and
+# the mixed-frame one, u1_P2 in place of u2_P1, whose forward orbit reaches
+# 1e25 in ten steps (the large values of test_image_matches_the_float_formula)
+Q1_READINGS = (INSTANCE_DATA["Q1"],
+               [["u1_P1", "0.0330092432"], ["u1_P2", "-0.048949"], ["s1_P1", "0.0004931"]])
+
+
 def test_image_matches_the_float_formula(data, rng):
     """F.image and F.inverse.image (S F S) are the float formula's values bit
-    for bit along each map's 10-step orbits from both Q1 candidates. At
-    seeded random points they lie in eval_batch's enclosure and within a few
-    ulps of the formula."""
+    for bit along each map's 10-step orbits from both readings of Q1, each
+    summed as P1 + t1 + t2 + t3 from the left. At seeded random points they
+    lie in eval_batch's enclosure and within a few ulps of the formula."""
     F = data.mapsys
     s = np.diag(data.reversor.matrix)
-    q = np.stack([_q1_candidate_point(data.hset("N1").center, frame_vectors(), terms)
-                  for terms in INSTANCE_DATA["q1_candidates"].values()])
+    vectors = frame_vectors()
+    q = np.stack([sum((float(c) * vectors[v] for v, c in terms), data.hset("N1").center)
+                  for terms in Q1_READINGS])
     z = rng.uniform(-5, 5, size=(20_000, 4))
     for m, formula in ((F, _F_float), (F.inverse, lambda p: s * _F_float(s * p))):
         orbit = q
