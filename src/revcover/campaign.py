@@ -133,7 +133,8 @@ def build_proof_data(data: Optional[dict] = None) -> ProofData:
     assemble the campaign h-sets.
 
     The connecting point Q1 is checked against its two stated orbit
-    constraints, |F^-1(Q1) - P1| and |F^10(Q1) - P2| in the max norm; a
+    constraints, |F^-1(Q1) - P1| and |F^10(Q1) - P2| in the max norm, with
+    F^-1 from MapSystem.require_inverse, which proves the reversor first; a
     miss raises DomainError with both residuals. Data for a map other than
     the one built here, a missing key or a malformed entry raises
     DomainError, as does an h-set without a verified inverse. Each h-set's
@@ -293,6 +294,12 @@ def check_word_length(length: int) -> None:
         raise DomainError("word length must be >= 1")
 
 
+def check_orbit_word(word: tuple) -> None:
+    """Refuse an orbit word of fewer than two labels (DomainError)."""
+    if len(word) < 2:
+        raise DomainError("word needs at least two labels")
+
+
 def enumerate_words(graph: CoveringGraph, length: int) -> list[tuple]:
     """All words over ALPHABET whose consecutive pairs have an available
     7-step block; the full shift yields exactly 2^L words. A length below
@@ -343,8 +350,7 @@ def emit_symmetric_orbit_certificate(graph: CoveringGraph, word, S: LinearRevers
     """Certificate for a word V0 .. Vk: consecutive pairs must be verified
     graph edges and both endpoints must carry a fixed-space disk."""
     word = tuple(word)
-    if len(word) < 2:
-        raise DomainError("word needs at least two labels")
+    check_orbit_word(word)
     for endpoint in (word[0], word[-1]):
         if endpoint not in graph.nodes:
             raise DomainError(f"unknown endpoint {endpoint!r}")

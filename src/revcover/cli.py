@@ -13,12 +13,13 @@ JSON text, an h-set matrix without a verified inverse, a saved report whose
 relations are malformed (a verified one without a degree among them), a
 relation whose h-sets and map differ in dimension or whose h-sets differ
 in unstable dimension, an iterate count below 1, a backcovering under a
-map without an inverse, a config value out of range, such as a budget or
-thread count below 1, an enumerate --length below 1, a REVCOVER_THREADS
-that is not a positive integer (read only by verify and prove-paper
-without --threads), an inadmissible --emit-word, or an output file or
-directory (--report, --out, --plot) that cannot be written. The output
-paths and the word length are checked, and the --plot directory created,
+map without a reversor the proof accepts (MapSystem.require_inverse), a
+config value out of range, such as a budget or thread count below 1, an
+enumerate --length below 1, a REVCOVER_THREADS that is not a positive
+integer (read only by verify and prove-paper without --threads), an
+inadmissible --emit-word, or an output file or directory (--report, --out,
+--plot) that cannot be written. The output paths, the word length and
+each --emit-word's length are checked, and the --plot directory created,
 before any verification, so a refused input costs no proof. Every JSON
 file is written by the one JSON writer, hset._dump_json. For prove-paper,
 1 also means that every relation verified but a certified degree differs
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .campaign import (
     CampaignConfig,
     ProofReport,
     build_proof_data,
+    check_orbit_word,
     check_word_length,
     emit_symmetric_orbit_certificate,
     enumerate_words,
@@ -188,7 +191,7 @@ def _cmd_verify(args) -> int:
         _dump_json(args.report, payload)
     if args.plot:
         if args.back:  # the relation that verify_backcover certifies
-            src, mapsys, dst = transpose(dst), mapsys.inverse, transpose(src)
+            src, mapsys, dst = transpose(dst), mapsys.require_inverse(), transpose(src)
         _write_relation_clouds(args.plot, src, mapsys, args.iters, dst)
     return _STATUS_EXIT.get(cert.status, 2)
 
@@ -228,6 +231,10 @@ def _cmd_prove_paper(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     check_word_length(args.length)
+    words = [(spec, tuple(x.strip() for x in spec.split(","))) for spec in args.emit_word or []]
+    for spec, word in words:
+        with _inadmissible(spec):
+            check_orbit_word(word)
     _prepare_outputs(args.out)
     data = build_proof_data()
     try:
@@ -244,12 +251,9 @@ def _cmd_enumerate(args) -> int:
         payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
     print(f"{count} words of length {args.length} over ({', '.join(ALPHABET)})")
     certs = []
-    for spec in args.emit_word or []:
-        word = tuple(x.strip() for x in spec.split(","))
-        try:
+    for spec, word in words:
+        with _inadmissible(spec):
             cert = emit_symmetric_orbit_certificate(graph, word, data.reversor)
-        except DomainError as e:
-            raise DomainError(f"inadmissible word {spec!r}: {e}") from e
         certs.append(cert.to_dict())
         print(f"symmetric orbit certificate: {'-'.join(word)} "
               f"(period divides {2 * cert.total_map_steps})")
@@ -258,6 +262,15 @@ def _cmd_enumerate(args) -> int:
     if args.out:
         _dump_json(args.out, payload)
     return 0
+
+
+@contextmanager
+def _inadmissible(spec):
+    """Names the --emit-word spec in the DomainError of the block."""
+    try:
+        yield
+    except DomainError as e:
+        raise DomainError(f"inadmissible word {spec!r}: {e}") from e
 
 
 class _Parser(argparse.ArgumentParser):

@@ -796,7 +796,9 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
 def verify_backcover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
                      cfg: Optional[VerifyConfig] = None) -> CoveringCertificate:
     """Certificate for the backcovering N =(map^-k)=> M, i.e. the direct
-    covering of the transposed targets under the inverse map."""
+    covering of the transposed targets under the inverse map S o F o S
+    (MapSystem.require_inverse). A map without a reversor the proof
+    accepts raises DomainError."""
     inv = mapsys.require_inverse()
     inner = verify_cover(transpose(M), inv, k, transpose(N), cfg)
     return replace(

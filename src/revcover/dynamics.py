@@ -5,14 +5,14 @@ A `MapSystem` is the quadratic map
     F(z) = A z + c + C (B z + b)**2,
 
 the square taken coordinate by coordinate, for A (n, n), c (n,), B (m, n),
-b (m,) and C (n, m), with a name, an optional reversor and an optional link
-to its inverse. Its constructor checks the data and derives the kernel
-matrices from it once (`MapSystem.kernel`), and two kernels evaluate the
-map from them: the interval batch `_quadratic_eval` and the batch Jacobian
-`_quadratic_jac`, DF(z) = A + 2 C diag(B z + b) B. A linear map is the case
-m = 0. Every map is arrays, a str and a LinearReversor, so every map
-pickles by value: its data only, from which unpickling derives the
-kernel again. Each kernel treats each cell on its own.
+b (m,) and C (n, m), with a name and an optional reversor. Its constructor
+checks the data and derives the kernel matrices from it once
+(`MapSystem.kernel`), and two kernels evaluate the map from them: the
+interval batch `_quadratic_eval` and the batch Jacobian `_quadratic_jac`,
+DF(z) = A + 2 C diag(B z + b) B. A linear map is the case m = 0. Every map
+is arrays, a str and a LinearReversor, so every map pickles by value: its
+data only, from which unpickling derives the kernel again. Each kernel
+treats each cell on its own.
 
 The shipped instance is the 4-d map
 
@@ -25,9 +25,11 @@ S o F o S o F = Id. Since S is an involution this already gives the inverse,
 F^{-1} = S o F o S, which is itself a quadratic map, with the data
 (S A S, S c, B S, b, S C) (`_reversor_inverse`). A reversor is a signed
 permutation, so that data is exact in floats: F is written once, and its
-inverse is the same kind of map. A map has no separate point variant: a
-point is a cell of zero width, and `MapSystem.image` evaluates points
-through the batch.
+inverse is the same kind of map. `MapSystem.require_inverse` is the one way
+to an inverse: it first proves S o F o S o F = Id exactly
+(`_prove_reversor`), so a map without a reversor the proof accepts has no
+inverse. A map has no separate point variant: a point is a cell of zero
+width, and `MapSystem.image` evaluates points through the batch.
 
 Both kernels run on the one kernel of interval.py (`interval._prepare`,
 `interval._enclose`), which also carries the charts' linear steps: every
@@ -47,8 +49,9 @@ the point cell at the source center, through the same chain.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,15 +64,14 @@ from .interval import DomainError, _columns, _constants, _enclose, _prepare, _sp
 class MapSystem:
     """The quadratic map F(z) = A z + c + C (B z + b)**2 named `name`, for
     A (n, n), c (n,), B (m, n), b (m,) and C (n, m), with an optional
-    reversor of dimension n and an optional link to its inverse map.
+    reversor of dimension n.
 
     The constructor copies the data to read-only float arrays and checks
     it: a name that is not a str, data of another shape, an entry that is
     not a finite number, or a reversor that is not a LinearReversor of
     dimension n raises DomainError. It then derives the kernel matrices
-    (`kernel`). Neither the kernel nor the `inverse` link is a constructor
-    argument, so a map made by dataclasses.replace derives its own kernel
-    and has no inverse until one is linked to it. Maps compare by identity.
+    (`kernel`), which are not a constructor argument. Maps compare by
+    identity. The inverse is derived on request (`require_inverse`).
 
     eval_batch and jac_batch enclose the map's values and its Jacobian
     over a batch of cells, and treat each cell on its own: a cell's result
@@ -86,7 +88,6 @@ class MapSystem:
     b: np.ndarray
     C: np.ndarray
     reversor: Optional[LinearReversor] = None
-    inverse: Optional["MapSystem"] = field(default=None, init=False, repr=False)
     kernel: "_Quadratic" = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -109,8 +110,8 @@ class MapSystem:
         self.kernel = _quadratic(*data)
 
     def __getstate__(self):
-        """The data, the reversor and the inverse link: the kernel is
-        derived again on load (__setstate__)."""
+        """The name, the data and the reversor: the kernel is derived
+        again on load (__setstate__)."""
         return {k: v for k, v in self.__dict__.items() if k != "kernel"}
 
     def __setstate__(self, state):
@@ -152,25 +153,74 @@ class MapSystem:
         return (0.5 * lo + 0.5 * hi).reshape(np.shape(z))
 
     def require_inverse(self) -> "MapSystem":
-        if self.inverse is None:
-            raise DomainError(f"map {self.name!r} has no inverse evaluator")
-        return self.inverse
+        """The inverse S o F o S (_reversor_inverse), once the reversor S is
+        proven to reverse F exactly (_prove_reversor); a map without a
+        reversor, or whose reversor fails the proof, raises DomainError.
+        Each call proves and derives anew: a map holds no inverse."""
+        if self.reversor is None:
+            raise DomainError(f"map {self.name!r} has no reversor, so no inverse")
+        _prove_reversor(self)
+        return _reversor_inverse(self)
 
 
-def _reversor_inverse(fwd: MapSystem, name: str) -> MapSystem:
-    """The inverse S o F o S of a map F with reversing symmetry S, named
-    `name`, and linked with F as each other's inverse.
+def _prove_reversor(fwd: MapSystem) -> None:
+    """Proves S o F o S o F = Id for F = fwd and its reversor S, in exact
+    integer arithmetic, or raises DomainError at a point where it fails.
+
+    S o F o S o F - Id is a polynomial map of total degree at most 4, as F
+    has degree at most 2 and S is linear. The C(n + 4, 4) points
+    {z in N^n : sum(z) <= 4} are unisolvent for the polynomials of total
+    degree at most 4 (such a polynomial that vanishes there is x_1 Q on
+    the face x_1 = 0, by induction on n, and Q of degree at most 3
+    vanishes on the shifted points with z_1 >= 1, by induction on the
+    degree), so the identity holds on all of R^n if it holds there.
+
+    Each float of F's data is an integer over a power of two, so all of
+    it is over the largest of those, D, and F(X / Q) for integers X and Q
+    has the numerators D**2 Q (a X + Q c) + C (B X + Q b)**2 over
+    D**3 Q**2, for a, c, B, b and C the data times D; S moves and negates
+    numerators."""
+    S = fwd.reversor
+    data = [getattr(fwd, k) for k in "AcBbC"]
+    ratios = [[x.as_integer_ratio() for x in M.ravel().tolist()] for M in data]
+    D = max(d for r in ratios for _, d in r)  # each d is a power of two
+    a, c, B, b, C = (np.array([k * (D // d) for k, d in r], dtype=object).reshape(M.shape)
+                     for r, M in zip(ratios, data))
+    D2, D3 = D * D, D * D * D
+
+    def image(X, Q):  # the numerators of F(X / Q), over D**3 Q**2
+        return D2 * Q * (X @ a.T + Q * c) + (X @ B.T + Q * b) ** 2 @ C.T
+
+    def reflect(X):
+        return np.where(S.neg, -X[:, S.perm], X[:, S.perm])
+
+    n = fwd.dim
+    Z = np.array([[pick.count(i) for i in range(n)]  # z_i: how often i is picked
+                  for pick in itertools.combinations_with_replacement(range(n + 1), 4)],
+                 dtype=object)
+    # F(Z) is over D**3, so S F S F(Z) is over D**3 (D**3)**2
+    moved = reflect(image(reflect(image(Z, 1)), D3)) != Z * D3 ** 3
+    if moved.any():
+        z = Z[moved.any(axis=1)][0]
+        raise DomainError(f"the reversor does not reverse map {fwd.name!r}: "
+                          f"S o F o S o F moves the point {[int(v) for v in z]}")
+
+
+def _reversor_inverse(fwd: MapSystem) -> MapSystem:
+    """The map S o F o S of a map F with reversor S, named by the rule
+    X <-> X-inverse, with the reversor S; it inverts F where S reverses F
+    (_prove_reversor).
 
     S F(S z) = S A S z + S c + S C (B S z + b)**2 is the quadratic map with
     the data (S A S, S c, B S, b, S C). S is a signed permutation, so each
     entry of those products is one entry of F's data, moved and perhaps
-    negated, plus exact zeros: the inverse's data is exact. For a diagonal
-    S its kernels give, bit for bit, S.act o F o S.act and S DF(S z) S.
+    negated, plus exact zeros: the inverse's data is exact, and that of the
+    inverse's inverse is F's. For a diagonal S its kernels give, bit for
+    bit, S.act o F o S.act and S DF(S z) S.
     """
-    P = fwd.reversor.matrix
-    inv = replace(fwd, name=name, A=P @ fwd.A @ P, c=P @ fwd.c, B=fwd.B @ P, C=P @ fwd.C)
-    fwd.inverse, inv.inverse = inv, fwd
-    return inv
+    P, name = fwd.reversor.matrix, fwd.name
+    name = name.removesuffix("-inverse") if name.endswith("-inverse") else f"{name}-inverse"
+    return MapSystem(name, P @ fwd.A @ P, P @ fwd.c, fwd.B @ P, fwd.b, P @ fwd.C, fwd.reversor)
 
 
 # --- quadratic maps: F(z) = A z + c + C (B z + b)**2 ---
@@ -365,22 +415,18 @@ _F_DATA = dict(A=np.array([[0, -1, -2, -1], [1, 0, 1, -2], [2, -1, 0, -1], [1, 2
 
 def reversible_quadratic_map() -> MapSystem:
     """The shipped 4-d reversible instance, registered as "F-quadratic-4d";
-    its inverse S o F o S is registered as "F-quadratic-4d-inverse"."""
-    fwd = MapSystem("F-quadratic-4d", **_F_DATA, reversor=coordinate_reflection(4, (0, 1)))
-    _reversor_inverse(fwd, "F-quadratic-4d-inverse")
-    return fwd
+    its inverse S o F o S (require_inverse) is registered as
+    "F-quadratic-4d-inverse"."""
+    return MapSystem("F-quadratic-4d", **_F_DATA, reversor=coordinate_reflection(4, (0, 1)))
 
 
-def linear_map_system(matrix, inverse_matrix=None, name="linear", reversor=None) -> MapSystem:
+def linear_map_system(matrix, name="linear", reversor=None) -> MapSystem:
     """MapSystem for z -> A z, the quadratic map with c = 0 and no squares
-    (m = 0); mainly for toy coverings and tests."""
+    (m = 0); mainly for toy coverings and tests. Its inverse, as any map's,
+    comes from its reversor (MapSystem.require_inverse)."""
     n = len(matrix)
     # c = 0, and B, b and C empty: no squares
-    fwd = MapSystem(name, matrix, *(np.zeros(shape) for shape in (n, (0, n), 0, (n, 0))), reversor)
-    if inverse_matrix is not None:
-        inv = replace(fwd, name=f"{name}-inverse", A=inverse_matrix, reversor=None)
-        fwd.inverse, inv.inverse = inv, fwd
-    return fwd
+    return MapSystem(name, matrix, *(np.zeros(shape) for shape in (n, (0, n), 0, (n, 0))), reversor)
 
 
 _NAMES = ("F", "F-quadratic-4d", "F-inverse", "F-quadratic-4d-inverse")
@@ -392,4 +438,4 @@ def map_by_name(name: str) -> MapSystem:
     if name not in _NAMES:
         raise DomainError(f"unknown map {name!r}; known: {sorted(_NAMES)}")
     F = reversible_quadratic_map()
-    return F.inverse if name.endswith("-inverse") else F
+    return F.require_inverse() if name.endswith("-inverse") else F

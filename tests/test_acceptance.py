@@ -77,7 +77,7 @@ def test_criterion_2_constant_fidelity(data):
 def test_criterion_3_q_point_constraints(data):
     F = data.mapsys
     Q1 = data.hset("H1").center
-    back = float(np.max(np.abs(F.inverse.image(Q1) - data.hset("N1").center)))
+    back = float(np.max(np.abs(F.require_inverse().image(Q1) - data.hset("N1").center)))
     z = Q1.copy()
     for _ in range(10):
         z = F.image(z)
@@ -161,8 +161,8 @@ def test_criterion_5_interval_soundness(data, rng):
 
 def test_criterion_6_toy_oracle_crosscheck(rng):
     N = HSet("T", np.zeros(2), np.eye(2), 1, 1)
-    good = linear_map_system(np.diag([3.0, 1 / 3]), np.diag([1 / 3, 3.0]), name="toy")
-    flip = linear_map_system(np.diag([-3.0, 1 / 3]), np.diag([-1 / 3, 3.0]), name="toyf")
+    good = linear_map_system(np.diag([3.0, 1 / 3]), name="toy")
+    flip = linear_map_system(np.diag([-3.0, 1 / 3]), name="toyf")
     ident = linear_map_system(np.eye(2))
     c1 = verify_cover(N, good, 1, N, VerifyConfig())
     c2 = verify_cover(N, flip, 1, N, VerifyConfig())

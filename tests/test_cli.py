@@ -346,6 +346,21 @@ def test_enumerate_zero_length_rejected(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: word length must be >= 1\n"
 
 
+def test_enumerate_short_emit_word_rejected(monkeypatch, capsys):
+    """An --emit-word of fewer than two labels is refused before any work,
+    like a short length: nothing is printed on stdout, and stderr holds one
+    error line."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate worked before it checked the word")
+
+    for name in ("build_proof_data", "run_campaign"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["enumerate", "--length", "2", "--emit-word", "N1,N1", "--emit-word", "N1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: inadmissible word 'N1': word needs at least two labels\n"
+
+
 def test_enumerate_missing_report_exit_3(tmp_path):
     assert main(["enumerate", "--length", "3",
                  "--report", str(tmp_path / "nope.json")]) == 3

@@ -35,7 +35,7 @@ from revcover.hset import HSet, sym_image, transpose
 from revcover.interval import DomainError, IMatrix, affine_batch
 
 from conftest import encloses, exact_inverse, float_sweep
-from test_dynamics import _exact_F
+from test_dynamics import SWAP, _exact_F
 
 MV = VerifyConfig(mean_value=True)
 
@@ -45,8 +45,13 @@ def toy_hset(n=2, u=1, name="T"):
 
 
 def expansion_map(factors):
-    A = np.diag(np.asarray(factors, dtype=float))
-    return linear_map_system(A, np.linalg.inv(A), name="toy")
+    return linear_map_system(np.diag(np.asarray(factors, dtype=float)), name="toy")
+
+
+def reversible_toy(a):
+    """z -> diag(a, 1/a) z for a power of two a: the swap S reverses it
+    exactly, as S A S = diag(1/a, a) = inv(A)."""
+    return linear_map_system(np.diag([a, 1 / a]), name="toy", reversor=SWAP)
 
 
 # --- degree ---
@@ -185,19 +190,39 @@ def test_verify_cover_4d_toy():
 
 
 def test_verify_backcover_toy():
-    """Backcovering of the expansion toy: the inverse contracts the formerly
-    unstable direction, so the transposed relation verifies."""
+    """Backcovering of the reversible expansion toy: the inverse contracts
+    the formerly unstable direction, so the transposed relation verifies,
+    with w = -1 where the toy reverses orientation."""
     N = toy_hset(2, 1)
-    m = expansion_map([3, 1 / 3])
-    cert = verify_backcover(N, m, 1, N, VerifyConfig())
-    assert cert.verified and cert.direction == "back" and cert.w == 1
-    assert cert.checks["transposed_equivalent"]["map"] == "toy-inverse"
+    for a, w in ((4.0, 1), (-4.0, -1)):
+        cert = verify_backcover(N, reversible_toy(a), 1, N, VerifyConfig())
+        assert cert.verified and cert.direction == "back" and cert.w == w
+        assert cert.checks["transposed_equivalent"]["map"] == "toy-inverse"
 
 
 def test_verify_backcover_needs_inverse():
+    """A map without a reversor has no inverse, and neither has diag(3, 1/3)
+    under the swap, as 3 * fl(1/3) != 1: require_inverse and
+    verify_backcover both raise DomainError."""
     N = toy_hset(2, 1)
-    with pytest.raises(DomainError, match="no inverse evaluator"):
-        verify_backcover(N, linear_map_system(np.diag([3.0, 1 / 3])), 1, N, VerifyConfig())
+    for reversor, message in ((None, "has no reversor"), (SWAP, "does not reverse")):
+        m = linear_map_system(np.diag([3.0, 1 / 3]), reversor=reversor)
+        with pytest.raises(DomainError, match=message):
+            m.require_inverse()
+        with pytest.raises(DomainError, match=message):
+            verify_backcover(N, m, 1, N, VerifyConfig())
+
+
+def test_identity_has_no_backcovering():
+    """No backcovering T <= T holds under the identity. An inverse cannot be
+    handed in (the second argument of linear_map_system is the name), and
+    the inverse that the swap proves, the identity, does not verify."""
+    T = toy_hset(2, 1)
+    with pytest.raises(DomainError, match="name must be a str"):
+        linear_map_system(np.eye(2), np.diag([0.25, 4.0]))
+    cert = verify_backcover(T, linear_map_system(np.eye(2), reversor=SWAP), 1, T,
+                            VerifyConfig(max_depth=8, budget=4000))
+    assert cert.status != VERIFIED
 
 
 def test_pure_contraction_no_unstable():
@@ -401,7 +426,7 @@ def test_chart_images_are_row_independent(data, rng, case):
         "N1N1": (data.hset("N1"), F, 1, data.hset("N1")),
         "H1H2": (data.hset("H1"), F, 4, data.hset("H2")),
         # verify_backcover's transposed h-sets under the inverse map
-        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.inverse, 1,
+        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.require_inverse(), 1,
                         transpose(sym_image(S, data.hset("H3")))),
     }[case]
     deg = compute_degree(N, mapsys, k, M)
@@ -446,7 +471,7 @@ def test_reused_buffers_give_the_enclosures_of_fresh_ones(data, rng, monkeypatch
     N, mapsys, k, M = {
         "N2N2": (data.hset("N2"), F, 1, data.hset("N2")),
         "H1H2": (data.hset("H1"), F, 4, data.hset("H2")),
-        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.inverse, 1,
+        "cross-check": (transpose(sym_image(S, data.hset("H2"))), F.require_inverse(), 1,
                         transpose(sym_image(S, data.hset("H3")))),
     }[case]
     deg = compute_degree(N, mapsys, k, M)
@@ -984,7 +1009,7 @@ def test_certificate_dicts_are_pinned(data):
     inconclusive = verify_cover(T, linear_map_system(np.eye(2)), 1, T,
                                 VerifyConfig(budget=16, max_depth=30))
     degree_failure = verify_cover(far, data.mapsys, 3, far)
-    back = verify_backcover(T, expansion_map([3, 1 / 3]), 1, T, VerifyConfig())
+    back = verify_backcover(T, reversible_toy(4.0), 1, T, VerifyConfig())
     assert [_without_wall_times(c.to_dict()) for c in (inconclusive, degree_failure, back)] == [
         {**head, "map": "linear", "direction": "direct", "w": 1, "status": INCONCLUSIVE,
          "boxes": 32, "max_depth": 2,
