@@ -36,9 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .covering import (
-    REFUTED,
+    VERDICTS,
     VERIFIED,
     VerifyConfig,
+    combine,
     verify_backcover,
     verify_cover,
 )
@@ -420,24 +421,18 @@ class ProofReport:
 
     @property
     def exit_code(self) -> int:
-        """0: every relation verified, degrees_match is True and every
-        structural check (fixed-space disks, disjoint supports) passed. 1: a
-        relation has a refuted cell, or every relation verified but
-        degrees_match is not True or a structural check failed. 2: no
-        relation is refuted but one is inconclusive."""
-        statuses = [r["status"] for r in self.report["relations"]]
+        """The exit code of the relations' combined verdict (covering.combine,
+        its index in VERDICTS): 0 verified, 1 refuted, 2 inconclusive. All
+        relations verified still give 1 unless degrees_match is True and
+        every structural check (fixed-space disks, disjoint supports)
+        passed."""
+        combined = combine(r["status"] for r in self.report["relations"])
         checks_ok = (
             self.report.get("degrees_match") is True
-            and self.report["disjoint"]["N1,N2"]
+            and all(self.report["disjoint"].values())
             and all(v["ok"] for v in self.report["fix_disks"].values())
         )
-        if all(s == VERIFIED for s in statuses) and checks_ok:
-            return 0
-        if any(s == REFUTED for s in statuses):
-            return 1
-        if any(s != VERIFIED for s in statuses):
-            return 2
-        return 1
+        return 1 if combined == VERIFIED and not checks_ok else VERDICTS.index(combined)
 
     def save(self, path) -> None:
         _dump_json(path, self.report)
@@ -502,7 +497,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     S = data.reversor
 
     disks = {name: fix_disk_check(S, data.hset(name)) for name in ALPHABET}
-    disjoint = {"N1,N2": bool(supports_disjoint(data.hset("N1"), data.hset("N2")))}
+    disjoint = {",".join(ALPHABET): bool(supports_disjoint(*map(data.hset, ALPHABET)))}
 
     certs = [verify_cover(data.hset(src), data.mapsys, k, data.hset(dst), vcfg)
              for src, dst, k, _ in RELATIONS]
@@ -534,7 +529,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
             "All four 7-step transition blocks over {N1, N2} are certified, so the "
             "7th iterate of the map is semiconjugate to the full shift on two symbols."
         )
-    if all(blocks.values()) and all(v.ok for v in disks.values()) and disjoint["N1,N2"]:
+    if all(blocks.values()) and all(v.ok for v in disks.values()) and all(disjoint.values()):
         conclusions.append(
             "N1 and N2 are symmetric h-sets with fixed-space disks and disjoint "
             "supports, so the certified word family N1^k H1 H2 H3 N2 (k >= 0) yields "
@@ -543,17 +538,13 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
         )
 
     total_boxes = sum(c.boxes for c in certs) + cross.boxes
+    config = asdict(cfg)
+    config["evaluation"] = "plain" if config.pop("plain") else "mean-value"
     report = ProofReport(
         {
             "schema": "revcover-report/1",
             "map": data.mapsys.name,
-            "config": {
-                "resolution": cfg.resolution,
-                "max_depth": cfg.max_depth,
-                "threads": cfg.threads,
-                "budget": cfg.budget,
-                "evaluation": "plain" if cfg.plain else "mean-value",
-            },
+            "config": config,
             "q1_residuals": data.q1_residuals,
             "disjoint": disjoint,
             "fix_disks": {k: {"ok": v.ok, "detail": v.detail} for k, v in disks.items()},

@@ -4,7 +4,8 @@ symbolic-dynamics enumeration, with machine-readable JSON reports.
 CampaignConfig() or reads the covering graph of a saved report.
 
 Exit codes: 0 verified, 1 refuted cell, 2 inconclusive (budget or depth),
-3 input error. Codes 1 and 2 are only ever verdicts. Every input error is a
+3 input error. Codes 0, 1 and 2 are the verdicts' order in
+covering.VERDICTS, and 1 and 2 are only ever verdicts. Every input error is a
 DomainError or an OSError, and main alone turns it into one "error:" line
 on stderr and exit code 3: a malformed command line (an unknown command, a
 missing or malformed option, after the usage), an unknown or malformed
@@ -18,9 +19,10 @@ config value out of range, such as a budget or thread count below 1, an
 enumerate --length below 1, a REVCOVER_THREADS that is not a positive
 integer (read only by verify and prove-paper without --threads), an
 inadmissible --emit-word, or an output file or directory (--report, --out,
---plot) that cannot be written. The output paths, the word length and
-each --emit-word's length are checked, and the --plot directory created,
-before any verification, so a refused input costs no proof. Every JSON
+--plot) that cannot be written. The output paths, the word length, each
+--emit-word's length and its labels (h-set names of the instance, or
+S^T* and one) are checked, and the --plot directory created, before any
+verification, so a refused input costs no proof. Every JSON
 file is written by the one JSON writer, hset._dump_json. For prove-paper,
 1 also means that every relation verified but a certified degree differs
 from the expected one or a structural check (the fixed-space disks,
@@ -51,12 +53,10 @@ from .campaign import (
     run_campaign,
     word_count,
 )
-from .covering import INCONCLUSIVE, REFUTED, VERIFIED, VerifyConfig, verify_backcover, verify_cover
+from .covering import VERDICTS, VerifyConfig, verify_backcover, verify_cover
 from .dynamics import map_by_name
 from .hset import HSet, _dump_json, load_hset, sym_image, transpose
 from .interval import DomainError
-
-_STATUS_EXIT = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2}
 
 
 def _default_threads() -> int:
@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
         if args.back:  # the relation that verify_backcover certifies
             src, mapsys, dst = transpose(dst), mapsys.require_inverse(), transpose(src)
         _write_relation_clouds(args.plot, src, mapsys, args.iters, dst)
-    return _STATUS_EXIT.get(cert.status, 2)
+    return VERDICTS.index(cert.status)
 
 
 def _cmd_prove_paper(args) -> int:
@@ -237,6 +237,10 @@ def _cmd_enumerate(args) -> int:
             check_orbit_word(word)
     _prepare_outputs(args.out)
     data = build_proof_data()
+    for spec, word in words:
+        unknown = [x for x in word if x.removeprefix("S^T*") not in data.hsets]
+        if unknown:
+            raise DomainError(f"inadmissible word {spec!r}: unknown h-set {unknown[0]!r}")
     try:
         if args.report_in:
             graph = graph_from_report(ProofReport.load(args.report_in), data)

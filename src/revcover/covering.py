@@ -19,7 +19,11 @@ within a box budget. Only the convex homotopy between the chart map and its
 linearization is certified, so a failed run is "inconclusive", never a
 disproof; "refuted-cell" means a cell's whole enclosure provably violates
 the checked condition, so this certification strategy can never succeed for
-the given h-sets.
+the given h-sets. Every rule that makes one verdict of several is
+`combine`: a check's verdict from its roots', a relation's from its two
+checks' and a campaign's from its relations'. VERDICTS lists the three
+verdicts in exit-code order, so a verdict's index in it is its exit code
+(0, 1, 2) for `verify` and `prove-paper` alike.
 
 The budget applies per check (exit and entry each), and is apportioned
 evenly over the check's initial grid cells (its roots); each root's
@@ -92,6 +96,17 @@ from .interval import (
 VERIFIED = "verified"
 REFUTED = "refuted-cell"
 INCONCLUSIVE = "inconclusive"
+# the verdicts in exit-code order: a verdict's index is its exit code
+VERDICTS = (VERIFIED, REFUTED, INCONCLUSIVE)
+
+
+def combine(verdicts) -> str:
+    """The one verdict of several: refuted if any is refuted, verified if
+    all are verified, else inconclusive (so is a string that is not a
+    verdict)."""
+    verdicts = set(verdicts)
+    return (REFUTED if REFUTED in verdicts
+            else VERIFIED if verdicts <= {VERIFIED} else INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -446,7 +461,8 @@ def _cell_record(root, depth, lo, hi, which):
     }
 
 
-_ACTIVE, _REFUTED, _EXHAUSTED = 0, 1, 2
+# a root's end state: the index in VERDICTS of the verdict it gives its check
+_ACTIVE, _REFUTED, _EXHAUSTED = map(VERDICTS.index, (VERIFIED, REFUTED, INCONCLUSIVE))
 
 # the per-root arrays of a _Refinement, which a worker returns for its shard
 _PER_ROOT = ("boxes", "depth", "status", "cell_depth", "cell_lo", "cell_hi")
@@ -724,14 +740,13 @@ def _run_checks(N: HSet, mapsys: MapSystem, k: int, M: HSet, cfg: VerifyConfig,
             refuted_cells=int(np.count_nonzero(status == _REFUTED)),
             exhausted_subtrees=int(np.count_nonzero(status == _EXHAUSTED)),
         )
-        results[which] = CheckResult(VERIFIED, stats)
-        for code, verdict in ((_REFUTED, REFUTED), (_EXHAUSTED, INCONCLUSIVE)):
-            decided = np.flatnonzero(status == code)
-            if decided.size:
-                r, g = decided[0], first + decided[0]
-                results[which] = CheckResult(verdict, stats, _cell_record(
-                    r, ref.cell_depth[g], ref.cell_lo[g], ref.cell_hi[g], which))
-                break
+        verdict = combine(VERDICTS[code] for code in set(status.tolist()))
+        results[which] = CheckResult(verdict, stats)
+        if verdict != VERIFIED:  # the worst cell retired the first root of that verdict
+            r = np.flatnonzero(status == VERDICTS.index(verdict))[0]
+            g = first + r
+            results[which].worst_cell = _cell_record(
+                r, ref.cell_depth[g], ref.cell_lo[g], ref.cell_hi[g], which)
         first += n
     return results
 
@@ -786,9 +801,7 @@ def verify_cover(N: HSet, mapsys: MapSystem, k: int, M: HSet,
                               "worst_cell": res.worst_cell}
     cert.boxes = sum(res.stats.boxes for res in results.values())
     cert.max_depth = max(res.stats.max_depth for res in results.values())
-    verdicts = {res.verdict for res in results.values()}
-    cert.status = (REFUTED if REFUTED in verdicts
-                   else VERIFIED if verdicts == {VERIFIED} else INCONCLUSIVE)
+    cert.status = combine(res.verdict for res in results.values())
     cert.wall_time = time.perf_counter() - t0
     return cert
 

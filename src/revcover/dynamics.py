@@ -57,7 +57,8 @@ from typing import Optional
 import numpy as np
 
 from .hset import LinearReversor, coordinate_reflection
-from .interval import DomainError, _columns, _constants, _enclose, _prepare, _split, _to_rows
+from .interval import (DomainError, _columns, _constants, _enclose, _exact, _prepare, _split,
+                       _to_rows)
 
 
 @dataclass(eq=False)
@@ -175,31 +176,26 @@ def _prove_reversor(fwd: MapSystem) -> None:
     vanishes on the shifted points with z_1 >= 1, by induction on the
     degree), so the identity holds on all of R^n if it holds there.
 
-    Each float of F's data is an integer over a power of two, so all of
-    it is over the largest of those, D, and F(X / Q) for integers X and Q
-    has the numerators D**2 Q (a X + Q c) + C (B X + Q b)**2 over
-    D**3 Q**2, for a, c, B, b and C the data times D; S moves and negates
-    numerators."""
+    The one exact reader (interval._exact) puts all of F's data over one
+    power of two, D, and F(X / Q) for integers X and Q has the numerators
+    D**2 Q (a X + Q c) + C (B X + Q b)**2 over D**3 Q**2, for a, c, B, b
+    and C the data times D; S moves and negates numerators
+    (LinearReversor.act on the point intervals [X, X])."""
     S = fwd.reversor
-    data = [getattr(fwd, k) for k in "AcBbC"]
-    ratios = [[x.as_integer_ratio() for x in M.ravel().tolist()] for M in data]
-    D = max(d for r in ratios for _, d in r)  # each d is a power of two
-    a, c, B, b, C = (np.array([k * (D // d) for k, d in r], dtype=object).reshape(M.shape)
-                     for r, M in zip(ratios, data))
+    a, c, B, b, C, p = _exact(*(getattr(fwd, k) for k in "AcBbC"))
+    D = 1 << -p
     D2, D3 = D * D, D * D * D
 
-    def image(X, Q):  # the numerators of F(X / Q), over D**3 Q**2
-        return D2 * Q * (X @ a.T + Q * c) + (X @ B.T + Q * b) ** 2 @ C.T
-
-    def reflect(X):
-        return np.where(S.neg, -X[:, S.perm], X[:, S.perm])
+    def sf(X, Q):  # the numerators of S F(X / Q), over D**3 Q**2
+        FX = D2 * Q * (X @ a.T + Q * c) + (X @ B.T + Q * b) ** 2 @ C.T
+        return S.act(FX, FX)[0]
 
     n = fwd.dim
     Z = np.array([[pick.count(i) for i in range(n)]  # z_i: how often i is picked
                   for pick in itertools.combinations_with_replacement(range(n + 1), 4)],
                  dtype=object)
-    # F(Z) is over D**3, so S F S F(Z) is over D**3 (D**3)**2
-    moved = reflect(image(reflect(image(Z, 1)), D3)) != Z * D3 ** 3
+    # S F(Z) is over D**3, so S F S F(Z) is over D**3 (D**3)**2
+    moved = sf(sf(Z, 1), D3) != Z * D3 ** 3
     if moved.any():
         z = Z[moved.any(axis=1)][0]
         raise DomainError(f"the reversor does not reverse map {fwd.name!r}: "

@@ -54,8 +54,10 @@ degree of a relation) rest on one regularity proof, Rump's residual test
 (`_regular`; S. M. Rump, "Verification methods: rigorous results using
 floating-point arithmetic", Acta Numerica 19 (2010)): with X = fl(inv(mid)),
 every member A is regular once ||I - X A||_inf < 1. Each float is an
-integer times a power of two, so the residual is evaluated exactly in
-Python ints, and the test needs no rounding analysis of its own.
+integer times a power of two, read as such by the one exact reader
+(`_exact`, which the reversibility proof of dynamics.py shares), so the
+residual is evaluated exactly in Python ints, and the test needs no
+rounding analysis of its own.
 """
 
 from __future__ import annotations
@@ -542,14 +544,14 @@ def imatvec_cellwise(Al, Ah, lo, hi):
 
 def _exact(*arrays):
     """Object arrays k_i of Python ints and one exponent p <= 0 with
-    a_i == k_i * 2**p exactly, for finite float arrays a_i of one shape.
-    np.frexp splits a float into a mantissa of at most 53 bits, which 2**53
-    scales to an integer, and a power of two."""
-    m, e = np.frexp(np.stack(arrays))
-    e -= 53
-    p = int(e.min(initial=0))
-    k = (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - p).astype(object)
-    return *k, p
+    a_i == k_i * 2**p exactly, for finite float arrays a_i of any shapes:
+    the package's one reader of floats as exact numbers. A float is an
+    integer over a power of two (float.as_integer_ratio), so all of them
+    are integers over the largest of those denominators, 2**-p."""
+    ratios = [[x.as_integer_ratio() for x in np.ravel(a).tolist()] for a in arrays]
+    den = max((d for r in ratios for _, d in r), default=1)
+    return (*(np.array([n * (den // d) for n, d in r], dtype=object).reshape(np.shape(a))
+              for r, a in zip(ratios, arrays)), 1 - den.bit_length())
 
 
 def _regular(Al, Ah):

@@ -10,7 +10,7 @@ import pytest
 from revcover import campaign as campaign_module, cli
 from revcover.campaign import CampaignConfig
 from revcover.cli import build_parser, main
-from revcover.covering import VerifyConfig
+from revcover.covering import INCONCLUSIVE, REFUTED, VERDICTS, VERIFIED, VerifyConfig
 from revcover.hset import HSet, save_hset
 
 
@@ -25,6 +25,23 @@ def test_verify_no_covering_exit_1_or_2():
     rc = main(["verify", "--from", "N1", "--to", "N2", "--map", "F", "--iters", "1",
                "--mean-value", "--max-depth", "6", "--budget", "20000"])
     assert rc in (1, 2)
+
+
+@pytest.mark.parametrize("argv, verdict, code", [
+    (["--from", "N1", "--to", "N1", "--mean-value", "--max-depth", "0", "--resolution", "1"],
+     VERIFIED, 0),
+    (["--from", "N1", "--to", "N2", "--max-depth", "0"], REFUTED, 1),
+    (["--from", "H1", "--to", "H2", "--iters", "4", "--max-depth", "0"], INCONCLUSIVE, 2),
+])
+def test_verify_exit_code_is_the_verdicts_index(argv, verdict, code, capsys):
+    """verify exits with its verdict's index in covering.VERDICTS: 0
+    verified, 1 refuted, 2 inconclusive, each here on a fixed grid."""
+    assert VERDICTS.index(verdict) == code
+    assert main(["verify", *argv]) == code
+    out = capsys.readouterr().out
+    assert f": {verdict}," in out
+    if code:
+        assert "boxes=96," in out
 
 
 def test_verify_malformed_file_exit_3(tmp_path, capsys):
@@ -359,6 +376,27 @@ def test_enumerate_short_emit_word_rejected(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: inadmissible word 'N1': word needs at least two labels\n"
+
+
+@pytest.mark.parametrize("with_report", [False, True])
+def test_enumerate_unknown_label_rejected(with_report, tmp_path, campaign, monkeypatch, capsys):
+    """An --emit-word label that is not an h-set of the instance, nor S^T*
+    and one, is refused once the instance is built, before the campaign
+    runs or a saved report's graph is rebuilt: nothing is printed on
+    stdout, and stderr holds one error line."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate worked before it checked the labels")
+
+    for name in ("run_campaign", "graph_from_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = ["enumerate", "--length", "2", "--emit-word", "N1,S^T*H1", "--emit-word", "X,Y"]
+    if with_report:
+        campaign[0].save(tmp_path / "report.json")
+        argv += ["--report", str(tmp_path / "report.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: inadmissible word 'X,Y': unknown h-set 'X'\n"
 
 
 def test_enumerate_missing_report_exit_3(tmp_path):

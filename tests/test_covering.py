@@ -22,10 +22,12 @@ from revcover.campaign import RELATIONS, CampaignConfig
 from revcover.covering import (
     INCONCLUSIVE,
     REFUTED,
+    VERDICTS,
     VERIFIED,
     VerifyConfig,
     check_entry_condition,
     check_exit_condition,
+    combine,
     compute_degree,
     verify_backcover,
     verify_cover,
@@ -152,6 +154,81 @@ def test_entry_stable_expansion_refuted():
     res = check_entry_condition(N, expansion_map([3, 2.0]), 1, N, VerifyConfig())
     assert res.verdict == REFUTED
     assert res.stats.refuted_cells >= 1
+
+
+# --- the one verdict rule ---
+
+def test_combine_is_the_old_rules():
+    """combine on every subset of the three verdicts, with and without a
+    string that is not a verdict, gives the exit code that
+    ProofReport.exit_code's four branches gave for relations of those
+    statuses (checks passing), and, for a nonempty set, the status that
+    verify_cover's own expression gave. No verdicts at all are all
+    verified."""
+    def exit_code_rule(statuses):
+        if all(s == VERIFIED for s in statuses):
+            return 0
+        if any(s == REFUTED for s in statuses):
+            return 1
+        if any(s != VERIFIED for s in statuses):
+            return 2
+        return 1
+
+    def verify_cover_rule(verdicts):
+        return (REFUTED if REFUTED in verdicts
+                else VERIFIED if verdicts == {VERIFIED} else INCONCLUSIVE)
+
+    assert VERDICTS == (VERIFIED, REFUTED, INCONCLUSIVE)
+    for size in range(len(VERDICTS) + 1):
+        for subset in itertools.combinations(VERDICTS, size):
+            for verdicts in (set(subset), {*subset, "not-a-verdict"}):
+                combined = combine(sorted(verdicts))
+                assert VERDICTS.index(combined) == exit_code_rule(verdicts), verdicts
+                if verdicts:
+                    assert combined == verify_cover_rule(verdicts), verdicts
+    assert combine([]) == VERIFIED and combine(iter([VERIFIED] * 3)) == VERIFIED
+
+
+# --- the meaning of "refuted" ---
+
+def _sampled_chart_images(N, mapsys, k, M, cell, rng, count=1000):
+    """The float chart images in M of `count` points of the source chart
+    cell `cell` (a worst_cell record) under map^k: not rigorous, an
+    oracle independent of the cell engine."""
+    x = rng.uniform(cell["chart_lo"], cell["chart_hi"], size=(count, N.dim))
+    y = x @ N.matrix.T + N.center
+    for _ in range(k):
+        y = mapsys.image(y)
+    return np.linalg.solve(M.matrix, (y - M.center).T).T
+
+
+@pytest.mark.parametrize("mean_value", [False, True])
+def test_refuted_entry_cell_violates_the_entry_condition(data, rng, mean_value):
+    """N1 => N2 at a fixed grid: every one of the 64 entry roots is
+    refuted, and every sampled point of the worst cell maps outside the
+    target's open stable cube, each stable coordinate at |v_s| >= 1.80."""
+    N, M = data.hset("N1"), data.hset("N2")
+    cert = verify_cover(N, data.mapsys, 1, M, VerifyConfig(max_depth=0, mean_value=mean_value))
+    entry = cert.checks["entry"]
+    assert cert.status == entry["verdict"] == REFUTED
+    assert entry["boxes"] == entry["refuted_cells"] == 64
+    v = _sampled_chart_images(N, data.mapsys, 1, M, entry["worst_cell"], rng)
+    assert np.all(np.abs(v[:, M.u:]).max(axis=1) >= 1.0)  # the condition fails at each
+    assert np.abs(v[:, M.u:]).min() >= 1.80
+
+
+def test_refuted_exit_cell_violates_the_exit_condition(rng):
+    """Under the contraction z -> z / 2 the exit wall of the unit h-set T
+    maps inside T's unstable cube: all 4 exit roots are refuted, and no
+    sampled point of the worst cell maps clear of the cube."""
+    T = toy_hset(2, 1)
+    mapsys = linear_map_system(np.diag([0.5, 0.5]))
+    cert = verify_cover(T, mapsys, 1, T, VerifyConfig())
+    exit_ = cert.checks["exit"]
+    assert cert.status == exit_["verdict"] == REFUTED
+    assert exit_["boxes"] == exit_["refuted_cells"] == 4
+    v = _sampled_chart_images(T, mapsys, 1, T, exit_["worst_cell"], rng)
+    assert np.all(np.abs(v[:, :T.u]).max(axis=1) <= 1.0)
 
 
 # --- full verification on toys (with the independent float oracle) ---

@@ -22,6 +22,7 @@ from revcover.dynamics import _F_DATA, reversible_quadratic_map
 from revcover.interval import (
     IMatrix,
     SingularMatrixError,
+    _exact,
     affine_batch,
     det_sign,
     imat_inverse,
@@ -870,6 +871,36 @@ def test_imat_mul_containment(rng):
     A = rng.normal(size=(3, 3))
     B = rng.normal(size=(3, 3))
     assert contains(matmul((A, A), (B, B)), A @ B)
+
+
+# --- the one exact reader (interval._exact) ---
+
+def test_exact_reads_floats_as_fractions(rng):
+    """_exact against fractions.Fraction: signed zeros, the least
+    subnormal, -+MAX, mixed magnitudes, arrays of different shapes in one
+    call and empty arrays all come back as ints k with k * 2**p equal to
+    the float, for one exponent p <= 0: 2**-p is the largest denominator
+    of the floats. Each array keeps its shape."""
+    MAX = np.finfo(float).max
+    mixed = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-300, 300, size=(3, 4))
+    cases = [
+        (np.array([0.0, -0.0]),),
+        (np.array([5e-324, -5e-324]), np.array([[MAX, -MAX]])),
+        (mixed, np.array(2.5), np.array([[[1.0]], [[-0.75]]]), np.zeros((0, 3))),
+        (np.zeros(0), np.zeros((2, 0))),
+        (),
+    ]
+    for arrays in cases:
+        *ks, p = _exact(*arrays)
+        assert type(p) is int and p <= 0
+        assert len(ks) == len(arrays)
+        scale = Fraction(2) ** p
+        for k, a in zip(ks, arrays):
+            assert k.shape == a.shape and k.dtype == object
+            assert all(type(x) is int and x * scale == Fraction(float(f))
+                       for x, f in zip(k.ravel(), a.ravel()))
+        assert 2 ** -p == max((Fraction(float(f)).denominator
+                               for a in arrays for f in a.ravel()), default=1)
 
 
 def test_imat_inverse_identity_exact():
