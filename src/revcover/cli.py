@@ -21,8 +21,10 @@ integer (read only by verify and prove-paper without --threads), an
 inadmissible --emit-word, or an output file or directory (--report, --out,
 --plot) that cannot be written. The output paths, the word length, each
 --emit-word's length and its labels (h-set names of the instance, or
-S^T* and one) are checked, and the --plot directory created, before any
-verification, so a refused input costs no proof. Every JSON
+their symmetric names, hset.canonical_sym_name) are checked, and the --plot
+directory created, before any verification, so a refused input costs no
+proof; each --emit-word is certified on the covering graph before anything
+is printed, so a word the graph refuses prints nothing on stdout. Every JSON
 file is written by the one JSON writer, hset._dump_json. For prove-paper,
 1 also means that every relation verified but a certified degree differs
 from the expected one or a structural check (the fixed-space disks,
@@ -36,6 +38,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from .campaign import (
 )
 from .covering import VERDICTS, VerifyConfig, verify_backcover, verify_cover
 from .dynamics import map_by_name
-from .hset import HSet, _dump_json, load_hset, sym_image, transpose
+from .hset import HSet, _dump_json, canonical_sym_name, load_hset, sym_image, transpose
 from .interval import DomainError
 
 
@@ -74,6 +77,16 @@ def _default_threads() -> int:
     return threads
 
 
+def _builtin_name(data, name) -> Optional[str]:
+    """The instance's h-set that `name` names: itself, or the one whose
+    symmetric image it names (hset.canonical_sym_name); None if neither is
+    an h-set of the instance."""
+    for base in (name, canonical_sym_name(name)):
+        if base in data.hsets:
+            return base
+    return None
+
+
 def _resolve_hsets(tokens) -> list[HSet]:
     """Builtin names (N1, H2, S^T*H3, ...) or paths to h-set JSON files. The
     builtin instance is built at most once, when a name needs it."""
@@ -84,8 +97,8 @@ def _resolve_hsets(tokens) -> list[HSet]:
             out.append(load_hset(token))
             continue
         data = data or build_proof_data()
-        name = token.removeprefix("S^T*")
-        if name not in data.hsets:
+        name = _builtin_name(data, token)
+        if name is None:
             raise DomainError(f"unknown h-set {token!r}: not a file and not a builtin name")
         h = data.hsets[name]
         out.append(h if name == token else sym_image(data.reversor, h))
@@ -238,7 +251,7 @@ def _cmd_enumerate(args) -> int:
     _prepare_outputs(args.out)
     data = build_proof_data()
     for spec, word in words:
-        unknown = [x for x in word if x.removeprefix("S^T*") not in data.hsets]
+        unknown = [x for x in word if _builtin_name(data, x) is None]
         if unknown:
             raise DomainError(f"inadmissible word {spec!r}: unknown h-set {unknown[0]!r}")
     try:
@@ -248,21 +261,22 @@ def _cmd_enumerate(args) -> int:
             _, graph = run_campaign(CampaignConfig(), data)
     except (OSError, DomainError) as e:
         raise DomainError(f"no usable covering graph: {e}") from e
+    # every word is certified on the graph before anything is printed
+    certs = []
+    for spec, word in words:
+        with _inadmissible(spec):
+            certs.append(emit_symmetric_orbit_certificate(graph, word, data.reversor))
     # counted without listing; the 2**L words are listed only for --out
     count = word_count(graph, args.length)
     payload = {"alphabet": list(ALPHABET), "length": args.length, "count": count}
     if args.out:
         payload["words"] = ["-".join(w) for w in enumerate_words(graph, args.length)]
     print(f"{count} words of length {args.length} over ({', '.join(ALPHABET)})")
-    certs = []
-    for spec, word in words:
-        with _inadmissible(spec):
-            cert = emit_symmetric_orbit_certificate(graph, word, data.reversor)
-        certs.append(cert.to_dict())
-        print(f"symmetric orbit certificate: {'-'.join(word)} "
+    for cert in certs:
+        print(f"symmetric orbit certificate: {'-'.join(cert.word)} "
               f"(period divides {2 * cert.total_map_steps})")
     if certs:
-        payload["symmetric_orbit_certificates"] = certs
+        payload["symmetric_orbit_certificates"] = [cert.to_dict() for cert in certs]
     if args.out:
         _dump_json(args.out, payload)
     return 0

@@ -210,6 +210,10 @@ def sym_image(S: LinearReversor, N: HSet) -> HSet:
 
 
 def canonical_sym_name(name: str) -> str:
+    """The name of the symmetric transposed image of the h-set `name`:
+    "S^T*" and the name, or the name without that prefix if it has it,
+    as the image of an image is the h-set itself. The one place that
+    spells the naming rule."""
     prefix = "S^T*"
     if name.startswith(prefix):
         return name[len(prefix) :]

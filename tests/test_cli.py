@@ -399,6 +399,31 @@ def test_enumerate_unknown_label_rejected(with_report, tmp_path, campaign, monke
     assert err == "error: inadmissible word 'X,Y': unknown h-set 'X'\n"
 
 
+@pytest.mark.parametrize("with_report", [False, True])
+@pytest.mark.parametrize("word, message", [
+    ("S^T*N1,N1", "unknown endpoint 'S^T*N1'"),
+    ("N1,N2", "no verified relation 'N1' => 'N2'"),
+])
+def test_enumerate_word_the_graph_refuses_prints_nothing(with_report, word, message, tmp_path,
+                                                         campaign, monkeypatch, capsys):
+    """A word of known labels that the covering graph refuses is refused
+    before the word count is printed: S^T*N1 names N1's symmetric image,
+    which the closure identifies with N1, so it is no node of the graph,
+    and N1 => N2 is no verified relation. Nothing is printed on stdout or
+    written to --out, and stderr holds one error line."""
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: campaign)
+    campaign[0].save(tmp_path / "report.json")
+    argv = ["enumerate", "--length", "1", "--emit-word", "N1,N1", "--emit-word", word,
+            "--out", str(tmp_path / "words.json")]
+    if with_report:
+        argv += ["--report", str(tmp_path / "report.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: inadmissible word {word!r}: {message}\n"
+    assert not (tmp_path / "words.json").exists()
+
+
 def test_enumerate_missing_report_exit_3(tmp_path):
     assert main(["enumerate", "--length", "3",
                  "--report", str(tmp_path / "nope.json")]) == 3

@@ -349,16 +349,29 @@ def test_instance_relation_plain_mode(data):
 
 
 def test_plain_box_counts_are_pinned(data):
-    """Plain N2=>N2 and H3=>N2 at the default settings take exactly these
-    boxes. The count depends on every enclosure of the plain path (the
-    affine chart, F and the target's shifted inverse), so a kernel change
-    that widens or tightens one shows here rather than only in the
-    benchmark. H3=>N2's exit check refines through the linear image of
-    the chart derivative, which N2=>N2's barely reaches."""
-    for src, boxes in (("N2", (1_202, 195_692)), ("H3", (45_252, 329_564))):
-        cert = verify_cover(data.hset(src), data.mapsys, 1, data.hset("N2"), VerifyConfig())
-        assert cert.verified and cert.w == -1
-        assert (cert.checks["exit"]["boxes"], cert.checks["entry"]["boxes"]) == boxes
+    """Plain N2=>N2, H3=>N2 and N1=>N1 at the default settings take exactly
+    these boxes and depths (exit, entry), at threads 1 and 2. The count
+    depends on every enclosure of the plain path (the affine chart, F and
+    the target's shifted inverse) and on the bisection axis, so a kernel or
+    refinement change that widens, tightens or splits a cell differently
+    shows here rather than only in the benchmark. H3=>N2's exit check
+    refines through the linear image of the chart derivative, which
+    N2=>N2's barely reaches; every entry root of N1=>N1 bisects a full tree
+    down to depth 14."""
+    pins = (("N2", "N2", -1, (1_202, 195_692), (7, 12)),
+            ("H3", "N2", -1, (45_252, 329_564), (12, 15)),
+            ("N1", "N1", 1, (6_112, 1_783_958), (7, 14)))
+    for threads in (1, 2):
+        total = 0
+        for src, dst, w, boxes, depths in pins:
+            cert = verify_cover(data.hset(src), data.mapsys, 1, data.hset(dst),
+                                VerifyConfig(threads=threads))
+            assert cert.verified and cert.w == w
+            assert tuple(cert.checks[c]["boxes"] for c in ("exit", "entry")) == boxes
+            assert tuple(cert.checks[c]["max_depth"] for c in ("exit", "entry")) == depths
+            assert cert.boxes == sum(boxes)  # N1=>N1: 1,790,070
+            total += cert.boxes
+        assert total == 2_361_780  # the plain-grid benchmark's pass
 
 
 def test_instance_float_sweep_oracle(data, rng):
@@ -392,8 +405,17 @@ def test_monotone_refinement(data):
     assert c1.boxes == c2.boxes and c1.max_depth == c2.max_depth
 
 
+def _halved(lo, hi):
+    """Every cell of [lo, hi] halved along its first widest coordinate, as
+    one root's level is: all left halves, then all right halves."""
+    from revcover.covering import _bisect_cells, _widest
+
+    n = len(lo)
+    return _bisect_cells(lo, hi, np.zeros(n, dtype=int), np.arange(n), _widest(hi - lo)[0])[:2]
+
+
 def test_passing_cell_children_pass(data):
-    from revcover.covering import _CellEngine, _bisect_cells
+    from revcover.covering import _CellEngine
 
     F = data.mapsys
     N = data.hset("N2")
@@ -403,7 +425,7 @@ def test_passing_cell_children_pass(data):
     hi = np.array([[1.0, 0.0, 0.0, 0.0]])
     passed, _ = engine.classify(lo, hi, 0)  # the entry test
     if passed[0]:
-        clo, chi, _ = _bisect_cells(lo, hi, np.zeros(1, dtype=int), np.arange(1))
+        clo, chi = _halved(lo, hi)
         cpassed, _ = engine.classify(clo, chi, 0)
         assert cpassed.all()
 
@@ -421,7 +443,7 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
     times on Fractions, then the exact inverse) of every sampled member
     point: corners and interior points of grid cells and of their
     bisections."""
-    from revcover.covering import _CellEngine, _bisect_cells
+    from revcover.covering import _CellEngine
     from revcover.hset import _facet_cells_arrays
 
     F, N, M = data.mapsys, data.hset(src), data.hset(dst)
@@ -431,9 +453,7 @@ def test_chart_image_encloses_sampled_points(data, rng, src, dst, k):
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
     cells = [(lo, hi)]
     for _ in range(3):
-        n = len(cells[-1][0])
-        clo, chi, _ = _bisect_cells(*cells[-1], np.zeros(n, dtype=int), np.arange(n))
-        cells.append((clo, chi))
+        cells.append(_halved(*cells[-1]))
     lo, hi = (np.concatenate(c) for c in zip(*cells))
     pick = rng.choice(len(lo), size=24, replace=False)
     lo, hi = lo[pick], hi[pick]
@@ -495,7 +515,7 @@ def test_chart_images_are_row_independent(data, rng, case):
     depths, point cells and cells with an infinite or NaN coordinate. A
     plain image is a view of the engine's buffers, which its next call
     overwrites, so each image is copied."""
-    from revcover.covering import _CellEngine, _bisect_cells
+    from revcover.covering import _CellEngine
     from revcover.hset import _facet_cells_arrays
 
     F, S = data.mapsys, data.reversor
@@ -510,8 +530,7 @@ def test_chart_images_are_row_independent(data, rng, case):
     lo, hi = _facet_cells_arrays(N.dim, range(N.dim), 2)
     cells = [(lo, hi)]
     while sum(len(c[0]) for c in cells) < 2048:
-        n = len(cells[-1][0])
-        cells.append(_bisect_cells(*cells[-1], np.zeros(n, dtype=int), np.arange(n))[:2])
+        cells.append(_halved(*cells[-1]))
     pick = rng.permutation(2048)
     lo, hi = (np.concatenate(c)[pick] for c in zip(*cells))
     lo[:64] = hi[:64]

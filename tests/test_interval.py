@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revcover import dynamics, interval
-from revcover.covering import _bisect_cells
+from revcover.covering import _bisect_cells, _widest
 from revcover.dynamics import _F_DATA, reversible_quadratic_map
 from revcover.interval import (
     IMatrix,
@@ -797,24 +797,48 @@ def test_F_kernels_enclose_exact_images(cells):
 
 # --- cell bisection (covering._bisect_cells) ---
 
+def test_widest_is_the_first_widest_coordinate(rng):
+    """The bisection axis that every box count rests on: _widest agrees
+    with np.argmax(hi - lo, axis=1), on random cells and on dyadic cells
+    like the refinement's (of four coordinates, whose widths tie in most
+    rows, and of one), and a tie goes to the first coordinate. A row of
+    zero widths, and only such a row, is a point."""
+    lo = rng.uniform(-1, 1, size=(500, 4))
+    hi = lo + rng.uniform(0, 1, size=(500, 4))
+    dlo = rng.integers(-16, 16, size=(2000, 4)) / 16.0
+    dhi = dlo + 2.0 ** -rng.integers(0, 3, size=(2000, 4))
+    dhi[:200] = dlo[:200]
+    dhi[200:400, 2] = dlo[200:400, 2]
+    for lo, hi in ((lo, hi), (dlo[:, :1], dhi[:, :1]), (dlo, dhi)):
+        width = hi - lo
+        ax, point = _widest(width)
+        assert np.array_equal(ax, np.argmax(width, axis=1))
+        assert ax.tolist() == [row.index(max(row)) for row in width.tolist()]
+        assert np.array_equal(point, np.all(lo == hi, axis=1))
+    tied = np.count_nonzero(width == width.max(axis=1, keepdims=True), axis=1) > 1
+    assert np.count_nonzero(tied) > 1000
+    assert point[:200].all() and not point[200:].any()
+
+
 def test_box_bisect_examples():
-    """Each listed cell is split along its own widest coordinate, into
-    level order: per root, all left halves, then all right halves."""
+    """Each listed cell is split along its given coordinate, into level
+    order: per root, all left halves, then all right halves."""
     lo = np.array([[0.0, 0.0], [0.0, 0.0]])
     hi = np.array([[2.0, 1.0], [1.0, 3.0]])
-    clo, chi, croot = _bisect_cells(lo, hi, np.array([5, 5]), np.arange(2))
+    clo, chi, croot = _bisect_cells(lo, hi, np.array([5, 5]), np.arange(2), np.array([0, 1]))
     assert np.array_equal(clo, [[0, 0], [0, 0], [1, 0], [0, 1.5]])
     assert np.array_equal(chi, [[1, 1], [1, 1.5], [2, 1], [1, 3]])
     assert np.array_equal(croot, [5] * 4)
     # three cells of roots 0, 0 and 1: the children of root 0, then of root 1
     lo = np.zeros((3, 1))
     hi = np.array([[2.0], [4.0], [8.0]])
-    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]), np.arange(3))
+    root, axis = np.array([0, 0, 1]), np.zeros(3, dtype=int)  # 1-d cells: axis 0
+    clo, chi, croot = _bisect_cells(lo, hi, root, np.arange(3), axis)
     assert np.array_equal(clo[:, 0], [0, 0, 1, 2, 0, 4])
     assert np.array_equal(chi[:, 0], [1, 2, 2, 4, 4, 8])
     assert np.array_equal(croot, [0, 0, 0, 0, 1, 1])
     # only the listed cells are halved: the second of root 0, and root 1's
-    clo, chi, croot = _bisect_cells(lo, hi, np.array([0, 0, 1]), np.array([1, 2]))
+    clo, chi, croot = _bisect_cells(lo, hi, root, np.array([1, 2]), axis[:2])
     assert np.array_equal(clo[:, 0], [0, 2, 0, 4])
     assert np.array_equal(chi[:, 0], [2, 4, 4, 8])
     assert np.array_equal(croot, [0, 0, 1, 1])
@@ -824,10 +848,10 @@ def test_box_bisect_halves_widest(rng):
     nb = 50
     lo = rng.uniform(-5, 5, size=(nb, 4))
     hi = lo + rng.uniform(0.01, 3, size=(nb, 4))
-    clo, chi, _ = _bisect_cells(lo, hi, np.zeros(nb, dtype=int), np.arange(nb))
+    ax = _widest(hi - lo)[0]
+    clo, chi, _ = _bisect_cells(lo, hi, np.zeros(nb, dtype=int), np.arange(nb), ax)
     (llo, rlo), (lhi, rhi) = np.split(clo, 2), np.split(chi, 2)
     r = np.arange(nb)
-    ax = np.argmax(hi - lo, axis=1)
     # split point is the float midpoint: accurate at coordinate scale
     scale = np.maximum(np.maximum(np.abs(lo[r, ax]), np.abs(hi[r, ax])), 1.0)
     assert np.all(np.abs((lhi - llo)[r, ax] - (hi - lo)[r, ax] / 2) <= 2 * np.spacing(scale))
